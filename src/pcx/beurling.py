@@ -167,13 +167,3 @@ def make_selberg_pair(beta, delta=1.0):
     return SelbergPair(beta=beta, delta=delta,
                        minorant=make(-1), majorant=make(+1))
 
-
-def freq_lipschitz_estimate(beta, sign, samples=20001):
-    """Empirical Lipschitz constant of t -> ft_r(beta, sign, t) on [-1, 1].
-
-    No sharp constant is available in closed form; this reports the largest
-    finite-difference slope on an even grid.
-    """
-    t = np.linspace(-1.0, 1.0, samples)
-    v = ft_r(beta, sign, t)
-    return float(np.max(np.abs(np.diff(v) / np.diff(t))))

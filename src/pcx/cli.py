@@ -26,9 +26,19 @@ EXIT_IO = 4
 
 
 def _fmt(x):
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.10g}"
+
+
+def _json_cell(x):
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    return float(_fmt(x))
 
 
 def _parse_beta(text):
@@ -52,38 +62,26 @@ def _emit(args, command, columns, rows, footer_notes=()):
     config = " ".join(
         f"{k}={v}" for k, v in sorted(vars(args).items())
         if k not in ("func", "out", "plot") and v is not None)
-    lines = []
-    if args.format == "csv":
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row[c]) for c in columns))
-        for note in footer_notes:
-            lines.append(f"# {note}")
-        lines.append(f"# pcx {__version__}")
-        lines.append(f"# config: {command} {config}")
-        text = "\n".join(lines) + "\n"
-    elif args.format == "json":
+    if args.format == "json":
         payload = {
             "command": command,
             "version": __version__,
             "config": config,
             "notes": list(footer_notes),
-            "rows": [{c: (int(r[c]) if isinstance(r[c], (int, np.integer))
-                          else float(_fmt(r[c]))) for c in columns}
-                     for r in rows],
+            "rows": [{c: _json_cell(r[c]) for c in columns} for r in rows],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        widths = {c: max(len(c), max((len(_fmt(r[c])) for r in rows),
-                                     default=0)) for c in columns}
-        lines.append("  ".join(c.ljust(widths[c]) for c in columns))
-        for row in rows:
-            lines.append("  ".join(_fmt(row[c]).ljust(widths[c])
-                                   for c in columns))
-        for note in footer_notes:
-            lines.append(f"# {note}")
-        lines.append(f"# pcx {__version__}")
-        lines.append(f"# config: {command} {config}")
+        cells = [columns] + [[_fmt(r[c]) for c in columns] for r in rows]
+        if args.format == "csv":
+            lines = [",".join(row) for row in cells]
+        else:
+            widths = [max(len(row[i]) for row in cells)
+                      for i in range(len(columns))]
+            lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths))
+                     for row in cells]
+        lines += [f"# {note}" for note in footer_notes]
+        lines += [f"# pcx {__version__}", f"# config: {command} {config}"]
         text = "\n".join(lines) + "\n"
 
     if args.out:
@@ -116,15 +114,6 @@ def _emit_plot(args, command, columns):
         fh.write(script)
 
 
-def _threads():
-    raw = os.environ.get("PCX_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return None
-    return max(1, n) if n else None
-
-
 def cmd_bounds(args):
     betas = _parse_beta(args.beta) or _parse_beta("0.1:3:0.1")
     if args.delta != 1.0 or args.epsilon is not None:
@@ -138,7 +127,7 @@ def cmd_bounds(args):
                          "conjecture": pcbounds.conjecture_integral(b)})
         return _emit(args, "bounds", ["beta", "lower", "upper", "conjecture"],
                      rows, [f"dilation delta={delta:.10g}"])
-    table = pcbounds.bound_table(betas, args.nstar, max_workers=_threads())
+    table = pcbounds.bound_table(betas, args.nstar)
     rows = [{
         "beta": r.beta, "lower": r.lower, "upper": r.upper,
         "lower_adjusted": r.lower_adjusted, "upper_adjusted": r.upper_adjusted,
@@ -185,40 +174,7 @@ def cmd_gaps(args):
         {"method": "interval_minorant",
          "threshold": gaps.selberg_threshold(tol)},
     ]
-    return _emit_text_first(args, "gaps", ["method", "threshold"], rows)
-
-
-def _emit_text_first(args, command, columns, rows):
-    """Variant of _emit whose first column is text, not a number."""
-    def fmt(row, c):
-        v = row[c]
-        return v if isinstance(v, str) else _fmt(v)
-
-    config = " ".join(
-        f"{k}={v}" for k, v in sorted(vars(args).items())
-        if k not in ("func", "out", "plot") and v is not None)
-    lines = []
-    if args.format == "json":
-        payload = {"command": command, "version": __version__,
-                   "config": config,
-                   "rows": [{c: (row[c] if isinstance(row[c], str)
-                                 else float(_fmt(row[c]))) for c in columns}
-                            for row in rows]}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        sep = "," if args.format == "csv" else "  "
-        lines.append(sep.join(columns))
-        for row in rows:
-            lines.append(sep.join(fmt(row, c) for c in columns))
-        lines.append(f"# pcx {__version__}")
-        lines.append(f"# config: {command} {config}")
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(args, "gaps", ["method", "threshold"], rows)
 
 
 def cmd_empirical(args):

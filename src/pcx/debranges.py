@@ -83,18 +83,6 @@ def build_E(x_max=60.0):
     def B_eval(x):
         return -np.imag(E_eval(np.asarray(x, dtype=float)))
 
-    # sanity: the E/kernel identity at a handful of random points
-    rng = np.random.default_rng(7)
-    def estar(z):
-        return np.conj(E_eval(np.conj(z)))
-    for _ in range(50):
-        w = complex(rng.uniform(-2, 2), rng.uniform(-1.5, 1.5))
-        z = complex(rng.uniform(-2, 2), rng.uniform(-1.5, 1.5))
-        lhs = complex(E_eval(z) * estar(np.conj(w)) - estar(z) * E_eval(np.conj(w)))
-        rhs = complex(2.0j * math.pi * (np.conj(w) - z) * kernel_eval(w, z))
-        if abs(lhs - rhs) > 1e-10 * max(1.0, abs(rhs)):
-            raise RootMiss("structure-function identity failed at random point")
-
     zeros_b = _scan_roots(B_eval, 0.05, x_max, 0.25)
     zeros_b = np.concatenate([[0.0], zeros_b])
     zeros_a = []
@@ -110,32 +98,28 @@ def build_E(x_max=60.0):
                           zeros_B=zeros_b, x_max=float(x_max))
 
 
-def k_diag(x, E=None):
-    """K(x,x) through the Wronskian-type combination of A and B."""
-    E = E or build_E()
+def k_diag(x):
+    """The kernel diagonal K(x,x) at real points x."""
     x = np.asarray(x, dtype=float)
-    a = E.A_eval(x)
-    b = E.B_eval(x)
-    ap = deriv_central(E.A_eval, x)
-    bp = deriv_central(E.B_eval, x)
-    return (bp * a - ap * b) / math.pi
+    return np.reshape([kernel_eval(v, v).real for v in x.ravel()], x.shape)
 
 
-def _tilted_diag(A_beta, B_beta, xi):
-    xi = np.asarray(xi, dtype=float)
-    a = A_beta(xi)
-    b = B_beta(xi)
-    ap = deriv_central(A_beta, xi)
-    bp = deriv_central(B_beta, xi)
-    return (bp * a - ap * b) / math.pi
+def _tilted_diag(x, gamma, E):
+    """K_beta(x,x) = (x^2 + gamma^2) K(x,x) + gamma |E(x)|^2 / pi.
+
+    This is the Wronskian of A_beta = gamma A - x B, B_beta = x A + gamma B
+    expanded in terms of the Wronskian of A and B, which is pi K(x,x).
+    """
+    x = np.asarray(x, dtype=float)
+    return ((x ** 2 + gamma ** 2) * k_diag(x)
+            + gamma * np.abs(E.E_eval(x)) ** 2 / math.pi)
 
 
-def tilt(beta, E=None, x_max=None):
+def tilt(beta, E=None):
     """Classify beta among the interlaced zeros and build the tilted pair."""
     if beta <= 0:
         raise DomainError("beta must be positive")
     E = E or build_E()
-    x_max = x_max or E.x_max
     if beta > E.x_max - 2.0:
         raise DomainError("beta too close to the resolved zero range")
 
@@ -148,8 +132,8 @@ def tilt(beta, E=None, x_max=None):
     if near_a or near_b:
         regime = "case_a_zero" if near_a else "case_b_zero"
         zeros = E.zeros_A if near_a else E.zeros_B
-        nodes = zeros[zeros <= x_max]
-        lp, lm = _lambda_untilted(E, nodes, beta)
+        nodes = zeros[zeros <= E.x_max]
+        lp, lm = _masses(nodes, 1.0 / k_diag(nodes), beta)
         return TiltedSpace(beta=beta, gamma_beta=float("nan"), regime=regime,
                            E_beta_eval=E.E_eval, A_beta_eval=E.A_eval,
                            B_beta_eval=E.B_eval, nodes=nodes,
@@ -177,7 +161,7 @@ def tilt(beta, E=None, x_max=None):
         return E.E_eval(z) * (gamma - 1j * z)
 
     node_fn = A_beta if regime == "case_bk_ak1" else B_beta
-    pos = _scan_roots(node_fn, 0.05, x_max, 0.1)
+    pos = _scan_roots(node_fn, 0.05, E.x_max, 0.1)
     # beta is a node by construction; snap the scanned root onto it
     pos = np.where(np.abs(pos - beta) < 1e-6, beta, pos)
     if not np.any(pos == beta):
@@ -186,34 +170,23 @@ def tilt(beta, E=None, x_max=None):
         pos = np.concatenate([[0.0], pos])
     nodes = pos
 
-    lp, lm = _lambda_tilted(A_beta, B_beta, nodes, beta, gamma)
+    weights = (nodes ** 2 + gamma ** 2) / _tilted_diag(nodes, gamma, E)
+    lp, lm = _masses(nodes, weights, beta)
     return TiltedSpace(beta=beta, gamma_beta=gamma, regime=regime,
                        E_beta_eval=E_beta, A_beta_eval=A_beta,
                        B_beta_eval=B_beta, nodes=nodes,
                        lambda_plus=lp, lambda_minus=lm)
 
 
-def _lambda_untilted(E, nodes, beta):
-    w = 1.0 / k_diag(nodes, E)
-    inside = nodes <= beta + 1e-9
-    strict = nodes < beta - 1e-9
-    def total(mask):
-        s = float(np.sum(w[mask]))
-        # mirror the positive nodes; 0 (a B-node) has no mirror
-        s += float(np.sum(w[mask & (nodes > 0)]))
-        return s
-    return total(inside), total(strict)
+def _masses(nodes, w, beta):
+    """lambda_+/- as node sums over |x| <= beta and |x| < beta.
 
-
-def _lambda_tilted(A_beta, B_beta, nodes, beta, gamma):
-    w = (nodes ** 2 + gamma ** 2) / _tilted_diag(A_beta, B_beta, nodes)
-    inside = nodes <= beta + 1e-9
-    strict = nodes < beta - 1e-9
+    The positive nodes are mirrored; 0 (a B-node) has no mirror.
+    """
     def total(mask):
-        s = float(np.sum(w[mask]))
-        s += float(np.sum(w[mask & (nodes > 0)]))
-        return s
-    return total(inside), total(strict)
+        return float(np.sum(w[mask])) + float(np.sum(w[mask & (nodes > 0)]))
+
+    return total(nodes <= beta + 1e-9), total(nodes < beta - 1e-9)
 
 
 def lambda_values(beta, E=None):
@@ -279,12 +252,9 @@ def quadrature_check(F, which, beta=None, E=None, node_tol=1e-7):
     integral = integrate_real_line(
         integrand, QuadratureSpec(oscillation_period=1.0), inner=24.0)
 
-    if which == "A_nodes":
-        nodes = E.zeros_A
-        weights = 1.0 / k_diag(nodes, E)
-    elif which == "B_nodes":
-        nodes = E.zeros_B
-        weights = 1.0 / k_diag(nodes, E)
+    if which in ("A_nodes", "B_nodes"):
+        nodes = E.zeros_A if which == "A_nodes" else E.zeros_B
+        weights = 1.0 / k_diag(nodes)
     elif which in ("A_beta_nodes", "B_beta_nodes"):
         if beta is None:
             raise DomainError("tilted node systems need beta")
@@ -295,7 +265,7 @@ def quadrature_check(F, which, beta=None, E=None, node_tol=1e-7):
                 f"beta={beta:g} sits in regime {t.regime}, not {want}")
         nodes = t.nodes
         weights = (nodes ** 2 + t.gamma_beta ** 2) / _tilted_diag(
-            t.A_beta_eval, t.B_beta_eval, nodes)
+            nodes, t.gamma_beta, E)
     else:
         raise DomainError(f"unknown node system {which!r}")
 

@@ -21,13 +21,17 @@ XI_CRIT = 1.0 + 1.0 / math.sqrt(3.0)
 
 
 def g_hat(alpha):
-    """Transform of the gap minorant: 1 - |a| + sin(2 pi |a|)/(2 pi) on [-1,1]."""
-    alpha = np.asarray(alpha, dtype=float)
-    a = np.abs(alpha)
-    inside = a <= 1.0
-    return np.where(inside,
-                    1.0 - a + np.sin(2.0 * np.pi * a) / (2.0 * np.pi),
-                    0.0)
+    """Transform of the gap minorant: 1 - |a| + sin(2 pi |a|)/(2 pi) on [-1,1].
+
+    Written as u - sin(2 pi u)/(2 pi) with u = 1 - |a|, which vanishes to
+    third order at the band edge; below u = 1e-2 its Taylor series takes
+    over, so rounding cannot make the value negative there.
+    """
+    u = 1.0 - np.abs(np.asarray(alpha, dtype=float))
+    x = 2.0 * np.pi * u
+    series = x ** 2 * u / 6.0 * (1.0 - x ** 2 / 20.0 + x ** 4 / 840.0)
+    inside = np.where(u < 1e-2, series, u - np.sin(x) / (2.0 * np.pi))
+    return np.where(u > 0.0, inside, 0.0)
 
 
 def goldston_lower(xi):
@@ -82,24 +86,8 @@ def lower_bound_profile(beta):
     """Assembled lower-bound value at one beta in [1/2, 1]."""
     if not 0.5 <= beta <= 1.0:
         raise DomainError("beta must lie in [1/2, 1]")
-    base = _base_term(beta)
-    # quadrature cross-check of the closed form
-    quad = beta - 1.0 + 2.0 * beta * integrate_adaptive(
-        lambda a: g_hat(beta * a) * a, 0.0, 1.0, QuadratureSpec())
-    if abs(base - quad) > 1e-9:
-        raise NoRoot("closed form and quadrature of the base term disagree")
-    return GapBoundProfile(beta=beta, base_term=base,
+    return GapBoundProfile(beta=beta, base_term=_base_term(beta),
                            correction=_correction(beta))
-
-
-def correction_sign_report(beta, samples=2001):
-    """Integrand-sign audit on the correction range; lists positive spots."""
-    lo, hi = XI_CRIT, 1.0 / beta
-    if hi <= lo:
-        return []
-    a = np.linspace(lo, hi, samples)
-    s = np.sin(2.0 * np.pi * beta * a)
-    return [float(v) for v in a[s > 1e-12]]
 
 
 def solve_threshold(use_correction=True, tol=1e-6):

@@ -126,24 +126,6 @@ def kernel_eval(w, z):
     return at_w(w)
 
 
-@dataclass(frozen=True)
-class Kernel:
-    eval: Callable
-    c: Callable
-    d: Callable
-    f: Callable
-    g: Callable
-    h: Callable
-
-
-KERNEL = Kernel(eval=kernel_eval, c=piece_c, d=piece_d,
-                f=piece_f, g=piece_g, h=piece_h)
-
-
-def get_kernel():
-    return KERNEL
-
-
 def reproduce(f, w, spec=None, inner=24.0):
     """<f, K(w,.)> in the weighted space; equals f(w) for type-pi f.
 
@@ -154,17 +136,11 @@ def reproduce(f, w, spec=None, inner=24.0):
     w = complex(w)
     spec = spec or QuadratureSpec(oscillation_period=1.0)
 
-    def real_part(x):
+    def integrand(x):
         kv = kernel_eval(w, x.astype(complex))
-        return np.real(np.asarray(ev(x)) * np.conj(kv) * pc_density(x))
+        return np.asarray(ev(x)) * np.conj(kv) * pc_density(x)
 
-    def imag_part(x):
-        kv = kernel_eval(w, x.astype(complex))
-        return np.imag(np.asarray(ev(x)) * np.conj(kv) * pc_density(x))
-
-    re = integrate_real_line(real_part, spec, inner=inner)
-    im = integrate_real_line(imag_part, spec, inner=inner)
-    return complex(re, im)
+    return complex(integrate_real_line(integrand, spec, inner=inner))
 
 
 def min_norm_two_constraints(n11, n12):

@@ -1,8 +1,9 @@
-"""Shared scalar machinery: quadrature, oscillatory tails, roots, series.
+"""Shared scalar machinery: quadrature, oscillatory tails, roots, derivatives.
 
-Everything here is plain binary64 numpy.  Integrands and series terms are
-expected to accept ndarray arguments (all in-package callers do); the few
-scalar callbacks (root finding) are called with floats.
+Everything here is plain binary64 numpy.  Integrands are expected to accept
+real ndarray arguments (all in-package callers do) and may return real or
+complex values; the few scalar callbacks (root finding) are called with
+floats.
 
 The oscillatory-tail strategy used throughout the package: integrate in
 chunks whose length equals the (hinted) oscillation period, so the chunk
@@ -14,7 +15,6 @@ the smooth power tail.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,7 +118,7 @@ def _gk15_batch(f, lo, hi):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = mid[:, None] + half[:, None] * _XGK[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    y = np.asarray(f(x.ravel())).reshape(x.shape)
     ik = half * (y @ _WGK)
     ig = half * (y[:, _GAUSS_IDX] @ _WG)
     return ik, np.abs(ik - ig)
@@ -149,11 +149,11 @@ def integrate_adaptive(f, a, b, spec=None):
     acc_err = 0.0
     for _ in range(spec.max_depth):
         ik, err = _gk15_batch(f, lo, hi)
-        running = acc_val + float(np.sum(ik))
+        running = acc_val + np.sum(ik)
         budget = spec.abs_tol + spec.rel_tol * abs(running)
         share = budget * (hi - lo) / total_width
         done = err <= share
-        acc_val += float(np.sum(ik[done]))
+        acc_val += np.sum(ik[done])
         acc_err += float(np.sum(err[done]))
         if np.all(done):
             return acc_val
@@ -162,7 +162,7 @@ def integrate_adaptive(f, a, b, spec=None):
         lo = np.concatenate([lo, mid])
         hi = np.concatenate([mid, hi])
     ik, err = _gk15_batch(f, lo, hi)
-    acc_val += float(np.sum(ik))
+    acc_val += np.sum(ik)
     acc_err += float(np.sum(err))
     if acc_err > 10.0 * (spec.abs_tol + spec.rel_tol * abs(acc_val)):
         raise NonConvergence(
@@ -177,7 +177,7 @@ def extrapolate_to_zero(xs, ys):
     correction applied on the table diagonal.
     """
     xs = np.asarray(xs, dtype=float)
-    t = np.asarray(ys, dtype=float).copy()
+    t = 1.0 * np.asarray(ys)  # a float or complex working copy
     n = len(t)
     diag_hist = [t[0]]
     for k in range(1, n):
@@ -265,59 +265,6 @@ def find_root(f, bracket, tol=1e-12):
         else:
             hi, fhi = x, fx
     return 0.5 * (lo + hi)
-
-
-@dataclass(frozen=True)
-class TailModel:
-    kind: str
-    p: float
-
-
-def power_decay(p):
-    return TailModel("power", float(p))
-
-
-def alternating_power(p):
-    return TailModel("alternating", float(p))
-
-
-def sum_with_tail(term, n0, tail_model, tol=1e-10):
-    """Sum of term(n) for n >= n0 with a modeled tail correction."""
-    if tail_model.kind == "power":
-        count = 4096
-        n = np.arange(n0, n0 + count)
-        t = np.array([term(int(k)) for k in n], dtype=float)
-        # empirical decay check on the trailing window
-        win = t[-512:]
-        nw = n[-512:].astype(float)
-        mask = np.abs(win) > 0
-        if np.count_nonzero(mask) >= 8:
-            q = np.polyfit(np.log(nw[mask]), np.log(np.abs(win[mask])), 1)[0]
-            if -q < tail_model.p - 0.5:
-                raise NonConvergence(
-                    f"observed decay exponent {-q:.2f} slower than modeled "
-                    f"{tail_model.p:.2f}")
-        cum = np.cumsum(t)
-        ms = np.array([count // 32, count // 16, count // 8,
-                       count // 4, count // 2, count])
-        value, est = extrapolate_to_zero(1.0 / (n0 + ms - 1), cum[ms - 1])
-        if est > 10.0 * tol + 1e-14:
-            raise NonConvergence(f"series tail estimate {est:.2e} above {tol:.2e}")
-        return value
-    if tail_model.kind == "alternating":
-        count = 400
-        t = np.array([term(int(k)) for k in range(n0, n0 + count)], dtype=float)
-        s = np.cumsum(t)
-        for _ in range(60):
-            if len(s) < 2:
-                break
-            s = 0.5 * (s[1:] + s[:-1])
-        value = s[-1]
-        tail = np.array([term(int(k)) for k in range(n0 + count, n0 + count + 4)])
-        if np.max(np.abs(tail)) > 1e3 * np.abs(t[-1]) + 1e-300:
-            raise NonConvergence("terms stopped decaying; alternating model violated")
-        return value
-    raise DomainError(f"unknown tail model {tail_model.kind!r}")
 
 
 def deriv_central(f, x, h=1e-3):

@@ -2,28 +2,34 @@
 
 M(R) integrates R against the pair correlation density 1 - sinc^2.  For
 the dilated interval sandwiches the value collapses to an elementary
-expression plus the lattice series V; the series is summed over a wide
-window with its two tails rolled up exactly (trigamma for the constant
-part, iterated Abel summation for the oscillatory part).
+expression plus the lattice series V; the series is summed over a window
+around 0 and the resonance, with its two tails rolled up exactly (trigamma
+for the constant part, iterated Abel summation for the oscillatory part).
+The window reaches just far enough for the Abel remainder to drop below
+rounding.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import polygamma
+from scipy.special import polygamma, sici
 
 from . import beurling
 from .numerics import (DomainError, NonConvergence, QuadratureSpec,
-                       bracket_from, find_root, integrate_adaptive,
-                       integrate_real_line)
+                       bracket_from, find_root, integrate_real_line)
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
+ABEL_LEVELS = 6
+# absolute accuracy asked of each Abel-summed tail: below the rounding of
+# the O(1) terms the lattice series is combined with
+TAIL_TOL = 1e-16
+# largest tail margin; the window then has at most c + 18001 terms
+MAX_MARGIN = 9_000
 
 
 def pc_density(x):
@@ -40,24 +46,27 @@ def _common_period(delta):
     return 1.0
 
 
-def _abel_osc_sum(theta, c, m_last, q, levels=6):
+def _abel_osc_sum(theta, c, m_last, q, levels=ABEL_LEVELS):
     """Sum of exp(i*theta*n)/(n - c)**q over n > m_last.
 
     Iterated summation by parts; each level trades a factor ~1/(m|1-z|).
-    Exact trigamma/tetragamma branch when exp(i*theta) is numerically 1.
+    The differences are taken in extended precision: level k multiplies
+    the rounding of the terms by |1-z|^-k, which near delta = 1 would
+    otherwise dominate the truncation error.  Exact trigamma/tetragamma
+    branch when exp(i*theta) is numerically 1.
     """
     z = cmath.exp(1j * theta)
     if abs(z - 1.0) < 1e-9:
         if q == 2:
             return complex(polygamma(1, m_last + 1 - c))
         return complex(-0.5 * polygamma(2, m_last + 1 - c))
-    n = m_last + 1 + np.arange(levels + 1, dtype=float)
+    n = m_last + 1 + np.arange(levels + 1, dtype=np.longdouble)
     a = 1.0 / (n - c) ** q
     total = 0.0 + 0.0j
     zpow = cmath.exp(1j * (theta * (m_last + 1) % (2.0 * math.pi)))
     factor = zpow / (1.0 - z)
     for _ in range(levels):
-        total += factor * a[0]
+        total += factor * float(a[0])
         a = np.diff(a)
         factor *= z / (1.0 - z)
     return total
@@ -92,20 +101,42 @@ def _series_tails(delta, beta, m_right, k_left, s_right, s_left):
     return s_right * right + s_left * left
 
 
+def _tail_margin(delta):
+    """Distance from the window ends to 0 and to c beyond which both
+    Abel-summed tails are accurate to TAIL_TOL.
+
+    After L levels the remainder of sum_{n>m} z^n/(n - c)^q is at most
+    (q)_{L-1} / (|1 - z|^L (m - c)^{q+L-1}); the q = 2 tail carries the
+    weight (delta - 1)/(4 pi^2) and the q = 3 tail delta/(4 pi^3).  At
+    delta = 1 (z = 1) the trigamma branch is exact and one term suffices.
+    """
+    gap = abs(1.0 - cmath.exp(2j * math.pi / delta))
+    if gap < 1e-9:
+        return 1
+    margin = 1.0
+    for q, weight in ((2, (delta - 1.0) / (4.0 * math.pi ** 2)),
+                      (3, delta / (4.0 * math.pi ** 3))):
+        bound = (weight * math.factorial(q + ABEL_LEVELS - 2)
+                 / math.factorial(q - 1) / gap ** ABEL_LEVELS)
+        margin = max(margin, (bound / TAIL_TOL) ** (1 / (q + ABEL_LEVELS - 1)))
+    return min(MAX_MARGIN, math.ceil(margin))
+
+
 def _lattice_sum(delta, beta):
     """Window terms of the bilateral series, near-resonant entries expanded.
 
-    Returns (n, terms, n_lo, n_hi); callers attach the sign pattern and
-    the exact tails.
+    The window [-m, floor(c) + m] straddles n = 0 (where the sign pattern
+    flips) and the resonance c = delta*beta.  Returns (n, terms, n_lo,
+    n_hi); callers attach the sign pattern and the exact tails.
     """
-    if delta < 1:
-        raise DomainError("delta must be at least 1")
     if beta <= 0:
         raise DomainError("beta must be positive")
+    if delta < 1:
+        raise DomainError("delta must be at least 1")
     c = delta * beta
-    half = max(10_000, int(math.ceil(c)) * 100)
-    n_lo = int(math.floor(c)) - half
-    n_hi = int(math.floor(c)) + half
+    margin = _tail_margin(delta)
+    n_lo = -margin
+    n_hi = int(math.floor(c)) + margin
     n = np.arange(n_lo, n_hi + 1, dtype=float)
     u = c - n
     a = 2.0 * math.pi / delta
@@ -132,9 +163,9 @@ def _lattice_sum(delta, beta):
 
 def v_series(delta, beta, sign):
     """The signed lattice series; sign picks the weight of the n=0 term."""
+    n, terms, n_lo, n_hi = _lattice_sum(delta, beta)
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
-    n, terms, n_lo, n_hi = _lattice_sum(delta, beta)
     sgn = np.sign(n)
     sgn[n == 0] = float(sign)
     window = float(np.sum(sgn * terms))
@@ -172,9 +203,7 @@ class BoundRow:
 def m_of(R, spec=None, inner=24.0):
     """M(R) for a band-limited R integrable against the density.
 
-    Time-domain quadrature always; for band [-1,1] functions with a
-    transform evaluator the Plancherel form is computed as well and the
-    two must agree to 1e-7.
+    Time-domain quadrature, valid for every dilation delta.
     """
     period = _common_period(R.delta)
     spec = spec or QuadratureSpec(oscillation_period=period)
@@ -184,36 +213,18 @@ def m_of(R, spec=None, inner=24.0):
     def integrand(x):
         return np.asarray(R.time_eval(x), dtype=float) * pc_density(x)
 
-    time_value = integrate_real_line(integrand, spec, inner=inner)
-
-    if R.freq_eval is not None and R.delta <= 1.0 + 1e-12:
-        rhat0 = float(np.asarray(R.freq_eval(np.array([0.0])))[0])
-        tri = integrate_adaptive(
-            lambda t: np.asarray(R.freq_eval(t)) * (1.0 - np.abs(t)),
-            -1.0, 1.0, QuadratureSpec())
-        freq_value = rhat0 - tri
-        if abs(freq_value - time_value) > 1e-7:
-            raise NonConvergence(
-                f"time/frequency evaluations of M disagree: "
-                f"{time_value!r} vs {freq_value!r}")
-        return freq_value
-    return time_value
+    return integrate_real_line(integrand, spec, inner=inner)
 
 
 def m_selberg(beta, delta=1.0, sign=+1, with_quadrature=False):
     """Half of M for the dilated interval sandwich, in closed form."""
-    if beta <= 0:
-        raise DomainError("beta must be positive")
-    if delta < 1:
-        raise DomainError("delta must be at least 1")
-    if sign not in (+1, -1):
-        raise DomainError("sign must be +1 or -1")
+    v = v_series(delta, beta, sign)  # validates beta, delta and sign
     closed = (
         beta + sign / (2.0 * delta)
         - (1.0 / delta) * (1.0 / (TWO_PI_SQ * beta)
                            - math.sin(2.0 * math.pi * beta)
                            / (4.0 * math.pi ** 3 * beta ** 2))
-        - v_series(delta, beta, sign)
+        - v
     )
     asym = beta - 0.5 + sign / (2.0 * delta) + 1.0 / (TWO_PI_SQ * beta)
     check = None
@@ -230,26 +241,25 @@ def m_selberg(beta, delta=1.0, sign=+1, with_quadrature=False):
 
 
 def conjecture_integral(beta):
-    """Mass of the pair correlation density on [0, beta]."""
-    if beta < 0:
+    """Mass of the pair correlation density on [0, beta].
+
+    beta - Si(2 pi beta)/pi + sin(pi beta)^2/(pi^2 beta).  The three terms
+    cancel to O(beta^3), so below beta = 0.05 the Taylor series
+    (1/pi) sum_k (-1)^(k+1) x^(2k+1) / ((2k+1) (2k+2)!), x = 2 pi beta,
+    takes over; five terms reach rounding there.
+    """
+    if not beta >= 0:
         raise DomainError("beta must be nonnegative")
-    if beta == 0:
-        return 0.0
-    return integrate_adaptive(pc_density, 0.0, beta,
-                              QuadratureSpec(oscillation_period=1.0))
+    x = 2.0 * math.pi * beta
+    if beta < 0.05:
+        return sum((-1) ** (k + 1) * x ** (2 * k + 1)
+                   / ((2 * k + 1) * math.factorial(2 * k + 2))
+                   for k in range(1, 6)) / math.pi
+    return (beta - sici(x)[0] / math.pi
+            + math.sin(math.pi * beta) ** 2 / (math.pi ** 2 * beta))
 
 
-def _one_row(beta, nstar_ratio):
-    lower = m_selberg(beta, 1.0, -1).closed_form
-    upper = m_selberg(beta, 1.0, +1).closed_form
-    adj = 0.5 * (1.0 - nstar_ratio)
-    return BoundRow(beta=beta, lower=lower, upper=upper,
-                    nstar_ratio=nstar_ratio,
-                    lower_adjusted=lower + adj, upper_adjusted=upper + adj,
-                    conjecture=conjecture_integral(beta))
-
-
-def bound_table(betas, nstar_ratio=1.0, max_workers=None):
+def bound_table(betas, nstar_ratio=1.0):
     """Upper/lower bound rows on a beta grid.
 
     The multiplicity knob shifts both bounds by (1 - nstar_ratio)/2; with
@@ -262,10 +272,17 @@ def bound_table(betas, nstar_ratio=1.0, max_workers=None):
         raise DomainError("beta grid must be ascending")
     if not 1.0 <= nstar_ratio <= 4.0 / 3.0 + 1e-12:
         raise DomainError("nstar_ratio must lie in [1, 4/3]")
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda b: _one_row(b, nstar_ratio), betas))
-    return [_one_row(b, nstar_ratio) for b in betas]
+    adj = 0.5 * (1.0 - nstar_ratio)
+    rows = []
+    for beta in betas:
+        lower = m_selberg(beta, 1.0, -1).closed_form
+        upper = m_selberg(beta, 1.0, +1).closed_form
+        rows.append(BoundRow(beta=beta, lower=lower, upper=upper,
+                             nstar_ratio=nstar_ratio,
+                             lower_adjusted=lower + adj,
+                             upper_adjusted=upper + adj,
+                             conjecture=conjecture_integral(beta)))
+    return rows
 
 
 def q_aspect_bounds(beta, epsilon=1e-3):

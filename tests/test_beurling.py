@@ -109,7 +109,3 @@ def test_selberg_pair_domain():
         bs.make_selberg_pair(-1.0)
     with pytest.raises(DomainError):
         bs.make_selberg_pair(1.0, 0.5)
-
-
-def test_freq_lipschitz_estimate_finite():
-    assert 0.0 < bs.freq_lipschitz_estimate(1.0, +1) < 100.0

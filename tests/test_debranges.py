@@ -6,7 +6,7 @@ import pytest
 from pcx import debranges as db
 from pcx.beurling import BandlimitedFunction
 from pcx.kernel import csinc, kernel_eval
-from pcx.numerics import DomainError
+from pcx.numerics import DomainError, deriv_central
 
 
 def test_build_E_basic(E):
@@ -20,6 +20,22 @@ def test_build_E_basic(E):
     assert np.max(np.abs(E.B_eval(x) + ev.imag)) < 1e-13
 
 
+def test_structure_function_kernel_identity(E):
+    # E(z) E*(conj w) - E*(z) E(conj w) = 2 pi i (conj w - z) K(w, z)
+    rng = np.random.default_rng(7)
+
+    def estar(z):
+        return np.conj(E.E_eval(np.conj(z)))
+
+    for _ in range(50):
+        w = complex(rng.uniform(-2, 2), rng.uniform(-1.5, 1.5))
+        z = complex(rng.uniform(-2, 2), rng.uniform(-1.5, 1.5))
+        lhs = complex(E.E_eval(z) * estar(np.conj(w))
+                      - estar(z) * E.E_eval(np.conj(w)))
+        rhs = complex(2.0j * math.pi * (np.conj(w) - z) * kernel_eval(w, z))
+        assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
+
+
 def test_zero_interlacing(E):
     a, b = E.zeros_A, E.zeros_B
     assert b[0] == 0.0
@@ -31,11 +47,29 @@ def test_zero_interlacing(E):
     assert b[1] == pytest.approx(1.057278291, abs=1e-7)
 
 
+def _wronskian(A, B, x):
+    """(B'A - A'B)/pi with sixth-order central derivatives."""
+    return (deriv_central(B, x) * A(x) - deriv_central(A, x) * B(x)) / math.pi
+
+
 def test_k_diag_matches_kernel(E):
-    xs = np.array([0.0, 0.5, 1.3, 2.7])
-    kd = db.k_diag(xs, E)
-    direct = np.array([kernel_eval(x, x).real for x in xs])
-    assert np.max(np.abs(kd - direct)) < 1e-10
+    # K(x,x) is the Wronskian of the companions A and B
+    xs = np.concatenate([[0.0, 0.5, 1.3, 2.7], E.zeros_A[:5], E.zeros_B[:5]])
+    kd = db.k_diag(xs)
+    assert np.array_equal(kd, [kernel_eval(x, x).real for x in xs])
+    wronskian = _wronskian(E.A_eval, E.B_eval, xs)
+    assert np.max(np.abs(kd - wronskian)) < 1e-11 * np.max(kd)
+
+
+def test_tilted_diag_matches_wronskian(E):
+    a1, b1 = float(E.zeros_A[0]), float(E.zeros_B[1])
+    for beta in (0.5 * a1, 0.5 * (a1 + b1), 2.2, 4.7):  # two per regime
+        t = db.tilt(beta, E)
+        assert t.regime in ("case_bk_ak1", "case_ak_bk")
+        xs = np.concatenate([t.nodes[:6], [0.1, 0.37, 3.3]])
+        diag = db._tilted_diag(xs, t.gamma_beta, E)
+        want = _wronskian(t.A_beta_eval, t.B_beta_eval, xs)
+        assert np.max(np.abs(diag - want)) < 1e-11 * np.max(np.abs(want))
 
 
 def test_cross_module_identity(E):

@@ -26,6 +26,20 @@ def test_integrate_adaptive_oscillatory():
     assert abs(v - exact) < 1e-12
 
 
+def test_complex_integrands():
+    from scipy.special import sici
+    v = nm.integrate_adaptive(lambda x: np.exp(1j * np.pi * x), 0.0, 1.0)
+    assert abs(v - 2j / math.pi) < 1e-13
+    # int_1^inf e^{2 pi i x}/x^2 dx, by parts against Si and Ci
+    si, ci = sici(2.0 * math.pi)
+    ref = complex(1.0 - 2.0 * math.pi * (math.pi / 2 - si),
+                  -2.0 * math.pi * ci)
+    v = nm.integrate_semi_infinite(lambda x: np.exp(2j * np.pi * x) / x ** 2,
+                                   1.0, 2.0,
+                                   nm.QuadratureSpec(oscillation_period=1.0))
+    assert abs(v - ref) < 1e-10
+
+
 def test_extrapolate_to_zero_linear():
     xs = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
     ys = 3.0 + 2.0 * xs
@@ -77,25 +91,6 @@ def test_find_root_stays_in_bracket(shift, cube):
     r = nm.find_root(f, b, 1e-12)
     assert b.lo <= r <= b.hi
     assert abs(r - shift) < 1e-9
-
-
-def test_sum_with_tail_zeta():
-    # zeta(2) and zeta(3) from partial sums plus power-tail extrapolation
-    z2 = nm.sum_with_tail(lambda n: 1.0 / n ** 2, 1, nm.power_decay(2))
-    z3 = nm.sum_with_tail(lambda n: 1.0 / n ** 3, 1, nm.power_decay(3))
-    assert abs(z2 - math.pi ** 2 / 6) < 1e-10
-    assert abs(z3 - 1.2020569031595942) < 1e-10
-
-
-def test_sum_with_tail_alternating():
-    v = nm.sum_with_tail(lambda n: (-1.0) ** (n + 1) / n, 1,
-                         nm.alternating_power(1))
-    assert abs(v - math.log(2.0)) < 1e-10
-
-
-def test_sum_with_tail_rejects_wrong_decay_model():
-    with pytest.raises(nm.NonConvergence):
-        nm.sum_with_tail(lambda n: 1.0 / n ** 0.7, 1, nm.power_decay(2))
 
 
 def test_semi_infinite_rejects_fat_tail():
