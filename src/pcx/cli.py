@@ -183,14 +183,9 @@ def cmd_empirical(args):
     ds = zerodata.load_zeros(args.zeros)
     if args.falpha:
         alphas = [float(a) for a in _parse_beta(args.falpha)]
-        T = ds.t_max
-        rows = [{"alpha": a, "f_alpha": zerodata.empirical_F(ds, T, a)}
+        rows = [{"alpha": a, "f_alpha": zerodata.empirical_F(ds, ds.t_max, a)}
                 for a in alphas]
-        sym = max(abs(zerodata.empirical_F(ds, T, a)
-                      - zerodata.empirical_F(ds, T, -a))
-                  for a in alphas) if alphas else 0.0
-        return _emit(args, "empirical", ["alpha", "f_alpha"], rows,
-                     [f"symmetry max |F(a)-F(-a)| = {sym:.3e}"])
+        return _emit(args, "empirical", ["alpha", "f_alpha"], rows)
     betas = _parse_beta(args.beta) or _parse_beta("0.5:2:0.1")
     rows_raw = zerodata.empirical_table(ds, ds.t_max, betas)
     rows = [{"beta": r.beta, "ratio": r.ratio, "conjecture": r.conjecture,

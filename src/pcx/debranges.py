@@ -18,10 +18,10 @@ from typing import Callable
 import numpy as np
 
 from .beurling import BandlimitedFunction
-from .kernel import kernel_eval
+from .kernel import _patched, kernel_eval
 from .numerics import (DomainError, QuadratureSpec, RootMiss,
-                       TruncationWarning, bracket_from, deriv_central,
-                       extrapolate_to_zero, find_root, integrate_real_line)
+                       TruncationWarning, extrapolate_to_zero, find_root,
+                       integrate_real_line)
 from .pcbounds import pc_density
 
 
@@ -49,22 +49,6 @@ class TiltedSpace:
     lambda_minus: float
 
 
-def _scan_roots(fn, lo, hi, step, tol=1e-13):
-    """All simple roots of fn on [lo, hi] located by sign-change scanning."""
-    xs = np.arange(lo, hi + step, step)
-    vals = np.asarray(fn(xs), dtype=float)
-    roots = []
-    for i in range(len(xs) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(xs[i]))
-        elif a * b < 0:
-            scalar = lambda x: float(np.asarray(fn(np.array([x])))[0])
-            roots.append(find_root(scalar, bracket_from(scalar, float(xs[i]),
-                                                        float(xs[i + 1])), tol))
-    return np.array(roots)
-
-
 @lru_cache(maxsize=4)
 def build_E(x_max=60.0):
     """Construct E with zeros of A and B resolved up to x_max."""
@@ -83,18 +67,19 @@ def build_E(x_max=60.0):
     def B_eval(x):
         return -np.imag(E_eval(np.asarray(x, dtype=float)))
 
-    zeros_b = _scan_roots(B_eval, 0.05, x_max, 0.25)
+    zeros_b = find_root(B_eval, np.arange(0.05, x_max + 0.25, 0.25), 1e-13)
     zeros_b = np.concatenate([[0.0], zeros_b])
-    zeros_a = []
-    for lo, hi in zip(zeros_b[:-1], zeros_b[1:]):
-        sub = _scan_roots(A_eval, lo + 1e-9, hi - 1e-9, (hi - lo) / 8.0)
-        if len(sub) != 1:
-            raise RootMiss(
-                f"expected exactly one A-zero in ({lo:.6f}, {hi:.6f}), "
-                f"found {len(sub)}")
-        zeros_a.append(sub[0])
+    # interlacing puts exactly one A-zero strictly inside each B-interval
+    sub = np.linspace(zeros_b[:-1] + 1e-9, zeros_b[1:] - 1e-9, 9, axis=1)
+    zeros_a = find_root(A_eval, sub.ravel(), 1e-13)
+    found = np.histogram(zeros_a, bins=zeros_b)[0]
+    if np.any(found != 1):
+        k = int(np.flatnonzero(found != 1)[0])
+        raise RootMiss(
+            f"expected exactly one A-zero in ({zeros_b[k]:.6f}, "
+            f"{zeros_b[k + 1]:.6f}), found {found[k]}")
     return HermiteBiehler(E_eval=E_eval, A_eval=A_eval, B_eval=B_eval,
-                          type_bound=math.pi, zeros_A=np.array(zeros_a),
+                          type_bound=math.pi, zeros_A=zeros_a,
                           zeros_B=zeros_b, x_max=float(x_max))
 
 
@@ -161,7 +146,7 @@ def tilt(beta, E=None):
         return E.E_eval(z) * (gamma - 1j * z)
 
     node_fn = A_beta if regime == "case_bk_ak1" else B_beta
-    pos = _scan_roots(node_fn, 0.05, E.x_max, 0.1)
+    pos = find_root(node_fn, np.arange(0.05, E.x_max + 0.1, 0.1), 1e-13)
     # beta is a node by construction; snap the scanned root onto it
     pos = np.where(np.abs(pos - beta) < 1e-6, beta, pos)
     if not np.any(pos == beta):
@@ -195,22 +180,6 @@ def lambda_values(beta, E=None):
     return t.lambda_plus, t.lambda_minus
 
 
-def _removable_even(fn, x, centers, radius=1e-5, h=2e-3):
-    """Patch removable singularities at +/-centers by Richardson averaging."""
-    x = np.asarray(x, dtype=float)
-    mask = np.zeros(x.shape, dtype=bool)
-    for c in centers:
-        mask |= np.abs(x - c) < radius
-        mask |= np.abs(x + c) < radius
-    out = np.asarray(fn(np.where(mask, x + 10.0 * radius, x)), dtype=float)
-    if np.any(mask):
-        xm = x[mask]
-        avg1 = 0.5 * (fn(xm + h) + fn(xm - h))
-        avg2 = 0.5 * (fn(xm + 2 * h) + fn(xm - 2 * h))
-        out[mask] = (4.0 * avg1 - avg2) / 3.0
-    return out
-
-
 def case3_majorant(beta, E=None):
     """The explicit optimal majorant below the first A-zero.
 
@@ -223,7 +192,11 @@ def case3_majorant(beta, E=None):
     t = tilt(beta, E)
     if t.regime != "case_bk_ak1":
         raise RootMiss("unexpected regime below the first A-zero")
-    dA = float(deriv_central(t.A_beta_eval, np.array([beta]))[0])
+    # A_beta(beta) = 0, so the Wronskian pi K_beta(beta, beta) = -A_beta'(beta)
+    # B_beta(beta) gives the slope without a numerical derivative
+    at = np.array([beta])
+    dA = (-math.pi * float(_tilted_diag(at, t.gamma_beta, E)[0])
+          / float(t.B_beta_eval(at)[0]))
     C = -2.0 * beta / dA
 
     def q_raw(x):
@@ -231,7 +204,7 @@ def case3_majorant(beta, E=None):
         return C * t.A_beta_eval(x) / (beta ** 2 - x ** 2)
 
     def time_eval(x):
-        return _removable_even(q_raw, x, (beta,)) ** 2
+        return _patched(q_raw, x, beta) ** 2
 
     return BandlimitedFunction(type_bound=2.0 * math.pi, time_eval=time_eval,
                                freq_eval=None,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DomainError, NoRoot, QuadratureSpec, bracket_from,
-                       find_root, integrate_adaptive)
+from .numerics import (DomainError, NoRoot, QuadratureSpec, find_root,
+                       integrate_adaptive)
 from . import pcbounds
 
 XI_CRIT = 1.0 + 1.0 / math.sqrt(3.0)
@@ -97,14 +97,12 @@ def solve_threshold(use_correction=True, tol=1e-6):
         p = lower_bound_profile(b)
         return p.total if use_correction else p.base_term
 
-    grid = np.arange(0.5, 1.0 + 1e-12, 1e-3)
-    prev = f(grid[0])
-    for lo, hi in zip(grid[:-1], grid[1:]):
-        cur = f(hi)
-        if prev < 0 <= cur:
-            return find_root(f, bracket_from(f, float(lo), float(hi)), tol)
-        prev = cur
-    raise NoRoot("no sign change of the gap bound in [1/2, 1]")
+    # both bounds increase through one sign change, so a coarse grid brackets it
+    roots = find_root(np.vectorize(f, otypes=[float]),
+                      np.linspace(0.5, 1.0, 51), tol)
+    if not len(roots):
+        raise NoRoot("no sign change of the gap bound in [1/2, 1]")
+    return float(roots[0])
 
 
 def selberg_threshold(tol=1e-6):

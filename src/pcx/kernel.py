@@ -2,7 +2,7 @@
 
 K(w,z) = f(conj(w),z) + c(conj(w)) g(z) + d(conj(w)) h(z) with elementary
 pieces; the apparent poles at 1 - 2 pi^2 z^2 = 0 are removable and patched
-by a four-point complex mean (O(h^4) accurate).  On top of the kernel sit
+by a real-offset Richardson mean (O(h^4) accurate).  On top of the kernel sit
 the one-delta and two-delta extremal problems and the two-constraint
 minimum-norm problem.
 """
@@ -38,24 +38,28 @@ def csinc(z):
     return np.where(small, 1.0 - pz2 / 6.0 + pz2 ** 2 / 120.0, out)
 
 
-def _near_singular(z):
-    z = np.asarray(z, dtype=complex)
-    return (np.abs(z - _Z0) < _PATCH_RADIUS) | (np.abs(z + _Z0) < _PATCH_RADIUS)
+def _richardson(fn, x):
+    """The value of fn at a removable point x, to O(h^4):
+    (4 mean fn(x +/- h) - mean fn(x +/- 2h)) / 3 cancels the h^2 error of
+    the two means.  The offsets are real so that fn may cast to float."""
+    avg1 = 0.5 * (fn(x + _PATCH_H) + fn(x - _PATCH_H))
+    avg2 = 0.5 * (fn(x + 2.0 * _PATCH_H) + fn(x - 2.0 * _PATCH_H))
+    return (4.0 * avg1 - avg2) / 3.0
 
 
-def _patched(raw, z):
-    """Evaluate raw(z), replacing near-singular points by the four-point
-    complex mean raw(z +/- h) and raw(z +/- ih), which cancels the h^2 term."""
-    z = np.asarray(z, dtype=complex)
-    out = raw(np.where(_near_singular(z), z + 10.0 * _PATCH_RADIUS, z))
-    mask = _near_singular(z)
+def _near(z, center):
+    return ((np.abs(z - center) < _PATCH_RADIUS)
+            | (np.abs(z + center) < _PATCH_RADIUS))
+
+
+def _patched(raw, z, center=_Z0):
+    """raw(z) with the points near the removable points +/-center replaced
+    by their Richardson mean; z keeps its dtype."""
+    z = np.asarray(z)
+    mask = _near(z, center)
+    out = raw(np.where(mask, z + 10.0 * _PATCH_RADIUS, z))
     if np.any(mask):
-        zm = z[mask]
-        acc = np.zeros_like(zm)
-        for off in (_PATCH_H, -_PATCH_H, 1j * _PATCH_H, -1j * _PATCH_H):
-            acc += raw(zm + off)
-        out = np.array(out, dtype=complex)
-        out[mask] = acc / 4.0
+        out[mask] = _richardson(raw, z[mask])
     return out
 
 
@@ -85,14 +89,6 @@ def _h_raw(z):
     return num / (1.0 - 2.0 * np.pi ** 2 * z ** 2)
 
 
-def piece_c(w):
-    return _patched(_c_raw, w)
-
-
-def piece_d(w):
-    return _patched(_d_raw, w)
-
-
 def piece_g(z):
     return _patched(_g_raw, z)
 
@@ -119,10 +115,8 @@ def kernel_eval(w, z):
         return (piece_f(wbar, z) + _c_raw(np.asarray(wbar, dtype=complex)) * piece_g(z)
                 + _d_raw(np.asarray(wbar, dtype=complex)) * piece_h(z))
 
-    if abs(w - _Z0) < _PATCH_RADIUS or abs(w + _Z0) < _PATCH_RADIUS:
-        acc = sum(at_w(w + off)
-                  for off in (_PATCH_H, -_PATCH_H, 1j * _PATCH_H, -1j * _PATCH_H))
-        return acc / 4.0
+    if _near(w, _Z0):
+        return _richardson(at_w, w)
     return at_w(w)
 
 

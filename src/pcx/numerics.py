@@ -1,9 +1,8 @@
-"""Shared scalar machinery: quadrature, oscillatory tails, roots, derivatives.
+"""Shared machinery: quadrature, oscillatory tails, bracketed roots.
 
 Everything here is plain binary64 numpy.  Integrands are expected to accept
 real ndarray arguments (all in-package callers do) and may return real or
-complex values; the few scalar callbacks (root finding) are called with
-floats.
+complex values; root-finding callbacks take and return float ndarrays.
 
 The oscillatory-tail strategy used throughout the package: integrate in
 chunks whose length equals the (hinted) oscillation period, so the chunk
@@ -70,20 +69,6 @@ class QuadratureSpec:
             raise DomainError("max_depth must be >= 1")
         if self.oscillation_period is not None and self.oscillation_period <= 0:
             raise DomainError("oscillation_period must be positive")
-
-
-@dataclass(frozen=True)
-class Bracket:
-    lo: float
-    hi: float
-    f_lo_sign: int
-    f_hi_sign: int
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise DomainError("bracket requires lo < hi")
-        if self.f_lo_sign * self.f_hi_sign != -1:
-            raise DomainError("bracket requires opposite endpoint signs")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -230,48 +215,43 @@ def integrate_real_line(f, spec=None, inner=12.0, tail_exponent=2.0):
     return core + left + right
 
 
-def bracket_from(f, lo, hi):
-    """Build a certified Bracket by evaluating f at the endpoints."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0 or fhi == 0.0 or (flo > 0) == (fhi > 0):
-        raise DomainError("no strict sign change on the proposed bracket")
-    s = 1 if flo > 0 else -1
-    return Bracket(lo, hi, s, -s)
+def find_root(f, xs, tol=1e-12):
+    """Every root of f on the ascending grid xs, in ascending order.
 
-
-def find_root(f, bracket, tol=1e-12):
-    """Bracketed root via bisection/secant hybrid; never leaves the bracket."""
-    lo, hi = bracket.lo, bracket.hi
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise DomainError("bracket endpoints do not straddle a sign change")
+    A grid point where f is exactly 0 is a root; so is the one root inside
+    each grid cell whose endpoint values have strictly opposite signs.  All
+    such brackets are refined together by a bisection/secant hybrid: one
+    call of f per step evaluates every open bracket, and each bracket shrinks
+    until its width is at most tol.  No iterate leaves its cell.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or len(xs) < 2 or not np.all(np.diff(xs) > 0):
+        raise DomainError("find_root needs an ascending grid of >= 2 points")
+    fxs = np.asarray(f(xs), dtype=float)
+    cell = np.flatnonzero(fxs[:-1] * fxs[1:] < 0)
+    lo, hi = xs[cell], xs[cell + 1]
+    flo, fhi = fxs[cell], fxs[cell + 1]
+    roots = np.empty(len(cell))
+    todo = np.arange(len(cell))
     for it in range(200):
         width = hi - lo
-        if width <= tol:
+        wide = width > tol
+        roots[todo[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
+        todo, lo, hi, flo, fhi, width = (
+            v[wide] for v in (todo, lo, hi, flo, fhi, width))
+        if not len(todo):
             break
         # secant step, demoted to bisection when it stalls near an endpoint
         x = hi - fhi * width / (fhi - flo)
-        if not (lo + 0.01 * width < x < hi - 0.01 * width) or it % 3 == 2:
-            x = lo + 0.5 * width
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0) == (flo > 0):
-            lo, flo = x, fx
-        else:
-            hi, fhi = x, fx
-    return 0.5 * (lo + hi)
-
-
-def deriv_central(f, x, h=1e-3):
-    """Sixth-order central first derivative; f must accept ndarrays."""
-    x = np.asarray(x, dtype=float)
-    offs = np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]) * h
-    w = np.array([-1.0, 9.0, -45.0, 45.0, -9.0, 1.0]) / (60.0 * h)
-    pts = x[..., None] + offs
-    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-    return vals @ w
+        bisect = (~((lo + 0.01 * width < x) & (x < hi - 0.01 * width))
+                  | (it % 3 == 2))
+        x = np.where(bisect, lo + 0.5 * width, x)
+        fx = np.asarray(f(x), dtype=float)
+        hit = fx == 0.0
+        roots[todo[hit]] = x[hit]
+        up = (fx > 0) == (flo > 0)
+        lo, flo = np.where(up, x, lo), np.where(up, fx, flo)
+        hi, fhi = np.where(up, hi, x), np.where(up, fhi, fx)
+        todo, lo, hi, flo, fhi = (v[~hit] for v in (todo, lo, hi, flo, fhi))
+    roots[todo] = 0.5 * (lo + hi)
+    return np.sort(np.concatenate([xs[fxs == 0.0], roots]))

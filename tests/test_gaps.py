@@ -60,15 +60,20 @@ def test_profile_total_and_domain():
 
 
 def test_thresholds_frozen():
-    assert gaps.solve_threshold(True, 1e-8) == pytest.approx(0.6068939677,
-                                                             abs=1e-6)
-    assert gaps.solve_threshold(False, 1e-8) == pytest.approx(0.6072856459,
-                                                              abs=1e-6)
+    # the tol=1e-12 roots; a tol=1e-8 solve lands within 1e-8 of the sign change
+    for use, root in ((True, 0.6068935594), (False, 0.6072859172)):
+        r = gaps.solve_threshold(use, 1e-8)
+        assert r == pytest.approx(root, abs=2e-8)
+        assert gaps.solve_threshold(use, 1e-12) == pytest.approx(root, abs=1e-10)
+        lo, hi = (gaps.lower_bound_profile(b) for b in (r - 1e-8, r + 1e-8))
+        if use:
+            assert lo.total < 0.0 < hi.total
+        else:
+            assert lo.base_term < 0.0 < hi.base_term
     # the correction can only help: threshold with it is smaller
     assert gaps.solve_threshold(True) < gaps.solve_threshold(False)
 
 
 def test_selberg_threshold_delegates():
     from pcx.pcbounds import positivity_threshold
-    assert gaps.selberg_threshold(1e-8) == pytest.approx(
-        positivity_threshold(1e-8), abs=1e-12)
+    assert gaps.selberg_threshold(1e-8) == positivity_threshold(1e-8)

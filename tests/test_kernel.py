@@ -21,18 +21,30 @@ def test_csinc_stability():
 
 
 def test_removable_point_patch():
-    # limits from either side agree with the patched value
-    z0 = kn._Z0
-    for piece in (kn.piece_c, kn.piece_d, kn.piece_g, kn.piece_h):
-        patched = complex(piece(np.array([z0], dtype=complex))[0])
+    # patched g and h at and around +/-Z0 against the raw quotients in
+    # 30-digit arithmetic, where the removable point costs no accuracy
+    import mpmath as mp
 
-        def f(h, piece=piece):
-            return complex(piece(np.array([z0 + h], dtype=complex))[0]).real
+    def g(z):
+        sq = mp.mpf(2) ** -0.5
+        return (mp.sqrt(2) * mp.sin(sq) * mp.cos(mp.pi * z)
+                - 2 * mp.pi * z * mp.cos(sq) * mp.sin(mp.pi * z))
 
-        h = 1e-3  # clear of the patch radius
-        rich = (4.0 * 0.5 * (f(h) + f(-h)) - 0.5 * (f(2 * h) + f(-2 * h))) / 3.0
-        assert abs(patched.real - rich) < 1e-9
-        assert abs(patched.imag) < 1e-12
+    def h(z):
+        sq = mp.mpf(2) ** -0.5
+        return (2 * mp.pi * z * mp.sin(sq) * mp.cos(mp.pi * z)
+                - mp.sqrt(2) * mp.cos(sq) * mp.sin(mp.pi * z))
+
+    offsets = np.array([0.0, 1e-6, -3e-5, 9e-5, -9.9e-5])
+    z = np.concatenate([kn._Z0 + offsets, -kn._Z0 + offsets])
+    assert np.all(kn._near(z, kn._Z0))
+    for piece, num in ((kn.piece_g, g), (kn.piece_h, h)):
+        got = piece(z.astype(complex))
+        with mp.workdps(30):
+            want = [float(num(mp.mpf(v)) / (1 - 2 * mp.pi ** 2 * mp.mpf(v) ** 2))
+                    for v in z]
+        assert np.max(np.abs(got.real - want)) < 5e-12
+        assert np.max(np.abs(got.imag)) == 0.0
 
 
 def test_kernel_hermitian_symmetry():

@@ -73,35 +73,71 @@ def test_integrate_real_line_gaussian():
 
 
 def test_bracket_requires_sign_change():
-    with pytest.raises(nm.DomainError):
-        nm.bracket_from(lambda x: x * x + 1.0, -1.0, 1.0)
+    # no strict sign change on the grid: no roots
+    roots = nm.find_root(lambda x: x * x + 1.0, np.linspace(-1.0, 1.0, 9))
+    assert roots.shape == (0,)
+    for bad in ([0.0], [0.0, 1.0, 1.0], [1.0, 0.0], [[0.0, 1.0]]):
+        with pytest.raises(nm.DomainError):
+            nm.find_root(np.cos, bad)
 
 
 def test_find_root_simple():
-    b = nm.bracket_from(math.cos, 1.0, 2.0)
-    r = nm.find_root(math.cos, b, 1e-14)
-    assert abs(r - math.pi / 2) < 1e-12
+    r = nm.find_root(np.cos, [1.0, 2.0], 1e-14)
+    assert r.shape == (1,) and abs(r[0] - math.pi / 2) < 1e-12
+    # an exact zero on a grid point is returned once, as it is
+    assert nm.find_root(lambda x: x - 0.5, np.linspace(0.0, 1.0, 5)).tolist() \
+        == [0.5]
+
+
+def _one_bracket(f, lo, hi, tol):
+    """Scalar reference for one bracket: the same secant step, demoted to
+    bisection near an endpoint and on every third step."""
+    flo, fhi = f(lo), f(hi)
+    for it in range(200):
+        width = hi - lo
+        if width <= tol:
+            break
+        x = hi - fhi * width / (fhi - flo)
+        if not (lo + 0.01 * width < x < hi - 0.01 * width) or it % 3 == 2:
+            x = lo + 0.5 * width
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0) == (flo > 0):
+            lo, flo = x, fx
+        else:
+            hi, fhi = x, fx
+    return 0.5 * (lo + hi)
 
 
 @settings(max_examples=40, deadline=None)
-@given(shift=st.floats(-0.9, 0.9), cube=st.floats(0.1, 5.0))
-def test_find_root_stays_in_bracket(shift, cube):
-    f = lambda x: cube * (x - shift) ** 3 + (x - shift)
-    b = nm.bracket_from(f, -1.0, 1.0)
-    r = nm.find_root(f, b, 1e-12)
-    assert b.lo <= r <= b.hi
-    assert abs(r - shift) < 1e-9
+@given(shift=st.floats(-0.9, 0.9), period=st.floats(0.3, 2.0),
+       frac=st.floats(0.05, 0.95), cube=st.floats(0.1, 5.0))
+def test_find_root_stays_in_bracket(shift, period, frac, cube):
+    # 15 roots at shift + k*period, each strictly inside one cell of width
+    # period/4, at relative position 1 - frac
+    xs = shift + period * (np.arange(-30, 31) + frac) / 4.0
+    want = shift + period * np.arange(-7, 8)
+
+    def f(x):
+        s = np.sin(np.pi * (x - shift) / period)
+        return cube * s ** 3 + s
+
+    got = nm.find_root(f, xs, 1e-12)
+    assert len(got) == len(want)
+    assert np.all(np.abs(got - want) <= 1e-12)
+    cell = np.searchsorted(xs, want)
+    assert np.all((xs[cell - 1] <= got) & (got <= xs[cell]))
+    # refining the brackets together leaves each one's iterates unchanged
+    scalar = lambda x: float(f(np.array([x]))[0])
+    assert got.tolist() == [_one_bracket(scalar, xs[k - 1], xs[k], 1e-12)
+                            for k in cell]
 
 
 def test_semi_infinite_rejects_fat_tail():
     with pytest.raises(nm.TailTooFat):
         nm.integrate_semi_infinite(lambda x: 1.0 / x, 1.0, 1.0,
                                    nm.QuadratureSpec(oscillation_period=1.0))
-
-
-def test_deriv_central_sixth_order():
-    d = nm.deriv_central(np.sin, np.array([0.3, 1.1]))
-    assert np.max(np.abs(d - np.cos([0.3, 1.1]))) < 1e-12
 
 
 def test_nonconvergence_raised():

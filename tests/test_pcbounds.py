@@ -168,8 +168,13 @@ def test_q_aspect_tightens_bounds():
 
 
 def test_positivity_threshold():
-    assert pb.positivity_threshold(1e-8) == pytest.approx(0.8164312266,
-                                                          abs=1e-6)
+    # the tol=1e-12 root; a tol=1e-8 solve lands within 1e-8 of the sign change
+    r = pb.positivity_threshold(1e-8)
+    assert r == pytest.approx(0.8164308093, abs=2e-8)
+    assert pb.positivity_threshold(1e-12) == pytest.approx(0.8164308093,
+                                                           abs=1e-10)
+    lower = lambda b: pb.m_selberg(b, 1.0, -1).closed_form
+    assert lower(r - 1e-8) < 0.0 < lower(r + 1e-8)
 
 
 @settings(max_examples=25, deadline=None)

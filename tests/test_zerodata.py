@@ -38,6 +38,14 @@ def test_load_zeros_errors(tmp_path):
     bad.write_text("# only comments\n")
     with pytest.raises(ParseError):
         zd.load_zeros(bad)
+    for value in ("nan", "inf"):
+        bad.write_text(f"1.0\n{value}\n")
+        with pytest.raises(ParseError) as exc:
+            zd.load_zeros(bad)
+        assert exc.value.line == 2
+    bad.write_text("1.0\n2.0\n2.0\n")
+    with pytest.raises(MonotonicityError):
+        zd.load_zeros(bad)
 
 
 def test_count_pairs_hand_example(small):
@@ -51,6 +59,8 @@ def test_count_pairs_hand_example(small):
 def test_count_pairs_domain(small):
     with pytest.raises(DomainError):
         zd.count_pairs(small, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        zd.count_pairs(small, 1.0, 1.0)
     with pytest.raises(DomainError):
         zd.count_pairs(small, 100.0, 1.0)
     with pytest.raises(DomainError):
@@ -133,3 +143,7 @@ def test_shipped_dataset_majorant_inequality(dataset):
     hi = zd.weighted_pair_sum(sub, T, pair.majorant)
     lo = zd.weighted_pair_sum(sub, T, pair.minorant)
     assert lo <= chi_sum <= hi
+
+
+def test_generate_zeros_matches_shipped_table(dataset):
+    assert np.max(np.abs(zd.generate_zeros(30) - dataset.ordinates[:30])) < 1e-9
