@@ -2,7 +2,7 @@
 
 K(w,z) = f(conj(w),z) + c(conj(w)) g(z) + d(conj(w)) h(z) with elementary
 pieces; the apparent poles at 1 - 2 pi^2 z^2 = 0 are removable and patched
-by a real-offset Richardson mean (O(h^4) accurate).  On top of the kernel sit
+by a real-offset Richardson mean (O(h^6) accurate).  On top of the kernel sit
 the one-delta and two-delta extremal problems and the two-constraint
 minimum-norm problem.
 """
@@ -39,12 +39,13 @@ def csinc(z):
 
 
 def _richardson(fn, x):
-    """The value of fn at a removable point x, to O(h^4):
-    (4 mean fn(x +/- h) - mean fn(x +/- 2h)) / 3 cancels the h^2 error of
-    the two means.  The offsets are real so that fn may cast to float."""
-    avg1 = 0.5 * (fn(x + _PATCH_H) + fn(x - _PATCH_H))
-    avg2 = 0.5 * (fn(x + 2.0 * _PATCH_H) + fn(x - 2.0 * _PATCH_H))
-    return (4.0 * avg1 - avg2) / 3.0
+    """The value of fn at a removable point x, to O(h^6): the weights
+    3/2, -3/5, 1/10 on mean fn(x +/- k h), k = 1, 2, 3, cancel the h^2 and
+    h^4 errors of the means.  The offsets are real so that fn may cast to
+    float."""
+    def avg(k):
+        return 0.5 * (fn(x + k * _PATCH_H) + fn(x - k * _PATCH_H))
+    return 1.5 * avg(1.0) - 0.6 * avg(2.0) + 0.1 * avg(3.0)
 
 
 def _near(z, center):
@@ -54,10 +55,11 @@ def _near(z, center):
 
 def _patched(raw, z, center=_Z0):
     """raw(z) with the points near the removable points +/-center replaced
-    by their Richardson mean; z keeps its dtype."""
+    by their Richardson mean; z keeps its dtype, and the result is a
+    writable array (0-d for scalar z)."""
     z = np.asarray(z)
     mask = _near(z, center)
-    out = raw(np.where(mask, z + 10.0 * _PATCH_RADIUS, z))
+    out = np.array(raw(np.where(mask, z + 10.0 * _PATCH_RADIUS, z)))
     if np.any(mask):
         out[mask] = _richardson(raw, z[mask])
     return out

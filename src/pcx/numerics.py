@@ -228,7 +228,7 @@ def find_root(f, xs, tol=1e-12):
     if xs.ndim != 1 or len(xs) < 2 or not np.all(np.diff(xs) > 0):
         raise DomainError("find_root needs an ascending grid of >= 2 points")
     fxs = np.asarray(f(xs), dtype=float)
-    cell = np.flatnonzero(fxs[:-1] * fxs[1:] < 0)
+    cell = np.flatnonzero(np.sign(fxs[:-1]) * np.sign(fxs[1:]) < 0)
     lo, hi = xs[cell], xs[cell + 1]
     flo, fhi = fxs[cell], fxs[cell + 1]
     roots = np.empty(len(cell))

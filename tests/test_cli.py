@@ -40,6 +40,13 @@ def test_twodelta_one_delta(capsys):
     assert "0.3274992963" in out
 
 
+def test_twodelta_in_patch_disc(capsys):
+    # beta = 0.225 lies within 1e-4 of the kernel's removable point
+    code, out = run(capsys, ["twodelta", "--beta", "0.225"])
+    assert code == 0
+    assert "0.225,0.3824568638," in out
+
+
 def test_twodelta_requires_beta(capsys):
     code, _ = run(capsys, ["twodelta"])
     assert code == 2

@@ -187,6 +187,22 @@ def test_case3_mass_equals_lambda_plus(E):
     assert abs(nodesum - lp) < 1e-8
 
 
+def test_patch_disc_beta(E):
+    # beta = 0.225 lies in the +/-Z0 patch disc of the kernel, so lambda and
+    # the case-3 slope read the patched diagonal from scalar calls; they
+    # agree with a Richardson mean of unpatched neighbours
+    from pcx.kernel import _Z0, _near
+    beta = 0.225
+    assert _near(beta, _Z0)
+    assert not any(_near(beta + d, _Z0) for d in (2e-4, -2e-4, 4e-4, -4e-4))
+    lam = {d: db.lambda_values(beta + d, E)[0] for d in (0, 2e-4, -2e-4, 4e-4, -4e-4)}
+    mean = (4 * (lam[2e-4] + lam[-2e-4]) - (lam[4e-4] + lam[-4e-4])) / 6
+    assert abs(lam[0] - mean) < 1e-9
+    Q = db.case3_majorant(beta, E)
+    assert abs(float(Q.time_eval(beta)) - 1.0) < 1e-11
+    assert abs(float(Q.time_eval(-beta)) - 1.0) < 1e-11
+
+
 def test_lambda_minus_zero_below_first_a_zero(E):
     _, lm = db.lambda_values(0.2, E)
     assert lm == 0.0

@@ -20,31 +20,76 @@ def test_csinc_stability():
     assert v[4] == pytest.approx(np.sin(np.pi * zc) / (np.pi * zc))
 
 
-def test_removable_point_patch():
-    # patched g and h at and around +/-Z0 against the raw quotients in
-    # 30-digit arithmetic, where the removable point costs no accuracy
-    import mpmath as mp
+def _mp_kernel_pieces(mp):
+    """The raw quotients of the kernel in mpmath arithmetic, where the
+    removable points cost no accuracy."""
+    sq = mp.mpf(2) ** -0.5
+
+    def den(z):
+        return 1 - 2 * mp.pi ** 2 * z ** 2
 
     def g(z):
-        sq = mp.mpf(2) ** -0.5
         return (mp.sqrt(2) * mp.sin(sq) * mp.cos(mp.pi * z)
-                - 2 * mp.pi * z * mp.cos(sq) * mp.sin(mp.pi * z))
+                - 2 * mp.pi * z * mp.cos(sq) * mp.sin(mp.pi * z)) / den(z)
 
     def h(z):
-        sq = mp.mpf(2) ** -0.5
         return (2 * mp.pi * z * mp.sin(sq) * mp.cos(mp.pi * z)
-                - mp.sqrt(2) * mp.cos(sq) * mp.sin(mp.pi * z))
+                - mp.sqrt(2) * mp.cos(sq) * mp.sin(mp.pi * z)) / den(z)
+
+    def K(w, z):
+        wb = mp.conj(w)
+        c = (mp.cos(mp.pi * wb) - mp.pi * wb * mp.sin(mp.pi * wb)) / (
+            den(wb) * (mp.cos(sq) - sq * mp.sin(sq)))
+        d = 2 * mp.pi * wb * mp.cos(mp.pi * wb) / (
+            den(wb) * mp.sqrt(2) * mp.cos(sq))
+        sinc = mp.sin(mp.pi * (z - wb)) / (mp.pi * (z - wb)) if z != wb else 1
+        return -2 * mp.pi ** 2 * wb ** 2 / den(wb) * sinc + c * g(z) + d * h(z)
+
+    return g, h, K
+
+
+def test_removable_point_patch():
+    # patched g, h and the w-branch of K at and around +/-Z0 against the raw
+    # quotients in 50-digit arithmetic (a float point near both poles costs
+    # the reference about 34 digits)
+    import mpmath as mp
 
     offsets = np.array([0.0, 1e-6, -3e-5, 9e-5, -9.9e-5])
     z = np.concatenate([kn._Z0 + offsets, -kn._Z0 + offsets])
     assert np.all(kn._near(z, kn._Z0))
-    for piece, num in ((kn.piece_g, g), (kn.piece_h, h)):
-        got = piece(z.astype(complex))
-        with mp.workdps(30):
-            want = [float(num(mp.mpf(v)) / (1 - 2 * mp.pi ** 2 * mp.mpf(v) ** 2))
-                    for v in z]
-        assert np.max(np.abs(got.real - want)) < 5e-12
-        assert np.max(np.abs(got.imag)) == 0.0
+    with mp.workdps(50):
+        g, h, K = _mp_kernel_pieces(mp)
+        for piece, ref in ((kn.piece_g, g), (kn.piece_h, h)):
+            got = piece(z.astype(complex))
+            want = [float(ref(mp.mpf(v))) for v in z]
+            assert np.max(np.abs(got.real - want)) < 2e-13
+            assert np.max(np.abs(got.imag)) == 0.0
+        zs = np.array([0.0, 0.4, -1.7 + 0.6j, 2.3 - 1j, 1j, kn._Z0 + 3e-5,
+                       -kn._Z0, -kn._Z0 + 2e-5j])
+        for w in (kn._Z0, -kn._Z0 + 3e-5, kn._Z0 + 2e-5j):
+            got = kn.kernel_eval(w, zs)
+            want = [complex(K(mp.mpc(w), mp.mpc(v))) for v in zs]
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_patch_at_scalar_points():
+    # 0-d inputs inside a patch disc take the patched path too, and agree
+    # with the array path and with a Richardson mean of unpatched neighbours
+    z0 = kn._Z0
+    assert complex(kn.piece_g(complex(z0))) == kn.piece_g(np.array([z0 + 0j]))[0]
+    assert complex(kn.kernel_eval(z0, z0)) == kn.kernel_eval(z0, np.array([z0]))[0]
+
+    def neighbours(fn, d=2e-4):
+        m1 = 0.5 * (fn(z0 + d) + fn(z0 - d))
+        m2 = 0.5 * (fn(z0 + 2 * d) + fn(z0 - 2 * d))
+        return (4 * m1 - m2) / 3
+
+    for fn in (lambda x: complex(kn.piece_g(complex(x))),
+               lambda x: complex(kn.piece_h(complex(x))),
+               lambda x: complex(kn.kernel_eval(x, x)),
+               lambda x: kn.two_delta(x).value):
+        assert abs(fn(z0) - neighbours(fn)) < 1e-9
+    assert abs(kn.two_delta(0.225).value - 0.3824568637886) < 1e-12
 
 
 def test_kernel_hermitian_symmetry():

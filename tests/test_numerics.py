@@ -87,6 +87,9 @@ def test_find_root_simple():
     # an exact zero on a grid point is returned once, as it is
     assert nm.find_root(lambda x: x - 0.5, np.linspace(0.0, 1.0, 5)).tolist() \
         == [0.5]
+    # a sign change between values whose product underflows is still found
+    r = nm.find_root(lambda x: 1e-200 * (x - 1.0 / 3.0), [0.0, 0.25, 0.5, 1.0])
+    assert r.shape == (1,) and abs(r[0] - 1.0 / 3.0) < 1e-12
 
 
 def _one_bracket(f, lo, hi, tol):
