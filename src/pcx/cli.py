@@ -201,7 +201,7 @@ def cmd_debranges(args):
             for i, (a, b) in enumerate(zip(E.zeros_A, E.zeros_B[1:]))]
     report = debranges.verify_hb(E, samples=200)
     notes = [
-        f"E(0) = {complex(E.E_eval(np.array([0.0]))[0]).real:.10g}",
+        f"E(0) = {complex(E.E_eval(0.0)).real:.10g}",
         f"structure checks ok = {report['ok']}",
     ]
     return _emit(args, "debranges", ["index", "a_zero", "b_zero"], rows, notes)
@@ -214,40 +214,36 @@ def build_parser():
                     "statistics of critical-line zeros.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--beta", help="value or a:b:step grid")
-        p.add_argument("--delta", type=float, default=1.0)
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--nstar", type=float, default=1.0)
-        p.add_argument("--zeros", help="ordinate table path")
+    options = {
+        "--beta": dict(help="value or a:b:step grid"),
+        "--delta": dict(type=float, default=1.0),
+        "--epsilon": dict(type=float),
+        "--nstar": dict(type=float, default=1.0),
+        "--zeros": dict(help="ordinate table path"),
+        "--tol": dict(type=float),
+        "--one-delta": dict(action="store_true"),
+        "--profile": dict(action="store_true"),
+        "--falpha": dict(help="alpha grid a:b:step for the pair sum"),
+    }
+    # each subcommand takes only the options it reads
+    for name, func, help_text, flags in (
+            ("bounds", cmd_bounds, "bound tables on a beta grid",
+             ("--beta", "--delta", "--epsilon", "--nstar")),
+            ("twodelta", cmd_twodelta, "two-point extremal values",
+             ("--beta", "--one-delta")),
+            ("gaps", cmd_gaps, "small-gap thresholds",
+             ("--beta", "--tol", "--profile")),
+            ("empirical", cmd_empirical, "empirical statistics from data",
+             ("--zeros", "--beta", "--falpha")),
+            ("debranges", cmd_debranges, "structure-function diagnostics", ())):
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **options[flag])
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json", "table"),
                        default="csv")
-        p.add_argument("--tol", type=float, default=None)
         p.add_argument("--plot", help="write a gnuplot script here")
-
-    p = sub.add_parser("bounds", help="bound tables on a beta grid")
-    common(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("twodelta", help="two-point extremal values")
-    common(p)
-    p.add_argument("--one-delta", action="store_true", dest="one_delta")
-    p.set_defaults(func=cmd_twodelta)
-
-    p = sub.add_parser("gaps", help="small-gap thresholds")
-    common(p)
-    p.add_argument("--profile", action="store_true")
-    p.set_defaults(func=cmd_gaps)
-
-    p = sub.add_parser("empirical", help="empirical statistics from data")
-    common(p)
-    p.add_argument("--falpha", help="alpha grid a:b:step for the pair sum")
-    p.set_defaults(func=cmd_empirical)
-
-    p = sub.add_parser("debranges", help="structure-function diagnostics")
-    common(p)
-    p.set_defaults(func=cmd_debranges)
+        p.set_defaults(func=func)
 
     return parser
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DomainError, NoRoot, QuadratureSpec, find_root,
-                       integrate_adaptive)
+from .numerics import DomainError, NoRoot, find_root
 from . import pcbounds
 
 XI_CRIT = 1.0 + 1.0 / math.sqrt(3.0)
@@ -70,16 +69,21 @@ def _base_term(beta):
 
 
 def _correction(beta):
+    """-4 pi beta^3 int sin(k a) p(a) da over [XI_CRIT, 1/beta], in closed
+    form: k = 2 pi beta, p = goldston_lower, and the antiderivative is
+    -cos(k a) p(a)/k + sin(k a) p'(a)/k^2 + cos(k a) p''(a)/k^3."""
     lo = XI_CRIT
     hi = 1.0 / beta
     if hi <= lo:
         return 0.0
+    k = 2.0 * math.pi * beta
 
-    def integrand(a):
-        return np.sin(2.0 * np.pi * beta * a) * goldston_lower(a)
+    def antiderivative(a):
+        p = a * a / 2.0 - a + 1.0 / 3.0
+        return (-math.cos(k * a) * p / k + math.sin(k * a) * (a - 1.0) / k ** 2
+                + math.cos(k * a) / k ** 3)
 
-    val = integrate_adaptive(integrand, lo, hi, QuadratureSpec())
-    return -4.0 * math.pi * beta ** 3 * val
+    return -4.0 * math.pi * beta ** 3 * (antiderivative(hi) - antiderivative(lo))
 
 
 def lower_bound_profile(beta):

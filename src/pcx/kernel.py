@@ -1,10 +1,12 @@
 """The reproducing kernel of the type-pi space weighted by 1 - sinc^2.
 
 K(w,z) = f(conj(w),z) + c(conj(w)) g(z) + d(conj(w)) h(z) with elementary
-pieces; the apparent poles at 1 - 2 pi^2 z^2 = 0 are removable and patched
-by a real-offset Richardson mean (O(h^6) accurate).  On top of the kernel sit
-the one-delta and two-delta extremal problems and the two-constraint
-minimum-norm problem.
+pieces, evaluated elementwise over broadcast arrays of w and z.  The
+apparent poles at 1 - 2 pi^2 z^2 = 0 (in z for g and h, in w for f, c and
+d) are removable; one patcher, `_patched`, replaces the points within 1e-4
+of them by a real-offset Richardson mean (O(h^6) accurate).  On top of the
+kernel sit the one-delta and two-delta extremal problems and the
+two-constraint minimum-norm problem.
 """
 
 from __future__ import annotations
@@ -53,15 +55,20 @@ def _near(z, center):
             | (np.abs(z + center) < _PATCH_RADIUS))
 
 
-def _patched(raw, z, center=_Z0):
-    """raw(z) with the points near the removable points +/-center replaced
-    by their Richardson mean; z keeps its dtype, and the result is a
-    writable array (0-d for scalar z)."""
-    z = np.asarray(z)
-    mask = _near(z, center)
-    out = np.array(raw(np.where(mask, z + 10.0 * _PATCH_RADIUS, z)))
+def _patched(raw, x, *rest, center=_Z0):
+    """raw(x, *rest), broadcast, with every entry whose x lies near the
+    removable points +/-center replaced by the Richardson mean in x of raw
+    at that entry's rest.  The first pass runs on the native shapes, so a
+    scalar x stays scalar there; x keeps its dtype, and the result is a
+    writable array (0-d when every input is scalar)."""
+    x = np.asarray(x)
+    mask = _near(x, center)
+    out = np.array(raw(np.where(mask, x + 10.0 * _PATCH_RADIUS, x), *rest))
     if np.any(mask):
-        out[mask] = _richardson(raw, z[mask])
+        sel = np.broadcast_to(mask, out.shape)
+        at = [np.broadcast_to(r, out.shape)[sel] for r in rest]
+        out[sel] = _richardson(lambda v: raw(v, *at),
+                               np.broadcast_to(x, out.shape)[sel])
     return out
 
 
@@ -107,19 +114,20 @@ def piece_f(w, z):
     return pref * csinc(z - w)
 
 
+def _k_raw(w, z):
+    """K(w, z) with z patched but the poles in w left in place."""
+    wbar = np.conj(np.asarray(w, dtype=complex))
+    return (piece_f(wbar, z) + _c_raw(wbar) * piece_g(z)
+            + _d_raw(wbar) * piece_h(z))
+
+
 def kernel_eval(w, z):
-    """K(w, z) for scalar complex w and scalar-or-array z."""
-    w = complex(w)
-    z = np.asarray(z, dtype=complex)
+    """K(w, z), elementwise over w and z broadcast against each other.
 
-    def at_w(wv):
-        wbar = np.conj(wv)
-        return (piece_f(wbar, z) + _c_raw(np.asarray(wbar, dtype=complex)) * piece_g(z)
-                + _d_raw(np.asarray(wbar, dtype=complex)) * piece_h(z))
-
-    if _near(w, _Z0):
-        return _richardson(at_w, w)
-    return at_w(w)
+    Scalars give a 0-d array.  Points within 1e-4 of the removable points
+    +/-Z0 are patched in w and in z.
+    """
+    return _patched(_k_raw, w, z)
 
 
 def reproduce(f, w, spec=None, inner=24.0):

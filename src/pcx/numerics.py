@@ -23,10 +23,6 @@ class NonConvergence(RuntimeError):
     """An iterative scheme stopped with an error estimate above target."""
 
 
-class TailTooFat(ValueError):
-    """Semi-infinite integral with decay too slow to converge absolutely."""
-
-
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the operation."""
 
@@ -175,7 +171,7 @@ def extrapolate_to_zero(xs, ys):
     return diag_hist[-1], abs(diag_hist[-1] - diag_hist[-2])
 
 
-def integrate_semi_infinite(f, a, tail_exponent, spec=None):
+def integrate_semi_infinite(f, a, spec=None):
     """Integral of f over [a, inf) for integrands decaying like x^-p, p >= 2.
 
     Chunked in units of the oscillation period with Neville extrapolation
@@ -183,8 +179,6 @@ def integrate_semi_infinite(f, a, tail_exponent, spec=None):
     left after the periodic part cancels chunk by chunk.
     """
     spec = spec or DEFAULT_SPEC
-    if tail_exponent < 2:
-        raise TailTooFat("tail exponent below 2: integral too slowly convergent")
     p = spec.oscillation_period or 1.0
 
     for nchunk, per in ((512, 2), (1024, 4)):
@@ -206,12 +200,12 @@ def integrate_semi_infinite(f, a, tail_exponent, spec=None):
         f"semi-infinite tail extrapolation error {est:.2e} above target")
 
 
-def integrate_real_line(f, spec=None, inner=12.0, tail_exponent=2.0):
+def integrate_real_line(f, spec=None, inner=12.0):
     """Integral of f over the whole line: adaptive core plus two tails."""
     spec = spec or DEFAULT_SPEC
     core = integrate_adaptive(f, -inner, inner, spec)
-    right = integrate_semi_infinite(f, inner, tail_exponent, spec)
-    left = integrate_semi_infinite(lambda x: f(-x), inner, tail_exponent, spec)
+    right = integrate_semi_infinite(f, inner, spec)
+    left = integrate_semi_infinite(lambda x: f(-x), inner, spec)
     return core + left + right
 
 

@@ -14,12 +14,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import polygamma, sici
 
-from . import beurling
 from .numerics import (DomainError, NonConvergence, QuadratureSpec,
                        find_root, integrate_real_line)
 
@@ -186,7 +184,6 @@ class MEvaluation:
     sign: int
     closed_form: float
     asymptotic: float
-    quadrature_check: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -216,7 +213,7 @@ def m_of(R, spec=None, inner=24.0):
     return integrate_real_line(integrand, spec, inner=inner)
 
 
-def m_selberg(beta, delta=1.0, sign=+1, with_quadrature=False):
+def m_selberg(beta, delta=1.0, sign=+1):
     """Half of M for the dilated interval sandwich, in closed form."""
     v = v_series(delta, beta, sign)  # validates beta, delta and sign
     closed = (
@@ -227,17 +224,8 @@ def m_selberg(beta, delta=1.0, sign=+1, with_quadrature=False):
         - v
     )
     asym = beta - 0.5 + sign / (2.0 * delta) + 1.0 / (TWO_PI_SQ * beta)
-    check = None
-    if with_quadrature:
-        pair = beurling.make_selberg_pair(beta, delta)
-        fn = pair.majorant if sign > 0 else pair.minorant
-        # the oscillatory tail extrapolation saturates near 1e-10 for
-        # large beta; a 1e-9 budget keeps the check far below its 1e-7 use
-        spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9,
-                              oscillation_period=_common_period(delta))
-        check = 0.5 * m_of(fn, spec=spec, inner=max(24.0, 4.0 * beta))
     return MEvaluation(beta=beta, delta=delta, sign=sign, closed_form=closed,
-                       asymptotic=asym, quadrature_check=check)
+                       asymptotic=asym)
 
 
 def conjecture_integral(beta):

@@ -111,6 +111,14 @@ def test_invalid_subcommand(capsys):
     assert cli.main(["bogus"]) == 2
 
 
+def test_subcommands_reject_options_they_ignore(capsys):
+    assert cli.main(["debranges", "--zeros", "x"]) == 2
+    assert cli.main(["twodelta", "--nstar", "1.2"]) == 2
+    assert cli.main(["gaps", "--delta", "2"]) == 2
+    assert cli.main(["bounds", "--tol", "1e-8"]) == 2
+    assert cli.main(["empirical", "--zeros", "x", "--profile"]) == 2
+
+
 def test_bad_beta_grid(capsys):
     assert cli.main(["bounds", "--beta", "2:1:0.1"]) == 2
     assert cli.main(["bounds", "--beta", "1:2"]) == 2

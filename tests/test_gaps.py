@@ -44,6 +44,19 @@ def test_base_term_matches_quadrature():
         assert abs(closed - quad) < 1e-12
 
 
+def test_correction_against_mpmath():
+    import mpmath as mp
+    with mp.workdps(40):
+        for beta in (0.5, 0.55, 0.6, 0.61, 0.63):
+            b = mp.mpf(beta)
+            k = 2 * mp.pi * b
+            integral = mp.quad(
+                lambda a: mp.sin(k * a) * (a * a / 2 - a + mp.mpf(1) / 3),
+                [1 + 1 / mp.sqrt(3), 1 / b])
+            want = float(-4 * mp.pi * b ** 3 * integral)
+            assert abs(gaps._correction(beta) - want) < 1e-15
+
+
 def test_correction_vanishes_when_range_empty():
     # 1/beta <= 1 + 1/sqrt(3) means no correction range
     assert gaps.lower_bound_profile(0.6).correction != 0.0

@@ -112,8 +112,36 @@ def test_kernel_conjugation_symmetry():
 
 def test_kernel_diagonal_positive():
     xs = np.linspace(-10, 10, 401)
-    diag = np.array([kn.kernel_eval(x, x).real for x in xs])
-    assert np.all(diag > 0)
+    assert np.all(kn.kernel_eval(xs, xs).real > 0)
+
+
+def test_kernel_eval_broadcasts():
+    # array calls agree with a loop of scalar calls: bitwise for real w, to
+    # 1e-12 for complex w (the patch then sums in another order); both sets
+    # mix points inside and outside the +/-Z0 discs in one array
+    z0 = kn._Z0
+    w_real = np.array([0.0, 0.3, -1.7, 4.2, z0, -z0, z0 + 3e-5, z0 + 2e-4])
+    w_complex = np.array([1j, 0.4 + 0.6j, 2.5 - 1.1j, z0 + 2e-5j,
+                          -z0 - 1e-5 + 1e-5j])
+    z = np.array([0.0, 0.5, -2.2, 1.3 - 0.7j, 3.1 + 1.2j, z0, -z0 + 4e-5,
+                  z0 + 3e-5j])
+    assert np.any(kn._near(w_real, z0)) and not np.all(kn._near(w_real, z0))
+    for w, exact in ((w_real, True), (w_complex, False)):
+        loop = np.array([[complex(kn.kernel_eval(wi, zj)) for zj in z]
+                         for wi in w])
+        outer = kn.kernel_eval(w[:, np.newaxis], z)  # (n,1) x (m,)
+        rows = np.array([kn.kernel_eval(wi, z) for wi in w])  # scalar w
+        flat = kn.kernel_eval(np.repeat(w, len(z)), np.tile(z, len(w)))
+        assert outer.shape == loop.shape
+        for got in (outer, rows, flat.reshape(loop.shape)):
+            if exact:
+                assert np.array_equal(got, loop)
+            else:
+                assert np.max(np.abs(got - loop)) < 1e-12
+    # the diagonal at real points, the patched ones included
+    x = np.concatenate([w_real, [0.225]])
+    assert np.array_equal(kn.kernel_eval(x, x),
+                          [complex(kn.kernel_eval(v, v)) for v in x])
 
 
 def test_reproduce_sinc_translates():

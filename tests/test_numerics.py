@@ -35,7 +35,7 @@ def test_complex_integrands():
     ref = complex(1.0 - 2.0 * math.pi * (math.pi / 2 - si),
                   -2.0 * math.pi * ci)
     v = nm.integrate_semi_infinite(lambda x: np.exp(2j * np.pi * x) / x ** 2,
-                                   1.0, 2.0,
+                                   1.0,
                                    nm.QuadratureSpec(oscillation_period=1.0))
     assert abs(v - ref) < 1e-10
 
@@ -49,7 +49,7 @@ def test_extrapolate_to_zero_linear():
 
 
 def test_integrate_semi_infinite_power_tail():
-    v = nm.integrate_semi_infinite(lambda x: 1.0 / x ** 2, 1.0, 2.0,
+    v = nm.integrate_semi_infinite(lambda x: 1.0 / x ** 2, 1.0,
                                    nm.QuadratureSpec(oscillation_period=1.0))
     assert abs(v - 1.0) < 1e-10
 
@@ -61,7 +61,7 @@ def test_integrate_semi_infinite_oscillatory_sinc2():
     # closed form: (1/pi) * (pi/2 + sin^2(pi a)/(pi a) - Si(2 pi a))
     c = math.pi * a
     ref = (math.pi / 2 + math.sin(c) ** 2 / c - sici(2 * c)[0]) / math.pi
-    v = nm.integrate_semi_infinite(f, a, 2.0,
+    v = nm.integrate_semi_infinite(f, a,
                                    nm.QuadratureSpec(oscillation_period=1.0))
     assert abs(v - ref) < 1e-10
 
@@ -135,12 +135,6 @@ def test_find_root_stays_in_bracket(shift, period, frac, cube):
     scalar = lambda x: float(f(np.array([x]))[0])
     assert got.tolist() == [_one_bracket(scalar, xs[k - 1], xs[k], 1e-12)
                             for k in cell]
-
-
-def test_semi_infinite_rejects_fat_tail():
-    with pytest.raises(nm.TailTooFat):
-        nm.integrate_semi_infinite(lambda x: 1.0 / x, 1.0, 1.0,
-                                   nm.QuadratureSpec(oscillation_period=1.0))
 
 
 def test_nonconvergence_raised():

@@ -86,10 +86,12 @@ def test_g_constant_half():
 
 
 def test_m_selberg_closed_vs_quadrature():
+    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
     for beta in (0.6, 1.0, 2.3):
-        for sign in (1, -1):
-            ev = pb.m_selberg(beta, 1.0, sign, with_quadrature=True)
-            assert abs(ev.closed_form - ev.quadrature_check) < 1e-9
+        pair = beurling.make_selberg_pair(beta, 1.0)
+        for sign, fn in ((1, pair.majorant), (-1, pair.minorant)):
+            quad = 0.5 * pb.m_of(fn, spec=spec, inner=max(24.0, 4.0 * beta))
+            assert abs(pb.m_selberg(beta, 1.0, sign).closed_form - quad) < 1e-9
 
 
 def test_m_plancherel_form_at_delta_one():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pcx import zerodata as zd
 from pcx.beurling import make_selberg_pair
-from pcx.numerics import DomainError, MonotonicityError, ParseError
+from pcx.numerics import DomainError, MonotonicityError, NoRoot, ParseError
 
 
 @pytest.fixture()
@@ -105,6 +105,30 @@ def test_weighted_pair_sum_diagonal(small):
     assert off > 0
 
 
+def test_pair_sums_against_dense_oracle(dataset):
+    # the unordered-pair sums against explicit n x n double sums, on the
+    # table as shipped and on a ZeroDataset whose ordinates are shuffled
+    g = dataset.ordinates[:300]
+    T = float(g[-1])
+    L = math.log(T)
+    pair = make_selberg_pair(1.0)
+    rng = np.random.default_rng(3)
+    for ords in (g, rng.permutation(g)):
+        ds = zd.ZeroDataset(ordinates=ords, source="oracle", t_max=T)
+        d = ords[np.newaxis, :] - ords[:, np.newaxis]
+        cauchy = 4.0 / (4.0 + d ** 2)
+        for alpha in (0.0, 0.6, 1.7):
+            want = 2 * math.pi * np.sum(np.cos(alpha * L * d) * cauchy) / (len(g) * L)
+            assert abs(zd.empirical_F(ds, T, alpha) - want) <= 1e-13 * abs(want)
+        for R in (pair.majorant, pair.minorant):
+            want = np.sum(R.time_eval(d * L / (2 * math.pi)) * cauchy)
+            assert abs(zd.weighted_pair_sum(ds, T, R) - want) <= 1e-13 * abs(want)
+        for beta in (0.3, 1.0, 2.5):
+            w = 2 * math.pi * beta / L
+            assert zd.count_pairs_brute(ds, T, beta) == np.count_nonzero(
+                (d > 0) & (d <= w))
+
+
 def test_empirical_table_columns(small):
     rows = zd.empirical_table(small, 20.0, [0.5, 1.0])
     assert [r.beta for r in rows] == [0.5, 1.0]
@@ -147,3 +171,10 @@ def test_shipped_dataset_majorant_inequality(dataset):
 
 def test_generate_zeros_matches_shipped_table(dataset):
     assert np.max(np.abs(zd.generate_zeros(30) - dataset.ordinates[:30])) < 1e-9
+
+
+def test_generate_zeros_short_scan_raises():
+    # a padding of 0.5 stops the scan near T = 53, where 11 of the 30 zeros
+    # asked for lie
+    with pytest.raises(NoRoot):
+        zd.generate_zeros(30, t_guess_pad=0.5)
