@@ -139,6 +139,8 @@ def cmd_bounds(args):
 
 
 def cmd_twodelta(args):
+    if args.one_delta and args.beta is not None:
+        raise DomainError("--one-delta and --beta exclude each other")
     if args.one_delta:
         value, _ = kernel.one_delta()
         return _emit(args, "twodelta", ["one_delta"], [{"one_delta": value}])
@@ -156,6 +158,10 @@ def cmd_twodelta(args):
 
 
 def cmd_gaps(args):
+    if args.profile and args.tol is not None:
+        raise DomainError("--profile and --tol exclude each other")
+    if not args.profile and args.beta is not None:
+        raise DomainError("--beta needs --profile")
     tol = args.tol or 1e-6
     if args.profile:
         betas = _parse_beta(args.beta) or _parse_beta("0.55:0.75:0.005")
@@ -178,6 +184,8 @@ def cmd_gaps(args):
 
 
 def cmd_empirical(args):
+    if args.falpha is not None and args.beta is not None:
+        raise DomainError("--falpha and --beta exclude each other")
     if not args.zeros:
         raise DomainError("empirical needs --zeros")
     ds = zerodata.load_zeros(args.zeros)

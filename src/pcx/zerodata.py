@@ -1,11 +1,15 @@
 """Zero-ordinate datasets and the empirical pair statistics built on them.
 
 Input files are plain text, one ordinate per line, '#' comments allowed,
-strictly ascending.  Pair counts come from sorted windows; the brute-force
-pair count, the weighted pair sums and the normalized exponential pair sum
-F(alpha) are direct sums over the unordered pairs (one chunked loop),
-doubled for the even summands; everything empirical is compared side by
-side with the closed-form bound columns.
+strictly ascending.  Pair counts come from sorted windows.  The
+normalized exponential pair sum F(alpha) cuts the sorted window into
+blocks: pairs in nearby blocks are summed exactly, and pairs farther
+apart through a short exponential sum for the Cauchy weight carried
+from block to block, so one F costs O(n) rather than O(n^2).  The
+brute-force pair count and the weighted pair sums are direct sums over
+the unordered pairs (one chunked loop), doubled for the even summands;
+everything empirical is compared side by side with the closed-form bound
+columns.
 """
 
 from __future__ import annotations
@@ -18,9 +22,23 @@ import numpy as np
 from .numerics import DomainError, MonotonicityError, NoRoot, ParseError
 from . import pcbounds
 
-# rows per block of the pair loop: for one F at n = 10^4 on a 2-core x86
-# host, 128-512 rows timed alike and 2,048 rows ran about 1.3x slower
+# rows per block of the direct pair loop; measured when F still used it:
+# for one F at n = 10^4 on a 2-core x86 host, 128-512 rows timed alike
+# and 2,048 rows ran about 1.3x slower
 _CHUNK = 256
+
+# ordinates per block of F
+_BLOCK = 16
+# F sums a pair exactly unless its blocks lie at least as many blocks apart
+# as the first offset at which every gap reaches _REACH (2 on the shipped
+# table); beyond, _nodes is within 6.4e-15 of 4/(4+d^2)
+_REACH = 8.0
+# trapezoid rule in u = log t with step _H, from u = _U_LO (the 2 t^2 cut
+# off below it is under 2e-19) to t = _T_TOP / d0, beyond which
+# exp(-d0 t) < 3e-33
+_H = 0.25
+_U_LO = -22.0
+_T_TOP = 75.0
 
 
 @dataclass(frozen=True)
@@ -73,8 +91,10 @@ def _window(ds, T):
     # the normalizations divide by log T
     if not 1.0 < T <= ds.t_max:
         raise DomainError("T must lie in (1, t_max]")
-    g = ds.ordinates
-    return g[g <= T]
+    g = np.sort(ds.ordinates[ds.ordinates <= T])
+    if len(g) == 0:
+        raise DomainError("no ordinate lies at or below T")
+    return g
 
 
 def count_pairs(ds, T, beta):
@@ -125,14 +145,74 @@ def weighted_pair_sum(ds, T, R):
             + 2.0 * float(_pair_sum(g, term)))
 
 
+def _nodes(d0):
+    """Nodes t_k and real weights w_k with sum_k w_k exp(-t_k d) equal to
+    4/(4+d^2) for d >= d0: the trapezoid rule in u = log t applied to
+    4/(4+d^2) = 2 int_0^inf exp(-d t) sin(2t) dt."""
+    t = np.exp(np.arange(_U_LO, math.log(_T_TOP / d0), _H))
+    return t, 2.0 * _H * t * np.sin(2.0 * t)
+
+
+def _moments(x, real, t, k):
+    """sum_i real_i exp(-(t - i k) x_i) over each block row of x >= 0,
+    for every node t: a (blocks, nodes) complex array."""
+    phase = real * np.exp(1j * k * x)
+    # two real columns keep the (blocks, nodes, B) exponentials real
+    parts = np.stack([phase.real, phase.imag], axis=-1)
+    m = np.exp(-t[:, np.newaxis] * x[:, np.newaxis, :]) @ parts
+    return m[..., 0] + 1j * m[..., 1]
+
+
+def _far_field(G, real, reach, k):
+    """Sum of cos(k d) 4/(4+d^2) over the pairs `reach` or more blocks
+    apart.  Block a sends its moment about its right edge; a running sum
+    of the moments is carried from right edge to right edge (steps >= 0)
+    and handed to block a + reach at its left edge, so every phase is k
+    times a gap inside a block or between block edges."""
+    nb = len(G)
+    if nb <= reach:
+        return 0.0
+    left, right = G[:, 0], G[:, -1]
+    gaps = left[reach:] - right[:-reach]
+    t, w = _nodes(np.min(gaps))
+    s = t - 1j * k
+    out = _moments(right[:, np.newaxis] - G, real, t, k)
+    into = _moments(G - left[:, np.newaxis], real, t, k)
+    step = np.exp(-np.diff(right)[:, np.newaxis] * s)
+    carried = np.empty((nb - reach, len(t)), dtype=complex)
+    carried[0] = out[0]
+    for a in range(1, nb - reach):
+        carried[a] = carried[a - 1] * step[a - 1] + out[a]
+    hand = carried * np.exp(-gaps[:, np.newaxis] * s)
+    return float(np.real(np.sum(into[reach:] * hand, axis=0) @ w))
+
+
 def empirical_F(ds, T, alpha):
-    """Montgomery-style normalized exponential pair sum at alpha."""
+    """Montgomery-style normalized exponential pair sum at alpha:
+    2 pi / (n log T) times the sum of cos(alpha log T d) 4/(4+d^2) over
+    all ordered pairs of the window, d the gap between their ordinates."""
     g = _window(ds, T)
+    n = len(g)
     logT = math.log(T)
+    k = abs(alpha) * logT
+    nb = -(-n // _BLOCK)
+    G = np.concatenate([g, np.full(nb * _BLOCK - n, g[-1])]).reshape(nb, -1)
+    real = (np.arange(G.size) < n).reshape(nb, -1).astype(float)
+    # the far field starts at the first block offset whose gaps reach _REACH
+    reach = 2
+    while reach < nb and np.min(G[reach:, 0] - G[:-reach, -1]) < _REACH:
+        reach += 1
+    # pairs from block b to block b + o, exactly; within a block, j > i
+    near = 0.0
+    for o in range(reach):
+        d = G[o:, np.newaxis, :] - G[:nb - o, :, np.newaxis]
+        mask = real[:nb - o, :, np.newaxis] * real[o:, np.newaxis, :]
+        if o == 0:
+            mask = np.triu(mask, 1)
+        near += np.sum(mask * np.cos(k * d) * 4.0 / (4.0 + d ** 2))
+    pairs = near + _far_field(G, real, reach, k)
     # the summand is even in d and equals 1 on the diagonal
-    pairs = _pair_sum(
-        g, lambda d: np.cos(alpha * logT * d) * 4.0 / (4.0 + d ** 2))
-    return 2.0 * math.pi * (len(g) + 2.0 * float(pairs)) / (len(g) * logT)
+    return 2.0 * math.pi * (n + 2.0 * float(pairs)) / (n * logT)
 
 
 def empirical_table(ds, T, betas):

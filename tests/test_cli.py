@@ -117,6 +117,16 @@ def test_subcommands_reject_options_they_ignore(capsys):
     assert cli.main(["gaps", "--delta", "2"]) == 2
     assert cli.main(["bounds", "--tol", "1e-8"]) == 2
     assert cli.main(["empirical", "--zeros", "x", "--profile"]) == 2
+    capsys.readouterr()
+    # options that conflict inside one subcommand
+    for argv in (["empirical", "--zeros", "x", "--falpha", "0:1:0.5",
+                  "--beta", "1"],
+                 ["twodelta", "--one-delta", "--beta", "1"],
+                 ["gaps", "--beta", "0.6"],
+                 ["gaps", "--profile", "--tol", "1e-8"]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pcx: config error:") and err.count("\n") == 1
 
 
 def test_bad_beta_grid(capsys):

@@ -65,6 +65,21 @@ def test_count_pairs_domain(small):
         zd.count_pairs(small, 100.0, 1.0)
     with pytest.raises(DomainError):
         zd.count_pairs(small, 20.0, -1.0)
+    # T between 1 and the first ordinate leaves an empty window
+    with pytest.raises(DomainError):
+        zd.count_pairs(small, 5.0, 1.0)
+    with pytest.raises(DomainError):
+        zd.empirical_F(small, 5.0, 1.0)
+
+
+def test_count_pairs_shuffled_table(dataset):
+    g = dataset.ordinates[:300]
+    ds = zd.ZeroDataset(ordinates=np.random.default_rng(5).permutation(g),
+                        source="shuffled", t_max=float(g[-1]))
+    assert zd.count_pairs(ds, ds.t_max, 1.0) == 46
+    for beta in (0.3, 1.0, 2.5):
+        assert zd.count_pairs(ds, ds.t_max, beta) == zd.count_pairs_brute(
+            ds, ds.t_max, beta)
 
 
 @settings(max_examples=30, deadline=None)
@@ -86,11 +101,91 @@ def test_count_pairs_matches_brute(raw, beta):
         os.unlink(p)
 
 
-def test_empirical_F_symmetric_real(small):
+def test_empirical_F_symmetric_real(small, dataset):
     for a in (0.2, 0.7, 1.5):
         v = zd.empirical_F(small, 20.0, a)
         assert v == zd.empirical_F(small, 20.0, -a)
         assert isinstance(v, float)
+    # 300 ordinates have a far field
+    T = float(dataset.ordinates[299])
+    for a in (0.05, 0.7, 1.5, 2.9):
+        v = zd.empirical_F(dataset, T, a)
+        assert v == zd.empirical_F(dataset, T, -a)
+        assert isinstance(v, float)
+
+
+def _dense_F(g, T, alpha):
+    """The oracle for the fast F: the direct O(n^2) sum, n on the diagonal
+    plus twice the sum over the unordered pairs."""
+    L = math.log(T)
+    pairs = zd._pair_sum(
+        np.sort(g), lambda d: np.cos(alpha * L * d) * 4.0 / (4.0 + d ** 2))
+    return 2 * math.pi * (len(g) + 2.0 * float(pairs)) / (len(g) * L)
+
+
+def _explicit_F(g, alpha):
+    # the n x n double sum over the ordered pairs, diagonal included
+    T = float(np.max(g))
+    L = math.log(T)
+    d = g[np.newaxis, :] - g[:, np.newaxis]
+    return T, 2 * math.pi * np.sum(
+        np.cos(alpha * L * d) * 4.0 / (4.0 + d ** 2)) / (len(g) * L)
+
+
+def test_empirical_F_full_table_against_dense(dataset):
+    T = dataset.t_max
+    for alpha in (0.0, 0.05, 1.0, 3.0):
+        want = _dense_F(dataset.ordinates, T, alpha)
+        assert abs(zd.empirical_F(dataset, T, alpha) - want) <= 1e-12 * abs(want)
+
+
+B = zd._BLOCK
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, 2 * B, 2 * B + 1, 3 * B + 1, 300])
+def test_empirical_F_block_edges(dataset, n):
+    # tables ending inside, at and just past block boundaries, as shipped
+    # and shuffled, against the explicit double sum
+    g = dataset.ordinates[:n]
+    for ords in (g, np.random.default_rng(n).permutation(g)):
+        for alpha in (0.0, 0.6, 1.7, 3.0):
+            T, want = _explicit_F(ords, alpha)
+            ds = zd.ZeroDataset(ordinates=ords, source="oracle", t_max=T)
+            assert abs(zd.empirical_F(ds, T, alpha) - want) <= 1e-13 * abs(want)
+
+
+def test_empirical_F_dense_tables(dataset):
+    # ordinates so close that blocks two apart sit nearer than the
+    # exponential sum serves: the exact near field has to widen
+    rng = np.random.default_rng(11)
+    tables = [
+        1000.0 + 0.05 * dataset.ordinates[:600],
+        np.sort(rng.uniform(50.0, 51.0, 200)),
+        np.sort(np.concatenate([dataset.ordinates[:300],
+                                rng.uniform(400.0, 402.0, 100)])),
+    ]
+    for g in tables:
+        # F(0), the sum of the summands' magnitudes, sets the scale: on the
+        # first table F(0.6) is 1,600 times smaller
+        T, scale = _explicit_F(g, 0.0)
+        ds = zd.ZeroDataset(ordinates=g, source="dense", t_max=T)
+        for alpha in (0.0, 0.6, 1.7):
+            want = _explicit_F(g, alpha)[1]
+            assert abs(zd.empirical_F(ds, T, alpha) - want) <= 1e-13 * scale
+
+
+def test_exponential_sum_nodes(dataset):
+    # the node set against 4/(4+d^2) on every gap the far field sees: from
+    # the smallest gap two blocks apart in the shipped table, and from
+    # _REACH, the smallest gap it is ever given (measured 3.9e-16, 6.3e-15)
+    g = dataset.ordinates
+    G = g.reshape(-1, B)
+    d0 = np.min(G[2:, 0] - G[:-2, -1])
+    for lo, bound in ((d0, 1e-15), (zd._REACH, 1e-14)):
+        t, w = zd._nodes(lo)
+        d = np.geomspace(lo, g[-1] - g[0], 20_001)
+        err = np.exp(-np.outer(d, t)) @ w - 4.0 / (4.0 + d ** 2)
+        assert np.max(np.abs(err)) <= bound
 
 
 def test_weighted_pair_sum_diagonal(small):
