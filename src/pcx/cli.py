@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -162,7 +163,9 @@ def cmd_gaps(args):
         raise DomainError("--profile and --tol exclude each other")
     if not args.profile and args.beta is not None:
         raise DomainError("--beta needs --profile")
-    tol = args.tol or 1e-6
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise DomainError("--tol must be a positive finite number")
+    tol = 1e-6 if args.tol is None else args.tol
     if args.profile:
         betas = _parse_beta(args.beta) or _parse_beta("0.55:0.75:0.005")
         rows = []

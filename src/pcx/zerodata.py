@@ -9,7 +9,10 @@ from block to block, so one F costs O(n) rather than O(n^2).  The
 brute-force pair count and the weighted pair sums are direct sums over
 the unordered pairs (one chunked loop), doubled for the even summands;
 everything empirical is compared side by side with the closed-form bound
-columns.
+columns.  The weighted pair sum of a Selberg majorant is still O(n^2)
+evaluations of r_beta(+/-), most of them past the |x| = 10 switch of
+pcx.beurling, where each costs two sines and no polygamma: about 0.3 s
+at n = 2,000 and 10 s at n = 10^4 on a 2-core x86 host.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ import numpy as np
 from .numerics import DomainError, MonotonicityError, NoRoot, ParseError
 from . import pcbounds
 
-# rows per block of the direct pair loop; measured when F still used it:
-# for one F at n = 10^4 on a 2-core x86 host, 128-512 rows timed alike
-# and 2,048 rows ran about 1.3x slower
-_CHUNK = 256
+# rows per block of the direct pair loop; measured on weighted_pair_sum of
+# the beta = 1 Selberg majorant at n = 2,000 and 4,000 on a 2-core x86
+# host: 64-128 rows timed alike, 256 rows ran about 8% slower and 2,048
+# rows about 1.6x slower
+_CHUNK = 128
 
 # ordinates per block of F
 _BLOCK = 16

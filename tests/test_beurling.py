@@ -42,22 +42,123 @@ def test_h1_is_fejer():
 
 
 def test_majorant_minorant_sandwich_sgn():
-    xs = np.linspace(-6, 6, 4001)
-    hp = bs._h_signed(xs, +1)
-    hm = bs._h_signed(xs, -1)
+    xs = np.linspace(-60, 60, 40001)
+    hp = bs.eval_H0(xs) + bs.eval_H1(xs)
+    hm = bs.eval_H0(xs) - bs.eval_H1(xs)
     sgn = np.sign(xs)
     assert np.all(hp >= sgn - 1e-12)
     assert np.all(hm <= sgn + 1e-12)
 
 
-@settings(max_examples=60, deadline=None)
-@given(beta=st.floats(0.1, 6.0), x=st.floats(-10.0, 10.0))
-def test_interval_sandwich(beta, x):
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(0.1, 6.0), delta=st.floats(1.0, 2.0),
+       x=st.floats(-1e4, 1e4))
+def test_interval_sandwich(beta, delta, x):
+    # the dilated pair s(x) = r_{delta beta}(delta x) still sandwiches
+    # chi_[-beta, beta]; delta = 1 is r_beta itself
     chi = 1.0 if abs(x) <= beta else 0.0
-    lo = bs.eval_r(beta, -1, np.array([x]))[0]
-    hi = bs.eval_r(beta, +1, np.array([x]))[0]
+    pair = bs.make_selberg_pair(beta, delta)
+    lo = pair.minorant.time_eval(np.array([x]))[0]
+    hi = pair.majorant.time_eval(np.array([x]))[0]
     assert lo <= chi + 1e-10
     assert hi >= chi - 1e-10
+
+
+def _single_formula_H0(x):
+    """The oracle for the two-branch H0: the trigamma closed form on every
+    argument, which the near branch must match bit for bit."""
+    from scipy.special import polygamma
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    s2 = np.sinc(ax) ** 2
+    sin2 = (np.sin(np.pi * ax) / np.pi) ** 2
+    val = 1.0 - s2 + 2.0 * ax * s2 - 2.0 * sin2 * polygamma(1, 1.0 + ax)
+    return np.sign(x) * val
+
+
+def _mp_H(y, sign):
+    """H0(y) + sign*H1(y) from the closed form at the working precision."""
+    import mpmath
+    y = mpmath.mpf(y)
+    if y == 0:
+        return mpmath.mpf(sign)
+    a = abs(y)
+    s2 = mpmath.sincpi(a) ** 2
+    h0 = (1 - s2 + 2 * a * s2
+          - 2 * (mpmath.sinpi(a) / mpmath.pi) ** 2 * mpmath.psi(1, 1 + a))
+    return mpmath.sign(y) * h0 + sign * s2
+
+
+def _mp_r(beta, sign, x):
+    import mpmath
+    with mpmath.workdps(40):
+        b, x = mpmath.mpf(beta), mpmath.mpf(x)
+        return float((_mp_H(x + b, sign) + _mp_H(b - x, sign)) / 2)
+
+
+def test_near_branch_bitwise():
+    # below |x +/- beta| = 10 the single formula is used unchanged
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([rng.uniform(-10.0, 10.0, 2001),
+                         np.arange(-9.5, 10.0, 0.5),
+                         np.nextafter(10.0, 0.0) * np.array([-1.0, 1.0])])
+    assert np.array_equal(bs.eval_H0(xs), _single_formula_H0(xs))
+    for beta in (0.3, 1.0, 4.2):
+        for sign in (+1, -1):
+            u, v = xs + beta, beta - xs
+            both = (np.abs(u) < 10) & (np.abs(v) < 10)
+            old = 0.5 * ((_single_formula_H0(u) + sign * np.sinc(u) ** 2)
+                         + (_single_formula_H0(v) + sign * np.sinc(v) ** 2))
+            assert np.array_equal(bs.eval_r(beta, sign, xs)[both], old[both])
+
+
+def test_far_branch_against_mpmath():
+    # 40-digit references on 12 <= |x| <= 2e4; the single formula misses
+    # 1e-9 there (by 4.6e-7 on these points), because it cancels O(1/x)
+    # terms inside H0 and then H(x + beta) against H(beta - x)
+    rng = np.random.default_rng(7)
+    xs = (np.exp(rng.uniform(math.log(12.0), math.log(2e4), 60))
+          * rng.choice([-1.0, 1.0], 60))
+    for beta in (0.35, 1.0, 2.7):
+        for sign in (+1, -1):
+            got = bs.eval_r(beta, sign, xs)
+            ref = np.array([_mp_r(beta, sign, x) for x in xs])
+            assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-9
+
+
+def test_far_remainder_series():
+    # H0 - sgn just past the switch, where the dropped Bernoulli terms
+    # weigh most: seven terms leave 4.3e-13 of q at |x| = 10 (measured
+    # 2.7e-13 here), six would leave 4.9e-12
+    import mpmath
+    ys = np.concatenate([np.arange(10.25, 14.0, 0.5), np.arange(10.4, 14.0, 0.5)])
+    ys = np.concatenate([ys, -ys])
+    rest = bs._h_split(ys, 0)[1]
+    with mpmath.workdps(40):
+        ref = np.array([float(_mp_H(y, 0) - mpmath.sign(y)) for y in ys])
+    assert np.max(np.abs(rest - ref) / np.abs(ref)) < 1e-12
+
+
+def test_branches_meet_at_ten():
+    # H0 on both sides of the switch, and r(+/-) where x + beta or
+    # beta - x crosses it, agree with 40-digit references to rounding
+    import mpmath
+    ys = np.array([np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 20.0)])
+    ys = np.concatenate([ys, -ys])
+    with mpmath.workdps(40):
+        ref = np.array([float(_mp_H(y, 0)) for y in ys])
+    h = bs.eval_H0(ys)
+    assert np.max(np.abs(h - ref)) < 4.5e-16
+    assert abs(h[0] - h[1]) < 1e-15 and abs(h[3] - h[4]) < 1e-15
+    for beta in (0.5, 2.25):
+        edge = 10.0 - beta
+        xs = edge + np.arange(-4, 5) * 1e-13
+        xs = np.concatenate([xs, -xs])
+        for sign in (+1, -1):
+            got = bs.eval_r(beta, sign, xs)
+            ref = np.array([_mp_r(beta, sign, x) for x in xs])
+            assert np.max(np.abs(got - ref)) < 1e-15
+            assert np.max(np.abs(np.diff(got[:9]))) < 1e-14
 
 
 def test_transform_at_zero():

@@ -129,6 +129,13 @@ def test_subcommands_reject_options_they_ignore(capsys):
         assert err.startswith("pcx: config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_gaps_rejects_bad_tol(capsys, tol):
+    assert cli.main(["gaps", "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pcx: config error:") and err.count("\n") == 1
+
+
 def test_bad_beta_grid(capsys):
     assert cli.main(["bounds", "--beta", "2:1:0.1"]) == 2
     assert cli.main(["bounds", "--beta", "1:2"]) == 2
