@@ -7,18 +7,18 @@ gives s_{delta,beta}(+/-) of type 2*pi*delta together with exact Fourier
 transforms on the band.
 
 H0 is evaluated in two branches that meet at |x| = 10.  Below 10 it is
-the closed form through the trigamma function psi1 (eval_H0).  From 10
-on, H0 - sgn(x) = sgn(x) (sin(pi x)/pi)^2 q(|x|), where
-q(a) = -2[psi1(a) - 1/a - 1/(2a^2)] is summed from seven Bernoulli terms
-of the asymptotic series of psi1.  The first dropped term, B_16/a^17, is
-4.3e-13 of q at a = 10 and under 1.5e-17 in H0, so the two branches agree
-to rounding there.  The far branch calls no polygamma and never forms
-the O(1/x) terms that the closed form cancels against each other, and
-r_beta(+/-) adds the sgn parts of its two arguments as exact integers.
-Against 40-digit references on 12 <= |x| <= 2e4 the relative error of
-r_beta(+/-) falls from about 1e-6 to about 5e-11, which is the rounding
-of x +/- beta itself, and each argument costs one sine instead of a
-polygamma.
+the closed form through the trigamma function psi1 of pcx.special
+(eval_H0).  From 10 on, H0 - sgn(x) = sgn(x) (sin(pi x)/pi)^2 q(|x|),
+where q(a) = -2[psi1(a) - 1/a - 1/(2a^2)] is summed from the eight
+Bernoulli terms of the asymptotic series of psi1 (pcx.special.B2K).  The
+first dropped term, B_18/a^19, is 3.3e-14 of q at a = 10 and under 1.2e-18
+in H0, so the two branches agree to rounding there.  The far branch
+never forms the O(1/x) terms that the closed form cancels against each
+other, and r_beta(+/-) adds the sgn parts of its two arguments as exact
+integers.  Against 40-digit references on 12 <= |x| <= 2e4 the relative
+error of r_beta(+/-) is about 5e-11, which is the rounding of x +/- beta
+itself (the closed form alone errs by about 1e-6 there), and each
+argument costs one sine.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import polygamma
 
 from .numerics import DomainError
+from .special import B2K, trigamma
 
 
 def sinc(x):
@@ -44,8 +44,6 @@ def eval_H1(x):
 
 # where the asymptotic series of psi1 takes over from the closed form
 _FAR = 10.0
-# Bernoulli numbers B_2, B_4, ..., B_14
-_B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
 def _h0_near(x):
@@ -53,7 +51,7 @@ def _h0_near(x):
     ax = np.abs(x)
     s2 = sinc(ax) ** 2
     sin2 = (np.sin(np.pi * ax) / np.pi) ** 2
-    val = 1.0 - s2 + 2.0 * ax * s2 - 2.0 * sin2 * polygamma(1, 1.0 + ax)
+    val = 1.0 - s2 + 2.0 * ax * s2 - 2.0 * sin2 * trigamma(1.0 + ax)
     return np.sign(x) * val
 
 
@@ -65,8 +63,8 @@ def _far_rest(y, sign):
     """
     w = 1.0 / y
     z = w * w
-    p = _B2K[-1]
-    for b in _B2K[-2::-1]:
+    p = B2K[-1]
+    for b in B2K[-2::-1]:
         p = p * z + b
     return (np.sin(np.pi * y) / np.pi) ** 2 * z * (sign - 2.0 * w * p)
 

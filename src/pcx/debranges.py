@@ -256,17 +256,31 @@ def quadrature_check(F, which, beta=None, E=None, node_tol=1e-7):
     return integral, node_sum
 
 
-def verify_hb(E=None, samples=1000, seed=0):
+def _recurrence_points(count, dim):
+    """The first `count` points frac(1/2 + k*alpha), k = 1, 2, ..., of the
+    additive recurrence in [0, 1)^dim with alpha_j = g^-j, g > 1 the root of
+    g^(dim+1) = g + 1 (the golden ratio for dim = 1).  A deterministic
+    low-discrepancy sample that needs no random generator."""
+    g = 2.0
+    for _ in range(40):
+        g = (1.0 + g) ** (1.0 / (dim + 1))
+    alpha = g ** -np.arange(1.0, dim + 1)
+    k = np.arange(1, count + 1)[:, None]
+    return (0.5 + k * alpha) % 1.0
+
+
+def verify_hb(E=None, samples=1000):
     """Check the defining inequalities of the structure function:
-    |E(conj z)| < |E(z)| and 2 pi i (conj z - z) K(z,z) > 0 at random z in
-    the upper half-plane, and E real on the imaginary axis."""
+    |E(conj z)| < |E(z)| and 2 pi i (conj z - z) K(z,z) > 0 at `samples`
+    points z of [-6, 6] x [1e-3, 4] in the upper half-plane, and E real at
+    64 points of [-4, 4] on the imaginary axis.  The points come from
+    _recurrence_points, so every call checks the same ones."""
     E = E or build_E()
-    rng = np.random.default_rng(seed)
-    xy = rng.uniform([-6, 1e-3], [6, 4], size=(samples, 2))
-    z = xy[:, 0] + 1j * xy[:, 1]
+    u = _recurrence_points(samples, 2)
+    z = (-6.0 + 12.0 * u[:, 0]) + 1j * (1e-3 + (4.0 - 1e-3) * u[:, 1])
     modulus_bad = ~(np.abs(E.E_eval(np.conj(z))) < np.abs(E.E_eval(z)))
     lzz = (2.0j * math.pi * (np.conj(z) - z) * kernel_eval(z, z)).real
-    x = rng.uniform(-4, 4, 64)
+    x = -4.0 + 8.0 * _recurrence_points(64, 1)[:, 0]
     val = E.E_eval(1j * x)
     axis_bad = np.abs(val.imag) > 1e-12 * np.maximum(1.0, np.abs(val))
     report = {"modulus_violations": z[modulus_bad].tolist(),

@@ -6,7 +6,8 @@ expression plus the lattice series V; the series is summed over a window
 around 0 and the resonance, with its two tails rolled up exactly (trigamma
 for the constant part, iterated Abel summation for the oscillatory part).
 The window reaches just far enough for the Abel remainder to drop below
-rounding.
+rounding.  Trigamma, tetragamma and the sine integral of the conjectured
+mass come from pcx.special.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma, sici
 
 from .numerics import (DomainError, NonConvergence, QuadratureSpec,
                        find_root, integrate_real_line)
+from .special import sine_integral, tetragamma, trigamma
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 ABEL_LEVELS = 6
@@ -56,8 +57,8 @@ def _abel_osc_sum(theta, c, m_last, q, levels=ABEL_LEVELS):
     z = cmath.exp(1j * theta)
     if abs(z - 1.0) < 1e-9:
         if q == 2:
-            return complex(polygamma(1, m_last + 1 - c))
-        return complex(-0.5 * polygamma(2, m_last + 1 - c))
+            return complex(trigamma(m_last + 1 - c))
+        return complex(-0.5 * tetragamma(m_last + 1 - c))
     n = m_last + 1 + np.arange(levels + 1, dtype=np.longdouble)
     a = 1.0 / (n - c) ** q
     total = 0.0 + 0.0j
@@ -84,7 +85,7 @@ def _series_tails(delta, beta, m_right, k_left, s_right, s_left):
     s2 = _abel_osc_sum(-a, c, m_right, 2)
     s3 = _abel_osc_sum(-a, c, m_right, 3)
     right = inv4pi2 * (
-        (delta + 1.0) * polygamma(1, m_right + 1 - c)
+        (delta + 1.0) * trigamma(m_right + 1 - c)
         - (delta - 1.0) * (phase_r * s2).real
         + (delta / math.pi) * (phase_r * s3).imag
     )
@@ -92,7 +93,7 @@ def _series_tails(delta, beta, m_right, k_left, s_right, s_left):
     s2l = _abel_osc_sum(a, -c, k_left, 2)
     s3l = _abel_osc_sum(a, -c, k_left, 3)
     left = inv4pi2 * (
-        (delta + 1.0) * polygamma(1, k_left + 1 + c)
+        (delta + 1.0) * trigamma(k_left + 1 + c)
         - (delta - 1.0) * (phase_r * s2l).real
         - (delta / math.pi) * (phase_r * s3l).imag
     )
@@ -243,7 +244,7 @@ def conjecture_integral(beta):
         return sum((-1) ** (k + 1) * x ** (2 * k + 1)
                    / ((2 * k + 1) * math.factorial(2 * k + 2))
                    for k in range(1, 6)) / math.pi
-    return (beta - sici(x)[0] / math.pi
+    return (beta - sine_integral(x) / math.pi
             + math.sin(math.pi * beta) ** 2 / (math.pi ** 2 * beta))
 
 

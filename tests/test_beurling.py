@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pcx import beurling as bs
 from pcx.numerics import DomainError
+from pcx.special import trigamma
 
 
 def test_h0_against_partial_fraction_oracle():
@@ -64,15 +65,14 @@ def test_interval_sandwich(beta, delta, x):
     assert hi >= chi - 1e-10
 
 
-def _single_formula_H0(x):
+def _single_formula_H0(x, trigamma=trigamma):
     """The oracle for the two-branch H0: the trigamma closed form on every
     argument, which the near branch must match bit for bit."""
-    from scipy.special import polygamma
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     s2 = np.sinc(ax) ** 2
     sin2 = (np.sin(np.pi * ax) / np.pi) ** 2
-    val = 1.0 - s2 + 2.0 * ax * s2 - 2.0 * sin2 * polygamma(1, 1.0 + ax)
+    val = 1.0 - s2 + 2.0 * ax * s2 - 2.0 * sin2 * trigamma(1.0 + ax)
     return np.sign(x) * val
 
 
@@ -112,6 +112,21 @@ def test_near_branch_bitwise():
             assert np.array_equal(bs.eval_r(beta, sign, xs)[both], old[both])
 
 
+def test_near_branch_against_mpmath():
+    # the near branch with the package's trigamma is at least as accurate
+    # as the same closed form with scipy's polygamma, which it replaced
+    import mpmath
+    from scipy.special import polygamma
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([rng.uniform(-10.0, 10.0, 400), np.arange(-9.75, 10.0, 0.5)])
+    with mpmath.workdps(40):
+        ref = np.array([float(_mp_H(x, 0)) for x in xs])
+    err = np.max(np.abs(bs.eval_H0(xs) - ref))
+    err_scipy = np.max(np.abs(_single_formula_H0(xs, lambda a: polygamma(1, a)) - ref))
+    assert err <= err_scipy
+    assert err < 1e-15
+
+
 def test_far_branch_against_mpmath():
     # 40-digit references on 12 <= |x| <= 2e4; the single formula misses
     # 1e-9 there (by 4.6e-7 on these points), because it cancels O(1/x)
@@ -128,15 +143,15 @@ def test_far_branch_against_mpmath():
 
 def test_far_remainder_series():
     # H0 - sgn just past the switch, where the dropped Bernoulli terms
-    # weigh most: seven terms leave 4.3e-13 of q at |x| = 10 (measured
-    # 2.7e-13 here), six would leave 4.9e-12
+    # weigh most: eight terms leave 3.3e-14 of q at |x| = 10 (measured
+    # 2.8e-14 here), seven would leave 2.7e-13
     import mpmath
     ys = np.concatenate([np.arange(10.25, 14.0, 0.5), np.arange(10.4, 14.0, 0.5)])
     ys = np.concatenate([ys, -ys])
     rest = bs._h_split(ys, 0)[1]
     with mpmath.workdps(40):
         ref = np.array([float(_mp_H(y, 0) - mpmath.sign(y)) for y in ys])
-    assert np.max(np.abs(rest - ref) / np.abs(ref)) < 1e-12
+    assert np.max(np.abs(rest - ref) / np.abs(ref)) < 1e-13
 
 
 def test_branches_meet_at_ten():

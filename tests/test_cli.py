@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -183,3 +187,25 @@ def test_empirical_falpha_rows(tmp_path, capsys, dataset):
     code, out = run(capsys, ["empirical", "--zeros", str(path),
                              "--falpha", "0:1.5:0.25", "--format", "json"])
     assert code == 0 and json.loads(out)["notes"] == []
+
+
+def test_runtime_imports_no_scipy_or_numpy_random(zeros_path):
+    # neither is needed at runtime, and importing them dominated the
+    # start-up of every pcx process; a fresh interpreter shows what the
+    # subcommands load
+    script = (
+        "import sys\n"
+        "from pcx import cli\n"
+        "for argv in (['bounds'], ['debranges'],\n"
+        f"             ['empirical', '--zeros', {str(zeros_path)!r}]):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules\n"
+        "                if m.startswith(('scipy', 'numpy.random')))\n"
+        "print('loaded:', ','.join(loaded))\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded: "

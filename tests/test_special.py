@@ -1,0 +1,80 @@
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcx import special as sp
+from pcx.numerics import DomainError
+
+
+def _grid():
+    # log-uniform over [1e-3, 2e5] plus a dense stretch across the shift
+    # and the small arguments the lattice tails and H0 use
+    rng = np.random.default_rng(17)
+    return np.concatenate([np.exp(rng.uniform(math.log(1e-3), math.log(2e5), 300)),
+                           np.linspace(1e-3, 12.0, 241), [1e-3, 2e5]])
+
+
+def _mp_psi(m, xs):
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.psi(m, mpmath.mpf(x))) for x in xs])
+
+
+@pytest.mark.parametrize("m, fn, tol", [(1, sp.trigamma, 1e-15),
+                                        (2, sp.tetragamma, 1.5e-15)])
+def test_polygamma_against_mpmath(m, fn, tol):
+    xs = _grid()
+    ref = _mp_psi(m, xs)
+    arr = fn(xs)
+    scalar = np.array([fn(float(x)) for x in xs])
+    assert np.max(np.abs(arr - ref) / np.abs(ref)) <= tol
+    # the float loop and the array path do the same arithmetic
+    assert np.array_equal(arr, scalar)
+
+
+def test_sine_integral_against_mpmath():
+    rng = np.random.default_rng(5)
+    betas = np.concatenate([np.exp(rng.uniform(math.log(0.05), math.log(1e3), 300)),
+                            np.linspace(0.05, 3.0, 119), [4 / (2 * math.pi)]])
+    xs = 2.0 * math.pi * betas
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.si(mpmath.mpf(x))) for x in xs])
+    got = np.array([sp.sine_integral(x) for x in xs])
+    assert np.max(np.abs(got - ref)) <= 2e-15
+    assert sp.sine_integral(0.0) == 0.0
+    assert sp.sine_integral(-xs[0]) == -got[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(1e-3, 1e4))
+def test_trigamma_recurrence(x):
+    lhs = sp.trigamma(x) - sp.trigamma(x + 1.0)
+    # the terms of the difference carry rounding of size eps * psi1(x)
+    assert abs(lhs - 1.0 / x ** 2) <= 4e-16 * (sp.trigamma(x) + 1.0 / x ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.floats(1e-3, 1.0 - 1e-3))
+def test_trigamma_reflection(x):
+    # 1 - x is exact for x >= 1/2; the right side is taken at 30 digits,
+    # because math.sin(math.pi * x) alone errs by 1e-15 near x = 1
+    lhs = sp.trigamma(x) + sp.trigamma(1.0 - x)
+    with mpmath.workdps(30):
+        rhs = float(mpmath.pi ** 2 / mpmath.sinpi(mpmath.mpf(x)) ** 2)
+    assert abs(lhs - rhs) <= 2e-15 * rhs
+
+
+def test_bad_arguments():
+    for fn in (sp.trigamma, sp.tetragamma):
+        for bad in (0.0, -1.5, math.nan):
+            with pytest.raises(DomainError):
+                fn(bad)
+        with pytest.raises(DomainError):
+            fn(np.array([1.0, 0.0]))
+        assert fn(math.inf) == 0.0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            sp.sine_integral(bad)
