@@ -25,6 +25,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_IO = 4
 
+# longest a:b:step grid accepted; a longer one is a typo, not a table
+MAX_GRID_STEPS = 10 ** 6
+
 
 def _fmt(x):
     if isinstance(x, str):
@@ -42,21 +45,26 @@ def _json_cell(x):
     return float(_fmt(x))
 
 
-def _parse_beta(text):
-    """Either a single value or an inclusive a:b:step grid."""
+def _parse_beta(text, option="--beta"):
+    """Either a single value or an inclusive a:b:step grid, all finite."""
     if text is None:
         return None
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise DomainError("--beta range must look like a:b:step")
-        a, b, step = (float(p) for p in parts)
-        if step <= 0 or not a < b:
-            raise DomainError("--beta range needs a < b and step > 0")
-        n = int(round((b - a) / step))
-        grid = [a + i * step for i in range(n + 1) if a + i * step <= b + step * 1e-9]
-        return grid
-    return [float(text)]
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise DomainError(f"{option} range must look like a:b:step")
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{option} must hold finite numbers")
+    if len(values) == 1:
+        return values
+    a, b, step = values
+    if step <= 0 or not a < b:
+        raise DomainError(f"{option} range needs a < b and step > 0")
+    steps = (b - a) / step
+    if not steps <= MAX_GRID_STEPS:
+        raise DomainError(f"{option} range has more than {MAX_GRID_STEPS} steps")
+    n = int(round(steps))
+    return [a + i * step for i in range(n + 1) if a + i * step <= b + step * 1e-9]
 
 
 def _emit(args, command, columns, rows, footer_notes=()):
@@ -116,24 +124,18 @@ def _emit_plot(args, command, columns):
 
 
 def cmd_bounds(args):
+    for option, value in (("--delta", args.delta), ("--epsilon", args.epsilon)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{option} must be finite")
+    dilated = args.delta != 1.0 or args.epsilon is not None
+    if dilated and args.nstar != 1.0:
+        raise DomainError("--nstar excludes --delta and --epsilon")
     betas = _parse_beta(args.beta) or _parse_beta("0.1:3:0.1")
-    if args.delta != 1.0 or args.epsilon is not None:
-        eps = args.epsilon if args.epsilon is not None else 0.0
-        delta = args.delta - eps
-        rows = []
-        for b in betas:
-            lo = pcbounds.m_selberg(b, delta, -1).closed_form
-            hi = pcbounds.m_selberg(b, delta, +1).closed_form
-            rows.append({"beta": b, "lower": lo, "upper": hi,
-                         "conjecture": pcbounds.conjecture_integral(b)})
+    delta = args.delta - (args.epsilon or 0.0)
+    rows = [vars(r) for r in pcbounds.bound_table(betas, args.nstar, delta)]
+    if dilated:
         return _emit(args, "bounds", ["beta", "lower", "upper", "conjecture"],
                      rows, [f"dilation delta={delta:.10g}"])
-    table = pcbounds.bound_table(betas, args.nstar)
-    rows = [{
-        "beta": r.beta, "lower": r.lower, "upper": r.upper,
-        "lower_adjusted": r.lower_adjusted, "upper_adjusted": r.upper_adjusted,
-        "conjecture": r.conjecture,
-    } for r in table]
     return _emit(args, "bounds",
                  ["beta", "lower", "upper", "lower_adjusted",
                   "upper_adjusted", "conjecture"], rows)
@@ -181,7 +183,7 @@ def cmd_gaps(args):
         {"method": "base_only",
          "threshold": gaps.solve_threshold(False, tol)},
         {"method": "interval_minorant",
-         "threshold": gaps.selberg_threshold(tol)},
+         "threshold": pcbounds.positivity_threshold(tol)},
     ]
     return _emit(args, "gaps", ["method", "threshold"], rows)
 
@@ -193,14 +195,11 @@ def cmd_empirical(args):
         raise DomainError("empirical needs --zeros")
     ds = zerodata.load_zeros(args.zeros)
     if args.falpha:
-        alphas = [float(a) for a in _parse_beta(args.falpha)]
         rows = [{"alpha": a, "f_alpha": zerodata.empirical_F(ds, ds.t_max, a)}
-                for a in alphas]
+                for a in _parse_beta(args.falpha, "--falpha")]
         return _emit(args, "empirical", ["alpha", "f_alpha"], rows)
     betas = _parse_beta(args.beta) or _parse_beta("0.5:2:0.1")
-    rows_raw = zerodata.empirical_table(ds, ds.t_max, betas)
-    rows = [{"beta": r.beta, "ratio": r.ratio, "conjecture": r.conjecture,
-             "lower": r.lower, "upper": r.upper} for r in rows_raw]
+    rows = [vars(r) for r in zerodata.empirical_table(ds, ds.t_max, betas)]
     return _emit(args, "empirical",
                  ["beta", "ratio", "conjecture", "lower", "upper"], rows,
                  [f"zeros={len(ds)} t_max={ds.t_max:.6f}"])

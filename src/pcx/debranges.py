@@ -19,10 +19,9 @@ import numpy as np
 
 from .beurling import BandlimitedFunction
 from .kernel import _patched, kernel_eval
-from .numerics import (DomainError, QuadratureSpec, RootMiss,
-                       TruncationWarning, extrapolate_to_zero, find_root,
-                       integrate_real_line)
-from .pcbounds import pc_density
+from .numerics import (DomainError, RootMiss, TruncationWarning,
+                       extrapolate_to_zero, find_root)
+from .pcbounds import m_of
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class HermiteBiehler:
     E_eval: Callable
     A_eval: Callable
     B_eval: Callable
-    type_bound: float
     zeros_A: np.ndarray
     zeros_B: np.ndarray
     x_max: float
@@ -41,10 +39,10 @@ class TiltedSpace:
     beta: float
     gamma_beta: float
     regime: str
-    E_beta_eval: Callable
     A_beta_eval: Callable
     B_beta_eval: Callable
     nodes: np.ndarray
+    weights: np.ndarray
     lambda_plus: float
     lambda_minus: float
 
@@ -79,8 +77,7 @@ def build_E(x_max=60.0):
             f"expected exactly one A-zero in ({zeros_b[k]:.6f}, "
             f"{zeros_b[k + 1]:.6f}), found {found[k]}")
     return HermiteBiehler(E_eval=E_eval, A_eval=A_eval, B_eval=B_eval,
-                          type_bound=math.pi, zeros_A=zeros_a,
-                          zeros_B=zeros_b, x_max=float(x_max))
+                          zeros_A=zeros_a, zeros_B=zeros_b, x_max=float(x_max))
 
 
 def _tilted_diag(x, gamma, E):
@@ -112,10 +109,11 @@ def tilt(beta, E=None):
         regime = "case_a_zero" if near_a else "case_b_zero"
         zeros = E.zeros_A if near_a else E.zeros_B
         nodes = zeros[zeros <= E.x_max]
-        lp, lm = _masses(nodes, 1.0 / kernel_eval(nodes, nodes).real, beta)
+        weights = 1.0 / kernel_eval(nodes, nodes).real
+        lp, lm = _masses(nodes, weights, beta)
         return TiltedSpace(beta=beta, gamma_beta=float("nan"), regime=regime,
-                           E_beta_eval=E.E_eval, A_beta_eval=E.A_eval,
-                           B_beta_eval=E.B_eval, nodes=nodes,
+                           A_beta_eval=E.A_eval, B_beta_eval=E.B_eval,
+                           nodes=nodes, weights=weights,
                            lambda_plus=lp, lambda_minus=lm)
 
     if a_b * b_b > 0:
@@ -135,10 +133,6 @@ def tilt(beta, E=None):
         z = np.asarray(z, dtype=float)
         return z * E.A_eval(z) + gamma * E.B_eval(z)
 
-    def E_beta(z):
-        z = np.asarray(z, dtype=complex)
-        return E.E_eval(z) * (gamma - 1j * z)
-
     node_fn = A_beta if regime == "case_bk_ak1" else B_beta
     pos = find_root(node_fn, np.arange(0.05, E.x_max + 0.1, 0.1), 1e-13)
     # beta is a node by construction; snap the scanned root onto it
@@ -152,9 +146,8 @@ def tilt(beta, E=None):
     weights = (nodes ** 2 + gamma ** 2) / _tilted_diag(nodes, gamma, E)
     lp, lm = _masses(nodes, weights, beta)
     return TiltedSpace(beta=beta, gamma_beta=gamma, regime=regime,
-                       E_beta_eval=E_beta, A_beta_eval=A_beta,
-                       B_beta_eval=B_beta, nodes=nodes,
-                       lambda_plus=lp, lambda_minus=lm)
+                       A_beta_eval=A_beta, B_beta_eval=B_beta, nodes=nodes,
+                       weights=weights, lambda_plus=lp, lambda_minus=lm)
 
 
 def _masses(nodes, w, beta):
@@ -205,18 +198,16 @@ def case3_majorant(beta, E=None):
 
 
 def quadrature_check(F, which, beta=None, E=None, node_tol=1e-7):
-    """Mass of F against |E|^-2 two ways: quadrature and node sum.
+    """Mass of F against the pair correlation density two ways: M(F) by
+    quadrature (pcbounds.m_of) and the node sum with the weights of the
+    node system.
 
     which: one of A_nodes, B_nodes, A_beta_nodes, B_beta_nodes; the tilted
-    variants need beta.  Returns (integral, node_sum).
+    variants need beta and take the nodes and weights of tilt(beta).
+    Returns (integral, node_sum).
     """
     E = E or build_E()
-
-    def integrand(x):
-        return np.asarray(F.time_eval(x), dtype=float) * pc_density(x)
-
-    integral = integrate_real_line(
-        integrand, QuadratureSpec(oscillation_period=1.0), inner=24.0)
+    integral = m_of(F)
 
     if which in ("A_nodes", "B_nodes"):
         nodes = E.zeros_A if which == "A_nodes" else E.zeros_B
@@ -229,9 +220,7 @@ def quadrature_check(F, which, beta=None, E=None, node_tol=1e-7):
         if t.regime != want:
             raise DomainError(
                 f"beta={beta:g} sits in regime {t.regime}, not {want}")
-        nodes = t.nodes
-        weights = (nodes ** 2 + t.gamma_beta ** 2) / _tilted_diag(
-            nodes, t.gamma_beta, E)
+        nodes, weights = t.nodes, t.weights
     else:
         raise DomainError(f"unknown node system {which!r}")
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DomainError, NoRoot, find_root
-from . import pcbounds
 
 XI_CRIT = 1.0 + 1.0 / math.sqrt(3.0)
 
@@ -79,7 +78,7 @@ def _correction(beta):
     k = 2.0 * math.pi * beta
 
     def antiderivative(a):
-        p = a * a / 2.0 - a + 1.0 / 3.0
+        p = float(goldston_lower(a))
         return (-math.cos(k * a) * p / k + math.sin(k * a) * (a - 1.0) / k ** 2
                 + math.cos(k * a) / k ** 3)
 
@@ -107,8 +106,3 @@ def solve_threshold(use_correction=True, tol=1e-6):
     if not len(roots):
         raise NoRoot("no sign change of the gap bound in [1/2, 1]")
     return float(roots[0])
-
-
-def selberg_threshold(tol=1e-6):
-    """The simpler positivity threshold from the interval minorant."""
-    return pcbounds.positivity_threshold(tol)

@@ -5,13 +5,11 @@ pieces, evaluated elementwise over broadcast arrays of w and z.  The
 apparent poles at 1 - 2 pi^2 z^2 = 0 (in z for g and h, in w for f, c and
 d) are removable; one patcher, `_patched`, replaces the points within 1e-4
 of them by a real-offset Richardson mean (O(h^6) accurate).  On top of the
-kernel sit the one-delta and two-delta extremal problems and the
-two-constraint minimum-norm problem.
+kernel sit the one-delta and two-delta extremal problems.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -147,22 +145,6 @@ def reproduce(f, w, spec=None, inner=24.0):
     return complex(integrate_real_line(integrand, spec, inner=inner))
 
 
-def min_norm_two_constraints(n11, n12):
-    """Minimum norm over {x : |<x,v1>| >= 1, |<x,v2>| >= 1}, equal norms.
-
-    Returns (min_norm, (c1, c2)) with the minimizer c1*v1 + c2*v2.
-    """
-    n12 = complex(n12)
-    if n11 <= 0:
-        raise DomainError("n11 must be positive")
-    if abs(n12) > n11 * (1.0 + 1e-12):
-        raise DomainError("|n12| exceeds n11: not a valid Gram pair")
-    s = n11 + abs(n12)
-    alpha = -cmath.phase(n12) if n12 != 0 else 0.0
-    coeff = (cmath.exp(1j * alpha) / s, 1.0 / s)
-    return math.sqrt(2.0 / s), coeff
-
-
 def one_delta():
     """Least M-mass of a nonnegative admissible function with R(0) = 1.
 
@@ -188,7 +170,12 @@ class TwoDeltaSolution:
 
 
 def two_delta(beta):
-    """Least M-mass with R(+/-beta) >= 1, R >= 0, type at most 2 pi."""
+    """Least M-mass with R(+/-beta) >= 1, R >= 0, type at most 2 pi.
+
+    R = |f|^2 for the least-norm f with |f(beta)|, |f(-beta)| >= 1, a
+    multiple of eps K(beta, .) + K(-beta, .); its squared norm, the value,
+    is 2/s with s = K(beta, beta) + |K(beta, -beta)|.
+    """
     if beta <= 0:
         raise DomainError("beta must be positive")
     k_bb = kernel_eval(beta, beta).real
@@ -204,11 +191,6 @@ def two_delta(beta):
 
     return TwoDeltaSolution(beta=beta, value=2.0 / s, k_bb=k_bb, k_bmb=k_bmb,
                             extremal_eval=extremal_eval, case=case)
-
-
-def u_minus_l_gap(beta):
-    """Cap on the spread between the upper and lower pair-count bounds."""
-    return 0.5 * two_delta(beta).value
 
 
 def norm_equivalence_eta():

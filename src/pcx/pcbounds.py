@@ -192,7 +192,6 @@ class BoundRow:
     beta: float
     lower: float
     upper: float
-    nstar_ratio: float
     lower_adjusted: float
     upper_adjusted: float
     conjecture: float
@@ -248,8 +247,10 @@ def conjecture_integral(beta):
             + math.sin(math.pi * beta) ** 2 / (math.pi ** 2 * beta))
 
 
-def bound_table(betas, nstar_ratio=1.0):
-    """Upper/lower bound rows on a beta grid.
+def bound_table(betas, nstar_ratio=1.0, delta=1.0):
+    """Upper/lower bound rows on a beta grid, from the interval sandwich
+    of type 2 pi delta (m_selberg); delta = 2 - epsilon is the widest
+    usable band (the q-aspect bounds).
 
     The multiplicity knob shifts both bounds by (1 - nstar_ratio)/2; with
     ratio 4/3 the lower bound drops by exactly 1/6.
@@ -264,23 +265,13 @@ def bound_table(betas, nstar_ratio=1.0):
     adj = 0.5 * (1.0 - nstar_ratio)
     rows = []
     for beta in betas:
-        lower = m_selberg(beta, 1.0, -1).closed_form
-        upper = m_selberg(beta, 1.0, +1).closed_form
+        lower = m_selberg(beta, delta, -1).closed_form
+        upper = m_selberg(beta, delta, +1).closed_form
         rows.append(BoundRow(beta=beta, lower=lower, upper=upper,
-                             nstar_ratio=nstar_ratio,
                              lower_adjusted=lower + adj,
                              upper_adjusted=upper + adj,
                              conjecture=conjecture_integral(beta)))
     return rows
-
-
-def q_aspect_bounds(beta, epsilon=1e-3):
-    """Lower/upper pair at dilation 2 - epsilon (the widest usable band)."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
-    delta = 2.0 - epsilon
-    return (m_selberg(beta, delta, -1).closed_form,
-            m_selberg(beta, delta, +1).closed_form)
 
 
 def positivity_threshold(tol=1e-6):

@@ -59,7 +59,6 @@ class ZeroDataset:
 @dataclass(frozen=True)
 class EmpiricalRow:
     beta: float
-    n_t_beta: int
     ratio: float
     conjecture: float
     lower: float
@@ -221,21 +220,11 @@ def empirical_F(ds, T, alpha):
 
 
 def empirical_table(ds, T, betas):
-    """Empirical ratio rows joined with the theoretical columns."""
-    g = _window(ds, T)
-    n_t = len(g)
-    rows = []
-    for beta in betas:
-        n = count_pairs(ds, T, beta)
-        rows.append(EmpiricalRow(
-            beta=float(beta),
-            n_t_beta=n,
-            ratio=n / n_t,
-            conjecture=pcbounds.conjecture_integral(float(beta)),
-            lower=pcbounds.m_selberg(float(beta), 1.0, -1).closed_form,
-            upper=pcbounds.m_selberg(float(beta), 1.0, +1).closed_form,
-        ))
-    return rows
+    """Empirical ratio rows joined with the columns of pcbounds.bound_table."""
+    n_t = len(_window(ds, T))
+    return [EmpiricalRow(beta=r.beta, ratio=count_pairs(ds, T, r.beta) / n_t,
+                         conjecture=r.conjecture, lower=r.lower, upper=r.upper)
+            for r in pcbounds.bound_table(float(b) for b in betas)]
 
 
 def generate_zeros(count, path=None, t_guess_pad=1.15):

@@ -127,7 +127,11 @@ def test_subcommands_reject_options_they_ignore(capsys):
                   "--beta", "1"],
                  ["twodelta", "--one-delta", "--beta", "1"],
                  ["gaps", "--beta", "0.6"],
-                 ["gaps", "--profile", "--tol", "1e-8"]):
+                 ["gaps", "--profile", "--tol", "1e-8"],
+                 # the dilated table has no adjusted columns
+                 ["bounds", "--delta", "2", "--nstar", "1.2"],
+                 ["bounds", "--delta", "2", "--epsilon", "0.001",
+                  "--nstar", "1.2"]):
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("pcx: config error:") and err.count("\n") == 1
@@ -140,9 +144,40 @@ def test_gaps_rejects_bad_tol(capsys, tol):
     assert err.startswith("pcx: config error:") and err.count("\n") == 1
 
 
+NON_FINITE = [
+    ("bounds --beta inf", "--beta"),
+    ("bounds --beta nan", "--beta"),
+    ("bounds --beta 1:2:inf", "--beta"),
+    ("bounds --beta=-inf:2:0.5", "--beta"),
+    ("bounds --delta inf --beta 1", "--delta"),
+    ("bounds --delta nan --beta 1", "--delta"),
+    ("bounds --epsilon nan --beta 1", "--epsilon"),
+    ("bounds --delta 2 --epsilon=-inf", "--epsilon"),
+    ("gaps --profile --beta 0.6:inf:0.1", "--beta"),
+    ("twodelta --beta inf", "--beta"),
+    ("empirical --zeros {zeros} --falpha inf", "--falpha"),
+    ("empirical --zeros {zeros} --falpha 0:nan:0.5", "--falpha"),
+    ("empirical --zeros {zeros} --beta 0.5:1:nan", "--beta"),
+]
+
+
+@pytest.mark.parametrize("cmd, option", NON_FINITE,
+                         ids=[cmd for cmd, _ in NON_FINITE])
+def test_non_finite_input_is_a_config_error(capsys, tmp_path, cmd, option):
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("14.134725142\n21.022039639\n25.010857580\n")
+    assert cli.main(cmd.format(zeros=zeros).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pcx: config error:") and err.count("\n") == 1
+    assert option in err and "Traceback" not in err
+
+
 def test_bad_beta_grid(capsys):
     assert cli.main(["bounds", "--beta", "2:1:0.1"]) == 2
     assert cli.main(["bounds", "--beta", "1:2"]) == 2
+    # too many points to build: rejected before the grid is formed
+    assert cli.main(["bounds", "--beta", "0.1:1e308:1e-300"]) == 2
+    assert cli.main(["twodelta", "--beta", "1:1e7:1e-3"]) == 2
 
 
 def test_table_format(capsys):

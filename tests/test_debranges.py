@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pcx import debranges as db
 from pcx.beurling import BandlimitedFunction
-from pcx.kernel import csinc, kernel_eval
+from pcx.kernel import csinc, kernel_eval, two_delta
 from pcx.numerics import DomainError
 
 
@@ -124,11 +126,23 @@ def test_tilted_companions_vanish_at_beta(E):
 
 
 def test_lambda_consistency_with_two_delta(E):
-    from pcx.kernel import two_delta
     for beta in (0.45, 0.9, 1.6, 2.8):
         lp, lm = db.lambda_values(beta, E)
         assert lp > lm > 0 or (lm == 0.0 and lp > 0)
         assert lp - lm == pytest.approx(two_delta(beta).value, abs=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=st.floats(0.05, 56.0))
+def test_optimal_pair_matches_two_delta(E, beta):
+    # lambda_+ - lambda_- = Delta(beta), and 0 < Delta <= 2 because
+    # K(beta, beta) >= 1: the weight 1 - sinc^2 is at most 1
+    zeros = np.concatenate([E.zeros_A, E.zeros_B])
+    assume(np.min(np.abs(zeros - beta)) >= 1e-3)
+    lp, lm = db.lambda_values(beta, E)
+    delta = two_delta(beta).value
+    assert 0.0 < delta <= 2.0
+    assert abs((lp - lm) - delta) <= 1e-12
 
 
 def test_quadrature_check_fejer(E):

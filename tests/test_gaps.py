@@ -85,8 +85,3 @@ def test_thresholds_frozen():
             assert lo.base_term < 0.0 < hi.base_term
     # the correction can only help: threshold with it is smaller
     assert gaps.solve_threshold(True) < gaps.solve_threshold(False)
-
-
-def test_selberg_threshold_delegates():
-    from pcx.pcbounds import positivity_threshold
-    assert gaps.selberg_threshold(1e-8) == positivity_threshold(1e-8)

@@ -204,22 +204,6 @@ def test_two_delta_large_beta_envelope():
         assert abs(sol.value - env) < 2.0 / beta ** 2
 
 
-def test_min_norm_two_constraints():
-    norm, (c1, c2) = kn.min_norm_two_constraints(2.0, -1.0)
-    assert norm == pytest.approx(math.sqrt(2.0 / 3.0))
-    # the coefficients realize both unit constraints
-    assert abs(c1 * 2.0 + c2 * (-1.0)) == pytest.approx(1.0)
-    assert abs(c1 * (-1.0) + c2 * 2.0) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        kn.min_norm_two_constraints(1.0, 2.0)
-    with pytest.raises(DomainError):
-        kn.min_norm_two_constraints(-1.0, 0.0)
-
-
-def test_u_minus_l_gap_halves_two_delta():
-    assert kn.u_minus_l_gap(1.3) == pytest.approx(0.5 * kn.two_delta(1.3).value)
-
-
 def test_norm_equivalence_eta():
     from pcx.pcbounds import pc_density
     eta = kn.norm_equivalence_eta()

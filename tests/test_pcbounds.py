@@ -165,7 +165,8 @@ def test_bound_table_validation():
 def test_q_aspect_tightens_bounds():
     lo1 = pb.m_selberg(1.0, 1.0, -1).closed_form
     hi1 = pb.m_selberg(1.0, 1.0, +1).closed_form
-    lo2, hi2 = pb.q_aspect_bounds(1.0, 1e-3)
+    [row] = pb.bound_table([1.0], delta=2.0 - 1e-3)
+    lo2, hi2 = row.lower, row.upper
     assert lo1 < lo2 < hi2 < hi1
 
 
