@@ -26,6 +26,7 @@ absolute rounding of about 1e-16 sets it.  Each argument costs one sine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -209,9 +210,9 @@ def make_selberg_pair(beta, delta=1.0):
     The dilates s(x) = r_{delta*beta}(delta*x) keep the sandwich property
     while widening the admissible band.
     """
-    if beta <= 0:
+    if not 0 < beta < math.inf:
         raise DomainError("beta must be positive")
-    if delta < 1:
+    if not 1 <= delta < math.inf:
         raise DomainError("delta must be at least 1")
     gamma = delta * beta
 

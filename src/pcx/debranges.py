@@ -10,7 +10,6 @@ which turns the optimal majorant/minorant masses into finite node sums.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -19,7 +18,7 @@ import numpy as np
 
 from .beurling import BandlimitedFunction
 from .kernel import _patched, kernel_eval
-from .numerics import (DomainError, RootMiss, TruncationWarning,
+from .numerics import (DomainError, NonConvergence, RootMiss,
                        extrapolate_to_zero, find_root)
 from .pcbounds import m_of
 
@@ -93,7 +92,7 @@ def _tilted_diag(x, gamma, E):
 
 def tilt(beta, E=None):
     """Classify beta among the interlaced zeros and build the tilted pair."""
-    if beta <= 0:
+    if not 0 < beta < math.inf:
         raise DomainError("beta must be positive")
     E = E or build_E()
     if beta > E.x_max - 2.0:
@@ -204,6 +203,8 @@ def quadrature_check(F, which, beta=None, E=None, node_tol=1e-7):
 
     which: one of A_nodes, B_nodes, A_beta_nodes, B_beta_nodes; the tilted
     variants need beta and take the nodes and weights of tilt(beta).
+    With 30 or more nodes the node sum is extrapolated past x_max, and
+    NonConvergence is raised when that estimate exceeds node_tol.
     Returns (integral, node_sum).
     """
     E = E or build_E()
@@ -236,9 +237,8 @@ def quadrature_check(F, which, beta=None, E=None, node_tol=1e-7):
         idx = np.array([m - 1 - 5 * j for j in range(6)][::-1])
         value, est = extrapolate_to_zero(1.0 / nodes_o[idx], cum[idx])
         if est > node_tol:
-            warnings.warn(
-                f"node tail beyond x_max may contribute {est:.2e}",
-                TruncationWarning)
+            raise NonConvergence(
+                f"node tail beyond x_max may contribute {est:.2e}")
         node_sum = value
     else:
         node_sum = float(cum[-1])

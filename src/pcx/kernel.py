@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (DomainError, QuadratureSpec, integrate_real_line)
+from .numerics import DomainError, integrate_real_line
 from .beurling import BandlimitedFunction
 from .pcbounds import pc_density
 
@@ -128,21 +128,23 @@ def kernel_eval(w, z):
     return _patched(_k_raw, w, z)
 
 
-def reproduce(f, w, spec=None, inner=24.0):
+def reproduce(f, w):
     """<f, K(w,.)> in the weighted space; equals f(w) for type-pi f.
 
     f may be a BandlimitedFunction or a plain evaluator accepting real
-    ndarrays (possibly returning complex values).
+    ndarrays (possibly returning complex values).  f and K(w,.) have type
+    pi and the density type 2 pi, so the integrand's transform vanishes
+    outside [-2, 2]; the product of two e^(+/- i pi x) oscillations repeats
+    over period 1.
     """
     ev = f.time_eval if isinstance(f, BandlimitedFunction) else f
     w = complex(w)
-    spec = spec or QuadratureSpec(oscillation_period=1.0)
 
     def integrand(x):
         kv = kernel_eval(w, x.astype(complex))
         return np.asarray(ev(x)) * np.conj(kv) * pc_density(x)
 
-    return complex(integrate_real_line(integrand, spec, inner=inner))
+    return complex(integrate_real_line(integrand, 2.0))
 
 
 def one_delta():
@@ -176,7 +178,7 @@ def two_delta(beta):
     multiple of eps K(beta, .) + K(-beta, .); its squared norm, the value,
     is 2/s with s = K(beta, beta) + |K(beta, -beta)|.
     """
-    if beta <= 0:
+    if not 0 < beta < math.inf:
         raise DomainError("beta must be positive")
     k_bb = kernel_eval(beta, beta).real
     k_bmb = kernel_eval(beta, -beta).real

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DomainError, NonConvergence, QuadratureSpec,
-                       find_root, integrate_real_line)
+from .numerics import (DomainError, NonConvergence, find_root,
+                       integrate_real_line)
 from .special import sine_integral, tetragamma, trigamma
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -128,9 +128,9 @@ def _lattice_sum(delta, beta):
     flips) and the resonance c = delta*beta.  Returns (n, terms, n_lo,
     n_hi); callers attach the sign pattern and the exact tails.
     """
-    if beta <= 0:
+    if not 0 < beta < math.inf:
         raise DomainError("beta must be positive")
-    if delta < 1:
+    if not 1 <= delta < math.inf:
         raise DomainError("delta must be at least 1")
     c = delta * beta
     margin = _tail_margin(delta)
@@ -197,20 +197,19 @@ class BoundRow:
     conjecture: float
 
 
-def m_of(R, spec=None, inner=24.0):
+def m_of(R):
     """M(R) for a band-limited R integrable against the density.
 
-    Time-domain quadrature, valid for every dilation delta.
+    Time-domain sampling sum, valid for every dilation delta: R has type
+    2 pi delta and the density type 2 pi, so the integrand's transform
+    vanishes outside [-(delta + 1), delta + 1], and both repeat their
+    oscillation over _common_period(delta).
     """
-    period = _common_period(R.delta)
-    spec = spec or QuadratureSpec(oscillation_period=period)
-    if spec.oscillation_period is None:
-        spec = QuadratureSpec(spec.abs_tol, spec.rel_tol, spec.max_depth, period)
-
     def integrand(x):
         return np.asarray(R.time_eval(x), dtype=float) * pc_density(x)
 
-    return integrate_real_line(integrand, spec, inner=inner)
+    return integrate_real_line(integrand, R.delta + 1.0,
+                               _common_period(R.delta))
 
 
 def m_selberg(beta, delta=1.0, sign=+1):

@@ -199,15 +199,14 @@ def test_transform_small_t_series_continuity():
 
 
 def test_transform_matches_numerical_fourier():
-    # hat r(t) = int r(x) e(-xt) dx, checked by direct slow quadrature
-    from pcx.numerics import QuadratureSpec, integrate_real_line
+    # hat r(t) = int r(x) e(-xt) dx, checked by the sampling sum: the
+    # cosine moves the band [-1, 1] out to 1.25 and repeats every 4
+    from pcx.numerics import integrate_real_line
     beta, t = 0.8, 0.25
     for sign in (+1, -1):
         def integrand(x):
             return bs.eval_r(beta, sign, x) * np.cos(2 * math.pi * t * x)
-        num = integrate_real_line(integrand,
-                                  QuadratureSpec(oscillation_period=4.0),
-                                  inner=32.0)
+        num = integrate_real_line(integrand, 1.25, 4.0)
         assert abs(num - bs.ft_r(beta, sign, np.array([t]))[0]) < 1e-10
 
 

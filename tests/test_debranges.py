@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pcx import debranges as db
 from pcx.beurling import BandlimitedFunction
 from pcx.kernel import csinc, kernel_eval, two_delta
-from pcx.numerics import DomainError
+from pcx.numerics import DomainError, NonConvergence
 
 
 def test_build_E_basic(E):
@@ -116,6 +116,17 @@ def test_tilt_regimes(E):
         db.tilt(E.x_max, E)
 
 
+def test_masses_on_a_zero_match_two_delta(E):
+    # beta on an A- or B-zero takes the untilted node system; the masses
+    # still differ by Delta(beta)
+    for beta, regime in ((float(E.zeros_A[2]), "case_a_zero"),
+                         (float(E.zeros_B[3]), "case_b_zero")):
+        t = db.tilt(beta, E)
+        assert t.regime == regime
+        delta = two_delta(beta).value
+        assert abs((t.lambda_plus - t.lambda_minus) - delta) <= 1e-12
+
+
 def test_tilted_companions_vanish_at_beta(E):
     beta = 0.9
     t = db.tilt(beta, E)
@@ -156,6 +167,9 @@ def test_quadrature_check_fejer(E):
         db.quadrature_check(F, "C_nodes", E=E)
     with pytest.raises(DomainError):
         db.quadrature_check(F, "A_beta_nodes", E=E)  # beta missing
+    # the node tail beyond x_max is estimated at 2.1e-10 on the A-nodes
+    with pytest.raises(NonConvergence):
+        db.quadrature_check(F, "A_nodes", E=E, node_tol=1e-15)
 
 
 def test_quadrature_check_tilted(E):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from pcx import beurling
 from pcx import pcbounds as pb
-from pcx.numerics import DomainError, QuadratureSpec, integrate_adaptive
+from pcx.debranges import lambda_values
+from pcx.kernel import two_delta
+from pcx.numerics import DomainError
 
 
 def _v_brute(delta, beta, sign, terms=4_000_000):
@@ -86,23 +88,35 @@ def test_g_constant_half():
 
 
 def test_m_selberg_closed_vs_quadrature():
-    spec = QuadratureSpec(abs_tol=1e-9, rel_tol=1e-9)
     for beta in (0.6, 1.0, 2.3):
         pair = beurling.make_selberg_pair(beta, 1.0)
         for sign, fn in ((1, pair.majorant), (-1, pair.minorant)):
-            quad = 0.5 * pb.m_of(fn, spec=spec, inner=max(24.0, 4.0 * beta))
-            assert abs(pb.m_selberg(beta, 1.0, sign).closed_form - quad) < 1e-9
+            quad = 0.5 * pb.m_of(fn)
+            assert abs(pb.m_selberg(beta, 1.0, sign).closed_form - quad) < 1e-11
+
+
+def test_m_of_at_large_beta():
+    # the sampling sum needs no argument but R out to beta = 40, where the
+    # tail extrapolation starts 128 periods out, only about 3 beta away
+    for beta in (10.0, 20.0, 40.0):
+        for delta in (1.0, 2.0):
+            pair = beurling.make_selberg_pair(beta, delta)
+            for sign, fn in ((1, pair.majorant), (-1, pair.minorant)):
+                quad = 0.5 * pb.m_of(fn)
+                closed = pb.m_selberg(beta, delta, sign).closed_form
+                assert abs(closed - quad) < 1e-10
 
 
 def test_m_plancherel_form_at_delta_one():
+    from scipy.integrate import quad
     # for a band [-1, 1] function M(R) = hat R(0) - int hat R(t)(1 - |t|) dt
     for beta in (0.6, 1.0, 2.3):
         pair = beurling.make_selberg_pair(beta, 1.0)
         for fn in (pair.majorant, pair.minorant):
             rhat0 = float(fn.freq_eval(np.array([0.0]))[0])
-            tri = integrate_adaptive(
-                lambda t: fn.freq_eval(t) * (1.0 - np.abs(t)), -1.0, 1.0,
-                QuadratureSpec())
+            tri = quad(
+                lambda t: float(fn.freq_eval(np.array([t]))[0]) * (1.0 - abs(t)),
+                -1.0, 1.0, epsabs=1e-13)[0]
             assert abs((rhat0 - tri) - pb.m_of(fn)) < 1e-11
 
 
@@ -125,6 +139,36 @@ def test_m_selberg_domain():
         pb.m_selberg(1.0, 0.9)
     with pytest.raises(DomainError):
         pb.m_selberg(1.0, 1.0, 2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_beta_and_delta_rejected(bad):
+    calls = [lambda: pb.m_selberg(bad), lambda: pb.m_selberg(1.0, bad),
+             lambda: pb.bound_table([bad]), lambda: two_delta(bad),
+             lambda: beurling.make_selberg_pair(bad),
+             lambda: beurling.make_selberg_pair(1.0, bad),
+             lambda: lambda_values(bad)]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_m_selberg_as_beta_vanishes():
+    # the interval shrinks to a point: half of M tends to +/-1/6, at 0.30 beta
+    for beta in (1e-3, 1e-4, 1e-5, 1e-6):
+        for sign in (+1, -1):
+            value = pb.m_selberg(beta, 1.0, sign).closed_form
+            assert abs(value - sign / 6.0) <= beta
+
+
+def test_bound_table_continuous_at_delta_two():
+    # the widest band delta = 2 - eps tends to delta = 2, at most 0.123 eps
+    for beta in (0.7, 2.3):
+        [edge] = pb.bound_table([beta], delta=2.0)
+        for eps in (1e-3, 1e-6, 1e-9):
+            [row] = pb.bound_table([beta], delta=2.0 - eps)
+            for got, want in ((row.lower, edge.lower), (row.upper, edge.upper)):
+                assert abs(got - want) <= 0.2 * eps + 1e-12
 
 
 def test_conjecture_integral():

@@ -21,9 +21,9 @@ def _load(name, monkeypatch):
     return module
 
 
-@pytest.mark.parametrize("workload", ["analytic", "nodes", "pairs"])
-def test_tiny_plan_passes_its_checks(workload, tmp_path, monkeypatch, dataset):
-    W = _load("workloads", monkeypatch)
+def _tiny_plan(W, workload, tmp_path, dataset):
+    """The seed-1 tiny plan of a workload and a context to run it in, with
+    the zero-table prefixes it needs written under tmp_path."""
     refs = W.load_refs()
     ops = W.plan(workload, 1, 0, "tiny", refs)
     shipped = ROOT / W.SHIPPED
@@ -31,7 +31,13 @@ def test_tiny_plan_passes_its_checks(workload, tmp_path, monkeypatch, dataset):
     for n in W.prefix_sizes(ops):
         files[str(n)] = str(tmp_path / f"zeros_{n}.txt")
         W.write_prefix(shipped, files[str(n)], n)
-    ctx = W.Context(files, refs, dataset)
+    return ops, refs, W.Context(files, refs, dataset)
+
+
+@pytest.mark.parametrize("workload", ["analytic", "nodes", "pairs"])
+def test_tiny_plan_passes_its_checks(workload, tmp_path, monkeypatch, dataset):
+    W = _load("workloads", monkeypatch)
+    ops, refs, ctx = _tiny_plan(W, workload, tmp_path, dataset)
     failed = [(op["name"], err) for op in ops
               if (err := W.check(op, W.execute(op, ctx), refs)) is not None]
     assert ops and failed == []
@@ -42,3 +48,21 @@ def test_tracer_covers_every_binding(monkeypatch):
     tracer = spans.Tracer()
     tracer.install()  # raises TraceError when a binding escapes the wrappers
     tracer.uninstall()
+
+
+def test_tracer_sees_the_quadrature(tmp_path, monkeypatch, dataset):
+    # the two quadrature_check ops of the nodes plan integrate through
+    # numerics.integrate_real_line, the name the quadrature metrics count
+    W = _load("workloads", monkeypatch)
+    spans = _load("spans", monkeypatch)
+    ops, _, ctx = _tiny_plan(W, "nodes", tmp_path, dataset)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for op in ops:
+            W.execute(op, ctx)
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracer.metrics()
+    assert metrics["numerics.quad_calls"] >= 2
+    assert metrics["numerics.quad_s"] > 0.0
