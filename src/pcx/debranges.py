@@ -3,8 +3,9 @@
 E is manufactured from the reproducing kernel via L(w,z) = 2 pi i
 (conj(w) - z) K(w,z) evaluated at w = i; its companions A and B have
 simple interlacing real zeros that serve as quadrature nodes for the
-weight |E(x)|^-2.  Tilting by gamma - iz repositions +/-beta as nodes,
-which turns the optimal majorant/minorant masses into finite node sums.
+weight |E(x)|^-2.  The tilt E_beta = (p - iqz) E, with (p, q) read off
+E(beta), makes +/-beta nodes of Re E_beta or of -Im E_beta, which turns the
+optimal majorant/minorant masses into finite node sums.
 """
 
 from __future__ import annotations
@@ -35,11 +36,16 @@ class HermiteBiehler:
 
 @dataclass(frozen=True)
 class TiltedSpace:
+    """The de Branges space of E_beta(z) = (p - iqz) E(z), with (p, q) a
+    unit vector, p > 0 and q >= 0, chosen so that beta is a root of the node
+    function named by regime (see tilt).  nodes are that function's roots
+    in [0, x_max], weights their masses (p^2 + q^2 x^2) / K_beta(x,x), and
+    lambda_plus/minus the node sums over |x| <= beta and |x| < beta."""
     beta: float
-    gamma_beta: float
+    p: float
+    q: float
     regime: str
-    A_beta_eval: Callable
-    B_beta_eval: Callable
+    E_beta_eval: Callable
     nodes: np.ndarray
     weights: np.ndarray
     lambda_plus: float
@@ -79,80 +85,70 @@ def build_E(x_max=60.0):
                           zeros_A=zeros_a, zeros_B=zeros_b, x_max=float(x_max))
 
 
-def _tilted_diag(x, gamma, E):
-    """K_beta(x,x) = (x^2 + gamma^2) K(x,x) + gamma |E(x)|^2 / pi.
-
-    This is the Wronskian of A_beta = gamma A - x B, B_beta = x A + gamma B
-    expanded in terms of the Wronskian of A and B, which is pi K(x,x).
-    """
+def _weights(x, p, q, E):
+    """Node weights (p^2 + q^2 x^2) / K_beta(x,x) of H(E_beta), in which
+    (p - iqz) f has the norm of f in H(E); (p, q) = (1, 0) gives 1/K(x,x).
+    K_beta(x,x) = (p^2 + q^2 x^2) K(x,x) + pq |E(x)|^2 / pi is the Wronskian
+    of A_beta = pA - qxB and B_beta = qxA + pB over pi."""
     x = np.asarray(x, dtype=float)
-    return ((x ** 2 + gamma ** 2) * kernel_eval(x, x).real
-            + gamma * np.abs(E.E_eval(x)) ** 2 / math.pi)
+    s = p * p + (q * x) ** 2
+    return s / (s * kernel_eval(x, x).real
+                + p * q * np.abs(E.E_eval(x)) ** 2 / math.pi)
 
 
 def tilt(beta, E=None):
-    """Classify beta among the interlaced zeros and build the tilted pair."""
+    """The node system of E_beta(z) = (p - iqz) E(z) with beta as a node.
+
+    One evaluation of E(beta) = A - iB picks the node function and the unit
+    vector (p, q), p > 0 and q >= 0, that makes it vanish at beta: when
+    A(beta) B(beta) > 0 or A(beta) = 0, A_beta = Re E_beta with (p, q)
+    along (beta |B(beta)|, |A(beta)|) (regime case_bk_ak1, beta in
+    (b_k, a_k+1]); otherwise B_beta = -Im E_beta with (p, q) along
+    (beta |A(beta)|, |B(beta)|) (regime case_ak_bk, beta in (a_k, b_k]).
+    On a zero of A or of B, q = 0 and the nodes are that zero set.
+    The scan for nodes starts at 0: A_beta is even and its first root may
+    lie near 0 (about sqrt(p/q)); B_beta is odd, so 0 is a node.
+    """
     if not 0 < beta < math.inf:
         raise DomainError("beta must be positive")
     E = E or build_E()
     if beta > E.x_max - 2.0:
         raise DomainError("beta too close to the resolved zero range")
 
-    near_a = np.min(np.abs(E.zeros_A - beta)) < 1e-9
-    near_b = np.min(np.abs(E.zeros_B - beta)) < 1e-9
-
-    a_b = float(E.A_eval(beta))
-    b_b = float(E.B_eval(beta))
-
-    if near_a or near_b:
-        regime = "case_a_zero" if near_a else "case_b_zero"
-        zeros = E.zeros_A if near_a else E.zeros_B
-        nodes = zeros[zeros <= E.x_max]
-        weights = 1.0 / kernel_eval(nodes, nodes).real
-        lp, lm = _masses(nodes, weights, beta)
-        return TiltedSpace(beta=beta, gamma_beta=float("nan"), regime=regime,
-                           A_beta_eval=E.A_eval, B_beta_eval=E.B_eval,
-                           nodes=nodes, weights=weights,
-                           lambda_plus=lp, lambda_minus=lm)
-
-    if a_b * b_b > 0:
-        regime = "case_bk_ak1"
-        gamma = beta * b_b / a_b
+    e_b = complex(E.E_eval(beta))
+    a_b, b_b = e_b.real, -e_b.imag
+    if a_b * b_b > 0 or a_b == 0:
+        regime, p, q, part = "case_bk_ak1", beta * abs(b_b), abs(a_b), 1.0
     else:
-        regime = "case_ak_bk"
-        gamma = -beta * a_b / b_b
-    if gamma <= 0:
-        raise RootMiss("tilt parameter came out nonpositive")
+        regime, p, q, part = "case_ak_bk", beta * abs(a_b), abs(b_b), 1.0j
+    norm = math.hypot(p, q)
+    p, q = p / norm, q / norm
 
-    def A_beta(z):
-        z = np.asarray(z, dtype=float)
-        return gamma * E.A_eval(z) - z * E.B_eval(z)
+    def E_beta(z):
+        z = np.asarray(z, dtype=complex)
+        return (p - 1j * q * z) * E.E_eval(z)
 
-    def B_beta(z):
-        z = np.asarray(z, dtype=float)
-        return z * E.A_eval(z) + gamma * E.B_eval(z)
+    def node_fn(x):
+        # Re E_beta or -Im E_beta = Re(i E_beta); E(0) is real, so B_beta(0)
+        # is exactly 0 and the scan lists 0 as a grid root
+        return np.real(part * E_beta(x))
 
-    node_fn = A_beta if regime == "case_bk_ak1" else B_beta
-    pos = find_root(node_fn, np.arange(0.05, E.x_max + 0.1, 0.1), 1e-13)
+    nodes = find_root(node_fn, np.arange(0.0, E.x_max + 0.1, 0.1), 1e-13)
     # beta is a node by construction; snap the scanned root onto it
-    pos = np.where(np.abs(pos - beta) < 1e-6, beta, pos)
-    if not np.any(pos == beta):
-        pos = np.sort(np.append(pos, beta))
-    if regime == "case_ak_bk":
-        pos = np.concatenate([[0.0], pos])
-    nodes = pos
-
-    weights = (nodes ** 2 + gamma ** 2) / _tilted_diag(nodes, gamma, E)
+    nodes = np.where(np.abs(nodes - beta) < 1e-6, beta, nodes)
+    if not np.any(nodes == beta):
+        nodes = np.sort(np.append(nodes, beta))
+    weights = _weights(nodes, p, q, E)
     lp, lm = _masses(nodes, weights, beta)
-    return TiltedSpace(beta=beta, gamma_beta=gamma, regime=regime,
-                       A_beta_eval=A_beta, B_beta_eval=B_beta, nodes=nodes,
-                       weights=weights, lambda_plus=lp, lambda_minus=lm)
+    return TiltedSpace(beta=beta, p=p, q=q, regime=regime, E_beta_eval=E_beta,
+                       nodes=nodes, weights=weights,
+                       lambda_plus=lp, lambda_minus=lm)
 
 
 def _masses(nodes, w, beta):
     """lambda_+/- as node sums over |x| <= beta and |x| < beta.
 
-    The positive nodes are mirrored; 0 (a B-node) has no mirror.
+    The positive nodes are mirrored; 0 (a node of B_beta) has no mirror.
     """
     def total(mask):
         return float(np.sum(w[mask])) + float(np.sum(w[mask & (nodes > 0)]))
@@ -180,13 +176,13 @@ def case3_majorant(beta, E=None):
         raise RootMiss("unexpected regime below the first A-zero")
     # A_beta(beta) = 0, so the Wronskian pi K_beta(beta, beta) = -A_beta'(beta)
     # B_beta(beta) gives the slope without a numerical derivative
-    dA = (-math.pi * float(_tilted_diag(beta, t.gamma_beta, E))
-          / float(t.B_beta_eval(beta)))
+    k_bb = (t.p ** 2 + (t.q * beta) ** 2) / float(_weights(beta, t.p, t.q, E))
+    dA = math.pi * k_bb / complex(t.E_beta_eval(beta)).imag
     C = -2.0 * beta / dA
 
     def q_raw(x):
         x = np.asarray(x, dtype=float)
-        return C * t.A_beta_eval(x) / (beta ** 2 - x ** 2)
+        return C * np.real(t.E_beta_eval(x)) / (beta ** 2 - x ** 2)
 
     def time_eval(x):
         return _patched(q_raw, x, center=beta) ** 2
@@ -212,7 +208,7 @@ def quadrature_check(F, which, beta=None, E=None, node_tol=1e-7):
 
     if which in ("A_nodes", "B_nodes"):
         nodes = E.zeros_A if which == "A_nodes" else E.zeros_B
-        weights = 1.0 / kernel_eval(nodes, nodes).real
+        weights = _weights(nodes, 1.0, 0.0, E)
     elif which in ("A_beta_nodes", "B_beta_nodes"):
         if beta is None:
             raise DomainError("tilted node systems need beta")

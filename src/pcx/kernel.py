@@ -168,7 +168,6 @@ class TwoDeltaSolution:
     k_bb: float
     k_bmb: float
     extremal_eval: Callable
-    case: str
 
 
 def two_delta(beta):
@@ -184,7 +183,6 @@ def two_delta(beta):
     k_bmb = kernel_eval(beta, -beta).real
     s = k_bb + abs(k_bmb)
     eps = 1.0 if k_bmb >= 0 else -1.0
-    case = "orthogonal" if abs(k_bmb) < 1e-10 else "generic"
 
     def extremal_eval(x):
         x = np.asarray(x, dtype=float).astype(complex)
@@ -192,7 +190,7 @@ def two_delta(beta):
         return np.real(num) ** 2 / s ** 2
 
     return TwoDeltaSolution(beta=beta, value=2.0 / s, k_bb=k_bb, k_bmb=k_bmb,
-                            extremal_eval=extremal_eval, case=case)
+                            extremal_eval=extremal_eval)
 
 
 def norm_equivalence_eta():

@@ -118,8 +118,11 @@ def find_root(f, xs, tol=1e-12):
     each grid cell whose endpoint values have strictly opposite signs.  All
     such brackets are refined together by a bisection/secant hybrid: one
     call of f per step evaluates every open bracket, and each bracket shrinks
-    until its width is at most tol.  No iterate leaves its cell.
+    until its width is at most tol, which must be positive and finite.  No
+    iterate leaves its cell.
     """
+    if not 0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or len(xs) < 2 or not np.all(np.diff(xs) > 0):
         raise DomainError("find_root needs an ascending grid of >= 2 points")

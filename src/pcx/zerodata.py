@@ -103,8 +103,8 @@ def _window(ds, T):
 
 def count_pairs(ds, T, beta):
     """Ordered pairs with 0 < gamma' - gamma <= 2 pi beta / log T."""
-    if beta <= 0:
-        raise DomainError("beta must be positive")
+    if not 0 < beta < math.inf:
+        raise DomainError("beta must be positive and finite")
     g = _window(ds, T)
     w = 2.0 * math.pi * beta / math.log(T)
     hi = np.searchsorted(g, g + w, side="right")
@@ -195,6 +195,8 @@ def empirical_F(ds, T, alpha):
     """Montgomery-style normalized exponential pair sum at alpha:
     2 pi / (n log T) times the sum of cos(alpha log T d) 4/(4+d^2) over
     all ordered pairs of the window, d the gap between their ordinates."""
+    if not math.isfinite(alpha):
+        raise DomainError("alpha must be finite")
     g = _window(ds, T)
     n = len(g)
     logT = math.log(T)

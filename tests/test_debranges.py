@@ -9,6 +9,7 @@ from pcx import debranges as db
 from pcx.beurling import BandlimitedFunction
 from pcx.kernel import csinc, kernel_eval, two_delta
 from pcx.numerics import DomainError, NonConvergence
+from pcx.pcbounds import m_selberg
 
 
 def test_build_E_basic(E):
@@ -79,15 +80,29 @@ def test_k_diag_matches_kernel(E):
     assert np.max(np.abs(kd - wronskian)) < 1e-11 * np.max(kd)
 
 
+def _node_function(t):
+    """Re E_beta in regime case_bk_ak1, -Im E_beta in case_ak_bk."""
+    if t.regime == "case_bk_ak1":
+        return lambda x: np.real(t.E_beta_eval(x))
+    return lambda x: -np.imag(t.E_beta_eval(x))
+
+
 def test_tilted_diag_matches_wronskian(E):
     a1, b1 = float(E.zeros_A[0]), float(E.zeros_B[1])
     for beta in (0.5 * a1, 0.5 * (a1 + b1), 2.2, 4.7):  # two per regime
         t = db.tilt(beta, E)
         assert t.regime in ("case_bk_ak1", "case_ak_bk")
+        assert t.p > 0 and t.q > 0 and t.p ** 2 + t.q ** 2 == pytest.approx(1)
         xs = np.concatenate([t.nodes[:6], [0.1, 0.37, 3.3]])
-        diag = db._tilted_diag(xs, t.gamma_beta, E)
-        want = _wronskian(t.A_beta_eval, t.B_beta_eval, xs)
+        # K_beta(x,x) from the weights is the Wronskian of Re and -Im E_beta
+        diag = (t.p ** 2 + (t.q * xs) ** 2) / db._weights(xs, t.p, t.q, E)
+        want = _wronskian(lambda x: np.real(t.E_beta_eval(x)),
+                          lambda x: -np.imag(t.E_beta_eval(x)), xs)
         assert np.max(np.abs(diag - want)) < 1e-11 * np.max(np.abs(want))
+    # untilted, the weights are 1/K(x,x)
+    xs = E.zeros_A[:5]
+    assert np.array_equal(db._weights(xs, 1.0, 0.0, E),
+                          1.0 / kernel_eval(xs, xs).real)
 
 
 def test_cross_module_identity(E):
@@ -100,16 +115,17 @@ def test_cross_module_identity(E):
 
 
 def test_tilt_regimes(E):
-    a1 = E.zeros_A[0]
-    b1 = E.zeros_B[1]
-    t_low = db.tilt(0.5 * a1, E)
-    assert t_low.regime == "case_bk_ak1"
-    t_mid = db.tilt(0.5 * (a1 + b1), E)
-    assert t_mid.regime == "case_ak_bk"
-    t_at_a = db.tilt(float(a1), E)
-    assert t_at_a.regime == "case_a_zero"
-    t_at_b = db.tilt(float(b1), E)
-    assert t_at_b.regime == "case_b_zero"
+    # strictly inside (b_k, a_k+1) the node function is A_beta = Re E_beta,
+    # even and nonzero at 0; inside (a_k, b_k) it is B_beta = -Im E_beta,
+    # odd, so 0 is a node
+    a, b = E.zeros_A, E.zeros_B
+    for k in (0, 1, 5, 40):
+        t = db.tilt(0.5 * (b[k] + a[k]), E)
+        assert t.regime == "case_bk_ak1"
+        assert t.nodes[0] > 0
+        t = db.tilt(0.5 * (a[k] + b[k + 1]), E)
+        assert t.regime == "case_ak_bk"
+        assert t.nodes[0] == 0.0
     with pytest.raises(DomainError):
         db.tilt(-1.0, E)
     with pytest.raises(DomainError):
@@ -117,23 +133,61 @@ def test_tilt_regimes(E):
 
 
 def test_masses_on_a_zero_match_two_delta(E):
-    # beta on an A- or B-zero takes the untilted node system; the masses
-    # still differ by Delta(beta)
-    for beta, regime in ((float(E.zeros_A[2]), "case_a_zero"),
-                         (float(E.zeros_B[3]), "case_b_zero")):
-        t = db.tilt(beta, E)
-        assert t.regime == regime
-        delta = two_delta(beta).value
-        assert abs((t.lambda_plus - t.lambda_minus) - delta) <= 1e-12
+    # beta on an A- or B-zero needs no case of its own: the sign of the
+    # zero's rounding picks the regime, p or q comes out near 0, the masses
+    # are those of the untilted node system on that zero set, and they
+    # still differ by Delta(beta).  With p near 0 the node 0 splits into
+    # +/-x0, x0 ~ 4e-7, whose 1e-13 root tolerance moves its mass by 3e-8.
+    for zeros in (E.zeros_A, E.zeros_B):
+        weights = 1.0 / kernel_eval(zeros, zeros).real
+        for beta in zeros[(zeros > 0) & (zeros < 56.0)]:
+            t = db.tilt(float(beta), E)
+            assert min(t.p, t.q) < 1e-10
+            inside = zeros <= beta
+            untilted = (np.sum(weights[inside])
+                        + np.sum(weights[inside & (zeros > 0)]))
+            assert abs(t.lambda_plus - untilted) < 1e-7
+            delta = two_delta(float(beta)).value
+            assert abs((t.lambda_plus - t.lambda_minus) - delta) <= 1e-12
 
 
 def test_tilted_companions_vanish_at_beta(E):
-    beta = 0.9
-    t = db.tilt(beta, E)
-    node_fn = (t.A_beta_eval if t.regime == "case_bk_ak1"
-               else t.B_beta_eval)
-    assert abs(float(node_fn(np.array([beta]))[0])) < 1e-9
-    assert beta in t.nodes
+    for beta in (0.5, 0.9, 2.2, 4.7):  # both regimes
+        t = db.tilt(beta, E)
+        assert abs(float(_node_function(t)(np.array([beta]))[0])) < 1e-9
+        assert beta in t.nodes
+        # and every node is a root of it
+        assert np.all(np.abs(_node_function(t)(t.nodes)) < 1e-9)
+
+
+def test_tilt_kernel_calls(E, monkeypatch):
+    # one E evaluation per node-function call: the scan grid, the secant
+    # steps, E(beta) and the weights stay within 50 kernel calls
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return kernel_eval(*args)
+
+    monkeypatch.setattr(db, "kernel_eval", counting)
+    for beta in (0.3, 1.3, 2.2, 30.1):
+        calls.clear()
+        db.tilt(beta, E)
+        assert len(calls) <= 50
+
+
+def test_lambda_monotone_across_zeros(E):
+    # crossing an A- or B-zero, lambda_+/- jump by nothing and do not fall;
+    # a scan that skips the A_beta root near 0 right of a B-zero loses the
+    # node 0's mass 1/K(0,0) = 0.3275 there
+    zeros = np.concatenate([E.zeros_A, E.zeros_B[1:]])
+    for z in zeros[zeros < 56.0]:
+        z = float(z)
+        wide = [db.lambda_values(z + d, E) for d in (-1e-4, 1e-4)]
+        assert wide[1][0] >= wide[0][0] and wide[1][1] >= wide[0][1]
+        near = [db.lambda_values(z + d, E) for d in (-1e-7, 1e-7)]
+        for before, after in zip(*near):
+            assert 0.0 <= after - before <= 1e-5
 
 
 def test_lambda_consistency_with_two_delta(E):
@@ -154,6 +208,27 @@ def test_optimal_pair_matches_two_delta(E, beta):
     delta = two_delta(beta).value
     assert 0.0 < delta <= 2.0
     assert abs((lp - lm) - delta) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(0.05, 56.0))
+def test_optimal_interval_inside_selberg(E, beta):
+    # the Selberg pair is admissible, so its masses 2 m_selberg bound the
+    # optimal ones from outside
+    zeros = np.concatenate([E.zeros_A, E.zeros_B])
+    assume(np.min(np.abs(zeros - beta)) >= 1e-3)
+    lp, lm = db.lambda_values(beta, E)
+    assert 2.0 * m_selberg(beta, 1.0, -1).closed_form <= lm + 1e-12
+    assert lp <= 2.0 * m_selberg(beta, 1.0, +1).closed_form + 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(beta=st.floats(0.05, 55.0), step=st.floats(1e-6, 1.0))
+def test_lambda_nondecreasing(E, beta, step):
+    # a wider window admits every majorant and minorant of a narrower one
+    lp, lm = db.lambda_values(beta, E)
+    lp2, lm2 = db.lambda_values(beta + step, E)
+    assert lp2 >= lp - 1e-12 and lm2 >= lm - 1e-12
 
 
 def test_quadrature_check_fejer(E):
@@ -192,6 +267,20 @@ def test_quadrature_check_tilted(E):
     # asking for the wrong tilted system is a domain error
     with pytest.raises(DomainError):
         db.quadrature_check(Fsq, "B_beta_nodes", beta=beta_a, E=E)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_quadrature_check_right_of_b_zero(E, k):
+    # just right of b_k the A_beta root nearest 0 lies below 0.05; the node
+    # sum holds its mass
+    def sq(x):
+        return np.sinc(np.asarray(x) - 0.4) ** 2
+
+    Fsq = BandlimitedFunction(type_bound=2 * math.pi, time_eval=sq,
+                              freq_eval=None, label="shifted-sq")
+    beta = float(E.zeros_B[k]) + 1e-4
+    integral, nodesum = db.quadrature_check(Fsq, "A_beta_nodes", beta=beta, E=E)
+    assert abs(integral - nodesum) < 1e-9
 
 
 def test_case3_majorant_properties(E):

@@ -43,6 +43,13 @@ def test_bracket_requires_sign_change():
             nm.find_root(np.cos, bad)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-9])
+def test_find_root_rejects_bad_tol(tol):
+    # a NaN tol would end every bracket at once, at its cell's midpoint
+    with pytest.raises(nm.DomainError):
+        nm.find_root(np.cos, np.linspace(0.0, 3.0, 7), tol)
+
+
 def test_find_root_simple():
     r = nm.find_root(np.cos, [1.0, 2.0], 1e-14)
     assert r.shape == (1,) and abs(r[0] - math.pi / 2) < 1e-12

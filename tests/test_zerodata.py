@@ -72,6 +72,19 @@ def test_count_pairs_domain(small):
         zd.empirical_F(small, 5.0, 1.0)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_count_pairs_rejects_non_finite_beta(dataset, beta):
+    # a NaN window would compare false everywhere and count every pair
+    with pytest.raises(DomainError):
+        zd.count_pairs(dataset, 1000.0, beta)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_empirical_F_rejects_non_finite_alpha(dataset, alpha):
+    with pytest.raises(DomainError):
+        zd.empirical_F(dataset, 1000.0, alpha)
+
+
 def test_count_pairs_shuffled_table(dataset):
     g = dataset.ordinates[:300]
     ds = zd.ZeroDataset(ordinates=np.random.default_rng(5).permutation(g),
