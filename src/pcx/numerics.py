@@ -17,6 +17,14 @@ a tail smooth in 1/N; the partial sums at N = 128, 256, ..., 4096 are
 extrapolated to 1/N = 0 with a Neville table, whose last correction is the
 error estimate.  Since every N is a multiple of 128, an oscillation whose
 period is a divisor of 128 periods lines up as well.
+
+Every root the package finds is refined by find_root, which takes all the
+sign-change brackets of a grid together, one call of the callback per step.
+Its step is the Illinois modified regula falsi: false position, with the
+stored value of an endpoint halved each time that endpoint is kept twice
+in a row, which converges superlinearly yet never leaves the bracket.  A
+guard bisects whenever two steps failed to halve the bracket, so no root
+costs more than about three calls per halving of its cell.
 """
 
 from __future__ import annotations
@@ -116,10 +124,20 @@ def find_root(f, xs, tol=1e-12):
 
     A grid point where f is exactly 0 is a root; so is the one root inside
     each grid cell whose endpoint values have strictly opposite signs.  All
-    such brackets are refined together by a bisection/secant hybrid: one
-    call of f per step evaluates every open bracket, and each bracket shrinks
-    until its width is at most tol, which must be positive and finite.  No
-    iterate leaves its cell.
+    such brackets are refined together, one call of f per step evaluating
+    every open bracket, by the Illinois modified regula falsi (Dowell and
+    Jarratt, BIT 11, 1971): false position on stored endpoint values, where
+    an endpoint kept on two steps in a row has its stored value halved, so
+    that the iterates cannot creep up on the root from one side.  The step
+    is clipped to at least tol/2 inside each end, so that the last one lands
+    across the root and closes the bracket.  It is replaced by bisection
+    when it falls outside the open bracket, or when the bracket has not
+    halved over the last two steps; so the worst case costs about three
+    calls per halving.  No iterate leaves its cell.
+
+    A bracket is done when its width is at most tol, which must be positive
+    and finite, or when its midpoint rounds to an endpoint; its root is that
+    midpoint.  NonConvergence if a bracket is still open after 200 steps.
     """
     if not 0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
@@ -132,25 +150,36 @@ def find_root(f, xs, tol=1e-12):
     flo, fhi = fxs[cell], fxs[cell + 1]
     roots = np.empty(len(cell))
     todo = np.arange(len(cell))
-    for it in range(200):
-        width = hi - lo
-        wide = width > tol
-        roots[todo[~wide]] = 0.5 * (lo[~wide] + hi[~wide])
-        todo, lo, hi, flo, fhi, width = (
-            v[wide] for v in (todo, lo, hi, flo, fhi, width))
+    # the endpoint kept on the last step (+1 hi, -1 lo, 0 none yet) and the
+    # widths one and two steps back
+    kept = np.zeros(len(cell))
+    w1 = w2 = np.full(len(cell), np.inf)
+    for it in range(201):
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        done = (width <= tol) | (mid <= lo) | (mid >= hi)
+        roots[todo[done]] = mid[done]
+        todo, lo, hi, flo, fhi, kept, w1, w2, width, mid = (
+            v[~done] for v in (todo, lo, hi, flo, fhi, kept, w1, w2, width,
+                               mid))
         if not len(todo):
             break
-        # secant step, demoted to bisection when it stalls near an endpoint
+        if it == 200:
+            raise NonConvergence(
+                f"{len(todo)} brackets wider than {tol:.1e} after 200 steps")
         x = hi - fhi * width / (fhi - flo)
-        bisect = (~((lo + 0.01 * width < x) & (x < hi - 0.01 * width))
-                  | (it % 3 == 2))
-        x = np.where(bisect, lo + 0.5 * width, x)
+        x = np.minimum(np.maximum(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        bisect = ~((lo < x) & (x < hi)) | (width > 0.5 * w2)
+        x = np.where(bisect, mid, x)
         fx = np.asarray(f(x), dtype=float)
         hit = fx == 0.0
         roots[todo[hit]] = x[hit]
-        up = (fx > 0) == (flo > 0)
-        lo, flo = np.where(up, x, lo), np.where(up, fx, flo)
-        hi, fhi = np.where(up, hi, x), np.where(up, fhi, fx)
-        todo, lo, hi, flo, fhi = (v[~hit] for v in (todo, lo, hi, flo, fhi))
-    roots[todo] = 0.5 * (lo + hi)
+        # signbit, not > 0: halving may underflow a stored value to a signed 0
+        up = np.signbit(fx) == np.signbit(flo)
+        side = np.where(up, 1.0, -1.0)
+        scale = np.where(side == kept, 0.5, 1.0)
+        lo, flo = np.where(up, x, lo), np.where(up, fx, scale * flo)
+        hi, fhi = np.where(up, hi, x), np.where(up, scale * fhi, fx)
+        kept, w1, w2 = side, width, w1
+        todo, lo, hi, flo, fhi, kept, w1, w2 = (
+            v[~hit] for v in (todo, lo, hi, flo, fhi, kept, w1, w2))
     return np.sort(np.concatenate([xs[fxs == 0.0], roots]))

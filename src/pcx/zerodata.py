@@ -238,8 +238,10 @@ def generate_zeros(count, path=None, t_guess_pad=1.15):
     padding; NoRoot if the scan finds fewer than `count` zeros.  Used once
     to build the shipped dataset; slow (minutes for 10^4 zeros).  A 1e-10
     bracket's midpoint may lie 5e-11 off, enough to change the ninth
-    written decimal of 37 of the first 1,000 ordinates; 1e-12 changes 2,
-    for 10% more Z evaluations.
+    written decimal of 22 of the first 1,000 ordinates; 1e-12 changes none,
+    for 2% more Z evaluations (40,682 against 39,909, most of them the
+    scan).  Above t = 8192 the float spacing exceeds 1e-12, and a bracket
+    ends when its midpoint rounds to an endpoint.
     """
     import mpmath
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pcx import numerics as nm
@@ -50,9 +50,22 @@ def test_find_root_rejects_bad_tol(tol):
         nm.find_root(np.cos, np.linspace(0.0, 3.0, 7), tol)
 
 
+def _counted(f):
+    """f and the list that grows by one entry per call of f."""
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return f(x)
+
+    return counting, calls
+
+
 def test_find_root_simple():
-    r = nm.find_root(np.cos, [1.0, 2.0], 1e-14)
+    f, calls = _counted(np.cos)
+    r = nm.find_root(f, [1.0, 2.0], 1e-14)
     assert r.shape == (1,) and abs(r[0] - math.pi / 2) < 1e-12
+    assert len(calls) <= 10
     # an exact zero on a grid point is returned once, as it is
     assert nm.find_root(lambda x: x - 0.5, np.linspace(0.0, 1.0, 5)).tolist() \
         == [0.5]
@@ -62,24 +75,32 @@ def test_find_root_simple():
 
 
 def _one_bracket(f, lo, hi, tol):
-    """Scalar reference for one bracket: the same secant step, demoted to
-    bisection near an endpoint and on every third step."""
+    """Scalar reference for one bracket: the same Illinois false-position
+    step, clipped tol/2 inside the ends and replaced by bisection outside
+    the open bracket or when the width has not halved over two steps."""
     flo, fhi = f(lo), f(hi)
-    for it in range(200):
-        width = hi - lo
-        if width <= tol:
-            break
+    kept, w1, w2 = 0.0, math.inf, math.inf
+    for it in range(201):
+        width, mid = hi - lo, 0.5 * (lo + hi)
+        if width <= tol or mid <= lo or mid >= hi:
+            return mid
+        if it == 200:
+            raise nm.NonConvergence("bracket still open after 200 steps")
         x = hi - fhi * width / (fhi - flo)
-        if not (lo + 0.01 * width < x < hi - 0.01 * width) or it % 3 == 2:
-            x = lo + 0.5 * width
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < x < hi or width > 0.5 * w2:
+            x = mid
         fx = f(x)
         if fx == 0.0:
             return x
-        if (fx > 0) == (flo > 0):
-            lo, flo = x, fx
+        up = math.copysign(1.0, fx) == math.copysign(1.0, flo)
+        side = 1.0 if up else -1.0
+        scale = 0.5 if side == kept else 1.0
+        if up:
+            lo, flo, fhi = x, fx, scale * fhi
         else:
-            hi, fhi = x, fx
-    return 0.5 * (lo + hi)
+            hi, fhi, flo = x, fx, scale * flo
+        kept, w1, w2 = side, width, w1
 
 
 @settings(max_examples=40, deadline=None)
@@ -104,6 +125,45 @@ def test_find_root_stays_in_bracket(shift, period, frac, cube):
     scalar = lambda x: float(f(np.array([x]))[0])
     assert got.tolist() == [_one_bracket(scalar, xs[k - 1], xs[k], 1e-12)
                             for k in cell]
+
+
+_HARD = {
+    "ninth_power": lambda r: lambda x: (x - r) ** 9,
+    "pole": lambda r: lambda x: 1.0 / (x - r),
+    "steep_tanh": lambda r: lambda x: np.tanh(1e8 * (x - r)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_HARD)), r=st.floats(0.001, 0.999),
+       cells=st.integers(1, 20), tol_exp=st.floats(-13.0, -3.0))
+def test_find_root_hard_brackets(kind, r, cells, tol_exp):
+    # a flat ninth-order root, a pole and a near-step: false position alone
+    # crawls on all three, so the halving guard must hold the cost to about
+    # three calls per halving of the cell
+    xs = np.linspace(0.0, 1.0, cells + 1)
+    assume(r not in xs)
+    tol = 10.0 ** tol_exp
+    f, calls = _counted(_HARD[kind](r))
+    got = nm.find_root(f, xs, tol)
+    k = int(np.searchsorted(xs, r))
+    assert len(got) == 1 and xs[k - 1] <= got[0] <= xs[k]
+    assert abs(got[0] - r) <= 0.5 * tol
+    cell = xs[k] - xs[k - 1]
+    assert len(calls) <= 3 * math.ceil(math.log2(cell / tol)) + 3
+
+
+def test_find_root_spacing_and_step_cap():
+    # near 1e4 the float spacing is 1.8e-12, above tol: the bracket ends
+    # when its midpoint rounds to an endpoint, well before the step cap
+    f, calls = _counted(lambda x: x - 10000.1)
+    got = nm.find_root(f, [9999.0, 10001.0], 1e-13)
+    assert abs(got[0] - 10000.1) <= 2e-12
+    assert len(calls) <= 3 * math.ceil(math.log2(2.0 / 1.8e-12)) + 3
+    # a ninth-order root in a cell 1e42 tolerances wide takes more than the
+    # 200 steps: no silent midpoint
+    with pytest.raises(nm.NonConvergence):
+        nm.find_root(lambda x: (x - 1.0 / 3.0) ** 9, [0.0, 1e30], 1e-12)
 
 
 def test_nonconvergence_raised():
