@@ -54,7 +54,9 @@ class TiltedSpace:
 
 @lru_cache(maxsize=4)
 def build_E(x_max=60.0):
-    """Construct E with zeros of A and B resolved up to x_max."""
+    """Construct E with zeros of A and B resolved up to x_max: every
+    A-zero up to x_max, and the B-zeros from 0 through the first one past
+    the last of them."""
     l_ii = 4.0 * math.pi * kernel_eval(1j, 1j).real
     if l_ii <= 0:
         raise RootMiss("diagonal normalization is not positive")
@@ -70,7 +72,9 @@ def build_E(x_max=60.0):
     def B_eval(x):
         return -np.imag(E_eval(np.asarray(x, dtype=float)))
 
-    zeros_b = find_root(B_eval, np.arange(0.05, x_max + 0.25, 0.25), 1e-13)
+    # B-zeros lie about 1 apart, so a scan 1.25 past x_max closes the
+    # B-interval of every A-zero up to x_max
+    zeros_b = find_root(B_eval, np.arange(0.05, x_max + 1.25, 0.25), 1e-13)
     zeros_b = np.concatenate([[0.0], zeros_b])
     # interlacing puts exactly one A-zero strictly inside each B-interval
     sub = np.linspace(zeros_b[:-1] + 1e-9, zeros_b[1:] - 1e-9, 9, axis=1)
@@ -81,6 +85,10 @@ def build_E(x_max=60.0):
         raise RootMiss(
             f"expected exactly one A-zero in ({zeros_b[k]:.6f}, "
             f"{zeros_b[k + 1]:.6f}), found {found[k]}")
+    # the A-zeros up to x_max, and the B-zeros through the first one past
+    # the last of them
+    zeros_a = zeros_a[zeros_a <= x_max]
+    zeros_b = zeros_b[:len(zeros_a) + 1]
     return HermiteBiehler(E_eval=E_eval, A_eval=A_eval, B_eval=B_eval,
                           zeros_A=zeros_a, zeros_B=zeros_b, x_max=float(x_max))
 

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcx import cli
 
@@ -201,6 +206,55 @@ def test_empirical_bad_table_exit_codes(tmp_path, capsys, table, code):
     assert err.count("\n") == 2 and "Traceback" not in err
     if code == 4:
         assert "line " in err
+
+
+@st.composite
+def malformed_tables(draw):
+    """An ordinate table that breaks one rule of the input format, and the
+    exit code it should get: 2 when only its largest ordinate (at most 1)
+    is wrong, 4 for every data error load_zeros reports."""
+    ints = sorted(draw(st.lists(st.integers(1, 10 ** 6), min_size=2,
+                                max_size=12, unique=True)))
+    lines = [f"{i / 100:.2f}" for i in ints]
+    kind = draw(st.sampled_from(["text", "nan", "inf", "non-positive",
+                                 "repeat", "descending", "empty", "low"]))
+    at = draw(st.integers(0, len(lines) - 1))
+    bad = {"text": st.text("abcdefxyzINF", min_size=1, max_size=8),
+           "nan": st.sampled_from(["nan", "-nan", "NaN"]),
+           "inf": st.sampled_from(["inf", "-inf", "Infinity", "1e999"]),
+           "non-positive": st.sampled_from(["0", "-0.0", "-1.5", "-1e-300"])}
+    if kind in bad:
+        lines.insert(at, draw(bad[kind]))
+    elif kind == "repeat":
+        lines.insert(at, lines[at])
+    elif kind == "descending":
+        lines.reverse()
+    elif kind == "empty":
+        lines = draw(st.sampled_from([[], [""], ["# comment"], ["  ", "#"]]))
+    else:
+        lines = [f"{i / 10 ** 6:.6f}" for i in ints]
+    return "".join(line + "\n" for line in lines), 2 if kind == "low" else 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed_tables())
+def test_empirical_fuzzed_tables(case):
+    # every malformed table fails through the CLI with its exit code, one
+    # stderr line and no output, under --beta and under --falpha alike
+    table, code = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "zeros.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(table)
+        for extra in (["--beta", "0.5:1:0.5"], ["--falpha", "0:1:0.5"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                got = cli.main(["empirical", "--zeros", path] + extra)
+            assert got == code
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("pcx: ")
+            assert err.getvalue().count("\n") == 1
+            assert "Traceback" not in err.getvalue()
 
 
 def test_empirical_falpha_rows(tmp_path, capsys, dataset):

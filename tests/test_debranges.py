@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pcx import debranges as db
@@ -41,18 +41,21 @@ def test_structure_function_kernel_identity(E):
 
 @settings(max_examples=5, deadline=None)
 @given(x_max=st.floats(10.0, 200.0))
+@example(x_max=137.79)
 def test_zero_interlacing(E, x_max):
     F = db.build_E(x_max)
     a, b = F.zeros_A, F.zeros_B
     assert b[0] == 0.0
     assert len(b) == len(a) + 1
     # strict interlacing 0 = b_0 < a_1 < b_1 < a_2 < ..., with no zero
-    # skipped: neighbours lie 0.35 to 0.71 apart, and the B scan runs past
-    # x_max, so the last B-zero (b_k is just above k) lies within 1 of it
+    # skipped: neighbours lie 0.35 to 0.71 apart, and the last A-zero
+    # (a_k is just above k - 1/2) lies within 1 below x_max; at 137.79 the
+    # A-zero near 137.5 lies past the last B-zero below x_max
     merged = np.empty(len(a) + len(b))
     merged[0::2], merged[1::2] = b, a
     assert np.all(np.diff(merged) > 0)
     assert np.all(np.diff(merged) < 0.75) and b[-1] > x_max - 1.0
+    assert 0.0 <= x_max - a[-1] < 1.0
     # the zeros do not depend on how far the scan runs
     n = min(len(a), len(E.zeros_A))
     assert np.max(np.abs(a[:n] - E.zeros_A[:n])) <= 1e-13

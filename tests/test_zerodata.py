@@ -167,15 +167,40 @@ def test_empirical_F_block_edges(dataset, n):
             assert abs(zd.empirical_F(ds, T, alpha) - want) <= 1e-13 * abs(want)
 
 
+def _taylor_nodes(g):
+    """How many of the far field's nodes take the Taylor path of
+    zd._moments on the sorted table g, and how many nodes there are."""
+    G = np.concatenate([g, np.full(-len(g) % B, g[-1])]).reshape(-1, B)
+    reach = 2
+    while np.min(G[reach:, 0] - G[:-reach, -1]) < zd._REACH:
+        reach += 1
+    t, _ = zd._nodes(np.min(G[reach:, 0] - G[:-reach, -1]))
+    return np.count_nonzero(t * np.max(G[:, -1] - G[:, 0]) <= 1.0), len(t)
+
+
 def test_empirical_F_dense_tables(dataset):
     # ordinates so close that blocks two apart sit nearer than the
     # exponential sum serves: the exact near field has to widen
     rng = np.random.default_rng(11)
+    # blocks spanning up to 3.5e5, so that most far-field nodes take
+    # direct exponentials (37 of 95 take the Taylor path) ...
+    wide = np.geomspace(10.0, 1e6, 300)
+    # ... and clusters of 16 within 0.05, 20 apart, where all of them do
+    tight = np.sort(100.0 + 20.0 * np.arange(25)[:, np.newaxis]
+                    + rng.uniform(0.0, 0.05, (25, B)), axis=None)
+    taylor, nodes = _taylor_nodes(wide)
+    assert 0 < taylor < nodes / 2
+    taylor, nodes = _taylor_nodes(tight)
+    assert taylor == nodes
     tables = [
         1000.0 + 0.05 * dataset.ordinates[:600],
         np.sort(rng.uniform(50.0, 51.0, 200)),
         np.sort(np.concatenate([dataset.ordinates[:300],
                                 rng.uniform(400.0, 402.0, 100)])),
+        wide,
+        tight,
+        # every block one repeated value: the blocks have no width
+        np.repeat(10.0 + 20.0 * np.arange(6), B),
     ]
     for g in tables:
         # F(0), the sum of the summands' magnitudes, sets the scale: on the
@@ -201,7 +226,7 @@ def test_exponential_sum_nodes(dataset):
         assert np.max(np.abs(err)) <= bound
 
 
-def test_weighted_pair_sum_diagonal(small):
+def test_weighted_pair_sum_diagonal(small, dataset):
     class One:
         @staticmethod
         def time_eval(x):
@@ -211,6 +236,32 @@ def test_weighted_pair_sum_diagonal(small):
     total = zd.weighted_pair_sum(small, 20.0, One)
     off = total - len(small)
     assert off > 0
+    # and the whole sum is n log T / (2 pi) F(0): the dense pair loop
+    # against the fast F, whose far field 300 ordinates reach
+    sub = zd.ZeroDataset(ordinates=dataset.ordinates[:300], source="prefix",
+                         t_max=float(dataset.ordinates[299]))
+    for ds, T in ((small, 20.0), (sub, sub.t_max)):
+        want = len(ds) * math.log(T) / (2 * math.pi) * zd.empirical_F(ds, T, 0.0)
+        assert abs(zd.weighted_pair_sum(ds, T, One) - want) <= 1e-13 * want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_block_moments_against_exponentials(seed):
+    # the Taylor and direct paths of zd._moments against the direct sum
+    # sum_i p_i exp(-t x_i), on random blocks of offsets in [0, span] and
+    # the node set of a random far-field gap, to 1e-15 of sum_i |p_i|
+    rng = np.random.default_rng(seed)
+    nb = int(rng.integers(1, 9))
+    span = 10.0 ** rng.uniform(-2.0, 5.0)
+    x = rng.uniform(0.0, span, (nb, B))
+    x[:, 0], x[0, -1] = 0.0, span
+    p = rng.normal(size=(nb, B)) + 1j * rng.normal(size=(nb, B))
+    t, _ = zd._nodes(10.0 ** rng.uniform(math.log10(zd._REACH), 4.0))
+    parts = np.stack([p.real, p.imag], axis=-1)
+    want = np.exp(-t[:, np.newaxis] * x[:, np.newaxis, :]) @ parts
+    err = np.abs(zd._moments(x, p, t, span) - (want[..., 0] + 1j * want[..., 1]))
+    assert np.all(err <= 1e-15 * np.sum(np.abs(p), axis=1)[:, np.newaxis])
 
 
 def test_pair_sums_against_dense_oracle(dataset):
