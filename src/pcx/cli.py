@@ -3,11 +3,17 @@
 Output is deterministic: identical configuration produces byte-identical
 text.  Every CSV carries a header row and a '#'-prefixed provenance
 footer echoing the version and the parsed configuration.
+
+The argument parser is built once per process, on the first call of main,
+and reused: building it costs more than a one-beta `pcx bounds` itself.
+It holds no command function; main looks up cmd_<subcommand> by name at
+each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -70,7 +76,7 @@ def _parse_beta(text, option="--beta"):
 def _emit(args, command, columns, rows, footer_notes=()):
     config = " ".join(
         f"{k}={v}" for k, v in sorted(vars(args).items())
-        if k not in ("func", "out", "plot") and v is not None)
+        if k not in ("out", "plot") and v is not None)
     if args.format == "json":
         payload = {
             "command": command,
@@ -236,16 +242,16 @@ def build_parser():
         "--falpha": dict(help="alpha grid a:b:step for the pair sum"),
     }
     # each subcommand takes only the options it reads
-    for name, func, help_text, flags in (
-            ("bounds", cmd_bounds, "bound tables on a beta grid",
+    for name, help_text, flags in (
+            ("bounds", "bound tables on a beta grid",
              ("--beta", "--delta", "--epsilon", "--nstar")),
-            ("twodelta", cmd_twodelta, "two-point extremal values",
+            ("twodelta", "two-point extremal values",
              ("--beta", "--one-delta")),
-            ("gaps", cmd_gaps, "small-gap thresholds",
+            ("gaps", "small-gap thresholds",
              ("--beta", "--tol", "--profile")),
-            ("empirical", cmd_empirical, "empirical statistics from data",
+            ("empirical", "empirical statistics from data",
              ("--zeros", "--beta", "--falpha")),
-            ("debranges", cmd_debranges, "structure-function diagnostics", ())):
+            ("debranges", "structure-function diagnostics", ())):
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument(flag, **options[flag])
@@ -253,19 +259,22 @@ def build_parser():
         p.add_argument("--format", choices=("csv", "json", "table"),
                        default="csv")
         p.add_argument("--plot", help="write a gnuplot script here")
-        p.set_defaults(func=func)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (DomainError, ValueError) as exc:
         if isinstance(exc, (ParseError, MonotonicityError)):
             sys.stderr.write(f"pcx: data error: {exc}\n")

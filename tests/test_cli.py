@@ -298,3 +298,29 @@ def test_runtime_imports_no_scipy_or_numpy_random(zeros_path):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "loaded: "
+
+
+def _fresh_process(argv):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "pcx.cli"] + argv,
+                          capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main builds its parser once per process; a call that fails in the
+    # parser or in a command must leave nothing behind for the next call
+    good = ["bounds", "--beta", "0.5:1.5:0.5"]
+    calls = [good, ["bounds", "--tol", "1"], good,
+             ["gaps", "--beta", "0.6"], ["twodelta", "--beta", "1"]]
+    for argv in calls:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _fresh_process(argv), argv
+    # the command is looked up by name at each call, so a rebound
+    # cmd_<name> takes effect although the parser is cached
+    seen = []
+    monkeypatch.setattr(cli, "cmd_bounds", lambda args: seen.append(args.beta) or 0)
+    assert cli.main(good) == 0 and seen == ["0.5:1.5:0.5"]

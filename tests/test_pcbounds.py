@@ -232,3 +232,60 @@ def test_sandwich_order_and_asymptotic(beta):
     assert lo.closed_form < hi.closed_form
     # the closed form approaches its asymptote like O(1/beta^2)
     assert abs(hi.closed_form - hi.asymptotic) < 1.0 / beta ** 2
+
+
+def _grid_betas(delta):
+    """Ascending beta grids that reach the branches of the row code: plain
+    points, integers, points within 1e-5 of an integer c = delta*beta (the
+    |u| < 1e-4 expansion of the window) and both sides of beta = 0.05 (the
+    Taylor switch of conjecture_integral)."""
+    near = st.builds(lambda k, e: (k + e) / delta, st.integers(1, 12),
+                     st.floats(-1e-5, 1e-5))
+    pick = st.one_of(st.floats(1e-3, 12.0), st.integers(1, 12).map(float),
+                     near, st.floats(0.049, 0.051))
+    return st.lists(pick, min_size=1, max_size=12).map(sorted)
+
+
+@pytest.mark.parametrize("delta", [1.0, 1.5, 1.999, 2.0])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_bound_rows_do_not_depend_on_the_grid(delta, data):
+    grid = data.draw(_grid_betas(delta))
+    rows = pb.bound_table(grid, delta=delta)
+    for beta, row in zip(grid, rows):
+        [alone] = pb.bound_table([beta], delta=delta)
+        assert row == alone
+        assert row.lower == pb.m_selberg(beta, delta, -1).closed_form
+        assert row.upper == pb.m_selberg(beta, delta, +1).closed_form
+        assert row.conjecture == pb.conjecture_integral(beta)
+
+
+def test_m_selberg_broadcasts_beta_against_sign():
+    betas = np.array([0.3, 1.0, 2.7])
+    both = pb.m_selberg(betas, 1.5, np.array([[-1], [1]]))
+    assert both.closed_form.shape == both.asymptotic.shape == (2, 3)
+    for i, sign in enumerate((-1, 1)):
+        one = pb.m_selberg(betas, 1.5, sign)
+        assert np.array_equal(one.closed_form, both.closed_form[i])
+        assert np.array_equal(pb.v_series(1.5, betas, sign),
+                              [pb.v_series(1.5, b, sign) for b in betas])
+    with pytest.raises(DomainError):
+        pb.m_selberg(betas, 1.0, np.array([1, 0, -1]))
+
+
+def test_bound_table_memory_near_delta_one():
+    # at delta = 1.0001 the tail margin reaches its cap and every window
+    # holds about 18,000 terms; blocks of rows keep the temporaries near
+    # one window's size.  Summing one beta at a time peaks at 1.42 MB of
+    # Python allocations on 0.05:2:0.005; one matrix of its 391 windows
+    # would take 56 MB per temporary
+    import tracemalloc
+    grid = [0.05 + 0.005 * i for i in range(391)]
+    tracemalloc.start()
+    try:
+        rows = pb.bound_table(grid, delta=1.0001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 391
+    assert peak <= 2 * 1.42e6

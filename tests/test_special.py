@@ -39,11 +39,16 @@ def test_sine_integral_against_mpmath():
     rng = np.random.default_rng(5)
     betas = np.concatenate([np.exp(rng.uniform(math.log(0.05), math.log(1e3), 300)),
                             np.linspace(0.05, 3.0, 119), [4 / (2 * math.pi)]])
-    xs = 2.0 * math.pi * betas
+    # both sides of the switch from the power series at 4
+    xs = np.concatenate([2.0 * math.pi * betas,
+                         4.0 + np.array([-1e-12, -1e-13, 1e-13, 1e-12])])
     with mpmath.workdps(40):
         ref = np.array([float(mpmath.si(mpmath.mpf(x))) for x in xs])
     got = np.array([sp.sine_integral(x) for x in xs])
     assert np.max(np.abs(got - ref)) <= 2e-15
+    # an array gives each point the bits it gets alone, in any shape
+    assert np.array_equal(sp.sine_integral(xs), got)
+    assert np.array_equal(sp.sine_integral(-xs.reshape(8, -1)), -got.reshape(8, -1))
     assert sp.sine_integral(0.0) == 0.0
     assert sp.sine_integral(-xs[0]) == -got[0]
 
@@ -78,3 +83,5 @@ def test_bad_arguments():
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             sp.sine_integral(bad)
+        with pytest.raises(DomainError):
+            sp.sine_integral(np.array([1.0, bad]))
