@@ -22,6 +22,9 @@ with both arguments past 10, the relative error of r_beta(+/-) is about
 1e-14 (the sine of the rounded x +/- beta errs by up to 1e-8, the closed
 form alone by about 1e-6); with one argument nearer, the closed form's
 absolute rounding of about 1e-16 sets it.  Each argument costs one sine.
+far_series gives the far remainder's power series term by term, and the
+functions make_selberg_pair builds (SelbergFunction) carry gamma, sign
+and dilation, so that pcx.zerodata can sum the far branch in closed form.
 """
 
 from __future__ import annotations
@@ -47,11 +50,11 @@ def eval_H1(x):
 
 
 # where the asymptotic series of psi1 takes over from the closed form
-_FAR = 10.0
+FAR = 10.0
 
 
 def _h0_near(x):
-    """The closed form of H0, used for |x| < _FAR."""
+    """The closed form of H0, used for |x| < FAR."""
     ax = np.abs(x)
     s2 = sinc(ax) ** 2
     sin2 = (np.sin(np.pi * ax) / np.pi) ** 2
@@ -60,7 +63,7 @@ def _h0_near(x):
 
 
 def _far_rest(y, frac, sign):
-    """H0(y) + sign*H1(y) - sgn(y) for |y| >= _FAR; frac differs from y
+    """H0(y) + sign*H1(y) - sgn(y) for |y| >= FAR; frac differs from y
     by an integer and feeds the sine.
 
     With w = 1/y, sgn(y) q(|y|) = -2 w^3 p(w^2), p(z) = sum_k B_2k z^(k-1),
@@ -74,19 +77,28 @@ def _far_rest(y, frac, sign):
     return (np.sin(np.pi * frac) / np.pi) ** 2 * z * (sign - 2.0 * w * p)
 
 
+def far_series(sign):
+    """The far remainder as a power series: pairs (m, q_m) with
+    H0(y) + sign*H1(y) - sgn(y) = (sin(pi y)/pi)^2 sum_m q_m y^-m for
+    |y| >= FAR, the terms _far_rest sums by Horner's rule: m = 2 with
+    q = sign, and m = 2k + 1 with q = -2 B_2k."""
+    return ((2, float(sign)),) + tuple((2 * k + 3, -2.0 * b)
+                                       for k, b in enumerate(B2K))
+
+
 def _h_split(y, sign, frac):
     """H0(y) + sign*H1(y) as (whole, rest) with whole + rest the value.
 
-    whole is sgn(y) where |y| >= _FAR and 0 nearer, so sums of whole parts
+    whole is sgn(y) where |y| >= FAR and 0 nearer, so sums of whole parts
     are exact; rest is the small far remainder, or the whole value from
     the closed form nearer.  sign = 0 gives H0 alone.  frac differs from
     y by an integer: the far sine reads it instead of y, so the rounding
     of a large y does not reach the sine.
     """
-    near = np.abs(y) < _FAR
+    near = np.abs(y) < FAR
     whole = np.where(near, 0.0, np.sign(y))
     # asarray: on a 0-d y the arithmetic returns a scalar
-    rest = np.asarray(_far_rest(np.where(near, _FAR, y), frac, sign))
+    rest = np.asarray(_far_rest(np.where(near, FAR, y), frac, sign))
     if np.any(near):
         yn = y[near]
         rest[near] = _h0_near(yn) + sign * eval_H1(yn)
@@ -185,11 +197,23 @@ class BandlimitedFunction:
 
 
 @dataclass(frozen=True)
+class SelbergFunction(BandlimitedFunction):
+    """x -> r_gamma(sign)(dilation x), gamma = dilation*beta: one side of
+    the pair make_selberg_pair builds.  It carries its parameters, so that
+    a pair sum can take the far branch (|dilation x| >= gamma + FAR) in
+    closed form, as pcx.zerodata.weighted_pair_sum does."""
+
+    gamma: float = 0.0
+    sign: int = 1
+    dilation: float = 1.0
+
+
+@dataclass(frozen=True)
 class SelbergPair:
     beta: float
     delta: float
-    minorant: BandlimitedFunction
-    majorant: BandlimitedFunction
+    minorant: SelbergFunction
+    majorant: SelbergFunction
 
 
 def _banded(freq_raw, delta):
@@ -222,11 +246,12 @@ def make_selberg_pair(beta, delta=1.0):
 
         freq = _banded(lambda t: ft_r(gamma, sign, t / delta) / delta, delta)
         name = "majorant" if sign > 0 else "minorant"
-        return BandlimitedFunction(
+        return SelbergFunction(
             type_bound=2.0 * np.pi * delta,
             time_eval=time_eval,
             freq_eval=freq,
             label=f"selberg-{name}(beta={beta:g}, delta={delta:g})",
+            gamma=gamma, sign=sign, dilation=delta,
         )
 
     return SelbergPair(beta=beta, delta=delta,

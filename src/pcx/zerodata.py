@@ -1,7 +1,8 @@
 """Zero-ordinate datasets and the empirical pair statistics built on them.
 
 Input files are plain text, one ordinate per line, '#' comments allowed,
-strictly ascending.  Pair counts come from sorted windows.  The
+strictly ascending.  Pair counts come from sorted windows, a whole beta
+grid from one sorted window.  The
 normalized exponential pair sum F(alpha) cuts the sorted window into
 blocks: pairs in nearby blocks are summed exactly, and pairs farther
 apart through a short exponential sum for the Cauchy weight carried
@@ -13,13 +14,18 @@ far field's block moments split their nodes as a multipole method does
 (Greengard-Rokhlin): a node t with t times the widest block at most 1
 takes a Taylor series in the block-local offsets, one small matmul of
 per-block power moments; only the larger nodes take exponentials.  The
-brute-force pair count and the weighted pair sums are direct sums over
-the unordered pairs (one chunked loop), doubled for the even summands;
-everything empirical is compared side by side with the closed-form bound
-columns.  The weighted pair sum of a Selberg majorant is still O(n^2)
-evaluations of r_beta(+/-), most of them past the |x| = 10 switch of
-pcx.beurling, where each costs two sines and no polygamma: about 0.3 s
-at n = 2,000 and 10 s at n = 10^4 on a 2-core x86 host.
+weighted pair sum of a Selberg majorant or minorant takes the same
+blocks: pairs up to `reach` blocks apart are summed exactly, and past
+the gap from which both arguments x +/- gamma take the far branch of
+pcx.beurling, the summand is the Cauchy weight times a power series in
+1/(d +/- c) and a cosine, which the same far field sums as two exponential sums, one
+smooth and one at the cosine's frequency.  That sum costs about 0.03 s
+at n = 2,000 and 0.12 s at n = 10^4 on a 2-core x86 host, against 0.36
+and 8.4 s for the direct sum over all pairs.  The direct loop over the
+unordered pairs (one chunked loop, doubled for the even summands) now
+serves only the weighted pair sum of any other R and count_pairs_brute,
+the oracle of count_pairs.  Everything empirical is compared side by
+side with the closed-form bound columns.
 """
 
 from __future__ import annotations
@@ -32,11 +38,13 @@ import numpy as np
 from .numerics import (DomainError, MonotonicityError, NoRoot, ParseError,
                        find_root)
 from . import pcbounds
+from .beurling import FAR, SelbergFunction, far_series
 
-# rows per block of the direct pair loop; measured on weighted_pair_sum of
-# the beta = 1 Selberg majorant at n = 2,000 and 4,000 on a 2-core x86
-# host: 64-128 rows timed alike, 256 rows ran about 8% slower and 2,048
-# rows about 1.6x slower
+# rows per block of the direct pair loop, which serves weighted_pair_sum
+# of an R other than a Selberg function and count_pairs_brute; measured
+# when it still served the beta = 1 Selberg majorant, at n = 2,000 and
+# 4,000 on a 2-core x86 host: 64-128 rows timed alike, 256 rows ran about
+# 8% slower and 2,048 rows about 1.6x slower
 _CHUNK = 128
 
 # ordinates per block of F
@@ -55,6 +63,14 @@ _T_TOP = 75.0
 # t span <= 1: the smallest M whose remainder bound 1/M! lies below half an
 # ulp, 2^-53 (19)
 _ORDER = next(m for m in range(1, 30) if math.factorial(m) > 2 ** 53)
+# terms of the tail series sum_{i>=m} z^i / i! that _power_weights sums
+# where |z| <= m: the first term left out is at most the product of
+# m / (m + l), l = 1 .. _TAIL, times the first one, which is below 2^-53 at
+# the highest power m of far_series (17), and each later one is at most a
+# third of the one before (46 terms)
+_TOP = max(m for m, _ in far_series(1))
+_TAIL = next(j for j in range(1, 200)
+             if math.prod(_TOP / (_TOP + l) for l in range(1, j + 1)) < 2 ** -53)
 
 
 @dataclass(frozen=True)
@@ -113,14 +129,21 @@ def _window(ds, T):
 
 
 def count_pairs(ds, T, beta):
-    """Ordered pairs with 0 < gamma' - gamma <= 2 pi beta / log T."""
-    if not 0 < beta < math.inf:
+    """Ordered pairs with 0 < gamma' - gamma <= 2 pi beta / log T.
+
+    beta is a float, which gives an int, or an array, which gives an
+    array of counts.  The window is sorted once; each beta then takes one
+    searchsorted of g + w, so a pair counts when g_j <= g_i + w.
+    """
+    b = np.asarray(beta, dtype=float)
+    if not ((0 < b) & (b < math.inf)).all():
         raise DomainError("beta must be positive and finite")
     g = _window(ds, T)
-    w = 2.0 * math.pi * beta / math.log(T)
-    hi = np.searchsorted(g, g + w, side="right")
     lo = np.searchsorted(g, g, side="right")
-    return int(np.sum(hi - lo))
+    w = 2.0 * math.pi * b.reshape(-1) / math.log(T)
+    counts = np.array([np.sum(np.searchsorted(g, g + x, side="right") - lo)
+                       for x in w], dtype=np.int64)
+    return int(counts[0]) if b.ndim == 0 else counts.reshape(b.shape)
 
 
 def _pair_sum(g, fn):
@@ -148,7 +171,9 @@ def weighted_pair_sum(ds, T, R):
 
     Includes the diagonal (each zero against itself contributes R(0)).
     R must be even, as every pair-correlation test function is: the
-    ordered pairs (i, j) and (j, i) contribute the same term.
+    ordered pairs (i, j) and (j, i) contribute the same term.  A Selberg
+    function (pcx.beurling.SelbergFunction) is summed in O(n K) by
+    _selberg_pairs, any other R by the direct loop over all pairs.
     """
     g = _window(ds, T)
     scale = math.log(T) / (2.0 * math.pi)
@@ -156,16 +181,160 @@ def weighted_pair_sum(ds, T, R):
     def term(d):
         return np.asarray(R.time_eval(d * scale)) * 4.0 / (4.0 + d ** 2)
 
-    return (len(g) * float(term(np.zeros(1))[0])
-            + 2.0 * float(_pair_sum(g, term)))
+    if isinstance(R, SelbergFunction):
+        pairs = _selberg_pairs(g, R, scale, term)
+    else:
+        pairs = float(_pair_sum(g, term))
+    return len(g) * float(term(np.zeros(1))[0]) + 2.0 * pairs
+
+
+def _blocks(g):
+    """The sorted window padded with its last value to whole blocks of
+    _BLOCK ordinates, as a (blocks, _BLOCK) array, and the 0/1 mask of
+    its real (unpadded) entries."""
+    n = len(g)
+    nb = -(-n // _BLOCK)
+    G = np.concatenate([g, np.full(nb * _BLOCK - n, g[-1])]).reshape(nb, -1)
+    return G, (np.arange(G.size) < n).reshape(nb, -1).astype(float)
+
+
+def _reach(G, lo):
+    """The first block offset from 2 on at which every gap between blocks
+    that far apart is at least lo; at least the block count if there is
+    none, and then no pair is far."""
+    reach = 2
+    while reach < len(G) and _min_gap(G, reach) < lo:
+        reach += 1
+    return reach
+
+
+def _min_gap(G, reach):
+    """The smallest gap between blocks `reach` apart."""
+    return np.min(G[reach:, 0] - G[:-reach, -1])
+
+
+def _log_grid(lo):
+    """The far field's nodes: the trapezoid rule in u = log t with step
+    _H, from u = _U_LO to t = _T_TOP / lo, where lo is the smallest rate
+    of decay exp(-lo t) that the sampled transforms share."""
+    return np.exp(np.arange(_U_LO, math.log(_T_TOP / lo), _H))
 
 
 def _nodes(d0):
     """Nodes t_k and real weights w_k with sum_k w_k exp(-t_k d) equal to
     4/(4+d^2) for d >= d0: the trapezoid rule in u = log t applied to
     4/(4+d^2) = 2 int_0^inf exp(-d t) sin(2t) dt."""
-    t = np.exp(np.arange(_U_LO, math.log(_T_TOP / d0), _H))
+    t = _log_grid(d0)
     return t, 2.0 * _H * t * np.sin(2.0 * t)
+
+
+def _power_weights(t, c, terms, shift):
+    """Weights w_j on the nodes t with sum_j w_j exp(-t_j (d - shift))
+    equal to C(d) sum_m q_m (d + c)^-m, C(d) = 4/(4+d^2), for every
+    d >= shift > -c; terms holds the pairs (m, q_m).
+
+    C(d) = 2 Im 1/(d - 2i), so with b = c + 2i each C(d) (d + c)^-m is the
+    Laplace transform of
+        2 Im[b^-m exp(-c t) (exp(b t) - sum_{i<m} (b t)^i / i!)],
+    which the trapezoid rule of _log_grid samples.  Where |b t| <= m the
+    bracket is its tail series, sum_{i>=m} (b t)^i / i!, to _TAIL terms;
+    elsewhere the difference, with exp(-c t) exp(b t) = exp(2i t).
+    exp(-shift t) is folded into every factor, so that none overflows:
+    exp((2i - shift) t) and exp(-(c + shift) t) are at most 1, where
+    exp(-c t) alone would overflow for a large gamma, and the partial
+    sums grow only as a power of t.
+    """
+    b = c + 2j
+    bt = b * t
+    wave = np.exp((2j - shift) * t)
+    decay = np.exp(-(c + shift) * t)
+    top = max(m for m, _ in terms)
+    # (b t)^i / i! for i < top, and the partial sums of the exponential
+    powers = np.empty((top, len(t)), dtype=complex)
+    powers[0] = 1.0
+    for i in range(1, top):
+        powers[i] = powers[i - 1] * bt / i
+    partial = np.cumsum(powers, axis=0)
+    total = np.zeros(len(t))
+    for m, q in terms:
+        z = wave - decay * partial[m - 1]
+        small = np.abs(bt) <= m
+        if small.any():
+            x = bt[small]
+            step = powers[m - 1][small] * x / m
+            tail = step
+            for i in range(m + 1, m + _TAIL):
+                step = step * x / i
+                tail = tail + step
+            z[small] = decay[small] * tail
+        total += q * np.imag(b ** -m * z)
+    return 2.0 * _H * t * total
+
+
+def _selberg_nodes(R, a, d0):
+    """Far-field nodes and weights (t, smooth, oscillating) of the
+    Selberg function R at x = a d, for gaps d >= d0 past its far branch,
+    shifted by d0 as in _power_weights.
+
+    Past |x| = gamma + FAR both arguments y = x + gamma and y = gamma - x
+    of r_gamma take the far branch, and with Q(y) = sum_m q_m y^-m
+    (pcx.beurling.far_series) and sin^2 = (1 - cos)/2,
+        C(d) R(x) = sum_y C(d) Q(y) (1 - cos 2 pi y) / (4 pi^2),
+    where cos 2 pi y = Re(exp(i k d) exp(+/- i theta)), k = 2 pi a and
+    theta = 2 pi gamma.  y = +/- a (d +/- c) with c = gamma / a, so each
+    C(d) Q(y) is a _power_weights sum, decaying no slower than
+    exp(-(d0 - c) t).  The smooth weights give the sum of the 1 parts;
+    the oscillating ones, times exp(i k d) and read as a real part, the
+    cosine parts (exp(i k d0) is folded in).
+    """
+    c = R.gamma / a
+    t = _log_grid(d0 - c)
+    # the phase of gamma mod 1: theta itself would round with 2 pi gamma
+    theta = 2.0 * math.pi * (R.gamma - round(R.gamma))
+    series = far_series(R.sign)
+    smooth = 0.0
+    oscillating = 0.0
+    for side in (+1, -1):
+        w = _power_weights(t, side * c,
+                           [(m, q * side ** m / a ** m) for m, q in series],
+                           d0)
+        smooth = smooth + w
+        oscillating = oscillating + np.exp(1j * side * theta) * w
+    norm = 1.0 / (4.0 * math.pi ** 2)
+    k = 2.0 * math.pi * a
+    return t, norm * smooth, -norm * np.exp(1j * k * d0) * oscillating
+
+
+def _selberg_pairs(g, R, scale, term):
+    """Sum of term(d) = R(scale d) C(d) over the unordered pairs of the
+    sorted window g, for a Selberg function R.
+
+    On the blocks of F, pairs inside a block and up to `reach` blocks
+    apart are summed exactly by term (the padding masked).  reach is the
+    first offset at which every gap reaches both _REACH and the gap
+    d_far = (gamma + FAR) / (dilation scale) from which R takes its far
+    branch.  Every farther pair takes the closed form of _selberg_nodes:
+    one far field at k = 0 for the smooth part and one at k for the
+    oscillating part.
+    """
+    G, real = _blocks(g)
+    nb = len(G)
+    a = R.dilation * scale
+    reach = _reach(G, max(_REACH, (R.gamma + FAR) / a))
+    i, j = np.triu_indices(_BLOCK, 1)
+    near = np.sum(term(G[:, j] - G[:, i]) * (real[:, i] * real[:, j]))
+    for o in range(1, reach):
+        d = G[o:, np.newaxis, :] - G[:-o, :, np.newaxis]
+        near += np.sum(term(d) * (real[:-o, :, np.newaxis]
+                                  * real[o:, np.newaxis, :]))
+    if reach >= nb:
+        return float(near)
+    d0 = _min_gap(G, reach)
+    t, smooth, oscillating = _selberg_nodes(R, a, d0)
+    k = 2.0 * math.pi * a
+    phase = real * np.exp(1j * k * (G - G[:, :1]))
+    return (float(near) + _far_field(G, real, reach, 0.0, t, smooth, d0)
+            + _far_field(G, phase, reach, k, t, oscillating, d0))
 
 
 def _moments(x, phase, t, span):
@@ -201,19 +370,21 @@ def _shift(dx, t, k):
             * np.exp(1j * k * dx)[:, np.newaxis])
 
 
-def _far_field(G, phase, reach, k):
-    """Sum of cos(k d) 4/(4+d^2) over the pairs `reach` or more blocks
-    apart, given the block-local phases exp(i k (x - left edge)) of the
-    ordinates (zero on padding).  Block a sends its moment about its right
-    edge; a running sum of the moments is carried from right edge to right
-    edge (steps >= 0) and handed to block a + reach at its left edge, so
-    every phase is k times a gap inside a block or between block edges."""
+def _far_field(G, phase, reach, k, t, w, shift=0.0):
+    """Sum of Re(exp(i k d) sum_j w_j exp(-t_j (d - shift))) over the
+    pairs `reach` or more blocks apart (fewer than the blocks), given the
+    nodes t, their real or complex weights w and the block-local phases
+    exp(i k (x - left edge)) of the ordinates (zero on padding); with the
+    weights of _nodes it is the sum of cos(k d) 4/(4+d^2).  Block a sends
+    its moment about its right edge; a running sum of the moments is
+    carried from right edge to right edge (steps >= 0) and handed to
+    block a + reach at its left edge, so every phase is k times a gap
+    inside a block or between block edges.  A shift up to the smallest
+    hand-off gap keeps every factor at most 1, the weights carrying
+    exp(-(t_j - i k) shift)."""
     nb = len(G)
-    if nb <= reach:
-        return 0.0
     left, right = G[:, 0], G[:, -1]
     gaps = left[reach:] - right[:-reach]
-    t, w = _nodes(np.min(gaps))
     # any positive scale serves when every block is one repeated value
     span = float(np.max(right - left)) or 1.0
     # exp(i k (right - x)) = conj(exp(i k (x - left))) exp(i k (right - left))
@@ -225,7 +396,7 @@ def _far_field(G, phase, reach, k):
     carried[0] = out[0]
     for a in range(1, nb - reach):
         carried[a] = carried[a - 1] * step[a - 1] + out[a]
-    hand = carried * _shift(gaps, t, k)
+    hand = carried * _shift(gaps - shift, t, k)
     return float(np.real(np.sum(into[reach:] * hand, axis=0) @ w))
 
 
@@ -239,13 +410,10 @@ def empirical_F(ds, T, alpha):
     n = len(g)
     logT = math.log(T)
     k = abs(alpha) * logT
-    nb = -(-n // _BLOCK)
-    G = np.concatenate([g, np.full(nb * _BLOCK - n, g[-1])]).reshape(nb, -1)
-    real = (np.arange(G.size) < n).reshape(nb, -1).astype(float)
+    G, real = _blocks(g)
+    nb = len(G)
     # the far field starts at the first block offset whose gaps reach _REACH
-    reach = 2
-    while reach < nb and np.min(G[reach:, 0] - G[:-reach, -1]) < _REACH:
-        reach += 1
+    reach = _reach(G, _REACH)
     # block-local unit phases e_i = exp(i k (x_i - left edge)), zero on the
     # padding: for x_j in block b + o and x_i in block b,
     # cos(k d) = Re(e_j conj(e_i) exp(i k (left_{b+o} - left_b)))
@@ -263,7 +431,9 @@ def empirical_F(ds, T, alpha):
         weighted = (4.0 / (4.0 + d ** 2)) @ np.stack([hop.real, hop.imag], -1)
         near += np.sum(phase[:-o].real * weighted[..., 0]
                        + phase[:-o].imag * weighted[..., 1])
-    pairs = near + _far_field(G, phase, reach, k)
+    pairs = near
+    if reach < nb:
+        pairs += _far_field(G, phase, reach, k, *_nodes(_min_gap(G, reach)))
     # the summand is even in d and equals 1 on the diagonal
     return 2.0 * math.pi * (n + 2.0 * float(pairs)) / (n * logT)
 
@@ -271,9 +441,11 @@ def empirical_F(ds, T, alpha):
 def empirical_table(ds, T, betas):
     """Empirical ratio rows joined with the columns of pcbounds.bound_table."""
     n_t = len(_window(ds, T))
-    return [EmpiricalRow(beta=r.beta, ratio=count_pairs(ds, T, r.beta) / n_t,
+    rows = pcbounds.bound_table(float(b) for b in betas)
+    counts = count_pairs(ds, T, np.array([r.beta for r in rows]))
+    return [EmpiricalRow(beta=r.beta, ratio=int(c) / n_t,
                          conjecture=r.conjecture, lower=r.lower, upper=r.upper)
-            for r in pcbounds.bound_table(float(b) for b in betas)]
+            for r, c in zip(rows, counts)]
 
 
 def generate_zeros(count, path=None, t_guess_pad=1.15):

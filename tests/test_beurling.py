@@ -221,6 +221,25 @@ def test_selberg_pair_dilation():
     assert pair.majorant.freq_eval(np.array([2.5]))[0] == 0.0
 
 
+def test_far_series_is_the_far_branch():
+    # the power series of far_series against the far branch it expands,
+    # and the parameters a Selberg function carries against its values
+    y = np.concatenate([np.geomspace(bs.FAR, 1e4, 400) + 0.37, [bs.FAR + 0.5]])
+    for sign in (+1, -1):
+        for yy in (y, -y):
+            frac = yy - np.rint(yy)
+            series = sum(q * yy ** -float(m) for m, q in bs.far_series(sign))
+            want = bs._far_rest(yy, frac, sign)
+            got = (np.sin(np.pi * frac) / np.pi) ** 2 * series
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
+    pair = bs.make_selberg_pair(0.7, 1.5)
+    x = np.linspace(-30.0, 30.0, 601)
+    for sign, R in ((+1, pair.majorant), (-1, pair.minorant)):
+        assert (R.gamma, R.sign, R.dilation) == (1.5 * 0.7, sign, 1.5)
+        assert np.array_equal(R.time_eval(x),
+                              bs.eval_r(R.gamma, sign, R.dilation * x))
+
+
 def test_selberg_pair_domain():
     with pytest.raises(DomainError):
         bs.make_selberg_pair(-1.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcx import zerodata as zd
-from pcx.beurling import make_selberg_pair
+from pcx.beurling import FAR, far_series, make_selberg_pair
 from pcx.numerics import DomainError, MonotonicityError, NoRoot, ParseError
 
 
@@ -95,6 +95,20 @@ def test_count_pairs_shuffled_table(dataset):
             ds, ds.t_max, beta)
 
 
+def test_count_pairs_beta_array(dataset):
+    # an array of beta gives the counts of one float beta at a time, in
+    # its shape; a float gives an int
+    T = float(dataset.ordinates[2999])
+    betas = np.array([[0.05, 0.5], [1.0, 3.7]])
+    counts = zd.count_pairs(dataset, T, betas)
+    assert counts.shape == betas.shape
+    for b, c in zip(betas.ravel(), counts.ravel()):
+        assert c == zd.count_pairs(dataset, T, float(b))
+    assert type(zd.count_pairs(dataset, T, 1.0)) is int
+    with pytest.raises(DomainError):
+        zd.count_pairs(dataset, T, [1.0, math.nan])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(0.1, 50.0), min_size=2, max_size=60),
        st.floats(0.2, 3.0))
@@ -178,9 +192,10 @@ def _taylor_nodes(g):
     return np.count_nonzero(t * np.max(G[:, -1] - G[:, 0]) <= 1.0), len(t)
 
 
-def test_empirical_F_dense_tables(dataset):
-    # ordinates so close that blocks two apart sit nearer than the
-    # exponential sum serves: the exact near field has to widen
+def _dense_tables(dataset):
+    """Ordinates so close that blocks two apart sit nearer than the
+    exponential sum serves, so that the exact near field has to widen;
+    returns the wide and tight tables and the list of all of them."""
     rng = np.random.default_rng(11)
     # blocks spanning up to 3.5e5, so that most far-field nodes take
     # direct exponentials (37 of 95 take the Taylor path) ...
@@ -188,10 +203,6 @@ def test_empirical_F_dense_tables(dataset):
     # ... and clusters of 16 within 0.05, 20 apart, where all of them do
     tight = np.sort(100.0 + 20.0 * np.arange(25)[:, np.newaxis]
                     + rng.uniform(0.0, 0.05, (25, B)), axis=None)
-    taylor, nodes = _taylor_nodes(wide)
-    assert 0 < taylor < nodes / 2
-    taylor, nodes = _taylor_nodes(tight)
-    assert taylor == nodes
     tables = [
         1000.0 + 0.05 * dataset.ordinates[:600],
         np.sort(rng.uniform(50.0, 51.0, 200)),
@@ -202,6 +213,15 @@ def test_empirical_F_dense_tables(dataset):
         # every block one repeated value: the blocks have no width
         np.repeat(10.0 + 20.0 * np.arange(6), B),
     ]
+    return wide, tight, tables
+
+
+def test_empirical_F_dense_tables(dataset):
+    wide, tight, tables = _dense_tables(dataset)
+    taylor, nodes = _taylor_nodes(wide)
+    assert 0 < taylor < nodes / 2
+    taylor, nodes = _taylor_nodes(tight)
+    assert taylor == nodes
     for g in tables:
         # F(0), the sum of the summands' magnitudes, sets the scale: on the
         # first table F(0.6) is 1,600 times smaller
@@ -288,6 +308,89 @@ def test_pair_sums_against_dense_oracle(dataset):
                 (d > 0) & (d <= w))
 
 
+def _direct_pair_sum(g, T, R):
+    """The oracle of the fast Selberg sum: weighted_pair_sum by the direct
+    loop over all pairs, and the same sum over the magnitudes of its
+    summands, which sets the scale of its rounding (the imaginary part
+    carries it through the same loop)."""
+    scale = math.log(T) / (2 * math.pi)
+
+    def term(d):
+        v = R.time_eval(d * scale) * 4.0 / (4.0 + d ** 2)
+        return v + 1j * np.abs(v)
+
+    total = len(g) * term(np.zeros(1))[0] + 2.0 * zd._pair_sum(np.sort(g), term)
+    return total.real, total.imag
+
+
+def _wps_table(dataset, name):
+    if name == "shuffled":
+        return np.random.default_rng(7).permutation(dataset.ordinates[:300])
+    if name.startswith("dense"):
+        return _dense_tables(dataset)[2][int(name[len("dense"):])]
+    return dataset.ordinates[:int(name)]
+
+
+@pytest.mark.parametrize("table", ["1", "15", "16", "17", "33", "300", "2000",
+                                   "shuffled"]
+                         + [f"dense{i}" for i in range(6)])
+@settings(max_examples=8, deadline=None)
+@given(st.floats(0.01, 200.0), st.floats(1.0, 2.0), st.sampled_from([1, -1]))
+def test_selberg_pair_sum_against_direct_loop(dataset, table, beta, delta,
+                                              sign):
+    # the near blocks and far field of a Selberg function against the
+    # direct loop, on shipped prefixes across block edges, shuffled
+    # ordinates and the dense tables of F, to 1e-13 of the sum of the
+    # summands' magnitudes (the sum itself crosses 0 for the minorant)
+    g = _wps_table(dataset, table)
+    T = float(np.max(g))
+    ds = zd.ZeroDataset(ordinates=g, source="oracle", t_max=T)
+    pair = make_selberg_pair(beta, delta)
+    R = pair.majorant if sign > 0 else pair.minorant
+    with np.errstate(over="raise", invalid="raise"):
+        got = zd.weighted_pair_sum(ds, T, R)
+    want, scale = _direct_pair_sum(g, T, R)
+    assert abs(got - want) <= 1e-13 * scale
+
+
+def test_selberg_pair_sum_reference(dataset):
+    # the first 2,000 zeros against the direct loop's sum at beta = 1
+    sub = zd.ZeroDataset(ordinates=dataset.ordinates[:2000],
+                         source=dataset.source,
+                         t_max=float(dataset.ordinates[1999]))
+    got = zd.weighted_pair_sum(sub, sub.t_max, make_selberg_pair(1.0).majorant)
+    assert abs(got - 3647.626965240294) <= 1e-13 * 3647.626965240294
+
+
+@pytest.mark.parametrize("beta", [0.01, 1.0, 47.3, 1000.0])
+def test_selberg_far_field_weights(dataset, beta):
+    # C(d) Q(y) for both arguments y = +/- a (d +/- c) of r_gamma, as
+    # exponential sums on the far field's nodes, against the power series
+    # of far_series on [d0, span] of the shipped table; d0 is the smallest
+    # far gap a sum can have, where both arguments reach FAR.  Nothing
+    # overflows, and the worst measured error is 2.5e-12
+    g = dataset.ordinates
+    d_span = g[-1] - g[0]
+    for delta in (1.0, 1.5, 2.0):
+        a = delta * math.log(g[-1]) / (2 * math.pi)
+        gamma = delta * beta
+        c = gamma / a
+        d0 = max(zd._REACH, (gamma + FAR) / a)
+        t = zd._log_grid(d0 - c)
+        d = np.geomspace(d0, d_span, 2001)
+        for sign in (1, -1):
+            series = far_series(sign)
+            for side in (1, -1):
+                terms = [(m, q * side ** m / a ** m) for m, q in series]
+                with np.errstate(over="raise", invalid="raise"):
+                    w = zd._power_weights(t, side * c, terms, d0)
+                    got = np.exp(-np.outer(d - d0, t)) @ w
+                y = side * a * (d + side * c)
+                want = 4.0 / (4.0 + d ** 2) * sum(q * y ** -float(m)
+                                                  for m, q in series)
+                assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
+
+
 def test_empirical_table_columns(small):
     rows = zd.empirical_table(small, 20.0, [0.5, 1.0])
     assert [r.beta for r in rows] == [0.5, 1.0]
@@ -307,26 +410,45 @@ def test_shipped_dataset(dataset):
     assert len(dataset) / T == pytest.approx(dens, rel=0.01)
 
 
+def _chi_pair_sum(g, T, beta):
+    """weighted_pair_sum of the indicator of [-beta, beta] from sorted
+    windows: at each offset o the pairs g[i], g[i + o] that pass the
+    indicator's own test |d scale| <= beta, until an offset has none
+    (the gaps grow with o, so no later one has any)."""
+    g = np.sort(g)
+    scale = math.log(T) / (2 * math.pi)
+    total = 0.0
+    for o in range(1, len(g)):
+        d = g[o:] - g[:-o]
+        d = d[np.abs(d * scale) <= beta]
+        if not len(d):
+            break
+        total += np.sum(4.0 / (4.0 + d ** 2))
+    return len(g) + 2.0 * total
+
+
 def test_shipped_dataset_majorant_inequality(dataset):
-    # the averaged majorant count sandwiches the true pair count
-    # the dense sums cost O(n^2): the first 4,000 zeros take about 2.5 s
-    # on a 2-core x86 host
-    n = 4000
-    sub = zd.ZeroDataset(ordinates=dataset.ordinates[:n],
-                         source=dataset.source,
-                         t_max=float(dataset.ordinates[n - 1]))
-    T = sub.t_max
+    # the averaged majorant count sandwiches the true pair count, on all
+    # 10^4 zeros; the sums of the Selberg majorant and minorant are the
+    # fast ones, the indicator's comes from sorted windows
     beta = 1.0
-    pair = make_selberg_pair(beta)
 
     class Chi:
         @staticmethod
         def time_eval(x):
             return (np.abs(np.asarray(x, dtype=float)) <= beta).astype(float)
 
-    chi_sum = zd.weighted_pair_sum(sub, T, Chi)
-    hi = zd.weighted_pair_sum(sub, T, pair.majorant)
-    lo = zd.weighted_pair_sum(sub, T, pair.minorant)
+    # the windowed indicator sum against the direct loop
+    sub = zd.ZeroDataset(ordinates=dataset.ordinates[:300],
+                         source=dataset.source,
+                         t_max=float(dataset.ordinates[299]))
+    want = zd.weighted_pair_sum(sub, sub.t_max, Chi)
+    assert abs(_chi_pair_sum(sub.ordinates, sub.t_max, beta) - want) <= 1e-13 * want
+    T = dataset.t_max
+    pair = make_selberg_pair(beta)
+    chi_sum = _chi_pair_sum(dataset.ordinates, T, beta)
+    hi = zd.weighted_pair_sum(dataset, T, pair.majorant)
+    lo = zd.weighted_pair_sum(dataset, T, pair.minorant)
     assert lo <= chi_sum <= hi
 
 
