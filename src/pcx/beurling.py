@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numerics import DomainError
-from .special import B2K, trigamma
+from .special import B2K, _poly, trigamma
 
 
 def sinc(x):
@@ -71,9 +71,7 @@ def _far_rest(y, frac, sign):
     """
     w = 1.0 / y
     z = w * w
-    p = B2K[-1]
-    for b in B2K[-2::-1]:
-        p = p * z + b
+    p = _poly(z, B2K)
     return (np.sin(np.pi * frac) / np.pi) ** 2 * z * (sign - 2.0 * w * p)
 
 

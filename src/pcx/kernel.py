@@ -28,16 +28,6 @@ _PATCH_RADIUS = 1e-4
 _PATCH_H = 1e-3
 
 
-def csinc(z):
-    """sin(pi z)/(pi z) for complex arrays, stable near 0."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-6
-    safe = np.where(small, 1.0, z)
-    out = np.sin(np.pi * safe) / (np.pi * safe)
-    pz2 = (np.pi * z) ** 2
-    return np.where(small, 1.0 - pz2 / 6.0 + pz2 ** 2 / 120.0, out)
-
-
 def _richardson(fn, x):
     """The value of fn at a removable point x, to O(h^6): the weights
     3/2, -3/5, 1/10 on mean fn(x +/- k h), k = 1, 2, 3, cancel the h^2 and
@@ -109,7 +99,7 @@ def piece_f(w, z):
     w = np.asarray(w, dtype=complex)
     z = np.asarray(z, dtype=complex)
     pref = 2.0 * np.pi ** 2 * w ** 2 / (2.0 * np.pi ** 2 * w ** 2 - 1.0)
-    return pref * csinc(z - w)
+    return pref * np.sinc(z - w)
 
 
 def _k_raw(w, z):

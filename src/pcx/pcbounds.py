@@ -6,8 +6,9 @@ expression plus the lattice series V; the series is summed over a window
 around 0 and the resonance, with its two tails rolled up exactly (trigamma
 for the constant part, iterated Abel summation for the oscillatory part).
 The window reaches just far enough for the Abel remainder to drop below
-rounding.  Trigamma, tetragamma and the sine integral of the conjectured
-mass come from pcx.special.
+rounding, and at least ceil(SHIFT) terms past 0 and the resonance, so the
+polygammas of the tails take no recurrence step.  Trigamma, tetragamma
+and the sine integral of the conjectured mass come from pcx.special.
 
 m_selberg, conjecture_integral and bound_table take an array of beta and
 work on all of it in numpy passes; a float is an array of one.  The
@@ -31,7 +32,7 @@ import numpy as np
 
 from .numerics import (DomainError, NonConvergence, find_root,
                        integrate_real_line)
-from .special import _out, sine_integral, trigamma_tetragamma
+from .special import SHIFT, _out, sine_integral, trigamma_tetragamma
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
 ABEL_LEVELS = 6
@@ -59,7 +60,7 @@ def _common_period(delta):
     return 1.0
 
 
-def _abel_osc_sum(theta, c, m_last, q, levels=ABEL_LEVELS):
+def _abel_osc_sum(theta, c, m_last, q):
     """Sum of exp(i*theta*n)/(n - c)**q over n > m_last, for each c of an
     array; exp(i*theta) must be away from 1 (the caller takes trigamma and
     tetragamma there).
@@ -70,12 +71,12 @@ def _abel_osc_sum(theta, c, m_last, q, levels=ABEL_LEVELS):
     otherwise dominate the truncation error.
     """
     z = cmath.exp(1j * theta)
-    n = m_last + 1 + np.arange(levels + 1, dtype=np.longdouble)
+    n = m_last + 1 + np.arange(ABEL_LEVELS + 1, dtype=np.longdouble)
     a = 1.0 / (n - np.asarray(c, dtype=np.longdouble)[..., np.newaxis]) ** q
     total = 0.0 + 0.0j
     zpow = cmath.exp(1j * (theta * (m_last + 1) % (2.0 * math.pi)))
     factor = zpow / (1.0 - z)
-    for _ in range(levels):
+    for _ in range(ABEL_LEVELS):
         total = total + factor * a[..., 0].astype(float)
         a = np.diff(a, axis=-1)
         factor *= z / (1.0 - z)
@@ -120,22 +121,27 @@ def _series_tails(delta, beta, m_right, k_left, s_right, s_left):
 
 def _tail_margin(delta):
     """Distance from the window ends to 0 and to c beyond which both
-    Abel-summed tails are accurate to TAIL_TOL.
+    Abel-summed tails are accurate to TAIL_TOL, and never below
+    ceil(SHIFT).
 
     After L levels the remainder of sum_{n>m} z^n/(n - c)^q is at most
     (q)_{L-1} / (|1 - z|^L (m - c)^{q+L-1}); the q = 2 tail carries the
     weight (delta - 1)/(4 pi^2) and the q = 3 tail delta/(4 pi^3).  At
-    delta = 1 (z = 1) the trigamma branch is exact and one term suffices.
+    delta = 1 (z = 1) the polygamma tails are exact for any margin.  The
+    tails take psi1 and psi2 at m + 1 - frac(c) and m + 1 + c, above SHIFT
+    once m >= ceil(SHIFT), so pcx.special sums its asymptotic series there
+    without a step of its recurrence; the window holds the terms those
+    steps would add.
     """
     gap = abs(1.0 - cmath.exp(2j * math.pi / delta))
-    if gap < 1e-9:
-        return 1
-    margin = 1.0
-    for q, weight in ((2, (delta - 1.0) / (4.0 * math.pi ** 2)),
-                      (3, delta / (4.0 * math.pi ** 3))):
-        bound = (weight * math.factorial(q + ABEL_LEVELS - 2)
-                 / math.factorial(q - 1) / gap ** ABEL_LEVELS)
-        margin = max(margin, (bound / TAIL_TOL) ** (1 / (q + ABEL_LEVELS - 1)))
+    margin = SHIFT
+    if gap >= 1e-9:
+        for q, weight in ((2, (delta - 1.0) / (4.0 * math.pi ** 2)),
+                          (3, delta / (4.0 * math.pi ** 3))):
+            bound = (weight * math.factorial(q + ABEL_LEVELS - 2)
+                     / math.factorial(q - 1) / gap ** ABEL_LEVELS)
+            margin = max(margin,
+                         (bound / TAIL_TOL) ** (1 / (q + ABEL_LEVELS - 1)))
     return min(MAX_MARGIN, math.ceil(margin))
 
 

@@ -13,13 +13,14 @@ eight Bernoulli terms of the asymptotic series
 At t = 10 the first dropped terms, B_18/t^19 and 19 B_18/t^20, are
 5e-17 of psi1 and 9.4e-16 of psi2; the latter is psi2's worst error
 against 40-digit references.  trigamma_tetragamma takes both from one
-shift of the same arguments.  The shift lays out one row per function
-and argument: the series value at x + n, then the steps at x + n - 1,
-..., x, and zeros in the columns beyond the argument's own n steps.  A
-running sum (np.add.accumulate, as np.cumsum) adds each row strictly
-left to right, so the shifted terms are added smallest first, in the
-order a loop over plain floats would add them, and an argument's value
-does not depend on the array it came in.
+shift of the same arguments.  The shift starts from the series value at
+x + n, n = ceil(SHIFT - x) steps up, and adds the steps at x + k for
+k = n_max - 1, ..., 0 in one masked loop over the array, 0.0 where k is
+beyond the argument's own n.  So the shifted terms are added smallest
+first, in the order a loop over plain floats would add them, and an
+argument's value does not depend on the array it came in.  Arguments
+from SHIFT on take no step, and the loop does not run when none is
+below it.
 
 Si sums its power series below 4, the terms as a running product of
 their ratios and the sum as a running sum, both in a fixed order.  From 4
@@ -49,15 +50,6 @@ _B2K_PSI2 = tuple((2 * k + 3) * b for k, b in enumerate(B2K))
 _SERIES = np.array([B2K, _B2K_PSI2]).T[:, :, np.newaxis]
 # the recurrence carries every argument to at least this before the series
 SHIFT = 10.0
-# the steps k = n - 1, ..., 0 of the shift, in that order, for every n up
-# to ceil(SHIFT), which an argument x > 0 never exceeds; the last n of them
-# serve an argument with n steps
-_STEPS = np.arange(math.ceil(SHIFT) - 1.0, -1.0, -1.0)
-# arguments per block of the shift; psi1 and psi2 of 10^6 arguments uniform
-# on [1, 11], measured on a 2-core x86 host: 1,024 to 16,384 rows timed
-# within 0.30-0.35 s, 128 rows took 0.78 s; at 1,024 rows the (2, rows, 11)
-# terms take 180 KB
-_PSI_ROWS = 1024
 # Si: the power series below, the auxiliary functions from here on
 _SI_SWITCH = 4.0
 # ratio denominators (2k)(2k + 1) and term divisors 2k + 1 of the power
@@ -92,42 +84,27 @@ def _poly(z, coeffs):
 
 def _polygammas(x, rows):
     """psi1 (row 0) and psi2 (row 1) of x > 0 (float or array) for each
-    of rows, from one shift, _PSI_ROWS arguments at a time."""
+    of rows: the series at x + n, n = ceil(SHIFT - x) or 0, then the steps
+    at x + k, k = n_max - 1, ..., 0, with 0.0 added where k >= n."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     if not (flat > 0.0).all():
         raise DomainError("polygamma arguments must be positive")
-    psi = np.empty((len(rows), len(flat)))
-    for i in range(0, len(flat), _PSI_ROWS):
-        psi[:, i:i + _PSI_ROWS] = _shifted(flat[i:i + _PSI_ROWS], rows)
-    return [_out(p) for p in psi.reshape((len(rows),) + x.shape)]
-
-
-def _shifted(x, rows):
-    """psi1 (row 0) and psi2 (row 1) of a 1-D x > 0 for each of rows.
-
-    The shifted terms sit in one (len(rows), len(x), steps + 1) array: the
-    series value at t = x + n first, then the steps at x + k for k = n - 1,
-    ..., 0, zeroed where k >= n for a smaller n of its own.
-    """
-    n = np.maximum(np.ceil(SHIFT - x), 0.0)
-    w = 1.0 / (x + n)
+    n = np.maximum(np.ceil(SHIFT - flat), 0.0)
+    w = 1.0 / (flat + n)
     z = w * w
     p = _poly(z, _SERIES[:, rows])
-    # only the steps some argument takes: none once every x >= SHIFT
-    k = _STEPS[len(_STEPS) - int(n.max(initial=0.0)):]
-    y = x[:, np.newaxis] + k
-    y2 = y * y
-    terms = np.empty((len(rows), len(x), len(k) + 1))
-    for i, row in enumerate(rows):
-        if row == 0:
-            terms[i, :, 0] = w + z * (0.5 + w * p[i])
-            terms[i, :, 1:] = 1.0 / y2
-        else:
-            terms[i, :, 0] = -z * (1.0 + w * (1.0 + w * p[i]))
-            terms[i, :, 1:] = -2.0 / (y2 * y)
-    terms[:, :, 1:] *= k < n[:, np.newaxis]
-    return np.add.accumulate(terms, axis=-1)[..., -1]
+    psi = [w + z * (0.5 + w * p[i]) if row == 0
+           else -z * (1.0 + w * (1.0 + w * p[i]))
+           for i, row in enumerate(rows)]
+    for k in range(int(n.max(initial=0.0)) - 1, -1, -1):
+        y = flat + k
+        y2 = y * y
+        taken = k < n
+        for i, row in enumerate(rows):
+            step = 1.0 / y2 if row == 0 else -2.0 / (y2 * y)
+            psi[i] += np.where(taken, step, 0.0)
+    return [_out(v.reshape(x.shape)) for v in psi]
 
 
 def trigamma(x):
@@ -135,14 +112,9 @@ def trigamma(x):
     return _polygammas(x, (0,))[0]
 
 
-def tetragamma(x):
-    """psi2(x) = -2 sum_{n >= 0} 1/(x + n)^3 for x > 0 (float or array)."""
-    return _polygammas(x, (1,))[0]
-
-
 def trigamma_tetragamma(x):
-    """psi1(x) and psi2(x) from one shift, each as trigamma and tetragamma
-    give it."""
+    """psi1(x) and psi2(x) = -2 sum_{n >= 0} 1/(x + n)^3 for x > 0 (float
+    or array) from one shift; psi1 as trigamma gives it."""
     return tuple(_polygammas(x, (0, 1)))
 
 

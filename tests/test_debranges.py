@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pcx import debranges as db
 from pcx.beurling import BandlimitedFunction
-from pcx.kernel import csinc, kernel_eval, two_delta
+from pcx.kernel import kernel_eval, two_delta
 from pcx.numerics import DomainError, NonConvergence
 from pcx.pcbounds import m_selberg
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pcx import beurling
 from pcx import pcbounds as pb
+from pcx import special
 from pcx.debranges import lambda_values
 from pcx.kernel import two_delta
 from pcx.numerics import DomainError
@@ -289,3 +290,23 @@ def test_bound_table_memory_near_delta_one():
         tracemalloc.stop()
     assert len(rows) == 391
     assert peak <= 2 * 1.42e6
+
+
+def test_tails_take_no_shift_step(monkeypatch):
+    # the window reaches far enough that every polygamma argument of the
+    # tails is past special.SHIFT, where the asymptotic series is summed
+    # without a step of the recurrence
+    seen = []
+
+    def recording(x):
+        seen.append(np.array(x, dtype=float))
+        return special.trigamma_tetragamma(x)
+
+    monkeypatch.setattr(pb, "trigamma_tetragamma", recording)
+    grid = 0.05 + 0.005 * np.arange(1991)
+    for delta in (1.0, 1.5, 1.999):
+        pb.bound_table(grid, delta=delta)
+        for beta in (0.05, 0.5, 1.0, 2.0, 3.7, 10.0):
+            pb.bound_table([beta], delta=delta)
+    assert seen
+    assert min(float(x.min()) for x in seen) >= special.SHIFT
