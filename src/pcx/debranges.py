@@ -6,6 +6,13 @@ simple interlacing real zeros that serve as quadrature nodes for the
 weight |E(x)|^-2.  The tilt E_beta = (p - iqz) E, with (p, q) read off
 E(beta), makes +/-beta nodes of Re E_beta or of -Im E_beta, which turns the
 optimal majorant/minorant masses into finite node sums.
+
+With E(x) = |E(x)| e^(-i phi(x)), phi increasing (de Branges 1968, sections
+2-3), pi x - phi(x) lies in [-0.040 pi, 0.208 pi] on [0, 1e6] (sampled); a
+tilt adds atan(qx/p) in [0, pi/2) to phi.  A-type node functions (A, A_beta)
+vanish at phase pi/2 mod pi and B-type ones (B, B_beta) at 0 mod pi, so the
+grid 0, k + 3/4 (A-type) or 0, k + 1/4 (B-type), k = 0, 1, ..., has exactly
+one root in each cell (_nodes); for the B-type the first is 0.
 """
 
 from __future__ import annotations
@@ -38,9 +45,10 @@ class HermiteBiehler:
 class TiltedSpace:
     """The de Branges space of E_beta(z) = (p - iqz) E(z), with (p, q) a
     unit vector, p > 0 and q >= 0, chosen so that beta is a root of the node
-    function named by regime (see tilt).  nodes are that function's roots
-    in [0, x_max], weights their masses (p^2 + q^2 x^2) / K_beta(x,x), and
-    lambda_plus/minus the node sums over |x| <= beta and |x| < beta."""
+    function named by regime (see tilt).  nodes are its roots, one per cell
+    of _nodes over [0, max(x_max, beta)] with beta exact among them, weights
+    their masses (p^2 + q^2 x^2) / K_beta(x,x), and lambda_plus/minus the
+    node sums over |x| <= beta and |x| < beta."""
     beta: float
     p: float
     q: float
@@ -50,6 +58,19 @@ class TiltedSpace:
     weights: np.ndarray
     lambda_plus: float
     lambda_minus: float
+
+
+def _nodes(fn, offset, x_hi):
+    """The roots of fn on the grid 0, offset, offset + 1, ..., ceil(x_hi) +
+    offset (module docstring).  RootMiss unless every cell holds exactly one
+    root, a root at 0 counting for the first cell."""
+    grid = np.concatenate([[0.0], offset + np.arange(math.ceil(x_hi) + 1.0)])
+    roots = find_root(fn, grid, 1e-13)
+    cells = np.searchsorted(grid, roots, side="right")
+    if not np.array_equal(cells, np.arange(1, len(grid))):
+        raise RootMiss(f"expected one root in each of the {len(grid) - 1} "
+                       f"cells of [0, {grid[-1]:g}], found {len(roots)}")
+    return roots
 
 
 @lru_cache(maxsize=4)
@@ -72,23 +93,11 @@ def build_E(x_max=60.0):
     def B_eval(x):
         return -np.imag(E_eval(np.asarray(x, dtype=float)))
 
-    # B-zeros lie about 1 apart, so a scan 1.25 past x_max closes the
-    # B-interval of every A-zero up to x_max
-    zeros_b = find_root(B_eval, np.arange(0.05, x_max + 1.25, 0.25), 1e-13)
-    zeros_b = np.concatenate([[0.0], zeros_b])
-    # interlacing puts exactly one A-zero strictly inside each B-interval
-    sub = np.linspace(zeros_b[:-1] + 1e-9, zeros_b[1:] - 1e-9, 9, axis=1)
-    zeros_a = find_root(A_eval, sub.ravel(), 1e-13)
-    found = np.histogram(zeros_a, bins=zeros_b)[0]
-    if np.any(found != 1):
-        k = int(np.flatnonzero(found != 1)[0])
-        raise RootMiss(
-            f"expected exactly one A-zero in ({zeros_b[k]:.6f}, "
-            f"{zeros_b[k + 1]:.6f}), found {found[k]}")
-    # the A-zeros up to x_max, and the B-zeros through the first one past
-    # the last of them
+    # a_k > k - 3/4, so at most ceil(x_max) A-zeros lie below x_max, and
+    # the ceil(x_max) + 1 B-zeros found reach past the last of them
+    zeros_a = _nodes(A_eval, 0.75, x_max)
     zeros_a = zeros_a[zeros_a <= x_max]
-    zeros_b = zeros_b[:len(zeros_a) + 1]
+    zeros_b = _nodes(B_eval, 0.25, x_max)[:len(zeros_a) + 1]
     return HermiteBiehler(E_eval=E_eval, A_eval=A_eval, B_eval=B_eval,
                           zeros_A=zeros_a, zeros_B=zeros_b, x_max=float(x_max))
 
@@ -114,14 +123,12 @@ def tilt(beta, E=None):
     (b_k, a_k+1]); otherwise B_beta = -Im E_beta with (p, q) along
     (beta |A(beta)|, |B(beta)|) (regime case_ak_bk, beta in (a_k, b_k]).
     On a zero of A or of B, q = 0 and the nodes are that zero set.
-    The scan for nodes starts at 0: A_beta is even and its first root may
-    lie near 0 (about sqrt(p/q)); B_beta is odd, so 0 is a node.
+    The nodes come from _nodes over [0, max(x_max, beta)], the one nearest
+    beta set to beta; A_beta's first may lie near 0 (about sqrt(p/q)).
     """
     if not 0 < beta < math.inf:
         raise DomainError("beta must be positive")
     E = E or build_E()
-    if beta > E.x_max - 2.0:
-        raise DomainError("beta too close to the resolved zero range")
 
     e_b = complex(E.E_eval(beta))
     a_b, b_b = e_b.real, -e_b.imag
@@ -138,14 +145,12 @@ def tilt(beta, E=None):
 
     def node_fn(x):
         # Re E_beta or -Im E_beta = Re(i E_beta); E(0) is real, so B_beta(0)
-        # is exactly 0 and the scan lists 0 as a grid root
+        # is exactly 0 and _nodes lists 0 as a grid root
         return np.real(part * E_beta(x))
 
-    nodes = find_root(node_fn, np.arange(0.0, E.x_max + 0.1, 0.1), 1e-13)
-    # beta is a node by construction; snap the scanned root onto it
-    nodes = np.where(np.abs(nodes - beta) < 1e-6, beta, nodes)
-    if not np.any(nodes == beta):
-        nodes = np.sort(np.append(nodes, beta))
+    nodes = _nodes(node_fn, 0.75 if part == 1.0 else 0.25, max(E.x_max, beta))
+    # beta is a node by construction; put it there exactly
+    nodes[np.argmin(np.abs(nodes - beta))] = beta
     weights = _weights(nodes, p, q, E)
     lp, lm = _masses(nodes, weights, beta)
     return TiltedSpace(beta=beta, p=p, q=q, regime=regime, E_beta_eval=E_beta,
@@ -161,7 +166,7 @@ def _masses(nodes, w, beta):
     def total(mask):
         return float(np.sum(w[mask])) + float(np.sum(w[mask & (nodes > 0)]))
 
-    return total(nodes <= beta + 1e-9), total(nodes < beta - 1e-9)
+    return total(nodes <= beta), total(nodes < beta)
 
 
 def lambda_values(beta, E=None):

@@ -1,11 +1,13 @@
 """The reproducing kernel of the type-pi space weighted by 1 - sinc^2.
 
 K(w,z) = f(conj(w),z) + c(conj(w)) g(z) + d(conj(w)) h(z) with elementary
-pieces, evaluated elementwise over broadcast arrays of w and z.  The
-apparent poles at 1 - 2 pi^2 z^2 = 0 (in z for g and h, in w for f, c and
-d) are removable; one patcher, `_patched`, replaces the points within 1e-4
-of them by a real-offset Richardson mean (O(h^6) accurate).  On top of the
-kernel sit the one-delta and two-delta extremal problems.
+pieces, evaluated elementwise over broadcast arrays of w and z.  In z the
+pieces are entire: g and h are the half-sum and half-difference of the
+sinc translates sinc(z -/+ Z0), Z0 = 1/(pi sqrt2).  In w the apparent poles
+of f, c and d at 1 - 2 pi^2 w^2 = 0 are removable; one patcher, `_patched`,
+replaces the points within 1e-4 of them by a real-offset Richardson mean
+(O(h^6) accurate).  On top of the kernel sit the one-delta and two-delta
+extremal problems.
 """
 
 from __future__ import annotations
@@ -72,26 +74,18 @@ def _d_raw(w):
         (1.0 - 2.0 * np.pi ** 2 * w ** 2) * _DEN_D)
 
 
-def _g_raw(z):
-    z = np.asarray(z, dtype=complex)
-    num = (math.sqrt(2.0) * math.sin(_SQ) * np.cos(np.pi * z)
-           - 2.0 * np.pi * z * math.cos(_SQ) * np.sin(np.pi * z))
-    return num / (1.0 - 2.0 * np.pi ** 2 * z ** 2)
-
-
-def _h_raw(z):
-    z = np.asarray(z, dtype=complex)
-    num = (2.0 * np.pi * z * math.sin(_SQ) * np.cos(np.pi * z)
-           - math.sqrt(2.0) * math.cos(_SQ) * np.sin(np.pi * z))
-    return num / (1.0 - 2.0 * np.pi ** 2 * z ** 2)
-
-
 def piece_g(z):
-    return _patched(_g_raw, z)
+    """(sinc(z - Z0) + sinc(z + Z0)) / 2, which expands to the quotient
+    (sqrt2 sin a cos u - 2u cos a sin u) / (1 - 2u^2); a = pi Z0, u = pi z."""
+    z = np.asarray(z, dtype=complex)
+    return 0.5 * (np.sinc(z - _Z0) + np.sinc(z + _Z0))
 
 
 def piece_h(z):
-    return _patched(_h_raw, z)
+    """(sinc(z - Z0) - sinc(z + Z0)) / 2, the quotient
+    (2u sin a cos u - sqrt2 cos a sin u) / (1 - 2u^2)."""
+    z = np.asarray(z, dtype=complex)
+    return 0.5 * (np.sinc(z - _Z0) - np.sinc(z + _Z0))
 
 
 def piece_f(w, z):
@@ -103,7 +97,7 @@ def piece_f(w, z):
 
 
 def _k_raw(w, z):
-    """K(w, z) with z patched but the poles in w left in place."""
+    """K(w, z) with the poles in w left in place."""
     wbar = np.conj(np.asarray(w, dtype=complex))
     return (piece_f(wbar, z) + _c_raw(wbar) * piece_g(z)
             + _d_raw(wbar) * piece_h(z))
@@ -112,8 +106,8 @@ def _k_raw(w, z):
 def kernel_eval(w, z):
     """K(w, z), elementwise over w and z broadcast against each other.
 
-    Scalars give a 0-d array.  Points within 1e-4 of the removable points
-    +/-Z0 are patched in w and in z.
+    Scalars give a 0-d array.  Points w within 1e-4 of the removable
+    points +/-Z0 are patched.
     """
     return _patched(_k_raw, w, z)
 

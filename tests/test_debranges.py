@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pcx import debranges as db
 from pcx.beurling import BandlimitedFunction
 from pcx.kernel import kernel_eval, two_delta
-from pcx.numerics import DomainError, NonConvergence
+from pcx.numerics import DomainError, NonConvergence, RootMiss
 from pcx.pcbounds import m_selberg
 
 
@@ -42,6 +42,7 @@ def test_structure_function_kernel_identity(E):
 @settings(max_examples=5, deadline=None)
 @given(x_max=st.floats(10.0, 200.0))
 @example(x_max=137.79)
+@example(x_max=1000.0)
 def test_zero_interlacing(E, x_max):
     F = db.build_E(x_max)
     a, b = F.zeros_A, F.zeros_B
@@ -56,7 +57,7 @@ def test_zero_interlacing(E, x_max):
     assert np.all(np.diff(merged) > 0)
     assert np.all(np.diff(merged) < 0.75) and b[-1] > x_max - 1.0
     assert 0.0 <= x_max - a[-1] < 1.0
-    # the zeros do not depend on how far the scan runs
+    # the zeros do not depend on how far the cell grid runs
     n = min(len(a), len(E.zeros_A))
     assert np.max(np.abs(a[:n] - E.zeros_A[:n])) <= 1e-13
     assert np.max(np.abs(b[:n + 1] - E.zeros_B[:n + 1])) <= 1e-13
@@ -142,8 +143,40 @@ def test_tilt_regimes(E):
         assert t.nodes[0] == 0.0
     with pytest.raises(DomainError):
         db.tilt(-1.0, E)
-    with pytest.raises(DomainError):
-        db.tilt(E.x_max, E)
+    # beta at the end of the resolved zero range is an ordinary node
+    t = db.tilt(E.x_max, E)
+    assert E.x_max in t.nodes
+    assert len(t.nodes) == math.ceil(E.x_max) + 1
+    delta = two_delta(E.x_max).value
+    assert abs((t.lambda_plus - t.lambda_minus) - delta) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(beta=st.floats(0.05, 200.0, exclude_min=True, exclude_max=True))
+@example(beta=0.7075759195236333)  # a_1
+@example(beta=2.0300675301281785)  # b_2
+@example(beta=2.0300676301281784)  # b_2 + 1e-7
+@example(beta=150.3)
+@example(beta=990.0)
+def test_tilt_one_node_per_cell(E, beta):
+    # the cells of _nodes hold one node each on [0, max(x_max, beta)], beta
+    # is one of them, and the masses differ by Delta(beta) past x_max too
+    t = db.tilt(beta, E)
+    assert len(t.nodes) == math.ceil(max(E.x_max, beta)) + 1
+    assert beta in t.nodes
+    delta = two_delta(beta).value
+    assert abs((t.lambda_plus - t.lambda_minus) - delta) <= 1e-12
+
+
+def test_nodes_cell_rule():
+    # one root per cell is found; two roots in one cell leave it without a
+    # sign change, and the cell rule refuses the grid
+    a_type = db._nodes(lambda x: np.cos(np.pi * x), 0.75, 3.0)
+    b_type = db._nodes(lambda x: np.sin(np.pi * x), 0.25, 3.0)
+    assert np.max(np.abs(a_type - [0.5, 1.5, 2.5, 3.5])) < 1e-13
+    assert np.max(np.abs(b_type - [0.0, 1.0, 2.0, 3.0])) < 1e-13
+    with pytest.raises(RootMiss):
+        db._nodes(lambda x: (x - 0.3) * (x - 0.5) * (x - 2.0), 0.75, 3.0)
 
 
 def test_masses_on_a_zero_match_two_delta(E):
@@ -175,7 +208,7 @@ def test_tilted_companions_vanish_at_beta(E):
 
 
 def test_tilt_kernel_calls(E, monkeypatch):
-    # one E evaluation per node-function call: the scan grid, the Illinois
+    # one E evaluation per node-function call: the cell grid, the Illinois
     # steps, E(beta) and the weights stay within 20 kernel calls
     calls = []
 
@@ -192,8 +225,8 @@ def test_tilt_kernel_calls(E, monkeypatch):
 
 def test_lambda_monotone_across_zeros(E):
     # crossing an A- or B-zero, lambda_+/- jump by nothing and do not fall;
-    # a scan that skips the A_beta root near 0 right of a B-zero loses the
-    # node 0's mass 1/K(0,0) = 0.3275 there
+    # a node set that skips the A_beta root near 0 right of a B-zero loses
+    # the node 0's mass 1/K(0,0) = 0.3275 there
     zeros = np.concatenate([E.zeros_A, E.zeros_B[1:]])
     for z in zeros[zeros < 56.0]:
         z = float(z)

@@ -62,12 +62,32 @@ def test_removable_point_patch():
         for piece, ref in ((kn.piece_g, g), (kn.piece_h, h)):
             got = piece(z.astype(complex))
             want = [float(ref(mp.mpf(v))) for v in z]
-            assert np.max(np.abs(got.real - want)) < 2e-13
+            assert np.max(np.abs(got.real - want)) < 1e-15
             assert np.max(np.abs(got.imag)) == 0.0
         zs = np.array([0.0, 0.4, -1.7 + 0.6j, 2.3 - 1j, 1j, kn._Z0 + 3e-5,
                        -kn._Z0, -kn._Z0 + 2e-5j])
         for w in (kn._Z0, -kn._Z0 + 3e-5, kn._Z0 + 2e-5j):
             got = kn.kernel_eval(w, zs)
+            want = [complex(K(mp.mpc(w), mp.mpc(v))) for v in zs]
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_kernel_just_outside_patch_discs():
+    # w outside the +/-Z0 discs but close enough that the pole terms of
+    # f, c and d cancel to about 4 digits; the z-side pieces are entire
+    # sinc translates, so z anywhere, inside the discs too, costs nothing
+    import mpmath as mp
+
+    z0 = kn._Z0
+    zs = np.concatenate([np.linspace(-3.0, 3.0, 401),
+                         z0 + np.array([0.0, 3e-5, -7e-5]),
+                         -z0 + np.array([0.0, 5e-5, -2e-5])])
+    ws = (z0 + 2e-4, z0 - 3e-4, -z0 + 2e-4)
+    assert not np.any(kn._near(np.array(ws), z0))
+    with mp.workdps(50):
+        _, _, K = _mp_kernel_pieces(mp)
+        for w in ws:
+            got = kn.kernel_eval(w, zs.astype(complex))
             want = [complex(K(mp.mpc(w), mp.mpc(v))) for v in zs]
             assert np.max(np.abs(got - want)) < 1e-12
 
