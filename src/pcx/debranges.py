@@ -1,11 +1,11 @@
 """Structure function E, companions A/B, tilted families, and node sums.
 
-E is manufactured from the reproducing kernel via L(w,z) = 2 pi i
-(conj(w) - z) K(w,z) evaluated at w = i; its companions A and B have
-simple interlacing real zeros that serve as quadrature nodes for the
-weight |E(x)|^-2.  The tilt E_beta = (p - iqz) E, with (p, q) read off
-E(beta), makes +/-beta nodes of Re E_beta or of -Im E_beta, which turns the
-optimal majorant/minorant masses into finite node sums.
+E(z) = 2 pi i (-i - z) K(i, z) / sqrt(4 pi K(i, i)): (-i - z) times one
+fixed row of three sinc translates.  Its companions A and B have simple
+interlacing real zeros, the quadrature nodes for the weight |E(x)|^-2.
+The tilt E_beta = (p - iqz) E, with (p, q) read off E(beta), makes
++/-beta nodes of Re E_beta or of -Im E_beta, which turns the optimal
+majorant/minorant masses into finite node sums.
 
 With E(x) = |E(x)| e^(-i phi(x)), phi increasing (de Branges 1968, sections
 2-3), pi x - phi(x) lies in [-0.040 pi, 0.208 pi] on [0, 1e6] (sampled); a
@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .beurling import BandlimitedFunction
-from .kernel import _patched, kernel_eval
+from .kernel import _coefficients, _patched, _row, kernel_eval
 from .numerics import (DomainError, NonConvergence, RootMiss,
                        extrapolate_to_zero, find_root)
 from .pcbounds import m_of
@@ -81,11 +81,16 @@ def build_E(x_max=60.0):
     l_ii = 4.0 * math.pi * kernel_eval(1j, 1j).real
     if l_ii <= 0:
         raise RootMiss("diagonal normalization is not positive")
-    root_l = math.sqrt(l_ii)
+    # E(z) = 2 pi i (-i - z) K(i, z) / sqrt(l_ii); w = i lies far from the
+    # poles +/-Z0, so its coefficient triple needs no patch
+    a = [2.0j * math.pi / math.sqrt(l_ii) * c for c in _coefficients(-1j)]
 
     def E_eval(z):
+        # a scalar z runs as a 1-element array: numpy rounds the complex
+        # product of two scalars differently from its array loop
         z = np.asarray(z, dtype=complex)
-        return 2.0j * math.pi * (-1j - z) * kernel_eval(1j, z) / root_l
+        v = z.reshape(-1)
+        return ((-1j - v) * _row(a, -1j, v)).reshape(z.shape)
 
     def A_eval(x):
         return np.real(E_eval(np.asarray(x, dtype=float)))

@@ -1,13 +1,15 @@
 """The reproducing kernel of the type-pi space weighted by 1 - sinc^2.
 
-K(w,z) = f(conj(w),z) + c(conj(w)) g(z) + d(conj(w)) h(z) with elementary
-pieces, evaluated elementwise over broadcast arrays of w and z.  In z the
-pieces are entire: g and h are the half-sum and half-difference of the
-sinc translates sinc(z -/+ Z0), Z0 = 1/(pi sqrt2).  In w the apparent poles
-of f, c and d at 1 - 2 pi^2 w^2 = 0 are removable; one patcher, `_patched`,
-replaces the points within 1e-4 of them by a real-offset Richardson mean
-(O(h^6) accurate).  On top of the kernel sit the one-delta and two-delta
-extremal problems.
+K(w, z) = a0 sinc(z - conj(w)) + a+ sinc(z - Z0) + a- sinc(z + Z0), with
+Z0 = 1/(pi sqrt2), evaluated elementwise over broadcast arrays of w and z.
+The coefficient triple (a0, a+, a-) depends on conj(w) alone and takes one
+cos and one sin of pi conj(w) (`_coefficients`); `_row` sums the three
+sinc translates, so K is entire in z, and a fixed w (debranges' E uses
+w = i) pays for its triple once.  In w the apparent poles of the triple at
+1 - 2 pi^2 w^2 = 0 are removable; one patcher, `_patched`, replaces the
+points within 1e-4 of them by a real-offset Richardson mean (O(h^6)
+accurate).  On top of the kernel sit the one-delta and two-delta extremal
+problems.
 """
 
 from __future__ import annotations
@@ -62,45 +64,34 @@ def _patched(raw, x, *rest, center=_Z0):
     return out
 
 
-def _c_raw(w):
-    w = np.asarray(w, dtype=complex)
-    return (np.cos(np.pi * w) - np.pi * w * np.sin(np.pi * w)) / (
-        (1.0 - 2.0 * np.pi ** 2 * w ** 2) * _DEN_C)
+def _coefficients(wbar):
+    """(a0, a+, a-) of K(w, z) = a0 sinc(z - wbar) + a+ sinc(z - Z0)
+    + a- sinc(z + Z0), wbar = conj(w): a0 = 2 pi^2 wbar^2 / (2 pi^2 wbar^2
+    - 1) and a+/- = (c +/- d) / 2, where c and d are the coefficients of the
+    half-sum g and half-difference h of the two translates.  All three have
+    the removable poles of the module docstring."""
+    wbar = np.asarray(wbar, dtype=complex)
+    u = np.pi * wbar
+    cos, sin = np.cos(u), np.sin(u)
+    t = 2.0 * u * u
+    c = (cos - u * sin) / ((1.0 - t) * _DEN_C)
+    d = 2.0 * u * cos / ((1.0 - t) * _DEN_D)
+    return t / (t - 1.0), 0.5 * (c + d), 0.5 * (c - d)
 
 
-def _d_raw(w):
-    w = np.asarray(w, dtype=complex)
-    return 2.0 * np.pi * w * np.cos(np.pi * w) / (
-        (1.0 - 2.0 * np.pi ** 2 * w ** 2) * _DEN_D)
-
-
-def piece_g(z):
-    """(sinc(z - Z0) + sinc(z + Z0)) / 2, which expands to the quotient
-    (sqrt2 sin a cos u - 2u cos a sin u) / (1 - 2u^2); a = pi Z0, u = pi z."""
+def _row(a, wbar, z):
+    """a0 sinc(z - wbar) + a+ sinc(z - Z0) + a- sinc(z + Z0), a = (a0, a+,
+    a-); entire in z."""
+    a0, ap, am = a
     z = np.asarray(z, dtype=complex)
-    return 0.5 * (np.sinc(z - _Z0) + np.sinc(z + _Z0))
-
-
-def piece_h(z):
-    """(sinc(z - Z0) - sinc(z + Z0)) / 2, the quotient
-    (2u sin a cos u - sqrt2 cos a sin u) / (1 - 2u^2)."""
-    z = np.asarray(z, dtype=complex)
-    return 0.5 * (np.sinc(z - _Z0) - np.sinc(z + _Z0))
-
-
-def piece_f(w, z):
-    """The sinc block; singular in w at the patch points, entire in z."""
-    w = np.asarray(w, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    pref = 2.0 * np.pi ** 2 * w ** 2 / (2.0 * np.pi ** 2 * w ** 2 - 1.0)
-    return pref * np.sinc(z - w)
+    return (a0 * np.sinc(z - wbar) + ap * np.sinc(z - _Z0)
+            + am * np.sinc(z + _Z0))
 
 
 def _k_raw(w, z):
     """K(w, z) with the poles in w left in place."""
     wbar = np.conj(np.asarray(w, dtype=complex))
-    return (piece_f(wbar, z) + _c_raw(wbar) * piece_g(z)
-            + _d_raw(wbar) * piece_h(z))
+    return _row(_coefficients(wbar), wbar, z)
 
 
 def kernel_eval(w, z):

@@ -157,10 +157,12 @@ def find_root(f, xs, tol=1e-12):
     for it in range(201):
         width, mid = hi - lo, 0.5 * (lo + hi)
         done = (width <= tol) | (mid <= lo) | (mid >= hi)
-        roots[todo[done]] = mid[done]
-        todo, lo, hi, flo, fhi, kept, w1, w2, width, mid = (
-            v[~done] for v in (todo, lo, hi, flo, fhi, kept, w1, w2, width,
-                               mid))
+        if done.any():
+            roots[todo[done]] = mid[done]
+            keep = ~done
+            todo, lo, hi, flo, fhi, kept, w1, w2, width, mid = (
+                v[keep] for v in (todo, lo, hi, flo, fhi, kept, w1, w2,
+                                  width, mid))
         if not len(todo):
             break
         if it == 200:
@@ -180,6 +182,8 @@ def find_root(f, xs, tol=1e-12):
         lo, flo = np.where(up, x, lo), np.where(up, fx, scale * flo)
         hi, fhi = np.where(up, hi, x), np.where(up, scale * fhi, fx)
         kept, w1, w2 = side, width, w1
-        todo, lo, hi, flo, fhi, kept, w1, w2 = (
-            v[~hit] for v in (todo, lo, hi, flo, fhi, kept, w1, w2))
+        if hit.any():
+            keep = ~hit
+            todo, lo, hi, flo, fhi, kept, w1, w2 = (
+                v[keep] for v in (todo, lo, hi, flo, fhi, kept, w1, w2))
     return np.sort(np.concatenate([xs[fxs == 0.0], roots]))

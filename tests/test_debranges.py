@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,20 @@ def test_build_E_basic(E):
     ev = E.E_eval(x.astype(complex))
     assert np.max(np.abs(E.A_eval(x) - ev.real)) < 1e-13
     assert np.max(np.abs(E.B_eval(x) + ev.imag)) < 1e-13
+
+
+def test_E_is_the_kernel_at_i(E):
+    # E(z) = 2 pi i (-i - z) K(i, z) / sqrt(l), l = 4 pi K(i, i), on the real
+    # window and off the axis; an array call gives the bits of scalar calls
+    rng = np.random.default_rng(11)
+    root_l = math.sqrt(4.0 * math.pi * kernel_eval(1j, 1j).real)
+    x = np.linspace(-60.0, 60.0, 2401)
+    z = rng.uniform(-60.0, 60.0, 800) + 1j * rng.uniform(-3.0, 3.0, 800)
+    for pts in (x, z):
+        got = E.E_eval(pts)
+        want = 2j * math.pi * (-1j - pts) * kernel_eval(1j, pts + 0j) / root_l
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15
+        assert np.array_equal(got, [complex(E.E_eval(v)) for v in pts])
 
 
 def test_structure_function_kernel_identity(E):
@@ -168,6 +183,15 @@ def test_tilt_one_node_per_cell(E, beta):
     assert abs((t.lambda_plus - t.lambda_minus) - delta) <= 1e-12
 
 
+def test_masses_match_two_delta_to_rounding(E):
+    # past x_max, lambda_+/- ~ 2 beta and the rounding of lambda_+ alone sets
+    # how well lambda_+ - lambda_- can match Delta(beta)
+    for beta in (150.3, 990.3, 5000.3, 10000.3):
+        t = db.tilt(beta, E)
+        gap = (t.lambda_plus - t.lambda_minus) - two_delta(beta).value
+        assert abs(gap) <= 2.0 * math.ulp(t.lambda_plus)
+
+
 def test_nodes_cell_rule():
     # one root per cell is found; two roots in one cell leave it without a
     # sign change, and the cell rule refuses the grid
@@ -208,19 +232,27 @@ def test_tilted_companions_vanish_at_beta(E):
 
 
 def test_tilt_kernel_calls(E, monkeypatch):
-    # one E evaluation per node-function call: the cell grid, the Illinois
-    # steps, E(beta) and the weights stay within 20 kernel calls
-    calls = []
+    # one E evaluation per node-function call: E(beta), the cell grid, the
+    # Illinois steps and the weights stay within 20; the kernel itself is
+    # called once, for the weights
+    e_calls, k_calls = [], []
 
-    def counting(*args):
-        calls.append(1)
+    def counting_E(z):
+        e_calls.append(1)
+        return E.E_eval(z)
+
+    def counting_kernel(*args):
+        k_calls.append(1)
         return kernel_eval(*args)
 
-    monkeypatch.setattr(db, "kernel_eval", counting)
+    monkeypatch.setattr(db, "kernel_eval", counting_kernel)
+    F = dataclasses.replace(E, E_eval=counting_E)
     for beta in (0.3, 1.3, 2.2, 30.1):
-        calls.clear()
-        db.tilt(beta, E)
-        assert len(calls) <= 20
+        e_calls.clear()
+        k_calls.clear()
+        db.tilt(beta, F)
+        assert len(e_calls) <= 20
+        assert len(k_calls) == 1
 
 
 def test_lambda_monotone_across_zeros(E):

@@ -36,31 +36,41 @@ def _mp_kernel_pieces(mp):
         return (2 * mp.pi * z * mp.sin(sq) * mp.cos(mp.pi * z)
                 - mp.sqrt(2) * mp.cos(sq) * mp.sin(mp.pi * z)) / den(z)
 
-    def K(w, z):
-        wb = mp.conj(w)
+    def coefficients(wb):
+        # the sinc block's prefactor and the coefficients c, d of g and h
         c = (mp.cos(mp.pi * wb) - mp.pi * wb * mp.sin(mp.pi * wb)) / (
             den(wb) * (mp.cos(sq) - sq * mp.sin(sq)))
         d = 2 * mp.pi * wb * mp.cos(mp.pi * wb) / (
             den(wb) * mp.sqrt(2) * mp.cos(sq))
-        sinc = mp.sin(mp.pi * (z - wb)) / (mp.pi * (z - wb)) if z != wb else 1
-        return -2 * mp.pi ** 2 * wb ** 2 / den(wb) * sinc + c * g(z) + d * h(z)
+        return -2 * mp.pi ** 2 * wb ** 2 / den(wb), c, d
 
-    return g, h, K
+    def K(w, z):
+        wb = mp.conj(w)
+        pref, c, d = coefficients(wb)
+        sinc = mp.sin(mp.pi * (z - wb)) / (mp.pi * (z - wb)) if z != wb else 1
+        return pref * sinc + c * g(z) + d * h(z)
+
+    return g, h, coefficients, K
+
+
+# g and h as rows of the kernel: the half-sum and half-difference of the
+# sinc translates sinc(z -/+ Z0), with no sinc(z - conj(w)) term
+ROW_G, ROW_H = (0.0, 0.5, 0.5), (0.0, 0.5, -0.5)
 
 
 def test_removable_point_patch():
-    # patched g, h and the w-branch of K at and around +/-Z0 against the raw
-    # quotients in 50-digit arithmetic (a float point near both poles costs
-    # the reference about 34 digits)
+    # the rows g, h and the patched w-branch of K at and around +/-Z0
+    # against the raw quotients in 50-digit arithmetic (a float point near
+    # both poles costs the reference about 34 digits)
     import mpmath as mp
 
     offsets = np.array([0.0, 1e-6, -3e-5, 9e-5, -9.9e-5])
     z = np.concatenate([kn._Z0 + offsets, -kn._Z0 + offsets])
     assert np.all(kn._near(z, kn._Z0))
     with mp.workdps(50):
-        g, h, K = _mp_kernel_pieces(mp)
-        for piece, ref in ((kn.piece_g, g), (kn.piece_h, h)):
-            got = piece(z.astype(complex))
+        g, h, _, K = _mp_kernel_pieces(mp)
+        for row, ref in ((ROW_G, g), (ROW_H, h)):
+            got = kn._row(row, 0.0, z.astype(complex))
             want = [float(ref(mp.mpf(v))) for v in z]
             assert np.max(np.abs(got.real - want)) < 1e-15
             assert np.max(np.abs(got.imag)) == 0.0
@@ -70,6 +80,31 @@ def test_removable_point_patch():
             got = kn.kernel_eval(w, zs)
             want = [complex(K(mp.mpc(w), mp.mpc(v))) for v in zs]
             assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_coefficients_against_mpmath():
+    # (a0, a+, a-) against the prefactor and (c +/- d)/2 of the raw
+    # quotients in 40-digit arithmetic, at w off the patch discs, relative
+    # to the largest of the three; a scalar conj(w) gives the bits of a
+    # one-element array
+    import mpmath as mp
+
+    ws = np.concatenate([np.linspace(-30.0, 30.0, 61) + 0.13, [1j, -1j],
+                         np.linspace(-5.0, 5.0, 21) + 0.6j,
+                         np.linspace(-5.0, 5.0, 21) - 2.3j])
+    assert not np.any(kn._near(ws, kn._Z0))
+    got = np.array(kn._coefficients(ws))
+    with mp.workdps(40):
+        coefficients = _mp_kernel_pieces(mp)[2]
+        for w, triple in zip(ws, got.T):
+            pref, c, d = coefficients(mp.mpc(w))
+            want = np.array([complex(v) for v in (pref, (c + d) / 2,
+                                                  (c - d) / 2)])
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(triple - want)) <= 2e-15 * scale
+    for w in (0.0, 0.4, -1.7, 4.2, kn._Z0 + 3e-4, -1j):
+        assert ([complex(v) for v in kn._coefficients(w)]
+                == [v[0] for v in kn._coefficients(np.array([w]))])
 
 
 def test_kernel_just_outside_patch_discs():
@@ -85,7 +120,7 @@ def test_kernel_just_outside_patch_discs():
     ws = (z0 + 2e-4, z0 - 3e-4, -z0 + 2e-4)
     assert not np.any(kn._near(np.array(ws), z0))
     with mp.workdps(50):
-        _, _, K = _mp_kernel_pieces(mp)
+        K = _mp_kernel_pieces(mp)[3]
         for w in ws:
             got = kn.kernel_eval(w, zs.astype(complex))
             want = [complex(K(mp.mpc(w), mp.mpc(v))) for v in zs]
@@ -96,7 +131,8 @@ def test_patch_at_scalar_points():
     # 0-d inputs inside a patch disc take the patched path too, and agree
     # with the array path and with a Richardson mean of unpatched neighbours
     z0 = kn._Z0
-    assert complex(kn.piece_g(complex(z0))) == kn.piece_g(np.array([z0 + 0j]))[0]
+    assert (complex(kn._row(ROW_G, 0.0, complex(z0)))
+            == kn._row(ROW_G, 0.0, np.array([z0 + 0j]))[0])
     assert complex(kn.kernel_eval(z0, z0)) == kn.kernel_eval(z0, np.array([z0]))[0]
 
     def neighbours(fn, d=2e-4):
@@ -104,8 +140,8 @@ def test_patch_at_scalar_points():
         m2 = 0.5 * (fn(z0 + 2 * d) + fn(z0 - 2 * d))
         return (4 * m1 - m2) / 3
 
-    for fn in (lambda x: complex(kn.piece_g(complex(x))),
-               lambda x: complex(kn.piece_h(complex(x))),
+    for fn in (lambda x: complex(kn._row(ROW_G, 0.0, complex(x))),
+               lambda x: complex(kn._row(ROW_H, 0.0, complex(x))),
                lambda x: complex(kn.kernel_eval(x, x)),
                lambda x: kn.two_delta(x).value):
         assert abs(fn(z0) - neighbours(fn)) < 1e-9
