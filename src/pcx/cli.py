@@ -35,12 +35,26 @@ EXIT_IO = 4
 MAX_GRID_STEPS = 10 ** 6
 
 
+@functools.cache
+def _spec(kind):
+    """The %-format of a cell of this type: a str as it is, an int or a
+    numpy integer as an integer, anything else as a float to 10
+    significant digits."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.10g"
+
+
+@functools.cache
+def _row_format(kinds):
+    """One %-format for a CSV row whose cells have these types."""
+    return ",".join(map(_spec, kinds))
+
+
 def _fmt(x):
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.10g}"
+    return _spec(type(x)) % x
 
 
 def _json_cell(x):
@@ -87,10 +101,12 @@ def _emit(args, command, columns, rows, footer_notes=()):
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        cells = [columns] + [[_fmt(r[c]) for c in columns] for r in rows]
+        values = [tuple([r[c] for c in columns]) for r in rows]
         if args.format == "csv":
-            lines = [",".join(row) for row in cells]
+            lines = [",".join(columns)] + [
+                _row_format(tuple(map(type, v))) % v for v in values]
         else:
+            cells = [columns] + [list(map(_fmt, v)) for v in values]
             widths = [max(len(row[i]) for row in cells)
                       for i in range(len(columns))]
             lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths))

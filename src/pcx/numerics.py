@@ -157,7 +157,8 @@ def find_root(f, xs, tol=1e-12):
     for it in range(201):
         width, mid = hi - lo, 0.5 * (lo + hi)
         done = (width <= tol) | (mid <= lo) | (mid >= hi)
-        if done.any():
+        # count_nonzero, not any(): the cheaper test on short arrays
+        if np.count_nonzero(done):
             roots[todo[done]] = mid[done]
             keep = ~done
             todo, lo, hi, flo, fhi, kept, w1, w2, width, mid = (
@@ -168,13 +169,15 @@ def find_root(f, xs, tol=1e-12):
         if it == 200:
             raise NonConvergence(
                 f"{len(todo)} brackets wider than {tol:.1e} after 200 steps")
-        x = hi - fhi * width / (fhi - flo)
+        # an endpoint value from a pole of f is infinite, and the step
+        # from it NaN: the guard below makes it a bisection
+        with np.errstate(invalid="ignore"):
+            x = hi - fhi * width / (fhi - flo)
         x = np.minimum(np.maximum(x, lo + 0.5 * tol), hi - 0.5 * tol)
         bisect = ~((lo < x) & (x < hi)) | (width > 0.5 * w2)
         x = np.where(bisect, mid, x)
         fx = np.asarray(f(x), dtype=float)
         hit = fx == 0.0
-        roots[todo[hit]] = x[hit]
         # signbit, not > 0: halving may underflow a stored value to a signed 0
         up = np.signbit(fx) == np.signbit(flo)
         side = np.where(up, 1.0, -1.0)
@@ -182,7 +185,8 @@ def find_root(f, xs, tol=1e-12):
         lo, flo = np.where(up, x, lo), np.where(up, fx, scale * flo)
         hi, fhi = np.where(up, hi, x), np.where(up, scale * fhi, fx)
         kept, w1, w2 = side, width, w1
-        if hit.any():
+        if np.count_nonzero(hit):
+            roots[todo[hit]] = x[hit]
             keep = ~hit
             todo, lo, hi, flo, fhi, kept, w1, w2 = (
                 v[keep] for v in (todo, lo, hi, flo, fhi, kept, w1, w2))

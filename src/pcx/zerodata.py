@@ -1,8 +1,14 @@
 """Zero-ordinate datasets and the empirical pair statistics built on them.
 
 Input files are plain text, one ordinate per line, '#' comments allowed,
-strictly ascending.  Pair counts come from sorted windows, a whole beta
-grid from one sorted window.  The
+strictly ascending; one C-level parse reads a table, and only a table
+that breaks a rule is scanned line by line, for the line to report.
+Pair counts come from the sorted window: a whole beta grid is swept in
+ascending runs, each run one searchsorted plus the pairs that switch on
+inside it, at most a few per ordinate.  At n = 10^4 and 51 beta that
+took 3.5 ms against 17 for one searchsorted per beta, and the parse of
+the 10^4-line table 1.7 ms against 8.9 for a Python loop over its lines
+(2-core x86 host).  The
 normalized exponential pair sum F(alpha) cuts the sorted window into
 blocks: pairs in nearby blocks are summed exactly, and pairs farther
 apart through a short exponential sum for the Cauchy weight carried
@@ -31,6 +37,7 @@ side with the closed-form bound columns.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +53,10 @@ from .beurling import FAR, SelbergFunction, far_series
 # 4,000 on a 2-core x86 host: 64-128 rows timed alike, 256 rows ran about
 # 8% slower and 2,048 rows about 1.6x slower
 _CHUNK = 128
+
+# a run of count_pairs' sweep switches on at most this many pairs per
+# ordinate of the window
+_RUN_PAIRS = 4
 
 # ordinates per block of F
 _BLOCK = 16
@@ -93,29 +104,61 @@ class EmpiricalRow:
 
 
 def load_zeros(path):
-    """Read and validate an ordinate table."""
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                v = float(line)
-            except ValueError:
-                raise ParseError(f"not a number: {line!r}", line=lineno)
-            if not math.isfinite(v):
-                raise ParseError(f"not a finite number: {line!r}", line=lineno)
-            if v <= 0:
-                raise ParseError("ordinates must be positive", line=lineno)
-            if values and v <= values[-1]:
-                raise MonotonicityError(
-                    f"line {lineno}: ordinate {v} not above predecessor")
-            values.append(v)
-    if not values:
+    """Read and validate an ordinate table.
+
+    One C-level parse (numpy.loadtxt) reads the whole table; it must hold
+    exactly one column, so a lone line "1.0 2.0" is not two ordinates.
+    Finiteness, positivity and strict ascent are array passes.  Only when
+    one of these fails is the file scanned line by line, to raise the
+    error of its first bad line: ParseError (not UTF-8, not a number, not
+    finite, not positive, or no ordinates) or MonotonicityError.  The C
+    parser takes no digit separators ("1_000") and only ASCII numbers.
+    """
+    try:
+        with warnings.catch_warnings():
+            # an empty table warns; it is raised below
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
+    except ValueError as exc:
+        raise _first_fault(path) or ParseError(str(exc))
+    arr = table.reshape(-1)
+    if table.shape[1] != 1 or not (np.isfinite(arr).all() and (arr > 0).all()
+                                   and (np.diff(arr) > 0).all()):
+        raise _first_fault(path) or ParseError("not one column of ordinates")
+    if not len(arr):
         raise ParseError("no ordinates found in file")
-    arr = np.array(values)
     return ZeroDataset(ordinates=arr, source=str(path), t_max=float(arr[-1]))
+
+
+def _first_fault(path):
+    """The error of the first line of the table that breaks a rule of
+    load_zeros, or None if none does; the lines are those of a text-mode
+    read (split at \\n, \\r and \\r\\n) and counted from 1."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
+    last = None
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
+        except UnicodeDecodeError:
+            return ParseError("not UTF-8 text", line=lineno)
+        if not line:
+            continue
+        try:
+            if not line.isascii() or "_" in line:
+                raise ValueError(line)
+            v = float(line)
+        except ValueError:
+            return ParseError(f"not a number: {line!r}", line=lineno)
+        if not math.isfinite(v):
+            return ParseError(f"not a finite number: {line!r}", line=lineno)
+        if v <= 0:
+            return ParseError("ordinates must be positive", line=lineno)
+        if last is not None and v <= last:
+            return MonotonicityError(
+                f"line {lineno}: ordinate {v} not above predecessor")
+        last = v
+    return None
 
 
 def _window(ds, T):
@@ -132,18 +175,74 @@ def count_pairs(ds, T, beta):
     """Ordered pairs with 0 < gamma' - gamma <= 2 pi beta / log T.
 
     beta is a float, which gives an int, or an array, which gives an
-    array of counts.  The window is sorted once; each beta then takes one
-    searchsorted of g + w, so a pair counts when g_j <= g_i + w.
+    array of counts in its shape.  A pair (i, j) of the sorted window g
+    counts at w = 2 pi beta / log T when j is past the ties of g_i and
+    g_j <= g_i + w, the comparison searchsorted(g, g + w, "right") makes.
+    The w are swept in ascending runs (_sweep), so a whole grid costs
+    about one searchsorted per run rather than one per beta.
     """
     b = np.asarray(beta, dtype=float)
     if not ((0 < b) & (b < math.inf)).all():
         raise DomainError("beta must be positive and finite")
     g = _window(ds, T)
-    lo = np.searchsorted(g, g, side="right")
     w = 2.0 * math.pi * b.reshape(-1) / math.log(T)
-    counts = np.array([np.sum(np.searchsorted(g, g + x, side="right") - lo)
-                       for x in w], dtype=np.int64)
+    order = np.argsort(w)
+    counts = np.empty(len(w), dtype=np.int64)
+    counts[order] = _sweep(g, w[order])
     return int(counts[0]) if b.ndim == 0 else counts.reshape(b.shape)
+
+
+def _sweep(g, w):
+    """Pair counts of the sorted window g at each w, w ascending (repeats
+    allowed: a repeat switches on no pair).
+
+    hi_i(w) = searchsorted(g, g_i + w, "right") grows with w.  A run from
+    w[a] to w[b] takes one searchsorted at its far end (the near end is
+    the last run's); the pairs (i, j) with hi_i(w[a]) <= j < hi_i(w[b])
+    switch on inside it, and a bisection on the same comparison
+    g_j <= g_i + w[k] gives each the first k that counts it, so the
+    counts are the count at w[a] plus a cumulative bincount.  A run ends
+    where it would switch on more than _RUN_PAIRS pairs per ordinate
+    (sized from the last run's density; a run of one step needs no
+    pairs), so the sweep holds O(n) pairs at a time.
+    """
+    n = len(g)
+    cap = _RUN_PAIRS * n
+    lo = np.searchsorted(g, g, side="right")
+    hi = np.searchsorted(g, g + w[0], side="right")
+    counts = np.empty(len(w), dtype=np.int64)
+    counts[0] = np.sum(hi - lo)
+    a, b = 0, len(w) - 1
+    while a < len(w) - 1:
+        top = np.searchsorted(g, g + w[b], side="right")
+        new = top - hi
+        total = int(np.sum(new))
+        if total > cap and b > a + 1:
+            # too many pairs for one run: aim at half the cap
+            b = a + max(1, (b - a) * cap // (2 * total))
+            continue
+        if b == a + 1:
+            counts[b] = counts[a] + total
+        else:
+            # the pairs row by row: j runs from hi_i to top_i - 1
+            gi = np.repeat(g, new)
+            gj = g[np.arange(total) - np.repeat(np.cumsum(new) - new - hi, new)]
+            # w[left] does not count the pair and w[right] does; at
+            # right = left + 1, mid is left and stays so
+            left = np.full(total, a)
+            right = np.full(total, b)
+            for _ in range((b - a - 1).bit_length()):
+                mid = (left + right) // 2
+                on = gj <= gi + w[mid]
+                right = np.where(on, mid, right)
+                left = np.where(on, left, mid)
+            counts[a + 1 : b + 1] = counts[a] + np.cumsum(
+                np.bincount(right - a - 1, minlength=b - a))
+        step = b - a
+        a, hi = b, top
+        b = min(len(w) - 1,
+                a + max(1, step * cap // (2 * max(total, 1))))
+    return counts
 
 
 def _pair_sum(g, fn):

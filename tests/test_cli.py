@@ -1,12 +1,15 @@
+import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -206,6 +209,51 @@ def test_empirical_bad_table_exit_codes(tmp_path, capsys, table, code):
     assert err.count("\n") == 2 and "Traceback" not in err
     if code == 4:
         assert "line " in err
+
+
+def test_empirical_table_not_utf8(tmp_path, capsys):
+    # a UTF-16 table is a data error (exit 4), not a config error
+    path = tmp_path / "zeros.txt"
+    path.write_bytes(b"\xff\xfe1\x004\x00.\x001\x00\n\x00")
+    assert cli.main(["empirical", "--zeros", str(path)]) == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pcx: data error: line 1: not UTF-8 text\n"
+
+
+def _cell(x):
+    # the cell rule of the text formats, one cell at a time
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.10g}"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_emit_rows_match_cell_rule(capsys, fmt):
+    # one %-format per row writes each cell as the per-cell rule does, on
+    # rows whose cells change type from row to row
+    columns = ["a", "b", "c", "d"]
+    values = [
+        ("x", 3, np.int64(-7), 0.1),
+        (np.float64(1 / 3), math.inf, -math.inf, math.nan),
+        (-0.0, 12345678901234, np.int64(2) ** 40, "a,b"),
+        (2.5e-300, np.float64(-1e300), 10 ** 10 + 1, True),
+        (1e10 + 1, 7, "", np.float32(0.1)),
+    ]
+    rows = [dict(zip(columns, v)) for v in values]
+    args = argparse.Namespace(format=fmt, out=None, plot=None)
+    assert cli._emit(args, "test", columns, rows) == 0
+    lines = capsys.readouterr().out.splitlines()[:len(rows) + 1]
+    cells = [columns] + [[_cell(x) for x in v] for v in values]
+    assert [[cli._fmt(x) for x in v] for v in values] == cells[1:]
+    if fmt == "csv":
+        assert lines == [",".join(row) for row in cells]
+    else:
+        widths = [max(len(row[i]) for row in cells) for i in range(4)]
+        assert lines == ["  ".join(v.ljust(w) for v, w in zip(row, widths))
+                         for row in cells]
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,33 @@ def test_find_root_hard_brackets(kind, r, cells, tol_exp):
     assert abs(got[0] - r) <= 0.5 * tol
     cell = xs[k] - xs[k - 1]
     assert len(calls) <= 3 * math.ceil(math.log2(cell / tol)) + 3
+
+
+@pytest.mark.parametrize("r, cells, tol, root", [
+    (0.5, 1, 1e-3, 0.49951171875),
+    (0.5, 1, 1e-12, 0.49999999999954525),
+    (0.25, 2, 1e-9, 0.2499999995343387),
+    (0.75, 2, 1e-6, 0.7499995231628418),
+])
+def test_find_root_pole_without_warning(r, cells, tol, root):
+    # the "pole" bracket of test_find_root_hard_brackets where an iterate
+    # lands on r itself: f stores an infinite endpoint value, the false
+    # position step from it is NaN and becomes bisection, and no warning
+    # reaches the caller; the roots are those find_root gave before the
+    # warning was silenced
+    hits = []
+
+    def f(x):
+        hits.append(bool(np.any(x == r)))
+        with np.errstate(divide="ignore"):
+            return 1.0 / (x - r)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nm.find_root(f, np.linspace(0.0, 1.0, cells + 1), tol)
+    assert any(hits)
+    assert got.tolist() == [root]
+    assert abs(root - r) <= 0.5 * tol
 
 
 def test_find_root_spacing_and_step_cap():

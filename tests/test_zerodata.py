@@ -48,6 +48,48 @@ def test_load_zeros_errors(tmp_path):
         zd.load_zeros(bad)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("1.0 2.0\n", 1),            # one row of two columns, not two ordinates
+    ("1.0\n2.0 3.0\n", 2),
+    ("1.0\n1_000\n", 2),         # no digit separators
+    ("# \u00e9\n\u0661\n", 2),  # no digits but ASCII ones
+])
+def test_load_zeros_one_ascii_column(tmp_path, text, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        zd.load_zeros(bad)
+    assert exc.value.line == line
+    assert str(exc.value).startswith(f"line {line}: not a number")
+
+
+def test_load_zeros_not_utf8(tmp_path):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe1\x00.\x000\x00\n")
+    with pytest.raises(ParseError) as exc:
+        zd.load_zeros(bad)
+    assert exc.value.line == 1
+    # a bad byte in a comment counts too; lines end at \n, \r and \r\n
+    bad.write_bytes(b"1.0\r2.0\r\n# caf\xe9\n3.0\n")
+    with pytest.raises(ParseError) as exc:
+        zd.load_zeros(bad)
+    assert exc.value.line == 3
+
+
+def test_load_zeros_matches_line_parse(zeros_path, tmp_path):
+    # the one C-level parse gives bitwise the values of float() on each
+    # line, on the shipped table and on its first 2,000 ordinates
+    lines = zeros_path.read_text(encoding="utf-8").splitlines()
+    prefix = tmp_path / "zeros2000.txt"
+    prefix.write_text("\n".join(lines[:2002]) + "\n", encoding="utf-8")
+    for path in (zeros_path, prefix):
+        want = np.array([float(l) for l in path.read_text().splitlines()
+                         if not l.startswith("#")])
+        got = zd.load_zeros(path).ordinates
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_count_pairs_hand_example(small):
     # window width 2 pi 0.5 / log 20 = 1.0486: pairs (10,10.5), (10,11),
     # (10.5,11), (11,12)
@@ -107,6 +149,77 @@ def test_count_pairs_beta_array(dataset):
     assert type(zd.count_pairs(dataset, T, 1.0)) is int
     with pytest.raises(DomainError):
         zd.count_pairs(dataset, T, [1.0, math.nan])
+    # up to beta = 60 the window holds about 60 pairs per ordinate, so the
+    # sweep cuts this grid into many runs
+    betas = np.arange(0.02, 60.0, 0.02)[::-1]
+    counts = zd.count_pairs(dataset, T, betas)
+    assert counts.tolist() == [zd.count_pairs(dataset, T, float(b))
+                               for b in betas]
+
+
+@st.composite
+def beta_arrays(draw):
+    """beta for count_pairs: unsorted, with repeats, as a float, a 0-d, a
+    1-d or a 2-d array, and at times spread wide, a beta in (0.01, 0.1)
+    next to one in (50, 200)."""
+    # below beta = 2 a run of the sweep holds several beta
+    top = draw(st.sampled_from([2.0, 10.0]))
+    values = draw(st.lists(st.floats(0.01, top), min_size=2, max_size=8))
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            at = draw(st.integers(0, len(values)))
+            values[at:at] = [draw(st.floats(0.01, 0.1)),
+                             draw(st.floats(50.0, 200.0))]
+    values += draw(st.lists(st.sampled_from(values), max_size=3))
+    shape = draw(st.sampled_from(["float", "0-d", "1-d", "2-d"]))
+    if shape == "float":
+        return values[0]
+    if shape == "0-d":
+        return np.array(values[0])
+    if shape == "2-d":
+        values += values[: len(values) % 2]
+        return np.array(values).reshape(2, -1)
+    return np.array(values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(300, 2000), beta=beta_arrays())
+def test_count_pairs_sweep_matches_brute(dataset, n, beta):
+    # the sweep over the sorted grid gives each beta the count of the
+    # direct loop, in beta's shape; a float or a 0-d array gives an int
+    g = dataset.ordinates[:n]
+    ds = zd.ZeroDataset(ordinates=g, source="prefix", t_max=float(g[-1]))
+    got = zd.count_pairs(ds, ds.t_max, beta)
+    if np.ndim(beta) == 0:
+        assert type(got) is int
+        assert got == zd.count_pairs_brute(ds, ds.t_max, float(beta))
+        return
+    assert got.shape == beta.shape and got.dtype == np.int64
+    for b, c in zip(beta.ravel(), got.ravel()):
+        assert c == zd.count_pairs_brute(ds, ds.t_max, float(b))
+
+
+def test_count_pairs_sweep_ties(dataset):
+    # beta whose window w is exactly a gap g_j - g_i, so that g_i + w is
+    # g_j itself, and the float below it, where g_i + w may still round
+    # to g_j: inside a run of the sweep each counts as it does alone
+    g = dataset.ordinates[:2000]
+    ds = zd.ZeroDataset(ordinates=g, source="prefix", t_max=float(g[-1]))
+    scale = 2.0 * math.pi / math.log(ds.t_max)
+    ties = []
+    for i, o in [(5, 1), (40, 2), (700, 1), (1500, 3), (1990, 2)]:
+        d = g[i + o] - g[i]
+        b = d / scale
+        for _ in range(8):
+            if scale * b != d:
+                b = np.nextafter(b, math.inf if scale * b < d else 0.0)
+        if scale * b == d:
+            ties += [b, np.nextafter(b, 0.0)]
+    assert len(ties) >= 6
+    betas = np.concatenate([ties, np.arange(0.05, 2.5, 0.05)])
+    got = zd.count_pairs(ds, ds.t_max, betas)
+    assert got.tolist() == [zd.count_pairs(ds, ds.t_max, float(b))
+                            for b in betas]
 
 
 @settings(max_examples=30, deadline=None)
