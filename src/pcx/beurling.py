@@ -3,8 +3,8 @@
 H0 is the odd entire interpolant of sgn with type 2pi, H1 = sinc^2 its
 companion correction; H(+/-) = H0 +/- H1 majorize/minorize sgn.  Averaging
 two shifted copies produces the interval sandwich r_beta(+/-), and dilation
-gives s_{delta,beta}(+/-) of type 2*pi*delta together with exact Fourier
-transforms on the band.
+gives s_{delta,beta}(+/-) of type 2*pi*delta.  Nothing at run time reads a
+Fourier transform; the closed-form transforms are test oracles.
 
 H0 is evaluated in two branches that meet at |x| = 10.  Below 10 it is
 the closed form through the trigamma function psi1 of pcx.special
@@ -131,62 +131,18 @@ def eval_r(beta, sign, x):
     return 0.5 * ((wu + wv) + (ru + rv))
 
 
-def _w_transform_imag(t):
-    """Imaginary part of the transform of H0 - sgn (the transform is i*this)."""
-    t = np.asarray(t, dtype=float)
-    at = np.abs(t)
-    out = np.zeros_like(t)
-
-    outer = at >= 1.0
-    out[outer] = 1.0 / (np.pi * t[outer])
-
-    inner = (~outer) & (at > 1e-6)
-    ti = t[inner]
-    cot_part = np.pi * ti / np.tan(np.pi * ti) - 1.0
-    out[inner] = -(1.0 - np.abs(ti)) * cot_part / (np.pi * ti)
-
-    tiny = (~outer) & ~inner & (at > 0)
-    ts = t[tiny]
-    out[tiny] = (1.0 - np.abs(ts)) * (np.pi * ts / 3.0 + (np.pi * ts) ** 3 / 45.0)
-    return out
-
-
-def ft_W(t):
-    """Fourier transform of H0 - sgn: purely imaginary, odd, 0 at t=0."""
-    return 1j * _w_transform_imag(t)
-
-
-def ft_r(beta, sign, t):
-    """Fourier transform of r_beta(+/-) on [-1, 1]; real-valued.
-
-    Raises DomainError outside the band; BandlimitedFunction wrappers
-    return 0 there instead.
-    """
-    if sign not in (+1, -1):
-        raise DomainError("sign must be +1 or -1")
-    t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0 + 1e-12):
-        raise DomainError("ft_r defined on |t| <= 1")
-    s = np.sin(2.0 * np.pi * beta * t)
-    # i*sin(2 pi beta t)*W_hat(t) is real because W_hat is purely imaginary
-    val = -s * _w_transform_imag(t)
-    val = val + 2.0 * beta * np.sinc(2.0 * beta * t)
-    val = val + sign * (1.0 - np.abs(t)) * np.cos(2.0 * np.pi * beta * t)
-    return val
-
-
 @dataclass(frozen=True)
 class BandlimitedFunction:
-    """Closed-form time evaluator plus transform on the band [-delta, delta].
+    """A closed-form time evaluator of exponential type 2*pi*delta
+    (type_bound), so that its transform vanishes outside [-delta, delta].
 
-    type_bound is the exponential type 2*pi*delta.  freq_eval may be None
-    for functions whose transform has no convenient closed form (they are
-    still band-limited; only the evaluator is missing).
+    freq_eval and label are kept for callers that supply a transform or a
+    name; pcx itself reads neither.
     """
 
     type_bound: float
     time_eval: Callable[[np.ndarray], np.ndarray]
-    freq_eval: Optional[Callable[[np.ndarray], np.ndarray]]
+    freq_eval: Optional[Callable[[np.ndarray], np.ndarray]] = None
     label: str = ""
 
     @property
@@ -214,18 +170,6 @@ class SelbergPair:
     majorant: SelbergFunction
 
 
-def _banded(freq_raw, delta):
-    def freq_eval(t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        mask = np.abs(t) <= delta
-        if np.any(mask):
-            out[mask] = freq_raw(t[mask])
-        return out
-
-    return freq_eval
-
-
 def make_selberg_pair(beta, delta=1.0):
     """Majorant/minorant pair for chi_[-beta,beta] of type 2*pi*delta.
 
@@ -242,15 +186,9 @@ def make_selberg_pair(beta, delta=1.0):
         def time_eval(x):
             return eval_r(gamma, sign, delta * np.asarray(x, dtype=float))
 
-        freq = _banded(lambda t: ft_r(gamma, sign, t / delta) / delta, delta)
-        name = "majorant" if sign > 0 else "minorant"
-        return SelbergFunction(
-            type_bound=2.0 * np.pi * delta,
-            time_eval=time_eval,
-            freq_eval=freq,
-            label=f"selberg-{name}(beta={beta:g}, delta={delta:g})",
-            gamma=gamma, sign=sign, dilation=delta,
-        )
+        return SelbergFunction(type_bound=2.0 * np.pi * delta,
+                               time_eval=time_eval, gamma=gamma, sign=sign,
+                               dilation=delta)
 
     return SelbergPair(beta=beta, delta=delta,
                        minorant=make(-1), majorant=make(+1))

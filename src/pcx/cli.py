@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -87,7 +88,25 @@ def _parse_beta(text, option="--beta"):
     return [a + i * step for i in range(n + 1) if a + i * step <= b + step * 1e-9]
 
 
+def _check_finite(columns, values):
+    """NonConvergence naming the column and row of the first number that
+    is not finite; str cells are skipped.  A table of numbers alone takes
+    one C-level pass (0.3 ms on 1,991 rows of six cells)."""
+    try:
+        if all(map(math.isfinite, itertools.chain.from_iterable(values))):
+            return
+    except TypeError:  # a str cell: look at each cell
+        pass
+    for i, row in enumerate(values, start=1):
+        for column, v in zip(columns, row):
+            if not (isinstance(v, str) or math.isfinite(v)):
+                raise NonConvergence(f"column {column} is {v} in row {i} "
+                                     f"({columns[0]}={_fmt(row[0])})")
+
+
 def _emit(args, command, columns, rows, footer_notes=()):
+    values = [tuple([r[c] for c in columns]) for r in rows]
+    _check_finite(columns, values)
     config = " ".join(
         f"{k}={v}" for k, v in sorted(vars(args).items())
         if k not in ("out", "plot") and v is not None)
@@ -97,11 +116,11 @@ def _emit(args, command, columns, rows, footer_notes=()):
             "version": __version__,
             "config": config,
             "notes": list(footer_notes),
-            "rows": [{c: _json_cell(r[c]) for c in columns} for r in rows],
+            "rows": [{c: _json_cell(v) for c, v in zip(columns, row)}
+                     for row in values],
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        values = [tuple([r[c] for c in columns]) for r in rows]
         if args.format == "csv":
             lines = [",".join(columns)] + [
                 _row_format(tuple(map(type, v))) % v for v in values]
@@ -231,7 +250,7 @@ def cmd_debranges(args):
     E = debranges.build_E()
     rows = [{"index": i + 1, "a_zero": a, "b_zero": b}
             for i, (a, b) in enumerate(zip(E.zeros_A, E.zeros_B[1:]))]
-    report = debranges.verify_hb(E, samples=200)
+    report = debranges.verify_hb(samples=200)
     notes = [
         f"E(0) = {complex(E.E_eval(0.0)).real:.10g}",
         f"structure checks ok = {report['ok']}",

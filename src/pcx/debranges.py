@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,12 @@ from .kernel import _coefficients, _patched, _row, kernel_eval
 from .numerics import (DomainError, NonConvergence, RootMiss,
                        extrapolate_to_zero, find_root)
 from .pcbounds import m_of
+
+# the companion zeros build_E resolves: every A-zero up to X_MAX
+X_MAX = 60.0
+# largest error estimate quadrature_check accepts for the node tail past
+# X_MAX; on the Fejer kernel it is 2.1e-10
+NODE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -73,11 +79,17 @@ def _nodes(fn, offset, x_hi):
     return roots
 
 
-@lru_cache(maxsize=4)
-def build_E(x_max=60.0):
-    """Construct E with zeros of A and B resolved up to x_max: every
-    A-zero up to x_max, and the B-zeros from 0 through the first one past
-    the last of them."""
+@cache
+def build_E():
+    """The structure function E of the space, with its companion zeros
+    resolved up to X_MAX."""
+    return _hermite_biehler(X_MAX)
+
+
+def _hermite_biehler(x_max):
+    """E with the zeros of A and B resolved up to x_max: every A-zero up
+    to x_max, and the B-zeros from 0 through the first one past the last
+    of them."""
     l_ii = 4.0 * math.pi * kernel_eval(1j, 1j).real
     if l_ii <= 0:
         raise RootMiss("diagonal normalization is not positive")
@@ -107,7 +119,7 @@ def build_E(x_max=60.0):
                           zeros_A=zeros_a, zeros_B=zeros_b, x_max=float(x_max))
 
 
-def _weights(x, p, q, E):
+def _weights(x, p, q):
     """Node weights (p^2 + q^2 x^2) / K_beta(x,x) of H(E_beta), in which
     (p - iqz) f has the norm of f in H(E); (p, q) = (1, 0) gives 1/K(x,x).
     K_beta(x,x) = (p^2 + q^2 x^2) K(x,x) + pq |E(x)|^2 / pi is the Wronskian
@@ -115,10 +127,10 @@ def _weights(x, p, q, E):
     x = np.asarray(x, dtype=float)
     s = p * p + (q * x) ** 2
     return s / (s * kernel_eval(x, x).real
-                + p * q * np.abs(E.E_eval(x)) ** 2 / math.pi)
+                + p * q * np.abs(build_E().E_eval(x)) ** 2 / math.pi)
 
 
-def tilt(beta, E=None):
+def tilt(beta):
     """The node system of E_beta(z) = (p - iqz) E(z) with beta as a node.
 
     One evaluation of E(beta) = A - iB picks the node function and the unit
@@ -133,7 +145,7 @@ def tilt(beta, E=None):
     """
     if not 0 < beta < math.inf:
         raise DomainError("beta must be positive")
-    E = E or build_E()
+    E = build_E()
 
     e_b = complex(E.E_eval(beta))
     a_b, b_b = e_b.real, -e_b.imag
@@ -156,7 +168,7 @@ def tilt(beta, E=None):
     nodes = _nodes(node_fn, 0.75 if part == 1.0 else 0.25, max(E.x_max, beta))
     # beta is a node by construction; put it there exactly
     nodes[np.argmin(np.abs(nodes - beta))] = beta
-    weights = _weights(nodes, p, q, E)
+    weights = _weights(nodes, p, q)
     lp, lm = _masses(nodes, weights, beta)
     return TiltedSpace(beta=beta, p=p, q=q, regime=regime, E_beta_eval=E_beta,
                        nodes=nodes, weights=weights,
@@ -174,27 +186,26 @@ def _masses(nodes, w, beta):
     return total(nodes <= beta), total(nodes < beta)
 
 
-def lambda_values(beta, E=None):
+def lambda_values(beta):
     """Optimal majorant/minorant masses for the window [-beta, beta]."""
-    t = tilt(beta, E)
+    t = tilt(beta)
     return t.lambda_plus, t.lambda_minus
 
 
-def case3_majorant(beta, E=None):
+def case3_majorant(beta):
     """The explicit optimal majorant below the first A-zero.
 
     Q(z) = C * A_beta(z)/(beta^2 - z^2) squared, normalized so Q(+/-beta)=1.
     """
-    E = E or build_E()
-    a1 = E.zeros_A[0]
+    a1 = build_E().zeros_A[0]
     if not 0.0 < beta < a1:
         raise DomainError(f"beta must lie in (0, {a1:.6f})")
-    t = tilt(beta, E)
+    t = tilt(beta)
     if t.regime != "case_bk_ak1":
         raise RootMiss("unexpected regime below the first A-zero")
     # A_beta(beta) = 0, so the Wronskian pi K_beta(beta, beta) = -A_beta'(beta)
     # B_beta(beta) gives the slope without a numerical derivative
-    k_bb = (t.p ** 2 + (t.q * beta) ** 2) / float(_weights(beta, t.p, t.q, E))
+    k_bb = (t.p ** 2 + (t.q * beta) ** 2) / float(_weights(beta, t.p, t.q))
     dA = math.pi * k_bb / complex(t.E_beta_eval(beta)).imag
     C = -2.0 * beta / dA
 
@@ -205,32 +216,33 @@ def case3_majorant(beta, E=None):
     def time_eval(x):
         return _patched(q_raw, x, center=beta) ** 2
 
-    return BandlimitedFunction(type_bound=2.0 * math.pi, time_eval=time_eval,
-                               freq_eval=None,
-                               label=f"endpoint-majorant(beta={beta:g})")
+    return BandlimitedFunction(type_bound=2.0 * math.pi, time_eval=time_eval)
 
 
-def quadrature_check(F, which, beta=None, E=None, node_tol=1e-7):
+def quadrature_check(F, which, beta=None, E=None):
     """Mass of F against the pair correlation density two ways: M(F) by
     quadrature (pcbounds.m_of) and the node sum with the weights of the
     node system.
 
     which: one of A_nodes, B_nodes, A_beta_nodes, B_beta_nodes; the tilted
     variants need beta and take the nodes and weights of tilt(beta).
-    With 30 or more nodes the node sum is extrapolated past x_max, and
-    NonConvergence is raised when that estimate exceeds node_tol.
+    With 30 or more nodes the node sum is extrapolated past X_MAX, and
+    NonConvergence is raised when that estimate exceeds NODE_TOL.
+    E, when given, must be build_E(), the one structure function.
     Returns (integral, node_sum).
     """
-    E = E or build_E()
+    if E is not None and E is not build_E():
+        raise DomainError("E must be build_E()")
     integral = m_of(F)
 
     if which in ("A_nodes", "B_nodes"):
+        E = build_E()
         nodes = E.zeros_A if which == "A_nodes" else E.zeros_B
-        weights = _weights(nodes, 1.0, 0.0, E)
+        weights = _weights(nodes, 1.0, 0.0)
     elif which in ("A_beta_nodes", "B_beta_nodes"):
         if beta is None:
             raise DomainError("tilted node systems need beta")
-        t = tilt(beta, E)
+        t = tilt(beta)
         want = "case_bk_ak1" if which == "A_beta_nodes" else "case_ak_bk"
         if t.regime != want:
             raise DomainError(
@@ -250,7 +262,7 @@ def quadrature_check(F, which, beta=None, E=None, node_tol=1e-7):
     if m >= 30:
         idx = np.array([m - 1 - 5 * j for j in range(6)][::-1])
         value, est = extrapolate_to_zero(1.0 / nodes_o[idx], cum[idx])
-        if est > node_tol:
+        if est > NODE_TOL:
             raise NonConvergence(
                 f"node tail beyond x_max may contribute {est:.2e}")
         node_sum = value
@@ -272,13 +284,13 @@ def _recurrence_points(count, dim):
     return (0.5 + k * alpha) % 1.0
 
 
-def verify_hb(E=None, samples=1000):
+def verify_hb(samples=1000):
     """Check the defining inequalities of the structure function:
     |E(conj z)| < |E(z)| and 2 pi i (conj z - z) K(z,z) > 0 at `samples`
     points z of [-6, 6] x [1e-3, 4] in the upper half-plane, and E real at
     64 points of [-4, 4] on the imaginary axis.  The points come from
     _recurrence_points, so every call checks the same ones."""
-    E = E or build_E()
+    E = build_E()
     u = _recurrence_points(samples, 2)
     z = (-6.0 + 12.0 * u[:, 0]) + 1j * (1e-3 + (4.0 - 1e-3) * u[:, 1])
     modulus_bad = ~(np.abs(E.E_eval(np.conj(z))) < np.abs(E.E_eval(z)))

@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import DomainError, integrate_real_line
-from .beurling import BandlimitedFunction
+from .numerics import DomainError
 from .pcbounds import pc_density
 
 _SQ = 2.0 ** -0.5
@@ -101,25 +100,6 @@ def kernel_eval(w, z):
     points +/-Z0 are patched.
     """
     return _patched(_k_raw, w, z)
-
-
-def reproduce(f, w):
-    """<f, K(w,.)> in the weighted space; equals f(w) for type-pi f.
-
-    f may be a BandlimitedFunction or a plain evaluator accepting real
-    ndarrays (possibly returning complex values).  f and K(w,.) have type
-    pi and the density type 2 pi, so the integrand's transform vanishes
-    outside [-2, 2]; the product of two e^(+/- i pi x) oscillations repeats
-    over period 1.
-    """
-    ev = f.time_eval if isinstance(f, BandlimitedFunction) else f
-    w = complex(w)
-
-    def integrand(x):
-        kv = kernel_eval(w, x.astype(complex))
-        return np.asarray(ev(x)) * np.conj(kv) * pc_density(x)
-
-    return complex(integrate_real_line(integrand, 2.0))
 
 
 def one_delta():

@@ -58,6 +58,10 @@ _CHUNK = 128
 # ordinate of the window
 _RUN_PAIRS = 4
 
+# factor on the height where the average counting function reaches the
+# count asked of generate_zeros, to which its scan runs
+T_GUESS_PAD = 1.15
+
 # ordinates per block of F
 _BLOCK = 16
 # F sums a pair exactly unless its blocks lie at least as many blocks apart
@@ -177,9 +181,9 @@ def count_pairs(ds, T, beta):
     beta is a float, which gives an int, or an array, which gives an
     array of counts in its shape.  A pair (i, j) of the sorted window g
     counts at w = 2 pi beta / log T when j is past the ties of g_i and
-    g_j <= g_i + w, the comparison searchsorted(g, g + w, "right") makes.
-    The w are swept in ascending runs (_sweep), so a whole grid costs
-    about one searchsorted per run rather than one per beta.
+    g_j - g_i <= w, as in count_pairs_brute.  The w are swept in
+    ascending runs (_sweep), so a whole grid costs about one searchsorted
+    per run rather than one per beta.
     """
     b = np.asarray(beta, dtype=float)
     if not ((0 < b) & (b < math.inf)).all():
@@ -192,29 +196,40 @@ def count_pairs(ds, T, beta):
     return int(counts[0]) if b.ndim == 0 else counts.reshape(b.shape)
 
 
+def _ends(g, w):
+    """hi_i, the first j with g_j - g_i > w, for each i of the sorted
+    window g.  searchsorted compares g_j with g_i + w rounded, which can
+    land on the g_j just past the window, or, when g_j - g_i and g_i + w
+    both round at a tie, just short of the last g_j inside it; never
+    further, so one step either way mends the end."""
+    hi = np.searchsorted(g, g + w, side="right")
+    hi -= g[hi - 1] - g > w
+    return hi + ((hi < len(g)) & (g[np.minimum(hi, len(g) - 1)] - g <= w))
+
+
 def _sweep(g, w):
     """Pair counts of the sorted window g at each w, w ascending (repeats
     allowed: a repeat switches on no pair).
 
-    hi_i(w) = searchsorted(g, g_i + w, "right") grows with w.  A run from
-    w[a] to w[b] takes one searchsorted at its far end (the near end is
-    the last run's); the pairs (i, j) with hi_i(w[a]) <= j < hi_i(w[b])
-    switch on inside it, and a bisection on the same comparison
-    g_j <= g_i + w[k] gives each the first k that counts it, so the
-    counts are the count at w[a] plus a cumulative bincount.  A run ends
-    where it would switch on more than _RUN_PAIRS pairs per ordinate
-    (sized from the last run's density; a run of one step needs no
-    pairs), so the sweep holds O(n) pairs at a time.
+    hi_i(w) (_ends) grows with w.  A run from w[a] to w[b] takes one
+    searchsorted at its far end (the near end is the last run's); the
+    pairs (i, j) with hi_i(w[a]) <= j < hi_i(w[b]) switch on inside it,
+    and a bisection on the same comparison g_j - g_i <= w[k] gives each
+    the first k that counts it, so the counts are the count at w[a] plus
+    a cumulative bincount.  A run ends where it would switch on more than
+    _RUN_PAIRS pairs per ordinate (sized from the last run's density; a
+    run of one step needs no pairs), so the sweep holds O(n) pairs at a
+    time.
     """
     n = len(g)
     cap = _RUN_PAIRS * n
     lo = np.searchsorted(g, g, side="right")
-    hi = np.searchsorted(g, g + w[0], side="right")
+    hi = _ends(g, w[0])
     counts = np.empty(len(w), dtype=np.int64)
     counts[0] = np.sum(hi - lo)
     a, b = 0, len(w) - 1
     while a < len(w) - 1:
-        top = np.searchsorted(g, g + w[b], side="right")
+        top = _ends(g, w[b])
         new = top - hi
         total = int(np.sum(new))
         if total > cap and b > a + 1:
@@ -225,15 +240,15 @@ def _sweep(g, w):
             counts[b] = counts[a] + total
         else:
             # the pairs row by row: j runs from hi_i to top_i - 1
-            gi = np.repeat(g, new)
-            gj = g[np.arange(total) - np.repeat(np.cumsum(new) - new - hi, new)]
+            gap = (g[np.arange(total) - np.repeat(np.cumsum(new) - new - hi, new)]
+                   - np.repeat(g, new))
             # w[left] does not count the pair and w[right] does; at
             # right = left + 1, mid is left and stays so
             left = np.full(total, a)
             right = np.full(total, b)
             for _ in range((b - a - 1).bit_length()):
                 mid = (left + right) // 2
-                on = gj <= gi + w[mid]
+                on = gap <= w[mid]
                 right = np.where(on, mid, right)
                 left = np.where(on, left, mid)
             counts[a + 1 : b + 1] = counts[a] + np.cumsum(
@@ -547,13 +562,13 @@ def empirical_table(ds, T, betas):
             for r, c in zip(rows, counts)]
 
 
-def generate_zeros(count, path=None, t_guess_pad=1.15):
+def generate_zeros(count, path=None):
     """Compute the first `count` ordinates of the critical-line zeros.
 
     Sign-change scan of the real Riemann-Siegel Z function on a 0.05 grid,
     every bracket refined to width 1e-12 by numerics.find_root; the scan
-    ceiling comes from inverting the average counting function with some
-    padding; NoRoot if the scan finds fewer than `count` zeros.  Used once
+    ceiling comes from inverting the average counting function, padded by
+    T_GUESS_PAD; NoRoot if the scan finds fewer than `count` zeros.  Used once
     to build the shipped dataset; slow (minutes for 10^4 zeros).  A 1e-10
     bracket's midpoint may lie 5e-11 off, enough to change the ninth
     written decimal of 22 of the first 1,000 ordinates; 1e-12 changes none,
@@ -567,7 +582,7 @@ def generate_zeros(count, path=None, t_guess_pad=1.15):
     t_hi = 10.0
     while t_hi / (2 * math.pi) * (math.log(t_hi / (2 * math.pi)) - 1) < count:
         t_hi *= 1.3
-    t_hi *= t_guess_pad
+    t_hi *= T_GUESS_PAD
 
     z = np.vectorize(mpmath.fp.siegelz, otypes=[float])
     zeros = find_root(z, np.arange(14.0, t_hi, 0.05), tol=1e-12)

@@ -1,0 +1,89 @@
+"""Closed forms and identities that check pcx but that pcx itself never
+evaluates: the Fourier transforms of the Selberg functions, the constant
+recombination G = 1/2 of the lattice series, and the reproducing property
+of the kernel."""
+
+import numpy as np
+
+from pcx import pcbounds as pb
+from pcx.beurling import BandlimitedFunction
+from pcx.kernel import kernel_eval
+from pcx.numerics import DomainError, integrate_real_line
+from pcx.special import _out
+
+
+def w_transform_imag(t):
+    """Imaginary part of the transform of H0 - sgn (the transform is i*this)."""
+    t = np.asarray(t, dtype=float)
+    at = np.abs(t)
+    out = np.zeros_like(t)
+    outer = at >= 1.0
+    out[outer] = 1.0 / (np.pi * t[outer])
+    inner = (~outer) & (at > 1e-6)
+    ti = t[inner]
+    cot_part = np.pi * ti / np.tan(np.pi * ti) - 1.0
+    out[inner] = -(1.0 - np.abs(ti)) * cot_part / (np.pi * ti)
+    tiny = (~outer) & ~inner & (at > 0)
+    ts = np.pi * t[tiny]
+    out[tiny] = (1.0 - np.abs(t[tiny])) * (ts / 3.0 + ts ** 3 / 45.0)
+    return out
+
+
+def ft_W(t):
+    """Fourier transform of H0 - sgn: purely imaginary, odd, 0 at t=0."""
+    return 1j * w_transform_imag(t)
+
+
+def ft_r(beta, sign, t):
+    """Fourier transform of r_beta(+/-) on [-1, 1]; real-valued.
+
+    DomainError outside the band, where selberg_ft gives 0 instead.
+    """
+    if sign not in (+1, -1):
+        raise DomainError("sign must be +1 or -1")
+    t = np.asarray(t, dtype=float)
+    if np.any(np.abs(t) > 1.0 + 1e-12):
+        raise DomainError("ft_r defined on |t| <= 1")
+    s = np.sin(2.0 * np.pi * beta * t)
+    # i*sin(2 pi beta t)*W_hat(t) is real because W_hat is purely imaginary
+    return (-s * w_transform_imag(t) + 2.0 * beta * np.sinc(2.0 * beta * t)
+            + sign * (1.0 - np.abs(t)) * np.cos(2.0 * np.pi * beta * t))
+
+
+def selberg_ft(R, t):
+    """Transform of a SelbergFunction x -> r_gamma(dilation x), which is
+    ft_r(gamma, sign, t / dilation) / dilation on its band and 0 off it."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    band = np.abs(t) <= R.dilation
+    out[band] = ft_r(R.gamma, R.sign, t[band] / R.dilation) / R.dilation
+    return out
+
+
+def g_of(delta, beta):
+    """The unsigned recombination of the lattice series; constant 1/2."""
+    b = pb._checked_betas(delta, beta)
+    g = np.empty(len(b))
+    for rows, n, terms, n_lo, n_hi in pb._windows(delta, b):
+        g[rows] = np.sum(terms, axis=1) + pb._series_tails(
+            delta, b[rows], n_hi, -n_lo, +1.0, +1.0)
+    return _out(g.reshape(np.shape(beta)))
+
+
+def reproduce(f, w):
+    """<f, K(w,.)> in the weighted space; equals f(w) for type-pi f.
+
+    f may be a BandlimitedFunction or a plain evaluator accepting real
+    ndarrays (possibly returning complex values).  f and K(w,.) have type
+    pi and the density type 2 pi, so the integrand's transform vanishes
+    outside [-2, 2]; the product of two e^(+/- i pi x) oscillations repeats
+    over period 1.
+    """
+    ev = f.time_eval if isinstance(f, BandlimitedFunction) else f
+    w = complex(w)
+
+    def integrand(x):
+        kv = kernel_eval(w, x.astype(complex))
+        return np.asarray(ev(x)) * np.conj(kv) * pb.pc_density(x)
+
+    return complex(integrate_real_line(integrand, 2.0))

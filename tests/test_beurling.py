@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import ft_r, ft_W, selberg_ft
 from pcx import beurling as bs
-from pcx.numerics import DomainError
+from pcx.numerics import DomainError, integrate_real_line
 from pcx.special import trigamma
 
 
@@ -180,34 +181,42 @@ def test_branches_meet_at_ten():
 
 def test_transform_at_zero():
     for beta in (0.4, 1.0, 2.3):
-        assert abs(bs.ft_r(beta, +1, np.array([0.0]))[0] - (2 * beta + 1)) < 1e-12
-        assert abs(bs.ft_r(beta, -1, np.array([0.0]))[0] - (2 * beta - 1)) < 1e-12
+        assert abs(ft_r(beta, +1, np.array([0.0]))[0] - (2 * beta + 1)) < 1e-12
+        assert abs(ft_r(beta, -1, np.array([0.0]))[0] - (2 * beta - 1)) < 1e-12
 
 
 def test_transform_band_limit():
     with pytest.raises(DomainError):
-        bs.ft_r(1.0, +1, np.array([1.5]))
+        ft_r(1.0, +1, np.array([1.5]))
 
 
 def test_transform_small_t_series_continuity():
     # the series branch must join the closed form smoothly across the
     # 1e-6 cutover: the local slope there is pi/3
     t = np.array([0.99e-6, 1.01e-6])
-    v = bs.ft_W(t).imag
+    v = ft_W(t).imag
     assert abs((v[1] - v[0]) - (math.pi / 3) * (t[1] - t[0])) < 1e-10
-    assert np.all(np.isfinite(bs.ft_W(np.array([0.0, 1e-9, 1e-3, 0.5, 1.0])).imag))
+    assert np.all(np.isfinite(ft_W(np.array([0.0, 1e-9, 1e-3, 0.5, 1.0])).imag))
 
 
-def test_transform_matches_numerical_fourier():
-    # hat r(t) = int r(x) e(-xt) dx, checked by the sampling sum: the
-    # cosine moves the band [-1, 1] out to 1.25 and repeats every 4
-    from pcx.numerics import integrate_real_line
-    beta, t = 0.8, 0.25
-    for sign in (+1, -1):
-        def integrand(x):
-            return bs.eval_r(beta, sign, x) * np.cos(2 * math.pi * t * x)
-        num = integrate_real_line(integrand, 1.25, 4.0)
-        assert abs(num - bs.ft_r(beta, sign, np.array([t]))[0]) < 1e-10
+@settings(max_examples=20, deadline=None)
+@given(beta=st.floats(0.05, 20.0), sign=st.sampled_from([1, -1]),
+       delta=st.sampled_from([1.0, 2.0]), k=st.integers(-16, 16))
+@example(beta=0.8, sign=1, delta=1.0, k=1)
+@example(beta=0.8, sign=-1, delta=1.0, k=1)
+def test_transform_matches_numerical_fourier(beta, sign, delta, k):
+    # hat R(t) = int R(x) e(-xt) dx of a Selberg function R by the sampling
+    # sum alone: 0 past its band [-delta, delta], the oracle inside.  The
+    # cosine moves the band out to delta + |t|; at t = k/4 the integrand
+    # repeats every 4
+    t = k / 4.0
+    assume(abs(t) != delta)
+    pair = bs.make_selberg_pair(beta, delta)
+    R = pair.majorant if sign > 0 else pair.minorant
+    num = integrate_real_line(
+        lambda x: R.time_eval(x) * np.cos(2.0 * math.pi * t * x),
+        delta + abs(t), 4.0)
+    assert abs(num - selberg_ft(R, np.array([t]))[0]) <= 1e-10
 
 
 def test_selberg_pair_dilation():
@@ -218,7 +227,7 @@ def test_selberg_pair_dilation():
     assert np.all(pair.majorant.time_eval(x) >= chi - 1e-10)
     assert np.all(pair.minorant.time_eval(x) <= chi + 1e-10)
     # transform vanishes outside the widened band
-    assert pair.majorant.freq_eval(np.array([2.5]))[0] == 0.0
+    assert selberg_ft(pair.majorant, np.array([2.5]))[0] == 0.0
 
 
 def test_far_series_is_the_far_branch():

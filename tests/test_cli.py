@@ -186,6 +186,25 @@ def test_bad_beta_grid(capsys):
     # too many points to build: rejected before the grid is formed
     assert cli.main(["bounds", "--beta", "0.1:1e308:1e-300"]) == 2
     assert cli.main(["twodelta", "--beta", "1:1e7:1e-3"]) == 2
+    # a lattice window of more than 10^7 terms, refused before it is built
+    for argv in ("--beta 1e15", "--beta 3e9", "--beta 6e6 --delta 2"):
+        assert cli.main(["bounds"] + argv.split()) == 2
+        assert "delta*beta must be at most 10,000,000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("cmd, cell", [
+    ("twodelta --beta 1e300", "column two_delta is nan in row 1 (beta=1e+300)"),
+    ("bounds --beta 1e-300", "column lower is inf in row 1 (beta=1e-300)"),
+    ("bounds --beta 1e-320", "column lower is nan in row 1"),
+])
+def test_non_finite_cell_is_a_numerical_failure(capsys, cmd, cell, fmt):
+    # the one emitter checks every cell before it writes any
+    with np.errstate(all="ignore"):
+        assert cli.main(cmd.split() + ["--format", fmt]) == cli.EXIT_NUMERICS
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(
+        "pcx: numerical failure: " + cell)
 
 
 def test_table_format(capsys):
@@ -237,7 +256,7 @@ def test_emit_rows_match_cell_rule(capsys, fmt):
     columns = ["a", "b", "c", "d"]
     values = [
         ("x", 3, np.int64(-7), 0.1),
-        (np.float64(1 / 3), math.inf, -math.inf, math.nan),
+        (np.float64(1 / 3), 1e308, -5e-324, -2.5),
         (-0.0, 12345678901234, np.int64(2) ** 40, "a,b"),
         (2.5e-300, np.float64(-1e300), 10 ** 10 + 1, True),
         (1e10 + 1, 7, "", np.float32(0.1)),

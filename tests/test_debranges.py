@@ -59,7 +59,9 @@ def test_structure_function_kernel_identity(E):
 @example(x_max=137.79)
 @example(x_max=1000.0)
 def test_zero_interlacing(E, x_max):
-    F = db.build_E(x_max)
+    # the cell rule on any range; build_E() is the range X_MAX
+    assert E.x_max == db.X_MAX
+    F = db._hermite_biehler(x_max)
     a, b = F.zeros_A, F.zeros_B
     assert b[0] == 0.0
     assert len(b) == len(a) + 1
@@ -120,18 +122,18 @@ def _node_function(t):
 def test_tilted_diag_matches_wronskian(E):
     a1, b1 = float(E.zeros_A[0]), float(E.zeros_B[1])
     for beta in (0.5 * a1, 0.5 * (a1 + b1), 2.2, 4.7):  # two per regime
-        t = db.tilt(beta, E)
+        t = db.tilt(beta)
         assert t.regime in ("case_bk_ak1", "case_ak_bk")
         assert t.p > 0 and t.q > 0 and t.p ** 2 + t.q ** 2 == pytest.approx(1)
         xs = np.concatenate([t.nodes[:6], [0.1, 0.37, 3.3]])
         # K_beta(x,x) from the weights is the Wronskian of Re and -Im E_beta
-        diag = (t.p ** 2 + (t.q * xs) ** 2) / db._weights(xs, t.p, t.q, E)
+        diag = (t.p ** 2 + (t.q * xs) ** 2) / db._weights(xs, t.p, t.q)
         want = _wronskian(lambda x: np.real(t.E_beta_eval(x)),
                           lambda x: -np.imag(t.E_beta_eval(x)), xs)
         assert np.max(np.abs(diag - want)) < 1e-11 * np.max(np.abs(want))
     # untilted, the weights are 1/K(x,x)
     xs = E.zeros_A[:5]
-    assert np.array_equal(db._weights(xs, 1.0, 0.0, E),
+    assert np.array_equal(db._weights(xs, 1.0, 0.0),
                           1.0 / kernel_eval(xs, xs).real)
 
 
@@ -150,16 +152,16 @@ def test_tilt_regimes(E):
     # odd, so 0 is a node
     a, b = E.zeros_A, E.zeros_B
     for k in (0, 1, 5, 40):
-        t = db.tilt(0.5 * (b[k] + a[k]), E)
+        t = db.tilt(0.5 * (b[k] + a[k]))
         assert t.regime == "case_bk_ak1"
         assert t.nodes[0] > 0
-        t = db.tilt(0.5 * (a[k] + b[k + 1]), E)
+        t = db.tilt(0.5 * (a[k] + b[k + 1]))
         assert t.regime == "case_ak_bk"
         assert t.nodes[0] == 0.0
     with pytest.raises(DomainError):
-        db.tilt(-1.0, E)
+        db.tilt(-1.0)
     # beta at the end of the resolved zero range is an ordinary node
-    t = db.tilt(E.x_max, E)
+    t = db.tilt(E.x_max)
     assert E.x_max in t.nodes
     assert len(t.nodes) == math.ceil(E.x_max) + 1
     delta = two_delta(E.x_max).value
@@ -176,18 +178,18 @@ def test_tilt_regimes(E):
 def test_tilt_one_node_per_cell(E, beta):
     # the cells of _nodes hold one node each on [0, max(x_max, beta)], beta
     # is one of them, and the masses differ by Delta(beta) past x_max too
-    t = db.tilt(beta, E)
+    t = db.tilt(beta)
     assert len(t.nodes) == math.ceil(max(E.x_max, beta)) + 1
     assert beta in t.nodes
     delta = two_delta(beta).value
     assert abs((t.lambda_plus - t.lambda_minus) - delta) <= 1e-12
 
 
-def test_masses_match_two_delta_to_rounding(E):
+def test_masses_match_two_delta_to_rounding():
     # past x_max, lambda_+/- ~ 2 beta and the rounding of lambda_+ alone sets
     # how well lambda_+ - lambda_- can match Delta(beta)
     for beta in (150.3, 990.3, 5000.3, 10000.3):
-        t = db.tilt(beta, E)
+        t = db.tilt(beta)
         gap = (t.lambda_plus - t.lambda_minus) - two_delta(beta).value
         assert abs(gap) <= 2.0 * math.ulp(t.lambda_plus)
 
@@ -212,7 +214,7 @@ def test_masses_on_a_zero_match_two_delta(E):
     for zeros in (E.zeros_A, E.zeros_B):
         weights = 1.0 / kernel_eval(zeros, zeros).real
         for beta in zeros[(zeros > 0) & (zeros < 56.0)]:
-            t = db.tilt(float(beta), E)
+            t = db.tilt(float(beta))
             assert min(t.p, t.q) < 1e-10
             inside = zeros <= beta
             untilted = (np.sum(weights[inside])
@@ -222,9 +224,9 @@ def test_masses_on_a_zero_match_two_delta(E):
             assert abs((t.lambda_plus - t.lambda_minus) - delta) <= 1e-12
 
 
-def test_tilted_companions_vanish_at_beta(E):
+def test_tilted_companions_vanish_at_beta():
     for beta in (0.5, 0.9, 2.2, 4.7):  # both regimes
-        t = db.tilt(beta, E)
+        t = db.tilt(beta)
         assert abs(float(_node_function(t)(np.array([beta]))[0])) < 1e-9
         assert beta in t.nodes
         # and every node is a root of it
@@ -247,10 +249,11 @@ def test_tilt_kernel_calls(E, monkeypatch):
 
     monkeypatch.setattr(db, "kernel_eval", counting_kernel)
     F = dataclasses.replace(E, E_eval=counting_E)
+    monkeypatch.setattr(db, "build_E", lambda: F)
     for beta in (0.3, 1.3, 2.2, 30.1):
         e_calls.clear()
         k_calls.clear()
-        db.tilt(beta, F)
+        db.tilt(beta)
         assert len(e_calls) <= 20
         assert len(k_calls) == 1
 
@@ -262,16 +265,16 @@ def test_lambda_monotone_across_zeros(E):
     zeros = np.concatenate([E.zeros_A, E.zeros_B[1:]])
     for z in zeros[zeros < 56.0]:
         z = float(z)
-        wide = [db.lambda_values(z + d, E) for d in (-1e-4, 1e-4)]
+        wide = [db.lambda_values(z + d) for d in (-1e-4, 1e-4)]
         assert wide[1][0] >= wide[0][0] and wide[1][1] >= wide[0][1]
-        near = [db.lambda_values(z + d, E) for d in (-1e-7, 1e-7)]
+        near = [db.lambda_values(z + d) for d in (-1e-7, 1e-7)]
         for before, after in zip(*near):
             assert 0.0 <= after - before <= 1e-5
 
 
-def test_lambda_consistency_with_two_delta(E):
+def test_lambda_consistency_with_two_delta():
     for beta in (0.45, 0.9, 1.6, 2.8):
-        lp, lm = db.lambda_values(beta, E)
+        lp, lm = db.lambda_values(beta)
         assert lp > lm > 0 or (lm == 0.0 and lp > 0)
         assert lp - lm == pytest.approx(two_delta(beta).value, abs=1e-9)
 
@@ -283,7 +286,7 @@ def test_optimal_pair_matches_two_delta(E, beta):
     # K(beta, beta) >= 1: the weight 1 - sinc^2 is at most 1
     zeros = np.concatenate([E.zeros_A, E.zeros_B])
     assume(np.min(np.abs(zeros - beta)) >= 1e-3)
-    lp, lm = db.lambda_values(beta, E)
+    lp, lm = db.lambda_values(beta)
     delta = two_delta(beta).value
     assert 0.0 < delta <= 2.0
     assert abs((lp - lm) - delta) <= 1e-12
@@ -296,75 +299,66 @@ def test_optimal_interval_inside_selberg(E, beta):
     # optimal ones from outside
     zeros = np.concatenate([E.zeros_A, E.zeros_B])
     assume(np.min(np.abs(zeros - beta)) >= 1e-3)
-    lp, lm = db.lambda_values(beta, E)
+    lp, lm = db.lambda_values(beta)
     assert 2.0 * m_selberg(beta, 1.0, -1).closed_form <= lm + 1e-12
     assert lp <= 2.0 * m_selberg(beta, 1.0, +1).closed_form + 1e-12
 
 
 @settings(max_examples=30, deadline=None)
 @given(beta=st.floats(0.05, 55.0), step=st.floats(1e-6, 1.0))
-def test_lambda_nondecreasing(E, beta, step):
+def test_lambda_nondecreasing(beta, step):
     # a wider window admits every majorant and minorant of a narrower one
-    lp, lm = db.lambda_values(beta, E)
-    lp2, lm2 = db.lambda_values(beta + step, E)
+    lp, lm = db.lambda_values(beta)
+    lp2, lm2 = db.lambda_values(beta + step)
     assert lp2 >= lp - 1e-12 and lm2 >= lm - 1e-12
 
 
-def test_quadrature_check_fejer(E):
-    F = BandlimitedFunction(type_bound=2 * math.pi,
-                            time_eval=lambda x: np.sinc(np.asarray(x)) ** 2,
-                            freq_eval=None, label="fejer")
+def test_quadrature_check_fejer(E, monkeypatch):
+    F = BandlimitedFunction(2 * math.pi, lambda x: np.sinc(np.asarray(x)) ** 2)
     for which in ("A_nodes", "B_nodes"):
         integral, nodesum = db.quadrature_check(F, which, E=E)
         assert abs(integral - nodesum) < 1e-9
     with pytest.raises(DomainError):
-        db.quadrature_check(F, "C_nodes", E=E)
+        db.quadrature_check(F, "C_nodes")
     with pytest.raises(DomainError):
-        db.quadrature_check(F, "A_beta_nodes", E=E)  # beta missing
+        db.quadrature_check(F, "A_beta_nodes")  # beta missing
+    with pytest.raises(DomainError):  # E is build_E() or nothing
+        db.quadrature_check(F, "A_nodes", E=db._hermite_biehler(20.0))
     # the node tail beyond x_max is estimated at 2.1e-10 on the A-nodes
+    monkeypatch.setattr(db, "NODE_TOL", 1e-15)
     with pytest.raises(NonConvergence):
-        db.quadrature_check(F, "A_nodes", E=E, node_tol=1e-15)
+        db.quadrature_check(F, "A_nodes")
+
+
+# a shifted Fejer kernel, whose mass the tilted node sums must reproduce
+SHIFTED_FEJER = BandlimitedFunction(
+    2 * math.pi, lambda x: np.sinc(np.asarray(x) - 0.4) ** 2)
 
 
 def test_quadrature_check_tilted(E):
-    F = BandlimitedFunction(type_bound=2 * math.pi,
-                            time_eval=lambda x: np.sinc(np.asarray(x) - 0.4)
-                            * np.sinc(np.asarray(x) + 0.4),
-                            freq_eval=None, label="shifted")
-
-    def sq(x):
-        return np.sinc(np.asarray(x) - 0.4) ** 2
-
-    Fsq = BandlimitedFunction(type_bound=2 * math.pi, time_eval=sq,
-                              freq_eval=None, label="shifted-sq")
     beta_a = 0.5 * float(E.zeros_A[0])  # case_bk_ak1
-    integral, nodesum = db.quadrature_check(Fsq, "A_beta_nodes", beta=beta_a, E=E)
+    integral, nodesum = db.quadrature_check(SHIFTED_FEJER, "A_beta_nodes", beta=beta_a)
     assert abs(integral - nodesum) < 1e-9
     beta_b = 0.5 * float(E.zeros_A[0] + E.zeros_B[1])  # case_ak_bk
-    integral, nodesum = db.quadrature_check(Fsq, "B_beta_nodes", beta=beta_b, E=E)
+    integral, nodesum = db.quadrature_check(SHIFTED_FEJER, "B_beta_nodes", beta=beta_b)
     assert abs(integral - nodesum) < 1e-9
     # asking for the wrong tilted system is a domain error
     with pytest.raises(DomainError):
-        db.quadrature_check(Fsq, "B_beta_nodes", beta=beta_a, E=E)
+        db.quadrature_check(SHIFTED_FEJER, "B_beta_nodes", beta=beta_a)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_quadrature_check_right_of_b_zero(E, k):
     # just right of b_k the A_beta root nearest 0 lies below 0.05; the node
     # sum holds its mass
-    def sq(x):
-        return np.sinc(np.asarray(x) - 0.4) ** 2
-
-    Fsq = BandlimitedFunction(type_bound=2 * math.pi, time_eval=sq,
-                              freq_eval=None, label="shifted-sq")
     beta = float(E.zeros_B[k]) + 1e-4
-    integral, nodesum = db.quadrature_check(Fsq, "A_beta_nodes", beta=beta, E=E)
+    integral, nodesum = db.quadrature_check(SHIFTED_FEJER, "A_beta_nodes", beta=beta)
     assert abs(integral - nodesum) < 1e-9
 
 
-def test_case3_majorant_properties(E):
+def test_case3_majorant_properties():
     beta = 0.25
-    Q = db.case3_majorant(beta, E)
+    Q = db.case3_majorant(beta)
     xs = np.linspace(-8, 8, 2001)
     chi = (np.abs(xs) <= beta).astype(float)
     vals = Q.time_eval(xs)
@@ -372,19 +366,19 @@ def test_case3_majorant_properties(E):
     assert Q.time_eval(np.array([beta]))[0] == pytest.approx(1.0, abs=1e-9)
     assert Q.time_eval(np.array([-beta]))[0] == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(DomainError):
-        db.case3_majorant(0.9, E)
+        db.case3_majorant(0.9)
 
 
-def test_case3_mass_equals_lambda_plus(E):
+def test_case3_mass_equals_lambda_plus():
     beta = 0.25
-    Q = db.case3_majorant(beta, E)
-    lp, _ = db.lambda_values(beta, E)
-    integral, nodesum = db.quadrature_check(Q, "A_beta_nodes", beta=beta, E=E)
+    Q = db.case3_majorant(beta)
+    lp, _ = db.lambda_values(beta)
+    integral, nodesum = db.quadrature_check(Q, "A_beta_nodes", beta=beta)
     assert abs(integral - lp) < 1e-8
     assert abs(nodesum - lp) < 1e-8
 
 
-def test_patch_disc_beta(E):
+def test_patch_disc_beta():
     # beta = 0.225 lies in the +/-Z0 patch disc of the kernel, so lambda and
     # the case-3 slope read the patched diagonal from scalar calls; they
     # agree with a Richardson mean of unpatched neighbours
@@ -392,21 +386,21 @@ def test_patch_disc_beta(E):
     beta = 0.225
     assert _near(beta, _Z0)
     assert not any(_near(beta + d, _Z0) for d in (2e-4, -2e-4, 4e-4, -4e-4))
-    lam = {d: db.lambda_values(beta + d, E)[0] for d in (0, 2e-4, -2e-4, 4e-4, -4e-4)}
+    lam = {d: db.lambda_values(beta + d)[0] for d in (0, 2e-4, -2e-4, 4e-4, -4e-4)}
     mean = (4 * (lam[2e-4] + lam[-2e-4]) - (lam[4e-4] + lam[-4e-4])) / 6
     assert abs(lam[0] - mean) < 1e-9
-    Q = db.case3_majorant(beta, E)
+    Q = db.case3_majorant(beta)
     assert abs(float(Q.time_eval(beta)) - 1.0) < 1e-11
     assert abs(float(Q.time_eval(-beta)) - 1.0) < 1e-11
 
 
-def test_lambda_minus_zero_below_first_a_zero(E):
-    _, lm = db.lambda_values(0.2, E)
+def test_lambda_minus_zero_below_first_a_zero():
+    _, lm = db.lambda_values(0.2)
     assert lm == 0.0
 
 
-def test_verify_hb(E):
-    report = db.verify_hb(E, samples=200)
+def test_verify_hb():
+    report = db.verify_hb(samples=200)
     assert report["ok"]
     assert not report["modulus_violations"]
     assert not report["imag_axis_violations"]

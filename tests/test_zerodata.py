@@ -202,7 +202,8 @@ def test_count_pairs_sweep_matches_brute(dataset, n, beta):
 def test_count_pairs_sweep_ties(dataset):
     # beta whose window w is exactly a gap g_j - g_i, so that g_i + w is
     # g_j itself, and the float below it, where g_i + w may still round
-    # to g_j: inside a run of the sweep each counts as it does alone
+    # to g_j: inside a run of the sweep each counts as it does alone, and
+    # as count_pairs_brute counts it
     g = dataset.ordinates[:2000]
     ds = zd.ZeroDataset(ordinates=g, source="prefix", t_max=float(g[-1]))
     scale = 2.0 * math.pi / math.log(ds.t_max)
@@ -220,6 +221,15 @@ def test_count_pairs_sweep_ties(dataset):
     got = zd.count_pairs(ds, ds.t_max, betas)
     assert got.tolist() == [zd.count_pairs(ds, ds.t_max, float(b))
                             for b in betas]
+    assert got[:len(ties)].tolist() == [
+        zd.count_pairs_brute(ds, ds.t_max, float(b)) for b in ties]
+    # g_1 - g_0 and g_0 + w both round at a tie, so g_0 + w rounds down
+    # off g_1 although the pair counts: w = 2.5 = fl(g_1 - g_0)
+    g = np.array([0.5 + 2.0 ** -52, 3.0 + 2.0 ** -51, 3.5])
+    ds = zd.ZeroDataset(ordinates=g, source="ties", t_max=3.5)
+    beta = 0.4984585473962854
+    assert 2.0 * math.pi * beta / math.log(3.5) == 2.5 == g[1] - g[0]
+    assert zd.count_pairs(ds, 3.5, beta) == zd.count_pairs_brute(ds, 3.5, beta) == 2
 
 
 @settings(max_examples=30, deadline=None)
@@ -569,8 +579,9 @@ def test_generate_zeros_matches_shipped_table(dataset):
     assert np.max(np.abs(zd.generate_zeros(30) - dataset.ordinates[:30])) < 1e-9
 
 
-def test_generate_zeros_short_scan_raises():
+def test_generate_zeros_short_scan_raises(monkeypatch):
     # a padding of 0.5 stops the scan near T = 53, where 11 of the 30 zeros
     # asked for lie
+    monkeypatch.setattr(zd, "T_GUESS_PAD", 0.5)
     with pytest.raises(NoRoot):
-        zd.generate_zeros(30, t_guess_pad=0.5)
+        zd.generate_zeros(30)
