@@ -302,9 +302,23 @@ def m_selberg(beta, delta=1.0, sign=+1):
     beta and sign, as arrays otherwise.
     """
     beta, sign, v = _v_at(delta, beta, sign)
-    inv = 1.0 / (TWO_PI_SQ * beta)
-    rest = (1.0 / delta) * (inv - np.sin(2.0 * math.pi * beta)
-                            / (4.0 * math.pi ** 3 * beta ** 2))
+    # rest = (x - sin x) / (pi delta x^2), x = 2 pi beta, cancels its two
+    # O(1/beta) terms: below beta = 0.05 it is the Taylor series (1/(pi delta))
+    # sum_k (-1)^(k+1) x^(2k-1) / (2k+1)!, to rounding at seven terms
+    small = beta < 0.05
+    some_small = small.any()
+    b = np.where(small, 1.0, beta) if some_small else beta
+    inv = 1.0 / (TWO_PI_SQ * b)
+    rest = (1.0 / delta) * (inv - np.sin(2.0 * math.pi * b)
+                            / (4.0 * math.pi ** 3 * b ** 2))
+    if some_small:
+        x = 2.0 * math.pi * beta
+        series = sum((-1) ** (k + 1) * x ** (2 * k - 1)
+                     / math.factorial(2 * k + 1) for k in range(1, 8))
+        rest = np.where(small, series / (math.pi * delta), rest)
+        # the asymptotic form's 1/beta is inf below beta ~ 2.8e-310
+        with np.errstate(over="ignore"):
+            inv = 1.0 / (TWO_PI_SQ * beta)
     half = sign / (2.0 * delta)
     closed = beta + half - rest - v
     asym = beta - 0.5 + half + inv

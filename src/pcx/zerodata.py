@@ -3,12 +3,11 @@
 Input files are plain text, one ordinate per line, '#' comments allowed,
 strictly ascending; one C-level parse reads a table, and only a table
 that breaks a rule is scanned line by line, for the line to report.
-Pair counts come from the sorted window: a whole beta grid is swept in
-ascending runs, each run one searchsorted plus the pairs that switch on
-inside it, at most a few per ordinate.  At n = 10^4 and 51 beta that
-took 3.5 ms against 17 for one searchsorted per beta, and the parse of
-the 10^4-line table 1.7 ms against 8.9 for a Python loop over its lines
-(2-core x86 host).  The
+Pair counts walk the diagonals j - i = k of the sorted window until one
+has no gap inside the largest window, so their cost grows with the pairs
+counted: at n = 10^4 a 51-beta grid up to beta = 3 takes 1.3 ms, one
+beta = 1 0.22 ms and one beta = 100 12 ms; the parse of the 10^4-line
+table takes 1.7 ms against 8.9 for a Python loop (2-core x86 host).  The
 normalized exponential pair sum F(alpha) cuts the sorted window into
 blocks: pairs in nearby blocks are summed exactly, and pairs farther
 apart through a short exponential sum for the Cauchy weight carried
@@ -53,10 +52,6 @@ from .beurling import FAR, SelbergFunction, far_series
 # 4,000 on a 2-core x86 host: 64-128 rows timed alike, 256 rows ran about
 # 8% slower and 2,048 rows about 1.6x slower
 _CHUNK = 128
-
-# a run of count_pairs' sweep switches on at most this many pairs per
-# ordinate of the window
-_RUN_PAIRS = 4
 
 # factor on the height where the average counting function reaches the
 # count asked of generate_zeros, to which its scan runs
@@ -180,10 +175,11 @@ def count_pairs(ds, T, beta):
 
     beta is a float, which gives an int, or an array, which gives an
     array of counts in its shape.  A pair (i, j) of the sorted window g
-    counts at w = 2 pi beta / log T when j is past the ties of g_i and
-    g_j - g_i <= w, as in count_pairs_brute.  The w are swept in
-    ascending runs (_sweep), so a whole grid costs about one searchsorted
-    per run rather than one per beta.
+    counts at w = 2 pi beta / log T when 0 < g_j - g_i <= w, as in
+    count_pairs_brute.  The window is walked one diagonal j - i = k at a
+    time, and each gap d counted at the first w of the sorted grid with
+    d <= w.  On sorted g a gap grows with k, so the walk ends at the
+    first diagonal with no gap inside the largest w.
     """
     b = np.asarray(beta, dtype=float)
     if not ((0 < b) & (b < math.inf)).all():
@@ -191,73 +187,19 @@ def count_pairs(ds, T, beta):
     g = _window(ds, T)
     w = 2.0 * math.pi * b.reshape(-1) / math.log(T)
     order = np.argsort(w)
+    w_sorted = w[order]
+    bins = np.zeros(len(w), dtype=np.int64)
+    for k in range(1, len(g)):
+        d = g[k:] - g[:-k]
+        d = d[d <= w_sorted[-1]]
+        if not len(d):
+            break
+        # repeated ordinates give d = 0, which no w counts
+        bins += np.bincount(np.searchsorted(w_sorted, d[d > 0]),
+                            minlength=len(w))
     counts = np.empty(len(w), dtype=np.int64)
-    counts[order] = _sweep(g, w[order])
+    counts[order] = np.cumsum(bins)
     return int(counts[0]) if b.ndim == 0 else counts.reshape(b.shape)
-
-
-def _ends(g, w):
-    """hi_i, the first j with g_j - g_i > w, for each i of the sorted
-    window g.  searchsorted compares g_j with g_i + w rounded, which can
-    land on the g_j just past the window, or, when g_j - g_i and g_i + w
-    both round at a tie, just short of the last g_j inside it; never
-    further, so one step either way mends the end."""
-    hi = np.searchsorted(g, g + w, side="right")
-    hi -= g[hi - 1] - g > w
-    return hi + ((hi < len(g)) & (g[np.minimum(hi, len(g) - 1)] - g <= w))
-
-
-def _sweep(g, w):
-    """Pair counts of the sorted window g at each w, w ascending (repeats
-    allowed: a repeat switches on no pair).
-
-    hi_i(w) (_ends) grows with w.  A run from w[a] to w[b] takes one
-    searchsorted at its far end (the near end is the last run's); the
-    pairs (i, j) with hi_i(w[a]) <= j < hi_i(w[b]) switch on inside it,
-    and a bisection on the same comparison g_j - g_i <= w[k] gives each
-    the first k that counts it, so the counts are the count at w[a] plus
-    a cumulative bincount.  A run ends where it would switch on more than
-    _RUN_PAIRS pairs per ordinate (sized from the last run's density; a
-    run of one step needs no pairs), so the sweep holds O(n) pairs at a
-    time.
-    """
-    n = len(g)
-    cap = _RUN_PAIRS * n
-    lo = np.searchsorted(g, g, side="right")
-    hi = _ends(g, w[0])
-    counts = np.empty(len(w), dtype=np.int64)
-    counts[0] = np.sum(hi - lo)
-    a, b = 0, len(w) - 1
-    while a < len(w) - 1:
-        top = _ends(g, w[b])
-        new = top - hi
-        total = int(np.sum(new))
-        if total > cap and b > a + 1:
-            # too many pairs for one run: aim at half the cap
-            b = a + max(1, (b - a) * cap // (2 * total))
-            continue
-        if b == a + 1:
-            counts[b] = counts[a] + total
-        else:
-            # the pairs row by row: j runs from hi_i to top_i - 1
-            gap = (g[np.arange(total) - np.repeat(np.cumsum(new) - new - hi, new)]
-                   - np.repeat(g, new))
-            # w[left] does not count the pair and w[right] does; at
-            # right = left + 1, mid is left and stays so
-            left = np.full(total, a)
-            right = np.full(total, b)
-            for _ in range((b - a - 1).bit_length()):
-                mid = (left + right) // 2
-                on = gap <= w[mid]
-                right = np.where(on, mid, right)
-                left = np.where(on, left, mid)
-            counts[a + 1 : b + 1] = counts[a] + np.cumsum(
-                np.bincount(right - a - 1, minlength=b - a))
-        step = b - a
-        a, hi = b, top
-        b = min(len(w) - 1,
-                a + max(1, step * cap // (2 * max(total, 1))))
-    return counts
 
 
 def _pair_sum(g, fn):

@@ -128,9 +128,18 @@ def test_find_root_stays_in_bracket(shift, period, frac, cube):
                             for k in cell]
 
 
+def _pole(r):
+    """1/(x - r), inf without a warning where an iterate lands on r."""
+    def f(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (x - r)
+
+    return f
+
+
 _HARD = {
     "ninth_power": lambda r: lambda x: (x - r) ** 9,
-    "pole": lambda r: lambda x: 1.0 / (x - r),
+    "pole": _pole,
     "steep_tanh": lambda r: lambda x: np.tanh(1e8 * (x - r)),
 }
 

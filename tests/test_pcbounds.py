@@ -156,11 +156,15 @@ def test_non_finite_beta_and_delta_rejected(bad):
 
 
 def test_m_selberg_as_beta_vanishes():
-    # the interval shrinks to a point: half of M tends to +/-1/6, at 0.30 beta
-    for beta in (1e-3, 1e-4, 1e-5, 1e-6):
-        for sign in (+1, -1):
-            value = pb.m_selberg(beta, 1.0, sign).closed_form
-            assert abs(value - sign / 6.0) <= beta
+    # the interval shrinks to a point: half of M tends to +/-1/(6 delta^2),
+    # at 0.30 beta for delta = 1, and to rounding down to beta = 1e-300,
+    # where the closed form's two 1/beta terms would cancel
+    betas = [1e-3, 1e-4, 1e-5] + np.logspace(-6, -300, 50).tolist()
+    for delta in (1.0, 1.5, 2.0):
+        for beta in betas:
+            for sign in (+1, -1):
+                value = pb.m_selberg(beta, delta, sign).closed_form
+                assert abs(value - sign / (6.0 * delta ** 2)) <= beta + 1e-15
 
 
 def test_bound_table_continuous_at_delta_two():

@@ -150,7 +150,7 @@ def test_count_pairs_beta_array(dataset):
     with pytest.raises(DomainError):
         zd.count_pairs(dataset, T, [1.0, math.nan])
     # up to beta = 60 the window holds about 60 pairs per ordinate, so the
-    # sweep cuts this grid into many runs
+    # walk runs over many diagonals
     betas = np.arange(0.02, 60.0, 0.02)[::-1]
     counts = zd.count_pairs(dataset, T, betas)
     assert counts.tolist() == [zd.count_pairs(dataset, T, float(b))
@@ -162,7 +162,8 @@ def beta_arrays(draw):
     """beta for count_pairs: unsorted, with repeats, as a float, a 0-d, a
     1-d or a 2-d array, and at times spread wide, a beta in (0.01, 0.1)
     next to one in (50, 200)."""
-    # below beta = 2 a run of the sweep holds several beta
+    # below beta = 2 the walk ends after a few diagonals, with several
+    # beta binned on each
     top = draw(st.sampled_from([2.0, 10.0]))
     values = draw(st.lists(st.floats(0.01, top), min_size=2, max_size=8))
     if draw(st.booleans()):
@@ -183,12 +184,19 @@ def beta_arrays(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(n=st.integers(300, 2000), beta=beta_arrays())
-def test_count_pairs_sweep_matches_brute(dataset, n, beta):
-    # the sweep over the sorted grid gives each beta the count of the
-    # direct loop, in beta's shape; a float or a 0-d array gives an int
+@given(n=st.integers(300, 2000), beta=beta_arrays(),
+       repeats=st.lists(st.integers(0, 10 ** 6), max_size=30),
+       seed=st.none() | st.integers(0, 2 ** 32 - 1))
+def test_count_pairs_diagonals_match_brute(dataset, n, beta, repeats, seed):
+    # the walk over the diagonals gives each beta the count of the direct
+    # loop, in beta's shape; a float or a 0-d array gives an int.  A
+    # hand-built table may repeat ordinates and come in any order: a
+    # repeat is no pair, as in the direct loop
     g = dataset.ordinates[:n]
-    ds = zd.ZeroDataset(ordinates=g, source="prefix", t_max=float(g[-1]))
+    g = np.concatenate([g, g[np.array(repeats, dtype=int) % n]])
+    if seed is not None:
+        g = np.random.default_rng(seed).permutation(g)
+    ds = zd.ZeroDataset(ordinates=g, source="hand-built", t_max=float(g.max()))
     got = zd.count_pairs(ds, ds.t_max, beta)
     if np.ndim(beta) == 0:
         assert type(got) is int
@@ -199,11 +207,11 @@ def test_count_pairs_sweep_matches_brute(dataset, n, beta):
         assert c == zd.count_pairs_brute(ds, ds.t_max, float(b))
 
 
-def test_count_pairs_sweep_ties(dataset):
+def test_count_pairs_diagonal_ties(dataset):
     # beta whose window w is exactly a gap g_j - g_i, so that g_i + w is
     # g_j itself, and the float below it, where g_i + w may still round
-    # to g_j: inside a run of the sweep each counts as it does alone, and
-    # as count_pairs_brute counts it
+    # to g_j: in a grid each counts as it does alone, and as
+    # count_pairs_brute counts it
     g = dataset.ordinates[:2000]
     ds = zd.ZeroDataset(ordinates=g, source="prefix", t_max=float(g[-1]))
     scale = 2.0 * math.pi / math.log(ds.t_max)
@@ -224,7 +232,7 @@ def test_count_pairs_sweep_ties(dataset):
     assert got[:len(ties)].tolist() == [
         zd.count_pairs_brute(ds, ds.t_max, float(b)) for b in ties]
     # g_1 - g_0 and g_0 + w both round at a tie, so g_0 + w rounds down
-    # off g_1 although the pair counts: w = 2.5 = fl(g_1 - g_0)
+    # off g_1, yet the pair counts: the rounded gap is w = 2.5
     g = np.array([0.5 + 2.0 ** -52, 3.0 + 2.0 ** -51, 3.5])
     ds = zd.ZeroDataset(ordinates=g, source="ties", t_max=3.5)
     beta = 0.4984585473962854
