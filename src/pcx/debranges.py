@@ -130,6 +130,48 @@ def _weights(x, p, q):
                 + p * q * np.abs(build_E().E_eval(x)) ** 2 / math.pi)
 
 
+def _tilt_params(beta):
+    """(p, q, regime, part) of the tilt at beta, from one evaluation of
+    E(beta) = A - iB (see tilt); the node function is Re(part E_beta)."""
+    if not 0 < beta < math.inf:
+        raise DomainError("beta must be positive")
+    e_b = complex(build_E().E_eval(beta))
+    a_b, b_b = e_b.real, -e_b.imag
+    if a_b * b_b > 0 or a_b == 0:
+        regime, p, q, part = "case_bk_ak1", beta * abs(b_b), abs(a_b), 1.0
+    else:
+        regime, p, q, part = "case_ak_bk", beta * abs(a_b), abs(b_b), 1.0j
+    norm = math.hypot(p, q)
+    return p / norm, q / norm, regime, part
+
+
+def _E_beta(p, q):
+    """E_beta(z) = (p - iqz) E(z)."""
+    E_eval = build_E().E_eval
+
+    def E_beta(z):
+        z = np.asarray(z, dtype=complex)
+        return (p - 1j * q * z) * E_eval(z)
+
+    return E_beta
+
+
+def _tilted_nodes(beta, p, q, part, x_hi):
+    """The nodes of the tilt (p, q, part) at beta over [0, x_hi], x_hi >=
+    beta, the one nearest beta set to beta, and their weights."""
+    E_beta = _E_beta(p, q)
+
+    def node_fn(x):
+        # Re E_beta or -Im E_beta = Re(i E_beta); E(0) is real, so B_beta(0)
+        # is exactly 0 and _nodes lists 0 as a grid root
+        return np.real(part * E_beta(x))
+
+    nodes = _nodes(node_fn, 0.75 if part == 1.0 else 0.25, x_hi)
+    # beta is a node by construction; put it there exactly
+    nodes[np.argmin(np.abs(nodes - beta))] = beta
+    return nodes, _weights(nodes, p, q)
+
+
 def tilt(beta):
     """The node system of E_beta(z) = (p - iqz) E(z) with beta as a node.
 
@@ -143,36 +185,13 @@ def tilt(beta):
     The nodes come from _nodes over [0, max(x_max, beta)], the one nearest
     beta set to beta; A_beta's first may lie near 0 (about sqrt(p/q)).
     """
-    if not 0 < beta < math.inf:
-        raise DomainError("beta must be positive")
-    E = build_E()
-
-    e_b = complex(E.E_eval(beta))
-    a_b, b_b = e_b.real, -e_b.imag
-    if a_b * b_b > 0 or a_b == 0:
-        regime, p, q, part = "case_bk_ak1", beta * abs(b_b), abs(a_b), 1.0
-    else:
-        regime, p, q, part = "case_ak_bk", beta * abs(a_b), abs(b_b), 1.0j
-    norm = math.hypot(p, q)
-    p, q = p / norm, q / norm
-
-    def E_beta(z):
-        z = np.asarray(z, dtype=complex)
-        return (p - 1j * q * z) * E.E_eval(z)
-
-    def node_fn(x):
-        # Re E_beta or -Im E_beta = Re(i E_beta); E(0) is real, so B_beta(0)
-        # is exactly 0 and _nodes lists 0 as a grid root
-        return np.real(part * E_beta(x))
-
-    nodes = _nodes(node_fn, 0.75 if part == 1.0 else 0.25, max(E.x_max, beta))
-    # beta is a node by construction; put it there exactly
-    nodes[np.argmin(np.abs(nodes - beta))] = beta
-    weights = _weights(nodes, p, q)
+    p, q, regime, part = _tilt_params(beta)
+    nodes, weights = _tilted_nodes(beta, p, q, part,
+                                   max(build_E().x_max, beta))
     lp, lm = _masses(nodes, weights, beta)
-    return TiltedSpace(beta=beta, p=p, q=q, regime=regime, E_beta_eval=E_beta,
-                       nodes=nodes, weights=weights,
-                       lambda_plus=lp, lambda_minus=lm)
+    return TiltedSpace(beta=beta, p=p, q=q, regime=regime,
+                       E_beta_eval=_E_beta(p, q), nodes=nodes,
+                       weights=weights, lambda_plus=lp, lambda_minus=lm)
 
 
 def _masses(nodes, w, beta):
@@ -187,9 +206,11 @@ def _masses(nodes, w, beta):
 
 
 def lambda_values(beta):
-    """Optimal majorant/minorant masses for the window [-beta, beta]."""
-    t = tilt(beta)
-    return t.lambda_plus, t.lambda_minus
+    """Optimal majorant/minorant masses for the window [-beta, beta]: the
+    masses of tilt(beta), from its nodes in the ceil(beta) + 1 cells up to
+    beta alone, the only ones the sums reach."""
+    p, q, _, part = _tilt_params(beta)
+    return _masses(*_tilted_nodes(beta, p, q, part, beta), beta)
 
 
 def case3_majorant(beta):
@@ -200,18 +221,19 @@ def case3_majorant(beta):
     a1 = build_E().zeros_A[0]
     if not 0.0 < beta < a1:
         raise DomainError(f"beta must lie in (0, {a1:.6f})")
-    t = tilt(beta)
-    if t.regime != "case_bk_ak1":
+    p, q, regime, _ = _tilt_params(beta)
+    if regime != "case_bk_ak1":
         raise RootMiss("unexpected regime below the first A-zero")
+    E_beta = _E_beta(p, q)
     # A_beta(beta) = 0, so the Wronskian pi K_beta(beta, beta) = -A_beta'(beta)
     # B_beta(beta) gives the slope without a numerical derivative
-    k_bb = (t.p ** 2 + (t.q * beta) ** 2) / float(_weights(beta, t.p, t.q))
-    dA = math.pi * k_bb / complex(t.E_beta_eval(beta)).imag
+    k_bb = (p ** 2 + (q * beta) ** 2) / float(_weights(beta, p, q))
+    dA = math.pi * k_bb / complex(E_beta(beta)).imag
     C = -2.0 * beta / dA
 
     def q_raw(x):
         x = np.asarray(x, dtype=float)
-        return C * np.real(t.E_beta_eval(x)) / (beta ** 2 - x ** 2)
+        return C * np.real(E_beta(x)) / (beta ** 2 - x ** 2)
 
     def time_eval(x):
         return _patched(q_raw, x, center=beta) ** 2

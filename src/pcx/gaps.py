@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import DomainError, NoRoot, find_root
+from .special import _out
 
 XI_CRIT = 1.0 + 1.0 / math.sqrt(3.0)
 
@@ -56,41 +57,45 @@ class GapBoundProfile:
 
 
 def _base_term(beta):
-    """beta - 1 + 2*beta*int_0^1 g_hat(beta*a)*a da, in closed form.
+    """beta - 1 + 2*beta*int_0^1 g_hat(beta*a)*a da, in closed form, for a
+    float or an array of beta.
 
     For beta <= 1 the transform branch is active on the whole range:
     int (1 - beta*a)*a da = 1/2 - beta/3 and the sine part integrates to
     (sin c - c cos c)/(2 pi c^2) with c = 2 pi beta.
     """
-    c = 2.0 * math.pi * beta
-    sine_part = (math.sin(c) - c * math.cos(c)) / (2.0 * math.pi * c ** 2)
+    c = 2.0 * np.pi * beta
+    sine_part = (np.sin(c) - c * np.cos(c)) / (2.0 * np.pi * c ** 2)
     return beta - 1.0 + 2.0 * beta * (0.5 - beta / 3.0 + sine_part)
 
 
 def _correction(beta):
     """-4 pi beta^3 int sin(k a) p(a) da over [XI_CRIT, 1/beta], in closed
-    form: k = 2 pi beta, p = goldston_lower, and the antiderivative is
-    -cos(k a) p(a)/k + sin(k a) p'(a)/k^2 + cos(k a) p''(a)/k^3."""
-    lo = XI_CRIT
-    hi = 1.0 / beta
-    if hi <= lo:
-        return 0.0
-    k = 2.0 * math.pi * beta
+    form, for a float or an array of beta in [1/2, 1]: k = 2 pi beta,
+    p = goldston_lower, and the antiderivative is -cos(k a) p(a)/k +
+    sin(k a) p'(a)/k^2 + cos(k a) p''(a)/k^3.  0 where 1/beta <= XI_CRIT
+    leaves no range."""
+    hi = 1.0 / np.asarray(beta, dtype=float)
+    k = 2.0 * np.pi * beta
 
     def antiderivative(a):
-        p = float(goldston_lower(a))
-        return (-math.cos(k * a) * p / k + math.sin(k * a) * (a - 1.0) / k ** 2
-                + math.cos(k * a) / k ** 3)
+        cos, sin = np.cos(k * a), np.sin(k * a)
+        return (-cos * goldston_lower(a) / k + sin * (a - 1.0) / k ** 2
+                + cos / k ** 3)
 
-    return -4.0 * math.pi * beta ** 3 * (antiderivative(hi) - antiderivative(lo))
+    value = -4.0 * np.pi * beta ** 3 * (antiderivative(hi)
+                                        - antiderivative(XI_CRIT))
+    return np.where(hi > XI_CRIT, value, 0.0)
 
 
 def lower_bound_profile(beta):
-    """Assembled lower-bound value at one beta in [1/2, 1]."""
-    if not 0.5 <= beta <= 1.0:
+    """Assembled lower-bound value at a float or an array of beta in
+    [1/2, 1]: float fields for a float, arrays in its shape otherwise."""
+    beta = np.asarray(beta, dtype=float)
+    if not ((0.5 <= beta) & (beta <= 1.0)).all():
         raise DomainError("beta must lie in [1/2, 1]")
-    return GapBoundProfile(beta=beta, base_term=_base_term(beta),
-                           correction=_correction(beta))
+    return GapBoundProfile(beta=_out(beta), base_term=_out(_base_term(beta)),
+                           correction=_out(_correction(beta)))
 
 
 def solve_threshold(use_correction=True, tol=1e-6):
@@ -101,8 +106,7 @@ def solve_threshold(use_correction=True, tol=1e-6):
         return p.total if use_correction else p.base_term
 
     # both bounds increase through one sign change, so a coarse grid brackets it
-    roots = find_root(np.vectorize(f, otypes=[float]),
-                      np.linspace(0.5, 1.0, 51), tol)
+    roots = find_root(f, np.linspace(0.5, 1.0, 51), tol)
     if not len(roots):
         raise NoRoot("no sign change of the gap bound in [1/2, 1]")
     return float(roots[0])

@@ -270,13 +270,14 @@ class MEvaluation:
 
 
 @dataclass(frozen=True)
-class BoundRow:
-    beta: float
-    lower: float
-    upper: float
-    lower_adjusted: float
-    upper_adjusted: float
-    conjecture: float
+class BoundTable:
+    """The columns of bound_table, one array each, one entry per beta."""
+    beta: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    lower_adjusted: np.ndarray
+    upper_adjusted: np.ndarray
+    conjecture: np.ndarray
 
 
 def m_of(R):
@@ -359,15 +360,15 @@ _BOTH_SIGNS = np.array([[-1], [+1]])
 
 
 def bound_table(betas, nstar_ratio=1.0, delta=1.0):
-    """Upper/lower bound rows on a beta grid, from the interval sandwich
-    of type 2 pi delta (m_selberg); delta = 2 - epsilon is the widest
-    usable band (the q-aspect bounds).
+    """Upper/lower bound columns on an ascending beta grid (a sequence or
+    an array), from the interval sandwich of type 2 pi delta (m_selberg);
+    delta = 2 - epsilon is the widest usable band (the q-aspect bounds).
 
     The multiplicity knob shifts both bounds by (1 - nstar_ratio)/2; with
     ratio 4/3 the lower bound drops by exactly 1/6.  Both signs and the
     conjectured mass are taken over the whole grid at once.
     """
-    betas = np.asarray(list(betas), dtype=float)
+    betas = np.array(betas, dtype=float, ndmin=1)
     if (betas <= 0).any():
         raise DomainError("beta grid must be positive")
     if (betas[1:] < betas[:-1]).any():
@@ -376,11 +377,9 @@ def bound_table(betas, nstar_ratio=1.0, delta=1.0):
         raise DomainError("nstar_ratio must lie in [1, 4/3]")
     adj = 0.5 * (1.0 - nstar_ratio)
     lower, upper = m_selberg(betas, delta, _BOTH_SIGNS).closed_form
-    conjecture = conjecture_integral(betas)
-    return [BoundRow(beta=b, lower=lo, upper=up, lower_adjusted=lo + adj,
-                     upper_adjusted=up + adj, conjecture=cj)
-            for b, lo, up, cj in zip(betas.tolist(), lower.tolist(),
-                                     upper.tolist(), conjecture.tolist())]
+    return BoundTable(beta=betas, lower=lower, upper=upper,
+                      lower_adjusted=lower + adj, upper_adjusted=upper + adj,
+                      conjecture=conjecture_integral(betas))
 
 
 def positivity_threshold(tol=1e-6):

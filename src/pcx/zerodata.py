@@ -41,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DomainError, MonotonicityError, NoRoot, ParseError,
-                       find_root)
+from .numerics import DomainError, MonotonicityError, ParseError
 from . import pcbounds
 from .beurling import FAR, SelbergFunction, far_series
 
@@ -52,10 +51,6 @@ from .beurling import FAR, SelbergFunction, far_series
 # 4,000 on a 2-core x86 host: 64-128 rows timed alike, 256 rows ran about
 # 8% slower and 2,048 rows about 1.6x slower
 _CHUNK = 128
-
-# factor on the height where the average counting function reaches the
-# count asked of generate_zeros, to which its scan runs
-T_GUESS_PAD = 1.15
 
 # ordinates per block of F
 _BLOCK = 16
@@ -94,12 +89,13 @@ class ZeroDataset:
 
 
 @dataclass(frozen=True)
-class EmpiricalRow:
-    beta: float
-    ratio: float
-    conjecture: float
-    lower: float
-    upper: float
+class EmpiricalTable:
+    """The columns of empirical_table, one array each, one entry per beta."""
+    beta: np.ndarray
+    ratio: np.ndarray
+    conjecture: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 def load_zeros(path):
@@ -495,47 +491,11 @@ def empirical_F(ds, T, alpha):
 
 
 def empirical_table(ds, T, betas):
-    """Empirical ratio rows joined with the columns of pcbounds.bound_table."""
+    """The empirical pair ratio on an ascending beta grid, beside the
+    columns of pcbounds.bound_table."""
     n_t = len(_window(ds, T))
-    rows = pcbounds.bound_table(float(b) for b in betas)
-    counts = count_pairs(ds, T, np.array([r.beta for r in rows]))
-    return [EmpiricalRow(beta=r.beta, ratio=int(c) / n_t,
-                         conjecture=r.conjecture, lower=r.lower, upper=r.upper)
-            for r, c in zip(rows, counts)]
-
-
-def generate_zeros(count, path=None):
-    """Compute the first `count` ordinates of the critical-line zeros.
-
-    Sign-change scan of the real Riemann-Siegel Z function on a 0.05 grid,
-    every bracket refined to width 1e-12 by numerics.find_root; the scan
-    ceiling comes from inverting the average counting function, padded by
-    T_GUESS_PAD; NoRoot if the scan finds fewer than `count` zeros.  Used once
-    to build the shipped dataset; slow (minutes for 10^4 zeros).  A 1e-10
-    bracket's midpoint may lie 5e-11 off, enough to change the ninth
-    written decimal of 22 of the first 1,000 ordinates; 1e-12 changes none,
-    for 2% more Z evaluations (40,682 against 39,909, most of them the
-    scan).  Above t = 8192 the float spacing exceeds 1e-12, and a bracket
-    ends when its midpoint rounds to an endpoint.
-    """
-    import mpmath
-
-    # invert N(T) ~ (T/2pi) log(T/2pi e) for a scan ceiling
-    t_hi = 10.0
-    while t_hi / (2 * math.pi) * (math.log(t_hi / (2 * math.pi)) - 1) < count:
-        t_hi *= 1.3
-    t_hi *= T_GUESS_PAD
-
-    z = np.vectorize(mpmath.fp.siegelz, otypes=[float])
-    zeros = find_root(z, np.arange(14.0, t_hi, 0.05), tol=1e-12)
-    if len(zeros) < count:
-        raise NoRoot(f"the scan up to T = {t_hi:.1f} found {len(zeros)} of "
-                     f"{count} zeros")
-    arr = zeros[:count]
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("# critical-line zero ordinates, ascending\n")
-            fh.write(f"# count={len(arr)}\n")
-            for v in arr:
-                fh.write(f"{v:.9f}\n")
-    return arr
+    bounds = pcbounds.bound_table(betas)
+    return EmpiricalTable(beta=bounds.beta,
+                          ratio=count_pairs(ds, T, bounds.beta) / n_t,
+                          conjecture=bounds.conjecture, lower=bounds.lower,
+                          upper=bounds.upper)

@@ -224,10 +224,12 @@ def test_c14_empirical_pipeline(dataset):
     # ratio against the theoretical bands with slack 0.1; the bands are
     # limit statements, so finite-height deviations are reported, not failed
     betas = np.arange(0.5, 3.0 + 1e-9, 0.25)
-    rows = zerodata.empirical_table(dataset, T, betas)
-    outside = [(r.beta, round(r.ratio, 4), round(r.lower, 4),
-                round(r.upper, 4)) for r in rows
-               if not (r.lower - 0.1 <= r.ratio <= r.upper + 0.1)]
+    t = zerodata.empirical_table(dataset, T, betas)
+    rows = list(zip(t.beta.tolist(), t.ratio.tolist(), t.lower.tolist(),
+                    t.upper.tolist()))
+    outside = [(beta, round(ratio, 4), round(lower, 4), round(upper, 4))
+               for beta, ratio, lower, upper in rows
+               if not (lower - 0.1 <= ratio <= upper + 0.1)]
     inside = len(rows) - len(outside)
     print(f"PASS empirical: oracle exact, F even/nonneg "
           f"(sym {worst_sym:.1e}); bands hold at {inside}/{len(rows)} "

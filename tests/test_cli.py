@@ -196,6 +196,9 @@ def test_bad_beta_grid(capsys):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("cmd, cell", [
     ("twodelta --beta 1e300", "column two_delta is nan in row 1 (beta=1e+300)"),
+    # a finite first row does not hide a later one
+    ("twodelta --beta 0.5:1e300:5e299",
+     "column two_delta is nan in row 2 (beta=5e+299)"),
 ])
 def test_non_finite_cell_is_a_numerical_failure(capsys, cmd, cell, fmt):
     # the one emitter checks every cell before it writes any, and the
@@ -273,10 +276,10 @@ def test_emit_rows_match_cell_rule(capsys, fmt):
         (2.5e-300, np.float64(-1e300), 10 ** 10 + 1, True),
         (1e10 + 1, 7, "", np.float32(0.1)),
     ]
-    rows = [dict(zip(columns, v)) for v in values]
+    table = dict(zip(columns, zip(*values)))
     args = argparse.Namespace(format=fmt, out=None, plot=None)
-    assert cli._emit(args, "test", columns, rows) == 0
-    lines = capsys.readouterr().out.splitlines()[:len(rows) + 1]
+    assert cli._emit(args, "test", columns, table) == 0
+    lines = capsys.readouterr().out.splitlines()[:len(values) + 1]
     cells = [columns] + [[_cell(x) for x in v] for v in values]
     assert [[cli._fmt(x) for x in v] for v in values] == cells[1:]
     if fmt == "csv":
@@ -377,6 +380,31 @@ def test_runtime_imports_no_scipy_or_numpy_random(zeros_path):
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "loaded: "
+
+
+def test_every_subcommand_runs_without_mpmath(zeros_path):
+    # mpmath serves only the tests; a fresh interpreter in which it cannot
+    # be imported runs every subcommand and output format
+    script = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from pcx import cli\n"
+        "for argv in (['bounds'], ['bounds', '--delta', '2'],\n"
+        "             ['twodelta', '--one-delta'], ['twodelta', '--beta', '1'],\n"
+        "             ['gaps'], ['gaps', '--profile'], ['debranges'],\n"
+        f"             ['empirical', '--zeros', {str(zeros_path)!r}],\n"
+        f"             ['empirical', '--zeros', {str(zeros_path)!r},\n"
+        "              '--falpha', '0:1:0.5']):\n"
+        "    for fmt in ('csv', 'json', 'table'):\n"
+        "        assert cli.main(argv + ['--format', fmt]) == 0, argv\n"
+        "print('ok')\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "ok"
 
 
 def _fresh_process(argv):

@@ -258,6 +258,50 @@ def test_tilt_kernel_calls(E, monkeypatch):
         assert len(k_calls) == 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(beta=st.floats(1e-150, 70.0))
+@example(beta=0.7075759195236333)  # a_1
+@example(beta=2.0300675301281785)  # b_2
+@example(beta=0.225)  # in the patch disc around Z0
+@example(beta=60.0)  # X_MAX
+def test_lambda_values_are_the_tilt_masses(E, beta):
+    # the nodes up to beta alone give the bits of the full node system;
+    # below beta ~ 1e-154 both lose lambda_+ (see the test below)
+    t = db.tilt(beta)
+    assert db.lambda_values(beta) == (t.lambda_plus, t.lambda_minus)
+
+
+@pytest.mark.xfail(strict=True, raises=FloatingPointError,
+                   reason="p^2 + q^2 beta^2 in the weights underflows to 0 "
+                          "below beta ~ 1e-154, and the weight at beta is 0/0")
+@pytest.mark.parametrize("beta", [1e-200, 5e-324])
+def test_lambda_plus_finite_at_tiny_beta(beta):
+    # lambda_+ tends to 0.43163... as beta vanishes (0.4316317 at 1e-100)
+    with np.errstate(invalid="raise"):
+        lp, lm = db.lambda_values(beta)
+    assert lp == pytest.approx(0.4316317139920564) and lm == 0.0
+
+
+def test_lambda_and_case3_solve_only_what_they_read(monkeypatch):
+    # lambda_values solves the ceil(beta) + 1 cells up to beta, and
+    # case3_majorant no node at all
+    cells = []
+    nodes = db._nodes
+
+    def recording(fn, offset, x_hi):
+        cells.append(math.ceil(x_hi) + 1)
+        return nodes(fn, offset, x_hi)
+
+    monkeypatch.setattr(db, "_nodes", recording)
+    for beta in (0.3, 2.5, 7.9):
+        cells.clear()
+        db.lambda_values(beta)
+        assert cells == [math.ceil(beta) + 1]
+    cells.clear()
+    db.case3_majorant(0.25)
+    assert cells == []
+
+
 def test_lambda_monotone_across_zeros(E):
     # crossing an A- or B-zero, lambda_+/- jump by nothing and do not fall;
     # a node set that skips the A_beta root near 0 right of a B-zero loses

@@ -72,6 +72,59 @@ def test_profile_total_and_domain():
         gaps.lower_bound_profile(1.2)
 
 
+def _scalar_profile(beta):
+    """(base_term, correction) at one beta in [1/2, 1], in math-module
+    floats: the closed forms of gaps, one beta at a time."""
+    c = 2.0 * math.pi * beta
+    sine_part = (math.sin(c) - c * math.cos(c)) / (2.0 * math.pi * c ** 2)
+    base = beta - 1.0 + 2.0 * beta * (0.5 - beta / 3.0 + sine_part)
+    if 1.0 / beta <= gaps.XI_CRIT:
+        return base, 0.0
+
+    def antiderivative(a):
+        p = a * a / 2.0 - a + 1.0 / 3.0
+        return (-math.cos(c * a) * p / c
+                + math.sin(c * a) * (a - 1.0) / c ** 2
+                + math.cos(c * a) / c ** 3)
+
+    return base, -4.0 * math.pi * beta ** 3 * (
+        antiderivative(1.0 / beta) - antiderivative(gaps.XI_CRIT))
+
+
+def test_profile_array_matches_scalar_forms():
+    # the array form agrees with float calls and with the math-module form
+    # to 2e-16, on both sides of 1/beta = XI_CRIT, in the shape of beta
+    betas = np.linspace(0.5, 1.0, 2001)
+    prof = gaps.lower_bound_profile(betas.reshape(3, -1))
+    assert prof.base_term.shape == prof.correction.shape == (3, 667)
+    base, corr = prof.base_term.reshape(-1), prof.correction.reshape(-1)
+    for i, beta in enumerate(betas.tolist()):
+        one = gaps.lower_bound_profile(beta)
+        assert isinstance(one.base_term, float)
+        want_base, want_corr = _scalar_profile(beta)
+        for got, want in ((base[i], one.base_term), (corr[i], one.correction),
+                          (base[i], want_base), (corr[i], want_corr)):
+            assert abs(got - want) <= 2e-16
+    assert (corr[1.0 / betas <= gaps.XI_CRIT] == 0.0).all()
+    assert (corr[1.0 / betas > gaps.XI_CRIT] != 0.0).all()
+    with pytest.raises(DomainError):
+        gaps.lower_bound_profile(np.array([0.7, 1.2]))
+
+
+def test_thresholds_match_scalar_forms():
+    # the array profile fed to find_root lands where the math-module form
+    # fed one beta at a time lands
+    from pcx.numerics import find_root
+    for use, pick in ((True, lambda b, c: b + c), (False, lambda b, c: b)):
+        def f(xs):
+            return np.array([pick(*_scalar_profile(x))
+                             for x in xs.tolist()])
+
+        for tol in (1e-6, 1e-8, 1e-12):
+            want = find_root(f, np.linspace(0.5, 1.0, 51), tol)[0]
+            assert abs(gaps.solve_threshold(use, tol) - want) <= 1e-12
+
+
 def test_thresholds_frozen():
     # the tol=1e-12 roots; a tol=1e-8 solve lands within 1e-8 of the sign change
     for use, root in ((True, 0.6068935594), (False, 0.6072859172)):

@@ -246,6 +246,32 @@ def test_two_delta_constraints_and_value():
         kn.two_delta(0.0)
 
 
+def test_two_delta_array_matches_scalar_calls(monkeypatch):
+    # one code path: an array of beta gives, entry by entry, the bits of
+    # the float calls, in the shape of the array, across the patch disc
+    # around Z0 and far out; blocks of any size give the same bits
+    betas = np.concatenate([np.geomspace(0.01, 1e4, 400),
+                            RNG.uniform(0.01, 50.0, 200),
+                            kn._Z0 + np.linspace(-2e-4, 2e-4, 9)])
+    sol = kn.two_delta(betas.reshape(3, -1))
+    assert sol.value.shape == sol.k_bb.shape == sol.k_bmb.shape == (3, 203)
+    for i, beta in enumerate(betas.tolist()):
+        one = kn.two_delta(beta)
+        assert isinstance(one.value, float) and isinstance(one.k_bb, float)
+        assert (one.value, one.k_bb, one.k_bmb) == (
+            sol.value.flat[i], sol.k_bb.flat[i], sol.k_bmb.flat[i])
+    monkeypatch.setattr(kn, "_BLOCK", 7)
+    small = kn.two_delta(betas)
+    for field in ("value", "k_bb", "k_bmb"):
+        assert np.array_equal(getattr(small, field),
+                              getattr(sol, field).reshape(-1))
+    # the extremal of an array broadcasts x against beta
+    x = np.stack([betas, -betas])
+    assert np.allclose(small.extremal_eval(x), 1.0, rtol=0, atol=1e-9)
+    with pytest.raises(DomainError):
+        kn.two_delta(np.array([1.0, np.nan]))
+
+
 def test_two_delta_frozen_value():
     assert kn.two_delta(2.0).value == pytest.approx(1.91528938, abs=1e-7)
 

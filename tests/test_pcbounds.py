@@ -170,11 +170,11 @@ def test_m_selberg_as_beta_vanishes():
 def test_bound_table_continuous_at_delta_two():
     # the widest band delta = 2 - eps tends to delta = 2, at most 0.123 eps
     for beta in (0.7, 2.3):
-        [edge] = pb.bound_table([beta], delta=2.0)
+        edge = pb.bound_table([beta], delta=2.0)
         for eps in (1e-3, 1e-6, 1e-9):
-            [row] = pb.bound_table([beta], delta=2.0 - eps)
+            row = pb.bound_table([beta], delta=2.0 - eps)
             for got, want in ((row.lower, edge.lower), (row.upper, edge.upper)):
-                assert abs(got - want) <= 0.2 * eps + 1e-12
+                assert abs(got[0] - want[0]) <= 0.2 * eps + 1e-12
 
 
 def test_conjecture_integral():
@@ -195,12 +195,12 @@ def test_conjecture_integral_against_mpmath():
 
 
 def test_bound_table_structure():
-    rows = pb.bound_table([0.5, 1.0, 2.0], nstar_ratio=4.0 / 3.0)
-    assert [r.beta for r in rows] == [0.5, 1.0, 2.0]
-    for r in rows:
-        assert r.lower < r.upper
-        assert r.lower_adjusted == pytest.approx(r.lower - 1.0 / 6.0)
-        assert r.upper_adjusted == pytest.approx(r.upper - 1.0 / 6.0)
+    t = pb.bound_table([0.5, 1.0, 2.0], nstar_ratio=4.0 / 3.0)
+    assert t.beta.tolist() == [0.5, 1.0, 2.0]
+    for i in range(3):
+        assert t.lower[i] < t.upper[i]
+        assert t.lower_adjusted[i] == pytest.approx(t.lower[i] - 1.0 / 6.0)
+        assert t.upper_adjusted[i] == pytest.approx(t.upper[i] - 1.0 / 6.0)
 
 
 def test_bound_table_validation():
@@ -215,8 +215,8 @@ def test_bound_table_validation():
 def test_q_aspect_tightens_bounds():
     lo1 = pb.m_selberg(1.0, 1.0, -1).closed_form
     hi1 = pb.m_selberg(1.0, 1.0, +1).closed_form
-    [row] = pb.bound_table([1.0], delta=2.0 - 1e-3)
-    lo2, hi2 = row.lower, row.upper
+    row = pb.bound_table([1.0], delta=2.0 - 1e-3)
+    [lo2], [hi2] = row.lower, row.upper
     assert lo1 < lo2 < hi2 < hi1
 
 
@@ -252,18 +252,23 @@ def _grid_betas(delta):
     return st.lists(pick, min_size=1, max_size=12).map(sorted)
 
 
+def _row(table, i):
+    """Row i of a bound table, as a mapping from column to value."""
+    return {c: v[i] for c, v in vars(table).items()}
+
+
 @pytest.mark.parametrize("delta", [1.0, 1.5, 1.999, 2.0])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_bound_rows_do_not_depend_on_the_grid(delta, data):
     grid = data.draw(_grid_betas(delta))
-    rows = pb.bound_table(grid, delta=delta)
-    for beta, row in zip(grid, rows):
-        [alone] = pb.bound_table([beta], delta=delta)
-        assert row == alone
-        assert row.lower == pb.m_selberg(beta, delta, -1).closed_form
-        assert row.upper == pb.m_selberg(beta, delta, +1).closed_form
-        assert row.conjecture == pb.conjecture_integral(beta)
+    table = pb.bound_table(grid, delta=delta)
+    for i, beta in enumerate(grid):
+        row = _row(table, i)
+        assert row == _row(pb.bound_table([beta], delta=delta), 0)
+        assert row["lower"] == pb.m_selberg(beta, delta, -1).closed_form
+        assert row["upper"] == pb.m_selberg(beta, delta, +1).closed_form
+        assert row["conjecture"] == pb.conjecture_integral(beta)
 
 
 def test_m_selberg_broadcasts_beta_against_sign():
@@ -289,11 +294,11 @@ def test_bound_table_memory_near_delta_one():
     grid = [0.05 + 0.005 * i for i in range(391)]
     tracemalloc.start()
     try:
-        rows = pb.bound_table(grid, delta=1.0001)
+        table = pb.bound_table(grid, delta=1.0001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(rows) == 391
+    assert len(table.beta) == 391
     assert peak <= 2 * 1.42e6
 
 
