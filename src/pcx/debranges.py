@@ -18,6 +18,7 @@ one root in each cell (_nodes); for the B-type the first is 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -25,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .beurling import BandlimitedFunction
-from .kernel import _coefficients, _patched, _row, kernel_eval
+from .kernel import _coefficients, _patched, _row, _row_taylor, kernel_eval
 from .numerics import (DomainError, NonConvergence, RootMiss,
                        extrapolate_to_zero, find_root)
 from .pcbounds import m_of
@@ -35,6 +36,13 @@ X_MAX = 60.0
 # largest error estimate quadrature_check accepts for the node tail past
 # X_MAX; on the Fejer kernel it is 2.1e-10
 NODE_TOL = 1e-7
+# below this beta the tilt reads B(beta) from the odd Taylor series
+# HermiteBiehler.B_odd: E(beta) forms B as Re r(beta) + beta Im r(beta),
+# and Re r(beta) is O(beta) only by the cancellation of O(1) terms, so
+# B(beta)/beta errs by 1.6e-10 at beta = 1e-8 and reads A(0) = 2.23, not
+# B'(0) = 4.31, by beta = 1e-20; the first term left out, B_9 beta^9, is
+# 2.3e-26 of B at beta = 1e-3
+B_SERIES_TOP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,8 @@ class HermiteBiehler:
     zeros_A: np.ndarray
     zeros_B: np.ndarray
     x_max: float
+    # B_1, B_3, B_5, B_7 of B(x) = sum_k B_k x^k near 0 (B is odd)
+    B_odd: tuple
 
 
 @dataclass(frozen=True)
@@ -115,19 +125,27 @@ def _hermite_biehler(x_max):
     zeros_a = _nodes(A_eval, 0.75, x_max)
     zeros_a = zeros_a[zeros_a <= x_max]
     zeros_b = _nodes(B_eval, 0.25, x_max)[:len(zeros_a) + 1]
+    # on the real line E = (-i - x) r(x) gives B = Re r + x Im r, so with
+    # c_n the Taylor coefficients of r at 0, B_k = Re c_k + Im c_(k-1)
+    c = _row_taylor(a, -1j, 7)
+    b_odd = tuple(float(c[k].real + c[k - 1].imag) for k in (1, 3, 5, 7))
     return HermiteBiehler(E_eval=E_eval, A_eval=A_eval, B_eval=B_eval,
-                          zeros_A=zeros_a, zeros_B=zeros_b, x_max=float(x_max))
+                          zeros_A=zeros_a, zeros_B=zeros_b, x_max=float(x_max),
+                          B_odd=b_odd)
 
 
 def _weights(x, p, q):
     """Node weights (p^2 + q^2 x^2) / K_beta(x,x) of H(E_beta), in which
     (p - iqz) f has the norm of f in H(E); (p, q) = (1, 0) gives 1/K(x,x).
     K_beta(x,x) = (p^2 + q^2 x^2) K(x,x) + pq |E(x)|^2 / pi is the Wronskian
-    of A_beta = pA - qxB and B_beta = qxA + pB over pi."""
+    of A_beta = pA - qxB and B_beta = qxA + pB over pi.  The weight is
+    taken as 1 / (K(x,x) + (p/h) (q/h) |E(x)|^2 / pi), h = hypot(p, qx),
+    because p^2 + q^2 x^2 underflows at a node x ~ beta below 1e-154."""
     x = np.asarray(x, dtype=float)
-    s = p * p + (q * x) ** 2
-    return s / (s * kernel_eval(x, x).real
-                + p * q * np.abs(build_E().E_eval(x)) ** 2 / math.pi)
+    h = np.hypot(p, q * x)
+    return 1.0 / (kernel_eval(x, x).real
+                  + (p / h) * (q / h) * np.abs(build_E().E_eval(x)) ** 2
+                  / math.pi)
 
 
 def _tilt_params(beta):
@@ -135,8 +153,20 @@ def _tilt_params(beta):
     E(beta) = A - iB (see tilt); the node function is Re(part E_beta)."""
     if not 0 < beta < math.inf:
         raise DomainError("beta must be positive")
-    e_b = complex(build_E().E_eval(beta))
+    E = build_E()
+    e_b = complex(E.E_eval(beta))
     a_b, b_b = e_b.real, -e_b.imag
+    if beta < B_SERIES_TOP:
+        b_1, b_3, b_5, b_7 = E.B_odd
+        x2 = beta * beta
+        b_b = beta * (b_1 + x2 * (b_3 + x2 * (b_5 + x2 * b_7)))
+        # here A(beta) > 0 and B(beta) > 0, so the regime is case_bk_ak1
+        # and p = beta B(beta), about 4.3 beta^2
+        if beta * b_b < sys.float_info.min:
+            raise DomainError(
+                f"beta must be at least "
+                f"{math.sqrt(sys.float_info.min / b_1):.3g}: below it "
+                f"p = beta |B(beta)| of the tilt is not a normal float")
     if a_b * b_b > 0 or a_b == 0:
         regime, p, q, part = "case_bk_ak1", beta * abs(b_b), abs(a_b), 1.0
     else:
@@ -182,6 +212,9 @@ def tilt(beta):
     (b_k, a_k+1]); otherwise B_beta = -Im E_beta with (p, q) along
     (beta |A(beta)|, |B(beta)|) (regime case_ak_bk, beta in (a_k, b_k]).
     On a zero of A or of B, q = 0 and the nodes are that zero set.
+    Below B_SERIES_TOP, B(beta) comes from its odd Taylor series; below
+    beta = 7.19e-155, where p = beta |B(beta)| is no normal float,
+    DomainError.
     The nodes come from _nodes over [0, max(x_max, beta)], the one nearest
     beta set to beta; A_beta's first may lie near 0 (about sqrt(p/q)).
     """

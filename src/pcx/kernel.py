@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import DomainError
+from .numerics import DomainError, NonConvergence
 from .pcbounds import pc_density
 from .special import _out
 
@@ -34,6 +34,9 @@ _PATCH_H = 1e-3
 # longest CLI grid grows peak RSS by 24 MB, against 179 MB in one block
 # (2-core x86 host)
 _BLOCK = 2 ** 14
+# largest beta two_delta takes: from beta = 2.9e153 on, (1 - 2 (pi beta)^2)
+# times _DEN_D in _coefficients overflows, and the value is NaN
+_BETA_MAX = 1e153
 
 
 def _richardson(fn, x):
@@ -92,6 +95,25 @@ def _row(a, wbar, z):
             + am * np.sinc(z + _Z0))
 
 
+def _sinc_taylor(y, order):
+    """The Taylor coefficients sinc^(n)(y) / n!, n = 0 .. order, at a point
+    y != 0: from y sinc(y) = sin(pi y) / pi, y s_n + s_(n-1) = pi^(n-1)
+    sin(pi y + n pi/2) / n!."""
+    s = [complex(np.sinc(y))]
+    for n in range(1, order + 1):
+        s.append((math.pi ** (n - 1) * np.sin(math.pi * y + n * math.pi / 2)
+                  / math.factorial(n) - s[-1]) / y)
+    return s
+
+
+def _row_taylor(a, wbar, order):
+    """The Taylor coefficients at z = 0 of _row(a, wbar, z), n = 0 ..
+    order, from those of its three sinc translates."""
+    return [sum(c * s for c, s in zip(a, coeffs)) for coeffs in zip(
+        _sinc_taylor(-wbar, order), _sinc_taylor(-_Z0, order),
+        _sinc_taylor(_Z0, order))]
+
+
 def _k_raw(w, z):
     """K(w, z) with the poles in w left in place."""
     wbar = np.conj(np.asarray(w, dtype=complex))
@@ -141,11 +163,16 @@ def two_delta(beta):
     arrays in its shape; extremal_eval(x) broadcasts x against beta.  The
     kernel is taken _BLOCK betas at a time, so a long grid keeps its
     temporaries small; every value is elementwise, so a block's values are
-    those of its betas alone.
+    those of its betas alone.  Beyond _BETA_MAX the closed form of the
+    coefficients overflows, and NonConvergence names the first such beta.
     """
     b = np.asarray(beta, dtype=float)
-    if not ((0 < b) & (b < math.inf)).all():
-        raise DomainError("beta must be positive")
+    if not ((0 < b) & (b <= _BETA_MAX)).all():
+        if not ((0 < b) & (b < math.inf)).all():
+            raise DomainError("beta must be positive")
+        raise NonConvergence(
+            f"two_delta: the kernel's coefficients overflow at beta="
+            f"{b.flat[np.argmax(b > _BETA_MAX)]:g} (above {_BETA_MAX:g})")
     flat = b.reshape(-1)
     k_bb, k_bmb = np.empty(flat.size), np.empty(flat.size)
     for i in range(0, flat.size, _BLOCK):

@@ -11,26 +11,36 @@ table takes 1.7 ms against 8.9 for a Python loop (2-core x86 host).  The
 normalized exponential pair sum F(alpha) cuts the sorted window into
 blocks: pairs in nearby blocks are summed exactly, and pairs farther
 apart through a short exponential sum for the Cauchy weight carried
-from block to block, so one F costs O(n) rather than O(n^2).  No cos or
+from block to block, so one F costs O(n) rather than O(n^2): about 9 ms
+at n = 10^4 and 2.2 ms at n = 2,000 (2-core x86 host).  No cos or
 complex exponential of a large argument is taken: each ordinate gets one
 unit phase relative to its block's left edge, and a pair's cos(k d) is the
 real part of a product of two such phases and one per block pair.  The
 far field's block moments split their nodes as a multipole method does
 (Greengard-Rokhlin): a node t with t times the widest block at most 1
 takes a Taylor series in the block-local offsets, one small matmul of
-per-block power moments; only the larger nodes take exponentials.  The
-weighted pair sum of a Selberg majorant or minorant takes the same
-blocks: pairs up to `reach` blocks apart are summed exactly, and past
-the gap from which both arguments x +/- gamma take the far branch of
-pcx.beurling, the summand is the Cauchy weight times a power series in
-1/(d +/- c) and a cosine, which the same far field sums as two exponential sums, one
-smooth and one at the cosine's frequency.  That sum costs about 0.03 s
-at n = 2,000 and 0.12 s at n = 10^4 on a 2-core x86 host, against 0.36
-and 8.4 s for the direct sum over all pairs.  The direct loop over the
-unordered pairs (one chunked loop, doubled for the even summands) now
-serves only the weighted pair sum of any other R and count_pairs_brute,
-the oracle of count_pairs.  Everything empirical is compared side by
-side with the closed-form bound columns.
+per-block power moments; only the larger nodes take exponentials.
+Working set: no temporary grows as blocks x 16 x nodes or blocks x 16 x
+16 except one buffer filled in place: the near field fills one (blocks,
+16, 16) array of Cauchy weights per block offset, and the far field
+keeps everything it needs in one workspace, two (blocks, nodes) complex
+arrays and a scratch that the Taylor powers and the direct exponentials
+take in turn.  One F at n = 10^4 peaks at 4.4 MB (tracemalloc) and, as
+the C allocator keeps the one workspace between calls, pages in nothing
+new after the first.  The weighted pair sum of a Selberg majorant or
+minorant takes the same blocks: pairs up to `reach` blocks apart are
+summed exactly, 64 blocks per call of R, and past the gap from which
+both arguments x +/- gamma take the far branch of pcx.beurling, the
+summand is the Cauchy weight times a power series in 1/(d +/- c) and a
+cosine, which the same far field sums as two exponential sums, one
+smooth and one at the cosine's frequency.  That sum costs about 17 ms
+at n = 2,000 and 72 ms at n = 10^4 on a 2-core x86 host, against 0.36
+and 8.4 s for the direct sum over all pairs; the evaluation of R in the
+exact near field is most of it.  The direct loop over the unordered
+pairs (one chunked loop, doubled for the even summands) now serves only
+the weighted pair sum of any other R and count_pairs_brute, the oracle
+of count_pairs.  Everything empirical is compared side by side with the
+closed-form bound columns.
 """
 
 from __future__ import annotations
@@ -54,6 +64,10 @@ _CHUNK = 128
 
 # ordinates per block of F
 _BLOCK = 16
+# blocks per call of R in the exact near field of the weighted pair sum of
+# a Selberg function: at most 64 x 256 = 16,384 gaps, on which the R of
+# pcx.beurling peaks near 1.9 MB
+_NEAR = 64
 # F sums a pair exactly unless its blocks lie at least as many blocks apart
 # as the first offset at which every gap reaches _REACH (2 on the shipped
 # table); beyond, _nodes is within 6.4e-15 of 4/(4+d^2)
@@ -68,11 +82,11 @@ _T_TOP = 75.0
 # t span <= 1: the smallest M whose remainder bound 1/M! lies below half an
 # ulp, 2^-53 (19)
 _ORDER = next(m for m in range(1, 30) if math.factorial(m) > 2 ** 53)
-# terms of the tail series sum_{i>=m} z^i / i! that _power_weights sums
-# where |z| <= m: the first term left out is at most the product of
-# m / (m + l), l = 1 .. _TAIL, times the first one, which is below 2^-53 at
-# the highest power m of far_series (17), and each later one is at most a
-# third of the one before (46 terms)
+# least number of terms of the tail series sum_{i>=m} z^i / i! that
+# _power_weights sums where |z| <= m: the first term left out is at most
+# the product of m / (m + l), l = 1 .. _TAIL, times the first one, which is
+# below 2^-53 at the highest power m of far_series (17), and each later one
+# is at most a third of the one before (46 terms)
 _TOP = max(m for m, _ in far_series(1))
 _TAIL = next(j for j in range(1, 200)
              if math.prod(_TOP / (_TOP + l) for l in range(1, j + 1)) < 2 ** -53)
@@ -289,8 +303,9 @@ def _power_weights(t, c, terms, shift):
     Laplace transform of
         2 Im[b^-m exp(-c t) (exp(b t) - sum_{i<m} (b t)^i / i!)],
     which the trapezoid rule of _log_grid samples.  Where |b t| <= m the
-    bracket is its tail series, sum_{i>=m} (b t)^i / i!, to _TAIL terms;
-    elsewhere the difference, with exp(-c t) exp(b t) = exp(2i t).
+    bracket is its tail series, sum_{i>=m} (b t)^i / i!, to at least
+    _TAIL terms; elsewhere the difference, with exp(-c t) exp(b t) =
+    exp(2i t).  Every m is taken at once, as (terms, nodes) arrays.
     exp(-shift t) is folded into every factor, so that none overflows:
     exp((2i - shift) t) and exp(-(c + shift) t) are at most 1, where
     exp(-c t) alone would overflow for a large gamma, and the partial
@@ -300,27 +315,31 @@ def _power_weights(t, c, terms, shift):
     bt = b * t
     wave = np.exp((2j - shift) * t)
     decay = np.exp(-(c + shift) * t)
-    top = max(m for m, _ in terms)
-    # (b t)^i / i! for i < top, and the partial sums of the exponential
+    m = np.array([m for m, _ in terms])
+    q = np.array([q for _, q in terms])
+    top = m.max()
+    # (b t)^i / i! as running products of b t / i: for i < top at every
+    # node, and on to the last tail term where some m takes the tail
+    divisors = np.arange(1, top + _TAIL)[:, np.newaxis]
     powers = np.empty((top, len(t)), dtype=complex)
     powers[0] = 1.0
-    for i in range(1, top):
-        powers[i] = powers[i - 1] * bt / i
-    partial = np.cumsum(powers, axis=0)
-    total = np.zeros(len(t))
-    for m, q in terms:
-        z = wave - decay * partial[m - 1]
-        small = np.abs(bt) <= m
-        if small.any():
-            x = bt[small]
-            step = powers[m - 1][small] * x / m
-            tail = step
-            for i in range(m + 1, m + _TAIL):
-                step = step * x / i
-                tail = tail + step
-            z[small] = decay[small] * tail
-        total += q * np.imag(b ** -m * z)
-    return 2.0 * _H * t * total
+    np.divide(bt, divisors[:top - 1], out=powers[1:])
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    z = wave - decay * np.cumsum(powers, axis=0)[m - 1]
+    inside = np.flatnonzero(np.abs(bt) <= top)
+    if len(inside):
+        x = bt[inside]
+        series = np.empty((top + _TAIL, len(inside)), dtype=complex)
+        series[0] = 1.0
+        np.divide(x, divisors, out=series[1:])
+        np.multiply.accumulate(series, axis=0, out=series)
+        # the tail of every m at once, from (b t)^m / m! to the last term
+        # (at least _TAIL terms), as suffix sums added smallest first
+        tail = np.cumsum(series[::-1], axis=0)[::-1][m]
+        z[:, inside] = np.where(np.abs(x) <= m[:, np.newaxis],
+                                decay[inside] * tail, z[:, inside])
+    b_m = np.array([b ** -k for k in m])[:, np.newaxis]
+    return 2.0 * _H * t * np.sum(q[:, np.newaxis] * np.imag(b_m * z), axis=0)
 
 
 def _selberg_nodes(R, a, d0):
@@ -374,82 +393,170 @@ def _selberg_pairs(g, R, scale, term):
     a = R.dilation * scale
     reach = _reach(G, max(_REACH, (R.gamma + FAR) / a))
     i, j = np.triu_indices(_BLOCK, 1)
-    near = np.sum(term(G[:, j] - G[:, i]) * (real[:, i] * real[:, j]))
-    for o in range(1, reach):
-        d = G[o:, np.newaxis, :] - G[:-o, :, np.newaxis]
-        near += np.sum(term(d) * (real[:-o, :, np.newaxis]
-                                  * real[o:, np.newaxis, :]))
+    near = 0.0
+    # term takes at most _NEAR blocks at a time, which bounds its
+    # temporaries
+    for lo in range(0, nb, _NEAR):
+        A, a_real = G[lo:lo + _NEAR], real[lo:lo + _NEAR]
+        near += np.sum(term(A[:, j] - A[:, i]) * (a_real[:, i] * a_real[:, j]))
+        for o in range(1, min(reach, nb - lo)):
+            B, b_real = G[lo + o:lo + o + _NEAR], real[lo + o:lo + o + _NEAR]
+            d = B[:, np.newaxis, :] - A[:len(B), :, np.newaxis]
+            near += np.sum(term(d) * (a_real[:len(B), :, np.newaxis]
+                                      * b_real[:, np.newaxis, :]))
     if reach >= nb:
         return float(near)
     d0 = _min_gap(G, reach)
     t, smooth, oscillating = _selberg_nodes(R, a, d0)
     k = 2.0 * math.pi * a
     phase = real * np.exp(1j * k * (G - G[:, :1]))
-    return (float(near) + _far_field(G, real, reach, 0.0, t, smooth, d0)
+    return (float(near)
+            + _far_field(G, real.astype(complex), reach, 0.0, t, smooth, d0)
             + _far_field(G, phase, reach, k, t, oscillating, d0))
 
 
-def _moments(x, phase, t, span):
-    """sum_i phase_i exp(-t x_i) over each block row of offsets
-    0 <= x <= span, for every node t: a (blocks, nodes) complex array.
-
-    A node with t span <= 1 takes the Taylor series of exp(-t x) in
-    x / span, cut at _ORDER terms (remainder under 1/_ORDER!), from the
-    per-block power moments P_m = sum_i phase_i (x_i / span)^m; the other
-    nodes take their exponentials directly."""
-    # two real columns keep the products real
-    parts = np.stack([phase.real, phase.imag], axis=-1)
-    small = np.count_nonzero(t * span <= 1.0)
-    u = x / span
-    powers = np.empty((_ORDER,) + x.shape)
-    powers[0] = 1.0
-    for m in range(1, _ORDER):
-        np.multiply(powers[m - 1], u, out=powers[m])
-    power_moments = np.swapaxes(powers, 0, 1) @ parts
+def _taylor(t, span):
+    """The Taylor coefficients (-span t)^m / m!, m < _ORDER, of exp(-t x)
+    in x / span, for the nodes t with t span <= 1 (the first ones of the
+    ascending t): one row per such node."""
     order = np.arange(_ORDER)
     factorials = np.array([math.factorial(m) for m in order], dtype=float)
-    taylor = ((-span * t[:small, np.newaxis]) ** order / factorials
-              @ power_moments)
-    direct = np.exp(-t[small:, np.newaxis] * x[:, np.newaxis, :]) @ parts
-    m = np.concatenate([taylor, direct], axis=1)
-    return m[..., 0] + 1j * m[..., 1]
+    small = np.count_nonzero(t * span <= 1.0)
+    return (-span * t[:small, np.newaxis]) ** order / factorials
 
 
-def _shift(dx, t, k):
-    """exp(-(t - i k) dx) for every gap dx and node t: a real decay times
-    the gap's unit phase."""
-    return (np.exp(-dx[:, np.newaxis] * t)
-            * np.exp(1j * k * dx)[:, np.newaxis])
+def _moments(x, phase, t, span, taylor, out, scratch):
+    """Fill out, a (blocks, nodes) complex array, with sum_i phase_i
+    exp(-t x_i) over each block row of offsets 0 <= x <= span, for every
+    node t.
+
+    The first len(taylor) nodes, those with t span <= 1, take the Taylor
+    series of exp(-t x) in x / span, cut at _ORDER terms (remainder under
+    1/_ORDER!), from the per-block power moments P_m = sum_i phase_i
+    (x_i / span)^m and the coefficients taylor = _taylor(t, span); the
+    other nodes take their exponentials directly.  Both products write
+    into out through its float view; the powers and the exponentials take
+    turns in scratch, a float array of at least x.size * max(_ORDER,
+    nodes - len(taylor)) entries."""
+    small = len(taylor)
+    # the float view of the phases, two real columns, keeps the products
+    # real
+    parts = phase.view(float).reshape(x.shape + (2,))
+    columns = out.view(float).reshape(len(x), len(t), 2)
+    # node-major, so that each product and exp runs over all offsets at once
+    direct = scratch[:(len(t) - small) * x.size].reshape((-1,) + x.shape)
+    np.multiply(-t[small:, np.newaxis, np.newaxis], x, out=direct)
+    np.exp(direct, out=direct)
+    np.matmul(np.swapaxes(direct, 0, 1), parts, out=columns[:, small:])
+    # one step per power: numpy's multiply.accumulate gives the same
+    # products but runs its inner loop down the powers, 0.93 against
+    # 0.15 ms at n = 10^4 (2-core x86 host)
+    powers = scratch[:_ORDER * x.size].reshape((_ORDER,) + x.shape)
+    powers[0] = 1.0
+    np.divide(x, span, out=powers[1])
+    for m in range(2, _ORDER):
+        np.multiply(powers[m - 1], powers[1], out=powers[m])
+    np.matmul(taylor, np.swapaxes(powers, 0, 1) @ parts,
+              out=columns[:, :small])
+    return out
+
+
+def _shift(dx, t, k, out, scratch):
+    """Fill out with exp(-(t - i k) dx) for every gap dx and node t: a
+    real decay times the gap's unit phase.  The decay is taken in the
+    float array scratch (dx.size * nodes entries or more): numpy's exp
+    rounds otherwise on the strided real part of out."""
+    decay = scratch[:out.size].reshape(out.shape)
+    np.multiply(-dx[:, np.newaxis], t, out=decay)
+    np.exp(decay, out=decay)
+    unit = np.exp(1j * k * dx)[:, np.newaxis]
+    np.multiply(decay, unit.real, out=out.real)
+    np.multiply(decay, unit.imag, out=out.imag)
+    return out
+
+
+def _carry(sums, steps):
+    """Turn the rows of sums into running sums in place: row a becomes
+    row a + (row a - 1, already summed) * steps[a - 1]."""
+    rows = list(sums)
+    for prev, row, step in zip(rows, rows[1:], steps):
+        row += prev * step
 
 
 def _far_field(G, phase, reach, k, t, w, shift=0.0):
     """Sum of Re(exp(i k d) sum_j w_j exp(-t_j (d - shift))) over the
     pairs `reach` or more blocks apart (fewer than the blocks), given the
     nodes t, their real or complex weights w and the block-local phases
-    exp(i k (x - left edge)) of the ordinates (zero on padding); with the
-    weights of _nodes it is the sum of cos(k d) 4/(4+d^2).  Block a sends
+    exp(i k (x - left edge)) of the ordinates (a contiguous complex array,
+    zero on padding); with the weights of _nodes it is the sum of
+    cos(k d) 4/(4+d^2).  Block a sends
     its moment about its right edge; a running sum of the moments is
     carried from right edge to right edge (steps >= 0) and handed to
     block a + reach at its left edge, so every phase is k times a gap
     inside a block or between block edges.  A shift up to the smallest
     hand-off gap keeps every factor at most 1, the weights carrying
-    exp(-(t_j - i k) shift)."""
-    nb = len(G)
+    exp(-(t_j - i k) shift).
+
+    Moments are taken only for the blocks that send or receive, and all
+    large arrays live in one workspace filled in place: the carried sums,
+    one more (blocks, nodes) array (the steps, then the hand-off factors,
+    then the receivers' moments) and the scratch of _moments and _shift.
+    As one block, the C allocator keeps it from call to call (glibc keeps
+    up to twice the largest block it has unmapped), where separate arrays
+    of a third of its size would go back to the kernel after each call
+    and be paged in afresh on the next."""
+    senders = len(G) - reach
     left, right = G[:, 0], G[:, -1]
-    gaps = left[reach:] - right[:-reach]
     # any positive scale serves when every block is one repeated value
     span = float(np.max(right - left)) or 1.0
+    taylor = _taylor(t, span)
+    size = senders * len(t)
+    per_row = max(len(t), _BLOCK * max(_ORDER, len(t) - len(taylor)))
+    work = np.empty(4 * size + senders * per_row)
+    carried, other = work[:4 * size].view(complex).reshape(2, senders, len(t))
+    scratch = work[4 * size:]
     # exp(i k (right - x)) = conj(exp(i k (x - left))) exp(i k (right - left))
-    out_phase = np.conj(phase) * np.exp(1j * k * (right - left))[:, np.newaxis]
-    out = _moments(right[:, np.newaxis] - G, out_phase, t, span)
-    into = _moments(G - left[:, np.newaxis], phase, t, span)
-    step = _shift(np.diff(right), t, k)
-    carried = np.empty((nb - reach, len(t)), dtype=complex)
-    carried[0] = out[0]
-    for a in range(1, nb - reach):
-        carried[a] = carried[a - 1] * step[a - 1] + out[a]
-    hand = carried * _shift(gaps - shift, t, k)
-    return float(np.real(np.sum(into[reach:] * hand, axis=0) @ w))
+    _moments(right[:senders, np.newaxis] - G[:senders],
+             np.conj(phase[:senders])
+             * np.exp(1j * k * (right - left))[:senders, np.newaxis],
+             t, span, taylor, carried, scratch)
+    _carry(carried, _shift(np.diff(right[:senders]), t, k,
+                           other[:senders - 1], scratch))
+    # the hand-off factors times the carried sums
+    hand = _shift(left[reach:] - right[:senders] - shift, t, k, other, scratch)
+    np.multiply(hand, carried, out=carried)
+    into = _moments(G[reach:] - left[reach:, np.newaxis], phase[reach:], t,
+                    span, taylor, other, scratch)
+    into *= carried
+    return float(np.real(np.sum(into, axis=0) @ w))
+
+
+def _near_F(G, phase, reach, k):
+    """Sum of cos(k d) 4/(4+d^2) over the pairs inside a block (j > i)
+    and up to reach - 1 blocks apart, exactly.  For x_j in block b + o
+    and x_i in block b, cos(k d) = Re(e_j conj(e_i) exp(i k (left_{b+o}
+    - left_b))); each offset o fills one (blocks, _BLOCK, _BLOCK) buffer
+    with the Cauchy weights in place and contracts it as real batched
+    products.  At o = 0 the weights of pairs j <= i are zeroed."""
+    nb = len(G)
+    left = G[:, 0]
+    weights = np.empty((nb, _BLOCK, _BLOCK))
+    near = 0.0
+    for o in range(reach):
+        cauchy = weights[:nb - o]
+        np.subtract(G[o:, np.newaxis, :], G[:nb - o, :, np.newaxis], out=cauchy)
+        np.square(cauchy, out=cauchy)
+        cauchy += 4.0
+        np.divide(4.0, cauchy, out=cauchy)
+        if o == 0:
+            cauchy *= np.triu(np.ones((_BLOCK, _BLOCK)), 1)
+        hop = phase[o:] * np.exp(1j * k * (left[o:] - left[:nb - o]))[:, np.newaxis]
+        # Re(conj(e_i) hop_j) against the Cauchy weights, as real products
+        # on the float view of hop
+        weighted = cauchy @ hop.view(float).reshape(hop.shape + (2,))
+        near += np.sum(phase[:nb - o].real * weighted[..., 0]
+                       + phase[:nb - o].imag * weighted[..., 1])
+    return near
 
 
 def empirical_F(ds, T, alpha):
@@ -458,33 +565,18 @@ def empirical_F(ds, T, alpha):
     all ordered pairs of the window, d the gap between their ordinates."""
     if not math.isfinite(alpha):
         raise DomainError("alpha must be finite")
-    g = _window(ds, T)
-    n = len(g)
     logT = math.log(T)
     k = abs(alpha) * logT
-    G, real = _blocks(g)
-    nb = len(G)
+    # phase holds the 0/1 mask of the real entries until it is rebound
+    G, phase = _blocks(_window(ds, T))
+    n = int(np.count_nonzero(phase))
     # the far field starts at the first block offset whose gaps reach _REACH
     reach = _reach(G, _REACH)
     # block-local unit phases e_i = exp(i k (x_i - left edge)), zero on the
-    # padding: for x_j in block b + o and x_i in block b,
-    # cos(k d) = Re(e_j conj(e_i) exp(i k (left_{b+o} - left_b)))
-    left = G[:, 0]
-    phase = real * np.exp(1j * k * (G - left[:, np.newaxis]))
-    # pairs from block b to block b + o, exactly; within a block, j > i
-    i, j = np.triu_indices(_BLOCK, 1)
-    d = G[:, j] - G[:, i]
-    near = np.sum(np.real(phase[:, j] * np.conj(phase[:, i]))
-                  * 4.0 / (4.0 + d ** 2))
-    for o in range(1, reach):
-        d = G[o:, np.newaxis, :] - G[:nb - o, :, np.newaxis]
-        hop = phase[o:] * np.exp(1j * k * (left[o:] - left[:-o]))[:, np.newaxis]
-        # Re(conj(e_i) hop_j) against the Cauchy weights, as real products
-        weighted = (4.0 / (4.0 + d ** 2)) @ np.stack([hop.real, hop.imag], -1)
-        near += np.sum(phase[:-o].real * weighted[..., 0]
-                       + phase[:-o].imag * weighted[..., 1])
-    pairs = near
-    if reach < nb:
+    # padding
+    phase = phase * np.exp(1j * k * (G - G[:, :1]))
+    pairs = _near_F(G, phase, reach, k)
+    if reach < len(G):
         pairs += _far_field(G, phase, reach, k, *_nodes(_min_gap(G, reach)))
     # the summand is even in d and equals 1 on the diagonal
     return 2.0 * math.pi * (n + 2.0 * float(pairs)) / (n * logT)

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -200,14 +201,42 @@ def test_bad_beta_grid(capsys):
     ("twodelta --beta 0.5:1e300:5e299",
      "column two_delta is nan in row 2 (beta=5e+299)"),
 ])
-def test_non_finite_cell_is_a_numerical_failure(capsys, cmd, cell, fmt):
+def test_non_finite_cell_is_a_numerical_failure(capsys, monkeypatch, cmd,
+                                                cell, fmt):
     # the one emitter checks every cell before it writes any, and the
-    # non-finite numbers on the way raise no numpy warning
+    # non-finite numbers on the way raise no numpy warning.  two_delta
+    # itself refuses beta past kernel._BETA_MAX, so a kernel that lets
+    # them through as NaN stands in for any column that is not finite
+    two_delta = cli.kernel.two_delta
+
+    def leaky_two_delta(beta):
+        b = np.asarray(beta)
+        sol = two_delta(np.minimum(b, 1.0))
+        nan = np.where(b > cli.kernel._BETA_MAX, np.nan, 0.0)
+        return dataclasses.replace(sol, value=sol.value + nan,
+                                   k_bb=sol.k_bb + nan, k_bmb=sol.k_bmb + nan)
+
+    monkeypatch.setattr(cli.kernel, "two_delta", leaky_two_delta)
     assert cli.main(cmd.split() + ["--format", fmt]) == cli.EXIT_NUMERICS
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(
         "pcx: numerical failure: " + cell)
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cmd, beta", [
+    ("twodelta --beta 1e300", "1e+300"),
+    ("twodelta --beta 0.5:1e300:5e299", "5e+299"),
+])
+def test_two_delta_overflow_is_a_numerical_failure(capsys, cmd, beta):
+    # past kernel._BETA_MAX the kernel's coefficients overflow: two_delta
+    # names the first such beta, with no numpy warning on the way
+    assert cli.main(cmd.split()) == cli.EXIT_NUMERICS
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "pcx: numerical failure: two_delta: the kernel's coefficients "
+        f"overflow at beta={beta} (above 1e+153)\n")
 
 
 @pytest.mark.parametrize("beta, lower, upper", [

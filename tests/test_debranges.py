@@ -265,21 +265,50 @@ def test_tilt_kernel_calls(E, monkeypatch):
 @example(beta=0.225)  # in the patch disc around Z0
 @example(beta=60.0)  # X_MAX
 def test_lambda_values_are_the_tilt_masses(E, beta):
-    # the nodes up to beta alone give the bits of the full node system;
-    # below beta ~ 1e-154 both lose lambda_+ (see the test below)
+    # the nodes up to beta alone give the bits of the full node system
     t = db.tilt(beta)
     assert db.lambda_values(beta) == (t.lambda_plus, t.lambda_minus)
 
 
-@pytest.mark.xfail(strict=True, raises=FloatingPointError,
-                   reason="p^2 + q^2 beta^2 in the weights underflows to 0 "
-                          "below beta ~ 1e-154, and the weight at beta is 0/0")
-@pytest.mark.parametrize("beta", [1e-200, 5e-324])
-def test_lambda_plus_finite_at_tiny_beta(beta):
-    # lambda_+ tends to 0.43163... as beta vanishes (0.4316317 at 1e-100)
-    with np.errstate(invalid="raise"):
-        lp, lm = db.lambda_values(beta)
-    assert lp == pytest.approx(0.4316317139920564) and lm == 0.0
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(log_beta=st.floats(-150.0, math.log10(70.0)))
+@example(log_beta=-150.0)
+@example(log_beta=math.log10(db.B_SERIES_TOP))  # the series' switch
+@example(log_beta=-3.0000000001)
+@example(log_beta=-8.0)
+@example(log_beta=-20.0)
+def test_masses_match_two_delta_down_to_tiny_beta(log_beta):
+    # lambda_+ - lambda_- = Delta(beta) for beta log-uniform on [1e-150, 70]:
+    # below B_SERIES_TOP the tilt takes B(beta) from its odd series, and
+    # the weight forms pq / (p^2 + q^2 x^2) with no square that underflows
+    beta = 10.0 ** log_beta
+    lp, lm = db.lambda_values(beta)
+    assert abs((lp - lm) - two_delta(beta).value) <= 1e-12
+
+
+def test_B_series_matches_the_closed_form(E):
+    # the odd series of B against B = -Im E where the cancellation in
+    # Re r(beta) costs little, and its first coefficient against a
+    # central difference of B at 0
+    x = np.array([1e-3, 3e-3, 1e-2])
+    b1, b3, b5, b7 = E.B_odd
+    series = x * (b1 + x ** 2 * (b3 + x ** 2 * (b5 + x ** 2 * b7)))
+    assert np.max(np.abs(series / E.B_eval(x) - 1.0)) <= 1e-12
+    h = 1e-4
+    slope = (E.B_eval(h) - E.B_eval(-h)) / (2 * h)
+    assert abs(b1 - slope) <= 1e-7 * b1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("beta", [7e-155, 1e-200, 5e-324])
+def test_lambda_values_refuse_tiny_beta(beta):
+    # below 7.19e-155, p = beta |B(beta)| of the tilt is no normal float:
+    # DomainError names the bound, with no NaN mass and no warning
+    with pytest.raises(DomainError, match="at least 7.19e-155"):
+        db.lambda_values(beta)
+    with pytest.raises(DomainError, match="at least 7.19e-155"):
+        db.tilt(beta)
 
 
 def test_lambda_and_case3_solve_only_what_they_read(monkeypatch):

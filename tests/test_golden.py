@@ -4,7 +4,9 @@ footer fails here, so a speed-up or a refactor proves that it leaves the
 outputs byte-identical.
 
 The footer names the version, so a version bump changes every digest.
-Regenerate the table with
+The lines run from the repository root, so that the `--zeros` path in
+the footer is the same wherever the tests start.  Regenerate the table
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,12 +17,15 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import pathlib
 
 import pytest
 
 from pcx import cli
 
 FORMATS = ("csv", "json", "table")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # command line -> digests of its stdout in FORMATS order
 GOLDEN = {
@@ -79,6 +84,16 @@ GOLDEN = {
         "c6210778ef8bcc666384f9c1427fa52d55bc1658ac1b1d95e2bca6e35935514b",
         "3e1f96840e0fb4c4e1a8c2fdffaa606c7ecceaeb19a0bcc6002afe3b3bd1664e",
     ),
+    "empirical --zeros data/zeta_zeros_1e4.txt --beta 0.5:3:0.05": (
+        "d474c94532bf2abb8aedcf6e8e188c2d4bc38de5c483d8f8156a6c2f7745031a",
+        "43042cb7b86db21ceb3d0b963bb93e18a4630b5b17070e20ecbb985a988b49cd",
+        "4d490f32a5d3bfb9b2369f2fbe24def7501ef2592fef7be709089bc2a88f7d38",
+    ),
+    "empirical --zeros data/zeta_zeros_1e4.txt --falpha 0:1.5:0.25": (
+        "af1013ec0294756e62e55ff63426d6e90935d36869860cac6cea98231a99d5c5",
+        "3b20b316cd8ae22a6f62bc558c591b4d76cf48c0569da3f21b333000963cf9e2",
+        "bddab5fd81ab4cb84b6e4e441332bc6ca37155a88441b5b74016c82340d2a99d",
+    ),
 }
 
 
@@ -92,11 +107,13 @@ def _digest(line, fmt):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("line", sorted(GOLDEN))
-def test_stdout_digest(line, fmt):
+def test_stdout_digest(monkeypatch, line, fmt):
+    monkeypatch.chdir(ROOT)
     assert _digest(line, fmt) == GOLDEN[line][FORMATS.index(fmt)]
 
 
 if __name__ == "__main__":
+    os.chdir(ROOT)
     print("GOLDEN = {")
     for line in GOLDEN:
         print(f"    {json.dumps(line)}: (")

@@ -6,7 +6,7 @@ import pytest
 from oracles import reproduce
 from pcx import kernel as kn
 from pcx.beurling import BandlimitedFunction
-from pcx.numerics import DomainError
+from pcx.numerics import DomainError, NonConvergence
 
 RNG = np.random.default_rng(42)
 
@@ -270,6 +270,18 @@ def test_two_delta_array_matches_scalar_calls(monkeypatch):
     assert np.allclose(small.extremal_eval(x), 1.0, rtol=0, atol=1e-9)
     with pytest.raises(DomainError):
         kn.two_delta(np.array([1.0, np.nan]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_two_delta_refuses_overflow():
+    # past 2.9e153 the coefficients' (1 - 2 (pi beta)^2) _DEN_D overflows:
+    # beta up to _BETA_MAX still gives a number, beyond it NonConvergence
+    # names the first such beta, and no numpy warning escapes
+    assert math.isfinite(kn.two_delta(kn._BETA_MAX).value)
+    for beta, named in ((1e300, "beta=1e+300"), (2.9e153, "beta=2.9e+153"),
+                        (np.array([[0.5, 5e299], [1e300, 1.0]]), "beta=5e+299")):
+        with pytest.raises(NonConvergence, match=named.replace("+", r"\+")):
+            kn.two_delta(beta)
 
 
 def test_two_delta_frozen_value():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -365,6 +366,52 @@ def test_empirical_F_dense_tables(dataset):
             assert abs(zd.empirical_F(ds, T, alpha) - want) <= 1e-13 * scale
 
 
+# F on the shipped table at alpha = 0, 0.25, ..., 3, to be kept to 1e-15
+# by any change to the blocks, the far field or its working set
+F_SHIPPED = [4.481505806468494, 0.25803951381095985, 0.47126073548295866,
+             0.6865132451943385, 0.7033637483777285, 0.6878459431909832,
+             0.697577724219723, 0.6622683794869207, 0.6972252223935654,
+             0.6830441780186447, 0.6855785209592721, 0.669026111897167,
+             0.6924332612348]
+
+
+def test_empirical_F_shipped_values(dataset):
+    for i, want in enumerate(F_SHIPPED):
+        got = zd.empirical_F(dataset, dataset.t_max, 0.25 * i)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def _peak_bytes(fn):
+    """tracemalloc's peak over one call of fn, above what was traced
+    before it, after a warm-up call; tracemalloc sees numpy's buffers."""
+    fn()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_pair_sums_working_set(dataset):
+    # one F over the shipped table peaks at 4.44 MB and the beta = 1
+    # majorant's pair sum over the first 2,000 zeros at 2.17 MB; with whole
+    # (blocks, 16, nodes) and (blocks, 16, 16) temporaries they take 9.40
+    # and 4.15 MB.  The bounds lie 6% and 15% above the measured peaks
+    T = dataset.t_max
+    assert _peak_bytes(lambda: zd.empirical_F(dataset, T, 1.0)) <= 4.7e6
+    sub = zd.ZeroDataset(ordinates=dataset.ordinates[:2000],
+                         source=dataset.source,
+                         t_max=float(dataset.ordinates[1999]))
+    R = make_selberg_pair(1.0).majorant
+    assert _peak_bytes(lambda: zd.weighted_pair_sum(sub, sub.t_max, R)) <= 2.5e6
+
+
 def test_exponential_sum_nodes(dataset):
     # the node set against 4/(4+d^2) on every gap the far field sees: from
     # the smallest gap two blocks apart in the shipped table, and from
@@ -413,7 +460,10 @@ def test_block_moments_against_exponentials(seed):
     t, _ = zd._nodes(10.0 ** rng.uniform(math.log10(zd._REACH), 4.0))
     parts = np.stack([p.real, p.imag], axis=-1)
     want = np.exp(-t[:, np.newaxis] * x[:, np.newaxis, :]) @ parts
-    err = np.abs(zd._moments(x, p, t, span) - (want[..., 0] + 1j * want[..., 1]))
+    got = zd._moments(x, p, t, span, zd._taylor(t, span),
+                      np.empty((nb, len(t)), dtype=complex),
+                      np.empty(x.size * (len(t) + zd._ORDER)))
+    err = np.abs(got - (want[..., 0] + 1j * want[..., 1]))
     assert np.all(err <= 1e-15 * np.sum(np.abs(p), axis=1)[:, np.newaxis])
 
 
