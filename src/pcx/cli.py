@@ -315,9 +315,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        # no numpy warning: the emitter's finiteness check decides what fails
-        with np.errstate(all="ignore"):
-            return globals()[f"cmd_{args.command}"](args)
+        return globals()[f"cmd_{args.command}"](args)
     except (DomainError, ValueError) as exc:
         if isinstance(exc, (ParseError, MonotonicityError)):
             sys.stderr.write(f"pcx: data error: {exc}\n")

@@ -34,8 +34,9 @@ _PATCH_H = 1e-3
 # longest CLI grid grows peak RSS by 24 MB, against 179 MB in one block
 # (2-core x86 host)
 _BLOCK = 2 ** 14
-# largest beta two_delta takes: from beta = 2.9e153 on, (1 - 2 (pi beta)^2)
-# times _DEN_D in _coefficients overflows, and the value is NaN
+# largest |w| kernel_eval and largest beta two_delta take: from |w| =
+# 2.9e153 on, (1 - 2 (pi w)^2) times _DEN_D in _coefficients overflows,
+# and d comes out 0 or NaN
 _BETA_MAX = 1e153
 
 
@@ -124,9 +125,21 @@ def kernel_eval(w, z):
     """K(w, z), elementwise over w and z broadcast against each other.
 
     Scalars give a 0-d array.  Points w within 1e-4 of the removable
-    points +/-Z0 are patched.
+    points +/-Z0 are patched.  Past |w| = _BETA_MAX the coefficients
+    overflow, and once |Im w| + |Im z| passes about 224 the sines do (K
+    grows like exp(pi (|Im w| + |Im z|))); NonConvergence then names the
+    first such w and z.  Every overflow with |w| <= _BETA_MAX leaves a
+    value that is not finite, so one pass over the values finds it.
     """
-    return _patched(_k_raw, w, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = _patched(_k_raw, w, z)
+    bad = ~np.isfinite(k) | (np.abs(w) > _BETA_MAX)
+    if bad.any():
+        w, z, _ = np.broadcast_arrays(w, z, bad)
+        i = np.argmax(bad)
+        raise NonConvergence(f"kernel_eval: K(w, z) overflows at "
+                             f"w={w.flat[i]}, z={z.flat[i]}")
+    return k
 
 
 def one_delta():

@@ -3,28 +3,44 @@
 M(R) integrates R against the pair correlation density 1 - sinc^2.  For
 the dilated interval sandwiches the value collapses to an elementary
 expression plus the lattice series V; the series is summed over a window
-around 0 and the resonance, with its two tails rolled up exactly (trigamma
-for the constant part, iterated Abel summation for the oscillatory part).
-The window reaches just far enough for the Abel remainder to drop below
-rounding, and at least ceil(SHIFT) terms past 0 and the resonance, so the
-polygammas of the tails take no recurrence step.  Trigamma, tetragamma
-and the sine integral of the conjectured mass come from pcx.special.
+[-10, floor(c) + 10], c = delta*beta, around 0 and the resonance, and its
+two tails are rolled up exactly.  Past the window ends each tail is a sum
+over n = M + k, k >= 0, with M >= ceil(SHIFT) = 10: trigamma for the
+constant part, and for the oscillatory part, z = exp(i theta) with
+theta = 2 pi/delta, the Lerch sums
+
+    sum_k z^k / (M + k)^q = (1/Gamma(q)) int_0^inf t^(q-1) e^(-M t)
+                            / (1 - z e^(-t)) dt,        q = 2, 3,
+
+one Laplace integral each.  A trapezoid rule in u = log t, step 1/8 on
+[-40, 2.125] (338 nodes), takes them; it is the kind of rule pcx.special
+uses for Si.  The integrand is analytic in the strip |Im u| < pi/2, with
+the poles t = i(theta + 2 pi k) on its edge, where e^(-M t) does not
+decay, so the step is half of Si's; the cut ends drop under e^-80 below
+and exp(-10 e^2.125) < 1e-36 above.  The denominator is formed as
+2 e^-t sin^2(theta/2) - expm1(-t) - i e^-t sin theta, which does not
+cancel as z -> 1 (delta -> 1+).  Against 40-digit Lerch transcendents
+the rule errs by at most 8e-16 relative, for M in [10, 2e5] and delta in
+[1 + 2^-52, 1e6], so V is right to rounding for every delta >= 1, at a
+cost that does not depend on delta.  At delta = 1 exactly z = 1, and the
+oscillatory tails are polygammas too.  Trigamma, tetragamma and the sine
+integral of the conjectured mass come from pcx.special; the polygammas
+are taken at M >= SHIFT, where no step of their recurrence is needed.
 
 m_selberg, conjecture_integral and bound_table take an array of beta and
 work on all of it in numpy passes; a float is an array of one.  The
-window [-m, floor(c) + m], c = delta*beta, depends on beta only through
-floor(c), so the betas are grouped by floor(c) and each group's windows
-form a matrix, one row per beta, in blocks of at most _BLOCK terms.  A
-row sum along axis 1 adds the terms in the same pairwise order as a 1-D
-sum of that row alone, so no value depends on the other betas of the
-call.  The window terms and the tails do not depend on the sign of the
-sandwich; only the n = 0 entry of the sign pattern does, so both signs
-share one pass.
+window depends on beta only through floor(c), so the betas are grouped by
+floor(c) and each group's windows form a matrix, one row per beta, in
+blocks of rows that hold at most _BLOCK window terms and tail nodes.  A
+row sum along the last axis adds the terms in the same pairwise order as
+a 1-D sum of that row alone, so no value depends on the other betas of
+the call.  The window terms and the tails do not depend on the sign of
+the sandwich; only the n = 0 entry of the sign pattern does, so both
+signs share one pass.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -35,15 +51,17 @@ from .numerics import (DomainError, NonConvergence, find_root,
 from .special import SHIFT, _out, sine_integral, trigamma_tetragamma
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
-ABEL_LEVELS = 6
-# absolute accuracy asked of each Abel-summed tail: below the rounding of
-# the O(1) terms the lattice series is combined with
-TAIL_TOL = 1e-16
-# largest tail margin; the window then has at most c + 18001 terms
-MAX_MARGIN = 9_000
-# window terms per block of rows: one row of the widest window at c < 1,
-# so that no block's temporaries outgrow those of a single row at the cap
-_BLOCK = 2 * MAX_MARGIN + 1
+# terms of the window past 0 and past the resonance
+_MARGIN = math.ceil(SHIFT)
+# trapezoid nodes t = e^u, u = -40, -39.875, ..., 2.125, of the tails'
+# Laplace integral, and the step
+_TAIL_H = 0.125
+_TAIL_T = np.exp(_TAIL_H * np.arange(-320, 18))
+# window terms and tail nodes (two ends) per block of rows, a bound on
+# the size of each temporary: 256 kB.  On 0.05:10:0.005 at delta = 1.5,
+# 2^14 to 2^16 time alike (35-50 ms, 2-core x86 host), with tracemalloc
+# peaks of 0.6 to 1.9 MB
+_BLOCK = 2 ** 15
 # largest c = delta*beta: its window holds about c terms, and m_selberg at
 # c = 10^7 takes 1.5 s and 570 MB peak (2-core x86 host)
 MAX_C = 10 ** 7
@@ -63,27 +81,21 @@ def _common_period(delta):
     return 1.0
 
 
-def _abel_osc_sum(theta, c, m_last, q):
-    """Sum of exp(i*theta*n)/(n - c)**q over n > m_last, for each c of an
-    array; exp(i*theta) must be away from 1 (the caller takes trigamma and
-    tetragamma there).
-
-    Iterated summation by parts; each level trades a factor ~1/(m|1-z|).
-    The differences are taken in extended precision: level k multiplies
-    the rounding of the terms by |1-z|^-k, which near delta = 1 would
-    otherwise dominate the truncation error.
-    """
-    z = cmath.exp(1j * theta)
-    n = m_last + 1 + np.arange(ABEL_LEVELS + 1, dtype=np.longdouble)
-    a = 1.0 / (n - np.asarray(c, dtype=np.longdouble)[..., np.newaxis]) ** q
-    total = 0.0 + 0.0j
-    zpow = cmath.exp(1j * (theta * (m_last + 1) % (2.0 * math.pi)))
-    factor = zpow / (1.0 - z)
-    for _ in range(ABEL_LEVELS):
-        total = total + factor * a[..., 0].astype(float)
-        a = np.diff(a, axis=-1)
-        factor *= z / (1.0 - z)
-    return total
+def _lerch_tails(a, m):
+    """exp(i a m) sum_k z^k / (m + k)^q for q = 2 and 3, z = exp(i a), at
+    each m >= 10 of an array, from the Laplace integral of the module
+    docstring; z must not be 1.  Each node weight is complex, and its real
+    and imaginary parts are summed as two real rows."""
+    t = _TAIL_T
+    e = np.exp(-t)
+    den = (2.0 * e * math.sin(0.5 * a) ** 2 - np.expm1(-t)
+           - 1j * e * math.sin(a))
+    weights = _TAIL_H * np.array([t ** 2, 0.5 * t ** 3]) / den
+    decay = np.exp(-m[..., np.newaxis] * t)
+    phase = np.exp(1j * a * m)
+    return [phase * (np.add.reduce(decay * w.real, axis=-1)
+                     + 1j * np.add.reduce(decay * w.imag, axis=-1))
+            for w in weights]
 
 
 def _series_tails(delta, beta, m_right, k_left, s_right, s_left):
@@ -92,60 +104,31 @@ def _series_tails(delta, beta, m_right, k_left, s_right, s_left):
 
     m_right: largest n included; k_left: largest -n included.  s_right and
     s_left are the signs attached to the two ends of the bilateral sum.
-    The two ends are stacked along a first axis of length 2, so their
-    polygammas come from one call.
+    The two ends are stacked along a first axis of length 2, at
+    m = m_right + 1 - c and k_left + 1 + c, so each function of the tails
+    is one call.
     """
     a = 2.0 * math.pi / delta
     c = delta * np.asarray(beta, dtype=float)
     inv4pi2 = 1.0 / (4.0 * math.pi ** 2)
-    # exp(i a c), as its real and imaginary parts
-    ac = (a * c) % (2.0 * math.pi)
-    cos_r, sin_r = np.cos(ac), np.sin(ac)
-
-    psi1, psi2 = trigamma_tetragamma(np.array([m_right + 1 - c,
-                                               k_left + 1 + c]))
-    # Re and Im of exp(i a c) s2 and exp(i a c) s3, formed as complex
-    # multiplication forms them; at z = 1, s2 = psi1 and s3 = -psi2/2
-    if abs(cmath.exp(1j * a) - 1.0) < 1e-9:
+    m = np.array([m_right + 1 - c, k_left + 1 + c])
+    psi1, psi2 = trigamma_tetragamma(m)
+    # Re of exp(i a c) s2 and Im of exp(i a c) s3, s_q the oscillatory sum
+    # of each end; at z = 1, s2 = psi1 and s3 = -psi2/2
+    if delta == 1.0:
+        # exp(i a c), as its real and imaginary parts
+        ac = (a * c) % (2.0 * math.pi)
+        cos_r, sin_r = np.cos(ac), np.sin(ac)
         re2, im3 = cos_r * psi1, sin_r * (-0.5 * psi2)
     else:
-        s2 = np.array([_abel_osc_sum(-a, c, m_right, 2),
-                       _abel_osc_sum(a, -c, k_left, 2)])
-        s3 = np.array([_abel_osc_sum(-a, c, m_right, 3),
-                       _abel_osc_sum(a, -c, k_left, 3)])
-        re2 = cos_r * s2.real - sin_r * s2.imag
-        im3 = cos_r * s3.imag + sin_r * s3.real
+        # the right end sums conj(z)^n, the left end z^n
+        p2, p3 = _lerch_tails(a, m)
+        re2, im3 = p2.real, np.array([-p3[0].imag, p3[1].imag])
     even = (delta + 1.0) * psi1 - (delta - 1.0) * re2
     odd = (delta / math.pi) * im3
     right = inv4pi2 * (even[0] + odd[0])
     left = inv4pi2 * (even[1] - odd[1])
     return s_right * right + s_left * left
-
-
-def _tail_margin(delta):
-    """Distance from the window ends to 0 and to c beyond which both
-    Abel-summed tails are accurate to TAIL_TOL, and never below
-    ceil(SHIFT).
-
-    After L levels the remainder of sum_{n>m} z^n/(n - c)^q is at most
-    (q)_{L-1} / (|1 - z|^L (m - c)^{q+L-1}); the q = 2 tail carries the
-    weight (delta - 1)/(4 pi^2) and the q = 3 tail delta/(4 pi^3).  At
-    delta = 1 (z = 1) the polygamma tails are exact for any margin.  The
-    tails take psi1 and psi2 at m + 1 - frac(c) and m + 1 + c, above SHIFT
-    once m >= ceil(SHIFT), so pcx.special sums its asymptotic series there
-    without a step of its recurrence; the window holds the terms those
-    steps would add.
-    """
-    gap = abs(1.0 - cmath.exp(2j * math.pi / delta))
-    margin = SHIFT
-    if gap >= 1e-9:
-        for q, weight in ((2, (delta - 1.0) / (4.0 * math.pi ** 2)),
-                          (3, delta / (4.0 * math.pi ** 3))):
-            bound = (weight * math.factorial(q + ABEL_LEVELS - 2)
-                     / math.factorial(q - 1) / gap ** ABEL_LEVELS)
-            margin = max(margin,
-                         (bound / TAIL_TOL) ** (1 / (q + ABEL_LEVELS - 1)))
-    return min(MAX_MARGIN, math.ceil(margin))
 
 
 def _checked_betas(delta, beta):
@@ -196,23 +179,24 @@ def _lattice_sum(delta, c, n_lo, n_hi):
 def _windows(delta, beta):
     """The window terms of a flat array of beta, a block of rows at a time.
 
-    The window [-m, floor(c) + m] straddles n = 0 (where the sign pattern
-    flips) and the resonance c = delta*beta, so every beta with the same
-    floor(c) has the same window.  Yields (rows, n, terms, n_lo, n_hi):
-    rows index beta, and terms holds one row per index, at most _BLOCK
-    terms per block unless one row is wider.
+    The window [-_MARGIN, floor(c) + _MARGIN] straddles n = 0 (where the
+    sign pattern flips) and the resonance c = delta*beta, so every beta
+    with the same floor(c) has the same window.  Yields (rows, n, terms,
+    n_lo, n_hi): rows index beta, and terms holds one row per index.  A
+    block holds at most _BLOCK window terms and tail nodes, unless one row
+    is wider; at delta = 1 the tails take no node.
     """
     if not len(beta):
         return
     c = delta * beta
-    margin = _tail_margin(delta)
+    nodes = 0 if delta == 1.0 else 2 * len(_TAIL_T)
     floors = np.floor(c)
     order = np.argsort(floors, kind="stable")
     ordered = floors[order]
     edges = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
     for start, stop in zip([0] + edges, edges + [len(order)]):
-        n_lo, n_hi = -margin, int(floors[order[start]]) + margin
-        per = max(1, _BLOCK // (n_hi - n_lo + 1))
+        n_lo, n_hi = -_MARGIN, int(floors[order[start]]) + _MARGIN
+        per = max(1, _BLOCK // (n_hi - n_lo + 1 + nodes))
         for i in range(start, stop, per):
             rows = order[i:min(i + per, stop)]
             n, terms = _lattice_sum(delta, c[rows], n_lo, n_hi)

@@ -1,13 +1,14 @@
 """Closed forms and identities that check pcx but that pcx itself never
 evaluates: the Fourier transforms of the Selberg functions, the constant
-recombination G = 1/2 of the lattice series, and the reproducing property
-of the kernel.  Also generate_zeros, which computed the shipped zero table
+recombination G = 1/2 of the lattice series, the lattice series itself at
+40 digits, and the reproducing property of the kernel.  Also generate_zeros, which computed the shipped zero table
 with mpmath and is checked against it; rebuild the table with
 
     PYTHONPATH=src:tests python -c "from oracles import generate_zeros; \
         generate_zeros(10000, 'data/zeta_zeros_1e4.txt')"
 """
 
+import functools
 import math
 
 import mpmath
@@ -81,6 +82,44 @@ def g_of(delta, beta):
         g[rows] = np.sum(terms, axis=1) + pb._series_tails(
             delta, b[rows], n_hi, -n_lo, +1.0, +1.0)
     return _out(g.reshape(np.shape(beta)))
+
+
+@functools.cache
+def _v_lerch_parts(delta, beta):
+    """The lattice series of v_lerch at 40 digits, as the sum of every
+    term but n = 0 and the n = 0 term, which the sign multiplies."""
+    d = mpmath.mpf(delta)
+    c = d * mpmath.mpf(beta)
+    a = 2 * mpmath.pi / d
+
+    def bracket(u):
+        return (-(d - 1) * mpmath.cos(a * u) + (d + 1)
+                - mpmath.sin(a * u) * d / (mpmath.pi * u)) / u ** 2
+
+    def tail(m):
+        # the sum of bracket(m + k) over k >= 0
+        z = mpmath.expj(a)
+        p2, p3 = (mpmath.expj(a * m) * mpmath.lerchphi(z, q, m)
+                  for q in (2, 3))
+        return ((d + 1) * mpmath.zeta(2, m) - (d - 1) * mpmath.re(p2)
+                - d / mpmath.pi * mpmath.im(p3))
+
+    n_hi = int(mpmath.floor(c)) + 10
+    rest = mpmath.fsum(mpmath.sign(n) * bracket(c - n)
+                       for n in range(-10, n_hi + 1) if n)
+    return rest + tail(n_hi + 1 - c) - tail(11 + c), bracket(c)
+
+
+def v_lerch(delta, beta, sign):
+    """The signed lattice series of pcbounds.v_series at 40 digits: the
+    window [-10, floor(c) + 10], c = delta*beta, summed term by term, and
+    each tail past it from a Hurwitz zeta and two Lerch transcendents.
+    The window cancels like 1/(c - n)^3 near the resonance, so delta*beta
+    must stay clear of integers.  Both signs share one evaluation of the
+    window and the tails."""
+    with mpmath.workdps(40):
+        rest, center = _v_lerch_parts(delta, beta)
+        return float((rest + sign * center) / (4 * mpmath.pi ** 2))
 
 
 def reproduce(f, w):

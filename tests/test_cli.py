@@ -239,6 +239,60 @@ def test_two_delta_overflow_is_a_numerical_failure(capsys, cmd, beta):
         f"overflow at beta={beta} (above 1e+153)\n")
 
 
+# extreme command lines and their documented exit codes; main installs no
+# numpy error state, so a warning any of them raised would fail here
+EXTREME = [
+    ("twodelta --beta 1e300", cli.EXIT_NUMERICS),
+    ("twodelta --beta 1.1e153", cli.EXIT_NUMERICS),
+    ("twodelta --beta 0.5:1e300:5e299", cli.EXIT_NUMERICS),
+    ("twodelta --beta 1e153", cli.EXIT_OK),
+    ("twodelta --beta 0.2250790790392765", cli.EXIT_OK),  # the patched Z0
+    ("bounds --beta 5e-324", cli.EXIT_OK),
+    ("bounds --beta 1e-300 --nstar 1.3333333333333333", cli.EXIT_OK),
+    ("bounds --beta 5e-324 --delta 2 --epsilon 0.001", cli.EXIT_OK),
+    ("bounds --beta 1e-300 --delta 1e300", cli.EXIT_OK),
+    ("bounds --beta 1 --delta 1e300", cli.EXIT_CONFIG),
+    ("bounds --beta 1 --delta 1.7976931348623157e308", cli.EXIT_CONFIG),
+    ("bounds --beta 1 --delta 1e6", cli.EXIT_OK),
+    ("bounds --beta 1 --delta 1.0000000000000002", cli.EXIT_OK),
+    ("bounds --beta 1e-300 --delta 1.00000001", cli.EXIT_OK),
+    ("bounds --beta 1e5 --delta 1.00000001", cli.EXIT_OK),
+    ("bounds --beta 1 --delta 2 --epsilon 1", cli.EXIT_OK),
+    ("bounds --beta 1 --delta 1 --epsilon 1e-300", cli.EXIT_OK),
+    ("empirical --zeros {zeros} --falpha 1e300", cli.EXIT_OK),
+    ("empirical --zeros {zeros} --falpha 5e-324", cli.EXIT_OK),
+    ("empirical --zeros {zeros} --beta 1e300", cli.EXIT_CONFIG),
+    ("empirical --zeros {zeros} --beta 5e-324", cli.EXIT_OK),
+    ("gaps --tol 1e-300", cli.EXIT_OK),
+    ("gaps --profile --beta 1e300", cli.EXIT_CONFIG),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cmd, code", EXTREME, ids=[c for c, _ in EXTREME])
+def test_extreme_lines_exit_as_documented(capsys, zeros_path, cmd, code):
+    assert cli.main(cmd.format(zeros=zeros_path).split()) == code
+    captured = capsys.readouterr()
+    if code == cli.EXIT_OK:
+        assert captured.err == ""
+    else:
+        assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_bounds_continuous_at_delta_one(capsys):
+    # a dilation just above 1 gives the undilated bounds: the oscillatory
+    # tails of the lattice series stay exact as z = exp(2 pi i/delta) -> 1
+    def columns(argv):
+        code, out = run(capsys, ["bounds", "--beta", "0.5:2:0.5"] + argv)
+        assert code == cli.EXIT_OK
+        rows = [line.split(",") for line in out.splitlines()[1:]
+                if not line.startswith("#")]
+        return np.array([[float(row[1]), float(row[2])] for row in rows])
+
+    near = columns(["--delta", "1.00000001"])
+    assert np.max(np.abs(near - columns([]))) <= 1e-6
+
+
 @pytest.mark.parametrize("beta, lower, upper", [
     ("1e-10", "-0.1666666666", "0.1666666667"),
     ("1e-300", "-0.1666666667", "0.1666666667"),

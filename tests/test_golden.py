@@ -54,6 +54,11 @@ GOLDEN = {
         "a394c38bbfff15b6e6b1855b34fae7d86855df658cb1ff158dd3e0d694ee4ee1",
         "0787bc9189cb587dffd9258bc9eeab01a117d498d98bd0aefed7568020f1f60d",
     ),
+    "bounds --delta 1.5 --beta 0.05:10:0.005": (
+        "5baba38735965611fe446d35d2f3d0399927115db62e6179167cc370971c8e25",
+        "c1fa8cbcf28f8052c15580b8cab10c29d55882e0aad8f876b150e8401dc55f8e",
+        "7893461a4ca84e2d3837d0d6b9efd49c3484065f37114542ac717df4d41c0049",
+    ),
     "twodelta --beta 0.5:40:0.5": (
         "e5f67887ddad11b16ba1f1255c9b8d573a66e24764a6c5ce5c3354e8af253733",
         "c7aee7193e08113a7ba528c54d8986a181ec7b9fd901742f4937d2b82d7c7951",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,28 @@ def test_two_delta_refuses_overflow():
                         (np.array([[0.5, 5e299], [1e300, 1.0]]), "beta=5e+299")):
         with pytest.raises(NonConvergence, match=named.replace("+", r"\+")):
             kn.two_delta(beta)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("w, z, overflows", [
+    # |w| past _BETA_MAX: the coefficients' (1 - 2 (pi w)^2) _DEN_D
+    (1e153, 0.5, False), (1.1e153, 0.5, True), (3e153, 0.5, True),
+    # |Im w| + |Im z| past about 224 to 226: the sines
+    (200j, 0.5, False), (226j, 0.5, True),
+    (5.0, 223j, False), (5.0, 230j, True),
+    (100j, 100j, False), (120j, 120j, True),
+])
+def test_kernel_eval_refuses_overflow(w, z, overflows):
+    # a finite K, or NonConvergence naming the point, never NaN with a
+    # numpy warning
+    if not overflows:
+        assert np.isfinite(kn.kernel_eval(w, z))
+        return
+    with pytest.raises(NonConvergence, match=re.escape(f"w={w}, z={z}")):
+        kn.kernel_eval(w, z)
+    # in an array, the first such point is named
+    with pytest.raises(NonConvergence, match=re.escape(f"w={w}, z={z}")):
+        kn.kernel_eval(np.array([0.5, w, 0.3]), np.array([0.1, z, z]))
 
 
 def test_two_delta_frozen_value():

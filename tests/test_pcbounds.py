@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import g_of, selberg_ft
+from oracles import g_of, selberg_ft, v_lerch
 from pcx import beurling
 from pcx import pcbounds as pb
 from pcx import special
@@ -15,28 +15,12 @@ from pcx.kernel import two_delta
 from pcx.numerics import DomainError
 
 
-def _v_brute(delta, beta, sign, terms=4_000_000):
-    """Huge-window oracle: naive truncation instead of the analytic tails.
-
-    Exercises the accelerated tail machinery; truncation of the 1/u^2
-    pieces leaves an error of order 1e-7 at this window size.
-    """
-    n = np.arange(-terms, terms + 1, dtype=float)
-    u = delta * beta - n
-    a = 2.0 * math.pi / delta
-    bracket = (-(delta - 1.0) * np.cos(a * u) + (delta + 1.0)
-               - np.sin(a * u) * delta / (math.pi * u)) / u ** 2
-    sgn = np.sign(n)
-    sgn[n == 0] = float(sign)
-    return float(np.sum(sgn * bracket)) / (4.0 * math.pi ** 2)
-
-
 def _lattice_wide(delta, beta, sign=None, margin=200_000):
     """Wide-window oracle for v_series (sign +/-1) or g_of (sign None).
 
-    Direct sum over [-margin, floor(c) + margin] plus the exact tails, whose
-    Abel remainder at that distance is far below rounding for every delta
-    tested; delta*beta must stay clear of integers.
+    Direct sum over [-margin, floor(c) + margin] plus the tails of pcbounds
+    taken that far out, where each is below 1e-5; delta*beta must stay
+    clear of integers.
     """
     c = delta * beta
     n_lo, n_hi = -margin, math.floor(c) + margin
@@ -61,27 +45,34 @@ def test_pc_density_values():
 
 
 def test_v_series_against_window_oracle():
-    # non-resonant parameters only: the naive oracle divides by u
     for delta, beta, sign in [(1.0, 0.7, 1), (1.0, 0.7, -1), (2.0, 1.3, 1),
                               (1.5, 2.1, -1), (2.0, 1.25, 1)]:
-        brute = _v_brute(delta, beta, sign)
-        fast = pb.v_series(delta, beta, sign)
-        assert abs(fast - brute) < 5e-7  # oracle truncation dominates
+        assert abs(pb.v_series(delta, beta, sign)
+                   - v_lerch(delta, beta, sign)) <= 1e-14
+
+
+@pytest.mark.parametrize("delta", [1.0 + 2.0 ** -52, 1.0 + 1e-10,
+                                   1.0 + 1e-8, 1.0 + 1e-6, 1.00001, 1.0001,
+                                   1.001, 1.01, 1.25, 1.5, 1.999, 2.0, 3.0])
+def test_v_series_to_rounding_near_delta_one(delta):
+    # the oscillatory tails are Lerch sums whose z = exp(2 pi i/delta)
+    # tends to 1 as delta -> 1+; the Laplace integral of each is exact to
+    # rounding there, with no wider window (delta*beta clear of integers)
+    for beta in (0.61, 17.3):
+        for sign in (+1, -1):
+            assert abs(pb.v_series(delta, beta, sign)
+                       - v_lerch(delta, beta, sign)) <= 1e-14
 
 
 def test_lattice_window_against_wide_oracle():
-    # close to delta = 1 the Abel tails converge slowly (the remainder grows
-    # like |1 - exp(2 pi i/delta)|^-6), so the window must widen there; a
-    # fixed +/-200 window is off by ~1e-4 at delta = 1.001.  The same factor
-    # amplifies rounding in the tail differences: ~1e-14 in binary64, a few
-    # ulps where long double carries extended precision.
-    tol = 2e-15 if np.finfo(np.longdouble).eps < 1e-18 else 1e-13
+    # the window of v_series holds 10 terms past 0 and the resonance for
+    # every delta; a window of 200,000 gives the same sum to rounding
     for delta in (1.001, 1.01, 1.1):
         for beta in (0.07, 0.61, 2.3, 17.3):  # delta*beta clear of integers
             for sign in (+1, -1):
                 want = _lattice_wide(delta, beta, sign)
-                assert abs(pb.v_series(delta, beta, sign) - want) < tol
-            assert abs(g_of(delta, beta) - _lattice_wide(delta, beta)) < tol
+                assert abs(pb.v_series(delta, beta, sign) - want) < 2e-15
+            assert abs(g_of(delta, beta) - _lattice_wide(delta, beta)) < 2e-15
 
 
 def test_g_constant_half():
@@ -285,11 +276,10 @@ def test_m_selberg_broadcasts_beta_against_sign():
 
 
 def test_bound_table_memory_near_delta_one():
-    # at delta = 1.0001 the tail margin reaches its cap and every window
-    # holds about 18,000 terms; blocks of rows keep the temporaries near
-    # one window's size.  Summing one beta at a time peaks at 1.42 MB of
-    # Python allocations on 0.05:2:0.005; one matrix of its 391 windows
-    # would take 56 MB per temporary
+    # blocks of rows keep the temporaries of the windows and of the tails'
+    # 676 nodes per row near _BLOCK entries; the bound is twice the 1.42 MB
+    # peak that summing one beta at a time took, with a window of 18,000
+    # terms, at delta = 1.0001 on 0.05:2:0.005
     import tracemalloc
     grid = [0.05 + 0.005 * i for i in range(391)]
     tracemalloc.start()
