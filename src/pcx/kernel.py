@@ -190,8 +190,9 @@ def two_delta(beta):
     k_bb, k_bmb = np.empty(flat.size), np.empty(flat.size)
     for i in range(0, flat.size, _BLOCK):
         part = flat[i:i + _BLOCK]
-        k_bb[i:i + _BLOCK] = kernel_eval(part, part).real
-        k_bmb[i:i + _BLOCK] = kernel_eval(part, -part).real
+        # K(beta, beta) and K(beta, -beta) from one coefficient triple
+        k = kernel_eval(part, np.stack([part, -part])).real
+        k_bb[i:i + _BLOCK], k_bmb[i:i + _BLOCK] = k
     k_bb, k_bmb = k_bb.reshape(b.shape), k_bmb.reshape(b.shape)
 
     def extremal_eval(x):

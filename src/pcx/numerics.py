@@ -13,10 +13,15 @@ per period of the integrand's oscillation, h = period/m, which makes the
 sampling sum exact and lands on the same phases in every period.  Only the
 truncation of the sum is left.  Over N whole periods the oscillation
 cancels period by period, so the partial sums differ from the integral by
-a tail smooth in 1/N; the partial sums at N = 128, 256, ..., 4096 are
+a tail smooth in 1/N; the partial sums at N/32, N/16, ..., N periods are
 extrapolated to 1/N = 0 with a Neville table, whose last correction is the
-error estimate.  Since every N is a multiple of 128, an oscillation whose
-period is a divisor of 128 periods lines up as well.
+error estimate.  N starts at 256 periods each way and doubles, each level
+sampling only its new periods, until the estimate is at most
+1e-13 max(1, |value|); a tail centred far out (a bump at +/-beta) is a
+series in beta/N, and converges once N is well past beta.  At the cap of
+2^16 periods the looser acceptance rule of integrate_real_line decides.
+Since every checkpoint is a multiple of 8 periods, an oscillation whose
+period is a divisor of 8 periods lines up as well.
 
 Every root the package finds is refined by find_root, which takes all the
 sign-change brackets of a grid together, one call of the callback per step.
@@ -82,11 +87,17 @@ def extrapolate_to_zero(xs, ys):
     return diag_hist[-1], abs(diag_hist[-1] - diag_hist[-2])
 
 
-# the sampling sum runs over this many whole periods on each side of 0; the
-# partial sums at 128, 256, ..., 4096 periods are extrapolated in 1/N
-_PERIODS = 4096
-_CHECKPOINTS = 128 * 2 ** np.arange(6)
-# the acceptance rule for the tail estimate: 10 (ABS + REL |value|) + 1e-13
+# the sampling sum runs over N whole periods on each side of 0, N = 256,
+# 512, ..., up to _CAP; at each N the partial sums at N/32, ..., N periods
+# are extrapolated in 1/N (in units of 1/N: 32, ..., 1, a scaling that
+# leaves the Neville table exact), and the first N whose estimate is at
+# most _TARGET max(1, |value|) gives the value
+_FIRST = 256
+_CAP = 2 ** 16
+_TARGET = 1e-13
+_INV_N = 2.0 ** np.arange(5, -1, -1)
+# the acceptance rule for the tail estimate at the cap:
+# 10 (ABS + REL |value|) + 1e-13
 _ABS_TOL = 1e-11
 _REL_TOL = 1e-10
 
@@ -97,23 +108,38 @@ def integrate_real_line(f, sigma, period=1.0):
     oscillation with the given period.
 
     The sampling sum h * sum f(n h) with m = floor(period*sigma) + 1 samples
-    per period (module docstring), over 4096 periods each way and
-    extrapolated to infinitely many.  Raises NonConvergence when the
-    extrapolation's error estimate exceeds the acceptance rule.
+    per period (module docstring), over N periods each way and extrapolated
+    to infinitely many from the partial sums at N/32, ..., N periods.  N
+    starts at 256 and doubles, f seeing only the new samples of each level,
+    until the extrapolation's error estimate is at most 1e-13 max(1,
+    |value|).  At 2^16 periods, or once the estimate is not finite, the
+    acceptance rule 10 (1e-11 + 1e-10 |value|) + 1e-13 applies instead, and
+    NonConvergence is raised when the estimate exceeds it.
     """
     if not (0.0 < sigma < math.inf and 0.0 < period < math.inf):
         raise DomainError("sigma and period must be positive and finite")
     m = math.floor(period * sigma) + 1
     h = period / m
-    n = _PERIODS * m
+    n = _FIRST * m
     y = np.asarray(f(h * np.arange(-n, n + 1, dtype=float)))
+    centre = y[n]
     pairs = y[n + 1:] + y[n - 1::-1]
     # each prefix by numpy's pairwise sum: a running sum would leave
     # rounding near 1e-14 that the extrapolation amplifies
-    partial = [y[n] + pairs[:k * m].sum() for k in _CHECKPOINTS]
-    value, est = extrapolate_to_zero(1.0 / _CHECKPOINTS, partial)
-    value, est = h * value, h * est
-    if est > 10.0 * (_ABS_TOL + _REL_TOL * abs(value)) + 1e-13:
+    partial = [centre + pairs[:n >> j].sum() for j in range(5, -1, -1)]
+    while True:
+        value, est = extrapolate_to_zero(_INV_N, partial[-6:])
+        value, est = h * value, h * est
+        if (est <= _TARGET * max(1.0, abs(value)) or n == _CAP * m
+                or not math.isfinite(est)):
+            break
+        # the next level's samples, h (n + 1) ... 2 h n on both sides
+        x = h * np.arange(n + 1, 2 * n + 1, dtype=float)
+        y = np.asarray(f(np.concatenate([x, -x])))
+        pairs = np.concatenate([pairs, y[:n] + y[n:]])
+        n *= 2
+        partial.append(centre + pairs.sum())
+    if not est <= 10.0 * (_ABS_TOL + _REL_TOL * abs(value)) + 1e-13:
         raise NonConvergence(
             f"sampled tail extrapolation error {est:.2e} above target")
     return value

@@ -160,11 +160,12 @@ def _lattice_sum(delta, c, n_lo, n_hi):
     near = np.abs(u) < 1e-4
     resonant = near.any()
     safe = np.where(near, 1.0, u) if resonant else u
-    terms = inv4pi2 * ((
-        -(delta - 1.0) * np.cos(phi)
-        + (delta + 1.0)
-        - np.sin(phi) * delta / (math.pi * safe)
-    ) / safe ** 2)
+    # at delta = 1 the cosine's factor -(delta - 1) is 0, and 2 + (+/-0)
+    # is exactly 2
+    even = (delta + 1.0 if delta == 1.0
+            else -(delta - 1.0) * np.cos(phi) + (delta + 1.0))
+    terms = inv4pi2 * ((even - np.sin(phi) * delta / (math.pi * safe))
+                       / safe ** 2)
     if resonant:
         # analytic continuation across the resonance u -> 0
         u2 = u[near] ** 2

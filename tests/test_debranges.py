@@ -403,6 +403,20 @@ def test_quadrature_check_fejer(E, monkeypatch):
         db.quadrature_check(F, "A_nodes")
 
 
+def test_quadrature_check_fejer_sample_count(E):
+    # m_of(F) meets its target at 1,024 periods each way, 3 samples a
+    # period: a quarter of the 2 * 4096 * 3 + 1 points of a fixed
+    # 4,096-period sum; the node sum adds F at each node and its negative
+    points = []
+
+    def counting(x):
+        points.append(np.size(x))
+        return np.sinc(np.asarray(x)) ** 2
+    F = BandlimitedFunction(2 * math.pi, counting)
+    db.quadrature_check(F, "A_nodes", E=E)
+    assert sum(points) <= 2 * 4096 * 3 // 4 + 1 + 2 * len(E.zeros_A)
+
+
 # a shifted Fejer kernel, whose mass the tilted node sums must reproduce
 SHIFTED_FEJER = BandlimitedFunction(
     2 * math.pi, lambda x: np.sinc(np.asarray(x) - 0.4) ** 2)

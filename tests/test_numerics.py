@@ -17,6 +17,43 @@ def test_complex_integrands():
     assert abs(v - 0.75 * np.exp(0.15j * np.pi)) < 1e-13
 
 
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(0.0, 100.0))
+def test_integrate_real_line_far_bump(c):
+    # the tail of a bump c away is a series in c/N: the levels double until
+    # N is well past c, and the value is exact to the tight target
+    v = nm.integrate_real_line(lambda x: np.sinc(x - c) ** 2, 1.0)
+    assert abs(v - 1.0) < 1e-13
+
+
+def test_integrate_real_line_samples_only_what_it_needs():
+    # sinc^2 meets the target at 1,024 periods each way, sampled 2 per
+    # period; each level's call of f holds only its new samples
+    sizes = []
+
+    def counting(x):
+        sizes.append(np.size(x))
+        return np.sinc(x) ** 2
+    assert abs(nm.integrate_real_line(counting, 1.0) - 1.0) < 1e-13
+    assert sizes == [2 * 256 * 2 + 1, 2 * 256 * 2, 2 * 512 * 2]
+
+
+def test_integrate_real_line_past_the_cap():
+    # a bump 10^4 away is still far outside 2^16 periods' reach of the
+    # extrapolation: NonConvergence, never a wrong value
+    with pytest.raises(nm.NonConvergence):
+        nm.integrate_real_line(lambda x: np.sinc(x - 1e4) ** 2, 1.0)
+    # nor a NaN: a non-finite estimate ends the doubling at once
+    sizes = []
+
+    def nan_at_zero(x):
+        sizes.append(np.size(x))
+        return np.where(x == 0.0, np.nan, np.sinc(x) ** 2)
+    with pytest.raises(nm.NonConvergence):
+        nm.integrate_real_line(nan_at_zero, 1.0)
+    assert sizes == [2 * 256 * 2 + 1]
+
+
 def test_extrapolate_to_zero_linear():
     xs = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
     ys = 3.0 + 2.0 * xs

@@ -89,15 +89,16 @@ def test_m_selberg_closed_vs_quadrature():
 
 
 def test_m_of_at_large_beta():
-    # the sampling sum needs no argument but R out to beta = 40, where the
-    # tail extrapolation starts 128 periods out, only about 3 beta away
-    for beta in (10.0, 20.0, 40.0):
+    # the tail of R centred +/-beta away is a series in beta/N, and the
+    # sampling sum doubles N until its extrapolation meets 1e-13: at
+    # beta = 80 that is 32,768 periods each way
+    for beta in (10.0, 20.0, 40.0, 60.0, 80.0):
         for delta in (1.0, 2.0):
             pair = beurling.make_selberg_pair(beta, delta)
             for sign, fn in ((1, pair.majorant), (-1, pair.minorant)):
                 quad = 0.5 * pb.m_of(fn)
                 closed = pb.m_selberg(beta, delta, sign).closed_form
-                assert abs(closed - quad) < 1e-10
+                assert abs(closed - quad) < 1e-12
 
 
 def test_m_plancherel_form_at_delta_one():
