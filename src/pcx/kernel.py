@@ -4,12 +4,12 @@ K(w, z) = a0 sinc(z - conj(w)) + a+ sinc(z - Z0) + a- sinc(z + Z0), with
 Z0 = 1/(pi sqrt2), evaluated elementwise over broadcast arrays of w and z.
 The coefficient triple (a0, a+, a-) depends on conj(w) alone and takes one
 cos and one sin of pi conj(w) (`_coefficients`); `_row` sums the three
-sinc translates, so K is entire in z, and a fixed w (debranges' E uses
-w = i) pays for its triple once.  In w the apparent poles of the triple at
-1 - 2 pi^2 w^2 = 0 are removable; one patcher, `_patched`, replaces the
-points within 1e-4 of them by a real-offset Richardson mean (O(h^6)
-accurate).  On top of the kernel sit the one-delta and two-delta extremal
-problems.
+sinc translates, stacked into one np.sinc call, so K is entire in z, and a
+fixed w (debranges' E uses w = i) pays for its triple once.  In w the
+apparent poles of the triple at 1 - 2 pi^2 w^2 = 0 are removable; one
+patcher, `_patched`, replaces the points within 1e-4 of them by a
+real-offset Richardson mean (O(h^6) accurate).  On top of the kernel sit
+the one-delta and two-delta extremal problems.
 """
 
 from __future__ import annotations
@@ -89,11 +89,21 @@ def _coefficients(wbar):
 
 def _row(a, wbar, z):
     """a0 sinc(z - wbar) + a+ sinc(z - Z0) + a- sinc(z + Z0), a = (a0, a+,
-    a-); entire in z."""
-    a0, ap, am = a
+    a-); entire in z.  The three translates are stacked into one np.sinc
+    call; each value is elementwise, so it is the value of three separate
+    calls.  A translate z - wbar below 1e-20 is flushed to 0 first: np.sinc
+    of a subnormal complex overflows, while below 1e-20 sinc is 1.0 to
+    rounding (and np.sinc takes 0 to 1.0)."""
     z = np.asarray(z, dtype=complex)
-    return (a0 * np.sinc(z - wbar) + ap * np.sinc(z - _Z0)
-            + am * np.sinc(z + _Z0))
+    d = z - wbar
+    t = np.empty((3,) + d.shape, dtype=complex)
+    t[0] = d
+    np.subtract(z, _Z0, out=t[1, ...])
+    np.add(z, _Z0, out=t[2, ...])
+    d = t[0, ...]
+    d[np.abs(d) < 1e-20] = 0.0
+    s = np.sinc(t)
+    return a[0] * s[0] + a[1] * s[1] + a[2] * s[2]
 
 
 def _sinc_taylor(y, order):

@@ -176,9 +176,11 @@ def find_root(f, xs, tol=1e-12):
     flo, fhi = fxs[cell], fxs[cell + 1]
     roots = np.empty(len(cell))
     todo = np.arange(len(cell))
-    # the endpoint kept on the last step (+1 hi, -1 lo, 0 none yet) and the
-    # widths one and two steps back
-    kept = np.zeros(len(cell))
+    # the sign of the stored value at lo, which halving keeps; kept_hi
+    # (kept_lo): the hi (lo) end was kept on the last step; the widths one
+    # and two steps back
+    neg = np.signbit(flo)
+    kept_hi = kept_lo = np.zeros(len(cell), dtype=bool)
     w1 = w2 = np.full(len(cell), np.inf)
     for it in range(201):
         width, mid = hi - lo, 0.5 * (lo + hi)
@@ -186,10 +188,10 @@ def find_root(f, xs, tol=1e-12):
         # count_nonzero, not any(): the cheaper test on short arrays
         if np.count_nonzero(done):
             roots[todo[done]] = mid[done]
-            keep = ~done
-            todo, lo, hi, flo, fhi, kept, w1, w2, width, mid = (
-                v[keep] for v in (todo, lo, hi, flo, fhi, kept, w1, w2,
-                                  width, mid))
+            keep = (~done).nonzero()[0]
+            (todo, lo, hi, flo, fhi, neg, kept_hi, kept_lo, w1, w2, width,
+             mid) = (v[keep] for v in (todo, lo, hi, flo, fhi, neg, kept_hi,
+                                       kept_lo, w1, w2, width, mid))
         if not len(todo):
             break
         if it == 200:
@@ -201,19 +203,25 @@ def find_root(f, xs, tol=1e-12):
             x = hi - fhi * width / (fhi - flo)
         x = np.minimum(np.maximum(x, lo + 0.5 * tol), hi - 0.5 * tol)
         bisect = ~((lo < x) & (x < hi)) | (width > 0.5 * w2)
-        x = np.where(bisect, mid, x)
+        np.copyto(x, mid, where=bisect)
         fx = np.asarray(f(x), dtype=float)
-        hit = fx == 0.0
         # signbit, not > 0: halving may underflow a stored value to a signed 0
-        up = np.signbit(fx) == np.signbit(flo)
-        side = np.where(up, 1.0, -1.0)
-        scale = np.where(side == kept, 0.5, 1.0)
-        lo, flo = np.where(up, x, lo), np.where(up, fx, scale * flo)
-        hi, fhi = np.where(up, hi, x), np.where(up, scale * fhi, fx)
-        kept, w1, w2 = side, width, w1
+        up = np.signbit(fx) == neg
+        down = ~up
+        # x replaces lo where up, hi elsewhere; the end kept a second time
+        # in a row has its stored value halved
+        np.multiply(fhi, 0.5, out=fhi, where=up & kept_hi)
+        np.multiply(flo, 0.5, out=flo, where=down & kept_lo)
+        np.copyto(lo, x, where=up)
+        np.copyto(flo, fx, where=up)
+        np.copyto(hi, x, where=down)
+        np.copyto(fhi, fx, where=down)
+        kept_hi, kept_lo, w1, w2 = up, down, width, w1
+        hit = fx == 0.0
         if np.count_nonzero(hit):
             roots[todo[hit]] = x[hit]
-            keep = ~hit
-            todo, lo, hi, flo, fhi, kept, w1, w2 = (
-                v[keep] for v in (todo, lo, hi, flo, fhi, kept, w1, w2))
+            keep = (~hit).nonzero()[0]
+            todo, lo, hi, flo, fhi, neg, kept_hi, kept_lo, w1, w2 = (
+                v[keep] for v in (todo, lo, hi, flo, fhi, neg, kept_hi,
+                                  kept_lo, w1, w2))
     return np.sort(np.concatenate([xs[fxs == 0.0], roots]))

@@ -247,6 +247,8 @@ EXTREME = [
     ("twodelta --beta 0.5:1e300:5e299", cli.EXIT_NUMERICS),
     ("twodelta --beta 1e153", cli.EXIT_OK),
     ("twodelta --beta 0.2250790790392765", cli.EXIT_OK),  # the patched Z0
+    ("twodelta --beta 5e-324", cli.EXIT_OK),  # subnormal: K(0, 0)
+    ("twodelta --beta 1e-310", cli.EXIT_OK),
     ("bounds --beta 5e-324", cli.EXIT_OK),
     ("bounds --beta 1e-300 --nstar 1.3333333333333333", cli.EXIT_OK),
     ("bounds --beta 5e-324 --delta 2 --epsilon 0.001", cli.EXIT_OK),

@@ -307,6 +307,20 @@ def test_kernel_eval_refuses_overflow(w, z, overflows):
         kn.kernel_eval(np.array([0.5, w, 0.3]), np.array([0.1, z, z]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_kernel_at_subnormal_points():
+    # np.sinc of a subnormal complex overflows; the translate z - conj(w)
+    # is flushed to 0 below 1e-20, where sinc is 1.0 to rounding, so K at
+    # subnormal w and z is its limit K(0, 0), and so is two_delta's
+    k00 = complex(kn.kernel_eval(0.0, 0.0))
+    for w in (5e-324, 1e-310):
+        got = kn.kernel_eval(w, np.array([w, -w, 0.0]))
+        assert np.all(got == k00)
+        assert kn.two_delta(w).value == kn.two_delta(1e-300).value
+    assert kn.two_delta(np.array([5e-324, 1e-310, 2.2e-308])).value.tolist() \
+        == [0.3274992963205882] * 3
+
+
 def test_two_delta_frozen_value():
     assert kn.two_delta(2.0).value == pytest.approx(1.91528938, abs=1e-7)
 

@@ -66,3 +66,23 @@ def test_tracer_sees_the_quadrature(tmp_path, monkeypatch, dataset):
     metrics, _ = tracer.metrics()
     assert metrics["numerics.quad_calls"] >= 2
     assert metrics["numerics.quad_s"] > 0.0
+
+
+def test_tracer_sees_the_root_solves(tmp_path, monkeypatch, dataset):
+    # the lambda_values ops of the nodes plan solve their nodes through
+    # numerics.find_root(f, ...), the name and argument the root metrics
+    # count
+    W = _load("workloads", monkeypatch)
+    spans = _load("spans", monkeypatch)
+    ops, _, ctx = _tiny_plan(W, "nodes", tmp_path, dataset)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for op in ops:
+            if "lambda" in op["name"]:
+                W.execute(op, ctx)
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracer.metrics()
+    assert metrics["numerics.root_calls"] >= 1
+    assert metrics["numerics.root_evals"] > 0
