@@ -241,7 +241,9 @@ def cmd_empirical(args):
     ds = zerodata.load_zeros(args.zeros)
     if args.falpha:
         alphas = _parse_beta(args.falpha, "--falpha")
-        f_alpha = [zerodata.empirical_F(ds, ds.t_max, a) for a in alphas]
+        # one call: the pair-sum work that does not depend on alpha is
+        # shared by the whole grid
+        f_alpha = zerodata.empirical_F(ds, ds.t_max, np.array(alphas))
         return _emit(args, "empirical", ["alpha", "f_alpha"],
                      {"alpha": alphas, "f_alpha": f_alpha})
     betas = _parse_beta(args.beta) or _parse_beta("0.5:2:0.1")

@@ -23,17 +23,26 @@ per-block power moments; only the larger nodes take exponentials.
 Working set: no temporary grows as blocks x 16 x nodes or blocks x 16 x
 16 except one buffer filled in place: the near field fills one (blocks,
 16, 16) array of Cauchy weights per block offset, and the far field
-keeps everything it needs in one workspace, two (blocks, nodes) complex
-arrays and a scratch that the Taylor powers and the direct exponentials
-take in turn.  One F at n = 10^4 peaks at 4.4 MB (tracemalloc) and, as
+keeps everything it needs in one workspace, two (blocks, nodes, alphas)
+complex arrays and a scratch that the Taylor powers and the direct
+exponentials take in turn.  One F at n = 10^4 peaks at 4.4 MB (tracemalloc) and, as
 the C allocator keeps the one workspace between calls, pages in nothing
-new after the first.  The weighted pair sum of a Selberg majorant or
-minorant takes the same blocks: pairs up to `reach` blocks apart are
-summed exactly, 64 blocks per call of R, and past the gap from which
-both arguments x +/- gamma take the far branch of pcx.beurling, the
-summand is the Cauchy weight times a power series in 1/(d +/- c) and a
-cosine, which the same far field sums as two exponential sums, one
-smooth and one at the cosine's frequency.  That sum costs about 17 ms
+new after the first.  F takes an alpha grid in one call: the window, the
+blocks and the nodes are set up once, and per chunk of _ALPHAS = 8
+alphas the Cauchy weights, the Taylor coefficients, the direct
+exponentials, the power moments and the decays, none of which depends on
+alpha; only the unit phases, the products with them, the carry and the
+final contraction run per alpha, each product taking two float columns
+per alpha.  The 7 alphas 0:1.5:0.25 take 4.9 ms at n = 2,000 against
+14 ms for seven float calls, and the 61 alphas 0:3:0.05 take 0.13 s at
+n = 10^4 against 0.41 s, peaking at 21 MB (2-core x86 host); a float
+alpha is the one-alpha case of the same code.  The weighted pair sum of
+a Selberg majorant or minorant takes the same blocks: pairs up to
+`reach` blocks apart are summed exactly, 64 blocks per call of R, and
+past the gap from which both arguments x +/- gamma take the far branch
+of pcx.beurling, the summand is the Cauchy weight times a power series
+in 1/(d +/- c) and a cosine, which the same far field sums as two
+exponential sums, one smooth and one at the cosine's frequency.  That sum costs about 17 ms
 at n = 2,000 and 72 ms at n = 10^4 on a 2-core x86 host, against 0.36
 and 8.4 s for the direct sum over all pairs; the evaluation of R in the
 exact near field is most of it.  The direct loop over the unordered
@@ -64,6 +73,11 @@ _CHUNK = 128
 
 # ordinates per block of F
 _BLOCK = 16
+# frequencies per pass of an array F: its far field keeps two (senders,
+# nodes, frequencies) complex arrays, 2.1 MB per frequency at n = 10^4, so
+# that 0:3:0.05 (61 alphas) there peaks at 21 MB, against 149 MB in one
+# pass; the 7 alphas of 0:1.5:0.25 take one pass
+_ALPHAS = 8
 # blocks per call of R in the exact near field of the weighted pair sum of
 # a Selberg function: at most 64 x 256 = 16,384 gaps, on which the R of
 # pcx.beurling peaks near 1.9 MB
@@ -411,38 +425,44 @@ def _selberg_pairs(g, R, scale, term):
     k = 2.0 * math.pi * a
     phase = real * np.exp(1j * k * (G - G[:, :1]))
     return (float(near)
-            + _far_field(G, real.astype(complex), reach, 0.0, t, smooth, d0)
-            + _far_field(G, phase, reach, k, t, oscillating, d0))
+            + float(_far_field(G, real.astype(complex)[..., np.newaxis], reach,
+                               np.zeros(1), t, smooth, d0)[0])
+            + float(_far_field(G, phase[..., np.newaxis], reach, np.array([k]),
+                               t, oscillating, d0)[0]))
 
 
 def _taylor(t, span):
     """The Taylor coefficients (-span t)^m / m!, m < _ORDER, of exp(-t x)
     in x / span, for the nodes t with t span <= 1 (the first ones of the
-    ascending t): one row per such node."""
-    order = np.arange(_ORDER)
-    factorials = np.array([math.factorial(m) for m in order], dtype=float)
+    ascending t): one row per such node, as running products of
+    -span t / m."""
     small = np.count_nonzero(t * span <= 1.0)
-    return (-span * t[:small, np.newaxis]) ** order / factorials
+    steps = np.empty((small, _ORDER))
+    steps[:, 0] = 1.0
+    np.divide(-span * t[:small, np.newaxis], np.arange(1, _ORDER), out=steps[:, 1:])
+    return np.multiply.accumulate(steps, axis=1, out=steps)
 
 
 def _moments(x, phase, t, span, taylor, out, scratch):
-    """Fill out, a (blocks, nodes) complex array, with sum_i phase_i
-    exp(-t x_i) over each block row of offsets 0 <= x <= span, for every
-    node t.
+    """Fill out, a (blocks, nodes) or (blocks, nodes, alphas) complex
+    array, with sum_i phase_i exp(-t x_i) over each block row of offsets
+    0 <= x <= span, for every node t; phase has the shape of x, or of x
+    with the trailing alpha axis of out.
 
     The first len(taylor) nodes, those with t span <= 1, take the Taylor
     series of exp(-t x) in x / span, cut at _ORDER terms (remainder under
     1/_ORDER!), from the per-block power moments P_m = sum_i phase_i
     (x_i / span)^m and the coefficients taylor = _taylor(t, span); the
-    other nodes take their exponentials directly.  Both products write
-    into out through its float view; the powers and the exponentials take
-    turns in scratch, a float array of at least x.size * max(_ORDER,
-    nodes - len(taylor)) entries."""
+    other nodes take their exponentials directly.  The exponentials and
+    the powers do not depend on the phases, so every alpha shares them.
+    Both products write into out through its float view; the powers and
+    the exponentials take turns in scratch, a float array of at least
+    x.size * max(_ORDER, nodes - len(taylor)) entries."""
     small = len(taylor)
-    # the float view of the phases, two real columns, keeps the products
-    # real
-    parts = phase.view(float).reshape(x.shape + (2,))
-    columns = out.view(float).reshape(len(x), len(t), 2)
+    # the float view of the phases, two real columns per alpha, keeps the
+    # products real
+    parts = phase.view(float).reshape(x.shape + (-1,))
+    columns = out.view(float).reshape(len(x), len(t), -1)
     # node-major, so that each product and exp runs over all offsets at once
     direct = scratch[:(len(t) - small) * x.size].reshape((-1,) + x.shape)
     np.multiply(-t[small:, np.newaxis, np.newaxis], x, out=direct)
@@ -462,63 +482,77 @@ def _moments(x, phase, t, span, taylor, out, scratch):
 
 
 def _shift(dx, t, k, out, scratch):
-    """Fill out with exp(-(t - i k) dx) for every gap dx and node t: a
-    real decay times the gap's unit phase.  The decay is taken in the
-    float array scratch (dx.size * nodes entries or more): numpy's exp
-    rounds otherwise on the strided real part of out."""
-    decay = scratch[:out.size].reshape(out.shape)
+    """Fill out, a (gaps, nodes, alphas) complex array, with exp(-(t -
+    i k) dx) for every gap dx, node t and frequency k of the array k: a
+    real decay, shared by every k, times the gap's unit phase.  The decay
+    is taken in the float array scratch (dx.size * nodes entries or
+    more).  The products fill the float view of out: for one k, one
+    multiply per float column, running down the nodes; for more, einsum's
+    outer product, whose inner loop is one row of the 2 len(k) columns.
+    At n = 10^4 (2-core x86 host) the columns take 0.16 ms for one k and
+    7.5 for eight, einsum 0.56 and 1.3, and a broadcast multiply 1.0 and
+    2.3."""
+    decay = scratch[:len(dx) * len(t)].reshape(len(dx), len(t))
     np.multiply(-dx[:, np.newaxis], t, out=decay)
     np.exp(decay, out=decay)
-    unit = np.exp(1j * k * dx)[:, np.newaxis]
-    np.multiply(decay, unit.real, out=out.real)
-    np.multiply(decay, unit.imag, out=out.imag)
+    unit = np.exp(1j * k * dx[:, np.newaxis]).view(float)
+    columns = out.view(float).reshape(len(dx), len(t), 2 * len(k))
+    if len(k) == 1:
+        np.multiply(decay, unit[:, :1], out=columns[..., 0])
+        np.multiply(decay, unit[:, 1:], out=columns[..., 1])
+    else:
+        np.einsum("gt,gk->gtk", decay, unit, out=columns)
     return out
 
 
 def _carry(sums, steps):
     """Turn the rows of sums into running sums in place: row a becomes
-    row a + (row a - 1, already summed) * steps[a - 1]."""
-    rows = list(sums)
-    for prev, row, step in zip(rows, rows[1:], steps):
+    row a + (row a - 1, already summed) * steps[a - 1].  Each row is taken
+    flat: numpy's call overhead is lower on one axis than on two."""
+    width = sums[0].size
+    rows = list(sums.reshape(-1, width))
+    for prev, row, step in zip(rows, rows[1:], steps.reshape(-1, width)):
         row += prev * step
 
 
 def _far_field(G, phase, reach, k, t, w, shift=0.0):
     """Sum of Re(exp(i k d) sum_j w_j exp(-t_j (d - shift))) over the
-    pairs `reach` or more blocks apart (fewer than the blocks), given the
-    nodes t, their real or complex weights w and the block-local phases
-    exp(i k (x - left edge)) of the ordinates (a contiguous complex array,
-    zero on padding); with the weights of _nodes it is the sum of
-    cos(k d) 4/(4+d^2).  Block a sends
-    its moment about its right edge; a running sum of the moments is
-    carried from right edge to right edge (steps >= 0) and handed to
-    block a + reach at its left edge, so every phase is k times a gap
-    inside a block or between block edges.  A shift up to the smallest
-    hand-off gap keeps every factor at most 1, the weights carrying
-    exp(-(t_j - i k) shift).
+    pairs `reach` or more blocks apart (fewer than the blocks), for every
+    frequency of the array k, given the nodes t, their real or complex
+    weights w and the block-local phases exp(i k (x - left edge)) of the
+    ordinates (a contiguous complex (blocks, _BLOCK, len(k)) array, zero
+    on padding); with the weights of _nodes it is the sum of cos(k d)
+    4/(4+d^2), one entry per k.  Block a sends its moment about its right
+    edge; a running sum of the moments is carried from right edge to right
+    edge (steps >= 0) and handed to block a + reach at its left edge, so
+    every phase is k times a gap inside a block or between block edges.
+    A shift up to the smallest hand-off gap keeps every factor at most 1,
+    the weights carrying exp(-(t_j - i k) shift).
 
     Moments are taken only for the blocks that send or receive, and all
     large arrays live in one workspace filled in place: the carried sums,
-    one more (blocks, nodes) array (the steps, then the hand-off factors,
-    then the receivers' moments) and the scratch of _moments and _shift.
-    As one block, the C allocator keeps it from call to call (glibc keeps
-    up to twice the largest block it has unmapped), where separate arrays
-    of a third of its size would go back to the kernel after each call
-    and be paged in afresh on the next."""
+    one more (blocks, nodes, alphas) array (the steps, then the hand-off
+    factors, then the receivers' moments) and the scratch of _moments and
+    _shift, which holds only what every k shares.  As one block, the C
+    allocator keeps it from call to call (glibc keeps up to twice the
+    largest block it has unmapped), where separate arrays of a third of
+    its size would go back to the kernel after each call and be paged in
+    afresh on the next."""
     senders = len(G) - reach
     left, right = G[:, 0], G[:, -1]
     # any positive scale serves when every block is one repeated value
     span = float(np.max(right - left)) or 1.0
     taylor = _taylor(t, span)
-    size = senders * len(t)
+    size = senders * len(t) * len(k)
     per_row = max(len(t), _BLOCK * max(_ORDER, len(t) - len(taylor)))
     work = np.empty(4 * size + senders * per_row)
-    carried, other = work[:4 * size].view(complex).reshape(2, senders, len(t))
+    carried, other = work[:4 * size].view(complex).reshape(
+        2, senders, len(t), len(k))
     scratch = work[4 * size:]
     # exp(i k (right - x)) = conj(exp(i k (x - left))) exp(i k (right - left))
     _moments(right[:senders, np.newaxis] - G[:senders],
              np.conj(phase[:senders])
-             * np.exp(1j * k * (right - left))[:senders, np.newaxis],
+             * np.exp(1j * k * (right - left)[:senders, np.newaxis])[:, np.newaxis],
              t, span, taylor, carried, scratch)
     _carry(carried, _shift(np.diff(right[:senders]), t, k,
                            other[:senders - 1], scratch))
@@ -528,20 +562,21 @@ def _far_field(G, phase, reach, k, t, w, shift=0.0):
     into = _moments(G[reach:] - left[reach:, np.newaxis], phase[reach:], t,
                     span, taylor, other, scratch)
     into *= carried
-    return float(np.real(np.sum(into, axis=0) @ w))
+    return np.real(np.sum(into, axis=0).T @ w)
 
 
 def _near_F(G, phase, reach, k):
     """Sum of cos(k d) 4/(4+d^2) over the pairs inside a block (j > i)
-    and up to reach - 1 blocks apart, exactly.  For x_j in block b + o
-    and x_i in block b, cos(k d) = Re(e_j conj(e_i) exp(i k (left_{b+o}
-    - left_b))); each offset o fills one (blocks, _BLOCK, _BLOCK) buffer
-    with the Cauchy weights in place and contracts it as real batched
-    products.  At o = 0 the weights of pairs j <= i are zeroed."""
+    and up to reach - 1 blocks apart, exactly, for every frequency of the
+    array k.  For x_j in block b + o and x_i in block b, cos(k d) =
+    Re(e_j conj(e_i) exp(i k (left_{b+o} - left_b))); each offset o fills
+    one (blocks, _BLOCK, _BLOCK) buffer with the Cauchy weights in place,
+    once for every k, and contracts it as real batched products with two
+    columns per k.  At o = 0 the weights of pairs j <= i are zeroed."""
     nb = len(G)
     left = G[:, 0]
     weights = np.empty((nb, _BLOCK, _BLOCK))
-    near = 0.0
+    near = np.zeros(len(k))
     for o in range(reach):
         cauchy = weights[:nb - o]
         np.subtract(G[o:, np.newaxis, :], G[:nb - o, :, np.newaxis], out=cauchy)
@@ -550,36 +585,60 @@ def _near_F(G, phase, reach, k):
         np.divide(4.0, cauchy, out=cauchy)
         if o == 0:
             cauchy *= np.triu(np.ones((_BLOCK, _BLOCK)), 1)
-        hop = phase[o:] * np.exp(1j * k * (left[o:] - left[:nb - o]))[:, np.newaxis]
+        hop = phase[o:] * np.exp(
+            1j * k * (left[o:] - left[:nb - o])[:, np.newaxis])[:, np.newaxis]
         # Re(conj(e_i) hop_j) against the Cauchy weights, as real products
         # on the float view of hop
-        weighted = cauchy @ hop.view(float).reshape(hop.shape + (2,))
-        near += np.sum(phase[:nb - o].real * weighted[..., 0]
-                       + phase[:nb - o].imag * weighted[..., 1])
+        weighted = (cauchy @ hop.view(float).reshape(nb - o, _BLOCK, 2 * len(k))
+                    ).reshape(hop.shape + (2,))
+        terms = (phase[:nb - o].real * weighted[..., 0]
+                 + phase[:nb - o].imag * weighted[..., 1])
+        # one contiguous pairwise sum per k, as if each k were alone
+        near += np.sum(np.moveaxis(terms, -1, 0).reshape(len(k), -1), axis=1)
     return near
 
 
 def empirical_F(ds, T, alpha):
     """Montgomery-style normalized exponential pair sum at alpha:
     2 pi / (n log T) times the sum of cos(alpha log T d) 4/(4+d^2) over
-    all ordered pairs of the window, d the gap between their ordinates."""
-    if not math.isfinite(alpha):
+    all ordered pairs of the window, d the gap between their ordinates.
+
+    alpha is a float, which gives a float, or an array, which gives an
+    array of F in its shape.  F is even in alpha, so each distinct
+    |alpha| is summed once.  The window, its blocks and the far field's
+    nodes are set up once per call; the Cauchy weights, the Taylor
+    coefficients, the direct exponentials, the power moments and the
+    decays once per chunk of _ALPHAS frequencies, with one pair of float
+    columns per frequency in every product.  A float is the one-alpha
+    case of the same sums."""
+    a = np.asarray(alpha, dtype=float)
+    if not np.isfinite(a).all():
         raise DomainError("alpha must be finite")
     logT = math.log(T)
-    k = abs(alpha) * logT
-    # phase holds the 0/1 mask of the real entries until it is rebound
-    G, phase = _blocks(_window(ds, T))
-    n = int(np.count_nonzero(phase))
+    G, real = _blocks(_window(ds, T))
+    n = int(np.count_nonzero(real))
+    # the mask of the real entries, kept through every chunk as booleans,
+    # an eighth of the 0/1 floats; either gives the same phases
+    real = real > 0
     # the far field starts at the first block offset whose gaps reach _REACH
     reach = _reach(G, _REACH)
-    # block-local unit phases e_i = exp(i k (x_i - left edge)), zero on the
-    # padding
-    phase = phase * np.exp(1j * k * (G - G[:, :1]))
-    pairs = _near_F(G, phase, reach, k)
-    if reach < len(G):
-        pairs += _far_field(G, phase, reach, k, *_nodes(_min_gap(G, reach)))
+    nodes = _nodes(_min_gap(G, reach)) if reach < len(G) else None
+    k, where = np.unique(np.abs(a.reshape(-1)) * logT, return_inverse=True)
+    pairs = np.empty(len(k))
+    for lo in range(0, len(k), _ALPHAS):
+        chunk = k[lo:lo + _ALPHAS]
+        # block-local unit phases e_i = exp(i k (x_i - left edge)), zero on
+        # the padding, one column per k
+        phase = np.exp(1j * chunk * (G - G[:, :1])[..., np.newaxis])
+        phase *= real[..., np.newaxis]
+        pairs[lo:lo + _ALPHAS] = _near_F(G, phase, reach, chunk)
+        if nodes is not None:
+            pairs[lo:lo + _ALPHAS] += _far_field(G, phase, reach, chunk, *nodes)
     # the summand is even in d and equals 1 on the diagonal
-    return 2.0 * math.pi * (n + 2.0 * float(pairs)) / (n * logT)
+    F = (2.0 * math.pi * (n + 2.0 * pairs) / (n * logT))[where]
+    if isinstance(alpha, np.ndarray) or np.ndim(alpha):
+        return F.reshape(a.shape)
+    return float(F[0])
 
 
 def empirical_table(ds, T, betas):

@@ -445,6 +445,31 @@ def test_empirical_falpha_rows(tmp_path, capsys, dataset):
     assert code == 0 and json.loads(out)["notes"] == []
 
 
+def test_empirical_falpha_one_call(tmp_path, capsys, dataset, monkeypatch):
+    # the whole alpha grid is one call of empirical_F, on a grid of more
+    # than one of its chunks; each row prints as the float call would
+    from pcx import zerodata
+    path = tmp_path / "zeros500.txt"
+    path.write_text("".join(f"{v:.9f}\n" for v in dataset.ordinates[:500]))
+    ds = zerodata.load_zeros(path)
+    floats = [zerodata.empirical_F(ds, ds.t_max, 0.05 * k) for k in range(61)]
+    calls = []
+    F = zerodata.empirical_F
+
+    def counting(*args):
+        calls.append(args)
+        return F(*args)
+
+    monkeypatch.setattr(zerodata, "empirical_F", counting)
+    code, out = run(capsys, ["empirical", "--zeros", str(path),
+                             "--falpha", "0:3:0.05"])
+    assert code == 0
+    assert len(calls) == 1
+    rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
+    assert len(rows) == 61 > zerodata._ALPHAS
+    assert [f for _, f in rows] == [cli._fmt(F) for F in floats]
+
+
 def test_runtime_imports_no_scipy_or_numpy_random(zeros_path):
     # neither is needed at runtime, and importing them dominated the
     # start-up of every pcx process; a fresh interpreter shows what the

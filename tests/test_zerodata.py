@@ -381,6 +381,69 @@ def test_empirical_F_shipped_values(dataset):
         assert abs(got - want) <= 1e-15 * abs(want)
 
 
+def _prefix(dataset, n):
+    """The first n ordinates of the shipped table, windowed at the last."""
+    return zd.ZeroDataset(ordinates=dataset.ordinates[:n], source="prefix",
+                          t_max=float(dataset.ordinates[n - 1]))
+
+
+@pytest.mark.parametrize("n, grid", [(10000, (0.0, 3.0, 0.05)),
+                                     (2000, (0.0, 1.5, 0.25))])
+def test_empirical_F_array_matches_float_calls(dataset, n, grid):
+    # one array call against a float call per alpha, alpha = 0 included;
+    # the alphas share products with 2 columns per alpha, whose sums BLAS
+    # may order otherwise than with 2 (measured 2.5e-15 and 1.3e-15)
+    ds = _prefix(dataset, n)
+    lo, hi, step = grid
+    alphas = lo + step * np.arange(round((hi - lo) / step) + 1)
+    got = zd.empirical_F(ds, ds.t_max, alphas)
+    assert got.shape == alphas.shape
+    for a, f in zip(alphas, got):
+        want = zd.empirical_F(ds, ds.t_max, float(a))
+        assert abs(f - want) <= 4e-15 * abs(want)
+
+
+def test_empirical_F_array_even_and_chunked(dataset):
+    # a grid of more than one chunk, with every alpha also negated and the
+    # order scrambled: F(-alpha) is F(alpha) to the bit inside one array
+    ds = _prefix(dataset, 300)
+    alphas = 0.1 * np.arange(3 * zd._ALPHAS + 1)
+    assert len(alphas) > zd._ALPHAS
+    both = np.random.default_rng(3).permutation(np.concatenate([alphas,
+                                                                -alphas]))
+    got = zd.empirical_F(ds, ds.t_max, both)
+    for a, f in zip(both, got):
+        assert f == got[both == -a][0]
+        want = zd.empirical_F(ds, ds.t_max, float(a))
+        assert abs(f - want) <= 4e-15 * abs(want)
+    # the shape of alpha is kept
+    grid = zd.empirical_F(ds, ds.t_max, alphas[:6].reshape(2, 3))
+    assert grid.shape == (2, 3)
+    assert np.array_equal(grid.reshape(-1),
+                          zd.empirical_F(ds, ds.t_max, alphas[:6]))
+
+
+def test_empirical_F_return_types(dataset):
+    ds = _prefix(dataset, 300)
+    f = zd.empirical_F(ds, ds.t_max, 0.5)
+    assert type(f) is float
+    assert type(zd.empirical_F(ds, ds.t_max, np.float64(0.5))) is float
+    zero_d = zd.empirical_F(ds, ds.t_max, np.array(0.5))
+    assert isinstance(zero_d, np.ndarray) and zero_d.shape == () and zero_d == f
+    empty = zd.empirical_F(ds, ds.t_max, np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+    listed = zd.empirical_F(ds, ds.t_max, [0.5, 1.0])
+    assert isinstance(listed, np.ndarray) and listed.shape == (2,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_empirical_F_array_rejects_non_finite_alpha(dataset, bad):
+    for alphas in (np.array([0.5, bad, 1.0]), np.array([bad]),
+                   np.array([[0.5], [bad]])):
+        with pytest.raises(DomainError):
+            zd.empirical_F(dataset, 1000.0, alphas)
+
+
 def _peak_bytes(fn):
     """tracemalloc's peak over one call of fn, above what was traced
     before it, after a warm-up call; tracemalloc sees numpy's buffers."""
@@ -410,6 +473,23 @@ def test_pair_sums_working_set(dataset):
                          t_max=float(dataset.ordinates[1999]))
     R = make_selberg_pair(1.0).majorant
     assert _peak_bytes(lambda: zd.weighted_pair_sum(sub, sub.t_max, R)) <= 2.5e6
+
+
+def test_alpha_grid_working_set(dataset):
+    # the 7-alpha grid of the benchmark at n = 2,000, one chunk, peaks at
+    # 3.79 MB and keeps the bound of one F at n = 10^4; the 61-alpha grid
+    # 0:3:0.05 at n = 10^4 at 21.2 MB, its far field taken _ALPHAS = 8
+    # alphas at a time (in one pass, 149 MB).  The second bound lies 15%
+    # above its measured peak
+    sub = zd.ZeroDataset(ordinates=dataset.ordinates[:2000],
+                         source=dataset.source,
+                         t_max=float(dataset.ordinates[1999]))
+    seven = 0.25 * np.arange(7)
+    assert len(seven) <= zd._ALPHAS
+    assert _peak_bytes(lambda: zd.empirical_F(sub, sub.t_max, seven)) <= 4.7e6
+    grid = 0.05 * np.arange(61)
+    assert _peak_bytes(
+        lambda: zd.empirical_F(dataset, dataset.t_max, grid)) <= 24.4e6
 
 
 def test_exponential_sum_nodes(dataset):
