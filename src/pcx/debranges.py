@@ -13,6 +13,13 @@ tilt adds atan(qx/p) in [0, pi/2) to phi.  A-type node functions (A, A_beta)
 vanish at phase pi/2 mod pi and B-type ones (B, B_beta) at 0 mod pi, so the
 grid 0, k + 3/4 (A-type) or 0, k + 1/4 (B-type), k = 0, 1, ..., has exactly
 one root in each cell (_nodes); for the B-type the first is 0.
+
+The node functions return their slopes too, so find_root refines their
+roots by Newton steps: E' = (-i - z) r' - r comes from the same row r of
+three sinc translates as E (E_slope_eval), and E_beta' = (p - iqz) E' -
+iq E.  A node near 0, such as A_beta's about 2 sqrt(beta - b_k) just right
+of a B-zero b_k, then comes out to relative precision, where a bracket
+width of 1e-13 would leave its weight visibly off.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from typing import Callable
 import numpy as np
 
 from .beurling import BandlimitedFunction
-from .kernel import _coefficients, _patched, _row, _row_taylor, kernel_eval
+from .kernel import (_coefficients, _patched, _row, _row_slope, _row_taylor,
+                     kernel_eval)
 from .numerics import (DomainError, NonConvergence, RootMiss,
                        extrapolate_to_zero, find_root)
 from .pcbounds import m_of
@@ -48,6 +56,9 @@ B_SERIES_TOP = 1e-3
 @dataclass(frozen=True)
 class HermiteBiehler:
     E_eval: Callable
+    # E(z) and E'(z), stacked along a new first axis, from one row of three
+    # sinc translates
+    E_slope_eval: Callable
     A_eval: Callable
     B_eval: Callable
     zeros_A: np.ndarray
@@ -78,7 +89,8 @@ class TiltedSpace:
 
 def _nodes(fn, offset, x_hi):
     """The roots of fn on the grid 0, offset, offset + 1, ..., ceil(x_hi) +
-    offset (module docstring).  RootMiss unless every cell holds exactly one
+    offset (module docstring); fn returns values, or (values, slopes) for
+    find_root's Newton steps.  RootMiss unless every cell holds exactly one
     root, a root at 0 counting for the first cell."""
     grid = np.concatenate([[0.0], offset + np.arange(math.ceil(x_hi) + 1.0)])
     roots = find_root(fn, grid, 1e-13)
@@ -105,7 +117,8 @@ def _hermite_biehler(x_max):
         raise RootMiss("diagonal normalization is not positive")
     # E(z) = 2 pi i (-i - z) K(i, z) / sqrt(l_ii); w = i lies far from the
     # poles +/-Z0, so its coefficient triple needs no patch
-    a = [2.0j * math.pi / math.sqrt(l_ii) * c for c in _coefficients(-1j)]
+    a = np.array([2.0j * math.pi / math.sqrt(l_ii) * c
+                  for c in _coefficients(-1j)])
 
     def E_eval(z):
         # a scalar z runs as a 1-element array: numpy rounds the complex
@@ -114,22 +127,39 @@ def _hermite_biehler(x_max):
         v = z.reshape(-1)
         return ((-1j - v) * _row(a, -1j, v)).reshape(z.shape)
 
+    def E_slope_eval(z):
+        # E and E' = (-i - z) r' - r stacked along a new first axis; the
+        # values are E_eval's, to the bit but within 1e-3 of +/-Z0
+        z = np.asarray(z, dtype=complex)
+        v = z.reshape(-1)
+        r = _row_slope(a, -1j, v)
+        e = (-1j - v) * r
+        e[1] -= r[0]
+        return e.reshape((2,) + z.shape)
+
     def A_eval(x):
         return np.real(E_eval(np.asarray(x, dtype=float)))
 
     def B_eval(x):
         return -np.imag(E_eval(np.asarray(x, dtype=float)))
 
+    def A_slope(x):
+        return tuple(E_slope_eval(x).real)
+
+    def B_slope(x):
+        return tuple(-E_slope_eval(x).imag)
+
     # a_k > k - 3/4, so at most ceil(x_max) A-zeros lie below x_max, and
     # the ceil(x_max) + 1 B-zeros found reach past the last of them
-    zeros_a = _nodes(A_eval, 0.75, x_max)
+    zeros_a = _nodes(A_slope, 0.75, x_max)
     zeros_a = zeros_a[zeros_a <= x_max]
-    zeros_b = _nodes(B_eval, 0.25, x_max)[:len(zeros_a) + 1]
+    zeros_b = _nodes(B_slope, 0.25, x_max)[:len(zeros_a) + 1]
     # on the real line E = (-i - x) r(x) gives B = Re r + x Im r, so with
     # c_n the Taylor coefficients of r at 0, B_k = Re c_k + Im c_(k-1)
     c = _row_taylor(a, -1j, 7)
     b_odd = tuple(float(c[k].real + c[k - 1].imag) for k in (1, 3, 5, 7))
-    return HermiteBiehler(E_eval=E_eval, A_eval=A_eval, B_eval=B_eval,
+    return HermiteBiehler(E_eval=E_eval, E_slope_eval=E_slope_eval,
+                          A_eval=A_eval, B_eval=B_eval,
                           zeros_A=zeros_a, zeros_B=zeros_b, x_max=float(x_max),
                           B_odd=b_odd)
 
@@ -189,12 +219,17 @@ def _E_beta(p, q):
 def _tilted_nodes(beta, p, q, part, x_hi):
     """The nodes of the tilt (p, q, part) at beta over [0, x_hi], x_hi >=
     beta, the one nearest beta set to beta, and their weights."""
-    E_beta = _E_beta(p, q)
+    E_slope_eval = build_E().E_slope_eval
+    # part (p - iqx) = pp - iq x, and part E_beta' = part (p - iqx) E' - iq E
+    pp, iq = part * p, part * 1j * q
 
     def node_fn(x):
-        # Re E_beta or -Im E_beta = Re(i E_beta); E(0) is real, so B_beta(0)
-        # is exactly 0 and _nodes lists 0 as a grid root
-        return np.real(part * E_beta(x))
+        # Re E_beta or -Im E_beta = Re(i E_beta), and its slope; E(0) is
+        # real, so B_beta(0) is exactly 0 and _nodes lists 0 as a grid root
+        e = E_slope_eval(x)
+        t = (pp - iq * x) * e
+        t[1] -= iq * e[0]
+        return tuple(t.real)
 
     nodes = _nodes(node_fn, 0.75 if part == 1.0 else 0.25, x_hi)
     # beta is a node by construction; put it there exactly

@@ -5,11 +5,12 @@ Z0 = 1/(pi sqrt2), evaluated elementwise over broadcast arrays of w and z.
 The coefficient triple (a0, a+, a-) depends on conj(w) alone and takes one
 cos and one sin of pi conj(w) (`_coefficients`); `_row` sums the three
 sinc translates, stacked into one np.sinc call, so K is entire in z, and a
-fixed w (debranges' E uses w = i) pays for its triple once.  In w the
-apparent poles of the triple at 1 - 2 pi^2 w^2 = 0 are removable; one
-patcher, `_patched`, replaces the points within 1e-4 of them by a
-real-offset Richardson mean (O(h^6) accurate).  On top of the kernel sit
-the one-delta and two-delta extremal problems.
+fixed w (debranges' E uses w = i) pays for its triple once; `_row_slope`
+gives the row and its derivative in z from the same stacked translates.
+In w the apparent poles of the triple at 1 - 2 pi^2 w^2 = 0 are
+removable; one patcher, `_patched`, replaces the points within 1e-4 of them
+by a real-offset Richardson mean (O(h^6) accurate).  On top of the kernel
+sit the one-delta and two-delta extremal problems.
 """
 
 from __future__ import annotations
@@ -87,13 +88,11 @@ def _coefficients(wbar):
     return t / (t - 1.0), 0.5 * (c + d), 0.5 * (c - d)
 
 
-def _row(a, wbar, z):
-    """a0 sinc(z - wbar) + a+ sinc(z - Z0) + a- sinc(z + Z0), a = (a0, a+,
-    a-); entire in z.  The three translates are stacked into one np.sinc
-    call; each value is elementwise, so it is the value of three separate
-    calls.  A translate z - wbar below 1e-20 is flushed to 0 first: np.sinc
-    of a subnormal complex overflows, while below 1e-20 sinc is 1.0 to
-    rounding (and np.sinc takes 0 to 1.0)."""
+def _translates(wbar, z):
+    """The three sinc translates z - wbar, z - Z0, z + Z0, stacked along a
+    new first axis; a translate z - wbar below 1e-20 is flushed to 0, since
+    np.sinc of a subnormal complex overflows, while below 1e-20 sinc is 1.0
+    to rounding (and np.sinc takes 0 to 1.0)."""
     z = np.asarray(z, dtype=complex)
     d = z - wbar
     t = np.empty((3,) + d.shape, dtype=complex)
@@ -102,8 +101,50 @@ def _row(a, wbar, z):
     np.add(z, _Z0, out=t[2, ...])
     d = t[0, ...]
     d[np.abs(d) < 1e-20] = 0.0
-    s = np.sinc(t)
+    return t
+
+
+def _row(a, wbar, z):
+    """a0 sinc(z - wbar) + a+ sinc(z - Z0) + a- sinc(z + Z0), a = (a0, a+,
+    a-); entire in z.  The three translates are stacked into one np.sinc
+    call; each value is elementwise, so it is the value of three separate
+    calls."""
+    s = np.sinc(_translates(wbar, z))
     return a[0] * s[0] + a[1] * s[1] + a[2] * s[2]
+
+
+# below this |pi y| the closed form of sinc'(y) loses more to cancellation
+# than the Taylor polynomials of sinc and sinc' leave out
+_SERIES_TOP = np.pi * 1e-3
+
+
+def _row_slope(a, wbar, z):
+    """_row(a, wbar, z) and its derivative in z, stacked along a new first
+    axis, from one stacked evaluation of the three translates y; a is the
+    coefficient triple as an array.  With u = pi y, sinc(y) = sin(u)/u,
+    taken as np.sinc takes it, and sinc'(y) = pi (cos(u) - sinc(y)) / u;
+    below |y| = 1e-3 both come from their Taylor polynomials, 1 - u^2/6 +
+    u^4/120 - u^6/5040 and -pi (u/3 - u^3/30 + u^5/840).  The triple's sums
+    run left to right, so away from those small translates the values are
+    _row's to the bit."""
+    u = np.pi * _translates(wbar, z)
+    small = np.abs(u) < _SERIES_TOP
+    any_small = np.count_nonzero(small)
+    # a small translate gets a harmless stand-in in the closed forms
+    y = u + small if any_small else u
+    # sinc and sinc' per translate, in one buffer for one weighted sum
+    s = np.empty((2,) + u.shape, dtype=complex)
+    np.divide(np.sin(y), y, out=s[0])
+    np.subtract(np.cos(y), s[0], out=s[1])
+    s[1] /= y
+    if any_small:
+        v = u[small]
+        q = v * v
+        s[0][small] = 1.0 - q / 6.0 * (1.0 - q / 20.0 * (1.0 - q / 42.0))
+        s[1][small] = -v / 3.0 * (1.0 - q / 10.0 + q * q / 280.0)
+    out = (a.reshape((3,) + (1,) * (u.ndim - 1)) * s).sum(axis=1)
+    out[1] *= np.pi
+    return out
 
 
 def _sinc_taylor(y, order):

@@ -2,7 +2,8 @@
 
 Everything here is plain binary64 numpy.  Integrands are expected to accept
 real ndarray arguments (all in-package callers do) and may return real or
-complex values; root-finding callbacks take and return float ndarrays.
+complex values; root-finding callbacks take float ndarrays and return
+one, or a tuple of two (values and slopes).
 
 Every integral the package takes is over the whole line, of a function of
 exponential type: its Fourier transform vanishes outside [-sigma, sigma].
@@ -25,11 +26,15 @@ period is a divisor of 8 periods lines up as well.
 
 Every root the package finds is refined by find_root, which takes all the
 sign-change brackets of a grid together, one call of the callback per step.
-Its step is the Illinois modified regula falsi: false position, with the
-stored value of an endpoint halved each time that endpoint is kept twice
-in a row, which converges superlinearly yet never leaves the bracket.  A
-guard bisects whenever two steps failed to halve the bracket, so no root
-costs more than about three calls per halving of its cell.
+A callback that returns values alone gets the Illinois modified regula
+falsi: false position, with the stored value of an endpoint halved each
+time that endpoint is kept twice in a row, which converges superlinearly.
+One that also returns the slopes gets Newton steps, which converge
+quadratically; debranges' node functions take theirs from the same row
+of sinc translates as their values.  Either step is replaced by a
+bisection whenever it would leave the bracket or has stopped shrinking, so
+no iterate leaves its cell and no root costs more than about three calls
+per halving of it.
 """
 
 from __future__ import annotations
@@ -151,77 +156,167 @@ def find_root(f, xs, tol=1e-12):
     A grid point where f is exactly 0 is a root; so is the one root inside
     each grid cell whose endpoint values have strictly opposite signs.  All
     such brackets are refined together, one call of f per step evaluating
-    every open bracket, by the Illinois modified regula falsi (Dowell and
-    Jarratt, BIT 11, 1971): false position on stored endpoint values, where
-    an endpoint kept on two steps in a row has its stored value halved, so
-    that the iterates cannot creep up on the root from one side.  The step
-    is clipped to at least tol/2 inside each end, so that the last one lands
-    across the root and closes the bracket.  It is replaced by bisection
-    when it falls outside the open bracket, or when the bracket has not
-    halved over the last two steps; so the worst case costs about three
-    calls per halving.  No iterate leaves its cell.
+    every open bracket.  f(x) returns the values at x, or a tuple (values,
+    slopes), and that picks the step rule:
 
-    A bracket is done when its width is at most tol, which must be positive
-    and finite, or when its midpoint rounds to an endpoint; its root is that
-    midpoint.  NonConvergence if a bracket is still open after 200 steps.
+    - values alone: the Illinois modified regula falsi (Dowell and
+      Jarratt, BIT 11, 1971), false position on stored endpoint values,
+      where an endpoint kept on two steps in a row has its stored value
+      halved, so that the iterates cannot creep up on the root from one
+      side.  The step is clipped to at least tol/2 inside each end, so that
+      the last one lands across the root and closes the bracket.  It is
+      replaced by bisection when it falls outside the open bracket, or when
+      the bracket has not halved over the last two steps.
+    - with slopes: Newton, the step x - f/f' from the latest iterate, the
+      first from the end of the cell whose step is the shorter.  It is
+      replaced by bisection when it falls outside the open bracket, or when
+      it is longer than half the move two steps back; a slope that is 0,
+      infinite or NaN gives no step, so a bisection.  A bracket is done
+      when |f/f'| <= tol/2 right after a Newton move at least four times
+      as long, its root x - f/f' (kept in the bracket): the root then lies
+      well within tol/2 of it, while without that shrinking, as at a
+      multiple root, it may lie several tol off.  f(x) = 0 gives f/f' = 0.
+
+    Both share the bookkeeping: the worst case costs about three calls per
+    halving, and no iterate leaves its cell.  A bracket is also done when
+    its width is at most tol, which must be positive and finite, or when
+    its midpoint rounds to an end, its root that midpoint.  Newton moves
+    do not end a bracket that way (a move finer than the rounding would
+    leave the open bracket, so it becomes a bisection), and that rule is
+    checked only after a step that bisected.  NonConvergence if a bracket
+    is still open after 200 steps.
     """
     if not 0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or len(xs) < 2 or not np.all(np.diff(xs) > 0):
         raise DomainError("find_root needs an ascending grid of >= 2 points")
-    fxs = np.asarray(f(xs), dtype=float)
+    fxs = f(xs)
+    newton = isinstance(fxs, tuple)
+    if newton:
+        fxs, slope = fxs
+        sxs = _newton_step(np.asarray(fxs, dtype=float),
+                           np.asarray(slope, dtype=float))
+    fxs = np.asarray(fxs, dtype=float)
     cell = np.flatnonzero(np.sign(fxs[:-1]) * np.sign(fxs[1:]) < 0)
     lo, hi = xs[cell], xs[cell + 1]
     flo, fhi = fxs[cell], fxs[cell + 1]
     roots = np.empty(len(cell))
     todo = np.arange(len(cell))
-    # the sign of the stored value at lo, which halving keeps; kept_hi
-    # (kept_lo): the hi (lo) end was kept on the last step; the widths one
-    # and two steps back
+    # the sign of f (of the stored value, for Illinois) at lo
     neg = np.signbit(flo)
-    kept_hi = kept_lo = np.zeros(len(cell), dtype=bool)
-    w1 = w2 = np.full(len(cell), np.inf)
+    if newton:
+        # the latest iterate x and its Newton step s; |s| <= acc accepts
+        # x - s, acc being 0 unless x came from a Newton move; half the
+        # moves one and two steps back
+        at_hi = np.abs(sxs[cell + 1]) < np.abs(sxs[cell])
+        x = np.where(at_hi, hi, lo)
+        s = np.where(at_hi, sxs[cell + 1], sxs[cell])
+        acc = np.zeros(len(cell))
+        g1 = g2 = np.full(len(cell), np.inf)
+        state = [todo, lo, hi, neg, x, s, acc, g1, g2]
+    else:
+        # kept_hi (kept_lo): the hi (lo) end was kept on the last step; the
+        # widths one and two steps back
+        kept_hi = kept_lo = np.zeros(len(cell), dtype=bool)
+        w1 = w2 = np.full(len(cell), np.inf)
+        state = [todo, lo, hi, neg, flo, fhi, kept_hi, kept_lo, w1, w2]
+    # whether a midpoint may round to an end: after every Illinois step,
+    # and after a Newton step that bisected a bracket
+    check = True
     for it in range(201):
-        width, mid = hi - lo, 0.5 * (lo + hi)
-        done = (width <= tol) | (mid <= lo) | (mid >= hi)
+        todo, lo, hi, neg = state[:4]
+        width = hi - lo
+        done = width <= tol
+        if check:
+            mid = 0.5 * (lo + hi)
+            done |= (mid <= lo) | (mid >= hi)
+        if newton:
+            x, s, acc, g1, g2 = state[4:]
+            size = np.abs(s)
+            near = size <= acc
+            done |= near
         # count_nonzero, not any(): the cheaper test on short arrays
         if np.count_nonzero(done):
-            roots[todo[done]] = mid[done]
+            if newton:
+                # x - s lies in the bracket, but for rounding
+                root = np.where(near, np.minimum(np.maximum(x - s, lo), hi),
+                                0.5 * (lo + hi))
+            else:
+                root = mid
+            roots[todo[done]] = root[done]
             keep = (~done).nonzero()[0]
-            (todo, lo, hi, flo, fhi, neg, kept_hi, kept_lo, w1, w2, width,
-             mid) = (v[keep] for v in (todo, lo, hi, flo, fhi, neg, kept_hi,
-                                       kept_lo, w1, w2, width, mid))
+            state = [v[keep] for v in state]
+            todo, lo, hi, neg = state[:4]
+            if newton:
+                x, s, acc, g1, g2 = state[4:]
+                size = size[keep]
+            else:
+                width, mid = width[keep], mid[keep]
         if not len(todo):
             break
         if it == 200:
             raise NonConvergence(
                 f"{len(todo)} brackets wider than {tol:.1e} after 200 steps")
-        # an endpoint value from a pole of f is infinite, and the step
-        # from it NaN: the guard below makes it a bisection
-        with np.errstate(invalid="ignore"):
-            x = hi - fhi * width / (fhi - flo)
-        x = np.minimum(np.maximum(x, lo + 0.5 * tol), hi - 0.5 * tol)
-        bisect = ~((lo < x) & (x < hi)) | (width > 0.5 * w2)
-        np.copyto(x, mid, where=bisect)
-        fx = np.asarray(f(x), dtype=float)
-        # signbit, not > 0: halving may underflow a stored value to a signed 0
+        if newton:
+            # a NaN step (from a slope that is 0, infinite or NaN) fails
+            # the bracket test and becomes a bisection
+            step = x - s
+            take = (lo < step) & (step < hi) & (size <= g2)
+            check = np.count_nonzero(take) < len(take)
+            # a Newton move is |s| long; x - s is accepted after one at least
+            # four times as long as the next |s|, and after a bisection only
+            # s = 0, from f(x) = 0
+            move = size
+            if check:
+                np.copyto(step, 0.5 * (lo + hi), where=~take)
+                move = np.abs(step - x)
+            acc = np.minimum(0.25 * move, 0.5 * tol)
+            if check:
+                acc *= take
+            fx, slope = f(step)
+            fx = np.asarray(fx, dtype=float)
+            state[4:] = [step, _newton_step(fx, np.asarray(slope, dtype=float)),
+                         acc, 0.5 * move, g1]
+            x = step
+        else:
+            flo, fhi, kept_hi, kept_lo, w1, w2 = state[4:]
+            # an endpoint value from a pole of f is infinite, and the step
+            # from it NaN: the guard below makes it a bisection
+            with np.errstate(invalid="ignore"):
+                x = hi - fhi * width / (fhi - flo)
+            x = np.minimum(np.maximum(x, lo + 0.5 * tol), hi - 0.5 * tol)
+            bisect = ~((lo < x) & (x < hi)) | (width > 0.5 * w2)
+            np.copyto(x, mid, where=bisect)
+            fx = np.asarray(f(x), dtype=float)
+        # x replaces lo where up, hi elsewhere; signbit, not > 0: halving
+        # may underflow a stored value to a signed 0
         up = np.signbit(fx) == neg
         down = ~up
-        # x replaces lo where up, hi elsewhere; the end kept a second time
-        # in a row has its stored value halved
-        np.multiply(fhi, 0.5, out=fhi, where=up & kept_hi)
-        np.multiply(flo, 0.5, out=flo, where=down & kept_lo)
+        if not newton:
+            # the end kept a second time in a row has its stored value halved
+            np.multiply(fhi, 0.5, out=fhi, where=up & kept_hi)
+            np.multiply(flo, 0.5, out=flo, where=down & kept_lo)
+            np.copyto(flo, fx, where=up)
+            np.copyto(fhi, fx, where=down)
+            state[6:] = [up, down, width, w1]
         np.copyto(lo, x, where=up)
-        np.copyto(flo, fx, where=up)
         np.copyto(hi, x, where=down)
-        np.copyto(fhi, fx, where=down)
-        kept_hi, kept_lo, w1, w2 = up, down, width, w1
+        if newton:
+            # f(x) = 0 gives s = 0, which the next step accepts
+            continue
         hit = fx == 0.0
         if np.count_nonzero(hit):
             roots[todo[hit]] = x[hit]
             keep = (~hit).nonzero()[0]
-            todo, lo, hi, flo, fhi, neg, kept_hi, kept_lo, w1, w2 = (
-                v[keep] for v in (todo, lo, hi, flo, fhi, neg, kept_hi,
-                                  kept_lo, w1, w2))
+            state = [v[keep] for v in state]
     return np.sort(np.concatenate([xs[fxs == 0.0], roots]))
+
+
+def _newton_step(fx, slope):
+    """f/f', NaN where the slope is infinite (there a finite f would give a
+    step of 0), with no warning for a slope that is 0 or NaN."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = fx / slope
+    np.copyto(s, np.nan, where=np.isinf(slope))
+    return s

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pcx import debranges as db
+from pcx import kernel
 from pcx.beurling import BandlimitedFunction
 from pcx.kernel import kernel_eval, two_delta
 from pcx.numerics import DomainError, NonConvergence, RootMiss
@@ -110,6 +111,24 @@ def test_k_diag_matches_kernel(E):
     assert np.array_equal(kd, [kernel_eval(x, x).real for x in xs])
     wronskian = _wronskian(E.A_eval, E.B_eval, xs)
     assert np.max(np.abs(kd - wronskian)) < 1e-11 * np.max(kd)
+
+
+def test_slope_row_gives_the_kernel_diagonal(E):
+    # K(x,x) = (B'A - A'B)/pi = -Im(E'(x) conj E(x))/pi with E and E' from
+    # one row of three sinc translates, on a dense grid of [0, 60] and at
+    # +/-Z0 and points up to 1e-5 off it, where sinc' of a translate comes
+    # from its Taylor polynomial; the values are E_eval's, to the bit away
+    # from those small translates
+    z0 = kernel._Z0
+    near = np.array([z0 + d for d in (0.0, 1e-7, -1e-7, 1e-6, -1e-6, 1e-5,
+                                       -1e-5)])
+    x = np.concatenate([np.linspace(0.0, 60.0, 60001), near, -near])
+    e, de = E.E_slope_eval(x)
+    diag = -np.imag(de * np.conj(e)) / math.pi
+    assert np.max(np.abs(diag / kernel_eval(x, x).real - 1.0)) <= 1e-13
+    far = np.abs(np.abs(x) - z0) >= 1e-3
+    assert np.array_equal(e[far], E.E_eval(x[far]))
+    assert np.max(np.abs(e - E.E_eval(x)) / np.abs(e)) <= 1e-15
 
 
 def _node_function(t):
@@ -234,28 +253,39 @@ def test_tilted_companions_vanish_at_beta():
 
 
 def test_tilt_kernel_calls(E, monkeypatch):
-    # one E evaluation per node-function call: E(beta), the cell grid, the
-    # Illinois steps and the weights stay within 20; the kernel itself is
-    # called once, for the weights
-    e_calls, k_calls = [], []
+    # one evaluation of E, or of E and E' from the slope row, per call:
+    # E(beta), the node function on the cell grid and at each Newton step,
+    # and E at the weights stay within 12; the kernel itself is called
+    # once, for the weights.  lambda_values calls the node function at most
+    # 7 times (the Illinois steps without the slope took about 10)
+    e_calls, slope_calls, k_calls = [], [], []
 
     def counting_E(z):
         e_calls.append(1)
         return E.E_eval(z)
+
+    def counting_slope(z):
+        slope_calls.append(1)
+        return E.E_slope_eval(z)
 
     def counting_kernel(*args):
         k_calls.append(1)
         return kernel_eval(*args)
 
     monkeypatch.setattr(db, "kernel_eval", counting_kernel)
-    F = dataclasses.replace(E, E_eval=counting_E)
+    F = dataclasses.replace(E, E_eval=counting_E, E_slope_eval=counting_slope)
     monkeypatch.setattr(db, "build_E", lambda: F)
     for beta in (0.3, 1.3, 2.2, 30.1):
         e_calls.clear()
+        slope_calls.clear()
         k_calls.clear()
         db.tilt(beta)
-        assert len(e_calls) <= 20
+        assert len(e_calls) + len(slope_calls) <= 12
         assert len(k_calls) == 1
+    for beta in (0.3, 2.2, 7.9):
+        slope_calls.clear()
+        db.lambda_values(beta)
+        assert len(slope_calls) <= 7
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,7 +364,11 @@ def test_lambda_and_case3_solve_only_what_they_read(monkeypatch):
 def test_lambda_monotone_across_zeros(E):
     # crossing an A- or B-zero, lambda_+/- jump by nothing and do not fall;
     # a node set that skips the A_beta root near 0 right of a B-zero loses
-    # the node 0's mass 1/K(0,0) = 0.3275 there
+    # the node 0's mass 1/K(0,0) = 0.3275 there.  On the zero the tilt
+    # degenerates (p or q near 0), and right of a B-zero that root x0 ~
+    # 2 sqrt(beta - z) needs relative precision for its weight: the Newton
+    # steps give it, so lambda_+/- at z and 1e-11 either side agree within
+    # 1e-10 (the bracket widths of the Illinois steps left 2.5e-8 at b_2)
     zeros = np.concatenate([E.zeros_A, E.zeros_B[1:]])
     for z in zeros[zeros < 56.0]:
         z = float(z)
@@ -343,6 +377,10 @@ def test_lambda_monotone_across_zeros(E):
         near = [db.lambda_values(z + d) for d in (-1e-7, 1e-7)]
         for before, after in zip(*near):
             assert 0.0 <= after - before <= 1e-5
+        at = db.lambda_values(z)
+        for d in (-1e-11, 1e-11):
+            side = db.lambda_values(z + d)
+            assert max(abs(side[0] - at[0]), abs(side[1] - at[1])) <= 1e-10
 
 
 def test_lambda_consistency_with_two_delta():

@@ -89,11 +89,11 @@ def test_find_root_rejects_bad_tol(tol):
 
 
 def _counted(f):
-    """f and the list that grows by one entry per call of f."""
+    """f and the list of the arguments of its calls, one entry per call."""
     calls = []
 
     def counting(x):
-        calls.append(1)
+        calls.append(x)
         return f(x)
 
     return counting, calls
@@ -141,6 +141,15 @@ def _one_bracket(f, lo, hi, tol):
         kept, w1, w2 = side, width, w1
 
 
+def _iterates_in_cells(xs, calls):
+    """Every iterate after the grid call lies strictly inside a cell of
+    xs, the open brackets in ascending order, one iterate each."""
+    for x in calls[1:]:
+        cells = np.searchsorted(xs, x)
+        assert np.all(np.diff(cells) > 0)
+        assert np.all((xs[cells - 1] < x) & (x < xs[cells]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(shift=st.floats(-0.9, 0.9), period=st.floats(0.3, 2.0),
        frac=st.floats(0.05, 0.95), cube=st.floats(0.1, 5.0))
@@ -163,6 +172,20 @@ def test_find_root_stays_in_bracket(shift, period, frac, cube):
     scalar = lambda x: float(f(np.array([x]))[0])
     assert got.tolist() == [_one_bracket(scalar, xs[k - 1], xs[k], 1e-12)
                             for k in cell]
+    # with the slope, the Newton steps find the same roots, never leaving
+    # a cell
+    def f_slope(x):
+        u = np.pi * (x - shift) / period
+        s = np.sin(u)
+        return cube * s ** 3 + s, (3.0 * cube * s ** 2 + 1.0) * np.cos(u) \
+            * np.pi / period
+
+    f_slope, calls = _counted(f_slope)
+    newton = nm.find_root(f_slope, xs, 1e-12)
+    assert len(newton) == len(want)
+    assert np.all(np.abs(newton - got) <= 1e-12)
+    assert np.all((xs[cell - 1] <= newton) & (newton <= xs[cell]))
+    _iterates_in_cells(xs, calls)
 
 
 def _pole(r):
@@ -174,10 +197,30 @@ def _pole(r):
     return f
 
 
+def _pole_slope(r):
+    """1/(x - r) and its slope; at r itself inf and -inf, so a NaN step."""
+    def f(x):
+        with np.errstate(divide="ignore"):
+            return 1.0 / (x - r), -1.0 / (x - r) ** 2
+
+    return f
+
+
+def _tanh_slope(r):
+    """The near-step and its slope, which underflows to 0 a few 1e-7 off
+    r, where the step f/f' is infinite."""
+    def f(x):
+        t = np.tanh(1e8 * (x - r))
+        return t, 1e8 * (1.0 - t * t)
+
+    return f
+
+
 _HARD = {
-    "ninth_power": lambda r: lambda x: (x - r) ** 9,
-    "pole": _pole,
-    "steep_tanh": lambda r: lambda x: np.tanh(1e8 * (x - r)),
+    "ninth_power": (lambda r: lambda x: (x - r) ** 9,
+                    lambda r: lambda x: ((x - r) ** 9, 9.0 * (x - r) ** 8)),
+    "pole": (_pole, _pole_slope),
+    "steep_tanh": (lambda r: lambda x: np.tanh(1e8 * (x - r)), _tanh_slope),
 }
 
 
@@ -187,17 +230,27 @@ _HARD = {
 def test_find_root_hard_brackets(kind, r, cells, tol_exp):
     # a flat ninth-order root, a pole and a near-step: false position alone
     # crawls on all three, so the halving guard must hold the cost to about
-    # three calls per halving of the cell
+    # three calls per halving of the cell.  Given the slope, Newton crawls
+    # on the first (its x - f/f' is 8 |f/f'| off), steps away from the
+    # second and has no step far from the third: the same guards hold it,
+    # and the roots agree within tol
     xs = np.linspace(0.0, 1.0, cells + 1)
     assume(r not in xs)
     tol = 10.0 ** tol_exp
-    f, calls = _counted(_HARD[kind](r))
-    got = nm.find_root(f, xs, tol)
     k = int(np.searchsorted(xs, r))
+    cell = xs[k] - xs[k - 1]
+    plain, with_slope = _HARD[kind]
+    f, calls = _counted(plain(r))
+    got = nm.find_root(f, xs, tol)
     assert len(got) == 1 and xs[k - 1] <= got[0] <= xs[k]
     assert abs(got[0] - r) <= 0.5 * tol
-    cell = xs[k] - xs[k - 1]
     assert len(calls) <= 3 * math.ceil(math.log2(cell / tol)) + 3
+    g, calls = _counted(with_slope(r))
+    newton = nm.find_root(g, xs, tol)
+    assert len(newton) == 1 and xs[k - 1] <= newton[0] <= xs[k]
+    assert abs(newton[0] - got[0]) <= tol
+    assert len(calls) <= 3 * math.ceil(math.log2(cell / tol)) + 3
+    _iterates_in_cells(xs, calls)
 
 
 @pytest.mark.parametrize("r, cells, tol, root", [
@@ -211,19 +264,33 @@ def test_find_root_pole_without_warning(r, cells, tol, root):
     # lands on r itself: f stores an infinite endpoint value, the false
     # position step from it is NaN and becomes bisection, and no warning
     # reaches the caller; the roots are those find_root gave before the
-    # warning was silenced
-    hits = []
+    # warning was silenced.  With a slope the Newton step from r is
+    # inf/-inf, and a slope of 0, inf or NaN everywhere gives no step at
+    # all: each falls back to bisection, again without a warning, and the
+    # root lies within tol of the slope-less one
+    xs = np.linspace(0.0, 1.0, cells + 1)
+    k = int(np.searchsorted(xs, r))
+    for slope in (None, "true", 0.0, math.inf, math.nan):
+        hits = []
 
-    def f(x):
-        hits.append(bool(np.any(x == r)))
-        with np.errstate(divide="ignore"):
-            return 1.0 / (x - r)
+        def f(x):
+            hits.append(bool(np.any(x == r)))
+            with np.errstate(divide="ignore"):
+                v = 1.0 / (x - r)
+                if slope is None:
+                    return v
+                if slope == "true":
+                    return v, -1.0 / (x - r) ** 2
+            return v, np.full_like(x, slope)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = nm.find_root(f, np.linspace(0.0, 1.0, cells + 1), tol)
-    assert any(hits)
-    assert got.tolist() == [root]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nm.find_root(f, xs, tol)
+        assert any(hits)
+        if slope is None:
+            assert got.tolist() == [root]
+        assert abs(got[0] - root) <= tol
+        assert xs[k - 1] <= got[0] <= xs[k]
     assert abs(root - r) <= 0.5 * tol
 
 
