@@ -14,12 +14,16 @@ vanish at phase pi/2 mod pi and B-type ones (B, B_beta) at 0 mod pi, so the
 grid 0, k + 3/4 (A-type) or 0, k + 1/4 (B-type), k = 0, 1, ..., has exactly
 one root in each cell (_nodes); for the B-type the first is 0.
 
-The node functions return their slopes too, so find_root refines their
-roots by Newton steps: E' = (-i - z) r' - r comes from the same row r of
-three sinc translates as E (E_slope_eval), and E_beta' = (p - iqz) E' -
-iq E.  A node near 0, such as A_beta's about 2 sqrt(beta - b_k) just right
-of a B-zero b_k, then comes out to relative precision, where a bracket
-width of 1e-13 would leave its weight visibly off.
+One node function, Re(part (p - iqx) E(x)), serves them all: A is (p, q,
+part) = (1, 0, 1), B is (1, 0, i), and a tilt's A_beta or B_beta its own
+(p, q, part).  It returns its slope too, so find_root refines its roots
+by Newton steps: E' = (-i - z) r' - r comes from the same row r of three
+sinc translates as E (E_slope_eval), and E_beta' = (p - iqz) E' - iq E.
+A node near 0, such as A_beta's about 2 sqrt(beta - b_k) just right of a
+B-zero b_k, then comes out to relative precision, where a bracket width
+of 1e-13 would leave its weight visibly off.  The node weights come from
+that row as well: K(x,x) = -Im(E'(x) conj E(x)) / pi on the real line
+(the Wronskian of A and B over pi), so no node needs the kernel itself.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ B_SERIES_TOP = 1e-3
 class HermiteBiehler:
     E_eval: Callable
     # E(z) and E'(z), stacked along a new first axis, from one row of three
-    # sinc translates
+    # sinc translates: the node functions, their slopes and the node weights
     E_slope_eval: Callable
     A_eval: Callable
     B_eval: Callable
@@ -143,17 +147,12 @@ def _hermite_biehler(x_max):
     def B_eval(x):
         return -np.imag(E_eval(np.asarray(x, dtype=float)))
 
-    def A_slope(x):
-        return tuple(E_slope_eval(x).real)
-
-    def B_slope(x):
-        return tuple(-E_slope_eval(x).imag)
-
     # a_k > k - 3/4, so at most ceil(x_max) A-zeros lie below x_max, and
     # the ceil(x_max) + 1 B-zeros found reach past the last of them
-    zeros_a = _nodes(A_slope, 0.75, x_max)
+    zeros_a = _nodes(_node_function(E_slope_eval, 1.0, 0.0, 1.0), 0.75, x_max)
     zeros_a = zeros_a[zeros_a <= x_max]
-    zeros_b = _nodes(B_slope, 0.25, x_max)[:len(zeros_a) + 1]
+    zeros_b = _nodes(_node_function(E_slope_eval, 1.0, 0.0, 1.0j), 0.25,
+                     x_max)[:len(zeros_a) + 1]
     # on the real line E = (-i - x) r(x) gives B = Re r + x Im r, so with
     # c_n the Taylor coefficients of r at 0, B_k = Re c_k + Im c_(k-1)
     c = _row_taylor(a, -1j, 7)
@@ -164,18 +163,35 @@ def _hermite_biehler(x_max):
                           B_odd=b_odd)
 
 
+def _node_function(E_slope_eval, p, q, part):
+    """x -> Re(part (p - iqx) E(x)) and its slope, a tuple for find_root's
+    Newton steps, with E and E' from E_slope_eval (module docstring)."""
+    # part (p - iqx) = pp - iq x, and part E_beta' = part (p - iqx) E' - iq E
+    pp, iq = part * p, part * 1j * q
+
+    def fn(x):
+        e = E_slope_eval(x)
+        t = (pp - iq * x) * e
+        t[1] -= iq * e[0]
+        return tuple(t.real)
+
+    return fn
+
+
 def _weights(x, p, q):
     """Node weights (p^2 + q^2 x^2) / K_beta(x,x) of H(E_beta), in which
     (p - iqz) f has the norm of f in H(E); (p, q) = (1, 0) gives 1/K(x,x).
     K_beta(x,x) = (p^2 + q^2 x^2) K(x,x) + pq |E(x)|^2 / pi is the Wronskian
-    of A_beta = pA - qxB and B_beta = qxA + pB over pi.  The weight is
-    taken as 1 / (K(x,x) + (p/h) (q/h) |E(x)|^2 / pi), h = hypot(p, qx),
-    because p^2 + q^2 x^2 underflows at a node x ~ beta below 1e-154."""
+    of A_beta = pA - qxB and B_beta = qxA + pB over pi, and K(x,x) =
+    -Im(E'(x) conj E(x)) / pi, so E and E' from one pass of the slope row
+    give the weight pi / (-Im(E' conj E) + (p/h) (q/h) |E|^2), h =
+    hypot(p, qx); it is taken so because p^2 + q^2 x^2 underflows at a
+    node x ~ beta below 1e-154."""
     x = np.asarray(x, dtype=float)
     h = np.hypot(p, q * x)
-    return 1.0 / (kernel_eval(x, x).real
-                  + (p / h) * (q / h) * np.abs(build_E().E_eval(x)) ** 2
-                  / math.pi)
+    e, e1 = build_E().E_slope_eval(x)
+    return math.pi / (-np.imag(e1 * np.conj(e))
+                      + (p / h) * (q / h) * np.abs(e) ** 2)
 
 
 def _tilt_params(beta):
@@ -219,19 +235,10 @@ def _E_beta(p, q):
 def _tilted_nodes(beta, p, q, part, x_hi):
     """The nodes of the tilt (p, q, part) at beta over [0, x_hi], x_hi >=
     beta, the one nearest beta set to beta, and their weights."""
-    E_slope_eval = build_E().E_slope_eval
-    # part (p - iqx) = pp - iq x, and part E_beta' = part (p - iqx) E' - iq E
-    pp, iq = part * p, part * 1j * q
-
-    def node_fn(x):
-        # Re E_beta or -Im E_beta = Re(i E_beta), and its slope; E(0) is
-        # real, so B_beta(0) is exactly 0 and _nodes lists 0 as a grid root
-        e = E_slope_eval(x)
-        t = (pp - iq * x) * e
-        t[1] -= iq * e[0]
-        return tuple(t.real)
-
-    nodes = _nodes(node_fn, 0.75 if part == 1.0 else 0.25, x_hi)
+    # Re E_beta or -Im E_beta = Re(i E_beta); E(0) is real, so B_beta(0)
+    # is exactly 0 and _nodes lists 0 as a grid root
+    nodes = _nodes(_node_function(build_E().E_slope_eval, p, q, part),
+                   0.75 if part == 1.0 else 0.25, x_hi)
     # beta is a node by construction; put it there exactly
     nodes[np.argmin(np.abs(nodes - beta))] = beta
     return nodes, _weights(nodes, p, q)
@@ -293,10 +300,8 @@ def case3_majorant(beta):
     if regime != "case_bk_ak1":
         raise RootMiss("unexpected regime below the first A-zero")
     E_beta = _E_beta(p, q)
-    # A_beta(beta) = 0, so the Wronskian pi K_beta(beta, beta) = -A_beta'(beta)
-    # B_beta(beta) gives the slope without a numerical derivative
-    k_bb = (p ** 2 + (q * beta) ** 2) / float(_weights(beta, p, q))
-    dA = math.pi * k_bb / complex(E_beta(beta)).imag
+    # A_beta'(beta) from the node function's slope, no numerical derivative
+    _, dA = _node_function(build_E().E_slope_eval, p, q, 1.0)(beta)
     C = -2.0 * beta / dA
 
     def q_raw(x):

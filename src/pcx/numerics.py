@@ -34,7 +34,9 @@ quadratically; debranges' node functions take theirs from the same row
 of sinc translates as their values.  Either step is replaced by a
 bisection whenever it would leave the bracket or has stopped shrinking, so
 no iterate leaves its cell and no root costs more than about three calls
-per halving of it.
+per halving of it.  Both rules keep one bookkeeping and one done test: the
+latest iterate x and a step s whose root x - s is accepted once |s| is
+within a tolerance, where an exact zero of f at x is the step s = 0.
 """
 
 from __future__ import annotations
@@ -171,20 +173,24 @@ def find_root(f, xs, tol=1e-12):
       first from the end of the cell whose step is the shorter.  It is
       replaced by bisection when it falls outside the open bracket, or when
       it is longer than half the move two steps back; a slope that is 0,
-      infinite or NaN gives no step, so a bisection.  A bracket is done
-      when |f/f'| <= tol/2 right after a Newton move at least four times
-      as long, its root x - f/f' (kept in the bracket): the root then lies
-      well within tol/2 of it, while without that shrinking, as at a
-      multiple root, it may lie several tol off.  f(x) = 0 gives f/f' = 0.
+      infinite or NaN gives no step, so a bisection.
 
-    Both share the bookkeeping: the worst case costs about three calls per
+    Both keep one bookkeeping: the bracket, the latest iterate x with a
+    step s, a tolerance acc and half the width (Illinois) or move (Newton)
+    one and two steps back.  A bracket is done when |s| <= acc, its root
+    x - s (kept in the bracket).  Newton's s is f/f' and its acc is
+    min(tol/2, a quarter of the move to x) after a Newton move, 0 after a
+    bisection: the root then lies well within tol/2 of x - s, while
+    without that shrinking, as at a multiple root, it may lie several tol
+    off.  Illinois' s is f(x) and its acc 0.  Either way an exact zero at
+    x is s = 0, the root x.  The worst case costs about three calls per
     halving, and no iterate leaves its cell.  A bracket is also done when
     its width is at most tol, which must be positive and finite, or when
-    its midpoint rounds to an end, its root that midpoint.  Newton moves
-    do not end a bracket that way (a move finer than the rounding would
-    leave the open bracket, so it becomes a bisection), and that rule is
-    checked only after a step that bisected.  NonConvergence if a bracket
-    is still open after 200 steps.
+    its midpoint rounds to an end, its root that midpoint; that rule is
+    checked after every Illinois step, and after a Newton step only if it
+    bisected (a Newton move finer than the rounding would leave the open
+    bracket, so it becomes a bisection).  NonConvergence if a bracket is
+    still open after 200 steps.
     """
     if not 0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
@@ -202,57 +208,41 @@ def find_root(f, xs, tol=1e-12):
     lo, hi = xs[cell], xs[cell + 1]
     flo, fhi = fxs[cell], fxs[cell + 1]
     roots = np.empty(len(cell))
-    todo = np.arange(len(cell))
-    # the sign of f (of the stored value, for Illinois) at lo
-    neg = np.signbit(flo)
+    # per open bracket: its index, its ends, the sign of f (of the stored
+    # value, for Illinois) at lo, x, s, acc, g1 and g2 (docstring), and for
+    # Illinois the stored values and whether hi (lo) was kept last step
+    g = np.full(len(cell), np.inf)
     if newton:
-        # the latest iterate x and its Newton step s; |s| <= acc accepts
-        # x - s, acc being 0 unless x came from a Newton move; half the
-        # moves one and two steps back
         at_hi = np.abs(sxs[cell + 1]) < np.abs(sxs[cell])
         x = np.where(at_hi, hi, lo)
         s = np.where(at_hi, sxs[cell + 1], sxs[cell])
-        acc = np.zeros(len(cell))
-        g1 = g2 = np.full(len(cell), np.inf)
-        state = [todo, lo, hi, neg, x, s, acc, g1, g2]
+        illinois = []
     else:
-        # kept_hi (kept_lo): the hi (lo) end was kept on the last step; the
-        # widths one and two steps back
-        kept_hi = kept_lo = np.zeros(len(cell), dtype=bool)
-        w1 = w2 = np.full(len(cell), np.inf)
-        state = [todo, lo, hi, neg, flo, fhi, kept_hi, kept_lo, w1, w2]
-    # whether a midpoint may round to an end: after every Illinois step,
-    # and after a Newton step that bisected a bracket
+        x, s = lo, flo
+        kept = np.zeros(len(cell), dtype=bool)
+        illinois = [flo, fhi, kept, kept]
+    state = [np.arange(len(cell)), lo, hi, np.signbit(flo), x, s,
+             np.zeros(len(cell)), g, g] + illinois
     check = True
     for it in range(201):
-        todo, lo, hi, neg = state[:4]
+        todo, lo, hi, neg, x, s, acc, g1, g2 = state[:9]
         width = hi - lo
-        done = width <= tol
+        size = np.abs(s)
+        near = size <= acc
+        done = near | (width <= tol)
         if check:
             mid = 0.5 * (lo + hi)
             done |= (mid <= lo) | (mid >= hi)
-        if newton:
-            x, s, acc, g1, g2 = state[4:]
-            size = np.abs(s)
-            near = size <= acc
-            done |= near
         # count_nonzero, not any(): the cheaper test on short arrays
         if np.count_nonzero(done):
-            if newton:
-                # x - s lies in the bracket, but for rounding
-                root = np.where(near, np.minimum(np.maximum(x - s, lo), hi),
-                                0.5 * (lo + hi))
-            else:
-                root = mid
+            # x - s lies in the bracket, but for rounding
+            root = np.where(near, np.minimum(np.maximum(x - s, lo), hi),
+                            0.5 * (lo + hi))
             roots[todo[done]] = root[done]
             keep = (~done).nonzero()[0]
             state = [v[keep] for v in state]
-            todo, lo, hi, neg = state[:4]
-            if newton:
-                x, s, acc, g1, g2 = state[4:]
-                size = size[keep]
-            else:
-                width, mid = width[keep], mid[keep]
+            todo, lo, hi, neg, x, s, acc, g1, g2 = state[:9]
+            width, size = width[keep], size[keep]
         if not len(todo):
             break
         if it == 200:
@@ -264,9 +254,7 @@ def find_root(f, xs, tol=1e-12):
             step = x - s
             take = (lo < step) & (step < hi) & (size <= g2)
             check = np.count_nonzero(take) < len(take)
-            # a Newton move is |s| long; x - s is accepted after one at least
-            # four times as long as the next |s|, and after a bisection only
-            # s = 0, from f(x) = 0
+            # a Newton move is |s| long
             move = size
             if check:
                 np.copyto(step, 0.5 * (lo + hi), where=~take)
@@ -276,20 +264,21 @@ def find_root(f, xs, tol=1e-12):
                 acc *= take
             fx, slope = f(step)
             fx = np.asarray(fx, dtype=float)
-            state[4:] = [step, _newton_step(fx, np.asarray(slope, dtype=float)),
-                         acc, 0.5 * move, g1]
-            x = step
+            s = _newton_step(fx, np.asarray(slope, dtype=float))
         else:
-            flo, fhi, kept_hi, kept_lo, w1, w2 = state[4:]
+            flo, fhi, kept_hi, kept_lo = state[9:]
             # an endpoint value from a pole of f is infinite, and the step
-            # from it NaN: the guard below makes it a bisection
+            # from it NaN: the bracket test makes it a bisection
             with np.errstate(invalid="ignore"):
-                x = hi - fhi * width / (fhi - flo)
-            x = np.minimum(np.maximum(x, lo + 0.5 * tol), hi - 0.5 * tol)
-            bisect = ~((lo < x) & (x < hi)) | (width > 0.5 * w2)
-            np.copyto(x, mid, where=bisect)
-            fx = np.asarray(f(x), dtype=float)
-        # x replaces lo where up, hi elsewhere; signbit, not > 0: halving
+                step = hi - fhi * width / (fhi - flo)
+            step = np.minimum(np.maximum(step, lo + 0.5 * tol),
+                              hi - 0.5 * tol)
+            take = (lo < step) & (step < hi) & (width <= g2)
+            np.copyto(step, 0.5 * (lo + hi), where=~take)
+            move = width
+            fx = s = np.asarray(f(step), dtype=float)
+        state[4:9] = [step, s, acc, 0.5 * move, g1]
+        # step replaces lo where up, hi elsewhere; signbit, not > 0: halving
         # may underflow a stored value to a signed 0
         up = np.signbit(fx) == neg
         down = ~up
@@ -299,17 +288,9 @@ def find_root(f, xs, tol=1e-12):
             np.multiply(flo, 0.5, out=flo, where=down & kept_lo)
             np.copyto(flo, fx, where=up)
             np.copyto(fhi, fx, where=down)
-            state[6:] = [up, down, width, w1]
-        np.copyto(lo, x, where=up)
-        np.copyto(hi, x, where=down)
-        if newton:
-            # f(x) = 0 gives s = 0, which the next step accepts
-            continue
-        hit = fx == 0.0
-        if np.count_nonzero(hit):
-            roots[todo[hit]] = x[hit]
-            keep = (~hit).nonzero()[0]
-            state = [v[keep] for v in state]
+            state[11:] = [up, down]
+        np.copyto(lo, step, where=up)
+        np.copyto(hi, step, where=down)
     return np.sort(np.concatenate([xs[fxs == 0.0], roots]))
 
 

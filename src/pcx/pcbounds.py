@@ -236,15 +236,6 @@ def _v_at(delta, beta, sign):
     return beta, sign, np.where(sign > 0, plus, minus)
 
 
-def v_series(delta, beta, sign):
-    """The signed lattice series; sign picks the weight of the n=0 term.
-
-    beta is a float or an array; sign is +1, -1, or an array of them that
-    broadcasts against beta.
-    """
-    return _out(_v_at(delta, beta, sign)[2])
-
-
 @dataclass(frozen=True)
 class MEvaluation:
     beta: float

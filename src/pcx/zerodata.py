@@ -398,9 +398,9 @@ def _selberg_pairs(g, R, scale, term):
     apart are summed exactly by term (the padding masked).  reach is the
     first offset at which every gap reaches both _REACH and the gap
     d_far = (gamma + FAR) / (dilation scale) from which R takes its far
-    branch.  Every farther pair takes the closed form of _selberg_nodes:
-    one far field at k = 0 for the smooth part and one at k for the
-    oscillating part.
+    branch.  Every farther pair takes the closed form of _selberg_nodes,
+    in one far field at the frequencies 0 and k: the smooth part's weights
+    at 0, the oscillating part's at k.
     """
     G, real = _blocks(g)
     nb = len(G)
@@ -422,13 +422,12 @@ def _selberg_pairs(g, R, scale, term):
         return float(near)
     d0 = _min_gap(G, reach)
     t, smooth, oscillating = _selberg_nodes(R, a, d0)
-    k = 2.0 * math.pi * a
-    phase = real * np.exp(1j * k * (G - G[:, :1]))
-    return (float(near)
-            + float(_far_field(G, real.astype(complex)[..., np.newaxis], reach,
-                               np.zeros(1), t, smooth, d0)[0])
-            + float(_far_field(G, phase[..., np.newaxis], reach, np.array([k]),
-                               t, oscillating, d0)[0]))
+    k = np.array([0.0, 2.0 * math.pi * a])
+    phase = real[..., np.newaxis] * np.exp(
+        1j * k * (G - G[:, :1])[..., np.newaxis])
+    far = _far_field(G, phase, reach, k, t,
+                     np.stack([smooth, oscillating], axis=1), d0)
+    return float(near) + float(far[0]) + float(far[1])
 
 
 def _taylor(t, span):
@@ -519,13 +518,15 @@ def _far_field(G, phase, reach, k, t, w, shift=0.0):
     """Sum of Re(exp(i k d) sum_j w_j exp(-t_j (d - shift))) over the
     pairs `reach` or more blocks apart (fewer than the blocks), for every
     frequency of the array k, given the nodes t, their real or complex
-    weights w and the block-local phases exp(i k (x - left edge)) of the
-    ordinates (a contiguous complex (blocks, _BLOCK, len(k)) array, zero
-    on padding); with the weights of _nodes it is the sum of cos(k d)
-    4/(4+d^2), one entry per k.  Block a sends its moment about its right
-    edge; a running sum of the moments is carried from right edge to right
-    edge (steps >= 0) and handed to block a + reach at its left edge, so
-    every phase is k times a gap inside a block or between block edges.
+    weights w (one per node, shared by every k, or a (nodes, len(k))
+    array, a column per k) and the block-local phases exp(i k (x - left
+    edge)) of the ordinates (a contiguous complex (blocks, _BLOCK,
+    len(k)) array, zero on padding); with the weights of _nodes it is the
+    sum of cos(k d) 4/(4+d^2), one entry per k.  Block a sends its moment
+    about its right edge; a running sum of the moments is carried from
+    right edge to right edge (steps >= 0) and handed to block a + reach at
+    its left edge, so every phase is k times a gap inside a block or
+    between block edges.
     A shift up to the smallest hand-off gap keeps every factor at most 1,
     the weights carrying exp(-(t_j - i k) shift).
 
@@ -562,7 +563,9 @@ def _far_field(G, phase, reach, k, t, w, shift=0.0):
     into = _moments(G[reach:] - left[reach:, np.newaxis], phase[reach:], t,
                     span, taylor, other, scratch)
     into *= carried
-    return np.real(np.sum(into, axis=0).T @ w)
+    # one row-by-column product per k, each summed as if that k were alone
+    w = w.reshape(len(t), -1).T[:, :, np.newaxis]
+    return np.real(np.sum(into, axis=0).T[:, np.newaxis] @ w).reshape(-1)
 
 
 def _near_F(G, phase, reach, k):

@@ -111,7 +111,7 @@ def _v_lerch_parts(delta, beta):
 
 
 def v_lerch(delta, beta, sign):
-    """The signed lattice series of pcbounds.v_series at 40 digits: the
+    """The signed lattice series of pcbounds._v_at at 40 digits: the
     window [-10, floor(c) + 10], c = delta*beta, summed term by term, and
     each tail past it from a Hurwitz zeta and two Lerch transcendents.
     The window cancels like 1/(c - n)^3 near the resonance, so delta*beta

@@ -55,6 +55,21 @@ def test_structure_function_kernel_identity(E):
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
+def test_companion_zeros_pinned(E):
+    # the first eight zeros of A and of B, bit for bit: the node function
+    # and find_root's Newton steps that give them must not move a bit
+    assert [float(v).hex() for v in E.zeros_A[:8]] == [
+        "0x1.6a476413951d7p-1", "0x1.954fce85d77abp+0",
+        "0x1.467f2a2f48c2dp+1", "0x1.c4a91dc253c2ep+1",
+        "0x1.21d0ceb105ff0p+2", "0x1.617ca2723f51bp+2",
+        "0x1.a1423d491006fp+2", "0x1.e1175cfc13c1fp+2"]
+    assert [float(v).hex() for v in E.zeros_B[:8]] == [
+        "0x0.0p+0", "0x1.0ea9ca42a75fcp+0",
+        "0x1.03d940b949358p+1", "0x1.82975286acc2ep+1",
+        "0x1.00f99ec47d48dp+2", "0x1.40c805f1c27b3p+2",
+        "0x1.80a6d5b6dc957p+2", "0x1.c08f141226924p+2"]
+
+
 @settings(max_examples=5, deadline=None)
 @given(x_max=st.floats(10.0, 200.0))
 @example(x_max=137.79)
@@ -150,10 +165,14 @@ def test_tilted_diag_matches_wronskian(E):
         want = _wronskian(lambda x: np.real(t.E_beta_eval(x)),
                           lambda x: -np.imag(t.E_beta_eval(x)), xs)
         assert np.max(np.abs(diag - want)) < 1e-11 * np.max(np.abs(want))
-    # untilted, the weights are 1/K(x,x)
+    # untilted, the weights are pi / -Im(E' conj E) from the slope row, which
+    # is 1/K(x,x)
     xs = E.zeros_A[:5]
-    assert np.array_equal(db._weights(xs, 1.0, 0.0),
-                          1.0 / kernel_eval(xs, xs).real)
+    e, de = E.E_slope_eval(xs)
+    w = db._weights(xs, 1.0, 0.0)
+    assert np.array_equal(w, math.pi / -np.imag(de * np.conj(e)))
+    k_inv = 1.0 / kernel_eval(xs, xs).real
+    assert np.max(np.abs(w / k_inv - 1.0)) <= 1e-14
 
 
 def test_cross_module_identity(E):
@@ -255,9 +274,9 @@ def test_tilted_companions_vanish_at_beta():
 def test_tilt_kernel_calls(E, monkeypatch):
     # one evaluation of E, or of E and E' from the slope row, per call:
     # E(beta), the node function on the cell grid and at each Newton step,
-    # and E at the weights stay within 12; the kernel itself is called
-    # once, for the weights.  lambda_values calls the node function at most
-    # 7 times (the Illinois steps without the slope took about 10)
+    # and the slope row at the weights stay within 12; the kernel itself is
+    # not called.  lambda_values calls the node function at most 7 times
+    # (the Illinois steps without the slope took about 10)
     e_calls, slope_calls, k_calls = [], [], []
 
     def counting_E(z):
@@ -281,7 +300,7 @@ def test_tilt_kernel_calls(E, monkeypatch):
         k_calls.clear()
         db.tilt(beta)
         assert len(e_calls) + len(slope_calls) <= 12
-        assert len(k_calls) == 1
+        assert len(k_calls) == 0
     for beta in (0.3, 2.2, 7.9):
         slope_calls.clear()
         db.lambda_values(beta)

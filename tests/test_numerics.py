@@ -112,6 +112,16 @@ def test_find_root_simple():
     assert r.shape == (1,) and abs(r[0] - 1.0 / 3.0) < 1e-12
 
 
+def test_find_root_exact_zero_at_an_iterate():
+    # f = x - 0.375 on [0, 1]: the first step of either rule lands on the
+    # root exactly, f is 0 there, and that ends the bracket with the root
+    # as it is, after the grid call and that one step
+    for g in (lambda x: x - 0.375, lambda x: (x - 0.375, np.ones_like(x))):
+        f, calls = _counted(g)
+        assert nm.find_root(f, [0.0, 1.0]).tolist() == [0.375]
+        assert len(calls) == 2
+
+
 def _one_bracket(f, lo, hi, tol):
     """Scalar reference for one bracket: the same Illinois false-position
     step, clipped tol/2 inside the ends and replaced by bisection outside

@@ -16,7 +16,8 @@ from pcx.numerics import DomainError
 
 
 def _lattice_wide(delta, beta, sign=None, margin=200_000):
-    """Wide-window oracle for v_series (sign +/-1) or g_of (sign None).
+    """Wide-window oracle for the lattice series (sign +/-1) or g_of
+    (sign None).
 
     Direct sum over [-margin, floor(c) + margin] plus the tails of pcbounds
     taken that far out, where each is below 1e-5; delta*beta must stay
@@ -47,7 +48,7 @@ def test_pc_density_values():
 def test_v_series_against_window_oracle():
     for delta, beta, sign in [(1.0, 0.7, 1), (1.0, 0.7, -1), (2.0, 1.3, 1),
                               (1.5, 2.1, -1), (2.0, 1.25, 1)]:
-        assert abs(pb.v_series(delta, beta, sign)
+        assert abs(pb._v_at(delta, beta, sign)[2]
                    - v_lerch(delta, beta, sign)) <= 1e-14
 
 
@@ -60,18 +61,19 @@ def test_v_series_to_rounding_near_delta_one(delta):
     # rounding there, with no wider window (delta*beta clear of integers)
     for beta in (0.61, 17.3):
         for sign in (+1, -1):
-            assert abs(pb.v_series(delta, beta, sign)
+            assert abs(pb._v_at(delta, beta, sign)[2]
                        - v_lerch(delta, beta, sign)) <= 1e-14
 
 
 def test_lattice_window_against_wide_oracle():
-    # the window of v_series holds 10 terms past 0 and the resonance for
-    # every delta; a window of 200,000 gives the same sum to rounding
+    # the window of the lattice series holds 10 terms past 0 and the
+    # resonance for every delta; a window of 200,000 gives the same sum to
+    # rounding
     for delta in (1.001, 1.01, 1.1):
         for beta in (0.07, 0.61, 2.3, 17.3):  # delta*beta clear of integers
             for sign in (+1, -1):
                 want = _lattice_wide(delta, beta, sign)
-                assert abs(pb.v_series(delta, beta, sign) - want) < 2e-15
+                assert abs(pb._v_at(delta, beta, sign)[2] - want) < 2e-15
             assert abs(g_of(delta, beta) - _lattice_wide(delta, beta)) < 2e-15
 
 
@@ -270,8 +272,8 @@ def test_m_selberg_broadcasts_beta_against_sign():
     for i, sign in enumerate((-1, 1)):
         one = pb.m_selberg(betas, 1.5, sign)
         assert np.array_equal(one.closed_form, both.closed_form[i])
-        assert np.array_equal(pb.v_series(1.5, betas, sign),
-                              [pb.v_series(1.5, b, sign) for b in betas])
+        assert np.array_equal(pb._v_at(1.5, betas, sign)[2],
+                              [pb._v_at(1.5, b, sign)[2] for b in betas])
     with pytest.raises(DomainError):
         pb.m_selberg(betas, 1.0, np.array([1, 0, -1]))
 
