@@ -24,6 +24,21 @@ B-zero b_k, then comes out to relative precision, where a bracket width
 of 1e-13 would leave its weight visibly off.  The node weights come from
 that row as well: K(x,x) = -Im(E'(x) conj E(x)) / pi on the real line
 (the Wronskian of A and B over pi), so no node needs the kernel itself.
+
+A tilt's nodes start from E's phase.  build_E tabulates phi and phi' =
+-Im(E'/E) at x = 0, 1/32, ..., x_max + 2 from one call of the slope row.
+E_beta's phase is psi = phi + atan(qx/p), so the node of each cell lies
+where psi crosses (k + 1/2) pi (A-type) or k pi (B-type), and inverse
+cubic Hermite interpolation on the table predicts it within 2e-7
+(_starts).  find_root evaluates these starts with the grid in its first
+call and finishes each node by one Newton step and a confirming call,
+where from the cell ends it took about six.  A_beta's first node lies on
+the scale sqrt(p/q) at small beta and right of a B-zero, finer than the
+table resolves; it starts from the root of pA - qxB on the Taylor series
+of A and B at 0 (_series_node).  Below B_SERIES_TOP that series root is
+the node itself: the node function there holds B only by cancellation,
+and its computed root errs by up to 1e-9 relative.  The companion zeros
+of build_E take no starts.
 """
 
 from __future__ import annotations
@@ -55,6 +70,9 @@ NODE_TOL = 1e-7
 # B'(0) = 4.31, by beta = 1e-20; the first term left out, B_9 beta^9, is
 # 2.3e-26 of B at beta = 1e-3
 B_SERIES_TOP = 1e-3
+# below this, A_beta's first node starts from the Taylor series at 0
+# (_series_node): that start errs by at most 5e-8 there, the table's by 7e-7
+_SERIES_NODE_TOP = 0.25
 
 
 @dataclass(frozen=True)
@@ -70,6 +88,11 @@ class HermiteBiehler:
     x_max: float
     # B_1, B_3, B_5, B_7 of B(x) = sum_k B_k x^k near 0 (B is odd)
     B_odd: tuple
+    # A_0, A_2, ..., A_8 of A(x) = sum_k A_k x^k near 0 (A is even)
+    A_even: tuple
+    # the phase table: x = 0, 1/32, ..., x_max + 2, the phase phi(x) =
+    # -arg E(x) (unwrapped, phi(0) = 0) and its slope -Im(E'(x)/E(x))
+    phase: tuple
 
 
 @dataclass(frozen=True)
@@ -91,13 +114,14 @@ class TiltedSpace:
     lambda_minus: float
 
 
-def _nodes(fn, offset, x_hi):
+def _nodes(fn, offset, x_hi, starts=None):
     """The roots of fn on the grid 0, offset, offset + 1, ..., ceil(x_hi) +
     offset (module docstring); fn returns values, or (values, slopes) for
-    find_root's Newton steps.  RootMiss unless every cell holds exactly one
-    root, a root at 0 counting for the first cell."""
+    find_root's Newton steps, and starts, one per cell or None, are
+    find_root's.  RootMiss unless every cell holds exactly one root, a
+    root at 0 counting for the first cell."""
     grid = np.concatenate([[0.0], offset + np.arange(math.ceil(x_hi) + 1.0)])
-    roots = find_root(fn, grid, 1e-13)
+    roots = find_root(fn, grid, 1e-13, starts)
     cells = np.searchsorted(grid, roots, side="right")
     if not np.array_equal(cells, np.arange(1, len(grid))):
         raise RootMiss(f"expected one root in each of the {len(grid) - 1} "
@@ -155,12 +179,18 @@ def _hermite_biehler(x_max):
                      x_max)[:len(zeros_a) + 1]
     # on the real line E = (-i - x) r(x) gives B = Re r + x Im r, so with
     # c_n the Taylor coefficients of r at 0, B_k = Re c_k + Im c_(k-1)
-    c = _row_taylor(a, -1j, 7)
+    c = _row_taylor(a, -1j, 8)
     b_odd = tuple(float(c[k].real + c[k - 1].imag) for k in (1, 3, 5, 7))
+    # and A = Im r - x Re r, so A_k = Im c_k - Re c_(k-1)
+    a_even = (float(c[0].imag),) + tuple(
+        float(c[k].imag - c[k - 1].real) for k in (2, 4, 6, 8))
+    x = np.arange(32.0 * x_max + 65.0) / 32.0
+    e, e1 = E_slope_eval(x)
+    phase = (x, -np.unwrap(np.angle(e)), -np.imag(e1 / e))
     return HermiteBiehler(E_eval=E_eval, E_slope_eval=E_slope_eval,
                           A_eval=A_eval, B_eval=B_eval,
                           zeros_A=zeros_a, zeros_B=zeros_b, x_max=float(x_max),
-                          B_odd=b_odd)
+                          B_odd=b_odd, A_even=a_even, phase=phase)
 
 
 def _node_function(E_slope_eval, p, q, part):
@@ -232,13 +262,77 @@ def _E_beta(p, q):
     return E_beta
 
 
+def _starts(p, q, part, cells):
+    """A start for the node in each of the first `cells` cells of _nodes'
+    grid for the tilt (p, q, part), NaN past the phase table.
+
+    The phase of E_beta is psi = phi + atan(qx/p), increasing from 0, and
+    the node of cell k lies where psi = (k + 1/2) pi (A-type) or k pi
+    (B-type).  On the table interval holding that value, x is the cubic
+    Hermite interpolant of psi, with slopes dx/dpsi = 1/psi'.  psi and
+    psi' = phi' + (p/h) (q/h), h = hypot(p, qx), are taken in forms that
+    neither overflow nor underflow at p near 1e-154.  The first table
+    interval cannot follow psi's rise through atan(qx/p) on the scale p/q:
+    _tilted_nodes starts A_beta's first node from _series_node there.
+    """
+    E = build_E()
+    # every node of the cells lies below cells; the rows up to cells + 1
+    # bracket them all, and a start is the same for any count of cells
+    x, phi, dphi = (v[:32 * cells + 33] for v in E.phase)
+    h = np.hypot(p, q * x)
+    psi = phi + np.arctan2(q * x, p)
+    dpsi = dphi + (p / h) * (q / h)
+    target = (np.arange(cells) + (0.5 if part == 1.0 else 0.0)) * math.pi
+    i = np.searchsorted(psi, target, side="right") - 1
+    inside = (i >= 0) & (i < len(x) - 1)
+    i = i[inside]
+    d = psi[i + 1] - psi[i]
+    t = (target[inside] - psi[i]) / d
+    starts = np.full(cells, np.nan)
+    # the cubic Hermite basis on [0, 1]
+    starts[inside] = (x[i] * (1.0 + 2.0 * t) * (1.0 - t) ** 2
+                      + d * t * (1.0 - t) ** 2 / dpsi[i]
+                      + x[i + 1] * t * t * (3.0 - 2.0 * t)
+                      - d * t * t * (1.0 - t) / dpsi[i + 1])
+    return starts
+
+
+def _series_node(p, q):
+    """A_beta's first node from A_beta = pA - qxB on the Taylor series of
+    A and B at 0: a few Newton steps in y = x^2 on the degree-4 polynomial
+    sum_j (p A_2j - q B_2j-1) y^j, from the root of its first two terms,
+    x^2 = p A_0 / (q B_1 - p A_2).  NaN unless that root lies below
+    _SERIES_NODE_TOP."""
+    E = build_E()
+    co = [p * a_k - q * b_k for a_k, b_k in zip(E.A_even, (0.0,) + E.B_odd)]
+    if not (co[1] < 0 and co[0] < -_SERIES_NODE_TOP ** 2 * co[1]):
+        return math.nan
+    y = -co[0] / co[1]
+    for _ in range(4):
+        # Horner for (P(y) - P(0)) / y and its slope
+        v = dv = 0.0
+        for c_j in co[:0:-1]:
+            v, dv = v * y + c_j, dv * y + v
+        y -= (v * y + co[0]) / (dv * y + v)
+    return math.sqrt(y) if y > 0 else math.nan
+
+
 def _tilted_nodes(beta, p, q, part, x_hi):
     """The nodes of the tilt (p, q, part) at beta over [0, x_hi], x_hi >=
     beta, the one nearest beta set to beta, and their weights."""
     # Re E_beta or -Im E_beta = Re(i E_beta); E(0) is real, so B_beta(0)
     # is exactly 0 and _nodes lists 0 as a grid root
+    starts = _starts(p, q, part, math.ceil(x_hi) + 1)
+    x0 = _series_node(p, q) if part == 1.0 else math.nan
+    if not math.isnan(x0):
+        starts[0] = x0
     nodes = _nodes(_node_function(build_E().E_slope_eval, p, q, part),
-                   0.75 if part == 1.0 else 0.25, x_hi)
+                   0.75 if part == 1.0 else 0.25, x_hi, starts)
+    if x0 < B_SERIES_TOP:
+        # there the node function near 0 holds B only by the cancellation
+        # that makes _tilt_params read B(beta) from its series, and its
+        # root errs by up to 1e-9 relative; the series root does not
+        nodes[0] = x0
     # beta is a node by construction; put it there exactly
     nodes[np.argmin(np.abs(nodes - beta))] = beta
     return nodes, _weights(nodes, p, q)
@@ -257,8 +351,9 @@ def tilt(beta):
     Below B_SERIES_TOP, B(beta) comes from its odd Taylor series; below
     beta = 7.19e-155, where p = beta |B(beta)| is no normal float,
     DomainError.
-    The nodes come from _nodes over [0, max(x_max, beta)], the one nearest
-    beta set to beta; A_beta's first may lie near 0 (about sqrt(p/q)).
+    The nodes come from _nodes over [0, max(x_max, beta)], started from
+    E's phase, the one nearest beta set to beta; A_beta's first may lie
+    near 0 (about sqrt(p/q)), and starts from the Taylor series at 0.
     """
     p, q, regime, part = _tilt_params(beta)
     nodes, weights = _tilted_nodes(beta, p, q, part,

@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .numerics import DomainError, NonConvergence
-from .pcbounds import pc_density
 from .special import _out
 
 _SQ = 2.0 ** -0.5
@@ -257,12 +256,3 @@ def two_delta(beta):
     return TwoDeltaSolution(beta=_out(b), value=_out(value), k_bb=_out(k_bb),
                             k_bmb=_out(k_bmb), extremal_eval=extremal_eval)
 
-
-def norm_equivalence_eta():
-    """The explicit constant in the two-sided norm sandwich.
-
-    The density exceeds eta^2 off [-1/8, 1/8] with eta^2 = density(1/8);
-    combined with the uncertainty bound this yields
-    (eta/2) ||f||_2 <= ||f||_mu <= ||f||_2.
-    """
-    return math.sqrt(float(pc_density(0.125)))

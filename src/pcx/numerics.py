@@ -36,7 +36,10 @@ bisection whenever it would leave the bracket or has stopped shrinking, so
 no iterate leaves its cell and no root costs more than about three calls
 per halving of it.  Both rules keep one bookkeeping and one done test: the
 latest iterate x and a step s whose root x - s is accepted once |s| is
-within a tolerance, where an exact zero of f at x is the step s = 0.
+within a tolerance, where an exact zero of f at x is the step s = 0.  A
+caller that can predict its roots passes one start per cell: debranges
+predicts the nodes of a tilt from the phase of E, and Newton then needs
+about one step and one confirming call per node.
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ def integrate_real_line(f, sigma, period=1.0):
     return value
 
 
-def find_root(f, xs, tol=1e-12):
+def find_root(f, xs, tol=1e-12, starts=None):
     """Every root of f on the ascending grid xs, in ascending order.
 
     A grid point where f is exactly 0 is a root; so is the one root inside
@@ -170,10 +173,22 @@ def find_root(f, xs, tol=1e-12):
       replaced by bisection when it falls outside the open bracket, or when
       the bracket has not halved over the last two steps.
     - with slopes: Newton, the step x - f/f' from the latest iterate, the
-      first from the end of the cell whose step is the shorter.  It is
+      first from the end of the bracket whose step is the shorter.  It is
       replaced by bisection when it falls outside the open bracket, or when
       it is longer than half the move two steps back; a slope that is 0,
       infinite or NaN gives no step, so a bisection.
+
+    starts, when given, holds one guess of the root per cell of xs, NaN
+    for none.  Those strictly inside their cells are evaluated in the
+    first call of f, after the grid.  In a bracket whose start has a value
+    (not NaN), the start replaces the end whose sign it shares.  Illinois
+    then takes the start as its first iterate.  Newton takes whichever end
+    of the narrowed bracket has the shorter step, as without starts.  When
+    that end is the start, the start counts as a Newton move to it from
+    the end it replaced, so its acc is min(tol/2, a quarter of that
+    distance).  A start within tol/2 of its root by its own step is then
+    done in that first call; one 1e-8 off takes one Newton step and one
+    confirming call.  Without starts, both rules run unchanged.
 
     Both keep one bookkeeping: the bracket, the latest iterate x with a
     step s, a tolerance acc and half the width (Illinois) or move (Newton)
@@ -197,32 +212,71 @@ def find_root(f, xs, tol=1e-12):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or len(xs) < 2 or not np.all(np.diff(xs) > 0):
         raise DomainError("find_root needs an ascending grid of >= 2 points")
-    fxs = f(xs)
+    n = len(xs)
+    if starts is None:
+        inside = np.zeros(n - 1, dtype=bool)
+    else:
+        starts = np.asarray(starts, dtype=float)
+        if starts.shape != (n - 1,):
+            raise DomainError("find_root needs one start per grid cell")
+        # a NaN start fails both tests
+        inside = (xs[:-1] < starts) & (starts < xs[1:])
+    # the grid and the starts inside their cells in one call
+    fxs = f(np.concatenate([xs, starts[inside]]) if inside.any() else xs)
     newton = isinstance(fxs, tuple)
     if newton:
         fxs, slope = fxs
         sxs = _newton_step(np.asarray(fxs, dtype=float),
                            np.asarray(slope, dtype=float))
     fxs = np.asarray(fxs, dtype=float)
+    # each cell's value and step at its start, NaN where it has none
+    fst, sst = np.full((2, n - 1), np.nan)
+    fst[inside], fxs = fxs[n:], fxs[:n]
+    if newton:
+        sst[inside], sxs = sxs[n:], sxs[:n]
     cell = np.flatnonzero(np.sign(fxs[:-1]) * np.sign(fxs[1:]) < 0)
     lo, hi = xs[cell], xs[cell + 1]
     flo, fhi = fxs[cell], fxs[cell + 1]
+    if newton:
+        slo, shi = sxs[cell], sxs[cell + 1]
+    # a start with a value replaces the end of its bracket whose sign it
+    # shares
+    fs = fst[cell]
+    use = ~np.isnan(fs)
+    if use.any():
+        xst, ss = starts[cell], sst[cell]
+        up = use & (np.signbit(fs) == np.signbit(flo))
+        down = use & ~up
+        lo, flo = np.where(up, xst, lo), np.where(up, fs, flo)
+        hi, fhi = np.where(down, xst, hi), np.where(down, fs, fhi)
+        if newton:
+            slo, shi = np.where(up, ss, slo), np.where(down, ss, shi)
     roots = np.empty(len(cell))
     # per open bracket: its index, its ends, the sign of f (of the stored
     # value, for Illinois) at lo, x, s, acc, g1 and g2 (docstring), and for
     # Illinois the stored values and whether hi (lo) was kept last step
     g = np.full(len(cell), np.inf)
+    acc = np.zeros(len(cell))
     if newton:
-        at_hi = np.abs(sxs[cell + 1]) < np.abs(sxs[cell])
+        at_hi = np.abs(shi) < np.abs(slo)
         x = np.where(at_hi, hi, lo)
-        s = np.where(at_hi, sxs[cell + 1], sxs[cell])
+        s = np.where(at_hi, shi, slo)
+        if use.any():
+            # a start taken as the first iterate counts as a Newton move
+            # to it from the end it replaced
+            moved = np.where(up, xst - xs[cell], xs[cell + 1] - xst)
+            acc = np.where(use & (up != at_hi),
+                           np.minimum(0.25 * moved, 0.5 * tol), 0.0)
         illinois = []
     else:
+        # the first iterate is the start, where there is one
         x, s = lo, flo
+        if use.any():
+            x, s = np.where(use, xst, lo), np.where(use, fs, flo)
         kept = np.zeros(len(cell), dtype=bool)
         illinois = [flo, fhi, kept, kept]
-    state = [np.arange(len(cell)), lo, hi, np.signbit(flo), x, s,
-             np.zeros(len(cell)), g, g] + illinois
+    state = [np.arange(len(cell)), lo, hi, np.signbit(flo), x, s, acc, g,
+             g] + illinois
     check = True
     for it in range(201):
         todo, lo, hi, neg, x, s, acc, g1, g2 = state[:9]

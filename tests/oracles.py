@@ -141,6 +141,16 @@ def reproduce(f, w):
     return complex(integrate_real_line(integrand, 2.0))
 
 
+def norm_equivalence_eta():
+    """The explicit constant in the two-sided norm sandwich.
+
+    The density exceeds eta^2 off [-1/8, 1/8] with eta^2 = density(1/8);
+    combined with the uncertainty bound this yields
+    (eta/2) ||f||_2 <= ||f||_mu <= ||f||_2 for f of type pi.
+    """
+    return math.sqrt(float(pb.pc_density(0.125)))
+
+
 def generate_zeros(count, path=None):
     """Compute the first `count` ordinates of the critical-line zeros.
 

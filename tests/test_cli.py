@@ -350,9 +350,10 @@ def _cell(x):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "table"])
-def test_emit_rows_match_cell_rule(capsys, fmt):
+def test_emit_rows_match_cell_rule(capsys, monkeypatch, fmt):
     # one %-format per row writes each cell as the per-cell rule does, on
-    # rows whose cells change type from row to row
+    # rows whose cells change type from row to row; CSV written two rows
+    # at a time gives the same text
     columns = ["a", "b", "c", "d"]
     values = [
         ("x", 3, np.int64(-7), 0.1),
@@ -364,11 +365,15 @@ def test_emit_rows_match_cell_rule(capsys, fmt):
     table = dict(zip(columns, zip(*values)))
     args = argparse.Namespace(format=fmt, out=None, plot=None)
     assert cli._emit(args, "test", columns, table) == 0
-    lines = capsys.readouterr().out.splitlines()[:len(values) + 1]
+    out = capsys.readouterr().out
+    lines = out.splitlines()[:len(values) + 1]
     cells = [columns] + [[_cell(x) for x in v] for v in values]
     assert [[cli._fmt(x) for x in v] for v in values] == cells[1:]
     if fmt == "csv":
         assert lines == [",".join(row) for row in cells]
+        monkeypatch.setattr(cli, "_CSV_BLOCK", 2)
+        assert cli._emit(args, "test", columns, table) == 0
+        assert capsys.readouterr().out == out
     else:
         widths = [max(len(row[i]) for row in cells) for i in range(4)]
         assert lines == ["  ".join(v.ljust(w) for v, w in zip(row, widths))

@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from oracles import reproduce
+from oracles import norm_equivalence_eta, reproduce
 from pcx import kernel as kn
 from pcx.beurling import BandlimitedFunction
-from pcx.numerics import DomainError, NonConvergence
+from pcx.numerics import DomainError, NonConvergence, integrate_real_line
 
 RNG = np.random.default_rng(42)
 
@@ -335,7 +335,14 @@ def test_two_delta_large_beta_envelope():
 
 
 def test_norm_equivalence_eta():
+    # the sandwich (eta/2) ||f||_2 <= ||f||_mu <= ||f||_2 on f = K(0, .):
+    # ||f||_mu^2 = K(0, 0) by the reproducing property, and f^2 has type
+    # 2 pi, its oscillation repeating over period 1
     from pcx.pcbounds import pc_density
-    eta = kn.norm_equivalence_eta()
+    eta = norm_equivalence_eta()
     assert eta == pytest.approx(math.sqrt(float(pc_density(np.array([0.125]))[0])))
     assert 0.2 < eta < 0.25
+    norm_mu = math.sqrt(kn.kernel_eval(0.0, 0.0).real)
+    norm_2 = math.sqrt(integrate_real_line(
+        lambda x: kn.kernel_eval(0.0, x).real ** 2, 1.0))
+    assert 0.5 * eta * norm_2 <= norm_mu <= norm_2

@@ -198,6 +198,64 @@ def test_find_root_stays_in_bracket(shift, period, frac, cube):
     _iterates_in_cells(xs, calls)
 
 
+@settings(max_examples=60, deadline=None)
+@given(shift=st.floats(-0.9, 0.9), period=st.floats(0.3, 2.0),
+       frac=st.floats(0.05, 0.95), kinds=st.lists(
+           st.sampled_from(["near", "anywhere", "outside", "nan"]),
+           min_size=60, max_size=60), err=st.floats(-1e-6, 1e-6))
+def test_find_root_starts(shift, period, frac, kinds, err):
+    # the family of test_find_root_stays_in_bracket, with a start per cell
+    # of each kind: near its root, anywhere in the cell, outside it (the
+    # next cell's midpoint) or NaN.  Both rules find the start-less roots
+    # within tol; the first call takes the grid and then the starts inside
+    # their cells, and no later iterate leaves its cell
+    xs = shift + period * (np.arange(-30, 31) + frac) / 4.0
+    width = period / 4.0
+    mid = 0.5 * (xs[:-1] + xs[1:])
+    root = shift + period * np.round((mid - shift) / period)
+    has = (xs[:-1] < root) & (root < xs[1:])
+    starts = np.select(
+        [np.array(kinds) == k for k in ("near", "anywhere", "outside")],
+        [np.where(has, root + err * width, mid),
+         xs[:-1] + width * (0.5 + 0.49 * np.sin(np.arange(60.0))),
+         mid + width], np.nan)
+
+    def f(x):
+        s = np.sin(np.pi * (x - shift) / period)
+        return s ** 3 + s
+
+    def f_slope(x):
+        u = np.pi * (x - shift) / period
+        s = np.sin(u)
+        return s ** 3 + s, (3.0 * s ** 2 + 1.0) * np.cos(u) * np.pi / period
+
+    inside = (xs[:-1] < starts) & (starts < xs[1:])
+    for g in (f, f_slope):
+        plain = nm.find_root(g, xs, 1e-12)
+        g, calls = _counted(g)
+        got = nm.find_root(g, xs, 1e-12, starts)
+        assert len(got) == len(plain) == 15
+        assert np.all(np.abs(got - plain) <= 1e-12)
+        assert np.array_equal(calls[0], np.concatenate([xs, starts[inside]]))
+        _iterates_in_cells(xs, calls)
+    with pytest.raises(nm.DomainError):
+        nm.find_root(f, xs, 1e-12, starts[:-1])
+
+
+def test_find_root_start_on_a_root():
+    # a start on an exact zero ends its bracket in the one call with the
+    # grid, for either rule; one on a grid point is no start
+    for g in (lambda x: x - 0.375, lambda x: (x - 0.375, np.ones_like(x))):
+        f, calls = _counted(g)
+        assert nm.find_root(f, [0.0, 0.5, 1.0], 1e-12,
+                            [0.375, 0.75]).tolist() == [0.375]
+        assert len(calls) == 1
+        f, calls = _counted(g)
+        assert nm.find_root(f, [0.0, 0.5, 1.0], 1e-12,
+                            [0.5, np.nan]).tolist() == [0.375]
+        assert calls[0].tolist() == [0.0, 0.5, 1.0]
+
+
 def _pole(r):
     """1/(x - r), inf without a warning where an iterate lands on r."""
     def f(x):
