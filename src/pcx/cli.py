@@ -174,14 +174,12 @@ def _emit(args, command, columns, table, footer_notes=()):
     else:
         sys.stdout.writelines(chunks)
 
-    if getattr(args, "plot", None):
+    if args.plot:
         _emit_plot(args, command, columns)
     return EXIT_OK
 
 
 def _emit_plot(args, command, columns):
-    if not args.out or args.format != "csv":
-        raise DomainError("--plot needs --out together with --format csv")
     data = os.path.basename(args.out)
     ycols = [c for c in columns if c != columns[0]]
     plots = ", \\\n  ".join(
@@ -339,6 +337,10 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        # checked before the command runs, so that a misused --plot
+        # writes nothing
+        if args.plot and (not args.out or args.format != "csv"):
+            raise DomainError("--plot needs --out together with --format csv")
         return globals()[f"cmd_{args.command}"](args)
     except (DomainError, ValueError) as exc:
         if isinstance(exc, (ParseError, MonotonicityError)):

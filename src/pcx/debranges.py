@@ -30,9 +30,9 @@ A tilt's nodes start from E's phase.  build_E tabulates phi and phi' =
 E_beta's phase is psi = phi + atan(qx/p), so the node of each cell lies
 where psi crosses (k + 1/2) pi (A-type) or k pi (B-type), and inverse
 cubic Hermite interpolation on the table predicts it within 2e-7
-(_starts).  find_root evaluates these starts with the grid in its first
-call and finishes each node by one Newton step and a confirming call,
-where from the cell ends it took about six.  A_beta's first node lies on
+(_starts).  _nodes puts these starts into the grid of find_root, which
+then finishes each node by one Newton step and a confirming call, where
+from the cell ends it took about six.  A_beta's first node lies on
 the scale sqrt(p/q) at small beta and right of a B-zero, finer than the
 table resolves; it starts from the root of pA - qxB on the Taylor series
 of A and B at 0 (_series_node).  Below B_SERIES_TOP that series root is
@@ -117,11 +117,18 @@ class TiltedSpace:
 def _nodes(fn, offset, x_hi, starts=None):
     """The roots of fn on the grid 0, offset, offset + 1, ..., ceil(x_hi) +
     offset (module docstring); fn returns values, or (values, slopes) for
-    find_root's Newton steps, and starts, one per cell or None, are
-    find_root's.  RootMiss unless every cell holds exactly one root, a
-    root at 0 counting for the first cell."""
+    find_root's Newton steps.  starts, one guess per cell (NaN for none) or
+    None, join find_root's grid where they lie strictly inside their
+    cells, so that a start is an end of its node's bracket.  RootMiss
+    unless every cell of the grid without the starts holds exactly one
+    root, a root at 0 counting for the first cell."""
     grid = np.concatenate([[0.0], offset + np.arange(math.ceil(x_hi) + 1.0)])
-    roots = find_root(fn, grid, 1e-13, starts)
+    xs = grid
+    if starts is not None:
+        # a NaN start fails both tests
+        inside = (grid[:-1] < starts) & (starts < grid[1:])
+        xs = np.sort(np.concatenate([grid, starts[inside]]))
+    roots = find_root(fn, xs, 1e-13)
     cells = np.searchsorted(grid, roots, side="right")
     if not np.array_equal(cells, np.arange(1, len(grid))):
         raise RootMiss(f"expected one root in each of the {len(grid) - 1} "

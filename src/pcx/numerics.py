@@ -37,9 +37,9 @@ no iterate leaves its cell and no root costs more than about three calls
 per halving of it.  Both rules keep one bookkeeping and one done test: the
 latest iterate x and a step s whose root x - s is accepted once |s| is
 within a tolerance, where an exact zero of f at x is the step s = 0.  A
-caller that can predict its roots passes one start per cell: debranges
-predicts the nodes of a tilt from the phase of E, and Newton then needs
-about one step and one confirming call per node.
+caller that can predict its roots puts the guesses into the grid:
+debranges predicts the nodes of a tilt from the phase of E, and Newton
+then needs about one step and one confirming call per node.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def integrate_real_line(f, sigma, period=1.0):
     return value
 
 
-def find_root(f, xs, tol=1e-12, starts=None):
+def find_root(f, xs, tol=1e-12):
     """Every root of f on the ascending grid xs, in ascending order.
 
     A grid point where f is exactly 0 is a root; so is the one root inside
@@ -172,23 +172,10 @@ def find_root(f, xs, tol=1e-12, starts=None):
       the last one lands across the root and closes the bracket.  It is
       replaced by bisection when it falls outside the open bracket, or when
       the bracket has not halved over the last two steps.
-    - with slopes: Newton, the step x - f/f' from the latest iterate, the
-      first from the end of the bracket whose step is the shorter.  It is
-      replaced by bisection when it falls outside the open bracket, or when
-      it is longer than half the move two steps back; a slope that is 0,
-      infinite or NaN gives no step, so a bisection.
-
-    starts, when given, holds one guess of the root per cell of xs, NaN
-    for none.  Those strictly inside their cells are evaluated in the
-    first call of f, after the grid.  In a bracket whose start has a value
-    (not NaN), the start replaces the end whose sign it shares.  Illinois
-    then takes the start as its first iterate.  Newton takes whichever end
-    of the narrowed bracket has the shorter step, as without starts.  When
-    that end is the start, the start counts as a Newton move to it from
-    the end it replaced, so its acc is min(tol/2, a quarter of that
-    distance).  A start within tol/2 of its root by its own step is then
-    done in that first call; one 1e-8 off takes one Newton step and one
-    confirming call.  Without starts, both rules run unchanged.
+    - with slopes: Newton, the step x - f/f' from the latest iterate.  It
+      is replaced by bisection when it falls outside the open bracket, or
+      when it is longer than half the move two steps back; a slope that is
+      0, infinite or NaN gives no step, so a bisection.
 
     Both keep one bookkeeping: the bracket, the latest iterate x with a
     step s, a tolerance acc and half the width (Illinois) or move (Newton)
@@ -198,85 +185,55 @@ def find_root(f, xs, tol=1e-12, starts=None):
     bisection: the root then lies well within tol/2 of x - s, while
     without that shrinking, as at a multiple root, it may lie several tol
     off.  Illinois' s is f(x) and its acc 0.  Either way an exact zero at
-    x is s = 0, the root x.  The worst case costs about three calls per
-    halving, and no iterate leaves its cell.  A bracket is also done when
-    its width is at most tol, which must be positive and finite, or when
-    its midpoint rounds to an end, its root that midpoint; that rule is
-    checked after every Illinois step, and after a Newton step only if it
-    bisected (a Newton move finer than the rounding would leave the open
-    bracket, so it becomes a bisection).  NonConvergence if a bracket is
-    still open after 200 steps.
+    x is s = 0, the root x.  Both start up alike, from the grid call: the
+    first iterate x is the end of the bracket with the smaller |s|, and
+    for Newton it counts as a move to x from the grid point beyond it (no
+    move at either end of the grid).  So a grid point put near the root,
+    within tol/2 by its own step, ends its bracket in the grid call, and
+    one 1e-8 off takes one Newton step and one confirming call.  The
+    worst case costs about three calls per halving, and no iterate leaves
+    its cell.  A bracket is also done when its width is at most tol, which
+    must be positive and finite, or when its midpoint rounds to an end,
+    its root that midpoint; that rule is checked after every Illinois
+    step, and after a Newton step only if it bisected (a Newton move finer
+    than the rounding would leave the open bracket, so it becomes a
+    bisection).  NonConvergence if a bracket is still open after 200
+    steps.
     """
     if not 0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or len(xs) < 2 or not np.all(np.diff(xs) > 0):
         raise DomainError("find_root needs an ascending grid of >= 2 points")
-    n = len(xs)
-    if starts is None:
-        inside = np.zeros(n - 1, dtype=bool)
-    else:
-        starts = np.asarray(starts, dtype=float)
-        if starts.shape != (n - 1,):
-            raise DomainError("find_root needs one start per grid cell")
-        # a NaN start fails both tests
-        inside = (xs[:-1] < starts) & (starts < xs[1:])
-    # the grid and the starts inside their cells in one call
-    fxs = f(np.concatenate([xs, starts[inside]]) if inside.any() else xs)
+    fxs = f(xs)
     newton = isinstance(fxs, tuple)
     if newton:
         fxs, slope = fxs
-        sxs = _newton_step(np.asarray(fxs, dtype=float),
-                           np.asarray(slope, dtype=float))
-    fxs = np.asarray(fxs, dtype=float)
-    # each cell's value and step at its start, NaN where it has none
-    fst, sst = np.full((2, n - 1), np.nan)
-    fst[inside], fxs = fxs[n:], fxs[:n]
-    if newton:
-        sst[inside], sxs = sxs[n:], sxs[:n]
+        fxs = np.asarray(fxs, dtype=float)
+        sxs = _newton_step(fxs, np.asarray(slope, dtype=float))
+    else:
+        fxs = sxs = np.asarray(fxs, dtype=float)
     cell = np.flatnonzero(np.sign(fxs[:-1]) * np.sign(fxs[1:]) < 0)
     lo, hi = xs[cell], xs[cell + 1]
     flo, fhi = fxs[cell], fxs[cell + 1]
-    if newton:
-        slo, shi = sxs[cell], sxs[cell + 1]
-    # a start with a value replaces the end of its bracket whose sign it
-    # shares
-    fs = fst[cell]
-    use = ~np.isnan(fs)
-    if use.any():
-        xst, ss = starts[cell], sst[cell]
-        up = use & (np.signbit(fs) == np.signbit(flo))
-        down = use & ~up
-        lo, flo = np.where(up, xst, lo), np.where(up, fs, flo)
-        hi, fhi = np.where(down, xst, hi), np.where(down, fs, fhi)
-        if newton:
-            slo, shi = np.where(up, ss, slo), np.where(down, ss, shi)
     roots = np.empty(len(cell))
+    # the first iterate is the end with the shorter step
+    end = cell + (np.abs(sxs[cell + 1]) < np.abs(sxs[cell]))
+    x, s = xs[end], sxs[end]
+    acc = np.zeros(len(cell))
+    if newton:
+        # that end counts as a Newton move to it from the grid point beyond
+        # it, none at the ends of the grid: on xs padded by its ends, that
+        # point is at cell (beyond lo) or at cell + 3 (beyond hi)
+        far = np.concatenate([xs[:1], xs, xs[-1:]])[3 * end - 2 * cell]
+        acc = np.minimum(0.25 * np.abs(x - far), 0.5 * tol)
     # per open bracket: its index, its ends, the sign of f (of the stored
     # value, for Illinois) at lo, x, s, acc, g1 and g2 (docstring), and for
     # Illinois the stored values and whether hi (lo) was kept last step
     g = np.full(len(cell), np.inf)
-    acc = np.zeros(len(cell))
-    if newton:
-        at_hi = np.abs(shi) < np.abs(slo)
-        x = np.where(at_hi, hi, lo)
-        s = np.where(at_hi, shi, slo)
-        if use.any():
-            # a start taken as the first iterate counts as a Newton move
-            # to it from the end it replaced
-            moved = np.where(up, xst - xs[cell], xs[cell + 1] - xst)
-            acc = np.where(use & (up != at_hi),
-                           np.minimum(0.25 * moved, 0.5 * tol), 0.0)
-        illinois = []
-    else:
-        # the first iterate is the start, where there is one
-        x, s = lo, flo
-        if use.any():
-            x, s = np.where(use, xst, lo), np.where(use, fs, flo)
-        kept = np.zeros(len(cell), dtype=bool)
-        illinois = [flo, fhi, kept, kept]
+    kept = np.zeros(len(cell), dtype=bool)
     state = [np.arange(len(cell)), lo, hi, np.signbit(flo), x, s, acc, g,
-             g] + illinois
+             g] + ([] if newton else [flo, fhi, kept, kept])
     check = True
     for it in range(201):
         todo, lo, hi, neg, x, s, acc, g1, g2 = state[:9]

@@ -116,8 +116,17 @@ def test_plot_script_emission(tmp_path, capsys):
     assert code == 0
     script = out_gp.read_text()
     assert "plot" in script and "t.csv" in script
-    # plot without a CSV destination is a config error
-    assert cli.main(["bounds", "--beta", "1", "--plot", str(out_gp)]) == 2
+    # plot without a CSV destination is a config error, found before the
+    # command runs: nothing on stdout, and neither file written
+    capsys.readouterr()
+    gp, out_json = tmp_path / "u.gp", tmp_path / "u.json"
+    for extra in ([], ["--out", str(out_json), "--format", "json"]):
+        assert cli.main(["bounds", "--beta", "1", "--plot", str(gp)]
+                        + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(
+            "pcx: config error: --plot needs")
+        assert not gp.exists() and not out_json.exists()
 
 
 def test_invalid_subcommand(capsys):

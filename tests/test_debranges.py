@@ -70,6 +70,70 @@ def test_companion_zeros_pinned(E):
         "0x1.80a6d5b6dc957p+2", "0x1.c08f141226924p+2"]
 
 
+def test_lambda_values_pinned(E, monkeypatch):
+    # lambda_+/- bit for bit, and two calls of the node function each: the
+    # grid with the starts from E's phase, then one Newton step; at b_2
+    # and just left of it the tilt degenerates, at 1e-150 A_beta's first
+    # node comes from the Taylor series at 0
+    calls = []
+    node_function = db._node_function
+
+    def counting(*args):
+        fn = node_function(*args)
+
+        def counted(x):
+            calls.append(1)
+            return fn(x)
+        return counted
+
+    monkeypatch.setattr(db, "_node_function", counting)
+    b2 = float(E.zeros_B[2])
+    pinned = {
+        0.3: ("0x1.b9e0d485964bap-2", "0x0.0p+0"),
+        2.2: ("0x1.17b3819ca7648p+2", "0x1.453d50e116d3ep+1"),
+        18.0034: ("0x1.2018c232cb3b0p+5", "0x1.101a2c154f877p+5"),
+        b2 - 1e-11: ("0x1.05995d07299b6p+2", "0x1.12038d552d656p+1"),
+        b2: ("0x1.05995d073079ep+2", "0x1.12038d55355acp+1"),
+        1e-150: ("0x1.4f5bf9bca3c75p-2", "0x0.0p+0"),
+    }
+    for beta, want in pinned.items():
+        calls.clear()
+        assert tuple(v.hex() for v in db.lambda_values(beta)) == want
+        assert len(calls) == 2
+
+
+@settings(max_examples=20, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["near", "anywhere", "outside",
+                                       "grid", "nan"]),
+                      min_size=12, max_size=12),
+       err=st.floats(-1e-3, 1e-3))
+def test_nodes_take_starts_into_the_grid(E, kinds, err):
+    # starts inside their cells (near the node or anywhere), outside them,
+    # on a grid point or NaN: the A-zeros on the 12 cells of [0, 11.75]
+    # come out one per cell of the grid, within 1e-13 of the start-free
+    # solve, and the first call is the grid with the starts inside
+    fn = db._node_function(E.E_slope_eval, 1.0, 0.0, 1.0)
+    grid = np.concatenate([[0.0], 0.75 + np.arange(12.0)])
+    plain = db._nodes(fn, 0.75, 11.0)
+    starts = np.select(
+        [np.array(kinds) == k for k in ("near", "anywhere", "outside",
+                                         "grid")],
+        [plain * (1.0 + err), grid[:-1] + 0.3 * np.diff(grid), grid[1:] + 0.5,
+         grid[1:]], np.nan)
+    first = []
+
+    def recording(x):
+        first.append(np.array(x))
+        return fn(x)
+
+    got = db._nodes(recording, 0.75, 11.0, starts)
+    assert len(got) == 12
+    assert np.all(np.abs(got - plain) <= 1e-13)
+    inside = (grid[:-1] < starts) & (starts < grid[1:])
+    assert np.array_equal(first[0],
+                          np.sort(np.concatenate([grid, starts[inside]])))
+
+
 @settings(max_examples=5, deadline=None)
 @given(x_max=st.floats(10.0, 200.0))
 @example(x_max=137.79)

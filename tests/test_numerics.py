@@ -206,9 +206,10 @@ def test_find_root_stays_in_bracket(shift, period, frac, cube):
 def test_find_root_starts(shift, period, frac, kinds, err):
     # the family of test_find_root_stays_in_bracket, with a start per cell
     # of each kind: near its root, anywhere in the cell, outside it (the
-    # next cell's midpoint) or NaN.  Both rules find the start-less roots
-    # within tol; the first call takes the grid and then the starts inside
-    # their cells, and no later iterate leaves its cell
+    # next cell's midpoint) or NaN.  Those strictly inside their cells
+    # join the grid: both rules find the start-less roots within tol, the
+    # first call takes the merged grid, and no later iterate leaves its
+    # cell of it
     xs = shift + period * (np.arange(-30, 31) + frac) / 4.0
     width = period / 4.0
     mid = 0.5 * (xs[:-1] + xs[1:])
@@ -230,30 +231,31 @@ def test_find_root_starts(shift, period, frac, kinds, err):
         return s ** 3 + s, (3.0 * s ** 2 + 1.0) * np.cos(u) * np.pi / period
 
     inside = (xs[:-1] < starts) & (starts < xs[1:])
+    merged = np.sort(np.concatenate([xs, starts[inside]]))
     for g in (f, f_slope):
         plain = nm.find_root(g, xs, 1e-12)
         g, calls = _counted(g)
-        got = nm.find_root(g, xs, 1e-12, starts)
+        got = nm.find_root(g, merged, 1e-12)
         assert len(got) == len(plain) == 15
         assert np.all(np.abs(got - plain) <= 1e-12)
-        assert np.array_equal(calls[0], np.concatenate([xs, starts[inside]]))
-        _iterates_in_cells(xs, calls)
-    with pytest.raises(nm.DomainError):
-        nm.find_root(f, xs, 1e-12, starts[:-1])
+        assert np.array_equal(calls[0], merged)
+        _iterates_in_cells(merged, calls)
 
 
 def test_find_root_start_on_a_root():
-    # a start on an exact zero ends its bracket in the one call with the
-    # grid, for either rule; one on a grid point is no start
+    # a grid point on an exact zero is returned after the one grid call,
+    # for either rule
     for g in (lambda x: x - 0.375, lambda x: (x - 0.375, np.ones_like(x))):
         f, calls = _counted(g)
-        assert nm.find_root(f, [0.0, 0.5, 1.0], 1e-12,
-                            [0.375, 0.75]).tolist() == [0.375]
+        assert nm.find_root(f, [0.0, 0.375, 0.5, 1.0], 1e-12).tolist() \
+            == [0.375]
         assert len(calls) == 1
-        f, calls = _counted(g)
-        assert nm.find_root(f, [0.0, 0.5, 1.0], 1e-12,
-                            [0.5, np.nan]).tolist() == [0.375]
-        assert calls[0].tolist() == [0.0, 0.5, 1.0]
+    # a grid point whose Newton step is within tol/2 counts as a Newton
+    # move from the grid point beyond it, so it too ends in the grid call
+    f, calls = _counted(lambda x: (x - 0.375, np.ones_like(x)))
+    assert nm.find_root(f, [0.0, 0.375 + 1e-14, 0.5, 1.0], 1e-12).tolist() \
+        == [0.375]
+    assert len(calls) == 1
 
 
 def _pole(r):
