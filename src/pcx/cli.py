@@ -4,16 +4,20 @@ Output is deterministic: identical configuration produces byte-identical
 text.  Every CSV carries a header row and a '#'-prefixed provenance
 footer echoing the version and the parsed configuration.
 
-Each table subcommand computes its columns in one array pass over its
-grid (pcbounds.bound_table, kernel.two_delta, gaps.lower_bound_profile,
-zerodata.empirical_table) and hands them to the one emitter, _emit, as a
-mapping from column name to column.  The emitter checks that every number
-is finite, a block of _CSV_BLOCK rows at a time, before it writes
-anything, and then formats and writes CSV a block at a time, so that no
-list of every row is held: the 10^6 rows of `pcx twodelta --beta
-0.5:1e6:0.9999995` peak at 110 MB RSS, where building the whole text took
-542 MB.  JSON and table output, whose layout needs every row, are built
-whole.
+A table is arrays from the parser to the emitter.  _parse_beta gives
+its grid as one float array, each table subcommand computes its columns
+in one array pass over it (pcbounds.bound_table, kernel.two_delta,
+gaps.lower_bound_profile, zerodata.empirical_table), and hands them to
+the one emitter, _emit, as a mapping from column name to array.  Each
+column has one %-format, from its dtype.  The emitter checks every
+float column with one np.isfinite pass before it writes anything, and
+then converts, formats and writes CSV a block of _CSV_BLOCK rows at a
+time, so that no list of every row is held: the 10^6 rows of `pcx
+twodelta --beta 0.5:1e6:0.9999995 --out F` take 1.9-2.4 s in process
+and peak at 73 MB RSS, where a grid built as a list of floats and cells
+converted twice took 2.8-3.5 s and 110 MB, and building the whole text
+542 MB (2-core x86 host).  JSON and table output, whose layout needs
+every row, are built whole, each cell converted once.
 
 The argument parser is built once per process, on the first call of main,
 and reused: building it costs more than a one-beta `pcx bounds` itself.
@@ -49,40 +53,20 @@ MAX_GRID_STEPS = 10 ** 6
 _CSV_BLOCK = 4096
 
 
-@functools.cache
-def _spec(kind):
-    """The %-format of a cell of this type: a str as it is, an int or a
-    numpy integer as an integer, anything else as a float to 10
+def _spec(dtype):
+    """The %-format of the cells of a column of this dtype: a str as it
+    is, an integer as an integer, anything else as a float to 10
     significant digits."""
-    if issubclass(kind, str):
+    if dtype.kind == "U":
         return "%s"
-    if issubclass(kind, (int, np.integer)):
+    if dtype.kind in "iu":
         return "%d"
     return "%.10g"
 
 
-@functools.cache
-def _row_format(kinds):
-    """One %-format for a CSV row whose cells have these types."""
-    return ",".join(map(_spec, kinds))
-
-
-def _fmt(x):
-    return _spec(type(x)) % x
-
-
-def _json_cell(x):
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return float(_fmt(x))
-
-
 def _parse_beta(text, option="--beta"):
-    """Either a single value or an inclusive a:b:step grid, all finite."""
-    if text is None:
-        return None
+    """Either a single value or an inclusive a:b:step grid, all finite, as
+    a float array."""
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise DomainError(f"{option} range must look like a:b:step")
@@ -90,81 +74,75 @@ def _parse_beta(text, option="--beta"):
     if not all(map(math.isfinite, values)):
         raise DomainError(f"{option} must hold finite numbers")
     if len(values) == 1:
-        return values
+        return np.array(values)
     a, b, step = values
     if step <= 0 or not a < b:
         raise DomainError(f"{option} range needs a < b and step > 0")
     steps = (b - a) / step
     if not steps <= MAX_GRID_STEPS:
         raise DomainError(f"{option} range has more than {MAX_GRID_STEPS} steps")
-    n = int(round(steps))
-    return [a + i * step for i in range(n + 1) if a + i * step <= b + step * 1e-9]
-
-
-def _blocks(cols):
-    """(index of its first row, its cells as one list per column) for each
-    block of _CSV_BLOCK rows of the columns cols; the rows are those of
-    the shortest column, as zip would make them."""
-    n = min(map(len, cols))
-    for i in range(0, n, _CSV_BLOCK):
-        j = min(i + _CSV_BLOCK, n)
-        yield i, [c[i:j].tolist() if isinstance(c, np.ndarray) else c[i:j]
-                  for c in cols]
+    # a + i * step, each point rounded once as the scalar sum is
+    grid = a + np.arange(int(round(steps)) + 1) * step
+    return grid[grid <= b + step * 1e-9]
 
 
 def _check_finite(columns, cols):
     """NonConvergence naming the column and row of the first number that
-    is not finite; str cells are skipped.  A block of numbers alone takes
-    one C-level pass (0.35 ms on 1,991 rows of six cells, 2-core x86
-    host)."""
-    for first, block in _blocks(cols):
-        try:
-            if all(map(math.isfinite, itertools.chain.from_iterable(block))):
-                continue
-        except TypeError:  # a str cell: look at each cell
-            pass
-        for i, row in enumerate(zip(*block), start=first + 1):
-            for column, v in zip(columns, row):
-                if not (isinstance(v, str) or math.isfinite(v)):
-                    raise NonConvergence(f"column {column} is {v} in row {i} "
-                                         f"({columns[0]}={_fmt(row[0])})")
+    is not finite: one np.isfinite pass over each float column, counted
+    by np.count_nonzero (0.7 us on a one-row column, against 1.6 us for
+    .all(), 2-core x86 host)."""
+    for column, c in zip(columns, cols):
+        if c.dtype.kind != "f":
+            continue
+        finite = np.isfinite(c)
+        if np.count_nonzero(finite) < len(c):
+            i = int(np.argmin(finite))
+            raise NonConvergence(
+                f"column {column} is {c[i]} in row {i + 1} "
+                f"({columns[0]}={_spec(cols[0].dtype) % cols[0][i]})")
 
 
 def _emit(args, command, columns, table, footer_notes=()):
     """Write the columns of table, a mapping from each name in columns to
-    the sequence of its cells (an array or a list), in args.format."""
-    cols = [table[c] for c in columns]
+    an array of its cells, all of one length, in args.format; each
+    column has one format, from its dtype (_spec)."""
+    cols = [np.asarray(table[c]) for c in columns]
     _check_finite(columns, cols)
+    specs = [_spec(c.dtype) for c in cols]
     config = " ".join(
         f"{k}={v}" for k, v in sorted(vars(args).items())
         if k not in ("out", "plot") and v is not None)
     footer = [f"# {note}" for note in footer_notes] + [
         f"# pcx {__version__}", f"# config: {command} {config}"]
     if args.format == "csv":
-        # a block of rows at a time, so that no list of every row is held
-        rows = ("\n".join([_row_format(tuple(map(type, v))) % v
-                           for v in zip(*block)]) + "\n"
-                for _, block in _blocks(cols))
+        # a block of _CSV_BLOCK rows at a time, so that no list of every
+        # row is held
+        row = ",".join(specs) + "\n"
+        rows = ("".join([row % v for v in zip(
+                    *[c[i:i + _CSV_BLOCK].tolist() for c in cols])])
+                for i in range(0, len(cols[0]), _CSV_BLOCK))
         chunks = itertools.chain([",".join(columns) + "\n"], rows,
                                  ["\n".join(footer) + "\n"])
     else:
-        values = [row for _, block in _blocks(cols) for row in zip(*block)]
+        values = [c.tolist() for c in cols]
+        cells = [[spec % v for v in c] for spec, c in zip(specs, values)]
         if args.format == "json":
+            # a float as its text shows it
+            values = [list(map(float, text)) if spec == "%.10g" else c
+                      for spec, c, text in zip(specs, values, cells)]
             payload = {
                 "command": command,
                 "version": __version__,
                 "config": config,
                 "notes": list(footer_notes),
-                "rows": [{c: _json_cell(v) for c, v in zip(columns, row)}
-                         for row in values],
+                "rows": [dict(zip(columns, v)) for v in zip(*values)],
             }
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         else:
-            cells = [columns] + [list(map(_fmt, v)) for v in values]
-            widths = [max(len(row[i]) for row in cells)
-                      for i in range(len(columns))]
+            widths = [max(map(len, [c] + text))
+                      for c, text in zip(columns, cells)]
             lines = ["  ".join(v.ljust(w) for v, w in zip(row, widths))
-                     for row in cells]
+                     for row in itertools.chain([columns], zip(*cells))]
             text = "\n".join(lines + footer) + "\n"
         chunks = [text]
 
@@ -203,7 +181,7 @@ def cmd_bounds(args):
     dilated = args.delta != 1.0 or args.epsilon is not None
     if dilated and args.nstar != 1.0:
         raise DomainError("--nstar excludes --delta and --epsilon")
-    betas = _parse_beta(args.beta) or _parse_beta("0.1:3:0.1")
+    betas = _parse_beta("0.1:3:0.1" if args.beta is None else args.beta)
     delta = args.delta - (args.epsilon or 0.0)
     table = vars(pcbounds.bound_table(betas, args.nstar, delta))
     if dilated:
@@ -219,11 +197,12 @@ def cmd_twodelta(args):
         raise DomainError("--one-delta and --beta exclude each other")
     if args.one_delta:
         value, _ = kernel.one_delta()
-        return _emit(args, "twodelta", ["one_delta"], {"one_delta": [value]})
-    betas = _parse_beta(args.beta)
-    if not betas:
+        return _emit(args, "twodelta", ["one_delta"],
+                     {"one_delta": np.array([value])})
+    if args.beta is None:
         raise DomainError("twodelta needs --beta")
-    sol = kernel.two_delta(np.array(betas))
+    betas = _parse_beta(args.beta)
+    sol = kernel.two_delta(betas)
     return _emit(args, "twodelta",
                  ["beta", "two_delta", "cap", "k_bb", "k_bmb"],
                  {"beta": betas, "two_delta": sol.value,
@@ -240,17 +219,19 @@ def cmd_gaps(args):
         raise DomainError("--tol must be a positive finite number")
     tol = 1e-6 if args.tol is None else args.tol
     if args.profile:
-        betas = _parse_beta(args.beta) or _parse_beta("0.55:0.75:0.005")
-        p = gaps.lower_bound_profile(np.array(betas))
+        betas = _parse_beta("0.55:0.75:0.005" if args.beta is None
+                            else args.beta)
+        p = gaps.lower_bound_profile(betas)
         return _emit(args, "gaps",
                      ["beta", "base_term", "correction", "total"],
                      {"beta": betas, "base_term": p.base_term,
                       "correction": p.correction, "total": p.total})
     return _emit(args, "gaps", ["method", "threshold"], {
-        "method": ["with_correction", "base_only", "interval_minorant"],
-        "threshold": [gaps.solve_threshold(True, tol),
-                      gaps.solve_threshold(False, tol),
-                      pcbounds.positivity_threshold(tol)]})
+        "method": np.array(["with_correction", "base_only",
+                            "interval_minorant"]),
+        "threshold": np.array([gaps.solve_threshold(True, tol),
+                               gaps.solve_threshold(False, tol),
+                               pcbounds.positivity_threshold(tol)])})
 
 
 def cmd_empirical(args):
@@ -259,14 +240,14 @@ def cmd_empirical(args):
     if not args.zeros:
         raise DomainError("empirical needs --zeros")
     ds = zerodata.load_zeros(args.zeros)
-    if args.falpha:
+    if args.falpha is not None:
         alphas = _parse_beta(args.falpha, "--falpha")
         # one call: the pair-sum work that does not depend on alpha is
         # shared by the whole grid
-        f_alpha = zerodata.empirical_F(ds, ds.t_max, np.array(alphas))
+        f_alpha = zerodata.empirical_F(ds, ds.t_max, alphas)
         return _emit(args, "empirical", ["alpha", "f_alpha"],
                      {"alpha": alphas, "f_alpha": f_alpha})
-    betas = _parse_beta(args.beta) or _parse_beta("0.5:2:0.1")
+    betas = _parse_beta("0.5:2:0.1" if args.beta is None else args.beta)
     return _emit(args, "empirical",
                  ["beta", "ratio", "conjecture", "lower", "upper"],
                  vars(zerodata.empirical_table(ds, ds.t_max, betas)),
@@ -282,7 +263,7 @@ def cmd_debranges(args):
         f"structure checks ok = {report['ok']}",
     ]
     return _emit(args, "debranges", ["index", "a_zero", "b_zero"],
-                 {"index": range(1, count + 1), "a_zero": E.zeros_A,
+                 {"index": np.arange(1, count + 1), "a_zero": E.zeros_A,
                   "b_zero": E.zeros_B[1:count + 1]}, notes)
 
 

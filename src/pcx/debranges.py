@@ -81,8 +81,6 @@ class HermiteBiehler:
     # E(z) and E'(z), stacked along a new first axis, from one row of three
     # sinc translates: the node functions, their slopes and the node weights
     E_slope_eval: Callable
-    A_eval: Callable
-    B_eval: Callable
     zeros_A: np.ndarray
     zeros_B: np.ndarray
     x_max: float
@@ -107,7 +105,6 @@ class TiltedSpace:
     p: float
     q: float
     regime: str
-    E_beta_eval: Callable
     nodes: np.ndarray
     weights: np.ndarray
     lambda_plus: float
@@ -172,12 +169,6 @@ def _hermite_biehler(x_max):
         e[1] -= r[0]
         return e.reshape((2,) + z.shape)
 
-    def A_eval(x):
-        return np.real(E_eval(np.asarray(x, dtype=float)))
-
-    def B_eval(x):
-        return -np.imag(E_eval(np.asarray(x, dtype=float)))
-
     # a_k > k - 3/4, so at most ceil(x_max) A-zeros lie below x_max, and
     # the ceil(x_max) + 1 B-zeros found reach past the last of them
     zeros_a = _nodes(_node_function(E_slope_eval, 1.0, 0.0, 1.0), 0.75, x_max)
@@ -195,7 +186,6 @@ def _hermite_biehler(x_max):
     e, e1 = E_slope_eval(x)
     phase = (x, -np.unwrap(np.angle(e)), -np.imag(e1 / e))
     return HermiteBiehler(E_eval=E_eval, E_slope_eval=E_slope_eval,
-                          A_eval=A_eval, B_eval=B_eval,
                           zeros_A=zeros_a, zeros_B=zeros_b, x_max=float(x_max),
                           B_odd=b_odd, A_even=a_even, phase=phase)
 
@@ -256,17 +246,6 @@ def _tilt_params(beta):
         regime, p, q, part = "case_ak_bk", beta * abs(a_b), abs(b_b), 1.0j
     norm = math.hypot(p, q)
     return p / norm, q / norm, regime, part
-
-
-def _E_beta(p, q):
-    """E_beta(z) = (p - iqz) E(z)."""
-    E_eval = build_E().E_eval
-
-    def E_beta(z):
-        z = np.asarray(z, dtype=complex)
-        return (p - 1j * q * z) * E_eval(z)
-
-    return E_beta
 
 
 def _starts(p, q, part, cells):
@@ -366,8 +345,7 @@ def tilt(beta):
     nodes, weights = _tilted_nodes(beta, p, q, part,
                                    max(build_E().x_max, beta))
     lp, lm = _masses(nodes, weights, beta)
-    return TiltedSpace(beta=beta, p=p, q=q, regime=regime,
-                       E_beta_eval=_E_beta(p, q), nodes=nodes,
+    return TiltedSpace(beta=beta, p=p, q=q, regime=regime, nodes=nodes,
                        weights=weights, lambda_plus=lp, lambda_minus=lm)
 
 
@@ -395,20 +373,22 @@ def case3_majorant(beta):
 
     Q(z) = C * A_beta(z)/(beta^2 - z^2) squared, normalized so Q(+/-beta)=1.
     """
-    a1 = build_E().zeros_A[0]
+    E = build_E()
+    a1 = E.zeros_A[0]
     if not 0.0 < beta < a1:
         raise DomainError(f"beta must lie in (0, {a1:.6f})")
     p, q, regime, _ = _tilt_params(beta)
     if regime != "case_bk_ak1":
         raise RootMiss("unexpected regime below the first A-zero")
-    E_beta = _E_beta(p, q)
     # A_beta'(beta) from the node function's slope, no numerical derivative
-    _, dA = _node_function(build_E().E_slope_eval, p, q, 1.0)(beta)
+    _, dA = _node_function(E.E_slope_eval, p, q, 1.0)(beta)
     C = -2.0 * beta / dA
 
     def q_raw(x):
         x = np.asarray(x, dtype=float)
-        return C * np.real(E_beta(x)) / (beta ** 2 - x ** 2)
+        # A_beta = Re E_beta, E_beta = (p - iqx) E
+        a_beta = np.real((p - 1j * q * x) * E.E_eval(x))
+        return C * a_beta / (beta ** 2 - x ** 2)
 
     def time_eval(x):
         return _patched(q_raw, x, center=beta) ** 2

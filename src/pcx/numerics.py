@@ -188,11 +188,13 @@ def find_root(f, xs, tol=1e-12):
     x is s = 0, the root x.  Both start up alike, from the grid call: the
     first iterate x is the end of the bracket with the smaller |s|, and
     for Newton it counts as a move to x from the grid point beyond it (no
-    move at either end of the grid).  So a grid point put near the root,
-    within tol/2 by its own step, ends its bracket in the grid call, and
-    one 1e-8 off takes one Newton step and one confirming call.  The
-    worst case costs about three calls per halving, and no iterate leaves
-    its cell.  A bracket is also done when its width is at most tol, which
+    move at either end of the grid), with acc capped at tol/16, not tol/2:
+    no Newton step led to x, and at a root of multiplicity m, x - s lies
+    (m - 1)|s| off, so the cap keeps roots of multiplicity up to 9 within
+    tol/2.  So a grid point put near the root, within tol/16 by its own
+    step, ends its bracket in the grid call, and one 1e-8 off takes one
+    Newton step and one confirming call.  The worst case costs about three
+    calls per halving, and no iterate leaves its cell.  A bracket is also done when its width is at most tol, which
     must be positive and finite, or when its midpoint rounds to an end,
     its root that midpoint; that rule is checked after every Illinois
     step, and after a Newton step only if it bisected (a Newton move finer
@@ -226,7 +228,7 @@ def find_root(f, xs, tol=1e-12):
         # it, none at the ends of the grid: on xs padded by its ends, that
         # point is at cell (beyond lo) or at cell + 3 (beyond hi)
         far = np.concatenate([xs[:1], xs, xs[-1:]])[3 * end - 2 * cell]
-        acc = np.minimum(0.25 * np.abs(x - far), 0.5 * tol)
+        acc = np.minimum(0.25 * np.abs(x - far), tol / 16)
     # per open bracket: its index, its ends, the sign of f (of the stored
     # value, for Illinois) at lo, x, s, acc, g1 and g2 (docstring), and for
     # Illinois the stored values and whether hi (lo) was kept last step

@@ -60,7 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, MonotonicityError, ParseError
+from .numerics import (DomainError, MonotonicityError, NonConvergence,
+                       ParseError)
 from . import pcbounds
 from .beurling import FAR, SelbergFunction, far_series
 
@@ -613,7 +614,9 @@ def empirical_F(ds, T, alpha):
     coefficients, the direct exponentials, the power moments and the
     decays once per chunk of _ALPHAS frequencies, with one pair of float
     columns per frequency in every product.  A float is the one-alpha
-    case of the same sums."""
+    case of the same sums.  An alpha so large that its phases overflow
+    (1e307 over the shipped table) leaves an F that is not finite, and
+    NonConvergence names the first such alpha."""
     a = np.asarray(alpha, dtype=float)
     if not np.isfinite(a).all():
         raise DomainError("alpha must be finite")
@@ -626,19 +629,28 @@ def empirical_F(ds, T, alpha):
     # the far field starts at the first block offset whose gaps reach _REACH
     reach = _reach(G, _REACH)
     nodes = _nodes(_min_gap(G, reach)) if reach < len(G) else None
-    k, where = np.unique(np.abs(a.reshape(-1)) * logT, return_inverse=True)
-    pairs = np.empty(len(k))
-    for lo in range(0, len(k), _ALPHAS):
-        chunk = k[lo:lo + _ALPHAS]
-        # block-local unit phases e_i = exp(i k (x_i - left edge)), zero on
-        # the padding, one column per k
-        phase = np.exp(1j * chunk * (G - G[:, :1])[..., np.newaxis])
-        phase *= real[..., np.newaxis]
-        pairs[lo:lo + _ALPHAS] = _near_F(G, phase, reach, chunk)
-        if nodes is not None:
-            pairs[lo:lo + _ALPHAS] += _far_field(G, phase, reach, chunk, *nodes)
-    # the summand is even in d and equals 1 on the diagonal
-    F = (2.0 * math.pi * (n + 2.0 * pairs) / (n * logT))[where]
+    # a huge alpha overflows its phases to a value that is not finite,
+    # found in F below with no numpy warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        k, where = np.unique(np.abs(a.reshape(-1)) * logT,
+                             return_inverse=True)
+        pairs = np.empty(len(k))
+        for lo in range(0, len(k), _ALPHAS):
+            chunk = k[lo:lo + _ALPHAS]
+            # block-local unit phases e_i = exp(i k (x_i - left edge)),
+            # zero on the padding, one column per k
+            phase = np.exp(1j * chunk * (G - G[:, :1])[..., np.newaxis])
+            phase *= real[..., np.newaxis]
+            pairs[lo:lo + _ALPHAS] = _near_F(G, phase, reach, chunk)
+            if nodes is not None:
+                pairs[lo:lo + _ALPHAS] += _far_field(G, phase, reach, chunk,
+                                                     *nodes)
+        # the summand is even in d and equals 1 on the diagonal
+        F = (2.0 * math.pi * (n + 2.0 * pairs) / (n * logT))[where]
+    bad = ~np.isfinite(F)
+    if bad.any():
+        raise NonConvergence(f"empirical_F: F is not finite at "
+                             f"alpha={a.reshape(-1)[np.argmax(bad)]}")
     if isinstance(alpha, np.ndarray) or np.ndim(alpha):
         return F.reshape(a.shape)
     return float(F[0])

@@ -272,6 +272,12 @@ EXTREME = [
     ("bounds --beta 1 --delta 1 --epsilon 1e-300", cli.EXIT_OK),
     ("empirical --zeros {zeros} --falpha 1e300", cli.EXIT_OK),
     ("empirical --zeros {zeros} --falpha 5e-324", cli.EXIT_OK),
+    # the phases overflow: F refuses them before anything is written
+    ("empirical --zeros {zeros} --falpha 1e307", cli.EXIT_NUMERICS),
+    ("empirical --zeros {zeros} --falpha 1e308", cli.EXIT_NUMERICS),
+    # an empty grid is no grid, not the default one
+    ("empirical --zeros {zeros} --falpha=", cli.EXIT_CONFIG),
+    ("empirical --zeros {zeros} --beta=", cli.EXIT_CONFIG),
     ("empirical --zeros {zeros} --beta 1e300", cli.EXIT_CONFIG),
     ("empirical --zeros {zeros} --beta 5e-324", cli.EXIT_OK),
     ("gaps --tol 1e-300", cli.EXIT_OK),
@@ -288,6 +294,21 @@ def test_extreme_lines_exit_as_documented(capsys, zeros_path, cmd, code):
         assert captured.err == ""
     else:
         assert captured.out == "" and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid", ["0.05:10:0.005", "0.1:3:0.1", "0:3:0.05",
+                                  "0.55:0.75:0.005", "0.5:40:0.5",
+                                  "0.5:1e6:0.9999995"])
+def test_parse_beta_is_the_scalar_loop(grid):
+    # the array grid holds the bits of the scalar sums a + i * step
+    a, b, step = map(float, grid.split(":"))
+    n = int(round((b - a) / step))
+    want = [a + i * step for i in range(n + 1)
+            if a + i * step <= b + step * 1e-9]
+    got = cli._parse_beta(grid)
+    assert got.dtype == np.float64
+    assert got.tobytes() == np.array(want).tobytes()
+    assert cli._parse_beta("1.37").tolist() == [1.37]
 
 
 def test_bounds_continuous_at_delta_one(capsys):
@@ -358,33 +379,37 @@ def _cell(x):
     return f"{float(x):.10g}"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "table"])
+@pytest.mark.parametrize("fmt", ["csv", "table", "json"])
 def test_emit_rows_match_cell_rule(capsys, monkeypatch, fmt):
-    # one %-format per row writes each cell as the per-cell rule does, on
-    # rows whose cells change type from row to row; CSV written two rows
-    # at a time gives the same text
-    columns = ["a", "b", "c", "d"]
-    values = [
-        ("x", 3, np.int64(-7), 0.1),
-        (np.float64(1 / 3), 1e308, -5e-324, -2.5),
-        (-0.0, 12345678901234, np.int64(2) ** 40, "a,b"),
-        (2.5e-300, np.float64(-1e300), 10 ** 10 + 1, True),
-        (1e10 + 1, 7, "", np.float32(0.1)),
-    ]
-    table = dict(zip(columns, zip(*values)))
+    # one %-format per column, from its dtype, writes each cell as the
+    # per-cell rule does; CSV written two rows at a time gives the same
+    # text, and JSON holds each number as its text shows it
+    columns = ["s", "i", "f"]
+    table = {
+        "s": np.array(["x", "a,b", "", "y", "longer"]),
+        "i": np.array([3, -7, 2 ** 40, 12345678901234, 0]),
+        "f": np.array([-0.0, 1e308, -5e-324, 2.5e-300, 1e10 + 1]),
+    }
+    rows = list(zip(*(table[c].tolist() for c in columns)))
     args = argparse.Namespace(format=fmt, out=None, plot=None)
     assert cli._emit(args, "test", columns, table) == 0
     out = capsys.readouterr().out
-    lines = out.splitlines()[:len(values) + 1]
-    cells = [columns] + [[_cell(x) for x in v] for v in values]
-    assert [[cli._fmt(x) for x in v] for v in values] == cells[1:]
+    cells = [columns] + [[_cell(x) for x in v] for v in rows]
+    if fmt == "json":
+        got = json.loads(out)["rows"]
+        assert got == [dict(zip(columns, (s, int(i), float(f))))
+                       for s, i, f in cells[1:]]
+        assert all(type(row["i"]) is int for row in got)
+        assert math.copysign(1.0, got[0]["f"]) == -1.0
+        return
+    lines = out.splitlines()[:len(rows) + 1]
     if fmt == "csv":
         assert lines == [",".join(row) for row in cells]
         monkeypatch.setattr(cli, "_CSV_BLOCK", 2)
         assert cli._emit(args, "test", columns, table) == 0
         assert capsys.readouterr().out == out
     else:
-        widths = [max(len(row[i]) for row in cells) for i in range(4)]
+        widths = [max(len(row[i]) for row in cells) for i in range(3)]
         assert lines == ["  ".join(v.ljust(w) for v, w in zip(row, widths))
                          for row in cells]
 
@@ -452,7 +477,7 @@ def test_empirical_falpha_rows(tmp_path, capsys, dataset):
     assert [float(a) for a, _ in rows] == [0.25 * k for k in range(7)]
     for a, f in rows:
         F = zerodata.empirical_F(ds, ds.t_max, float(a))
-        assert f == cli._fmt(F)
+        assert f == "%.10g" % F
         assert zerodata.empirical_F(ds, ds.t_max, -float(a)) == F
     code, out = run(capsys, ["empirical", "--zeros", str(path),
                              "--falpha", "0:1.5:0.25", "--format", "json"])
@@ -481,7 +506,7 @@ def test_empirical_falpha_one_call(tmp_path, capsys, dataset, monkeypatch):
     assert len(calls) == 1
     rows = [l.split(",") for l in out.splitlines()[1:] if not l.startswith("#")]
     assert len(rows) == 61 > zerodata._ALPHAS
-    assert [f for _, f in rows] == [cli._fmt(F) for F in floats]
+    assert [f for _, f in rows] == ["%.10g" % F for F in floats]
 
 
 def test_runtime_imports_no_scipy_or_numpy_random(zeros_path):

@@ -21,8 +21,8 @@ def test_build_E_basic(E):
     # A = Re E, B = -Im E on the real axis
     x = np.linspace(-3, 3, 61)
     ev = E.E_eval(x.astype(complex))
-    assert np.max(np.abs(E.A_eval(x) - ev.real)) < 1e-13
-    assert np.max(np.abs(E.B_eval(x) + ev.imag)) < 1e-13
+    assert np.max(np.abs(np.real(E.E_eval(x)) - ev.real)) < 1e-13
+    assert np.max(np.abs(-np.imag(E.E_eval(x)) + ev.imag)) < 1e-13
 
 
 def test_E_is_the_kernel_at_i(E):
@@ -188,7 +188,7 @@ def test_k_diag_matches_kernel(E):
     xs = np.concatenate([[0.0, 0.5, 1.3, 2.7], E.zeros_A[:5], E.zeros_B[:5]])
     kd = kernel_eval(xs, xs).real
     assert np.array_equal(kd, [kernel_eval(x, x).real for x in xs])
-    wronskian = _wronskian(E.A_eval, E.B_eval, xs)
+    wronskian = _wronskian(*_companions(E.E_eval), xs)
     assert np.max(np.abs(kd - wronskian)) < 1e-11 * np.max(kd)
 
 
@@ -210,11 +210,21 @@ def test_slope_row_gives_the_kernel_diagonal(E):
     assert np.max(np.abs(e - E.E_eval(x)) / np.abs(e)) <= 1e-15
 
 
+def _companions(e_eval):
+    """x -> Re e_eval(x) and x -> -Im e_eval(x): A and B for E_eval."""
+    return (lambda x: np.real(e_eval(x))), (lambda x: -np.imag(e_eval(x)))
+
+
+def _E_beta_eval(t):
+    """E_beta(x) = (p - iqx) E(x) of the tilt t."""
+    E_eval = db.build_E().E_eval
+    return lambda x: (t.p - 1j * t.q * x) * E_eval(x)
+
+
 def _node_function(t):
     """Re E_beta in regime case_bk_ak1, -Im E_beta in case_ak_bk."""
-    if t.regime == "case_bk_ak1":
-        return lambda x: np.real(t.E_beta_eval(x))
-    return lambda x: -np.imag(t.E_beta_eval(x))
+    a_beta, b_beta = _companions(_E_beta_eval(t))
+    return a_beta if t.regime == "case_bk_ak1" else b_beta
 
 
 def test_tilted_diag_matches_wronskian(E):
@@ -226,8 +236,7 @@ def test_tilted_diag_matches_wronskian(E):
         xs = np.concatenate([t.nodes[:6], [0.1, 0.37, 3.3]])
         # K_beta(x,x) from the weights is the Wronskian of Re and -Im E_beta
         diag = (t.p ** 2 + (t.q * xs) ** 2) / db._weights(xs, t.p, t.q)
-        want = _wronskian(lambda x: np.real(t.E_beta_eval(x)),
-                          lambda x: -np.imag(t.E_beta_eval(x)), xs)
+        want = _wronskian(*_companions(_E_beta_eval(t)), xs)
         assert np.max(np.abs(diag - want)) < 1e-11 * np.max(np.abs(want))
     # untilted, the weights are pi / -Im(E' conj E) from the slope row, which
     # is 1/K(x,x)
@@ -243,8 +252,8 @@ def test_cross_module_identity(E):
     # K(beta, -beta) = A(beta) B(beta) / (pi beta)
     for beta in (0.3, 0.9, 1.7, 3.2):
         lhs = kernel_eval(beta, -beta).real
-        rhs = (float(E.A_eval(np.array([beta]))[0])
-               * float(E.B_eval(np.array([beta]))[0]) / (math.pi * beta))
+        e = complex(E.E_eval(np.array([beta]))[0])
+        rhs = e.real * -e.imag / (math.pi * beta)
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -410,9 +419,10 @@ def test_B_series_matches_the_closed_form(E):
     x = np.array([1e-3, 3e-3, 1e-2])
     b1, b3, b5, b7 = E.B_odd
     series = x * (b1 + x ** 2 * (b3 + x ** 2 * (b5 + x ** 2 * b7)))
-    assert np.max(np.abs(series / E.B_eval(x) - 1.0)) <= 1e-12
+    B_eval = _companions(E.E_eval)[1]
+    assert np.max(np.abs(series / B_eval(x) - 1.0)) <= 1e-12
     h = 1e-4
-    slope = (E.B_eval(h) - E.B_eval(-h)) / (2 * h)
+    slope = (B_eval(h) - B_eval(-h)) / (2 * h)
     assert abs(b1 - slope) <= 1e-7 * b1
 
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pcx import numerics as nm
@@ -250,7 +250,7 @@ def test_find_root_start_on_a_root():
         assert nm.find_root(f, [0.0, 0.375, 0.5, 1.0], 1e-12).tolist() \
             == [0.375]
         assert len(calls) == 1
-    # a grid point whose Newton step is within tol/2 counts as a Newton
+    # a grid point whose Newton step is within tol/16 counts as a Newton
     # move from the grid point beyond it, so it too ends in the grid call
     f, calls = _counted(lambda x: (x - 0.375, np.ones_like(x)))
     assert nm.find_root(f, [0.0, 0.375 + 1e-14, 0.5, 1.0], 1e-12).tolist() \
@@ -297,6 +297,10 @@ _HARD = {
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(sorted(_HARD)), r=st.floats(0.001, 0.999),
        cells=st.integers(1, 20), tol_exp=st.floats(-13.0, -3.0))
+# the grid point 0.6875 lies 5.7e-4 below the root, and its own Newton step
+# (x - r)/9 is 6.3e-5, within tol/2 = 1.6e-4: a start-up that accepted it
+# would return a root 4.9e-4 off, more than tol
+@example(kind="ninth_power", r=0.6880702686455532, cells=16, tol_exp=-3.5)
 def test_find_root_hard_brackets(kind, r, cells, tol_exp):
     # a flat ninth-order root, a pole and a near-step: false position alone
     # crawls on all three, so the halving guard must hold the cost to about

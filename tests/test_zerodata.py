@@ -10,7 +10,8 @@ import oracles
 from oracles import generate_zeros
 from pcx import zerodata as zd
 from pcx.beurling import FAR, far_series, make_selberg_pair
-from pcx.numerics import DomainError, MonotonicityError, NoRoot, ParseError
+from pcx.numerics import (DomainError, MonotonicityError, NoRoot,
+                          NonConvergence, ParseError)
 
 
 @pytest.fixture()
@@ -442,6 +443,20 @@ def test_empirical_F_array_rejects_non_finite_alpha(dataset, bad):
                    np.array([[0.5], [bad]])):
         with pytest.raises(DomainError):
             zd.empirical_F(dataset, 1000.0, alphas)
+
+
+@pytest.mark.filterwarnings("error")
+def test_empirical_F_refuses_overflowed_phases(dataset):
+    # a huge alpha overflows the phases: F is refused, naming the first
+    # alpha whose F is not finite, with no numpy warning on the way, and
+    # a finite F just below keeps its value
+    got = zd.empirical_F(dataset, dataset.t_max, 1e305)
+    assert abs(got - 0.6898306085556627) <= 1e-15
+    for alpha, first in ((1e307, "1e+307"), (1e308, "1e+308"),
+                         (np.array([1.0, 1e305, 1e308, -1e307]), "1e+308")):
+        with pytest.raises(NonConvergence) as exc:
+            zd.empirical_F(dataset, dataset.t_max, alpha)
+        assert str(exc.value).endswith(f"not finite at alpha={first}")
 
 
 def _peak_bytes(fn):
