@@ -89,17 +89,18 @@ def _h_split(y, sign, frac):
 
     whole is sgn(y) where |y| >= FAR and 0 nearer, so sums of whole parts
     are exact; rest is the small far remainder, or the whole value from
-    the closed form nearer.  sign = 0 gives H0 alone.  frac differs from
-    y by an integer: the far sine reads it instead of y, so the rounding
-    of a large y does not reach the sine.
+    the closed form nearer.  sign = 0 gives H0 alone.  frac, of y's
+    shape, differs from y by an integer: the far sine reads it instead of
+    y, so the rounding of a large y does not reach the sine.
     """
     near = np.abs(y) < FAR
+    far = ~near
     whole = np.where(near, 0.0, np.sign(y))
-    # asarray: on a 0-d y the arithmetic returns a scalar
-    rest = np.asarray(_far_rest(np.where(near, FAR, y), frac, sign))
-    if np.any(near):
-        yn = y[near]
-        rest[near] = _h0_near(yn) + sign * eval_H1(yn)
+    # each branch runs on its own points alone
+    rest = np.empty(np.shape(y))
+    rest[far] = _far_rest(y[far], frac[far], sign)
+    yn = y[near]
+    rest[near] = _h0_near(yn) + sign * eval_H1(yn)
     return whole, rest
 
 

@@ -70,7 +70,11 @@ def _parse_beta(text, option="--beta"):
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise DomainError(f"{option} range must look like a:b:step")
-    values = [float(p) for p in parts]
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise DomainError(
+            f"{option} must hold numbers, not {text!r}") from None
     if not all(map(math.isfinite, values)):
         raise DomainError(f"{option} must hold finite numbers")
     if len(values) == 1:

@@ -87,19 +87,19 @@ def _coefficients(wbar):
     return t / (t - 1.0), 0.5 * (c + d), 0.5 * (c - d)
 
 
+# z - Z0 and z + Z0 as one subtraction of this pair: z - (-Z0 - 0i) has
+# the parts z.real + Z0 and z.imag + 0.0 of z + Z0, to the bit
+_PLUS_MINUS_Z0 = np.array([_Z0, complex(-_Z0, -0.0)])
+
+
 def _translates(wbar, z):
     """The three sinc translates z - wbar, z - Z0, z + Z0, stacked along a
-    new first axis; a translate z - wbar below 1e-20 is flushed to 0, since
-    np.sinc of a subnormal complex overflows, while below 1e-20 sinc is 1.0
-    to rounding (and np.sinc takes 0 to 1.0)."""
+    new first axis."""
     z = np.asarray(z, dtype=complex)
     d = z - wbar
     t = np.empty((3,) + d.shape, dtype=complex)
     t[0] = d
-    np.subtract(z, _Z0, out=t[1, ...])
-    np.add(z, _Z0, out=t[2, ...])
-    d = t[0, ...]
-    d[np.abs(d) < 1e-20] = 0.0
+    np.subtract(z, _PLUS_MINUS_Z0.reshape((2,) + (1,) * d.ndim), out=t[1:])
     return t
 
 
@@ -107,8 +107,13 @@ def _row(a, wbar, z):
     """a0 sinc(z - wbar) + a+ sinc(z - Z0) + a- sinc(z + Z0), a = (a0, a+,
     a-); entire in z.  The three translates are stacked into one np.sinc
     call; each value is elementwise, so it is the value of three separate
-    calls."""
-    s = np.sinc(_translates(wbar, z))
+    calls.  A translate z - wbar below 1e-20 is flushed to 0 first, since
+    np.sinc of a subnormal complex overflows, while below 1e-20 sinc is 1.0
+    to rounding (and np.sinc takes 0 to 1.0)."""
+    t = _translates(wbar, z)
+    d = t[0, ...]
+    d[np.abs(d) < 1e-20] = 0.0
+    s = np.sinc(t)
     return a[0] * s[0] + a[1] * s[1] + a[2] * s[2]
 
 
@@ -125,8 +130,10 @@ def _row_slope(a, wbar, z):
     below |y| = 1e-3 both come from their Taylor polynomials, 1 - u^2/6 +
     u^4/120 - u^6/5040 and -pi (u/3 - u^3/30 + u^5/840).  The triple's sums
     run left to right, so away from those small translates the values are
-    _row's to the bit."""
-    u = np.pi * _translates(wbar, z)
+    _row's to the bit.  A translate below 1e-20, which _row flushes to 0,
+    takes the Taylor polynomials here as it is."""
+    u = _translates(wbar, z)
+    u *= np.pi
     small = np.abs(u) < _SERIES_TOP
     any_small = np.count_nonzero(small)
     # a small translate gets a harmless stand-in in the closed forms

@@ -155,6 +155,12 @@ def integrate_real_line(f, sigma, period=1.0):
     return value
 
 
+# the offsets of the two ends of a cell, and of the grid points beyond
+# them, as columns: cell + _ENDS indexes both ends of every cell at once
+_ENDS = np.array([[0], [1]])
+_BEYOND = np.array([[-1], [2]])
+
+
 def find_root(f, xs, tol=1e-12):
     """Every root of f on the ascending grid xs, in ascending order.
 
@@ -205,7 +211,7 @@ def find_root(f, xs, tol=1e-12):
     if not 0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or len(xs) < 2 or not np.all(np.diff(xs) > 0):
+    if xs.ndim != 1 or len(xs) < 2 or not (xs[:-1] < xs[1:]).all():
         raise DomainError("find_root needs an ascending grid of >= 2 points")
     fxs = f(xs)
     newton = isinstance(fxs, tuple)
@@ -215,49 +221,63 @@ def find_root(f, xs, tol=1e-12):
         sxs = _newton_step(fxs, np.asarray(slope, dtype=float))
     else:
         fxs = sxs = np.asarray(fxs, dtype=float)
-    cell = np.flatnonzero(np.sign(fxs[:-1]) * np.sign(fxs[1:]) < 0)
-    lo, hi = xs[cell], xs[cell + 1]
-    flo, fhi = fxs[cell], fxs[cell + 1]
-    roots = np.empty(len(cell))
+    sign = np.sign(fxs)
+    cell = (sign[:-1] * sign[1:] < 0).nonzero()[0]
+    # exact zeros at grid points, ascending like the bracket roots
+    zeros = xs[sign == 0.0]
+    if not len(cell):
+        return zeros
+    # each bracket's ends, as rows
+    ends = cell + _ENDS
+    brackets = xs[ends]
+    lo, hi = brackets
     # the first iterate is the end with the shorter step
-    end = cell + (np.abs(sxs[cell + 1]) < np.abs(sxs[cell]))
+    size_lo, size_hi = np.abs(sxs[ends])
+    at_hi = size_hi < size_lo
+    end = cell + at_hi
     x, s = xs[end], sxs[end]
-    acc = np.zeros(len(cell))
     if newton:
         # that end counts as a Newton move to it from the grid point beyond
-        # it, none at the ends of the grid: on xs padded by its ends, that
-        # point is at cell (beyond lo) or at cell + 3 (beyond hi)
-        far = np.concatenate([xs[:1], xs, xs[-1:]])[3 * end - 2 * cell]
-        acc = np.minimum(0.25 * np.abs(x - far), tol / 16)
+        # it, none at the ends of the grid: the points beyond lo and hi are
+        # at cell - 1 and cell + 2, each clipped to the grid
+        move = np.abs(brackets - xs.take(cell + _BEYOND, mode="clip"))
+        acc = np.minimum(0.25 * np.where(at_hi, move[1], move[0]), tol / 16)
+    else:
+        acc = np.zeros(len(cell))
     # per open bracket: its index, its ends, the sign of f (of the stored
     # value, for Illinois) at lo, x, s, acc, g1 and g2 (docstring), and for
     # Illinois the stored values and whether hi (lo) was kept last step
+    roots = np.empty(len(cell))
     g = np.full(len(cell), np.inf)
-    kept = np.zeros(len(cell), dtype=bool)
-    state = [np.arange(len(cell)), lo, hi, np.signbit(flo), x, s, acc, g,
-             g] + ([] if newton else [flo, fhi, kept, kept])
+    state = [np.arange(len(cell)), lo, hi, np.signbit(fxs[cell]), x, s, acc,
+             g, g]
+    if not newton:
+        kept = np.zeros(len(cell), dtype=bool)
+        state += [*fxs[ends], kept, kept]
     check = True
     for it in range(201):
         todo, lo, hi, neg, x, s, acc, g1, g2 = state[:9]
-        width = hi - lo
         size = np.abs(s)
         near = size <= acc
-        done = near | (width <= tol)
+        done = near | (hi - lo <= tol)
         if check:
             mid = 0.5 * (lo + hi)
             done |= (mid <= lo) | (mid >= hi)
         # count_nonzero, not any(): the cheaper test on short arrays
-        if np.count_nonzero(done):
+        closed = np.count_nonzero(done)
+        if closed:
             # x - s lies in the bracket, but for rounding
             root = np.where(near, np.minimum(np.maximum(x - s, lo), hi),
                             0.5 * (lo + hi))
+            # the brackets of a tilt's nodes all close in the same step
+            if closed == len(done):
+                roots[todo] = root
+                break
             roots[todo[done]] = root[done]
             keep = (~done).nonzero()[0]
             state = [v[keep] for v in state]
             todo, lo, hi, neg, x, s, acc, g1, g2 = state[:9]
-            width, size = width[keep], size[keep]
-        if not len(todo):
-            break
+            size = size[keep]
         if it == 200:
             raise NonConvergence(
                 f"{len(todo)} brackets wider than {tol:.1e} after 200 steps")
@@ -280,6 +300,7 @@ def find_root(f, xs, tol=1e-12):
             s = _newton_step(fx, np.asarray(slope, dtype=float))
         else:
             flo, fhi, kept_hi, kept_lo = state[9:]
+            width = hi - lo
             # an endpoint value from a pole of f is infinite, and the step
             # from it NaN: the bracket test makes it a bisection
             with np.errstate(invalid="ignore"):
@@ -304,13 +325,16 @@ def find_root(f, xs, tol=1e-12):
             state[11:] = [up, down]
         np.copyto(lo, step, where=up)
         np.copyto(hi, step, where=down)
-    return np.sort(np.concatenate([xs[fxs == 0.0], roots]))
+    if len(zeros):
+        return np.sort(np.concatenate([zeros, roots]))
+    # the bracket roots ascend with their cells
+    return roots
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _newton_step(fx, slope):
     """f/f', NaN where the slope is infinite (there a finite f would give a
     step of 0), with no warning for a slope that is 0 or NaN."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = fx / slope
+    s = fx / slope
     np.copyto(s, np.nan, where=np.isinf(slope))
     return s

@@ -190,6 +190,30 @@ def test_non_finite_input_is_a_config_error(capsys, tmp_path, cmd, option):
     assert option in err and "Traceback" not in err
 
 
+NOT_A_NUMBER = [
+    ("bounds --beta 1:x:0.5", "--beta"),
+    ("bounds --beta=", "--beta"),
+    ("twodelta --beta one", "--beta"),
+    ("empirical --zeros {zeros} --beta 0.5::0.1", "--beta"),
+    ("empirical --zeros {zeros} --falpha=", "--falpha"),
+    ("empirical --zeros {zeros} --falpha 0:1:a", "--falpha"),
+]
+
+
+@pytest.mark.parametrize("cmd, option", NOT_A_NUMBER,
+                         ids=[cmd for cmd, _ in NOT_A_NUMBER])
+def test_grid_part_not_a_number_names_its_option(capsys, tmp_path, cmd,
+                                                  option):
+    # float()'s own message names no option; the config error does
+    zeros = tmp_path / "zeros.txt"
+    zeros.write_text("14.134725142\n21.022039639\n25.010857580\n")
+    assert cli.main(cmd.format(zeros=zeros).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"pcx: config error: {option} ")
+    assert captured.err.count("\n") == 1
+
+
 def test_bad_beta_grid(capsys):
     assert cli.main(["bounds", "--beta", "2:1:0.1"]) == 2
     assert cli.main(["bounds", "--beta", "1:2"]) == 2

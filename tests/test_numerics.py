@@ -258,6 +258,18 @@ def test_find_root_start_on_a_root():
     assert len(calls) == 1
 
 
+def test_find_root_start_up_at_a_zero_slope():
+    # f = cos x - 1/2 on [0, 2]: f'(0) = -sin 0 is exactly 0, so the step
+    # at 0 is -inf, and an infinite step is never the shorter one: the
+    # first iterate is the end 2, and Newton from there closes in 5 calls.
+    # Were the step at 0 NaN, it would not compare as longer, the start-up
+    # would take 0 and bisect, and the root would end 1.0471975511965979
+    f, calls = _counted(lambda x: (np.cos(x) - 0.5, -np.sin(x)))
+    assert nm.find_root(f, [0.0, 2.0]).tolist() == [1.0471975511965976]
+    assert len(calls) == 5
+    assert calls[1].tolist() == [2.0 - (math.cos(2.0) - 0.5) / -math.sin(2.0)]
+
+
 def _pole(r):
     """1/(x - r), inf without a warning where an iterate lands on r."""
     def f(x):

@@ -636,8 +636,14 @@ def test_selberg_pair_sum_reference(dataset):
     sub = zd.ZeroDataset(ordinates=dataset.ordinates[:2000],
                          source=dataset.source,
                          t_max=float(dataset.ordinates[1999]))
-    got = zd.weighted_pair_sum(sub, sub.t_max, make_selberg_pair(1.0).majorant)
+    pair = make_selberg_pair(1.0)
+    got = zd.weighted_pair_sum(sub, sub.t_max, pair.majorant)
     assert abs(got - 3647.626965240294) <= 1e-13 * 3647.626965240294
+    # and both sums bit for bit, so that a rewrite of the Selberg function's
+    # evaluation that means to keep every bit shows it here
+    assert got.hex() == "0x1.c7f4101968596p+11"
+    got = zd.weighted_pair_sum(sub, sub.t_max, pair.minorant)
+    assert got.hex() == "0x1.00d7ce64119e8p+11"
 
 
 @pytest.mark.parametrize("beta", [0.01, 1.0, 47.3, 1000.0])
