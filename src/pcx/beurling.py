@@ -94,13 +94,14 @@ def _h_split(y, sign, frac):
     y, so the rounding of a large y does not reach the sine.
     """
     near = np.abs(y) < FAR
-    far = ~near
     whole = np.where(near, 0.0, np.sign(y))
-    # each branch runs on its own points alone
-    rest = np.empty(np.shape(y))
-    rest[far] = _far_rest(y[far], frac[far], sign)
-    yn = y[near]
-    rest[near] = _h0_near(yn) + sign * eval_H1(yn)
+    # the far remainder over every point in one pass, a near one reading
+    # FAR, costs less than gathering the far points; the closed form then
+    # overwrites the near points
+    rest = np.asarray(_far_rest(np.where(near, FAR, y), frac, sign))
+    if near.any():
+        yn = y[near]
+        rest[near] = _h0_near(yn) + sign * eval_H1(yn)
     return whole, rest
 
 

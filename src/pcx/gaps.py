@@ -19,20 +19,6 @@ from .special import _out
 XI_CRIT = 1.0 + 1.0 / math.sqrt(3.0)
 
 
-def g_hat(alpha):
-    """Transform of the gap minorant: 1 - |a| + sin(2 pi |a|)/(2 pi) on [-1,1].
-
-    Written as u - sin(2 pi u)/(2 pi) with u = 1 - |a|, which vanishes to
-    third order at the band edge; below u = 1e-2 its Taylor series takes
-    over, so rounding cannot make the value negative there.
-    """
-    u = 1.0 - np.abs(np.asarray(alpha, dtype=float))
-    x = 2.0 * np.pi * u
-    series = x ** 2 * u / 6.0 * (1.0 - x ** 2 / 20.0 + x ** 4 / 840.0)
-    inside = np.where(u < 1e-2, series, u - np.sin(x) / (2.0 * np.pi))
-    return np.where(u > 0.0, inside, 0.0)
-
-
 def goldston_lower(xi):
     """Quadratic lower bound for the averaged form factor integral.
 
@@ -57,8 +43,9 @@ class GapBoundProfile:
 
 
 def _base_term(beta):
-    """beta - 1 + 2*beta*int_0^1 g_hat(beta*a)*a da, in closed form, for a
-    float or an array of beta.
+    """beta - 1 + 2*beta*int_0^1 g(beta*a)*a da, in closed form, for a
+    float or an array of beta, with g = 1 - |a| + sin(2 pi |a|)/(2 pi) on
+    [-1, 1] the transform of the gap minorant.
 
     For beta <= 1 the transform branch is active on the whole range:
     int (1 - beta*a)*a da = 1/2 - beta/3 and the sine part integrates to

@@ -2,12 +2,27 @@
 
 M(R) integrates R against the pair correlation density 1 - sinc^2.  For
 the dilated interval sandwiches the value collapses to an elementary
-expression plus the lattice series V; the series is summed over a window
-[-10, floor(c) + 10], c = delta*beta, around 0 and the resonance, and its
-two tails are rolled up exactly.  Past the window ends each tail is a sum
-over n = M + k, k >= 0, with M >= ceil(SHIFT) = 10: trigamma for the
-constant part, and for the oscillatory part, z = exp(i theta) with
-theta = 2 pi/delta, the Lerch sums
+expression plus the signed lattice series V, c = delta*beta,
+
+    V = (1/(4 pi^2)) sum_n sgn(n) [(delta + 1) - (delta - 1) cos(a u)
+                                   - delta sin(a u)/(pi u)] / u^2,
+
+u = c - n, a = 2 pi/delta, and sgn(0) = s, the sign of the sandwich.
+
+At delta = 1 (the paper's band) every sin(a u) is sin(2 pi beta), and
+the unsigned series is exactly 1/2, so V = 1/2 - 2L + (s - 1) t0 in
+closed form: t0 = rest/beta is the n = 0 term (rest below), and
+L = [2 psi1(beta + 1) + sin(2 pi beta) psi2(beta + 1)/(2 pi)]/(4 pi^2)
+the sum over n < 0.  psi1 and psi2 at beta + 1 are their values at
+beta + 11 plus the ten steps of the recurrence, added in one row with
+the terms.  At beta in N/2 this is Gallagher's
+m+ = beta - 1/(2 pi^2 beta) + psi1(beta + 1)/pi^2.
+
+For delta > 1 the series is summed over a window [-10, floor(c) + 10]
+around 0 and the resonance, and its two tails are rolled up exactly.
+Past the window ends each tail is a sum over n = M + k, k >= 0, with
+M >= ceil(SHIFT) = 10: trigamma for the constant part, and for the
+oscillatory part, z = exp(i a), the Lerch sums
 
     sum_k z^k / (M + k)^q = (1/Gamma(q)) int_0^inf t^(q-1) e^(-M t)
                             / (1 - z e^(-t)) dt,        q = 2, 3,
@@ -15,28 +30,27 @@ theta = 2 pi/delta, the Lerch sums
 one Laplace integral each.  A trapezoid rule in u = log t, step 1/8 on
 [-40, 2.125] (338 nodes), takes them; it is the kind of rule pcx.special
 uses for Si.  The integrand is analytic in the strip |Im u| < pi/2, with
-the poles t = i(theta + 2 pi k) on its edge, where e^(-M t) does not
+the poles t = i(a + 2 pi k) on its edge, where e^(-M t) does not
 decay, so the step is half of Si's; the cut ends drop under e^-80 below
 and exp(-10 e^2.125) < 1e-36 above.  The denominator is formed as
-2 e^-t sin^2(theta/2) - expm1(-t) - i e^-t sin theta, which does not
-cancel as z -> 1 (delta -> 1+).  Against 40-digit Lerch transcendents
-the rule errs by at most 8e-16 relative, for M in [10, 2e5] and delta in
-[1 + 2^-52, 1e6], so V is right to rounding for every delta >= 1, at a
-cost that does not depend on delta.  At delta = 1 exactly z = 1, and the
-oscillatory tails are polygammas too.  Trigamma, tetragamma and the sine
+2 e^-t sin^2(a/2) - expm1(-t) - i e^-t sin a, which does not cancel as
+z -> 1 (delta -> 1+).  Against 40-digit Lerch transcendents the rule
+errs by at most 8e-16 relative, for M in [10, 2e5] and delta in
+[1 + 2^-52, 1e6], so V is right to rounding for every delta > 1, at a
+cost that does not depend on delta.  Trigamma, tetragamma and the sine
 integral of the conjectured mass come from pcx.special; the polygammas
-are taken at M >= SHIFT, where no step of their recurrence is needed.
+are taken at arguments of at least SHIFT, where no step of their
+recurrence is needed.
 
 m_selberg, conjecture_integral and bound_table take an array of beta and
-work on all of it in numpy passes; a float is an array of one.  The
-window depends on beta only through floor(c), so the betas are grouped by
-floor(c) and each group's windows form a matrix, one row per beta, in
-blocks of rows that hold at most _BLOCK window terms and tail nodes.  A
-row sum along the last axis adds the terms in the same pairwise order as
-a 1-D sum of that row alone, so no value depends on the other betas of
-the call.  The window terms and the tails do not depend on the sign of
-the sandwich; only the n = 0 entry of the sign pattern does, so both
-signs share one pass.
+work on all of it in numpy passes; a float is an array of one.  For
+delta > 1 the window depends on beta only through floor(c), so the betas
+are grouped by floor(c) and each group's windows form a matrix, one row
+per beta, in blocks of rows that hold at most _BLOCK window terms and
+tail nodes.  A row sum along the last axis adds the terms in the same
+pairwise order as a 1-D sum of that row alone, so no value depends on
+the other betas of the call.  The series differs between the signs of
+the sandwich only in the n = 0 entry, so both signs share one pass.
 """
 
 from __future__ import annotations
@@ -48,10 +62,12 @@ import numpy as np
 
 from .numerics import (DomainError, NonConvergence, find_root,
                        integrate_real_line)
-from .special import SHIFT, _out, sine_integral, trigamma_tetragamma
+from .special import (SHIFT, _out, sine_integral, trigamma,
+                      trigamma_tetragamma)
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
-# terms of the window past 0 and past the resonance
+# terms of the window past 0 and past the resonance, and the terms of L
+# before its tail at delta = 1
 _MARGIN = math.ceil(SHIFT)
 # trapezoid nodes t = e^u, u = -40, -39.875, ..., 2.125, of the tails'
 # Laplace integral, and the step
@@ -62,8 +78,9 @@ _TAIL_T = np.exp(_TAIL_H * np.arange(-320, 18))
 # 2^14 to 2^16 time alike (35-50 ms, 2-core x86 host), with tracemalloc
 # peaks of 0.6 to 1.9 MB
 _BLOCK = 2 ** 15
-# largest c = delta*beta: its window holds about c terms, and m_selberg at
-# c = 10^7 takes 1.5 s and 570 MB peak (2-core x86 host)
+# largest c = delta*beta, at every delta: the window of delta > 1 holds
+# about c terms, and m_selberg there at c = 10^7 takes 1.5 s and 570 MB
+# peak (2-core x86 host)
 MAX_C = 10 ** 7
 
 
@@ -84,8 +101,8 @@ def _common_period(delta):
 def _lerch_tails(a, m):
     """exp(i a m) sum_k z^k / (m + k)^q for q = 2 and 3, z = exp(i a), at
     each m >= 10 of an array, from the Laplace integral of the module
-    docstring; z must not be 1.  Each node weight is complex, and its real
-    and imaginary parts are summed as two real rows."""
+    docstring.  Each node weight is complex, and its real and imaginary
+    parts are summed as two real rows."""
     t = _TAIL_T
     e = np.exp(-t)
     den = (2.0 * e * math.sin(0.5 * a) ** 2 - np.expm1(-t)
@@ -112,18 +129,11 @@ def _series_tails(delta, beta, m_right, k_left, s_right, s_left):
     c = delta * np.asarray(beta, dtype=float)
     inv4pi2 = 1.0 / (4.0 * math.pi ** 2)
     m = np.array([m_right + 1 - c, k_left + 1 + c])
-    psi1, psi2 = trigamma_tetragamma(m)
+    psi1 = trigamma(m)
     # Re of exp(i a c) s2 and Im of exp(i a c) s3, s_q the oscillatory sum
-    # of each end; at z = 1, s2 = psi1 and s3 = -psi2/2
-    if delta == 1.0:
-        # exp(i a c), as its real and imaginary parts
-        ac = (a * c) % (2.0 * math.pi)
-        cos_r, sin_r = np.cos(ac), np.sin(ac)
-        re2, im3 = cos_r * psi1, sin_r * (-0.5 * psi2)
-    else:
-        # the right end sums conj(z)^n, the left end z^n
-        p2, p3 = _lerch_tails(a, m)
-        re2, im3 = p2.real, np.array([-p3[0].imag, p3[1].imag])
+    # of each end: the right end sums conj(z)^n, the left end z^n
+    p2, p3 = _lerch_tails(a, m)
+    re2, im3 = p2.real, np.array([-p3[0].imag, p3[1].imag])
     even = (delta + 1.0) * psi1 - (delta - 1.0) * re2
     odd = (delta / math.pi) * im3
     right = inv4pi2 * (even[0] + odd[0])
@@ -133,15 +143,15 @@ def _series_tails(delta, beta, m_right, k_left, s_right, s_left):
 
 def _checked_betas(delta, beta):
     """beta as a flat float array, once beta and delta are in the domain
-    of the lattice series and no window would exceed MAX_C terms."""
+    of the lattice series and delta*beta is at most MAX_C."""
     b = np.asarray(beta, dtype=float).reshape(-1)
     if not ((0.0 < b) & (b < math.inf)).all():
         raise DomainError("beta must be positive")
     if not 1 <= delta < math.inf:
         raise DomainError("delta must be at least 1")
     if not (delta * b <= MAX_C).all():
-        raise DomainError(f"delta*beta must be at most {MAX_C:,}: the "
-                          "lattice window would hold that many terms")
+        raise DomainError(f"delta*beta must be at most {MAX_C:,}: at delta "
+                          "> 1 the lattice window holds that many terms")
     return b
 
 
@@ -160,10 +170,7 @@ def _lattice_sum(delta, c, n_lo, n_hi):
     near = np.abs(u) < 1e-4
     resonant = near.any()
     safe = np.where(near, 1.0, u) if resonant else u
-    # at delta = 1 the cosine's factor -(delta - 1) is 0, and 2 + (+/-0)
-    # is exactly 2
-    even = (delta + 1.0 if delta == 1.0
-            else -(delta - 1.0) * np.cos(phi) + (delta + 1.0))
+    even = -(delta - 1.0) * np.cos(phi) + (delta + 1.0)
     terms = inv4pi2 * ((even - np.sin(phi) * delta / (math.pi * safe))
                        / safe ** 2)
     if resonant:
@@ -185,28 +192,44 @@ def _windows(delta, beta):
     with the same floor(c) has the same window.  Yields (rows, n, terms,
     n_lo, n_hi): rows index beta, and terms holds one row per index.  A
     block holds at most _BLOCK window terms and tail nodes, unless one row
-    is wider; at delta = 1 the tails take no node.
+    is wider.
     """
     if not len(beta):
         return
     c = delta * beta
-    nodes = 0 if delta == 1.0 else 2 * len(_TAIL_T)
     floors = np.floor(c)
     order = np.argsort(floors, kind="stable")
     ordered = floors[order]
     edges = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
     for start, stop in zip([0] + edges, edges + [len(order)]):
         n_lo, n_hi = -_MARGIN, int(floors[order[start]]) + _MARGIN
-        per = max(1, _BLOCK // (n_hi - n_lo + 1 + nodes))
+        per = max(1, _BLOCK // (n_hi - n_lo + 1 + 2 * len(_TAIL_T)))
         for i in range(start, stop, per):
             rows = order[i:min(i + per, stop)]
             n, terms = _lattice_sum(delta, c[rows], n_lo, n_hi)
             yield rows, n, terms, n_lo, n_hi
 
 
+def _v_closed(beta, sin_x, t0):
+    """The signed lattice series at delta = 1, sign -1 and +1, for a flat
+    array of beta, shape (2, len(beta)): 1/2 - 2L - 2 t0 and 1/2 - 2L.
+
+    sin_x is sin(2 pi beta) and t0 the n = 0 term.  The row of each beta
+    holds the terms of L at n = -1, ..., -10 and then its tail past them,
+    from psi1 and psi2 at beta + 11 (module docstring).
+    """
+    y = beta[:, np.newaxis] + np.arange(1.0, _MARGIN + 1)
+    psi1, psi2 = trigamma_tetragamma(beta + (_MARGIN + 1))
+    odd = sin_x / math.pi
+    row = np.column_stack([(2.0 - odd[:, np.newaxis] / y) / y ** 2,
+                           2.0 * psi1 + 0.5 * odd * psi2])
+    half = 0.5 - np.add.reduce(row, axis=-1) / TWO_PI_SQ
+    return np.array([half - 2.0 * t0, half])
+
+
 def _v_both(delta, beta):
     """The signed lattice series at sign -1 and +1 for a flat array of
-    beta, shape (2, len(beta)).
+    beta and delta > 1, shape (2, len(beta)).
 
     The window terms and the tails are the same for both signs; only the
     n = 0 entry of the sign pattern differs.  Each row is summed along the
@@ -225,15 +248,44 @@ def _v_both(delta, beta):
 
 
 def _v_at(delta, beta, sign):
-    """beta and sign as arrays, and the signed lattice series at sign
-    broadcast against beta, once all three are checked."""
+    """beta and sign as arrays, the signed lattice series at sign
+    broadcast against beta, and rest = (x - sin x)/(pi delta x^2),
+    x = 2 pi beta, and the asymptotic form's 1/(2 pi^2 beta) in beta's
+    shape, once all three are checked.
+
+    rest cancels its two O(1/beta) terms, and so does t0 = rest/beta, the
+    n = 0 term of the series at delta = 1: below beta = 0.05 they are the
+    Taylor series (1/(pi delta)) sum_k (-1)^(k+1) x^(2k-1) / (2k+1)! and
+    (2/delta) sum_k (-1)^(k+1) x^(2k-2) / (2k+1)!, to rounding at seven
+    terms.
+    """
     beta = np.asarray(beta, dtype=float)
     b = _checked_betas(delta, beta)
     sign = np.asarray(sign)
     if not (np.abs(sign) == 1).all():
         raise DomainError("sign must be +1 or -1")
-    minus, plus = _v_both(delta, b).reshape((2,) + beta.shape)
-    return beta, sign, np.where(sign > 0, plus, minus)
+    small = b < 0.05
+    safe = np.where(small, 1.0, b)
+    inv = 1.0 / (TWO_PI_SQ * safe)
+    x = 2.0 * math.pi * b
+    sin_x = np.sin(x)
+    rest = (1.0 / delta) * (inv - sin_x / (4.0 * math.pi ** 3 * safe ** 2))
+    t0 = rest / safe
+    if small.any():
+        def taylor(p):
+            return sum((-1) ** (k + 1) * x ** (2 * k - p)
+                       / math.factorial(2 * k + 1) for k in range(1, 8))
+
+        rest = np.where(small, taylor(1) / (math.pi * delta), rest)
+        t0 = np.where(small, taylor(2) * (2.0 / delta), t0)
+        # the asymptotic form's 1/beta is inf below beta ~ 2.8e-310
+        with np.errstate(over="ignore"):
+            inv = 1.0 / (TWO_PI_SQ * b)
+    both = (_v_closed(b, sin_x, t0) if delta == 1.0
+            else _v_both(delta, b))
+    minus, plus = both.reshape((2,) + beta.shape)
+    return (beta, sign, np.where(sign > 0, plus, minus),
+            rest.reshape(beta.shape), inv.reshape(beta.shape))
 
 
 @dataclass(frozen=True)
@@ -278,24 +330,7 @@ def m_selberg(beta, delta=1.0, sign=+1):
     broadcasts against beta; the fields come out as floats for a float
     beta and sign, as arrays otherwise.
     """
-    beta, sign, v = _v_at(delta, beta, sign)
-    # rest = (x - sin x) / (pi delta x^2), x = 2 pi beta, cancels its two
-    # O(1/beta) terms: below beta = 0.05 it is the Taylor series (1/(pi delta))
-    # sum_k (-1)^(k+1) x^(2k-1) / (2k+1)!, to rounding at seven terms
-    small = beta < 0.05
-    some_small = small.any()
-    b = np.where(small, 1.0, beta) if some_small else beta
-    inv = 1.0 / (TWO_PI_SQ * b)
-    rest = (1.0 / delta) * (inv - np.sin(2.0 * math.pi * b)
-                            / (4.0 * math.pi ** 3 * b ** 2))
-    if some_small:
-        x = 2.0 * math.pi * beta
-        series = sum((-1) ** (k + 1) * x ** (2 * k - 1)
-                     / math.factorial(2 * k + 1) for k in range(1, 8))
-        rest = np.where(small, series / (math.pi * delta), rest)
-        # the asymptotic form's 1/beta is inf below beta ~ 2.8e-310
-        with np.errstate(over="ignore"):
-            inv = 1.0 / (TWO_PI_SQ * beta)
+    beta, sign, v, rest, inv = _v_at(delta, beta, sign)
     half = sign / (2.0 * delta)
     closed = beta + half - rest - v
     asym = beta - 0.5 + half + inv
@@ -317,12 +352,11 @@ def conjecture_integral(beta):
     if not (flat >= 0).all():
         raise DomainError("beta must be nonnegative")
     small = flat < 0.05
-    some_small = small.any()
     # the closed form would divide by zero at beta = 0; it is not used there
-    b = np.where(small, 1.0, flat) if some_small else flat
+    b = np.where(small, 1.0, flat)
     mass = (b - sine_integral(2.0 * math.pi * b) / math.pi
             + np.sin(math.pi * b) ** 2 / (math.pi ** 2 * b))
-    if some_small:
+    if small.any():
         x = 2.0 * math.pi * flat[small]
         mass[small] = sum((-1) ** (k + 1) * x ** (2 * k + 1)
                           / ((2 * k + 1) * math.factorial(2 * k + 2))

@@ -1,7 +1,8 @@
 """Closed forms and identities that check pcx but that pcx itself never
-evaluates: the Fourier transforms of the Selberg functions, the constant
-recombination G = 1/2 of the lattice series, the lattice series itself at
-40 digits, and the reproducing property of the kernel.  Also generate_zeros, which computed the shipped zero table
+evaluates: the Fourier transforms of the Selberg functions and of the gap
+minorant, the constant recombination G = 1/2 of the lattice series, the
+lattice series itself at 40 digits, and the reproducing property of the
+kernel.  Also generate_zeros, which computed the shipped zero table
 with mpmath and is checked against it; rebuild the table with
 
     PYTHONPATH=src:tests python -c "from oracles import generate_zeros; \
@@ -72,6 +73,20 @@ def selberg_ft(R, t):
     band = np.abs(t) <= R.dilation
     out[band] = ft_r(R.gamma, R.sign, t[band] / R.dilation) / R.dilation
     return out
+
+
+def g_hat(alpha):
+    """Transform of the gap minorant: 1 - |a| + sin(2 pi |a|)/(2 pi) on [-1,1].
+
+    Written as u - sin(2 pi u)/(2 pi) with u = 1 - |a|, which vanishes to
+    third order at the band edge; below u = 1e-2 its Taylor series takes
+    over, so rounding cannot make the value negative there.
+    """
+    u = 1.0 - np.abs(np.asarray(alpha, dtype=float))
+    x = 2.0 * np.pi * u
+    series = x ** 2 * u / 6.0 * (1.0 - x ** 2 / 20.0 + x ** 4 / 840.0)
+    inside = np.where(u < 1e-2, series, u - np.sin(x) / (2.0 * np.pi))
+    return np.where(u > 0.0, inside, 0.0)
 
 
 def g_of(delta, beta):

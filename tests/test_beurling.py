@@ -144,16 +144,17 @@ def test_far_branch_against_mpmath():
             assert np.max(np.abs(got - ref) / np.abs(ref)) < 1e-12
 
 
-def _h_split_everywhere(y, sign, frac):
-    """The reference for _h_split: the far remainder taken at every point
-    (at FAR in place of a near y), then overwritten by the closed form at
-    the near points."""
+def _h_split_masked(y, sign, frac):
+    """The reference for _h_split: each branch run on its own points
+    alone, the far remainder on the far points and the closed form on the
+    near ones."""
     near = np.abs(y) < bs.FAR
+    far = ~near
     whole = np.where(near, 0.0, np.sign(y))
-    rest = np.asarray(bs._far_rest(np.where(near, bs.FAR, y), frac, sign))
-    if np.any(near):
-        yn = y[near]
-        rest[near] = bs._h0_near(yn) + sign * bs.eval_H1(yn)
+    rest = np.empty(np.shape(y))
+    rest[far] = bs._far_rest(y[far], frac[far], sign)
+    yn = y[near]
+    rest[near] = bs._h0_near(yn) + sign * bs.eval_H1(yn)
     return whole, rest
 
 
@@ -163,20 +164,21 @@ def _h_split_everywhere(y, sign, frac):
                    min_size=1, max_size=70),
        beta=st.floats(0.01, 20.0), sign=st.sampled_from([0, 1, -1]))
 def test_h_split_runs_each_branch_on_its_own_points(ys, beta, sign):
-    # each branch sees only its own points, and every bit stays that of
-    # the far remainder taken everywhere: of the split, in arrays of any
-    # length and on a 0-d y, and of eval_r built on it
+    # one far pass over every point, overwritten by the closed form at
+    # the near points, keeps every bit that each branch gives on its own
+    # points: of the split, in arrays of any length and on a 0-d y, and of
+    # eval_r built on it
     y = np.array(ys)
     for arg in (y, y[0]):
         frac = arg - np.rint(arg)
         for got, want in zip(bs._h_split(arg, sign, frac),
-                             _h_split_everywhere(arg, sign, frac)):
+                             _h_split_masked(arg, sign, frac)):
             assert np.shape(got) == np.shape(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     if sign:
         fx, fb = y - np.rint(y), beta - np.rint(beta)
-        wu, ru = _h_split_everywhere(y + beta, sign, fx + fb)
-        wv, rv = _h_split_everywhere(beta - y, sign, fb - fx)
+        wu, ru = _h_split_masked(y + beta, sign, fx + fb)
+        wv, rv = _h_split_masked(beta - y, sign, fb - fx)
         want = 0.5 * ((wu + wv) + (ru + rv))
         assert bs.eval_r(beta, sign, y).tobytes() == want.tobytes()
 

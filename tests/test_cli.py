@@ -361,6 +361,15 @@ def test_tiny_beta_bounds(capsys, beta, lower, upper):
     assert out.splitlines()[1].split(",")[1:3] == [lower, upper]
 
 
+def test_bounds_near_an_integer_beta(capsys):
+    # 1e-4 from a resonance of the lattice series, the 40-digit value of
+    # the lower bound is 1.040111579
+    code, out = run(capsys, ["bounds", "--beta", "2.0001"])
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.splitlines()[:2])))
+    assert row["lower"] == row["lower_adjusted"] == "1.040111579"
+
+
 def test_table_format(capsys):
     code, out = run(capsys, ["gaps", "--format", "table"])
     assert code == 0

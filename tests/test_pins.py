@@ -1,8 +1,8 @@
-"""Bitwise pins of the node solve: a SHA-256 over lambda_values on a seeded
-set of betas, and one over find_root's roots and callback counts on seeded
-random grids for both step rules.  A change that is meant to keep every bit
-(a speed-up, a refactor) keeps both digests; one that moves a bit on
-purpose recomputes them and says why."""
+"""Bitwise pins: a SHA-256 over lambda_values on a seeded set of betas,
+one over find_root's roots and callback counts on seeded random grids for
+both step rules, and one over the dilated Selberg masses.  A change that
+is meant to keep every bit (a speed-up, a refactor) keeps the digests;
+one that moves a bit on purpose recomputes them and says why."""
 
 import hashlib
 
@@ -10,6 +10,7 @@ import numpy as np
 
 from pcx import debranges as db
 from pcx import numerics as nm
+from pcx import pcbounds as pb
 
 
 def _lambda_betas(E):
@@ -99,3 +100,15 @@ def test_find_root_digest():
         digest.update(np.array(calls).tobytes())
     assert digest.hexdigest() == (
         "27f40dcbb2183495a7e9165d6bf6943d59ddb5e79d72e4ef8b7f72b9dc66e934")
+
+
+def test_dilated_selberg_digest():
+    # the lattice window of delta > 1, both signs, on the grid of
+    # pcx bounds --beta 0.05:10:0.005
+    grid = 0.05 + 0.005 * np.arange(1991)
+    digest = hashlib.sha256()
+    for delta in (1.0 + 2.0 ** -52, 1.001, 1.5, 1.999, 3.0):
+        for sign in (-1, 1):
+            digest.update(pb.m_selberg(grid, delta, sign).closed_form.tobytes())
+    assert digest.hexdigest() == (
+        "f156ab66b21bec959935c6c82549beac9cd2ea3c27323982c63d61eae430e3bf")
