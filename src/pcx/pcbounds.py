@@ -43,14 +43,19 @@ are taken at arguments of at least SHIFT, where no step of their
 recurrence is needed.
 
 m_selberg, conjecture_integral and bound_table take an array of beta and
-work on all of it in numpy passes; a float is an array of one.  For
-delta > 1 the window depends on beta only through floor(c), so the betas
-are grouped by floor(c) and each group's windows form a matrix, one row
-per beta, in blocks of rows that hold at most _BLOCK window terms and
-tail nodes.  A row sum along the last axis adds the terms in the same
-pairwise order as a 1-D sum of that row alone, so no value depends on
-the other betas of the call.  The series differs between the signs of
-the sandwich only in the n = 0 entry, so both signs share one pass.
+work on all of it in numpy passes; a float is an array of one.  Each
+checks its input once and then calls the same internals: _sandwich forms
+the minorant and the majorant as two rows, and _conjecture the
+conjectured mass, both from x = 2 pi beta, which bound_table takes once
+for all three columns.  bound_table also needs a 1-D ascending grid, and
+m_selberg picks a row for each sign.  For delta > 1 the window depends
+on beta only through floor(c), so the betas are grouped by floor(c) and
+each group's windows form a matrix, one row per beta, in blocks of rows
+that hold at most _BLOCK window terms and tail nodes.  A row sum along
+the last axis adds the terms in the same pairwise order as a 1-D sum of
+that row alone, so no value depends on the other betas of the call.
+The series differs between the signs of the sandwich only in the n = 0
+entry, so both signs share one pass.
 """
 
 from __future__ import annotations
@@ -62,10 +67,10 @@ import numpy as np
 
 from .numerics import (DomainError, NonConvergence, find_root,
                        integrate_real_line)
-from .special import (SHIFT, _out, sine_integral, trigamma,
-                      trigamma_tetragamma)
+from .special import SHIFT, _out, _si, trigamma, trigamma_tetragamma
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
+_INV_4PI2 = 1.0 / (4.0 * math.pi ** 2)
 # terms of the window past 0 and past the resonance, and the terms of L
 # before its tail at delta = 1
 _MARGIN = math.ceil(SHIFT)
@@ -127,7 +132,6 @@ def _series_tails(delta, beta, m_right, k_left, s_right, s_left):
     """
     a = 2.0 * math.pi / delta
     c = delta * np.asarray(beta, dtype=float)
-    inv4pi2 = 1.0 / (4.0 * math.pi ** 2)
     m = np.array([m_right + 1 - c, k_left + 1 + c])
     psi1 = trigamma(m)
     # Re of exp(i a c) s2 and Im of exp(i a c) s3, s_q the oscillatory sum
@@ -136,22 +140,21 @@ def _series_tails(delta, beta, m_right, k_left, s_right, s_left):
     re2, im3 = p2.real, np.array([-p3[0].imag, p3[1].imag])
     even = (delta + 1.0) * psi1 - (delta - 1.0) * re2
     odd = (delta / math.pi) * im3
-    right = inv4pi2 * (even[0] + odd[0])
-    left = inv4pi2 * (even[1] - odd[1])
+    right = _INV_4PI2 * (even[0] + odd[0])
+    left = _INV_4PI2 * (even[1] - odd[1])
     return s_right * right + s_left * left
 
 
 def _checked_betas(delta, beta):
-    """beta as a flat float array, once beta and delta are in the domain
-    of the lattice series and delta*beta is at most MAX_C."""
+    """beta as a flat float array, once delta >= 1 and beta is positive
+    and finite, with delta*beta at most MAX_C."""
     b = np.asarray(beta, dtype=float).reshape(-1)
-    if not ((0.0 < b) & (b < math.inf)).all():
-        raise DomainError("beta must be positive")
     if not 1 <= delta < math.inf:
         raise DomainError("delta must be at least 1")
-    if not (delta * b <= MAX_C).all():
-        raise DomainError(f"delta*beta must be at most {MAX_C:,}: at delta "
-                          "> 1 the lattice window holds that many terms")
+    # MAX_C/delta, unlike delta*beta, cannot overflow; NaN fails both
+    if not ((0.0 < b) & (b <= MAX_C / delta)).all():
+        raise DomainError(f"beta must be positive and delta*beta must be at "
+                          f"most {MAX_C:,}, the window's size at delta > 1")
     return b
 
 
@@ -164,19 +167,18 @@ def _lattice_sum(delta, c, n_lo, n_hi):
     n = np.arange(n_lo, n_hi + 1, dtype=float)
     u = c[:, np.newaxis] - n
     a = 2.0 * math.pi / delta
-    inv4pi2 = 1.0 / (4.0 * math.pi ** 2)
 
     phi = a * u
     near = np.abs(u) < 1e-4
     resonant = near.any()
     safe = np.where(near, 1.0, u) if resonant else u
     even = -(delta - 1.0) * np.cos(phi) + (delta + 1.0)
-    terms = inv4pi2 * ((even - np.sin(phi) * delta / (math.pi * safe))
-                       / safe ** 2)
+    terms = _INV_4PI2 * ((even - np.sin(phi) * delta / (math.pi * safe))
+                         / safe ** 2)
     if resonant:
         # analytic continuation across the resonance u -> 0
         u2 = u[near] ** 2
-        terms[near] = inv4pi2 * (
+        terms[near] = _INV_4PI2 * (
             a ** 2 * ((delta - 1.0) / 2.0 + 1.0 / 3.0)
             - a ** 4 * u2 * ((delta - 1.0) / 24.0 + 1.0 / 60.0)
             + a ** 6 * u2 ** 2 * ((delta - 1.0) / 720.0 + 1.0 / 2520.0)
@@ -212,7 +214,7 @@ def _windows(delta, beta):
 
 def _v_closed(beta, sin_x, t0):
     """The signed lattice series at delta = 1, sign -1 and +1, for a flat
-    array of beta, shape (2, len(beta)): 1/2 - 2L - 2 t0 and 1/2 - 2L.
+    array of beta: 1/2 - 2L - 2 t0 and 1/2 - 2L.
 
     sin_x is sin(2 pi beta) and t0 the n = 0 term.  The row of each beta
     holds the terms of L at n = -1, ..., -10 and then its tail past them,
@@ -221,10 +223,10 @@ def _v_closed(beta, sin_x, t0):
     y = beta[:, np.newaxis] + np.arange(1.0, _MARGIN + 1)
     psi1, psi2 = trigamma_tetragamma(beta + (_MARGIN + 1))
     odd = sin_x / math.pi
-    row = np.column_stack([(2.0 - odd[:, np.newaxis] / y) / y ** 2,
-                           2.0 * psi1 + 0.5 * odd * psi2])
+    row = np.concatenate([(2.0 - odd[:, np.newaxis] / y) / y ** 2,
+                          (2.0 * psi1 + 0.5 * odd * psi2)[:, np.newaxis]], 1)
     half = 0.5 - np.add.reduce(row, axis=-1) / TWO_PI_SQ
-    return np.array([half - 2.0 * t0, half])
+    return half - 2.0 * t0, half
 
 
 def _v_both(delta, beta):
@@ -247,11 +249,9 @@ def _v_both(delta, beta):
     return v
 
 
-def _v_at(delta, beta, sign):
-    """beta and sign as arrays, the signed lattice series at sign
-    broadcast against beta, and rest = (x - sin x)/(pi delta x^2),
-    x = 2 pi beta, and the asymptotic form's 1/(2 pi^2 beta) in beta's
-    shape, once all three are checked.
+def _series(delta, b, x, sin_x):
+    """rest = (x - sin x)/(pi delta x^2) and the signed lattice series at
+    sign -1 and +1, for a flat, checked array b of beta, x = 2 pi b.
 
     rest cancels its two O(1/beta) terms, and so does t0 = rest/beta, the
     n = 0 term of the series at delta = 1: below beta = 0.05 they are the
@@ -259,18 +259,12 @@ def _v_at(delta, beta, sign):
     (2/delta) sum_k (-1)^(k+1) x^(2k-2) / (2k+1)!, to rounding at seven
     terms.
     """
-    beta = np.asarray(beta, dtype=float)
-    b = _checked_betas(delta, beta)
-    sign = np.asarray(sign)
-    if not (np.abs(sign) == 1).all():
-        raise DomainError("sign must be +1 or -1")
-    small = b < 0.05
-    safe = np.where(small, 1.0, b)
+    # the closed forms, which cancel below 0.05, are not used there
+    safe = np.maximum(b, 0.05)
     inv = 1.0 / (TWO_PI_SQ * safe)
-    x = 2.0 * math.pi * b
-    sin_x = np.sin(x)
     rest = (1.0 / delta) * (inv - sin_x / (4.0 * math.pi ** 3 * safe ** 2))
     t0 = rest / safe
+    small = b < 0.05
     if small.any():
         def taylor(p):
             return sum((-1) ** (k + 1) * x ** (2 * k - p)
@@ -278,14 +272,32 @@ def _v_at(delta, beta, sign):
 
         rest = np.where(small, taylor(1) / (math.pi * delta), rest)
         t0 = np.where(small, taylor(2) * (2.0 / delta), t0)
-        # the asymptotic form's 1/beta is inf below beta ~ 2.8e-310
-        with np.errstate(over="ignore"):
-            inv = 1.0 / (TWO_PI_SQ * b)
-    both = (_v_closed(b, sin_x, t0) if delta == 1.0
-            else _v_both(delta, b))
-    minus, plus = both.reshape((2,) + beta.shape)
-    return (beta, sign, np.where(sign > 0, plus, minus),
-            rest.reshape(beta.shape), inv.reshape(beta.shape))
+    return rest, (_v_closed(b, sin_x, t0) if delta == 1.0
+                  else _v_both(delta, b))
+
+
+def _sandwich(delta, b, x):
+    """Half of M for the minorant and for the majorant (sign -1 and +1),
+    as two rows, for a flat, checked array b of beta, x = 2 pi b."""
+    rest, (minus, plus) = _series(delta, b, x, np.sin(x))
+    half = 1.0 / (2.0 * delta)
+    return b - half - rest - minus, b + half - rest - plus
+
+
+def _conjecture(b, x):
+    """conjecture_integral of a flat, checked array b, x = 2 pi b."""
+    # the closed form would divide by zero at beta = 0; it is not used
+    # below 0.05
+    safe = np.maximum(b, 0.05)
+    mass = (safe - _si(x) / math.pi
+            + np.sin(math.pi * safe) ** 2 / (math.pi ** 2 * safe))
+    small = b < 0.05
+    if small.any():
+        xs = x[small]
+        mass[small] = sum((-1) ** (k + 1) * xs ** (2 * k + 1)
+                          / ((2 * k + 1) * math.factorial(2 * k + 2))
+                          for k in range(1, 6)) / math.pi
+    return mass
 
 
 @dataclass(frozen=True)
@@ -330,12 +342,19 @@ def m_selberg(beta, delta=1.0, sign=+1):
     broadcasts against beta; the fields come out as floats for a float
     beta and sign, as arrays otherwise.
     """
-    beta, sign, v, rest, inv = _v_at(delta, beta, sign)
-    half = sign / (2.0 * delta)
-    closed = beta + half - rest - v
-    asym = beta - 0.5 + half + inv
+    beta = np.asarray(beta, dtype=float)
+    b = _checked_betas(delta, beta)
+    sign = np.asarray(sign)
+    if not (np.abs(sign) == 1).all():
+        raise DomainError("sign must be +1 or -1")
+    minus, plus = np.reshape(_sandwich(delta, b, 2.0 * math.pi * b),
+                             (2,) + beta.shape)
+    # the asymptotic form's 1/beta is inf below beta ~ 2.8e-310
+    with np.errstate(over="ignore"):
+        asym = beta - 0.5 + sign / (2.0 * delta) + 1.0 / (TWO_PI_SQ * beta)
     return MEvaluation(beta=_out(beta), delta=delta, sign=_out(sign),
-                       closed_form=_out(closed), asymptotic=_out(asym))
+                       closed_form=_out(np.where(sign > 0, plus, minus)),
+                       asymptotic=_out(asym))
 
 
 def conjecture_integral(beta):
@@ -347,49 +366,37 @@ def conjecture_integral(beta):
     (1/pi) sum_k (-1)^(k+1) x^(2k+1) / ((2k+1) (2k+2)!), x = 2 pi beta,
     takes over; five terms reach rounding there.
     """
-    beta = np.asarray(beta, dtype=float)
-    flat = beta.reshape(-1)
-    if not (flat >= 0).all():
-        raise DomainError("beta must be nonnegative")
-    small = flat < 0.05
-    # the closed form would divide by zero at beta = 0; it is not used there
-    b = np.where(small, 1.0, flat)
-    mass = (b - sine_integral(2.0 * math.pi * b) / math.pi
-            + np.sin(math.pi * b) ** 2 / (math.pi ** 2 * b))
-    if small.any():
-        x = 2.0 * math.pi * flat[small]
-        mass[small] = sum((-1) ** (k + 1) * x ** (2 * k + 1)
-                          / ((2 * k + 1) * math.factorial(2 * k + 2))
-                          for k in range(1, 6)) / math.pi
-    return _out(mass.reshape(beta.shape))
-
-
-# both signs of the sandwich, broadcast against a flat beta array:
-# row 0 the minorant (lower bound), row 1 the majorant (upper bound)
-_BOTH_SIGNS = np.array([[-1], [+1]])
+    b = np.asarray(beta, dtype=float).reshape(-1)
+    with np.errstate(over="ignore"):
+        x = 2.0 * math.pi * b
+    if not ((0.0 <= b) & (x < math.inf)).all():
+        raise DomainError("beta must be nonnegative, with 2 pi beta finite")
+    return _out(_conjecture(b, x).reshape(np.shape(beta)))
 
 
 def bound_table(betas, nstar_ratio=1.0, delta=1.0):
     """Upper/lower bound columns on an ascending beta grid (a sequence or
-    an array), from the interval sandwich of type 2 pi delta (m_selberg);
-    delta = 2 - epsilon is the widest usable band (the q-aspect bounds).
+    a 1-D array), from the interval sandwich of type 2 pi delta
+    (m_selberg); delta = 2 - epsilon is the widest usable band (the
+    q-aspect bounds).
 
     The multiplicity knob shifts both bounds by (1 - nstar_ratio)/2; with
-    ratio 4/3 the lower bound drops by exactly 1/6.  Both signs and the
-    conjectured mass are taken over the whole grid at once.
+    ratio 4/3 the lower bound drops by exactly 1/6.  The grid is checked
+    once, and both bounds and the conjectured mass are taken over all of
+    it in one pass, from one x = 2 pi beta.
     """
-    betas = np.array(betas, dtype=float, ndmin=1)
-    if (betas <= 0).any():
-        raise DomainError("beta grid must be positive")
-    if (betas[1:] < betas[:-1]).any():
-        raise DomainError("beta grid must be ascending")
+    b = np.array(betas, dtype=float, ndmin=1)
+    if b.ndim != 1 or len(b) > 1 and (b[1:] < b[:-1]).any():
+        raise DomainError("beta grid must be one-dimensional and ascending")
+    _checked_betas(delta, b)
     if not 1.0 <= nstar_ratio <= 4.0 / 3.0 + 1e-12:
         raise DomainError("nstar_ratio must lie in [1, 4/3]")
     adj = 0.5 * (1.0 - nstar_ratio)
-    lower, upper = m_selberg(betas, delta, _BOTH_SIGNS).closed_form
-    return BoundTable(beta=betas, lower=lower, upper=upper,
+    x = 2.0 * math.pi * b
+    lower, upper = _sandwich(delta, b, x)
+    return BoundTable(beta=b, lower=lower, upper=upper,
                       lower_adjusted=lower + adj, upper_adjusted=upper + adj,
-                      conjecture=conjecture_integral(betas))
+                      conjecture=_conjecture(b, x))
 
 
 def positivity_threshold(tol=1e-6):

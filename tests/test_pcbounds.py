@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -38,6 +39,15 @@ def _lattice_wide(delta, beta, sign=None, margin=200_000):
     return window + pb._series_tails(delta, beta, n_hi, -n_lo, 1.0, s_left)
 
 
+def _v(delta, beta, sign):
+    """The signed lattice series V of pcbounds at sign, for a float or an
+    array of beta."""
+    b = np.array(beta, dtype=float, ndmin=1)
+    x = 2.0 * math.pi * b
+    v = pb._series(delta, b, x, np.sin(x))[1][(sign + 1) // 2]
+    return v if np.ndim(beta) else float(v[0])
+
+
 def test_pc_density_values():
     assert pb.pc_density(np.array([0.0]))[0] == pytest.approx(0.0)
     assert pb.pc_density(np.array([1.0]))[0] == pytest.approx(1.0)
@@ -48,7 +58,7 @@ def test_pc_density_values():
 def test_v_series_against_window_oracle():
     for delta, beta, sign in [(1.0, 0.7, 1), (1.0, 0.7, -1), (2.0, 1.3, 1),
                               (1.5, 2.1, -1), (2.0, 1.25, 1)]:
-        assert abs(pb._v_at(delta, beta, sign)[2]
+        assert abs(_v(delta, beta, sign)
                    - v_lerch(delta, beta, sign)) <= 1e-14
 
 
@@ -61,7 +71,7 @@ def test_v_series_to_rounding_near_delta_one(delta):
     # rounding there, with no wider window (delta*beta clear of integers)
     for beta in (0.61, 17.3):
         for sign in (+1, -1):
-            assert abs(pb._v_at(delta, beta, sign)[2]
+            assert abs(_v(delta, beta, sign)
                        - v_lerch(delta, beta, sign)) <= 1e-14
 
 
@@ -73,7 +83,7 @@ def test_lattice_window_against_wide_oracle():
         for beta in (0.07, 0.61, 2.3, 17.3):  # delta*beta clear of integers
             for sign in (+1, -1):
                 want = _lattice_wide(delta, beta, sign)
-                assert abs(pb._v_at(delta, beta, sign)[2] - want) < 2e-15
+                assert abs(_v(delta, beta, sign) - want) < 2e-15
             assert abs(g_of(delta, beta) - _lattice_wide(delta, beta)) < 2e-15
 
 
@@ -206,6 +216,66 @@ def test_bound_table_validation():
         pb.bound_table([1.0], nstar_ratio=2.0)
 
 
+def _bad_inputs():
+    """(call, word) pairs: each call must raise DomainError whose message
+    holds word, the name of the argument at fault."""
+    nan, inf = math.nan, math.inf
+    grids = {"nan-first": [nan, 1.0, 2.0], "nan-middle": [0.5, nan, 2.0],
+             "nan-last": [0.5, 1.0, nan], "inf": [inf], "-inf": [-inf],
+             "negative": [-0.5, 1.0]}
+    positive = dict(grids, zero=[0.0])
+    cases = {}
+    for name, g in positive.items():
+        cases[f"bound_table-{name}"] = (lambda g=g: pb.bound_table(g), "beta")
+        cases[f"m_selberg-{name}"] = (lambda g=g: pb.m_selberg(g), "beta")
+        if name == "inf":
+            continue  # psi1 and psi2 of +inf are 0
+        for fn in (special.trigamma, special.trigamma_tetragamma):
+            cases[f"{fn.__name__}-{name}"] = (
+                lambda g=g, fn=fn: fn(np.array(g)), "argument")
+    for name, g in grids.items():
+        if name != "negative":
+            cases[f"sine_integral-{name}"] = (
+                lambda g=g: special.sine_integral(np.array(g)), "argument")
+        cases[f"conjecture_integral-{name}"] = (
+            lambda g=g: pb.conjecture_integral(np.array(g)), "beta")
+    # 2 pi beta overflows, and so would delta*beta at delta = 2
+    cases["conjecture_integral-huge"] = (
+        lambda: pb.conjecture_integral(1e308), "beta")
+    for name, fn in (("bound_table", pb.bound_table),
+                     ("m_selberg", pb.m_selberg)):
+        for delta, g in ((1.0, [1.0, 2e7]), (2.0, [1e308]), (1.5, [7e6])):
+            cases[f"{name}-max-c-{delta}-{g[-1]}"] = (
+                lambda fn=fn, delta=delta, g=g: fn(g, delta=delta),
+                "delta*beta")
+        for delta in (nan, inf, 0.5):
+            cases[f"{name}-delta-{delta}"] = (
+                lambda fn=fn, delta=delta: fn([1.0], delta=delta), "delta")
+    cases["bound_table-unsorted"] = (
+        lambda: pb.bound_table([2.0, 1.0, 3.0]), "beta")
+    # the rows of a 2-D grid would meet the two signs row by row
+    cases["bound_table-2d"] = (
+        lambda: pb.bound_table([[1.0, 2.0], [3.0, 4.0]]), "beta")
+    for nstar in (nan, 0.5, 2.0):
+        cases[f"bound_table-nstar-{nstar}"] = (
+            lambda nstar=nstar: pb.bound_table([1.0], nstar), "nstar_ratio")
+    for sign in (0, 2, np.array([1, 0])):
+        cases[f"m_selberg-sign-{sign}"] = (
+            lambda sign=sign: pb.m_selberg([1.0, 2.0], 1.0, sign), "sign")
+    return cases
+
+
+_BAD = _bad_inputs()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", list(_BAD))
+def test_bad_input_raises_domain_error(case):
+    call, word = _BAD[case]
+    with pytest.raises(DomainError, match=re.escape(word)):
+        call()
+
+
 def test_q_aspect_tightens_bounds():
     lo1 = pb.m_selberg(1.0, 1.0, -1).closed_form
     hi1 = pb.m_selberg(1.0, 1.0, +1).closed_form
@@ -272,8 +342,8 @@ def test_m_selberg_broadcasts_beta_against_sign():
     for i, sign in enumerate((-1, 1)):
         one = pb.m_selberg(betas, 1.5, sign)
         assert np.array_equal(one.closed_form, both.closed_form[i])
-        assert np.array_equal(pb._v_at(1.5, betas, sign)[2],
-                              [pb._v_at(1.5, b, sign)[2] for b in betas])
+        assert np.array_equal(_v(1.5, betas, sign),
+                              [_v(1.5, b, sign) for b in betas])
     with pytest.raises(DomainError):
         pb.m_selberg(betas, 1.0, np.array([1, 0, -1]))
 

@@ -1,16 +1,21 @@
 """Bitwise pins: a SHA-256 over lambda_values on a seeded set of betas,
 one over find_root's roots and callback counts on seeded random grids for
-both step rules, and one over the dilated Selberg masses.  A change that
-is meant to keep every bit (a speed-up, a refactor) keeps the digests;
-one that moves a bit on purpose recomputes them and says why."""
+both step rules, one over the dilated Selberg masses, one over the
+delta = 1 bound tables, one over the delta = 1 Selberg masses and their
+asymptotic forms, and one over trigamma, tetragamma and the sine
+integral.  A change that is meant to keep every bit (a speed-up, a
+refactor) keeps the digests; one that moves a bit on purpose recomputes
+them and says why."""
 
 import hashlib
 
 import numpy as np
 
+from pcx import cli
 from pcx import debranges as db
 from pcx import numerics as nm
 from pcx import pcbounds as pb
+from pcx import special as sp
 
 
 def _lambda_betas(E):
@@ -112,3 +117,53 @@ def test_dilated_selberg_digest():
             digest.update(pb.m_selberg(grid, delta, sign).closed_form.tobytes())
     assert digest.hexdigest() == (
         "f156ab66b21bec959935c6c82549beac9cd2ea3c27323982c63d61eae430e3bf")
+
+
+def _bound_grids():
+    """The beta grids of the delta = 1 pins: 0.05:10:0.005, the default
+    0.1:3:0.1 of pcx bounds, and 2,000 seeded log-uniform betas in
+    [1e-300, 1e7], sorted, which reach the Taylor branch below 0.05."""
+    rng = np.random.default_rng(34)
+    return [0.05 + 0.005 * np.arange(1991), cli._parse_beta("0.1:3:0.1"),
+            np.sort(10.0 ** rng.uniform(-300.0, 7.0, 2000))]
+
+
+def test_bound_table_digest():
+    digest = hashlib.sha256()
+    for grid in _bound_grids():
+        for nstar in (1.0, 4.0 / 3.0):
+            for column in vars(pb.bound_table(grid, nstar)).values():
+                digest.update(column.tobytes())
+    assert digest.hexdigest() == (
+        "1ead932e01eceda51db7f56171fe7d1802ed9652b583d8f4d56ffadcc47a3701")
+
+
+def test_delta_one_selberg_digest():
+    digest = hashlib.sha256()
+    for grid in _bound_grids():
+        for sign in (-1, 1):
+            m = pb.m_selberg(grid, 1.0, sign)
+            digest.update(m.closed_form.tobytes())
+            digest.update(m.asymptotic.tobytes())
+    assert digest.hexdigest() == (
+        "8f9440b78c3c8092c355dbcc5bf3c2dc190fadb0619c3d974873b38e4830624e")
+
+
+def test_special_functions_digest():
+    # log-uniform arguments and every shift step count of the recurrence
+    # (uniform on (0, 12)); psi2 of x below about 2.2e-103 overflows a
+    # double, so trigamma_tetragamma takes the part of them above 1e-100.
+    # Si on 0..60 and on both sides of its switch at 4
+    rng = np.random.default_rng(341)
+    x = np.concatenate([10.0 ** rng.uniform(-150.0, 6.0, 2000),
+                        rng.uniform(0.0, 12.0, 2000)])
+    t = np.concatenate([rng.uniform(0.0, 60.0, 2000),
+                        4.0 + rng.uniform(-1e-3, 1e-3, 200)])
+    digest = hashlib.sha256()
+    digest.update(sp.trigamma(x).tobytes())
+    for psi in sp.trigamma_tetragamma(x[x > 1e-100]):
+        digest.update(psi.tobytes())
+    digest.update(sp.sine_integral(t).tobytes())
+    digest.update(sp.sine_integral(-t).tobytes())
+    assert digest.hexdigest() == (
+        "f3dcb69e3567c233f0956304383913a165087d86b6201d54f5e2926a52e7b4f8")

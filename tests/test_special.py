@@ -93,3 +93,19 @@ def test_bad_arguments():
             sp.sine_integral(bad)
         with pytest.raises(DomainError):
             sp.sine_integral(np.array([1.0, bad]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_polygammas_overflow_to_infinity():
+    # psi1(x) ~ 1/x^2 overflows a double below about 7.5e-155 and psi2(x)
+    # ~ -2/x^3 below about 2.2e-103; both come out infinite, with no
+    # warning, whether a step of the recurrence overflows or divides by 0
+    for x in (1e-160, 1e-320, 5e-324):
+        assert sp.trigamma(x) == math.inf
+    psi1, psi2 = sp.trigamma_tetragamma(np.array([1e-110, 1e-320, 2.0]))
+    assert psi2[:2].tolist() == [-math.inf, -math.inf]
+    assert math.isfinite(psi1[0]) and psi1[1] == math.inf
+    assert psi2[2] == sp.trigamma_tetragamma(2.0)[1]
+    # just above the thresholds the values are finite
+    assert math.isfinite(sp.trigamma(7.5e-155))
+    assert math.isfinite(sp.trigamma_tetragamma(2.24e-103)[1])
