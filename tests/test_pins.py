@@ -1,9 +1,9 @@
 """Bitwise pins: a SHA-256 over lambda_values on a seeded set of betas,
 one over find_root's roots and callback counts on seeded random grids for
 both step rules, one over the dilated Selberg masses, one over the
-delta = 1 bound tables, one over the delta = 1 Selberg masses and their
-asymptotic forms, and one over trigamma, tetragamma and the sine
-integral.  A change that is meant to keep every bit (a speed-up, a
+delta = 1 bound tables and one over their conjecture column alone, one
+over the delta = 1 Selberg masses and their asymptotic forms, one over
+trigamma and tetragamma, and one over the sine integral.  A change that is meant to keep every bit (a speed-up, a
 refactor) keeps the digests; one that moves a bit on purpose recomputes
 them and says why."""
 
@@ -128,14 +128,27 @@ def _bound_grids():
             np.sort(10.0 ** rng.uniform(-300.0, 7.0, 2000))]
 
 
-def test_bound_table_digest():
-    digest = hashlib.sha256()
+def _bound_table_digests():
+    """SHA-256 over every column of the delta = 1 bound tables but the
+    conjecture, and over the conjecture column alone: Si sets only the
+    latter, so a change to Si's bits moves it and not the former."""
+    bounds, conjecture = hashlib.sha256(), hashlib.sha256()
     for grid in _bound_grids():
         for nstar in (1.0, 4.0 / 3.0):
-            for column in vars(pb.bound_table(grid, nstar)).values():
-                digest.update(column.tobytes())
-    assert digest.hexdigest() == (
-        "1ead932e01eceda51db7f56171fe7d1802ed9652b583d8f4d56ffadcc47a3701")
+            for name, column in vars(pb.bound_table(grid, nstar)).items():
+                (conjecture if name == "conjecture" else bounds).update(
+                    column.tobytes())
+    return bounds.hexdigest(), conjecture.hexdigest()
+
+
+def test_bound_table_digest():
+    assert _bound_table_digests()[0] == (
+        "4fff8e07b8795d1d083f1f014d5b09d7ba513cfd0f353ad134e7b6a80b7bb312")
+
+
+def test_conjecture_column_digest():
+    assert _bound_table_digests()[1] == (
+        "8c4e83e2e1b198f90ff0f10e17086cc6ab9b3459302066969460adb4ef8ff1fc")
 
 
 def test_delta_one_selberg_digest():
@@ -152,18 +165,27 @@ def test_delta_one_selberg_digest():
 def test_special_functions_digest():
     # log-uniform arguments and every shift step count of the recurrence
     # (uniform on (0, 12)); psi2 of x below about 2.2e-103 overflows a
-    # double, so trigamma_tetragamma takes the part of them above 1e-100.
-    # Si on 0..60 and on both sides of its switch at 4
+    # double, so trigamma_tetragamma takes the part of them above 1e-100
     rng = np.random.default_rng(341)
     x = np.concatenate([10.0 ** rng.uniform(-150.0, 6.0, 2000),
                         rng.uniform(0.0, 12.0, 2000)])
-    t = np.concatenate([rng.uniform(0.0, 60.0, 2000),
-                        4.0 + rng.uniform(-1e-3, 1e-3, 200)])
     digest = hashlib.sha256()
     digest.update(sp.trigamma(x).tobytes())
     for psi in sp.trigamma_tetragamma(x[x > 1e-100]):
         digest.update(psi.tobytes())
+    assert digest.hexdigest() == (
+        "6a3e08bfa03078e59357cdb1afc48b490bc3f8ac6b910da3da5a5ead2e286ead")
+
+
+def test_sine_integral_digest():
+    # Si on 0..60 and on both sides of its switch at 4, from the same
+    # seeded stream as the polygamma pin, whose 4,000 draws come first
+    rng = np.random.default_rng(341)
+    rng.uniform(size=4000)
+    t = np.concatenate([rng.uniform(0.0, 60.0, 2000),
+                        4.0 + rng.uniform(-1e-3, 1e-3, 200)])
+    digest = hashlib.sha256()
     digest.update(sp.sine_integral(t).tobytes())
     digest.update(sp.sine_integral(-t).tobytes())
     assert digest.hexdigest() == (
-        "f3dcb69e3567c233f0956304383913a165087d86b6201d54f5e2926a52e7b4f8")
+        "5a31c950cf62897db93e3f1275cd28988c328e10def300c38d056065e42d835c")
