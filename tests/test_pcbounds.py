@@ -196,6 +196,17 @@ def test_conjecture_integral_against_mpmath():
             edges = mpmath.linspace(0, beta, int(beta) + 2)
             ref = mpmath.quad(lambda x: 1 - mpmath.sincpi(x) ** 2, edges)
         assert abs(pb.conjecture_integral(beta) - ref) <= 1e-12 * ref
+    # the closed form beta - Si(2 pi beta)/pi + sin^2(pi beta)/(pi^2 beta)
+    # to 4e-16 (1 + beta), on log-uniform betas and the grid of pcx bounds
+    # --beta 0.05:10:0.005, against the same form at 50 digits
+    rng = np.random.default_rng(600)
+    betas = np.concatenate([np.exp(rng.uniform(math.log(0.05), math.log(1e3), 600)),
+                            0.05 + 0.005 * np.arange(1991)])
+    with mpmath.workdps(50):
+        ref = np.array([float(b - mpmath.si(2 * mpmath.pi * b) / mpmath.pi
+                              + mpmath.sin(mpmath.pi * b) ** 2 / (mpmath.pi ** 2 * b))
+                        for b in map(mpmath.mpf, betas)])
+    assert np.all(np.abs(pb.conjecture_integral(betas) - ref) <= 4e-16 * (1.0 + betas))
 
 
 def test_bound_table_structure():

@@ -148,7 +148,7 @@ def test_bound_table_digest():
 
 def test_conjecture_column_digest():
     assert _bound_table_digests()[1] == (
-        "8c4e83e2e1b198f90ff0f10e17086cc6ab9b3459302066969460adb4ef8ff1fc")
+        "5497e661e3b7a90bdd6010a7637d29914e10e64691bfd476021c889d34a320f2")
 
 
 def test_delta_one_selberg_digest():
@@ -188,4 +188,4 @@ def test_sine_integral_digest():
     digest.update(sp.sine_integral(t).tobytes())
     digest.update(sp.sine_integral(-t).tobytes())
     assert digest.hexdigest() == (
-        "5a31c950cf62897db93e3f1275cd28988c328e10def300c38d056065e42d835c")
+        "7ddadc1cb64cdd76e0a7a55a2d37831a1017bd7317787727105de9d15b93a1e0")

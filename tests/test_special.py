@@ -61,6 +61,47 @@ def test_sine_integral_against_mpmath():
     assert sp.sine_integral(-xs[0]) == -got[0]
 
 
+def test_sine_integral_relative_error():
+    # the auxiliary functions' rule on log-uniform t in [4, 1e15], just
+    # above the switch and far out, against 50-digit mpmath
+    rng = np.random.default_rng(2000)
+    ts = np.concatenate([10.0 ** rng.uniform(math.log10(4.0), 15.0, 2000),
+                         4.0 + np.array([0.0, 1e-13, 1e-12, 1e-6]),
+                         [1e20, 1e154, 1e300]])
+    with mpmath.workdps(50):
+        ref = np.array([float(mpmath.si(mpmath.mpf(t))) for t in ts])
+    assert np.max(np.abs(sp.sine_integral(ts) - ref) / ref) <= 3e-16
+    # both rules at the switch
+    four = np.array([4.0])
+    assert abs(sp._si_series(four)[0] - sp._si_auxiliary(four)[0]) <= (
+        2.0 * np.spacing(sp._si_series(four)[0]))
+
+
+def test_sine_integral_takes_no_exponential(monkeypatch):
+    # the rule's exponentials are module constants: Si on the 1,873
+    # points 2 pi beta >= 4 of beta = 0.05:10:0.005 calls no np.exp
+    x = 2.0 * math.pi * (0.05 + 0.005 * np.arange(1991))
+    x = x[x >= 4.0]
+    assert len(x) == 1873
+    expected = sp.sine_integral(x)
+
+    def no_exp(*args, **kwargs):
+        raise AssertionError("np.exp called")
+
+    monkeypatch.setattr(np, "exp", no_exp)
+    assert np.array_equal(sp.sine_integral(x), expected)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sine_integral_huge_arguments():
+    # q = v/t, never t^2, so no t up to the largest double overflows
+    for x in (3.4e306, 1e308, np.finfo(float).max):
+        assert sp.sine_integral(x) == 0.5 * math.pi
+        assert sp.sine_integral(-x) == -0.5 * math.pi
+    assert np.array_equal(sp.sine_integral(np.array([1e308, -1e308])),
+                          [0.5 * math.pi, -0.5 * math.pi])
+
+
 @settings(max_examples=200, deadline=None)
 @given(x=st.floats(1e-3, 1e4))
 def test_trigamma_recurrence(x):
