@@ -16,6 +16,8 @@ from pcx import debranges as db
 from pcx import numerics as nm
 from pcx import pcbounds as pb
 from pcx import special as sp
+from pcx.beurling import FAR, eval_H0, eval_r
+from pcx.zerodata import count_pairs
 
 
 def _lambda_betas(E):
@@ -189,3 +191,42 @@ def test_sine_integral_digest():
     digest.update(sp.sine_integral(-t).tobytes())
     assert digest.hexdigest() == (
         "7ddadc1cb64cdd76e0a7a55a2d37831a1017bd7317787727105de9d15b93a1e0")
+
+
+def _beurling_grid(beta):
+    """40,076 points for eval_r at beta, or eval_H0 at beta = 0: 0 and
+    +/-5e-324, the integers of [-30, 30], 20,000 seeded points uniform on
+    (-30, 30), 10,000 log-uniform in magnitude on 1e-8..1e5 with random
+    signs, and where an argument x +/- beta of eval_r (x itself for H0)
+    crosses +/-FAR, each crossing with its two neighbouring doubles and
+    2,500 seeded points within 1e-3 of it."""
+    rng = np.random.default_rng(36)
+    edges = np.array([s * FAR + t * beta for s in (1, -1) for t in (1, -1)])
+    return np.concatenate([
+        [0.0, 5e-324, -5e-324], np.arange(-30.0, 31.0),
+        rng.uniform(-30.0, 30.0, 20000),
+        10.0 ** rng.uniform(-8.0, 5.0, 10000) * rng.choice([-1.0, 1.0], 10000),
+        edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+        (edges[:, np.newaxis] + rng.uniform(-1e-3, 1e-3, (4, 2500))).ravel()])
+
+
+def test_selberg_functions_digest():
+    digest = hashlib.sha256()
+    digest.update(eval_H0(_beurling_grid(0.0)).tobytes())
+    for beta in (0.37, 1.0, 2.6, 7.3, 10.0):
+        for sign in (1, -1):
+            digest.update(eval_r(beta, sign, _beurling_grid(beta)).tobytes())
+    assert digest.hexdigest() == (
+        "7482a248cf5709c96df84675dbb71b5a0692f3a32cee1ade052c8be54e30e5c7")
+
+
+def test_count_pairs_digest(dataset):
+    # the shipped table up to its last ordinate, on the grid 0.5:3:0.05 and
+    # at three single betas
+    T = dataset.t_max
+    digest = hashlib.sha256()
+    digest.update(count_pairs(dataset, T, cli._parse_beta("0.5:3:0.05")).tobytes())
+    digest.update(np.array([count_pairs(dataset, T, b)
+                            for b in (1.0, 10.0, 100.0)]).tobytes())
+    assert digest.hexdigest() == (
+        "a3bb3f823302d24ff575f46957dfba4fc5354bd1b08845e19751dcfe5706f65a")
