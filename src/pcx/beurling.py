@@ -21,7 +21,13 @@ does not reach it.  Against 40-digit references on 12 <= |x| <= 2e5,
 with both arguments past 10, the relative error of r_beta(+/-) is about
 1e-14 (the sine of the rounded x +/- beta errs by up to 1e-8, the closed
 form alone by about 1e-6); with one argument nearer, the closed form's
-absolute rounding of about 1e-16 sets it.  Each argument costs one sine.
+absolute rounding of about 1e-16 sets it.  Each branch takes one sine
+per argument: the closed form takes sinc^2, (sin(pi x)/pi)^2 and H1
+from one sine of pi |x|.  The far remainder runs over every point of an
+array that holds a far argument (a near point there pays both sines)
+and over none of an array whose arguments all lie below 10.  _far_rest
+takes its squared sine from the caller, so that pcx.zerodata can supply
+it from unit phases.
 far_series gives the far remainder's power series term by term, and the
 functions make_selberg_pair builds (SelbergFunction) carry gamma, sign
 and dilation, so that pcx.zerodata can sum the far branch in closed form.
@@ -53,26 +59,36 @@ def eval_H1(x):
 FAR = 10.0
 
 
+# stands in for 0 in the sine's argument of _h0_near: its sine is itself,
+# so sinc comes out 1 there, and its square over pi^2 underflows to 0
+_TINY = 1e-200
+
+
 def _h0_near(x):
-    """The closed form of H0, used for |x| < FAR."""
+    """The closed form of H0 and H1 = sinc^2, used for |x| < FAR, from one
+    sine: y = pi |x| feeds it as np.sinc's argument does, save that 0
+    takes _TINY rather than eps, so that (sin(pi x)/pi)^2 is 0 there."""
     ax = np.abs(x)
-    s2 = sinc(ax) ** 2
-    sin2 = (np.sin(np.pi * ax) / np.pi) ** 2
+    y = np.pi * ax
+    y = np.where(y, y, _TINY)
+    s = np.sin(y)
+    s2 = (s / y) ** 2
+    sin2 = (s / np.pi) ** 2
     val = 1.0 - s2 + 2.0 * ax * s2 - 2.0 * sin2 * trigamma(1.0 + ax)
-    return np.sign(x) * val
+    return np.sign(x) * val, s2
 
 
-def _far_rest(y, frac, sign):
-    """H0(y) + sign*H1(y) - sgn(y) for |y| >= FAR; frac differs from y
-    by an integer and feeds the sine.
+def _far_rest(y, sin2, sign):
+    """H0(y) + sign*H1(y) - sgn(y) for |y| >= FAR, given sin2 =
+    (sin(pi y)/pi)^2.
 
     With w = 1/y, sgn(y) q(|y|) = -2 w^3 p(w^2), p(z) = sum_k B_2k z^(k-1),
-    and H1(y) = (sin(pi y)/pi)^2 w^2.
+    and H1(y) = sin2 w^2.
     """
     w = 1.0 / y
     z = w * w
     p = _poly(z, B2K)
-    return (np.sin(np.pi * frac) / np.pi) ** 2 * z * (sign - 2.0 * w * p)
+    return sin2 * z * (sign - 2.0 * w * p)
 
 
 def far_series(sign):
@@ -93,16 +109,24 @@ def _h_split(y, sign, frac):
     shape, differs from y by an integer: the far sine reads it instead of
     y, so the rounding of a large y does not reach the sine.
     """
+    shape = np.shape(y)
+    # flat arrays throughout: a numpy scalar's ** 2 is pow(), which can
+    # round apart from an array's x * x
+    y, frac = np.ravel(y), np.ravel(frac)
     near = np.abs(y) < FAR
-    whole = np.where(near, 0.0, np.sign(y))
+    whole = np.where(near, 0.0, np.sign(y)).reshape(shape)
+    if near.all():
+        h0, h1 = _h0_near(y)
+        return whole, (h0 + sign * h1).reshape(shape)
     # the far remainder over every point in one pass, a near one reading
     # FAR, costs less than gathering the far points; the closed form then
     # overwrites the near points
-    rest = np.asarray(_far_rest(np.where(near, FAR, y), frac, sign))
+    rest = _far_rest(np.where(near, FAR, y),
+                     (np.sin(np.pi * frac) / np.pi) ** 2, sign)
     if near.any():
-        yn = y[near]
-        rest[near] = _h0_near(yn) + sign * eval_H1(yn)
-    return whole, rest
+        h0, h1 = _h0_near(y[near])
+        rest[near] = h0 + sign * h1
+    return whole, rest.reshape(shape)
 
 
 def eval_H0(x):

@@ -4,10 +4,11 @@ Input files are plain text, one ordinate per line, '#' comments allowed,
 strictly ascending; one C-level parse reads a table, and only a table
 that breaks a rule is scanned line by line, for the line to report.
 Pair counts walk the diagonals j - i = k of the sorted window until one
-has no gap inside the largest window, so their cost grows with the pairs
-counted: at n = 10^4 a 51-beta grid up to beta = 3 takes 1.3 ms, one
-beta = 1 0.22 ms and one beta = 100 12 ms; the parse of the 10^4-line
-table takes 1.7 ms against 8.9 for a Python loop (2-core x86 host).  The
+has no gap inside the largest window, sort each diagonal's gaps inside
+it and count them by binary search, so their cost grows with the pairs
+counted: at n = 10^4 the 51 betas 0.5:3:0.05 take 0.25 ms, one beta = 1
+0.16 ms and one beta = 100 5.9 ms (2-core x86 host); the parse of the
+10^4-line table takes 1.7 ms against 8.9 for a Python loop.  The
 normalized exponential pair sum F(alpha) cuts the sorted window into
 blocks: pairs in nearby blocks are summed exactly, and pairs farther
 apart through a short exponential sum for the Cauchy weight carried
@@ -38,14 +39,18 @@ per alpha.  The 7 alphas 0:1.5:0.25 take 4.9 ms at n = 2,000 against
 n = 10^4 against 0.41 s, peaking at 21 MB (2-core x86 host); a float
 alpha is the one-alpha case of the same code.  The weighted pair sum of
 a Selberg majorant or minorant takes the same blocks: pairs up to
-`reach` blocks apart are summed exactly, 64 blocks per call of R, and
-past the gap from which both arguments x +/- gamma take the far branch
-of pcx.beurling, the summand is the Cauchy weight times a power series
-in 1/(d +/- c) and a cosine, which the same far field sums as two
-exponential sums, one smooth and one at the cosine's frequency.  That sum costs about 17 ms
-at n = 2,000 and 72 ms at n = 10^4 on a 2-core x86 host, against 0.36
-and 8.4 s for the direct sum over all pairs; the evaluation of R in the
-exact near field is most of it.  The direct loop over the unordered
+`reach` blocks apart are summed exactly, and past the gap from which
+both arguments x +/- gamma take the far branch of pcx.beurling, the
+summand is the Cauchy weight times a power series in 1/(d +/- c) and a
+cosine, which the same far field sums as two exponential sums, one
+smooth and one at the cosine's frequency.  In the exact part, a gap
+whose arguments are both far (71% of them at n = 2,000 and beta = 1)
+takes its two squared sines from unit phases, as F's near field takes
+its cosines, and the far remainder's series from pcx.beurling; only
+the others go through R, gathered from up to 64 x 256 gaps at a time.
+That sum costs about 9 ms at n = 2,000 and 46 ms at n = 10^4 on a
+2-core x86 host, against 0.36 and 8.4 s for the direct sum over all
+pairs.  The direct loop over the unordered
 pairs (one chunked loop, doubled for the even summands) now serves only
 the weighted pair sum of any other R and count_pairs_brute, the oracle
 of count_pairs.  Everything empirical is compared side by side with the
@@ -63,7 +68,7 @@ import numpy as np
 from .numerics import (DomainError, MonotonicityError, NonConvergence,
                        ParseError)
 from . import pcbounds
-from .beurling import FAR, SelbergFunction, far_series
+from .beurling import FAR, SelbergFunction, _far_rest, far_series
 
 # rows per block of the direct pair loop, which serves weighted_pair_sum
 # of an R other than a Selberg function and count_pairs_brute; measured
@@ -79,10 +84,14 @@ _BLOCK = 16
 # that 0:3:0.05 (61 alphas) there peaks at 21 MB, against 149 MB in one
 # pass; the 7 alphas of 0:1.5:0.25 take one pass
 _ALPHAS = 8
-# blocks per call of R in the exact near field of the weighted pair sum of
-# a Selberg function: at most 64 x 256 = 16,384 gaps, on which the R of
-# pcx.beurling peaks near 1.9 MB
+# blocks per piece of the exact near field of the weighted pair sum of a
+# Selberg function, up to 64 x 256 = 16,384 gaps, each summed as one array
 _NEAR = 64
+# near-field gaps held for one pass of R.time_eval, and the most it takes
+# per call: 8,192 points before R's switch peak near 1.6 MB in the R of
+# pcx.beurling
+_HELD = _NEAR * _BLOCK * _BLOCK
+_CALL = _HELD // 2
 # F sums a pair exactly unless its blocks lie at least as many blocks apart
 # as the first offset at which every gap reaches _REACH (2 on the shipped
 # table); beyond, _nodes is within 6.4e-15 of 4/(4+d^2)
@@ -202,28 +211,26 @@ def count_pairs(ds, T, beta):
     array of counts in its shape.  A pair (i, j) of the sorted window g
     counts at w = 2 pi beta / log T when 0 < g_j - g_i <= w, as in
     count_pairs_brute.  The window is walked one diagonal j - i = k at a
-    time, and each gap d counted at the first w of the sorted grid with
-    d <= w.  On sorted g a gap grows with k, so the walk ends at the
-    first diagonal with no gap inside the largest w.
+    time: its gaps up to the largest w are sorted, and each w counts
+    those up to it less those up to 0, by two binary searches per w.  On
+    sorted g a gap grows with k, so the walk ends at the first diagonal
+    with no gap inside the largest w.
     """
     b = np.asarray(beta, dtype=float)
     if not ((0 < b) & (b < math.inf)).all():
         raise DomainError("beta must be positive and finite")
     g = _window(ds, T)
     w = 2.0 * math.pi * b.reshape(-1) / math.log(T)
-    order = np.argsort(w)
-    w_sorted = w[order]
-    bins = np.zeros(len(w), dtype=np.int64)
+    top = w.max()
+    counts = np.zeros(len(w), dtype=np.int64)
     for k in range(1, len(g)):
         d = g[k:] - g[:-k]
-        d = d[d <= w_sorted[-1]]
+        d = d[d <= top]
         if not len(d):
             break
+        d.sort()
         # repeated ordinates give d = 0, which no w counts
-        bins += np.bincount(np.searchsorted(w_sorted, d[d > 0]),
-                            minlength=len(w))
-    counts = np.empty(len(w), dtype=np.int64)
-    counts[order] = np.cumsum(bins)
+        counts += np.searchsorted(d, w, "right") - np.searchsorted(d, 0.0, "right")
     return int(counts[0]) if b.ndim == 0 else counts.reshape(b.shape)
 
 
@@ -263,7 +270,7 @@ def weighted_pair_sum(ds, T, R):
         return np.asarray(R.time_eval(d * scale)) * 4.0 / (4.0 + d ** 2)
 
     if isinstance(R, SelbergFunction):
-        pairs = _selberg_pairs(g, R, scale, term)
+        pairs = _selberg_pairs(g, R, scale)
     else:
         pairs = float(_pair_sum(g, term))
     return len(g) * float(term(np.zeros(1))[0]) + 2.0 * pairs
@@ -391,34 +398,23 @@ def _selberg_nodes(R, a, d0):
     return t, norm * smooth, -norm * np.exp(1j * k * d0) * oscillating
 
 
-def _selberg_pairs(g, R, scale, term):
-    """Sum of term(d) = R(scale d) C(d) over the unordered pairs of the
-    sorted window g, for a Selberg function R.
+def _selberg_pairs(g, R, scale):
+    """Sum of R(scale d) C(d), C(d) = 4/(4+d^2), over the unordered pairs
+    of the sorted window g, for a Selberg function R.
 
     On the blocks of F, pairs inside a block and up to `reach` blocks
-    apart are summed exactly by term (the padding masked).  reach is the
-    first offset at which every gap reaches both _REACH and the gap
-    d_far = (gamma + FAR) / (dilation scale) from which R takes its far
-    branch.  Every farther pair takes the closed form of _selberg_nodes,
-    in one far field at the frequencies 0 and k: the smooth part's weights
-    at 0, the oscillating part's at k.
+    apart are summed exactly by _selberg_near.  reach is the first offset
+    at which every gap reaches both _REACH and the gap d_far = (gamma +
+    FAR) / (dilation scale) from which R takes its far branch.  Every
+    farther pair takes the closed form of _selberg_nodes, in one far field
+    at the frequencies 0 and k: the smooth part's weights at 0, the
+    oscillating part's at k.
     """
     G, real = _blocks(g)
     nb = len(G)
     a = R.dilation * scale
     reach = _reach(G, max(_REACH, (R.gamma + FAR) / a))
-    i, j = np.triu_indices(_BLOCK, 1)
-    near = 0.0
-    # term takes at most _NEAR blocks at a time, which bounds its
-    # temporaries
-    for lo in range(0, nb, _NEAR):
-        A, a_real = G[lo:lo + _NEAR], real[lo:lo + _NEAR]
-        near += np.sum(term(A[:, j] - A[:, i]) * (a_real[:, i] * a_real[:, j]))
-        for o in range(1, min(reach, nb - lo)):
-            B, b_real = G[lo + o:lo + o + _NEAR], real[lo + o:lo + o + _NEAR]
-            d = B[:, np.newaxis, :] - A[:len(B), :, np.newaxis]
-            near += np.sum(term(d) * (a_real[:len(B), :, np.newaxis]
-                                      * b_real[:, np.newaxis, :]))
+    near = _selberg_near(G, real, R, scale, reach)
     if reach >= nb:
         return float(near)
     d0 = _min_gap(G, reach)
@@ -429,6 +425,114 @@ def _selberg_pairs(g, R, scale, term):
     far = _far_field(G, phase, reach, k, t,
                      np.stack([smooth, oscillating], axis=1), d0)
     return float(near) + float(far[0]) + float(far[1])
+
+
+def _near_pieces(G, real, a, reach):
+    """The pairs of the blocks G inside a block (j > i) and up to reach - 1
+    blocks apart, one piece per run of up to _NEAR blocks and offset, as
+    (d, mask, ei, ej): the gaps d, the product of the 0/1 masks of their
+    ends, and factors whose product conj(ei) ej is exp(i pi a d).  ei is
+    the unit phase exp(i pi a (x - left edge)) of the lower end; ej that
+    of the upper end, times one hop exp(i pi a (left_{b+o} - left_b)) per
+    block pair when the ends lie in blocks b and b + o.  So no phase of a
+    large argument is taken, and apart from inside a block (i and j of
+    the upper triangle) the factors are per ordinate, broadcast against
+    each other."""
+    nb = len(G)
+    left = G[:, 0]
+    phase = np.exp(1j * math.pi * a * (G - left[:, np.newaxis]))
+    i, j = np.triu_indices(_BLOCK, 1)
+    for lo in range(0, nb, _NEAR):
+        A, a_real, e = G[lo:lo + _NEAR], real[lo:lo + _NEAR], phase[lo:lo + _NEAR]
+        yield (A[:, j] - A[:, i], a_real[:, i] * a_real[:, j], e[:, i], e[:, j])
+        for o in range(1, min(reach, nb - lo)):
+            B, b_real = G[lo + o:lo + o + _NEAR], real[lo + o:lo + o + _NEAR]
+            m = len(B)
+            hop = np.exp(1j * math.pi * a * (B[:, 0] - A[:m, 0]))
+            yield (B[:, np.newaxis, :] - A[:m, :, np.newaxis],
+                   a_real[:m, :, np.newaxis] * b_real[:, np.newaxis, :],
+                   e[:m, :, np.newaxis],
+                   (phase[lo + o:lo + o + m] * hop[:, np.newaxis])[:, np.newaxis, :])
+
+
+def _far_branch(d, ei, ej, R, scale):
+    """R(scale d) at the gaps d where both arguments u = x + gamma and v =
+    gamma - x of r_gamma, x = dilation scale d, take the far branch, and
+    the flat indices of the other gaps, whose entries hold no value of R.
+
+    There R = (sgn(u) + sgn(v) + rest(u) + rest(v)) / 2, rest the far
+    remainder of pcx.beurling, as eval_r takes it; u >= gamma, so both are
+    far where |v| >= FAR: from x = gamma + FAR on, and for gamma >= FAR
+    also up to x = gamma - FAR.  The squared sines of rest come from the
+    factors conj(ei) ej = exp(i pi x) of _near_pieces and e = exp(i pi
+    (gamma - rint gamma)): sin(pi u) = Im(conj(ei) ej e) and sin(pi v) =
+    Im(ei conj(ej conj(e))), in place of a sine per argument."""
+    u = R.dilation * (d * scale)
+    v = R.gamma - u
+    u += R.gamma
+    nearer = np.flatnonzero(np.abs(v) < FAR)
+    # the nearer gaps read the switch, where the far remainder is finite
+    np.put(u, nearer, FAR)
+    np.put(v, nearer, -FAR)
+    # e / pi, which the squares of the sines take as 1 / pi^2
+    e = np.exp(1j * math.pi * (R.gamma - round(R.gamma))) / math.pi
+    f = ej * e
+    s = ei.real * f.imag
+    s -= ei.imag * f.real
+    s *= s
+    rest = _far_rest(u, s, R.sign)
+    del u
+    f = ej * np.conj(e)
+    s = ei.imag * f.real
+    s -= ei.real * f.imag
+    s *= s
+    rest += _far_rest(v, s, R.sign)
+    if R.gamma >= FAR:
+        # sgn(u) + sgn(v), 0 or 2, exactly; below FAR every far v is negative
+        rest += np.sign(v) + 1.0
+    rest *= 0.5
+    return rest, nearer
+
+
+def _selberg_near(G, real, R, scale, reach):
+    """The exact part of _selberg_pairs: sum of R(scale d) C(d) over the
+    pairs of _near_pieces, the padding masked, each piece summed on its
+    own and in order.  _far_branch gives R past its switch from the
+    pieces' phases, and the summands follow at once; those of the gaps
+    before the switch wait, with the gaps and masks they need, until the
+    pieces held reach _HELD gaps, and then all go through R.time_eval
+    together (_settle)."""
+    near = 0.0
+    held, size = [], 0
+    for d, mask, ei, ej in _near_pieces(G, real, R.dilation * scale, reach):
+        values, nearer = _far_branch(d, ei, ej, R, scale)
+        held.append((values * 4.0 / (4.0 + d ** 2) * mask, nearer,
+                     np.take(d, nearer), np.take(mask, nearer)))
+        size += d.size
+        # what is held is all that _settle needs
+        del d, mask, ei, ej, values
+        if size >= _HELD:
+            near = _settle(held, near, R, scale)
+            held, size = [], 0
+    return _settle(held, near, R, scale) if held else near
+
+
+def _settle(held, near, R, scale):
+    """near plus the sums of the pieces held, once the summands of their
+    gaps before R's switch are put in by flat index (into the contiguous
+    arrays of _selberg_near): R.time_eval takes those gaps _CALL at a
+    time, which bounds its temporaries."""
+    gaps = np.concatenate([d for _, _, d, _ in held])
+    values = np.empty_like(gaps)
+    for lo in range(0, len(gaps), _CALL):
+        values[lo:lo + _CALL] = R.time_eval(gaps[lo:lo + _CALL] * scale)
+    at = 0
+    for terms, nearer, d, mask in held:
+        r = values[at:at + len(d)]
+        at += len(d)
+        np.put(terms, nearer, r * 4.0 / (4.0 + d ** 2) * mask)
+        near += np.sum(terms)
+    return near
 
 
 def _taylor(t, span):

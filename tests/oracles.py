@@ -112,9 +112,12 @@ def _v_lerch_parts(delta, beta):
                 - mpmath.sin(a * u) * d / (mpmath.pi * u)) / u ** 2
 
     def tail(m):
-        # the sum of bracket(m + k) over k >= 0
-        z = mpmath.expj(a)
-        p2, p3 = (mpmath.expj(a * m) * mpmath.lerchphi(z, q, m)
+        # the sum of bracket(m + k) over k >= 0; z = exp(i a) is taken as
+        # expjpi(2 / d), exactly 1 at delta = 1, where lerchphi is the
+        # Hurwitz zeta rather than a quadrature (40 times faster, and the
+        # same 40 digits)
+        z = mpmath.expjpi(2 / d)
+        p2, p3 = (mpmath.expjpi(2 * m / d) * mpmath.lerchphi(z, q, m)
                   for q in (2, 3))
         return ((d + 1) * mpmath.zeta(2, m) - (d - 1) * mpmath.re(p2)
                 - d / mpmath.pi * mpmath.im(p3))

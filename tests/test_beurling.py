@@ -147,14 +147,16 @@ def test_far_branch_against_mpmath():
 def _h_split_masked(y, sign, frac):
     """The reference for _h_split: each branch run on its own points
     alone, the far remainder on the far points and the closed form on the
-    near ones."""
+    near ones, the latter with a sine each for sinc^2, (sin(pi y)/pi)^2
+    and H1, which the one sine of _h0_near must match bit for bit."""
     near = np.abs(y) < bs.FAR
     far = ~near
     whole = np.where(near, 0.0, np.sign(y))
     rest = np.empty(np.shape(y))
-    rest[far] = bs._far_rest(y[far], frac[far], sign)
+    rest[far] = bs._far_rest(y[far], (np.sin(np.pi * frac[far]) / np.pi) ** 2,
+                             sign)
     yn = y[near]
-    rest[near] = bs._h0_near(yn) + sign * bs.eval_H1(yn)
+    rest[near] = _single_formula_H0(yn) + sign * np.sinc(yn) ** 2
     return whole, rest
 
 
@@ -277,7 +279,7 @@ def test_far_series_is_the_far_branch():
         for yy in (y, -y):
             frac = yy - np.rint(yy)
             series = sum(q * yy ** -float(m) for m, q in bs.far_series(sign))
-            want = bs._far_rest(yy, frac, sign)
+            want = bs._far_rest(yy, (np.sin(np.pi * frac) / np.pi) ** 2, sign)
             got = (np.sin(np.pi * frac) / np.pi) ** 2 * series
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
     pair = bs.make_selberg_pair(0.7, 1.5)

@@ -478,9 +478,10 @@ def _peak_bytes(fn):
 
 def test_pair_sums_working_set(dataset):
     # one F over the shipped table peaks at 4.44 MB and the beta = 1
-    # majorant's pair sum over the first 2,000 zeros at 2.17 MB; with whole
-    # (blocks, 16, nodes) and (blocks, 16, 16) temporaries they take 9.40
-    # and 4.15 MB.  The bounds lie 6% and 15% above the measured peaks
+    # majorant's pair sum over the first 2,000 zeros at 2.05 MB (2.17 MB
+    # with every near gap through R); with whole (blocks, 16, nodes) and
+    # (blocks, 16, 16) temporaries they take 9.40 and 4.15 MB.  The bounds
+    # lie 6% and 22% above the measured peaks
     T = dataset.t_max
     assert _peak_bytes(lambda: zd.empirical_F(dataset, T, 1.0)) <= 4.7e6
     sub = zd.ZeroDataset(ordinates=dataset.ordinates[:2000],
@@ -644,6 +645,50 @@ def test_selberg_pair_sum_reference(dataset):
     assert got.hex() == "0x1.c7f4101968596p+11"
     got = zd.weighted_pair_sum(sub, sub.t_max, pair.minorant)
     assert got.hex() == "0x1.00d7ce64119e8p+11"
+
+
+def _near_field_window(dataset, R, start):
+    """The blocks of the shipped table from ordinate `start` on, as many
+    as reach two blocks past the first offset whose gaps are all past R's
+    switch, with the scale and that offset, as _selberg_pairs takes them."""
+    n = 4 * B
+    while True:
+        g = dataset.ordinates[start:start + n]
+        scale = math.log(g[-1]) / (2 * math.pi)
+        G, real = zd._blocks(g)
+        reach = zd._reach(G, max(zd._REACH,
+                                 (R.gamma + FAR) / (R.dilation * scale)))
+        if reach + 2 <= len(G):
+            return G, real, scale, reach
+        n *= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.01, 200.0), st.floats(1.0, 2.0), st.sampled_from([1, -1]),
+       st.integers(0, 8000))
+def test_selberg_near_field_far_branch(dataset, beta, delta, sign, start):
+    # R from the near field's unit phases, at every gap of its pieces
+    # where both arguments of r_gamma take the far branch, against
+    # R.time_eval to 1e-15, on the block spans of the shipped table from a
+    # random start; the other gaps are exactly those where eval_r takes
+    # an argument nearer, and both kinds occur
+    pair = make_selberg_pair(beta, delta)
+    R = pair.majorant if sign > 0 else pair.minorant
+    G, real, scale, reach = _near_field_window(dataset, R, start)
+    seen = np.zeros(2, dtype=int)
+    for d, _, ei, ej in zd._near_pieces(G, real, R.dilation * scale, reach):
+        got, nearer = zd._far_branch(d, ei, ej, R, scale)
+        d, got = d.reshape(-1), got.reshape(-1)
+        x = R.dilation * (d * scale)
+        far = np.ones(d.size, dtype=bool)
+        far[nearer] = False
+        assert np.array_equal(far, (np.abs(x + R.gamma) >= FAR)
+                              & (np.abs(R.gamma - x) >= FAR))
+        if far.any():
+            err = np.abs(got[far] - R.time_eval(d[far] * scale))
+            assert np.max(err) <= 1e-15
+        seen += [np.count_nonzero(far), len(nearer)]
+    assert seen.all()
 
 
 @pytest.mark.parametrize("beta", [0.01, 1.0, 47.3, 1000.0])
