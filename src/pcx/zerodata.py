@@ -47,7 +47,8 @@ smooth and one at the cosine's frequency.  In the exact part, a gap
 whose arguments are both far (71% of them at n = 2,000 and beta = 1)
 takes its two squared sines from unit phases, as F's near field takes
 its cosines, and the far remainder's series from pcx.beurling; only
-the others go through R, gathered from up to 64 x 256 gaps at a time.
+the others go through R, gathered from pieces of up to 64 x 256 gaps
+until these hold that many, and passed to R 8,192 at a time.
 That sum costs about 9 ms at n = 2,000 and 46 ms at n = 10^4 on a
 2-core x86 host, against 0.36 and 8.4 s for the direct sum over all
 pairs.  The direct loop over the unordered
@@ -481,6 +482,7 @@ def _far_branch(d, ei, ej, R, scale):
     s -= ei.imag * f.real
     s *= s
     rest = _far_rest(u, s, R.sign)
+    # freed before the second remainder's temporaries
     del u
     f = ej * np.conj(e)
     s = ei.imag * f.real

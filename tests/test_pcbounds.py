@@ -408,10 +408,10 @@ def _rest_40(beta):
 
 
 def test_delta_one_closed_form_against_lerch_oracle():
-    # m = beta + s/2 - rest - V at 40 digits, with V from v_lerch; beta
-    # within 1e-4 of an integer or of 0 is where the window's direct
-    # formula cancelled (3.5e-10 off at 2.0001); v_lerch divides by zero
-    # at an integer beta
+    # m = beta + s/2 - rest - V at 40 digits, with V from the lattice
+    # series of v_lerch; beta within 1e-4 of an integer or of 0 is where
+    # the window's direct formula cancelled (3.5e-10 off at 2.0001);
+    # v_lerch divides by zero at an integer beta
     rng = np.random.default_rng(33)
     betas = np.concatenate([
         rng.uniform(0.05, 50.0, 40),
