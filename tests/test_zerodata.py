@@ -651,8 +651,7 @@ def _near_field_window(dataset, R, start):
     """The blocks of the shipped table from ordinate `start` on, as many
     as reach two blocks past the first offset whose gaps are all past R's
     switch, with the scale and that offset, as _selberg_pairs takes them."""
-    n = 4 * B
-    while True:
+    for n in B * 2 ** np.arange(2, 8):
         g = dataset.ordinates[start:start + n]
         scale = math.log(g[-1]) / (2 * math.pi)
         G, real = zd._blocks(g)
@@ -660,7 +659,7 @@ def _near_field_window(dataset, R, start):
                                  (R.gamma + FAR) / (R.dilation * scale)))
         if reach + 2 <= len(G):
             return G, real, scale, reach
-        n *= 2
+    raise AssertionError("no window of up to 2,048 ordinates reaches")
 
 
 @settings(max_examples=40, deadline=None)
