@@ -3,8 +3,10 @@ one over find_root's roots and callback counts on seeded random grids for
 both step rules, one over the dilated Selberg masses, one over the
 delta = 1 bound tables and one over their conjecture column alone, one
 over the delta = 1 Selberg masses and their asymptotic forms, one over
-trigamma and tetragamma, and one over the sine integral.  A change that is meant to keep every bit (a speed-up, a
-refactor) keeps the digests; one that moves a bit on purpose recomputes
+trigamma and tetragamma, one over the sine integral, one over the
+Selberg functions, one over the pair counts of the shipped table and one
+over its Selberg-weighted pair sums.  A change that is meant to keep
+every bit (a speed-up, a refactor) keeps the digests; one that moves a bit on purpose recomputes
 them and says why."""
 
 import hashlib
@@ -16,8 +18,8 @@ from pcx import debranges as db
 from pcx import numerics as nm
 from pcx import pcbounds as pb
 from pcx import special as sp
-from pcx.beurling import FAR, eval_H0, eval_r
-from pcx.zerodata import count_pairs
+from pcx.beurling import FAR, eval_H0, eval_r, make_selberg_pair
+from pcx.zerodata import ZeroDataset, count_pairs, weighted_pair_sum
 
 
 def _lambda_betas(E):
@@ -230,3 +232,19 @@ def test_count_pairs_digest(dataset):
                             for b in (1.0, 10.0, 100.0)]).tobytes())
     assert digest.hexdigest() == (
         "a3bb3f823302d24ff575f46957dfba4fc5354bd1b08845e19751dcfe5706f65a")
+
+
+def test_weighted_pair_sum_digest(dataset):
+    # both sides of the Selberg pair at seven (beta, delta) over the first
+    # 2,000 shipped ordinates, which reach the far field at every one, and
+    # the beta = 1 pair over the whole table
+    sub = ZeroDataset(ordinates=dataset.ordinates[:2000], source=dataset.source,
+                      t_max=float(dataset.ordinates[1999]))
+    cases = [(sub, beta, delta) for beta, delta in (
+        (1.0, 1.0), (0.37, 1.0), (7.3, 1.0), (2.6, 1.5), (47.3, 1.7),
+        (200.0, 2.0), (0.01, 1.0))] + [(dataset, 1.0, 1.0)]
+    pairs = [(ds, make_selberg_pair(beta, delta)) for ds, beta, delta in cases]
+    sums = [weighted_pair_sum(ds, ds.t_max, R)
+            for ds, pair in pairs for R in (pair.majorant, pair.minorant)]
+    assert hashlib.sha256(np.array(sums).tobytes()).hexdigest() == (
+        "29d2ff4da87194795021afa8c64249a65f5c8a186aa57a1e8ebb27e18eaa7d1b")
