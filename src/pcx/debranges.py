@@ -424,8 +424,9 @@ def quadrature_check(F, which, beta=None, E=None):
 
     which: one of A_nodes, B_nodes, A_beta_nodes, B_beta_nodes; the tilted
     variants need beta and take the nodes and weights of tilt(beta).
-    With 30 or more nodes the node sum is extrapolated past X_MAX, and
-    NonConvergence is raised when that estimate exceeds NODE_TOL.
+    The node sum is extrapolated past X_MAX from its partial sums at the
+    last six nodes, five apart, and NonConvergence is raised when that
+    estimate exceeds NODE_TOL.
     E, when given, must be build_E(), the one structure function.
     Returns (integral, node_sum).
     """
@@ -453,19 +454,12 @@ def quadrature_check(F, which, beta=None, E=None):
     fv_neg = np.asarray(F.time_eval(-nodes), dtype=float)
     pair = fv * weights + np.where(nodes > 0, fv_neg * weights, 0.0)
 
-    order = np.argsort(nodes)
-    nodes_o = nodes[order]
-    cum = np.cumsum(pair[order])
-    m = len(cum)
-    if m >= 30:
-        idx = np.array([m - 1 - 5 * j for j in range(6)][::-1])
-        value, est = extrapolate_to_zero(1.0 / nodes_o[idx], cum[idx])
-        if est > NODE_TOL:
-            raise NonConvergence(
-                f"node tail beyond x_max may contribute {est:.2e}")
-        node_sum = value
-    else:
-        node_sum = float(cum[-1])
+    # every node system ascends and holds at least 60 nodes
+    cum = np.cumsum(pair)
+    idx = len(cum) - 1 - 5 * np.arange(6)[::-1]
+    node_sum, est = extrapolate_to_zero(1.0 / nodes[idx], cum[idx])
+    if est > NODE_TOL:
+        raise NonConvergence(f"node tail beyond x_max may contribute {est:.2e}")
     return integral, node_sum
 
 

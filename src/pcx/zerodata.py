@@ -47,8 +47,8 @@ smooth and one at the cosine's frequency.  In the exact part, a gap
 whose arguments are both far (71% of them at n = 2,000 and beta = 1)
 takes its two squared sines from unit phases, as F's near field takes
 its cosines, and the far remainder's series from pcx.beurling; only
-the others go through R, gathered from pieces of up to 64 x 256 gaps
-until these hold that many, and passed to R 8,192 at a time.
+the others go through R, piece by piece (up to 64 x 256 gaps each) and
+8,192 at a time.
 That sum costs about 9 ms at n = 2,000 and 46 ms at n = 10^4 on a
 2-core x86 host, against 0.36 and 8.4 s for the direct sum over all
 pairs.  The direct loop over the unordered
@@ -88,11 +88,9 @@ _ALPHAS = 8
 # blocks per piece of the exact near field of the weighted pair sum of a
 # Selberg function, up to 64 x 256 = 16,384 gaps, each summed as one array
 _NEAR = 64
-# near-field gaps held for one pass of R.time_eval, and the most it takes
-# per call: 8,192 points before R's switch peak near 1.6 MB in the R of
-# pcx.beurling
-_HELD = _NEAR * _BLOCK * _BLOCK
-_CALL = _HELD // 2
+# the most points of a piece that R.time_eval takes per call: 8,192 points
+# before R's switch peak near 1.6 MB in the R of pcx.beurling
+_CALL = 8192
 # F sums a pair exactly unless its blocks lie at least as many blocks apart
 # as the first offset at which every gap reaches _REACH (2 on the shipped
 # table); beyond, _nodes is within 6.4e-15 of 4/(4+d^2)
@@ -222,7 +220,8 @@ def count_pairs(ds, T, beta):
         raise DomainError("beta must be positive and finite")
     g = _window(ds, T)
     w = 2.0 * math.pi * b.reshape(-1) / math.log(T)
-    top = w.max()
+    # an empty grid ends the walk at k = 1
+    top = w.max(initial=0.0)
     counts = np.zeros(len(w), dtype=np.int64)
     for k in range(1, len(g)):
         d = g[k:] - g[:-k]
@@ -500,40 +499,16 @@ def _selberg_near(G, real, R, scale, reach):
     """The exact part of _selberg_pairs: sum of R(scale d) C(d) over the
     pairs of _near_pieces, the padding masked, each piece summed on its
     own and in order.  _far_branch gives R past its switch from the
-    pieces' phases, and the summands follow at once; those of the gaps
-    before the switch wait, with the gaps and masks they need, until the
-    pieces held reach _HELD gaps, and then all go through R.time_eval
-    together (_settle)."""
+    piece's phases; the piece's other gaps go through R.time_eval, _CALL
+    at a time, which bounds its temporaries, and are put in by flat
+    index."""
     near = 0.0
-    held, size = [], 0
     for d, mask, ei, ej in _near_pieces(G, real, R.dilation * scale, reach):
         values, nearer = _far_branch(d, ei, ej, R, scale)
-        held.append((values * 4.0 / (4.0 + d ** 2) * mask, nearer,
-                     np.take(d, nearer), np.take(mask, nearer)))
-        size += d.size
-        # what is held is all that _settle needs
-        del d, mask, ei, ej, values
-        if size >= _HELD:
-            near = _settle(held, near, R, scale)
-            held, size = [], 0
-    return _settle(held, near, R, scale) if held else near
-
-
-def _settle(held, near, R, scale):
-    """near plus the sums of the pieces held, once the summands of their
-    gaps before R's switch are put in by flat index (into the contiguous
-    arrays of _selberg_near): R.time_eval takes those gaps _CALL at a
-    time, which bounds its temporaries."""
-    gaps = np.concatenate([d for _, _, d, _ in held])
-    values = np.empty_like(gaps)
-    for lo in range(0, len(gaps), _CALL):
-        values[lo:lo + _CALL] = R.time_eval(gaps[lo:lo + _CALL] * scale)
-    at = 0
-    for terms, nearer, d, mask in held:
-        r = values[at:at + len(d)]
-        at += len(d)
-        np.put(terms, nearer, r * 4.0 / (4.0 + d ** 2) * mask)
-        near += np.sum(terms)
+        x = np.take(d, nearer) * scale
+        for lo in range(0, len(x), _CALL):
+            np.put(values, nearer[lo:lo + _CALL], R.time_eval(x[lo:lo + _CALL]))
+        near += np.sum(values * 4.0 / (4.0 + d ** 2) * mask)
     return near
 
 
