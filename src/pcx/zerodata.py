@@ -48,10 +48,9 @@ whose arguments are both far (71% of them at n = 2,000 and beta = 1)
 takes its two squared sines from unit phases, as F's near field takes
 its cosines, and the far remainder's series from pcx.beurling; only
 the others go through R, piece by piece (up to 64 x 256 gaps each) and
-8,192 at a time.
-That sum costs about 9 ms at n = 2,000 and 46 ms at n = 10^4 on a
-2-core x86 host, against 0.36 and 8.4 s for the direct sum over all
-pairs.  The direct loop over the unordered
+8,192 at a time.  That sum costs about 10 ms at n = 2,000 and 45 ms at
+n = 10^4 on a 2-core x86 host, against 0.36 and 8.4 s for the direct
+sum over all pairs.  The direct loop over the unordered
 pairs (one chunked loop, doubled for the even summands) now serves only
 the weighted pair sum of any other R and count_pairs_brute, the oracle
 of count_pairs.  Everything empirical is compared side by side with the

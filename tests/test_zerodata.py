@@ -478,11 +478,11 @@ def _peak_bytes(fn):
 
 def test_pair_sums_working_set(dataset):
     # one F over the shipped table peaks at 4.46 MB and the beta = 1
-    # majorant's pair sum over the first 2,000 zeros at 1.71 MB (2.05 MB
-    # when the near field held pieces across iterations for fewer calls of
-    # R); with whole (blocks, 16, nodes) and (blocks, 16, 16) temporaries
-    # they take 9.40 and 4.15 MB.  The bounds lie 5% and 17% above the
-    # measured peaks
+    # majorant's pair sum over the first 2,000 zeros at 1.71 MB; with whole
+    # (blocks, 16, nodes) and (blocks, 16, 16) temporaries they take 9.40
+    # and 4.15 MB.  The bounds lie 5% and 17% above the measured peaks; the
+    # second is below the 2.05 MB of a near field that holds its pieces
+    # until enough gaps gather for R
     T = dataset.t_max
     assert _peak_bytes(lambda: zd.empirical_F(dataset, T, 1.0)) <= 4.7e6
     sub = zd.ZeroDataset(ordinates=dataset.ordinates[:2000],
