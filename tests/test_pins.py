@@ -4,8 +4,9 @@ both step rules, one over the dilated Selberg masses, one over the
 delta = 1 bound tables and one over their conjecture column alone, one
 over the delta = 1 Selberg masses and their asymptotic forms, one over
 trigamma and tetragamma, one over the sine integral, one over the
-Selberg functions, one over the pair counts of the shipped table and one
-over its Selberg-weighted pair sums.  A change that is meant to keep
+Selberg functions, one over the pair counts of the shipped table, one
+over its Selberg-weighted pair sums and one over the structure function's
+companion zeros, phase table and Fejer node sums.  A change that is meant to keep
 every bit (a speed-up, a refactor) keeps the digests; one that moves a bit on purpose recomputes
 them and says why."""
 
@@ -18,7 +19,8 @@ from pcx import debranges as db
 from pcx import numerics as nm
 from pcx import pcbounds as pb
 from pcx import special as sp
-from pcx.beurling import FAR, eval_H0, eval_r, make_selberg_pair
+from pcx.beurling import (FAR, BandlimitedFunction, eval_H0, eval_r,
+                          make_selberg_pair)
 from pcx.zerodata import ZeroDataset, count_pairs, weighted_pair_sum
 
 
@@ -248,3 +250,18 @@ def test_weighted_pair_sum_digest(dataset):
             for ds, pair in pairs for R in (pair.majorant, pair.minorant)]
     assert hashlib.sha256(np.array(sums).tobytes()).hexdigest() == (
         "29d2ff4da87194795021afa8c64249a65f5c8a186aa57a1e8ebb27e18eaa7d1b")
+
+
+def test_structure_function_digest(E):
+    # build_E()'s companion zeros, phase table and Taylor coefficients at
+    # 0, and the Fejer kernel's (integral, node sum) on the A and B nodes
+    digest = hashlib.sha256()
+    for a in (E.zeros_A, E.zeros_B, *E.phase):
+        digest.update(a.tobytes())
+    digest.update(np.array(E.B_odd + E.A_even).tobytes())
+    fejer = BandlimitedFunction(2.0 * np.pi,
+                                lambda x: np.sinc(np.asarray(x)) ** 2)
+    for which in ("A_nodes", "B_nodes"):
+        digest.update(np.array(db.quadrature_check(fejer, which)).tobytes())
+    assert digest.hexdigest() == (
+        "ebc07fb177a47633e690eb43cf929bf3bac1725100ba77c34f0d6f941dc6feed")
