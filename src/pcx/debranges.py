@@ -26,7 +26,7 @@ that row as well: K(x,x) = -Im(E'(x) conj E(x)) / pi on the real line
 (the Wronskian of A and B over pi), so no node needs the kernel itself.
 
 A tilt's nodes start from E's phase.  build_E tabulates phi and phi' =
--Im(E'/E) at x = 0, 1/32, ..., x_max + 2 from one call of the slope row.
+-Im(E'/E) at x = 0, 1/32, ..., X_MAX + 2 from one call of the slope row.
 E_beta's phase is psi = phi + atan(qx/p), so the node of each cell lies
 where psi crosses (k + 1/2) pi (A-type) or k pi (B-type), and inverse
 cubic Hermite interpolation on the table predicts it within 2e-7
@@ -90,12 +90,11 @@ class HermiteBiehler:
     E_slope_eval: Callable
     zeros_A: np.ndarray
     zeros_B: np.ndarray
-    x_max: float
     # B_1, B_3, B_5, B_7 of B(x) = sum_k B_k x^k near 0 (B is odd)
     B_odd: tuple
     # A_0, A_2, ..., A_8 of A(x) = sum_k A_k x^k near 0 (A is even)
     A_even: tuple
-    # the phase table: x = 0, 1/32, ..., x_max + 2, the phase phi(x) =
+    # the phase table: x = 0, 1/32, ..., X_MAX + 2, the phase phi(x) =
     # -arg E(x) (unwrapped, phi(0) = 0) and its slope -Im(E'(x)/E(x))
     phase: tuple
 
@@ -105,7 +104,7 @@ class TiltedSpace:
     """The de Branges space of E_beta(z) = (p - iqz) E(z), with (p, q) a
     unit vector, p > 0 and q >= 0, chosen so that beta is a root of the node
     function named by regime (see tilt).  nodes are its roots, one per cell
-    of _nodes over [0, max(x_max, beta)] with beta exact among them, weights
+    of _nodes over [0, max(X_MAX, beta)] with beta exact among them, weights
     their masses (p^2 + q^2 x^2) / K_beta(x,x), and lambda_plus/minus the
     node sums over |x| <= beta and |x| < beta."""
     beta: float
@@ -144,15 +143,9 @@ def _nodes(fn, offset, x_hi, starts=None):
 
 @cache
 def build_E():
-    """The structure function E of the space, with its companion zeros
-    resolved up to X_MAX."""
-    return _hermite_biehler(X_MAX)
-
-
-def _hermite_biehler(x_max):
-    """E with the zeros of A and B resolved up to x_max: every A-zero up
-    to x_max, and the B-zeros from 0 through the first one past the last
-    of them."""
+    """The structure function E of the space, with the zeros of A and B
+    resolved up to X_MAX: every A-zero up to X_MAX, and the B-zeros from 0
+    through the first one past the last of them."""
     l_ii = 4.0 * math.pi * kernel_eval(1j, 1j).real
     if l_ii <= 0:
         raise RootMiss("diagonal normalization is not positive")
@@ -178,12 +171,12 @@ def _hermite_biehler(x_max):
         e[1] -= r[0]
         return e.reshape((2,) + z.shape)
 
-    # a_k > k - 3/4, so at most ceil(x_max) A-zeros lie below x_max, and
-    # the ceil(x_max) + 1 B-zeros found reach past the last of them
-    zeros_a = _nodes(_node_function(E_slope_eval, 1.0, 0.0, 1.0), 0.75, x_max)
-    zeros_a = zeros_a[zeros_a <= x_max]
+    # a_k > k - 3/4, so at most ceil(X_MAX) A-zeros lie below X_MAX, and
+    # the ceil(X_MAX) + 1 B-zeros found reach past the last of them
+    zeros_a = _nodes(_node_function(E_slope_eval, 1.0, 0.0, 1.0), 0.75, X_MAX)
+    zeros_a = zeros_a[zeros_a <= X_MAX]
     zeros_b = _nodes(_node_function(E_slope_eval, 1.0, 0.0, 1.0j), 0.25,
-                     x_max)[:len(zeros_a) + 1]
+                     X_MAX)[:len(zeros_a) + 1]
     # on the real line E = (-i - x) r(x) gives B = Re r + x Im r, so with
     # c_n the Taylor coefficients of r at 0, B_k = Re c_k + Im c_(k-1)
     c = _row_taylor(a, -1j, 8)
@@ -191,12 +184,12 @@ def _hermite_biehler(x_max):
     # and A = Im r - x Re r, so A_k = Im c_k - Re c_(k-1)
     a_even = (float(c[0].imag),) + tuple(
         float(c[k].imag - c[k - 1].real) for k in (2, 4, 6, 8))
-    x = np.arange(32.0 * x_max + 65.0) / 32.0
+    x = np.arange(32.0 * X_MAX + 65.0) / 32.0
     e, e1 = E_slope_eval(x)
     phase = (x, -np.unwrap(np.angle(e)), -np.imag(e1 / e))
     return HermiteBiehler(E_eval=E_eval, E_slope_eval=E_slope_eval,
-                          zeros_A=zeros_a, zeros_B=zeros_b, x_max=float(x_max),
-                          B_odd=b_odd, A_even=a_even, phase=phase)
+                          zeros_A=zeros_a, zeros_B=zeros_b, B_odd=b_odd,
+                          A_even=a_even, phase=phase)
 
 
 def _node_function(E_slope_eval, p, q, part):
@@ -352,13 +345,12 @@ def tilt(beta):
     Below B_SERIES_TOP, B(beta) comes from its odd Taylor series; below
     beta = 7.19e-155, where p = beta |B(beta)| is no normal float,
     DomainError.
-    The nodes come from _nodes over [0, max(x_max, beta)], started from
+    The nodes come from _nodes over [0, max(X_MAX, beta)], started from
     E's phase, the one nearest beta set to beta; A_beta's first may lie
     near 0 (about sqrt(p/q)), and starts from the Taylor series at 0.
     """
     p, q, regime, part = _tilt_params(beta)
-    nodes, weights = _tilted_nodes(beta, p, q, part,
-                                   max(build_E().x_max, beta))
+    nodes, weights = _tilted_nodes(beta, p, q, part, max(X_MAX, beta))
     lp, lm = _masses(nodes, weights, beta)
     return TiltedSpace(beta=beta, p=p, q=q, regime=regime, nodes=nodes,
                        weights=weights, lambda_plus=lp, lambda_minus=lm)
@@ -417,13 +409,11 @@ def case3_majorant(beta):
     return BandlimitedFunction(type_bound=2.0 * math.pi, time_eval=time_eval)
 
 
-def quadrature_check(F, which, beta=None, E=None):
+def quadrature_check(F, which, E=None):
     """Mass of F against the pair correlation density two ways: M(F) by
-    quadrature (pcbounds.m_of) and the node sum with the weights of the
-    node system.
-
-    which: one of A_nodes, B_nodes, A_beta_nodes, B_beta_nodes; the tilted
-    variants need beta and take the nodes and weights of tilt(beta).
+    quadrature (pcbounds.m_of) and the node sum sum_x F(x) / K(x,x) over
+    the zeros x of A (which = "A_nodes") or of B ("B_nodes"), the node
+    systems of E itself; any other which is a DomainError.
     The node sum is extrapolated past X_MAX from its partial sums at the
     last six nodes, five apart, and NonConvergence is raised when that
     estimate exceeds NODE_TOL.
@@ -432,35 +422,23 @@ def quadrature_check(F, which, beta=None, E=None):
     """
     if E is not None and E is not build_E():
         raise DomainError("E must be build_E()")
-    integral = m_of(F)
-
-    if which in ("A_nodes", "B_nodes"):
-        E = build_E()
-        nodes = E.zeros_A if which == "A_nodes" else E.zeros_B
-        weights = _weights(nodes, 1.0, 0.0)
-    elif which in ("A_beta_nodes", "B_beta_nodes"):
-        if beta is None:
-            raise DomainError("tilted node systems need beta")
-        t = tilt(beta)
-        want = "case_bk_ak1" if which == "A_beta_nodes" else "case_ak_bk"
-        if t.regime != want:
-            raise DomainError(
-                f"beta={beta:g} sits in regime {t.regime}, not {want}")
-        nodes, weights = t.nodes, t.weights
-    else:
+    if which not in ("A_nodes", "B_nodes"):
         raise DomainError(f"unknown node system {which!r}")
+    E = build_E()
+    nodes = E.zeros_A if which == "A_nodes" else E.zeros_B
+    weights = _weights(nodes, 1.0, 0.0)
 
     fv = np.asarray(F.time_eval(nodes), dtype=float)
     fv_neg = np.asarray(F.time_eval(-nodes), dtype=float)
     pair = fv * weights + np.where(nodes > 0, fv_neg * weights, 0.0)
 
-    # every node system ascends and holds at least 60 nodes
+    # both node sets ascend, the A-zeros 60 and the B-zeros 61 of them
     cum = np.cumsum(pair)
     idx = len(cum) - 1 - 5 * np.arange(6)[::-1]
     node_sum, est = extrapolate_to_zero(1.0 / nodes[idx], cum[idx])
     if est > NODE_TOL:
-        raise NonConvergence(f"node tail beyond x_max may contribute {est:.2e}")
-    return integral, node_sum
+        raise NonConvergence(f"node tail beyond X_MAX may contribute {est:.2e}")
+    return m_of(F), node_sum
 
 
 def _recurrence_points(count, dim):

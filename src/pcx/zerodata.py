@@ -277,12 +277,12 @@ def weighted_pair_sum(ds, T, R):
 
 def _blocks(g):
     """The sorted window padded with its last value to whole blocks of
-    _BLOCK ordinates, as a (blocks, _BLOCK) array, and the 0/1 mask of
-    its real (unpadded) entries."""
+    _BLOCK ordinates, as a (blocks, _BLOCK) array, and the boolean mask
+    of its real (unpadded) entries."""
     n = len(g)
     nb = -(-n // _BLOCK)
     G = np.concatenate([g, np.full(nb * _BLOCK - n, g[-1])]).reshape(nb, -1)
-    return G, (np.arange(G.size) < n).reshape(nb, -1).astype(float)
+    return G, (np.arange(G.size) < n).reshape(nb, -1)
 
 
 def _reach(G, lo):
@@ -429,12 +429,12 @@ def _selberg_pairs(g, R, scale):
 def _near_pieces(G, real, a, reach):
     """The pairs of the blocks G inside a block (j > i) and up to reach - 1
     blocks apart, one piece per run of up to _NEAR blocks and offset, as
-    (d, mask, ei, ej): the gaps d, the product of the 0/1 masks of their
-    ends, and factors whose product conj(ei) ej is exp(i pi a d).  ei is
-    the unit phase exp(i pi a (x - left edge)) of the lower end; ej that
-    of the upper end, times one hop exp(i pi a (left_{b+o} - left_b)) per
-    block pair when the ends lie in blocks b and b + o.  So no phase of a
-    large argument is taken, and apart from inside a block (i and j of
+    (d, mask, ei, ej): the gaps d, the product of the boolean masks of
+    their ends, and factors whose product conj(ei) ej is exp(i pi a d).
+    ei is the unit phase exp(i pi a (x - left edge)) of the lower end; ej
+    that of the upper end, times one hop exp(i pi a (left_{b+o} - left_b))
+    per block pair when the ends lie in blocks b and b + o.  So no phase of
+    a large argument is taken, and apart from inside a block (i and j of
     the upper triangle) the factors are per ordinate, broadcast against
     each other."""
     nb = len(G)
@@ -703,9 +703,6 @@ def empirical_F(ds, T, alpha):
     logT = math.log(T)
     G, real = _blocks(_window(ds, T))
     n = int(np.count_nonzero(real))
-    # the mask of the real entries, kept through every chunk as booleans,
-    # an eighth of the 0/1 floats; either gives the same phases
-    real = real > 0
     # the far field starts at the first block offset whose gaps reach _REACH
     reach = _reach(G, _REACH)
     nodes = _nodes(_min_gap(G, reach)) if reach < len(G) else None

@@ -1,8 +1,9 @@
 """Closed forms and identities that check pcx but that pcx itself never
 evaluates: the Fourier transforms of the Selberg functions and of the gap
 minorant, the constant recombination G = 1/2 of the lattice series, the
-lattice series itself at 40 digits, and the reproducing property of the
-kernel.  Also generate_zeros, which computed the shipped zero table
+lattice series itself at 40 digits, the reproducing property of the
+kernel, the node sums of the tilted spaces and the optimal masses at 30
+digits.  Also generate_zeros, which computed the shipped zero table
 with mpmath and is checked against it; rebuild the table with
 
     PYTHONPATH=src:tests python -c "from oracles import generate_zeros; \
@@ -15,10 +16,12 @@ import math
 import mpmath
 import numpy as np
 
+from pcx import debranges as db
 from pcx import pcbounds as pb
 from pcx.beurling import BandlimitedFunction
 from pcx.kernel import kernel_eval
-from pcx.numerics import (DomainError, NoRoot, find_root,
+from pcx.numerics import (DomainError, NonConvergence, NoRoot,
+                          extrapolate_to_zero, find_root,
                           integrate_real_line)
 from pcx.special import _out
 
@@ -157,6 +160,92 @@ def reproduce(f, w):
         return np.asarray(ev(x)) * np.conj(kv) * pb.pc_density(x)
 
     return complex(integrate_real_line(integrand, 2.0))
+
+
+def tilted_node_sum(F, beta, regime):
+    """The node sum of F over the nodes x of debranges.tilt(beta) and their
+    mirrors, sum_x F(x) w(x), whose regime must be `regime`.  As for E's
+    own nodes in quadrature_check, the sum is extrapolated past the last
+    node from its partial sums at the last six nodes, five apart, and
+    NonConvergence is raised when that estimate exceeds NODE_TOL.  The
+    extrapolation holds at few beta: on sinc(x - 0.4)^2 and beta = 0.3,
+    0.67, ..., 59.87 it raises at 129 of the 162 and errs by up to 1.5e-5
+    against M(F) at the other 33 (measured), so a test takes it only at a
+    beta where it has been seen to hold."""
+    t = db.tilt(beta)
+    assert t.regime == regime
+    nodes, w = t.nodes, t.weights
+    pair = np.asarray(F.time_eval(nodes), dtype=float) * w + np.where(
+        nodes > 0, np.asarray(F.time_eval(-nodes), dtype=float) * w, 0.0)
+    cum = np.cumsum(pair)
+    idx = len(cum) - 1 - 5 * np.arange(6)[::-1]
+    node_sum, est = extrapolate_to_zero(1.0 / nodes[idx], cum[idx])
+    if est > db.NODE_TOL:
+        raise NonConvergence(f"node tail may contribute {est:.2e}")
+    return node_sum
+
+
+def lambda_mp(beta):
+    """(lambda_+, lambda_-) at the float beta > 0 in 30-digit arithmetic,
+    independent of debranges' floats, phase starts and find_root.
+
+    E(z) = 2 pi i (-i - z) K(i, z) / sqrt(4 pi K(i, i)) from the kernel's
+    closed form, K(i, z) = a0 sinc(z + i) + a+ sinc(z - Z0) + a- sinc(z +
+    Z0).  E(beta) = A - iB gives (p, q) and the node function as
+    debranges._tilt_params does: Re((p - iqx) E(x)) on the cells 0, k + 3/4
+    when A(beta) B(beta) > 0 or A(beta) = 0, else -Im((p - iqx) E(x)) on 0,
+    k + 1/4, with 0 a node.  Each cell below beta gets one mp.findroot,
+    beta is the node of its own cell, and each node the weight pi /
+    (-Im(E' conj E) + (p/h) (q/h) |E|^2), h = hypot(p, qx), E' from
+    mp.diff; the positive nodes count twice, for their mirrors."""
+    with mpmath.workdps(30):
+        mp = mpmath.mp
+        z0 = 1 / (mp.pi * mp.sqrt(2))
+        sq = mp.mpf(2) ** -0.5
+        u = mp.mpc(0, -mp.pi)  # pi conj(w), w = i
+        den = 1 - 2 * u ** 2
+        c = (mp.cos(u) - u * mp.sin(u)) / (den * (mp.cos(sq) - sq * mp.sin(sq)))
+        d = 2 * u * mp.cos(u) / (den * mp.sqrt(2) * mp.cos(sq))
+        a0, a_plus, a_minus = -2 * u ** 2 / den, (c + d) / 2, (c - d) / 2
+
+        def K(z):
+            return (a0 * mp.sincpi(z + 1j) + a_plus * mp.sincpi(z - z0)
+                    + a_minus * mp.sincpi(z + z0))
+
+        scale = 2j * mp.pi / mp.sqrt(4 * mp.pi * mp.re(K(1j)))
+
+        def E(z):
+            return scale * (-1j - z) * K(z)
+
+        b = mp.mpf(beta)
+        a_b, b_b = mp.re(E(b)), -mp.im(E(b))
+        if a_b * b_b > 0 or a_b == 0:
+            p, q, part, offset = b * abs(b_b), abs(a_b), 1, 0.75
+        else:
+            p, q, part, offset = b * abs(a_b), abs(b_b), 1j, 0.25
+        p, q = p / mp.hypot(p, q), q / mp.hypot(p, q)
+
+        def fn(x):
+            return mp.re(part * (p - 1j * q * x) * E(x))
+
+        ends = [0.0] + [offset + k for k in range(math.ceil(beta) + 1)]
+        nodes = [mp.mpf(0)] if part == 1j else []
+        for lo, hi in zip(ends, ends[1:]):
+            if hi >= beta:
+                break
+            if lo or part == 1:
+                # at the B-zero b_1 the first node lies at 1.8e-8, which
+                # takes some 40 Anderson-Bjorck steps, past mpmath's cap
+                nodes.append(mp.findroot(fn, (lo, hi), solver="anderson",
+                                         maxsteps=200))
+        nodes.append(b)
+        mass = []
+        for x in nodes:
+            e, h = E(x), mp.hypot(p, q * x)
+            w = mp.pi / (-mp.im(mp.diff(E, x) * mp.conj(e))
+                         + (p / h) * (q / h) * abs(e) ** 2)
+            mass.append(w if x == 0 else 2 * w)
+        return float(mp.fsum(mass)), float(mp.fsum(mass[:-1]))
 
 
 def norm_equivalence_eta():

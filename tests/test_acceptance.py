@@ -193,7 +193,7 @@ def test_c12_case3_majorant():
         assert abs(Q.time_eval(np.array([beta]))[0] - 1.0) <= 1e-9
         assert abs(Q.time_eval(np.array([-beta]))[0] - 1.0) <= 1e-9
         lp, _ = debranges.lambda_values(beta)
-        integral, _ = debranges.quadrature_check(Q, "A_beta_nodes", beta=beta)
+        integral = pcbounds.m_of(Q)
         assert abs(integral - lp) <= 1e-6
         print(f"PASS case-3 beta={beta}: majorizes, Q(+/-beta)=1, "
               f"mass matches node value to {abs(integral - lp):.2e}")

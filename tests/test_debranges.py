@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import lambda_mp, tilted_node_sum
 from pcx import debranges as db
 from pcx import kernel
 from pcx.beurling import BandlimitedFunction
 from pcx.kernel import kernel_eval, two_delta
 from pcx.numerics import DomainError, NonConvergence, RootMiss
-from pcx.pcbounds import m_selberg
+from pcx.pcbounds import m_of, m_selberg
 
 
 def test_build_E_basic(E):
@@ -139,10 +140,12 @@ def test_nodes_take_starts_into_the_grid(E, kinds, err):
 @example(x_max=137.79)
 @example(x_max=1000.0)
 def test_zero_interlacing(E, x_max):
-    # the cell rule on any range; build_E() is the range X_MAX
-    assert E.x_max == db.X_MAX
-    F = db._hermite_biehler(x_max)
-    a, b = F.zeros_A, F.zeros_B
+    # the cell rule on any range, trimmed as build_E trims X_MAX
+    a = db._nodes(db._node_function(E.E_slope_eval, 1.0, 0.0, 1.0), 0.75,
+                  x_max)
+    a = a[a <= x_max]
+    b = db._nodes(db._node_function(E.E_slope_eval, 1.0, 0.0, 1.0j), 0.25,
+                  x_max)[:len(a) + 1]
     assert b[0] == 0.0
     assert len(b) == len(a) + 1
     # strict interlacing 0 = b_0 < a_1 < b_1 < a_2 < ..., with no zero
@@ -272,10 +275,10 @@ def test_tilt_regimes(E):
     with pytest.raises(DomainError):
         db.tilt(-1.0)
     # beta at the end of the resolved zero range is an ordinary node
-    t = db.tilt(E.x_max)
-    assert E.x_max in t.nodes
-    assert len(t.nodes) == math.ceil(E.x_max) + 1
-    delta = two_delta(E.x_max).value
+    t = db.tilt(db.X_MAX)
+    assert db.X_MAX in t.nodes
+    assert len(t.nodes) == math.ceil(db.X_MAX) + 1
+    delta = two_delta(db.X_MAX).value
     assert abs((t.lambda_plus - t.lambda_minus) - delta) <= 1e-12
 
 
@@ -287,17 +290,17 @@ def test_tilt_regimes(E):
 @example(beta=150.3)
 @example(beta=990.0)
 def test_tilt_one_node_per_cell(E, beta):
-    # the cells of _nodes hold one node each on [0, max(x_max, beta)], beta
-    # is one of them, and the masses differ by Delta(beta) past x_max too
+    # the cells of _nodes hold one node each on [0, max(X_MAX, beta)], beta
+    # is one of them, and the masses differ by Delta(beta) past X_MAX too
     t = db.tilt(beta)
-    assert len(t.nodes) == math.ceil(max(E.x_max, beta)) + 1
+    assert len(t.nodes) == math.ceil(max(db.X_MAX, beta)) + 1
     assert beta in t.nodes
     delta = two_delta(beta).value
     assert abs((t.lambda_plus - t.lambda_minus) - delta) <= 1e-12
 
 
 def test_masses_match_two_delta_to_rounding():
-    # past x_max, lambda_+/- ~ 2 beta and the rounding of lambda_+ alone sets
+    # past X_MAX, lambda_+/- ~ 2 beta and the rounding of lambda_+ alone sets
     # how well lambda_+ - lambda_- can match Delta(beta)
     for beta in (150.3, 990.3, 5000.3, 10000.3):
         t = db.tilt(beta)
@@ -542,11 +545,11 @@ def test_quadrature_check_fejer(E, monkeypatch):
         assert abs(integral - nodesum) < 1e-9
     with pytest.raises(DomainError):
         db.quadrature_check(F, "C_nodes")
-    with pytest.raises(DomainError):
-        db.quadrature_check(F, "A_beta_nodes")  # beta missing
+    with pytest.raises(DomainError):  # E's own node systems only
+        db.quadrature_check(F, "A_beta_nodes")
     with pytest.raises(DomainError):  # E is build_E() or nothing
-        db.quadrature_check(F, "A_nodes", E=db._hermite_biehler(20.0))
-    # the node tail beyond x_max is estimated at 2.1e-10 on the A-nodes
+        db.quadrature_check(F, "A_nodes", E=dataclasses.replace(E))
+    # the node tail beyond X_MAX is estimated at 2.1e-10 on the A-nodes
     monkeypatch.setattr(db, "NODE_TOL", 1e-15)
     with pytest.raises(NonConvergence):
         db.quadrature_check(F, "A_nodes")
@@ -572,15 +575,13 @@ SHIFTED_FEJER = BandlimitedFunction(
 
 
 def test_quadrature_check_tilted(E):
-    beta_a = 0.5 * float(E.zeros_A[0])  # case_bk_ak1
-    integral, nodesum = db.quadrature_check(SHIFTED_FEJER, "A_beta_nodes", beta=beta_a)
+    integral = m_of(SHIFTED_FEJER)
+    beta_a = 0.5 * float(E.zeros_A[0])
+    nodesum = tilted_node_sum(SHIFTED_FEJER, beta_a, "case_bk_ak1")
     assert abs(integral - nodesum) < 1e-9
-    beta_b = 0.5 * float(E.zeros_A[0] + E.zeros_B[1])  # case_ak_bk
-    integral, nodesum = db.quadrature_check(SHIFTED_FEJER, "B_beta_nodes", beta=beta_b)
+    beta_b = 0.5 * float(E.zeros_A[0] + E.zeros_B[1])
+    nodesum = tilted_node_sum(SHIFTED_FEJER, beta_b, "case_ak_bk")
     assert abs(integral - nodesum) < 1e-9
-    # asking for the wrong tilted system is a domain error
-    with pytest.raises(DomainError):
-        db.quadrature_check(SHIFTED_FEJER, "B_beta_nodes", beta=beta_a)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -588,8 +589,8 @@ def test_quadrature_check_right_of_b_zero(E, k):
     # just right of b_k the A_beta root nearest 0 lies below 0.05; the node
     # sum holds its mass
     beta = float(E.zeros_B[k]) + 1e-4
-    integral, nodesum = db.quadrature_check(SHIFTED_FEJER, "A_beta_nodes", beta=beta)
-    assert abs(integral - nodesum) < 1e-9
+    nodesum = tilted_node_sum(SHIFTED_FEJER, beta, "case_bk_ak1")
+    assert abs(m_of(SHIFTED_FEJER) - nodesum) < 1e-9
 
 
 def test_case3_majorant_properties():
@@ -609,7 +610,7 @@ def test_case3_mass_equals_lambda_plus():
     beta = 0.25
     Q = db.case3_majorant(beta)
     lp, _ = db.lambda_values(beta)
-    integral, nodesum = db.quadrature_check(Q, "A_beta_nodes", beta=beta)
+    integral, nodesum = m_of(Q), tilted_node_sum(Q, beta, "case_bk_ak1")
     assert abs(integral - lp) < 1e-8
     assert abs(nodesum - lp) < 1e-8
 
@@ -633,6 +634,32 @@ def test_patch_disc_beta():
 def test_lambda_minus_zero_below_first_a_zero():
     _, lm = db.lambda_values(0.2)
     assert lm == 0.0
+
+
+def test_positivity_threshold_is_first_a_zero(E):
+    # the optimal minorant has positive mass exactly from the first A-zero
+    # a_1 on: 0 just below it, 1.03168e-6 just above it (measured)
+    a1 = float(E.zeros_A[0])
+    assert db.lambda_values(a1 * (1.0 - 1e-6))[1] == 0.0
+    _, lm = db.lambda_values(a1 * (1.0 + 1e-6))
+    assert lm > 0.0 and lm == pytest.approx(1.0317e-6, rel=1e-2)
+    # at beta = 0.8 the optimal minorant's mass is positive while the
+    # Selberg minorant's is still negative
+    _, lm = db.lambda_values(0.8)
+    assert lm == pytest.approx(0.11490, abs=5e-6) and lm > 0.0
+    selberg = 2.0 * m_selberg(0.8, 1.0, -1).closed_form
+    assert selberg == pytest.approx(-0.01670, abs=5e-6) and selberg < 0.0
+
+
+def test_lambda_values_against_30_digits(E):
+    # lambda_+/- from 30-digit arithmetic (oracles.lambda_mp): below a_1,
+    # in (b_2, a_3), just right of b_2, past X_MAX, at 1.8 in (a_2, b_2],
+    # where the node function is B_beta, and on the zeros a_2 and b_1;
+    # measured to agree within 2e-15, and within 4.6e-14 at 60.3
+    for beta in (0.5, 2.2, float(E.zeros_B[2]) + 5e-7, 60.3, 1.8,
+                 float(E.zeros_A[1]), float(E.zeros_B[1])):
+        for got, want in zip(db.lambda_values(beta), lambda_mp(beta)):
+            assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
 def test_verify_hb():

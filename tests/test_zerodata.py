@@ -478,9 +478,9 @@ def _peak_bytes(fn):
 
 def test_pair_sums_working_set(dataset):
     # one F over the shipped table peaks at 4.46 MB and the beta = 1
-    # majorant's pair sum over the first 2,000 zeros at 1.71 MB; with whole
+    # majorant's pair sum over the first 2,000 zeros at 1.58 MB; with whole
     # (blocks, 16, nodes) and (blocks, 16, 16) temporaries they take 9.40
-    # and 4.15 MB.  The bounds lie 5% and 17% above the measured peaks; the
+    # and 4.15 MB.  The bounds lie 5% and 26% above the measured peaks; the
     # second is below the 2.05 MB of a near field that holds its pieces
     # until enough gaps gather for R
     T = dataset.t_max
