@@ -655,7 +655,7 @@ def test_lambda_values_against_30_digits(E):
     # lambda_+/- from 30-digit arithmetic (oracles.lambda_mp): below a_1,
     # in (b_2, a_3), just right of b_2, past X_MAX, at 1.8 in (a_2, b_2],
     # where the node function is B_beta, and on the zeros a_2 and b_1;
-    # measured to agree within 2e-15, and within 4.6e-14 at 60.3
+    # measured to agree within 2e-15, and within 4.3e-14 at 60.3
     for beta in (0.5, 2.2, float(E.zeros_B[2]) + 5e-7, 60.3, 1.8,
                  float(E.zeros_A[1]), float(E.zeros_B[1])):
         for got, want in zip(db.lambda_values(beta), lambda_mp(beta)):
