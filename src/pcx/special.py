@@ -18,10 +18,11 @@ their stacked coefficients; a matrix product of the powers of 1/t^2
 would move psi1 and psi2 by an ulp at 8e-5 of 200,000 log-uniform
 t in [10, 1e6].  The shift starts from the series value at
 x + n, n = ceil(SHIFT - x) steps up, and adds the steps at x + k for
-k = n_max - 1, ..., 0 in one masked loop over the array, 0.0 where k is
-beyond the argument's own n.  So the shifted terms are added smallest
-first, in the order a loop over plain floats would add them, and an
-argument's value does not depend on the array it came in.  Arguments
+k = n_max - 1, ..., 0 in one loop over the array, ordered once by n so
+that step k touches only the prefix of arguments with n > k.  So the
+shifted terms are added smallest first, in the order a loop over plain
+floats would add them, and an argument's value does not depend on the
+array it came in.  Arguments
 from SHIFT on take no step, and when none is below it (the closed forms
 of pcx.pcbounds take psi1 and psi2 there) the shift is not set up at
 all.  Where a step overflows a double, psi1 is +inf (x below about
@@ -103,9 +104,12 @@ def _poly(z, coeffs):
 def _polygammas(x, series):
     """psi1 and, when series is _SERIES and not its first column alone,
     psi2 of x > 0 (float or array): the series at x + n, n = ceil(SHIFT
-    - x) or 0, then the steps at x + k, k = n_max - 1, ..., 0, with 0.0
-    added where k >= n.  A step overflows to +inf in psi1 and -inf in
-    psi2, like the true values."""
+    - x) or 0, then the steps at x + k, k = n_max - 1, ..., 0.  The
+    arguments are ordered once by n, most steps first (a stable sort of
+    small ints), so that at step k those still shifting, n > k, are a
+    prefix of that order, and only the prefix takes the step; the sums
+    are scattered back at the end.  A step overflows to +inf in psi1 and
+    -inf in psi2, like the true values."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     shifted = not (flat >= SHIFT).all()
@@ -118,14 +122,22 @@ def _polygammas(x, series):
     psi = ([w + z * (0.5 + w * p[0])]
            + [-z * (1.0 + w * (1.0 + w * q)) for q in p[1:]])
     if shifted:
+        # n <= SHIFT for x > 0, so the step counts fit in int8
+        steps = n.astype(np.int8)
+        order = np.argsort(-steps, kind="stable")
+        # live[k]: how many arguments take more than k steps
+        live = np.cumsum(np.bincount(steps)[::-1])[::-1][1:]
+        y0 = flat[order]
+        sums = [v[order] for v in psi]
         with np.errstate(divide="ignore", over="ignore"):
-            for k in range(int(n.max()) - 1, -1, -1):
-                y = flat + k
+            for k in range(len(live) - 1, -1, -1):
+                y = y0[:live[k]] + k
                 y2 = y * y
-                taken = k < n
-                for i in range(len(psi)):
-                    step = 1.0 / y2 if i == 0 else -2.0 / (y2 * y)
-                    psi[i] += np.where(taken, step, 0.0)
+                sums[0][:live[k]] += 1.0 / y2
+                for v in sums[1:]:
+                    v[:live[k]] += -2.0 / (y2 * y)
+        for v, s in zip(psi, sums):
+            v[order] = s
     return [_out(v.reshape(x.shape)) for v in psi]
 
 

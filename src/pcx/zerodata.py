@@ -12,8 +12,9 @@ counted: at n = 10^4 the 51 betas 0.5:3:0.05 take 0.25 ms, one beta = 1
 normalized exponential pair sum F(alpha) cuts the sorted window into
 blocks: pairs in nearby blocks are summed exactly, and pairs farther
 apart through a short exponential sum for the Cauchy weight carried
-from block to block, so one F costs O(n) rather than O(n^2): about 9 ms
-at n = 10^4 and 2.2 ms at n = 2,000 (2-core x86 host).  No cos or
+from block to block, so one F costs O(n) rather than O(n^2): about 7 ms
+at n = 10^4 and 1.7 ms at n = 2,000 on a window whose plan (below) is
+kept, 12 and 2.4 ms on a new one (2-core x86 host).  No cos or
 complex exponential of a large argument is taken: each ordinate gets one
 unit phase relative to its block's left edge, and a pair's cos(k d) is the
 real part of a product of two such phases and one per block pair.  The
@@ -21,25 +22,33 @@ far field's block moments split their nodes as a multipole method does
 (Greengard-Rokhlin): a node t with t times the widest block at most 1
 takes a Taylor series in the block-local offsets, one small matmul of
 per-block power moments; only the larger nodes take exponentials.
-Working set: no temporary grows as blocks x 16 x nodes or blocks x 16 x
-16 except one buffer filled in place: the near field fills one (blocks,
-16, 16) array of Cauchy weights per block offset, and the far field
-keeps everything it needs in one workspace, two (blocks, nodes, alphas)
-complex arrays and a scratch that the Taylor powers and the direct
-exponentials take in turn.  One F at n = 10^4 peaks at 4.4 MB (tracemalloc) and, as
-the C allocator keeps the one workspace between calls, pages in nothing
-new after the first.  F takes an alpha grid in one call: the window, the
-blocks and the nodes are set up once, and per chunk of _ALPHAS = 8
-alphas the Cauchy weights, the Taylor coefficients, the direct
-exponentials, the power moments and the decays, none of which depends on
-alpha; only the unit phases, the products with them, the carry and the
-final contraction run per alpha, each product taking two float columns
-per alpha.  The 7 alphas 0:1.5:0.25 take 4.9 ms at n = 2,000 against
-14 ms for seven float calls, and the 61 alphas 0:3:0.05 take 0.13 s at
-n = 10^4 against 0.41 s, peaking at 21 MB (2-core x86 host); a float
-alpha is the one-alpha case of the same code.  The weighted pair sum of
-a Selberg majorant or minorant takes the same blocks: pairs up to
-`reach` blocks apart are summed exactly, and past the gap from which
+What F needs that no alpha changes is its plan, built once per window:
+the blocks and their mask, reach, the nodes and weights, the near
+field's Cauchy weights (one (blocks, 16, 16) array per block offset
+below reach), the Taylor coefficients, and the far field's decays
+exp(-t gap) of its carry steps and hand-offs.  One slot keeps the plan
+of the last window F was taken on, keyed by the window's content, so F
+again on that table, at another alpha or another T with the same window,
+builds none of it; on the shipped table the plan holds 3.7 MB
+(tracemalloc).  Working set: beyond the plan, no temporary grows as
+blocks x 16 x nodes or blocks x 16 x 16: the far field keeps everything
+else in one workspace, two (blocks, nodes, alphas) complex arrays and a
+scratch that the Taylor powers and the direct exponentials take in
+turn.  One F at n = 10^4 on the table of the plan peaks at 4.4 MB
+(tracemalloc) and, as the C allocator keeps the one workspace between
+calls, pages in nothing new; the call that builds the plan peaks at 8.1
+MB.  F takes an alpha grid in one call: the plan is taken once per
+window, and per chunk of _ALPHAS = 8 alphas the direct exponentials and
+the power moments, which do not depend on alpha either but would keep
+about 6.5 MB more in the plan; only the unit phases, the products with
+them, the carry and the final contraction run per alpha, each product
+taking two float columns per alpha.  The 7 alphas 0:1.5:0.25 take about
+4 ms at n = 2,000 against 12 ms for seven float calls, and the 61 alphas
+0:3:0.05 about 0.17 s at n = 10^4 against 0.40 s, peaking at 21 MB
+(2-core x86 host); a float alpha is the one-alpha case of the same
+code.  The weighted pair sum of a Selberg majorant or minorant takes
+the same blocks: pairs up to `reach` blocks apart are summed exactly,
+and past the gap from which
 both arguments x +/- gamma take the far branch of pcx.beurling, the
 summand is the Cauchy weight times a power series in 1/(d +/- c) and a
 cosine, which the same far field sums as two exponential sums, one
@@ -421,8 +430,8 @@ def _selberg_pairs(g, R, scale):
     k = np.array([0.0, 2.0 * math.pi * a])
     phase = real[..., np.newaxis] * np.exp(
         1j * k * (G - G[:, :1])[..., np.newaxis])
-    far = _far_field(G, phase, reach, k, t,
-                     np.stack([smooth, oscillating], axis=1), d0)
+    far = _far_field(G, phase, reach, k, _far_plan(
+        G, reach, t, np.stack([smooth, oscillating], axis=1), d0))
     return float(near) + float(far[0]) + float(far[1])
 
 
@@ -561,22 +570,18 @@ def _moments(x, phase, t, span, taylor, out, scratch):
     return out
 
 
-def _shift(dx, t, k, out, scratch):
+def _shift(dx, decay, k, out):
     """Fill out, a (gaps, nodes, alphas) complex array, with exp(-(t -
-    i k) dx) for every gap dx, node t and frequency k of the array k: a
-    real decay, shared by every k, times the gap's unit phase.  The decay
-    is taken in the float array scratch (dx.size * nodes entries or
-    more).  The products fill the float view of out: for one k, one
-    multiply per float column, running down the nodes; for more, einsum's
-    outer product, whose inner loop is one row of the 2 len(k) columns.
-    At n = 10^4 (2-core x86 host) the columns take 0.16 ms for one k and
-    7.5 for eight, einsum 0.56 and 1.3, and a broadcast multiply 1.0 and
-    2.3."""
-    decay = scratch[:len(dx) * len(t)].reshape(len(dx), len(t))
-    np.multiply(-dx[:, np.newaxis], t, out=decay)
-    np.exp(decay, out=decay)
+    i k) dx) for every gap dx, node t and frequency k of the array k: the
+    real decay exp(-t dx), a (gaps, nodes) array of the plan that every k
+    shares, times the gap's unit phase.  The products fill the float view
+    of out: for one k, one multiply per float column, running down the
+    nodes; for more, einsum's outer product, whose inner loop is one row
+    of the 2 len(k) columns.  At n = 10^4 (2-core x86 host) the columns
+    take 0.16 ms for one k and 7.5 for eight, einsum 0.56 and 1.3, and a
+    broadcast multiply 1.0 and 2.3."""
     unit = np.exp(1j * k * dx[:, np.newaxis]).view(float)
-    columns = out.view(float).reshape(len(dx), len(t), 2 * len(k))
+    columns = out.view(float).reshape(len(dx), decay.shape[1], 2 * len(k))
     if len(k) == 1:
         np.multiply(decay, unit[:, :1], out=columns[..., 0])
         np.multiply(decay, unit[:, 1:], out=columns[..., 1])
@@ -595,38 +600,74 @@ def _carry(sums, steps):
         row += prev * step
 
 
-def _far_field(G, phase, reach, k, t, w, shift=0.0):
-    """Sum of Re(exp(i k d) sum_j w_j exp(-t_j (d - shift))) over the
-    pairs `reach` or more blocks apart (fewer than the blocks), for every
-    frequency of the array k, given the nodes t, their real or complex
-    weights w (one per node, shared by every k, or a (nodes, len(k))
-    array, a column per k) and the block-local phases exp(i k (x - left
-    edge)) of the ordinates (a contiguous complex (blocks, _BLOCK,
-    len(k)) array, zero on padding); with the weights of _nodes it is the
-    sum of cos(k d) 4/(4+d^2), one entry per k.  Block a sends its moment
-    about its right edge; a running sum of the moments is carried from
-    right edge to right edge (steps >= 0) and handed to block a + reach at
-    its left edge, so every phase is k times a gap inside a block or
-    between block edges.
-    A shift up to the smallest hand-off gap keeps every factor at most 1,
-    the weights carrying exp(-(t_j - i k) shift).
+def _decay(dx, t):
+    """exp(-t dx) for every gap dx and node t, a (gaps, nodes) array."""
+    decay = np.multiply(-dx[:, np.newaxis], t)
+    return np.exp(decay, out=decay)
 
-    Moments are taken only for the blocks that send or receive, and all
-    large arrays live in one workspace filled in place: the carried sums,
-    one more (blocks, nodes, alphas) array (the steps, then the hand-off
-    factors, then the receivers' moments) and the scratch of _moments and
-    _shift, which holds only what every k shares.  As one block, the C
-    allocator keeps it from call to call (glibc keeps up to twice the
-    largest block it has unmapped), where separate arrays of a third of
-    its size would go back to the kernel after each call and be paged in
-    afresh on the next."""
+
+@dataclass(frozen=True)
+class _FarPlan:
+    """What the far field of one window takes that no frequency changes:
+    the nodes t and weights w, the widest block span and the Taylor
+    coefficients of _taylor(t, span), and the gaps and decays exp(-t gap)
+    of the carry steps (right edge to right edge of the senders) and of
+    the hand-offs (sender's right edge to the left edge of the block
+    `reach` on, less the shift)."""
+    t: np.ndarray
+    w: np.ndarray
+    span: float
+    taylor: np.ndarray
+    step_gaps: np.ndarray
+    step_decays: np.ndarray
+    hand_gaps: np.ndarray
+    hand_decays: np.ndarray
+
+
+def _far_plan(G, reach, t, w, shift=0.0):
+    """The _FarPlan of the blocks G with receivers `reach` blocks on
+    (fewer than the blocks), nodes t, weights w and a shift up to the
+    smallest hand-off gap."""
     senders = len(G) - reach
     left, right = G[:, 0], G[:, -1]
     # any positive scale serves when every block is one repeated value
     span = float(np.max(right - left)) or 1.0
-    taylor = _taylor(t, span)
+    steps = np.diff(right[:senders])
+    hand = left[reach:] - right[:senders] - shift
+    return _FarPlan(t, w, span, _taylor(t, span), steps, _decay(steps, t),
+                    hand, _decay(hand, t))
+
+
+def _far_field(G, phase, reach, k, far):
+    """Sum of Re(exp(i k d) sum_j w_j exp(-t_j (d - shift))) over the
+    pairs `reach` or more blocks apart (fewer than the blocks), for every
+    frequency of the array k, given the _FarPlan far of G (nodes t, their
+    real or complex weights w, one per node, shared by every k, or a
+    (nodes, len(k)) array, a column per k, and the decays) and the
+    block-local phases exp(i k (x - left edge)) of the ordinates (a
+    contiguous complex (blocks, _BLOCK, len(k)) array, zero on padding);
+    with the weights of _nodes it is the sum of cos(k d) 4/(4+d^2), one
+    entry per k.  Block a sends its moment about its right edge; a running
+    sum of the moments is carried from right edge to right edge (steps >=
+    0) and handed to block a + reach at its left edge, so every phase is k
+    times a gap inside a block or between block edges.  A shift up to the
+    smallest hand-off gap keeps every factor at most 1, the weights
+    carrying exp(-(t_j - i k) shift).
+
+    Moments are taken only for the blocks that send or receive, and all
+    large arrays live in one workspace filled in place: the carried sums,
+    one more (blocks, nodes, alphas) array (the steps, then the hand-off
+    factors, then the receivers' moments) and the scratch of _moments,
+    which holds only what every k shares.  As one block, the C allocator
+    keeps it from call to call (glibc keeps up to twice the largest block
+    it has unmapped), where separate arrays of a third of its size would
+    go back to the kernel after each call and be paged in afresh on the
+    next."""
+    t, taylor = far.t, far.taylor
+    senders = len(G) - reach
+    left, right = G[:, 0], G[:, -1]
     size = senders * len(t) * len(k)
-    per_row = max(len(t), _BLOCK * max(_ORDER, len(t) - len(taylor)))
+    per_row = _BLOCK * max(_ORDER, len(t) - len(taylor))
     work = np.empty(4 * size + senders * per_row)
     carried, other = work[:4 * size].view(complex).reshape(
         2, senders, len(t), len(k))
@@ -635,40 +676,48 @@ def _far_field(G, phase, reach, k, t, w, shift=0.0):
     _moments(right[:senders, np.newaxis] - G[:senders],
              np.conj(phase[:senders])
              * np.exp(1j * k * (right - left)[:senders, np.newaxis])[:, np.newaxis],
-             t, span, taylor, carried, scratch)
-    _carry(carried, _shift(np.diff(right[:senders]), t, k,
-                           other[:senders - 1], scratch))
+             t, far.span, taylor, carried, scratch)
+    _carry(carried, _shift(far.step_gaps, far.step_decays, k,
+                           other[:senders - 1]))
     # the hand-off factors times the carried sums
-    hand = _shift(left[reach:] - right[:senders] - shift, t, k, other, scratch)
+    hand = _shift(far.hand_gaps, far.hand_decays, k, other)
     np.multiply(hand, carried, out=carried)
     into = _moments(G[reach:] - left[reach:, np.newaxis], phase[reach:], t,
-                    span, taylor, other, scratch)
+                    far.span, taylor, other, scratch)
     into *= carried
     # one row-by-column product per k, each summed as if that k were alone
-    w = w.reshape(len(t), -1).T[:, :, np.newaxis]
+    w = far.w.reshape(len(t), -1).T[:, :, np.newaxis]
     return np.real(np.sum(into, axis=0).T[:, np.newaxis] @ w).reshape(-1)
 
 
-def _near_F(G, phase, reach, k):
-    """Sum of cos(k d) 4/(4+d^2) over the pairs inside a block (j > i)
-    and up to reach - 1 blocks apart, exactly, for every frequency of the
-    array k.  For x_j in block b + o and x_i in block b, cos(k d) =
-    Re(e_j conj(e_i) exp(i k (left_{b+o} - left_b))); each offset o fills
-    one (blocks, _BLOCK, _BLOCK) buffer with the Cauchy weights in place,
-    once for every k, and contracts it as real batched products with two
-    columns per k.  At o = 0 the weights of pairs j <= i are zeroed."""
+def _cauchy_weights(G, reach):
+    """The near field's Cauchy weights 4/(4+d^2): for each block offset
+    o < reach, a (blocks - o, _BLOCK, _BLOCK) array of the gaps from
+    block b to block b + o, zeroed at o = 0 where j <= i."""
     nb = len(G)
-    left = G[:, 0]
-    weights = np.empty((nb, _BLOCK, _BLOCK))
-    near = np.zeros(len(k))
+    weights = []
     for o in range(reach):
-        cauchy = weights[:nb - o]
-        np.subtract(G[o:, np.newaxis, :], G[:nb - o, :, np.newaxis], out=cauchy)
+        cauchy = np.subtract(G[o:, np.newaxis, :], G[:nb - o, :, np.newaxis])
         np.square(cauchy, out=cauchy)
         cauchy += 4.0
         np.divide(4.0, cauchy, out=cauchy)
         if o == 0:
             cauchy *= np.triu(np.ones((_BLOCK, _BLOCK)), 1)
+        weights.append(cauchy)
+    return weights
+
+
+def _near_F(G, phase, weights, k):
+    """Sum of cos(k d) 4/(4+d^2) over the pairs inside a block (j > i)
+    and up to len(weights) - 1 blocks apart, exactly, for every frequency
+    of the array k, given the Cauchy weights of _cauchy_weights.  For x_j
+    in block b + o and x_i in block b, cos(k d) = Re(e_j conj(e_i) exp(i k
+    (left_{b+o} - left_b))); each offset o contracts its weights with these
+    phases as real batched products with two columns per k."""
+    nb = len(G)
+    left = G[:, 0]
+    near = np.zeros(len(k))
+    for o, cauchy in enumerate(weights):
         hop = phase[o:] * np.exp(
             1j * k * (left[o:] - left[:nb - o])[:, np.newaxis])[:, np.newaxis]
         # Re(conj(e_i) hop_j) against the Cauchy weights, as real products
@@ -682,6 +731,43 @@ def _near_F(G, phase, reach, k):
     return near
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """F's alpha-independent state of one sorted window: its blocks G and
+    their boolean mask, the ordinate count n, the near field's reach and
+    Cauchy weights, and the _FarPlan of the pairs farther apart (None when
+    no pair is that far)."""
+    G: np.ndarray
+    real: np.ndarray
+    n: int
+    reach: int
+    weights: list
+    far: _FarPlan | None
+
+
+# the last window F was taken on and its _Plan: one slot, so that F on a
+# table it has just seen builds no weight or decay again; it is replaced by
+# one tuple assignment, so no reader sees a window with another's plan
+_memo = (None, None)
+
+
+def _plan(g):
+    """The _Plan of the sorted window g, from the memo when g equals its
+    window entry for entry, else built and put in the memo."""
+    global _memo
+    window, plan = _memo
+    if window is not None and np.array_equal(window, g):
+        return plan
+    G, real = _blocks(g)
+    # the far field starts at the first block offset whose gaps reach _REACH
+    reach = _reach(G, _REACH)
+    far = (_far_plan(G, reach, *_nodes(_min_gap(G, reach)))
+           if reach < len(G) else None)
+    plan = _Plan(G, real, len(g), reach, _cauchy_weights(G, reach), far)
+    _memo = (g, plan)
+    return plan
+
+
 def empirical_F(ds, T, alpha):
     """Montgomery-style normalized exponential pair sum at alpha:
     2 pi / (n log T) times the sum of cos(alpha log T d) 4/(4+d^2) over
@@ -689,23 +775,21 @@ def empirical_F(ds, T, alpha):
 
     alpha is a float, which gives a float, or an array, which gives an
     array of F in its shape.  F is even in alpha, so each distinct
-    |alpha| is summed once.  The window, its blocks and the far field's
-    nodes are set up once per call; the Cauchy weights, the Taylor
-    coefficients, the direct exponentials, the power moments and the
-    decays once per chunk of _ALPHAS frequencies, with one pair of float
-    columns per frequency in every product.  A float is the one-alpha
-    case of the same sums.  An alpha so large that its phases overflow
-    (1e307 over the shipped table) leaves an F that is not finite, and
-    NonConvergence names the first such alpha."""
+    |alpha| is summed once.  The window's plan (blocks, reach, nodes,
+    Cauchy weights, Taylor coefficients and decays) comes from the memo
+    of _plan, built only when the window differs from the last one; the
+    direct exponentials and the power moments are taken once per chunk
+    of _ALPHAS frequencies, with one pair of float columns per frequency
+    in every product.  A float is the one-alpha case of the same sums.
+    An alpha so large that its phases overflow (1e307 over the shipped
+    table) leaves an F that is not finite, and NonConvergence names the
+    first such alpha."""
     a = np.asarray(alpha, dtype=float)
     if not np.isfinite(a).all():
         raise DomainError("alpha must be finite")
     logT = math.log(T)
-    G, real = _blocks(_window(ds, T))
-    n = int(np.count_nonzero(real))
-    # the far field starts at the first block offset whose gaps reach _REACH
-    reach = _reach(G, _REACH)
-    nodes = _nodes(_min_gap(G, reach)) if reach < len(G) else None
+    plan = _plan(_window(ds, T))
+    G, n = plan.G, plan.n
     # a huge alpha overflows its phases to a value that is not finite,
     # found in F below with no numpy warning on the way
     with np.errstate(over="ignore", invalid="ignore"):
@@ -717,11 +801,11 @@ def empirical_F(ds, T, alpha):
             # block-local unit phases e_i = exp(i k (x_i - left edge)),
             # zero on the padding, one column per k
             phase = np.exp(1j * chunk * (G - G[:, :1])[..., np.newaxis])
-            phase *= real[..., np.newaxis]
-            pairs[lo:lo + _ALPHAS] = _near_F(G, phase, reach, chunk)
-            if nodes is not None:
-                pairs[lo:lo + _ALPHAS] += _far_field(G, phase, reach, chunk,
-                                                     *nodes)
+            phase *= plan.real[..., np.newaxis]
+            pairs[lo:lo + _ALPHAS] = _near_F(G, phase, plan.weights, chunk)
+            if plan.far is not None:
+                pairs[lo:lo + _ALPHAS] += _far_field(G, phase, plan.reach,
+                                                     chunk, plan.far)
         # the summand is even in d and equals 1 on the diagonal
         F = (2.0 * math.pi * (n + 2.0 * pairs) / (n * logT))[where]
     bad = ~np.isfinite(F)

@@ -22,3 +22,10 @@ def zeros_path():
 @pytest.fixture(scope="session")
 def dataset(zeros_path):
     return zerodata.load_zeros(zeros_path)
+
+
+@pytest.fixture(autouse=True)
+def _empty_F_plan():
+    """Every test starts with empirical_F's plan memo empty, so that none
+    depends on the window an earlier test left in it."""
+    zerodata._memo = (None, None)

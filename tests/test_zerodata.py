@@ -459,6 +459,85 @@ def test_empirical_F_refuses_overflowed_phases(dataset):
         assert str(exc.value).endswith(f"not finite at alpha={first}")
 
 
+def _cold_F(ds, T, alpha):
+    """empirical_F with the plan memo emptied first."""
+    zd._memo = (None, None)
+    return zd.empirical_F(ds, T, alpha)
+
+
+def _bits(F):
+    return np.asarray(F).tobytes()
+
+
+def test_F_plan_memo_table_sequence(dataset):
+    # the tables A, B, A: each call on a table the memo does not hold
+    # replaces the plan, each repeat reuses it, and every F, float or a
+    # grid of more than one chunk of alphas, is the cold F to the bit
+    tables = {"A": _prefix(dataset, 2000), "B": _prefix(dataset, 3000)}
+    alphas = 0.1 * np.arange(2 * zd._ALPHAS + 3)
+    assert len(alphas) > zd._ALPHAS
+    cold = {name: (_bits(_cold_F(ds, ds.t_max, 1.1)),
+                   _bits(_cold_F(ds, ds.t_max, alphas)))
+            for name, ds in tables.items()}
+    zd._memo = (None, None)
+    for name in "ABA":
+        ds = tables[name]
+        plan = None
+        for _ in range(2):
+            assert _bits(zd.empirical_F(ds, ds.t_max, 1.1)) == cold[name][0]
+            assert _bits(zd.empirical_F(ds, ds.t_max, alphas)) == cold[name][1]
+            assert plan is None or zd._memo[1] is plan
+            plan = zd._memo[1]
+        assert np.array_equal(zd._memo[0], ds.ordinates)
+
+
+def test_F_plan_memo_sees_ordinates_changed_in_place(dataset):
+    # the memo is keyed by the window's content, not by the dataset
+    ords = dataset.ordinates[:2000].copy()
+    ds = zd.ZeroDataset(ordinates=ords, source="mutable",
+                        t_max=float(ords[-1]))
+    before = zd.empirical_F(ds, ds.t_max, 0.7)
+    ords[500] = 0.5 * (ords[500] + ords[501])
+    warm = zd.empirical_F(ds, ds.t_max, 0.7)
+    assert warm != before
+    assert _bits(warm) == _bits(_cold_F(ds, ds.t_max, 0.7))
+
+
+def test_F_plan_memo_two_T_one_window(dataset):
+    # two T with the same window share one plan, and each gives its own F
+    g = dataset.ordinates
+    T1, T2 = float(g[1999]), 0.5 * float(g[1999] + g[2000])
+    f1 = zd.empirical_F(dataset, T1, 0.9)
+    plan = zd._memo[1]
+    assert plan is not None
+    f2 = zd.empirical_F(dataset, T2, 0.9)
+    assert zd._memo[1] is plan
+    assert f1 != f2
+    assert _bits(f1) == _bits(_cold_F(dataset, T1, 0.9))
+    assert _bits(f2) == _bits(_cold_F(dataset, T2, 0.9))
+
+
+def test_F_plan_retained_memory(dataset):
+    # a cold F over the shipped table keeps its plan in the memo, 3.70 MB
+    # (tracemalloc): the Cauchy weights of offsets 0 and 1 (2.56 MB) and
+    # the carry and hand-off decays (0.95 MB).  The call peaks at 8.05 MB,
+    # the plan and then the 4.35 MB of a warm call; the bound lies 5% above
+    zd._memo = (None, None)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        zd.empirical_F(dataset, dataset.t_max, 1.0)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert current - before <= 4.0e6
+    assert peak - before <= 8.5e6
+
+
 def _peak_bytes(fn):
     """tracemalloc's peak over one call of fn, above what was traced
     before it, after a warm-up call; tracemalloc sees numpy's buffers."""
@@ -477,12 +556,14 @@ def _peak_bytes(fn):
 
 
 def test_pair_sums_working_set(dataset):
-    # one F over the shipped table peaks at 4.46 MB and the beta = 1
-    # majorant's pair sum over the first 2,000 zeros at 1.58 MB; with whole
-    # (blocks, 16, nodes) and (blocks, 16, 16) temporaries they take 9.40
-    # and 4.15 MB.  The bounds lie 5% and 26% above the measured peaks; the
-    # second is below the 2.05 MB of a near field that holds its pieces
-    # until enough gaps gather for R
+    # the warm-up call fills F's plan memo, so the F measured is a warm
+    # one: over the shipped table it peaks at 4.35 MB, and the beta = 1
+    # majorant's pair sum over the first 2,000 zeros, which builds its own
+    # decays each call, at 1.65 MB; with whole (blocks, 16, nodes) and
+    # (blocks, 16, 16) temporaries they took 9.40 and 4.15 MB.  The bounds
+    # lie 8% and 21% above the measured peaks; the second is below the
+    # 2.05 MB of a near field that holds its pieces until enough gaps
+    # gather for R
     T = dataset.t_max
     assert _peak_bytes(lambda: zd.empirical_F(dataset, T, 1.0)) <= 4.7e6
     sub = zd.ZeroDataset(ordinates=dataset.ordinates[:2000],
@@ -493,11 +574,12 @@ def test_pair_sums_working_set(dataset):
 
 
 def test_alpha_grid_working_set(dataset):
-    # the 7-alpha grid of the benchmark at n = 2,000, one chunk, peaks at
-    # 3.79 MB and keeps the bound of one F at n = 10^4; the 61-alpha grid
-    # 0:3:0.05 at n = 10^4 at 21.2 MB, its far field taken _ALPHAS = 8
-    # alphas at a time (in one pass, 149 MB).  The second bound lies 15%
-    # above its measured peak
+    # the warm-up call fills F's plan memo, so each grid measured is a
+    # warm one: the 7-alpha grid of the benchmark at n = 2,000, one chunk,
+    # peaks at 3.75 MB and keeps the bound of one F at n = 10^4; the
+    # 61-alpha grid 0:3:0.05 at n = 10^4 at 21.1 MB, its far field taken
+    # _ALPHAS = 8 alphas at a time (in one pass, 149 MB).  The second
+    # bound lies 16% above its measured peak
     sub = zd.ZeroDataset(ordinates=dataset.ordinates[:2000],
                          source=dataset.source,
                          t_max=float(dataset.ordinates[1999]))
