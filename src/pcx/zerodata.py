@@ -71,6 +71,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -606,8 +607,7 @@ def _decay(dx, t):
     return np.exp(decay, out=decay)
 
 
-@dataclass(frozen=True)
-class _FarPlan:
+class _FarPlan(NamedTuple):
     """What the far field of one window takes that no frequency changes:
     the nodes t and weights w, the widest block span and the Taylor
     coefficients of _taylor(t, span), and the gaps and decays exp(-t gap)
@@ -731,8 +731,7 @@ def _near_F(G, phase, weights, k):
     return near
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """F's alpha-independent state of one sorted window: its blocks G and
     their boolean mask, the ordinate count n, the near field's reach and
     Cauchy weights, and the _FarPlan of the pairs farther apart (None when
