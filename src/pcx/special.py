@@ -104,40 +104,42 @@ def _poly(z, coeffs):
 def _polygammas(x, series):
     """psi1 and, when series is _SERIES and not its first column alone,
     psi2 of x > 0 (float or array): the series at x + n, n = ceil(SHIFT
-    - x) or 0, then the steps at x + k, k = n_max - 1, ..., 0.  The
-    arguments are ordered once by n, most steps first (a stable sort of
-    small ints), so that at step k those still shifting, n > k, are a
-    prefix of that order, and only the prefix takes the step; the sums
-    are scattered back at the end.  A step overflows to +inf in psi1 and
-    -inf in psi2, like the true values."""
+    - x) or 0, then the steps at x + k, k = n_max - 1, ..., 0.  When
+    some x shifts, the arguments are first ordered by n, most steps first
+    (a stable sort of int8 counts), so that at step k those still
+    shifting, n > k, are a prefix of that order and only the prefix takes
+    the step; the values are scattered back at the end.  A step overflows
+    to +inf in psi1 and -inf in psi2, like the true values."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     shifted = not (flat >= SHIFT).all()
     if shifted and not (flat > 0.0).all():
         raise DomainError("polygamma arguments must be positive")
-    n = np.maximum(np.ceil(SHIFT - flat), 0.0) if shifted else 0.0
+    n = 0.0
+    if shifted:
+        # n <= SHIFT for x > 0, so the step counts fit in int8
+        steps = np.maximum(np.ceil(SHIFT - flat), 0.0).astype(np.int8)
+        order = np.argsort(-steps, kind="stable")
+        # live[k]: how many arguments take more than k steps
+        live = np.cumsum(np.bincount(steps)[::-1])[::-1][1:]
+        flat = flat[order]
+        n = steps[order]
     w = 1.0 / (flat + n)
     z = w * w
     p = _poly(z, series)
     psi = ([w + z * (0.5 + w * p[0])]
            + [-z * (1.0 + w * (1.0 + w * q)) for q in p[1:]])
     if shifted:
-        # n <= SHIFT for x > 0, so the step counts fit in int8
-        steps = n.astype(np.int8)
-        order = np.argsort(-steps, kind="stable")
-        # live[k]: how many arguments take more than k steps
-        live = np.cumsum(np.bincount(steps)[::-1])[::-1][1:]
-        y0 = flat[order]
-        sums = [v[order] for v in psi]
         with np.errstate(divide="ignore", over="ignore"):
             for k in range(len(live) - 1, -1, -1):
-                y = y0[:live[k]] + k
+                y = flat[:live[k]] + k
                 y2 = y * y
-                sums[0][:live[k]] += 1.0 / y2
-                for v in sums[1:]:
+                psi[0][:live[k]] += 1.0 / y2
+                for v in psi[1:]:
                     v[:live[k]] += -2.0 / (y2 * y)
-        for v, s in zip(psi, sums):
-            v[order] = s
+        for i, v in enumerate(psi):
+            psi[i] = np.empty_like(v)
+            psi[i][order] = v
     return [_out(v.reshape(x.shape)) for v in psi]
 
 
