@@ -22,11 +22,11 @@ k = n_max - 1, ..., 0 in one loop over the array, ordered once by n so
 that step k touches only the prefix of arguments with n > k.  So the
 shifted terms are added smallest first, in the order a loop over plain
 floats would add them, and an argument's value does not depend on the
-array it came in.  Arguments
-from SHIFT on take no step, and when none is below it (the closed forms
-of pcx.pcbounds take psi1 and psi2 there) the shift is not set up at
-all.  Where a step overflows a double, psi1 is +inf (x below about
-7.5e-155) and psi2 -inf (below about 2.2e-103), as the true values are.
+array it came in.  Arguments from SHIFT on take no step, and when none
+is below it (the closed forms of pcx.pcbounds take psi1 and psi2 there)
+the shift is not set up at all.  Where a step overflows a double, psi1
+is +inf (x below about 7.5e-155) and psi2 -inf (below about 2.2e-103),
+as the true values are.
 
 Si sums its power series below 4, the terms as a running product of
 their ratios and the sum as a running sum, both in a fixed order.  From 4
