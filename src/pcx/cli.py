@@ -19,21 +19,24 @@ converted twice took 2.8-3.5 s and 110 MB, and building the whole text
 542 MB (2-core x86 host).  JSON and table output, whose layout needs
 every row, are built whole, each cell converted once.
 
-The argument parser is built once per process, on the first call of main,
-and reused: building it costs more than a one-beta `pcx bounds` itself.
-It holds no command function; main looks up cmd_<subcommand> by name at
-each call.
+main parses argv in one walk against _OPTIONS, the table of the options
+each subcommand reads and the value each takes, with the help text
+(_SYNOPSIS) beside it; anything the table does not allow, an abbreviated
+option included, is a config error that names it.  Nothing is built per
+process, and per call only the namespace: argparse's parse took 49-59 us
+of each one-beta `pcx bounds` (2-3 us now), and building its parsers
+about 6-7 ms of a process's first call (2-core x86 host, a slow phase).
+main looks up cmd_<subcommand> by name at each call.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
 import json
 import math
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -271,57 +274,103 @@ def cmd_debranges(args):
                   "b_zero": E.zeros_B[1:count + 1]}, notes)
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="pcx",
-        description="Band-limited extremal bounds for pair correlation "
-                    "statistics of critical-line zeros.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    options = {
-        "--beta": dict(help="value or a:b:step grid"),
-        "--delta": dict(type=float, default=1.0),
-        "--epsilon": dict(type=float),
-        "--nstar": dict(type=float, default=1.0),
-        "--zeros": dict(help="ordinate table path"),
-        "--tol": dict(type=float),
-        "--one-delta": dict(action="store_true"),
-        "--profile": dict(action="store_true"),
-        "--falpha": dict(help="alpha grid a:b:step for the pair sum"),
-    }
-    # each subcommand takes only the options it reads
-    for name, help_text, flags in (
-            ("bounds", "bound tables on a beta grid",
-             ("--beta", "--delta", "--epsilon", "--nstar")),
-            ("twodelta", "two-point extremal values",
-             ("--beta", "--one-delta")),
-            ("gaps", "small-gap thresholds",
-             ("--beta", "--tol", "--profile")),
-            ("empirical", "empirical statistics from data",
-             ("--zeros", "--beta", "--falpha")),
-            ("debranges", "structure-function diagnostics", ())):
-        p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument(flag, **options[flag])
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json", "table"),
-                       default="csv")
-        p.add_argument("--plot", help="write a gnuplot script here")
-
-    return parser
+# the options each subcommand reads, and the value each takes: a float,
+# a text value (str) or none (bool, a flag); main walks argv against it
+_OPTIONS = {
+    "bounds": {"--beta": str, "--delta": float, "--epsilon": float,
+               "--nstar": float},
+    "twodelta": {"--beta": str, "--one-delta": bool},
+    "gaps": {"--beta": str, "--tol": float, "--profile": bool},
+    "empirical": {"--zeros": str, "--beta": str, "--falpha": str},
+    "debranges": {},
+}
+# taken by every subcommand
+_COMMON = {"--out": str, "--format": str, "--plot": str}
+_DEFAULTS = {"--delta": 1.0, "--nstar": 1.0, "--format": "csv"}
+# the synopsis of each subcommand and of the common options: pcx --help
+# prints them as the README's CLI block, pcx <subcommand> --help its own
+_SYNOPSIS = {
+    "bounds": "[--beta a:b:step | --beta v] "
+              "[[--delta D] [--epsilon E] | --nstar R]",
+    "twodelta": "(--beta a:b:step | --beta v | --one-delta)",
+    "gaps": "[--tol T | --profile [--beta a:b:step | --beta v]]",
+    "empirical": "--zeros PATH "
+                 "[--beta a:b:step | --beta v | --falpha a:b:step]",
+    "debranges": "",
+}
+_COMMON_SYNOPSIS = "[--out PATH] [--format csv|json|table] [--plot GP]"
+_HELP = ("-h", "--help")
+# per subcommand: every option it takes, and the attributes of its
+# namespace before argv sets any (None, False for a flag, or the default)
+_TAKES = {c: {**o, **_COMMON} for c, o in _OPTIONS.items()}
+_START = {c: {"command": c} | {
+              k[2:].replace("-", "_"):
+              _DEFAULTS.get(k, False if kind is bool else None)
+              for k, kind in takes.items()}
+          for c, takes in _TAKES.items()}
 
 
-@functools.cache
-def _parser():
-    return build_parser()
+def _usage(commands):
+    """The synopsis lines of commands, then the common options."""
+    lines = [f"pcx {c:<9} {_SYNOPSIS[c]}".rstrip() for c in commands]
+    lines += ["", f"every subcommand also takes {_COMMON_SYNOPSIS}"]
+    return "\n".join(lines) + "\n"
+
+
+def _parse(argv):
+    """The namespace of argv, with the attributes of _START[subcommand],
+    or the help text when argv asks for it.  An option is --opt v or
+    --opt=v, its value may start with '-', and the last of a repeated
+    option wins; anything the table does not allow is a DomainError
+    naming it."""
+    if not argv:
+        raise DomainError(f"missing subcommand (one of {', '.join(_OPTIONS)})")
+    command = argv[0]
+    if command in _HELP:
+        return _usage(_OPTIONS)
+    takes = _TAKES.get(command)
+    if takes is None:
+        raise DomainError(f"unknown subcommand {command!r} "
+                          f"(one of {', '.join(_OPTIONS)})")
+    values = dict(_START[command])
+    i, n = 1, len(argv)
+    while i < n:
+        arg = argv[i]
+        i += 1
+        if arg in _HELP:
+            return _usage([command])
+        name, eq, value = arg.partition("=")
+        kind = takes.get(name)
+        if kind is None:
+            raise DomainError(f"{name} is not an option of pcx {command}")
+        if kind is bool:
+            if eq:
+                raise DomainError(f"{name} takes no value")
+            value = True
+        elif not eq:
+            if i == n:
+                raise DomainError(f"{name} needs a value")
+            value = argv[i]
+            i += 1
+        if kind is float:
+            try:
+                value = float(value)
+            except ValueError:
+                raise DomainError(
+                    f"{name} must be a number, not {value!r}") from None
+        values[name[2:].replace("-", "_")] = value
+    if values["format"] not in ("csv", "json", "table"):
+        raise DomainError(f"--format must be csv, json or table, "
+                          f"not {values['format']!r}")
+    return types.SimpleNamespace(**values)
 
 
 def main(argv=None):
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return EXIT_OK
         # checked before the command runs, so that a misused --plot
         # writes nothing
         if args.plot and (not args.out or args.format != "csv"):

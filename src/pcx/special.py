@@ -181,14 +181,17 @@ def _si_auxiliary(t):
 
 def _si(t):
     """Si of a flat array t >= 0, checked finite: each side of the switch
-    by its own rule, and the whole array at once when it lies on one."""
+    by its own rule, and the whole array at once when it lies on one,
+    found by one count of the arguments below the switch."""
     low = t < _SI_SWITCH
+    count = np.count_nonzero(low)
+    if count == 0:
+        return _si_auxiliary(t)
+    if count == len(t):
+        return _si_series(t)
     si = np.empty_like(t)
-    for part, rule in ((~low, _si_auxiliary), (low, _si_series)):
-        if part.all():
-            return rule(t)
-        if part.any():
-            si[part] = rule(t[part])
+    si[~low] = _si_auxiliary(t[~low])
+    si[low] = _si_series(t[low])
     return si
 
 

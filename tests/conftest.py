@@ -27,5 +27,5 @@ def dataset(zeros_path):
 @pytest.fixture(autouse=True)
 def _empty_F_plan():
     """Every test starts with empirical_F's plan memo empty, so that none
-    depends on the window an earlier test left in it."""
-    zerodata._memo = (None, None)
+    depends on the windows an earlier test left in it."""
+    zerodata._memo = ()

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import dataclasses
 import io
@@ -6,9 +5,11 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -424,7 +425,7 @@ def test_emit_rows_match_cell_rule(capsys, monkeypatch, fmt):
         "f": np.array([-0.0, 1e308, -5e-324, 2.5e-300, 1e10 + 1]),
     }
     rows = list(zip(*(table[c].tolist() for c in columns)))
-    args = argparse.Namespace(format=fmt, out=None, plot=None)
+    args = types.SimpleNamespace(format=fmt, out=None, plot=None)
     assert cli._emit(args, "test", columns, table) == 0
     out = capsys.readouterr().out
     cells = [columns] + [[_cell(x) for x in v] for v in rows]
@@ -599,8 +600,9 @@ def _fresh_process(argv):
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):
-    # main builds its parser once per process; a call that fails in the
-    # parser or in a command must leave nothing behind for the next call
+    # main walks argv against one option table that no call changes; a
+    # call that fails in the parser or in a command must leave nothing
+    # behind for the next call
     good = ["bounds", "--beta", "0.5:1.5:0.5"]
     calls = [good, ["bounds", "--tol", "1"], good,
              ["gaps", "--beta", "0.6"], ["twodelta", "--beta", "1"]]
@@ -609,7 +611,139 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == _fresh_process(argv), argv
     # the command is looked up by name at each call, so a rebound
-    # cmd_<name> takes effect although the parser is cached
+    # cmd_<name> takes effect
     seen = []
     monkeypatch.setattr(cli, "cmd_bounds", lambda args: seen.append(args.beta) or 0)
     assert cli.main(good) == 0 and seen == ["0.5:1.5:0.5"]
+
+
+PARSE_ERRORS = [
+    ([], "subcommand"),
+    (["bogus"], "'bogus'"),
+    (["--beta", "1"], "'--beta'"),
+    (["bounds", "--tol", "1"], "--tol"),
+    (["debranges", "--zeros", "x"], "--zeros"),
+    (["bounds", "1"], "1"),
+    (["bounds", "--beta"], "--beta"),
+    (["bounds", "--beta", "1", "--out"], "--out"),
+    (["bounds", "--delta", "x"], "--delta"),
+    (["gaps", "--tol=1e-8x"], "--tol"),
+    (["twodelta", "--one-delta=1"], "--one-delta"),
+    (["gaps", "--profile=yes"], "--profile"),
+    (["bounds", "--format", "xml"], "--format"),
+    (["bounds", "--format="], "--format"),
+    # no prefix abbreviations
+    (["bounds", "--bet", "1"], "--bet"),
+    (["twodelta", "--one"], "--one"),
+]
+
+
+@pytest.mark.parametrize("argv, named", PARSE_ERRORS,
+                         ids=[" ".join(a) or "empty" for a, _ in PARSE_ERRORS])
+def test_parse_errors_are_config_errors(capsys, argv, named):
+    # one line that names the option, exit code 2, nothing on stdout
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("pcx: config error: ")
+    assert captured.err.count("\n") == 1 and named in captured.err
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    ("bounds --beta 0.5:1.5:0.5 --nstar 1.2 --format json",
+     "bounds --beta=0.5:1.5:0.5 --nstar=1.2 --format=json"),
+    ("bounds --beta 1 --delta 2 --epsilon 0.001",
+     "bounds --beta=1 --delta=2 --epsilon=0.001"),
+    ("gaps --profile --beta 0.6:0.7:0.05 --format table",
+     "gaps --profile --beta=0.6:0.7:0.05 --format=table"),
+    ("empirical --zeros {zeros} --falpha 0:1:0.5",
+     "empirical --zeros={zeros} --falpha=0:1:0.5"),
+])
+def test_option_equals_value_is_option_space_value(capsys, zeros_path,
+                                                   spaced, joined):
+    rows = []
+    for line in (spaced, joined):
+        assert cli.main(line.format(zeros=zeros_path).split()) == 0
+        rows.append(capsys.readouterr().out)
+    assert rows[0] == rows[1]
+
+
+def test_option_values_may_start_with_a_dash(capsys):
+    # a value that starts with '-' is the option's value, which then
+    # meets the subcommand's own check
+    code, out = run(capsys, ["bounds", "--beta", "1", "--epsilon", "-1"])
+    assert code == 0
+    assert "# dilation delta=2\n" in out and " epsilon=-1.0 " in out
+    for argv, err in (
+            (["bounds", "--beta=-inf:2:0.5"], "--beta must hold finite numbers"),
+            (["bounds", "--beta", "-inf:2:0.5"], "--beta must hold finite numbers"),
+            (["gaps", "--tol", "-1"], "--tol must be a positive finite number"),
+            (["twodelta", "--beta", "-0.5"], "beta must be positive")):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"pcx: config error: {err}\n"
+
+
+def test_repeated_option_takes_last_value(capsys):
+    last = run(capsys, ["bounds", "--beta", "1", "--format", "json"])
+    assert run(capsys, ["bounds", "--beta", "2", "--format", "table",
+                        "--beta=1", "--format", "json"]) == last
+    flag = run(capsys, ["twodelta", "--one-delta"])
+    assert run(capsys, ["twodelta", "--one-delta", "--one-delta"]) == flag
+
+
+# the options each subcommand's help names: its own and the common three
+HELP_OPTIONS = {
+    "bounds": {"--beta", "--delta", "--epsilon", "--nstar"},
+    "twodelta": {"--beta", "--one-delta"},
+    "gaps": {"--beta", "--tol", "--profile"},
+    "empirical": {"--zeros", "--beta", "--falpha"},
+    "debranges": set(),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(HELP_OPTIONS))
+def test_subcommand_help_lists_its_options(capsys, cmd):
+    for flag in ("-h", "--help"):
+        for argv in ([cmd, flag], [cmd, "--format", "json", flag]):
+            assert cli.main(argv) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and out.split()[:2] == ["pcx", cmd]
+            assert set(re.findall(r"--[a-z-]+", out)) == (
+                HELP_OPTIONS[cmd] | {"--out", "--format", "--plot"})
+
+
+def test_readme_cli_block_is_the_help_text(capsys):
+    # the fenced block under the README's "## CLI" heading is what pcx
+    # --help prints, so the two cannot drift apart
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    for flag in ("-h", "--help"):
+        assert run(capsys, [flag]) == (0, block)
+
+
+def test_every_subcommand_runs_without_argparse(zeros_path):
+    # argv is walked against cli's own option table: a fresh interpreter
+    # that runs every subcommand, a help and a parse error loads neither
+    # argparse nor the gettext and locale that it pulls in
+    script = (
+        "import contextlib, io, sys\n"
+        "from pcx import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        "    for argv in (['bounds', '--beta', '1'], ['twodelta', '--one-delta'],\n"
+        "                 ['gaps', '--profile'], ['debranges'],\n"
+        f"                 ['empirical', '--zeros', {str(zeros_path)!r}],\n"
+        "                 ['--help'], ['bounds', '-h']):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    assert cli.main(['bounds', '--bet', '1']) == 2\n"
+        "loaded = sorted(m for m in ('argparse', 'gettext', 'locale')\n"
+        "                if m in sys.modules)\n"
+        "print('loaded:', ','.join(loaded))\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "loaded: "

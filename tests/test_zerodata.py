@@ -461,7 +461,7 @@ def test_empirical_F_refuses_overflowed_phases(dataset):
 
 def _cold_F(ds, T, alpha):
     """empirical_F with the plan memo emptied first."""
-    zd._memo = (None, None)
+    zd._memo = ()
     return zd.empirical_F(ds, T, alpha)
 
 
@@ -470,25 +470,48 @@ def _bits(F):
 
 
 def test_F_plan_memo_table_sequence(dataset):
-    # the tables A, B, A: each call on a table the memo does not hold
-    # replaces the plan, each repeat reuses it, and every F, float or a
-    # grid of more than one chunk of alphas, is the cold F to the bit
+    # the tables A, B, A: each call on a table puts its plan first in the
+    # memo, each repeat reuses it, and every F, float or a grid of more
+    # than one chunk of alphas, is the cold F to the bit
     tables = {"A": _prefix(dataset, 2000), "B": _prefix(dataset, 3000)}
     alphas = 0.1 * np.arange(2 * zd._ALPHAS + 3)
     assert len(alphas) > zd._ALPHAS
     cold = {name: (_bits(_cold_F(ds, ds.t_max, 1.1)),
                    _bits(_cold_F(ds, ds.t_max, alphas)))
             for name, ds in tables.items()}
-    zd._memo = (None, None)
+    zd._memo = ()
     for name in "ABA":
         ds = tables[name]
         plan = None
         for _ in range(2):
             assert _bits(zd.empirical_F(ds, ds.t_max, 1.1)) == cold[name][0]
             assert _bits(zd.empirical_F(ds, ds.t_max, alphas)) == cold[name][1]
-            assert plan is None or zd._memo[1] is plan
-            plan = zd._memo[1]
-        assert np.array_equal(zd._memo[0], ds.ordinates)
+            assert plan is None or zd._memo[0][1] is plan
+            plan = zd._memo[0][1]
+        assert np.array_equal(zd._memo[0][0], ds.ordinates)
+
+
+def test_F_plan_memo_keeps_two_windows(dataset, monkeypatch):
+    # A, B, A: the third call builds nothing (no Cauchy weights) and is
+    # the cold F to the bit; a third table C evicts the older of the two
+    built = []
+    weights = zd._cauchy_weights
+    monkeypatch.setattr(zd, "_cauchy_weights",
+                        lambda G, reach: built.append(len(G)) or weights(G, reach))
+    A, B, C = (_prefix(dataset, n) for n in (2000, 3000, 1000))
+    cold = _bits(_cold_F(A, A.t_max, 1.3))
+    zd._memo = ()
+    built.clear()
+    zd.empirical_F(A, A.t_max, 0.8)
+    plan_A = zd._memo[0][1]
+    zd.empirical_F(B, B.t_max, 0.8)
+    assert len(built) == 2
+    assert _bits(zd.empirical_F(A, A.t_max, 1.3)) == cold
+    assert len(built) == 2 and zd._memo[0][1] is plan_A
+    assert [len(w) for w, _ in zd._memo] == [2000, 3000]
+    zd.empirical_F(C, C.t_max, 0.8)
+    assert len(built) == 3
+    assert [len(w) for w, _ in zd._memo] == [1000, 2000]
 
 
 def test_F_plan_memo_sees_ordinates_changed_in_place(dataset):
@@ -508,10 +531,10 @@ def test_F_plan_memo_two_T_one_window(dataset):
     g = dataset.ordinates
     T1, T2 = float(g[1999]), 0.5 * float(g[1999] + g[2000])
     f1 = zd.empirical_F(dataset, T1, 0.9)
-    plan = zd._memo[1]
+    plan = zd._memo[0][1]
     assert plan is not None
     f2 = zd.empirical_F(dataset, T2, 0.9)
-    assert zd._memo[1] is plan
+    assert zd._memo[0][1] is plan
     assert f1 != f2
     assert _bits(f1) == _bits(_cold_F(dataset, T1, 0.9))
     assert _bits(f2) == _bits(_cold_F(dataset, T2, 0.9))
@@ -522,7 +545,7 @@ def test_F_plan_retained_memory(dataset):
     # (tracemalloc): the Cauchy weights of offsets 0 and 1 (2.56 MB) and
     # the carry and hand-off decays (0.95 MB).  The call peaks at 8.05 MB,
     # the plan and then the 4.35 MB of a warm call; the bound lies 5% above
-    zd._memo = (None, None)
+    zd._memo = ()
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
