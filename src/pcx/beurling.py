@@ -23,11 +23,13 @@ with both arguments past 10, the relative error of r_beta(+/-) is about
 form alone by about 1e-6); with one argument nearer, the closed form's
 absolute rounding of about 1e-16 sets it.  Each branch takes one sine
 per argument: the closed form takes sinc^2, (sin(pi x)/pi)^2 and H1
-from one sine of pi |x|.  The far remainder runs over every point of an
-array that holds a far argument (a near point there pays both sines)
-and over none of an array whose arguments all lie below 10.  _far_rest
-takes its squared sine from the caller, so that pcx.zerodata can supply
-it from unit phases.
+from one sine of pi |x|, and the far remainder reads the squared sine
+(sin(pi y)/pi)^2 that its caller passes.  The far remainder runs over
+every point of an array that holds a far argument and over none of an
+array whose arguments all lie below 10.  _r_gamma, the one assembly of
+r_gamma(+/-), takes x, gamma, the sign and the squared sines of its two
+arguments: eval_r passes those of the reduced fractions (a near
+argument there pays both sines), pcx.zerodata those of its unit phases.
 far_series gives the far remainder's power series term by term, and the
 functions make_selberg_pair builds (SelbergFunction) carry gamma, sign
 and dilation, so that pcx.zerodata can sum the far branch in closed form.
@@ -43,16 +45,6 @@ import numpy as np
 
 from .numerics import DomainError
 from .special import B2K, _poly, trigamma
-
-
-def sinc(x):
-    """sin(pi x)/(pi x) with the removable point filled in."""
-    return np.sinc(np.asarray(x, dtype=float))
-
-
-def eval_H1(x):
-    """sinc squared; the value at integers comes out exactly 0 (1 at 0)."""
-    return sinc(x) ** 2
 
 
 # where the asymptotic series of psi1 takes over from the closed form
@@ -100,33 +92,56 @@ def far_series(sign):
                                        for k, b in enumerate(B2K))
 
 
-def _h_split(y, sign, frac):
+def _h_split(y, sign, sin2):
     """H0(y) + sign*H1(y) as (whole, rest) with whole + rest the value.
 
     whole is sgn(y) where |y| >= FAR and 0 nearer, so sums of whole parts
     are exact; rest is the small far remainder, or the whole value from
-    the closed form nearer.  sign = 0 gives H0 alone.  frac, of y's
-    shape, differs from y by an integer: the far sine reads it instead of
-    y, so the rounding of a large y does not reach the sine.
+    the closed form nearer.  sign = 0 gives H0 alone.  sin2, of y's
+    size, is (sin(pi y)/pi)^2 point for point, which only the far
+    remainder reads.
     """
     shape = np.shape(y)
     # flat arrays throughout: a numpy scalar's ** 2 is pow(), which can
     # round apart from an array's x * x
-    y, frac = np.ravel(y), np.ravel(frac)
+    y, sin2 = np.ravel(y), np.ravel(sin2)
     near = np.abs(y) < FAR
-    whole = np.where(near, 0.0, np.sign(y)).reshape(shape)
     if near.all():
         h0, h1 = _h0_near(y)
-        return whole, (h0 + sign * h1).reshape(shape)
-    # the far remainder over every point in one pass, a near one reading
-    # FAR, costs less than gathering the far points; the closed form then
-    # overwrites the near points
-    rest = _far_rest(np.where(near, FAR, y),
-                     (np.sin(np.pi * frac) / np.pi) ** 2, sign)
-    if near.any():
-        h0, h1 = _h0_near(y[near])
-        rest[near] = h0 + sign * h1
-    return whole, rest.reshape(shape)
+        rest = h0 + sign * h1
+    else:
+        # the far remainder over every point in one pass, a near one
+        # reading FAR, costs less than gathering the far points; the
+        # closed form then overwrites the near points
+        rest = _far_rest(np.where(near, FAR, y), sin2, sign)
+        if near.any():
+            h0, h1 = _h0_near(y[near])
+            rest[near] = h0 + sign * h1
+    # taken last, so that it is not held through the branches' temporaries
+    whole = np.where(near, 0.0, np.sign(y))
+    return whole.reshape(shape), rest.reshape(shape)
+
+
+def _sin2(frac):
+    """(sin(pi y)/pi)^2, flat, from frac = y less an integer: so the
+    rounding of a large y does not reach the sine."""
+    return (np.sin(np.pi * np.ravel(frac)) / np.pi) ** 2
+
+
+def _r_gamma(x, gamma, sign, sin2_u, sin2_v):
+    """r_gamma(sign)(x) = (H(u) + H(v)) / 2, H = H0 + sign*H1, u = x +
+    gamma and v = gamma - x, given the squared sines (sin(pi u)/pi)^2 and
+    (sin(pi v)/pi)^2 that _h_split takes.  The sgn parts of u and v are
+    added as exact integers, then the remainders."""
+    u = x + gamma
+    v = gamma - x
+    # each let go when its split is done, where the caller passed x and
+    # the sines as temporaries
+    del x
+    wu, ru = _h_split(u, sign, sin2_u)
+    del u, sin2_u
+    wv, rv = _h_split(v, sign, sin2_v)
+    return 0.5 * ((wu + wv) + (ru + rv))
 
 
 def eval_H0(x):
@@ -139,7 +154,7 @@ def eval_H0(x):
     is used below |x| = 10, the asymptotic form beyond (module docstring).
     """
     x = np.asarray(x, dtype=float)
-    whole, rest = _h_split(x, 0, x - np.rint(x))
+    whole, rest = _h_split(x, 0, _sin2(x - np.rint(x)))
     return whole + rest
 
 
@@ -152,9 +167,7 @@ def eval_r(beta, sign, x):
     # without the rounding of x +/- beta itself
     fx = x - np.rint(x)
     fb = beta - np.rint(beta)
-    wu, ru = _h_split(x + beta, sign, fx + fb)
-    wv, rv = _h_split(beta - x, sign, fb - fx)
-    return 0.5 * ((wu + wv) + (ru + rv))
+    return _r_gamma(x, beta, sign, _sin2(fx + fb), _sin2(fb - fx))
 
 
 @dataclass(frozen=True)

@@ -53,14 +53,14 @@ and past the gap from which
 both arguments x +/- gamma take the far branch of pcx.beurling, the
 summand is the Cauchy weight times a power series in 1/(d +/- c) and a
 cosine, which the same far field sums as two exponential sums, one
-smooth and one at the cosine's frequency.  In the exact part, a gap
-whose arguments are both far (71% of them at n = 2,000 and beta = 1)
-takes its two squared sines from unit phases, as F's near field takes
-its cosines, and the far remainder's series from pcx.beurling; only
-the others go through R, piece by piece (up to 64 x 256 gaps each) and
-8,192 at a time.  That sum costs about 10 ms at n = 2,000 and 45 ms at
-n = 10^4 on a 2-core x86 host, against 0.36 and 8.4 s for the direct
-sum over all pairs.  The direct loop over the unordered
+smooth and one at the cosine's frequency.  The exact part takes R,
+piece by piece (up to 64 x 256 gaps each), from pcx.beurling's one
+assembly of r_gamma, which alone knows its switch and sign rule; each
+gap's two squared sines come from unit phases, as F's near field takes
+its cosines, and only a piece's arguments below the switch take a sine
+of their own, in the closed form.  That sum costs about 8 ms at n =
+2,000 and 35 ms at n = 10^4 on a 2-core x86 host, against 0.36 and 8.4
+s for the direct sum over all pairs.  The direct loop over the unordered
 pairs (one chunked loop, doubled for the even summands) now serves only
 the weighted pair sum of any other R and count_pairs_brute, the oracle
 of count_pairs.  Everything empirical is compared side by side with the
@@ -79,7 +79,7 @@ import numpy as np
 from .numerics import (DomainError, MonotonicityError, NonConvergence,
                        ParseError)
 from . import pcbounds
-from .beurling import FAR, SelbergFunction, _far_rest, far_series
+from .beurling import FAR, SelbergFunction, _r_gamma, far_series
 
 # rows per block of the direct pair loop, which serves weighted_pair_sum
 # of an R other than a Selberg function and count_pairs_brute; measured
@@ -98,9 +98,6 @@ _ALPHAS = 8
 # blocks per piece of the exact near field of the weighted pair sum of a
 # Selberg function, up to 64 x 256 = 16,384 gaps, each summed as one array
 _NEAR = 64
-# the most points of a piece that R.time_eval takes per call: 8,192 points
-# before R's switch peak near 1.6 MB in the R of pcx.beurling
-_CALL = 8192
 # F sums a pair exactly unless its blocks lie at least as many blocks apart
 # as the first offset at which every gap reaches _REACH (2 on the shipped
 # table); beyond, _nodes is within 6.4e-15 of 4/(4+d^2)
@@ -465,60 +462,35 @@ def _near_pieces(G, real, a, reach):
                    (phase[lo + o:lo + o + m] * hop[:, np.newaxis])[:, np.newaxis, :])
 
 
-def _far_branch(d, ei, ej, R, scale):
-    """R(scale d) at the gaps d where both arguments u = x + gamma and v =
-    gamma - x of r_gamma, x = dilation scale d, take the far branch, and
-    the flat indices of the other gaps, whose entries hold no value of R.
-
-    There R = (sgn(u) + sgn(v) + rest(u) + rest(v)) / 2, rest the far
-    remainder of pcx.beurling, as eval_r takes it; u >= gamma, so both are
-    far where |v| >= FAR: from x = gamma + FAR on, and for gamma >= FAR
-    also up to x = gamma - FAR.  The squared sines of rest come from the
-    factors conj(ei) ej = exp(i pi x) of _near_pieces and e = exp(i pi
-    (gamma - rint gamma)): sin(pi u) = Im(conj(ei) ej e) and sin(pi v) =
-    Im(ei conj(ej conj(e))), in place of a sine per argument."""
-    u = R.dilation * (d * scale)
-    v = R.gamma - u
-    u += R.gamma
-    nearer = np.flatnonzero(np.abs(v) < FAR)
-    # the nearer gaps read the switch, where the far remainder is finite
-    np.put(u, nearer, FAR)
-    np.put(v, nearer, -FAR)
-    # e / pi, which the squares of the sines take as 1 / pi^2
-    e = np.exp(1j * math.pi * (R.gamma - round(R.gamma))) / math.pi
-    f = ej * e
+def _unit_sin2(ei, f):
+    """(Im(conj(ei) f))^2, f a product of unit phases times 1 / pi."""
     s = ei.real * f.imag
     s -= ei.imag * f.real
     s *= s
-    rest = _far_rest(u, s, R.sign)
-    # freed before the second remainder's temporaries
-    del u
-    f = ej * np.conj(e)
-    s = ei.imag * f.real
-    s -= ei.real * f.imag
-    s *= s
-    rest += _far_rest(v, s, R.sign)
-    if R.gamma >= FAR:
-        # sgn(u) + sgn(v), 0 or 2, exactly; below FAR every far v is negative
-        rest += np.sign(v) + 1.0
-    rest *= 0.5
-    return rest, nearer
+    return s
+
+
+def _selberg_values(d, ei, ej, R, scale):
+    """R(scale d) at the gaps d of a piece of _near_pieces: r_gamma of
+    pcx.beurling at x = dilation scale d, whose two arguments u = x +
+    gamma and v = gamma - x take their squared sines from the factors
+    conj(ei) ej = exp(i pi x) of the piece and e = exp(i pi (gamma - rint
+    gamma)): sin(pi u) = Im(conj(ei) ej e) and sin(pi v) = -Im(conj(ei)
+    ej conj(e)), in place of a sine per argument."""
+    # e / pi, which the squares of the sines take as 1 / pi^2
+    e = np.exp(1j * math.pi * (R.gamma - round(R.gamma))) / math.pi
+    return _r_gamma(R.dilation * (d * scale), R.gamma, R.sign,
+                    _unit_sin2(ei, ej * e), _unit_sin2(ei, ej * np.conj(e)))
 
 
 def _selberg_near(G, real, R, scale, reach):
     """The exact part of _selberg_pairs: sum of R(scale d) C(d) over the
     pairs of _near_pieces, the padding masked, each piece summed on its
-    own and in order.  _far_branch gives R past its switch from the
-    piece's phases; the piece's other gaps go through R.time_eval, _CALL
-    at a time, which bounds its temporaries, and are put in by flat
-    index."""
+    own and in order, with R from _selberg_values."""
     near = 0.0
     for d, mask, ei, ej in _near_pieces(G, real, R.dilation * scale, reach):
-        values, nearer = _far_branch(d, ei, ej, R, scale)
-        x = np.take(d, nearer) * scale
-        for lo in range(0, len(x), _CALL):
-            np.put(values, nearer[lo:lo + _CALL], R.time_eval(x[lo:lo + _CALL]))
-        near += np.sum(values * 4.0 / (4.0 + d ** 2) * mask)
+        near += np.sum(_selberg_values(d, ei, ej, R, scale)
+                       * 4.0 / (4.0 + d ** 2) * mask)
     return near
 
 

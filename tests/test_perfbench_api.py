@@ -21,11 +21,11 @@ def _load(name, monkeypatch):
     return module
 
 
-def _tiny_plan(W, workload, tmp_path, dataset):
-    """The seed-1 tiny plan of a workload and a context to run it in, with
-    the zero-table prefixes it needs written under tmp_path."""
+def _plan(W, workload, tmp_path, dataset, scale="tiny"):
+    """The seed-1 plan of a workload at a scale and a context to run it
+    in, with the zero-table prefixes it needs written under tmp_path."""
     refs = W.load_refs()
-    ops = W.plan(workload, 1, 0, "tiny", refs)
+    ops = W.plan(workload, 1, 0, scale, refs)
     shipped = ROOT / W.SHIPPED
     files = {"10000": str(shipped)}
     for n in W.prefix_sizes(ops):
@@ -34,13 +34,25 @@ def _tiny_plan(W, workload, tmp_path, dataset):
     return ops, refs, W.Context(files, refs, dataset)
 
 
+def _failed_checks(workload, scale, tmp_path, monkeypatch, dataset):
+    """The (name, error) of every operation of the seed-1 plan that fails
+    its reference check."""
+    W = _load("workloads", monkeypatch)
+    ops, refs, ctx = _plan(W, workload, tmp_path, dataset, scale)
+    assert ops
+    return [(op["name"], err) for op in ops
+            if (err := W.check(op, W.execute(op, ctx), refs)) is not None]
+
+
 @pytest.mark.parametrize("workload", ["analytic", "nodes", "pairs"])
 def test_tiny_plan_passes_its_checks(workload, tmp_path, monkeypatch, dataset):
-    W = _load("workloads", monkeypatch)
-    ops, refs, ctx = _tiny_plan(W, workload, tmp_path, dataset)
-    failed = [(op["name"], err) for op in ops
-              if (err := W.check(op, W.execute(op, ctx), refs)) is not None]
-    assert ops and failed == []
+    assert _failed_checks(workload, "tiny", tmp_path, monkeypatch, dataset) == []
+
+
+@pytest.mark.parametrize("workload", ["analytic", "nodes", "pairs"])
+def test_full_plan_passes_its_checks(workload, tmp_path, monkeypatch, dataset):
+    # the benchmark's own sizes: the n = 2,000 pair sum and F at n = 10^4
+    assert _failed_checks(workload, "full", tmp_path, monkeypatch, dataset) == []
 
 
 def test_tracer_covers_every_binding(monkeypatch):
@@ -55,7 +67,7 @@ def test_tracer_sees_the_quadrature(tmp_path, monkeypatch, dataset):
     # numerics.integrate_real_line, the name the quadrature metrics count
     W = _load("workloads", monkeypatch)
     spans = _load("spans", monkeypatch)
-    ops, _, ctx = _tiny_plan(W, "nodes", tmp_path, dataset)
+    ops, _, ctx = _plan(W, "nodes", tmp_path, dataset)
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -74,7 +86,7 @@ def test_tracer_sees_the_root_solves(tmp_path, monkeypatch, dataset):
     # count
     W = _load("workloads", monkeypatch)
     spans = _load("spans", monkeypatch)
-    ops, _, ctx = _tiny_plan(W, "nodes", tmp_path, dataset)
+    ops, _, ctx = _plan(W, "nodes", tmp_path, dataset)
     tracer = spans.Tracer()
     tracer.install()
     try:

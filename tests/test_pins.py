@@ -248,8 +248,12 @@ def test_weighted_pair_sum_digest(dataset):
     pairs = [(ds, make_selberg_pair(beta, delta)) for ds, beta, delta in cases]
     sums = [weighted_pair_sum(ds, ds.t_max, R)
             for ds, pair in pairs for R in (pair.majorant, pair.minorant)]
+    # recomputed when the near field's gaps with one argument past the far
+    # switch began to read its sine from unit phases: the (0.37, 1)
+    # majorant and the (2.6, 1.5) minorant moved by 1.5e-16 and 1.8e-16
+    # relative, the other fourteen sums kept every bit
     assert hashlib.sha256(np.array(sums).tobytes()).hexdigest() == (
-        "29d2ff4da87194795021afa8c64249a65f5c8a186aa57a1e8ebb27e18eaa7d1b")
+        "02d435749af4553668e042c2eb60dcaebe8fae1485474b9d36ecadfc9ec179a9")
 
 
 def test_structure_function_digest(E):

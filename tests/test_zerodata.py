@@ -582,9 +582,10 @@ def test_pair_sums_working_set(dataset):
     # the warm-up call fills F's plan memo, so the F measured is a warm
     # one: over the shipped table it peaks at 4.35 MB, and the beta = 1
     # majorant's pair sum over the first 2,000 zeros, which builds its own
-    # decays each call, at 1.65 MB; with whole (blocks, 16, nodes) and
+    # decays each call, at 1.70 MB, its near field taking every gap of a
+    # piece through r_gamma at once; with whole (blocks, 16, nodes) and
     # (blocks, 16, 16) temporaries they took 9.40 and 4.15 MB.  The bounds
-    # lie 8% and 21% above the measured peaks; the second is below the
+    # lie 8% and 18% above the measured peaks; the second is below the
     # 2.05 MB of a near field that holds its pieces until enough gaps
     # gather for R
     T = dataset.t_max
@@ -753,6 +754,35 @@ def test_selberg_pair_sum_reference(dataset):
     assert got.hex() == "0x1.00d7ce64119e8p+11"
 
 
+def test_montgomery_identity_ties_the_pair_engines(dataset):
+    # Montgomery's identity: with x = (log T / 2 pi) d, the weighted pair
+    # sum over all ordered pairs, sum R(x) C(d), equals (n log T / 2 pi)
+    # times the integral of R^(alpha) F(alpha) over the band, R^ the
+    # transform of the tests' oracle.  weighted_pair_sum and empirical_F
+    # share no code past _blocks.  One F array on 40-node Gauss-Legendre
+    # panels of width 1/160 over [0, 1.25] serves every case, with panel
+    # edges at 1 and 1.25, where R^ ends; both integrands are even.  The
+    # worst measured error is 2.4e-14 of the sum (1.2e-11 with 140 panels
+    # per unit, 8.6e-15 with 216)
+    n = 2000
+    sub = zd.ZeroDataset(ordinates=dataset.ordinates[:n], source=dataset.source,
+                         t_max=float(dataset.ordinates[n - 1]))
+    T = sub.t_max
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    edges = np.linspace(0.0, 1.25, 201)
+    half = 0.5 * np.diff(edges)[:, np.newaxis]
+    alpha = (edges[:-1, np.newaxis] + half * (nodes + 1.0)).reshape(-1)
+    weight = (half * weights).reshape(-1)
+    F = zd.empirical_F(sub, T, alpha)
+    for beta, delta in ((1.0, 1.0), (2.2, 1.0), (2.2, 1.25)):
+        pair = make_selberg_pair(beta, delta)
+        for R in (pair.majorant, pair.minorant):
+            want = zd.weighted_pair_sum(sub, T, R)
+            got = (n * math.log(T) / math.pi
+                   * np.sum(weight * oracles.selberg_ft(R, alpha) * F))
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
 def _near_field_window(dataset, R, start):
     """The blocks of the shipped table from ordinate `start` on, as many
     as reach two blocks past the first offset whose gaps are all past R's
@@ -768,32 +798,49 @@ def _near_field_window(dataset, R, start):
     raise AssertionError("no window of up to 2,048 ordinates reaches")
 
 
+def _near_field_against_time_eval(dataset, R, start):
+    """R from the near field's unit phases at every gap of its pieces,
+    against R.time_eval to 1e-15, on the window of _near_field_window: bit
+    for bit where both arguments of r_gamma lie below the far branch's
+    switch, where neither sine is read.  Returns the set of the numbers
+    of far arguments (0, 1 or 2) seen."""
+    G, real, scale, reach = _near_field_window(dataset, R, start)
+    kinds = set()
+    for d, _, ei, ej in zd._near_pieces(G, real, R.dilation * scale, reach):
+        got = zd._selberg_values(d, ei, ej, R, scale)
+        want = R.time_eval(d * scale)
+        assert got.shape == d.shape
+        assert np.max(np.abs(got - want)) <= 1e-15
+        x = R.dilation * (d * scale)
+        far = ((np.abs(x + R.gamma) >= FAR).astype(int)
+               + (np.abs(R.gamma - x) >= FAR))
+        assert np.array_equal(got[far == 0], want[far == 0])
+        kinds.update(np.unique(far).tolist())
+    return kinds
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.01, 200.0), st.floats(1.0, 2.0), st.sampled_from([1, -1]),
        st.integers(0, 8000))
 def test_selberg_near_field_far_branch(dataset, beta, delta, sign, start):
-    # R from the near field's unit phases, at every gap of its pieces
-    # where both arguments of r_gamma take the far branch, against
-    # R.time_eval to 1e-15, on the block spans of the shipped table from a
-    # random start; the other gaps are exactly those where eval_r takes
-    # an argument nearer, and both kinds occur
+    # every gap of the near field on the block spans of the shipped table
+    # from a random start; the window reaches past the far branch, so
+    # gaps with both arguments far and others both occur
     pair = make_selberg_pair(beta, delta)
     R = pair.majorant if sign > 0 else pair.minorant
-    G, real, scale, reach = _near_field_window(dataset, R, start)
-    seen = np.zeros(2, dtype=int)
-    for d, _, ei, ej in zd._near_pieces(G, real, R.dilation * scale, reach):
-        got, nearer = zd._far_branch(d, ei, ej, R, scale)
-        d, got = d.reshape(-1), got.reshape(-1)
-        x = R.dilation * (d * scale)
-        far = np.ones(d.size, dtype=bool)
-        far[nearer] = False
-        assert np.array_equal(far, (np.abs(x + R.gamma) >= FAR)
-                              & (np.abs(R.gamma - x) >= FAR))
-        if far.any():
-            err = np.abs(got[far] - R.time_eval(d[far] * scale))
-            assert np.max(err) <= 1e-15
-        seen += [np.count_nonzero(far), len(nearer)]
-    assert seen.all()
+    kinds = _near_field_against_time_eval(dataset, R, start)
+    assert 2 in kinds and len(kinds) >= 2
+
+
+@pytest.mark.parametrize("beta, delta, kinds", [
+    (1.0, 1.0, {0, 1, 2}), (0.37, 1.0, {0, 1, 2}), (2.6, 1.5, {0, 1, 2}),
+    (47.3, 1.7, {1, 2})])
+def test_selberg_near_field_every_kind_of_gap(dataset, beta, delta, kinds):
+    # the same check where gaps with no, one and two far arguments all
+    # occur (for gamma >= FAR every gap has u = x + gamma far)
+    pair = make_selberg_pair(beta, delta)
+    for R in (pair.majorant, pair.minorant):
+        assert _near_field_against_time_eval(dataset, R, 0) == kinds
 
 
 @pytest.mark.parametrize("beta", [0.01, 1.0, 47.3, 1000.0])
