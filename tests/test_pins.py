@@ -5,7 +5,7 @@ delta = 1 bound tables and one over their conjecture column alone, one
 over the delta = 1 Selberg masses and their asymptotic forms, one over
 trigamma and tetragamma, one over the sine integral, one over the
 Selberg functions, one over the pair counts of the shipped table, one
-over its Selberg-weighted pair sums and one over the structure function's
+over its Selberg-weighted pair sums, one over its F(alpha) and one over the structure function's
 companion zeros, phase table and Fejer node sums.  A change that is meant to keep
 every bit (a speed-up, a refactor) keeps the digests; one that moves a bit on purpose recomputes
 them and says why."""
@@ -21,7 +21,8 @@ from pcx import pcbounds as pb
 from pcx import special as sp
 from pcx.beurling import (FAR, BandlimitedFunction, eval_H0, eval_r,
                           make_selberg_pair)
-from pcx.zerodata import ZeroDataset, count_pairs, weighted_pair_sum
+from pcx.zerodata import (ZeroDataset, count_pairs, empirical_F,
+                          weighted_pair_sum)
 
 
 def _lambda_betas(E):
@@ -254,6 +255,23 @@ def test_weighted_pair_sum_digest(dataset):
     # relative, the other fourteen sums kept every bit
     assert hashlib.sha256(np.array(sums).tobytes()).hexdigest() == (
         "02d435749af4553668e042c2eb60dcaebe8fae1485474b9d36ecadfc9ec179a9")
+
+
+def test_empirical_F_digest(dataset):
+    # F over the shipped table on the grid 0:3:0.05 of pcx empirical
+    # --falpha and at the 13 float alphas 0, 0.25, ..., 3, and the grid
+    # 0:1.5:0.25 over the first 2,000 shipped ordinates
+    T = dataset.t_max
+    sub = ZeroDataset(ordinates=dataset.ordinates[:2000], source=dataset.source,
+                      t_max=float(dataset.ordinates[1999]))
+    digest = hashlib.sha256()
+    digest.update(empirical_F(dataset, T, cli._parse_beta("0:3:0.05")).tobytes())
+    digest.update(np.array([empirical_F(dataset, T, 0.25 * i)
+                            for i in range(13)]).tobytes())
+    digest.update(empirical_F(sub, sub.t_max,
+                              cli._parse_beta("0:1.5:0.25")).tobytes())
+    assert digest.hexdigest() == (
+        "ce7369d4cd99a949a13cc71e152a0e554edb5f427da8a1d0461e905c8cdc894f")
 
 
 def test_structure_function_digest(E):
