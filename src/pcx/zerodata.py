@@ -12,12 +12,17 @@ counted: at n = 10^4 the 51 betas 0.5:3:0.05 take 0.25 ms, one beta = 1
 normalized exponential pair sum F(alpha) cuts the sorted window into
 blocks: pairs in nearby blocks are summed exactly, and pairs farther
 apart through a short exponential sum for the Cauchy weight carried
-from block to block, so one F costs O(n) rather than O(n^2): about 7 ms
-at n = 10^4 and 1.7 ms at n = 2,000 on a window whose plan (below) is
-kept, 12 and 2.4 ms on a new one (2-core x86 host).  No cos or
-complex exponential of a large argument is taken: each ordinate gets one
-unit phase relative to its block's left edge, and a pair's cos(k d) is the
-real part of a product of two such phases and one per block pair.  The
+from block to block, so one F costs O(n) rather than O(n^2): about 3.2
+ms at n = 10^4 and 0.8 ms at n = 2,000 on a window whose plan (below) is
+kept, 5.2 and 1.4 ms on a new one (2-core x86 host).  The exponential
+sum's nodes are a trapezoid rule in log t, save that those below 1 / the
+window's span, whose exponentials no gap of the window tells apart from
+a polynomial of degree 11 in t, collapse into the 6-point Gauss rule of
+their own weights (Golub-Welsch): 49 nodes in place of 95 on the shipped
+table.  No cos or complex exponential of a large argument is taken: each
+ordinate gets one unit phase relative to its block's left edge, and a
+pair's cos(k d) is the real part of a product of two such phases and one
+per block pair.  The
 far field's block moments split their nodes as a multipole method does
 (Greengard-Rokhlin): a node t with t times the widest block at most 1
 takes a Taylor series in the block-local offsets, one small matmul of
@@ -30,23 +35,23 @@ exp(-t gap) of its carry steps and hand-offs.  Two slots keep the plans
 of the last two windows F was taken on, keyed by the window's content,
 so F again on either table, at another alpha or another T with the same
 window, builds none of it, also when one call on the other table came
-between; on the shipped table a plan holds 3.7 MB, at n = 2,000 0.75 MB
+between; on the shipped table a plan holds 3.2 MB, at n = 2,000 0.64 MB
 (tracemalloc).  Working set: beyond the plan, no temporary grows as
 blocks x 16 x nodes or blocks x 16 x 16: the far field keeps everything
 else in one workspace, two (blocks, nodes, alphas) complex arrays and a
 scratch that the Taylor powers and the direct exponentials take in
-turn.  One F at n = 10^4 on the table of the plan peaks at 4.4 MB
+turn.  One F at n = 10^4 on the table of the plan peaks at 3.4 MB
 (tracemalloc) and, as the C allocator keeps the one workspace between
-calls, pages in nothing new; the call that builds the plan peaks at 8.1
+calls, pages in nothing new; the call that builds the plan peaks at 6.7
 MB.  F takes an alpha grid in one call: the plan is taken once per
 window, and per chunk of _ALPHAS = 8 alphas the direct exponentials and
 the power moments, which do not depend on alpha either but would keep
 about 6.5 MB more in the plan; only the unit phases, the products with
 them, the carry and the final contraction run per alpha, each product
 taking two float columns per alpha.  The 7 alphas 0:1.5:0.25 take about
-4 ms at n = 2,000 against 12 ms for seven float calls, and the 61 alphas
-0:3:0.05 about 0.17 s at n = 10^4 against 0.40 s, peaking at 21 MB
-(2-core x86 host); a float alpha is the one-alpha case of the same
+1.9 ms at n = 2,000 against 5.7 ms for seven float calls, and the 61
+alphas 0:3:0.05 about 84 ms at n = 10^4 against 0.22 s, peaking at 13.7
+MB (2-core x86 host); a float alpha is the one-alpha case of the same
 code.  The weighted pair sum of a Selberg majorant or minorant takes
 the same blocks: pairs up to `reach` blocks apart are summed exactly,
 and past the gap from which
@@ -91,8 +96,8 @@ _CHUNK = 128
 # ordinates per block of F
 _BLOCK = 16
 # frequencies per pass of an array F: its far field keeps two (senders,
-# nodes, frequencies) complex arrays, 2.1 MB per frequency at n = 10^4, so
-# that 0:3:0.05 (61 alphas) there peaks at 21 MB, against 149 MB in one
+# nodes, frequencies) complex arrays, 1.0 MB per frequency at n = 10^4, so
+# that 0:3:0.05 (61 alphas) there peaks at 13.7 MB, against 92 MB in one
 # pass; the 7 alphas of 0:1.5:0.25 take one pass
 _ALPHAS = 8
 # blocks per piece of the exact near field of the weighted pair sum of a
@@ -100,7 +105,8 @@ _ALPHAS = 8
 _NEAR = 64
 # F sums a pair exactly unless its blocks lie at least as many blocks apart
 # as the first offset at which every gap reaches _REACH (2 on the shipped
-# table); beyond, _nodes is within 6.4e-15 of 4/(4+d^2)
+# table); beyond, up to the window's span, _nodes is within 6.4e-15 of
+# 4/(4+d^2)
 _REACH = 8.0
 # trapezoid rule in u = log t with step _H, from u = _U_LO (the 2 t^2 cut
 # off below it is under 2e-19) to t = _T_TOP / d0, beyond which
@@ -108,6 +114,10 @@ _REACH = 8.0
 _H = 0.25
 _U_LO = -22.0
 _T_TOP = 75.0
+# nodes of the Gauss rule that takes the place of the trapezoid nodes with
+# t times the window's span below 1, whose exponentials no gap tells apart
+# from a polynomial of degree 11
+_GAUSS = 6
 # terms of the Taylor series that serves the block moments at nodes with
 # t span <= 1: the smallest M whose remainder bound 1/M! lies below half an
 # ulp, 2^-53 (19)
@@ -315,12 +325,48 @@ def _log_grid(lo):
     return np.exp(np.arange(_U_LO, math.log(_T_TOP / lo), _H))
 
 
-def _nodes(d0):
+def _nodes(d0, span):
     """Nodes t_k and real weights w_k with sum_k w_k exp(-t_k d) equal to
-    4/(4+d^2) for d >= d0: the trapezoid rule in u = log t applied to
-    4/(4+d^2) = 2 int_0^inf exp(-d t) sin(2t) dt."""
+    4/(4+d^2) for d0 <= d <= span: the trapezoid rule in u = log t applied
+    to 4/(4+d^2) = 2 int_0^inf exp(-d t) sin(2t) dt, with its nodes below
+    1 / span collapsed into the _GAUSS-point Gauss rule of their own
+    weights w_k = 2 _H t_k sin(2 t_k) > 0.  On those nodes exp(-t d),
+    t d < 1, lies within (t d)^12 / 12! of a polynomial of degree 11 in t,
+    which the Gauss rule sums as they do; when at most _GAUSS nodes lie
+    below the cut the trapezoid rule is kept whole."""
     t = _log_grid(d0)
-    return t, 2.0 * _H * t * np.sin(2.0 * t)
+    w = 2.0 * _H * t * np.sin(2.0 * t)
+    below = np.count_nonzero(t * span < 1.0)
+    if below <= _GAUSS:
+        return t, w
+    low, weights = _gauss(t[:below], w[:below])
+    return (np.concatenate([low, t[below:]]),
+            np.concatenate([weights, w[below:]]))
+
+
+def _gauss(t, w):
+    """The _GAUSS-point Gauss rule of the discrete measure sum_k w_k
+    delta(t - t_k), w_k > 0, on more than _GAUSS ascending nodes: nodes
+    inside (t_0, t_-1) and positive weights that sum every polynomial of
+    degree below 2 _GAUSS as the measure does.  Stieltjes's procedure on
+    s = t / t_-1 gives the recurrence of the measure's orthonormal
+    polynomials, and the eigenvalues of their Jacobi matrix and the first
+    components of its eigenvectors give the rule (Golub and Welsch)."""
+    top = t[-1]
+    s = t / top
+    mass = np.sum(w)
+    diag, off = np.empty(_GAUSS), np.empty(_GAUSS - 1)
+    # p_j / sqrt(mass), orthonormal under w / mass
+    prev, p = np.zeros_like(s), np.ones_like(s)
+    for j in range(_GAUSS):
+        diag[j] = np.sum(w * s * p * p) / mass
+        nxt = (s - diag[j]) * p - (off[j - 1] * prev if j else 0.0)
+        if j < _GAUSS - 1:
+            off[j] = math.sqrt(np.sum(w * nxt * nxt) / mass)
+            prev, p = p, nxt / off[j]
+    roots, vectors = np.linalg.eigh(
+        np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return top * roots, mass * vectors[0] ** 2
 
 
 def _power_weights(t, c, terms, shift):
@@ -737,7 +783,9 @@ def _plan(g):
     G, real = _blocks(g)
     # the far field starts at the first block offset whose gaps reach _REACH
     reach = _reach(G, _REACH)
-    far = (_far_plan(G, reach, *_nodes(_min_gap(G, reach)))
+    # no far gap exceeds the window's span
+    span = G[-1, -1] - G[0, 0]
+    far = (_far_plan(G, reach, *_nodes(_min_gap(G, reach), span))
            if reach < len(G) else None)
     plan = _Plan(G, real, len(g), reach, _cauchy_weights(G, reach), far)
     _memo = ((g, plan),) + _memo[:1]

@@ -323,7 +323,7 @@ def _taylor_nodes(g):
     reach = 2
     while np.min(G[reach:, 0] - G[:-reach, -1]) < zd._REACH:
         reach += 1
-    t, _ = zd._nodes(np.min(G[reach:, 0] - G[:-reach, -1]))
+    t, _ = zd._nodes(np.min(G[reach:, 0] - G[:-reach, -1]), g[-1] - g[0])
     return np.count_nonzero(t * np.max(G[:, -1] - G[:, 0]) <= 1.0), len(t)
 
 
@@ -333,7 +333,8 @@ def _dense_tables(dataset):
     returns the wide and tight tables and the list of all of them."""
     rng = np.random.default_rng(11)
     # blocks spanning up to 3.5e5, so that most far-field nodes take
-    # direct exponentials (37 of 95 take the Taylor path) ...
+    # direct exponentials (10 of 68 take the Taylor path, 6 of them the
+    # Gauss nodes of the 33 below 1 / span) ...
     wide = np.geomspace(10.0, 1e6, 300)
     # ... and clusters of 16 within 0.05, 20 apart, where all of them do
     tight = np.sort(100.0 + 20.0 * np.arange(25)[:, np.newaxis]
@@ -541,10 +542,11 @@ def test_F_plan_memo_two_T_one_window(dataset):
 
 
 def test_F_plan_retained_memory(dataset):
-    # a cold F over the shipped table keeps its plan in the memo, 3.70 MB
+    # a cold F over the shipped table keeps its plan in the memo, 3.24 MB
     # (tracemalloc): the Cauchy weights of offsets 0 and 1 (2.56 MB) and
-    # the carry and hand-off decays (0.95 MB).  The call peaks at 8.05 MB,
-    # the plan and then the 4.35 MB of a warm call; the bound lies 5% above
+    # the carry and hand-off decays on 49 nodes (0.49 MB).  The call peaks
+    # at 6.67 MB, the plan and then the 3.44 MB of a warm call; the bounds
+    # lie 23% and 27% above
     zd._memo = ()
     started = not tracemalloc.is_tracing()
     if started:
@@ -580,12 +582,12 @@ def _peak_bytes(fn):
 
 def test_pair_sums_working_set(dataset):
     # the warm-up call fills F's plan memo, so the F measured is a warm
-    # one: over the shipped table it peaks at 4.35 MB, and the beta = 1
+    # one: over the shipped table it peaks at 3.44 MB, and the beta = 1
     # majorant's pair sum over the first 2,000 zeros, which builds its own
     # decays each call, at 1.70 MB, its near field taking every gap of a
     # piece through r_gamma at once; with whole (blocks, 16, nodes) and
     # (blocks, 16, 16) temporaries they took 9.40 and 4.15 MB.  The bounds
-    # lie 8% and 18% above the measured peaks; the second is below the
+    # lie 37% and 18% above the measured peaks; the second is below the
     # 2.05 MB of a near field that holds its pieces until enough gaps
     # gather for R
     T = dataset.t_max
@@ -600,10 +602,10 @@ def test_pair_sums_working_set(dataset):
 def test_alpha_grid_working_set(dataset):
     # the warm-up call fills F's plan memo, so each grid measured is a
     # warm one: the 7-alpha grid of the benchmark at n = 2,000, one chunk,
-    # peaks at 3.75 MB and keeps the bound of one F at n = 10^4; the
-    # 61-alpha grid 0:3:0.05 at n = 10^4 at 21.1 MB, its far field taken
-    # _ALPHAS = 8 alphas at a time (in one pass, 149 MB).  The second
-    # bound lies 16% above its measured peak
+    # peaks at 2.34 MB and keeps the bound of one F at n = 10^4; the
+    # 61-alpha grid 0:3:0.05 at n = 10^4 at 13.7 MB, its far field taken
+    # _ALPHAS = 8 alphas at a time (in one pass, 92 MB).  The second
+    # bound lies 78% above its measured peak
     sub = zd.ZeroDataset(ordinates=dataset.ordinates[:2000],
                          source=dataset.source,
                          t_max=float(dataset.ordinates[1999]))
@@ -616,17 +618,65 @@ def test_alpha_grid_working_set(dataset):
 
 
 def test_exponential_sum_nodes(dataset):
-    # the node set against 4/(4+d^2) on every gap the far field sees: from
-    # the smallest gap two blocks apart in the shipped table, and from
-    # _REACH, the smallest gap it is ever given (measured 3.9e-16, 6.3e-15)
+    # the node set against 4/(4+d^2) on every gap the far field sees, up
+    # to the window's span: from the smallest gap two blocks apart in the
+    # shipped table, and from _REACH, the smallest gap it is ever given
+    # (measured 3.9e-16, 6.4e-15)
     g = dataset.ordinates
     G = g.reshape(-1, B)
     d0 = np.min(G[2:, 0] - G[:-2, -1])
+    span = g[-1] - g[0]
     for lo, bound in ((d0, 1e-15), (zd._REACH, 1e-14)):
-        t, w = zd._nodes(lo)
-        d = np.geomspace(lo, g[-1] - g[0], 20_001)
+        t, w = zd._nodes(lo, span)
+        d = np.geomspace(lo, span, 20_001)
         err = np.exp(-np.outer(d, t)) @ w - 4.0 / (4.0 + d ** 2)
         assert np.max(np.abs(err)) <= bound
+
+
+def test_far_field_node_count(dataset):
+    # the shipped table's plan keeps 49 far-field nodes where the whole
+    # trapezoid rule has 95: the 46 nodes below 1 / span collapse into
+    # zd._GAUSS; a plan on the whole rule would fail here
+    zd.empirical_F(dataset, dataset.t_max, 1.0)
+    ((_, plan),) = zd._memo
+    G = plan.G
+    assert len(zd._log_grid(zd._min_gap(G, plan.reach))) == 95
+    assert len(plan.far.t) == len(plan.far.w) <= 50
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(2.0, 7.0), st.floats(0.0, 1.0))
+def test_gauss_collapse_against_trapezoid(log_span, where):
+    # the Gauss nodes of zd._nodes against the trapezoid nodes of
+    # zd._log_grid that they replace, those below 1 / span, on [d0, span]
+    # for a span in [1e2, 1e7] and d0 between _REACH and it: positive
+    # nodes below the cut and positive weights, the moments sum_k w_k
+    # t_k^j, j < 2 _GAUSS, to a few ulps (measured 4.1e-15), and the
+    # exponential sums to 1e-19 absolute.  The sums are taken in long
+    # double, where the platform has one, so that their own rounding
+    # (about 1e-20 where the weights sum to 2e-4, at span 1e2) stays
+    # below what is measured (5.1e-20)
+    span = 10.0 ** log_span
+    d0 = zd._REACH * (span / zd._REACH) ** where
+    t, w = zd._nodes(d0, span)
+    grid = zd._log_grid(d0)
+    below = np.count_nonzero(grid * span < 1.0)
+    ref_t = grid[:below]
+    ref_w = 2.0 * zd._H * ref_t * np.sin(2.0 * ref_t)
+    n = zd._GAUSS
+    assert below > n
+    assert np.array_equal(t[n:], grid[below:])
+    assert np.array_equal(w[n:], 2.0 * zd._H * t[n:] * np.sin(2.0 * t[n:]))
+    assert np.all(t[:n] > 0) and np.all(t[:n] * span < 1.0)
+    assert np.all(np.diff(t) > 0) and np.all(w[:n] > 0)
+    for j in range(2 * n):
+        want = np.sum(ref_w * ref_t ** j)
+        assert abs(np.sum(w[:n] * t[:n] ** j) - want) <= 1e-14 * want
+    wide = np.longdouble
+    d = np.geomspace(d0, span, 2001).astype(wide)[:, np.newaxis]
+    got = np.sum(np.exp(-d * t[:n].astype(wide)) * w[:n].astype(wide), axis=1)
+    want = np.sum(np.exp(-d * ref_t.astype(wide)) * ref_w.astype(wide), axis=1)
+    assert np.max(np.abs(got - want)) <= 1e-19
 
 
 def test_weighted_pair_sum_diagonal(small, dataset):
@@ -653,14 +703,18 @@ def test_weighted_pair_sum_diagonal(small, dataset):
 def test_block_moments_against_exponentials(seed):
     # the Taylor and direct paths of zd._moments against the direct sum
     # sum_i p_i exp(-t x_i), on random blocks of offsets in [0, span] and
-    # the node set of a random far-field gap, to 1e-15 of sum_i |p_i|
+    # the node set of a random far-field gap and window span, to 1e-15 of
+    # sum_i |p_i|; the Gauss nodes, below 1 / the window's span, take the
+    # Taylor path
     rng = np.random.default_rng(seed)
     nb = int(rng.integers(1, 9))
     span = 10.0 ** rng.uniform(-2.0, 5.0)
     x = rng.uniform(0.0, span, (nb, B))
     x[:, 0], x[0, -1] = 0.0, span
     p = rng.normal(size=(nb, B)) + 1j * rng.normal(size=(nb, B))
-    t, _ = zd._nodes(10.0 ** rng.uniform(math.log10(zd._REACH), 4.0))
+    d0 = 10.0 ** rng.uniform(math.log10(zd._REACH), 4.0)
+    window = 10.0 ** rng.uniform(math.log10(max(d0, span)), 7.0)
+    t, _ = zd._nodes(d0, window)
     parts = np.stack([p.real, p.imag], axis=-1)
     want = np.exp(-t[:, np.newaxis] * x[:, np.newaxis, :]) @ parts
     got = zd._moments(x, p, t, span, zd._taylor(t, span),
