@@ -5,8 +5,9 @@ delta = 1 bound tables and one over their conjecture column alone, one
 over the delta = 1 Selberg masses and their asymptotic forms, one over
 trigamma and tetragamma, one over the sine integral, one over the
 Selberg functions, one over the pair counts of the shipped table, one
-over its Selberg-weighted pair sums, one over its F(alpha) and one over the structure function's
-companion zeros, phase table and Fejer node sums.  A change that is meant to keep
+over its Selberg-weighted pair sums, one over its F(alpha) and one over
+the structure function's companion zeros, phase table and Fejer node
+sums.  A change that is meant to keep
 every bit (a speed-up, a refactor) keeps the digests; one that moves a bit on purpose recomputes
 them and says why."""
 

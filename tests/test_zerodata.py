@@ -639,8 +639,7 @@ def test_far_field_node_count(dataset):
     # zd._GAUSS; a plan on the whole rule would fail here
     zd.empirical_F(dataset, dataset.t_max, 1.0)
     ((_, plan),) = zd._memo
-    G = plan.G
-    assert len(zd._log_grid(zd._min_gap(G, plan.reach))) == 95
+    assert len(zd._log_grid(zd._min_gap(plan.G, plan.reach))) == 95
     assert len(plan.far.t) == len(plan.far.w) <= 50
 
 
@@ -652,10 +651,10 @@ def test_gauss_collapse_against_trapezoid(log_span, where):
     # for a span in [1e2, 1e7] and d0 between _REACH and it: positive
     # nodes below the cut and positive weights, the moments sum_k w_k
     # t_k^j, j < 2 _GAUSS, to a few ulps (measured 4.1e-15), and the
-    # exponential sums to 1e-19 absolute.  The sums are taken in long
-    # double, where the platform has one, so that their own rounding
-    # (about 1e-20 where the weights sum to 2e-4, at span 1e2) stays
-    # below what is measured (5.1e-20)
+    # exponential sums to 1e-19 absolute (measured 5.1e-20).  The sums are
+    # taken in long double where the platform has one: in double their
+    # own rounding, about 2e-20 where the weights sum to 2e-4 (span 1e2),
+    # would take a fifth of the bound
     span = 10.0 ** log_span
     d0 = zd._REACH * (span / zd._REACH) ** where
     t, w = zd._nodes(d0, span)
