@@ -7,17 +7,18 @@ footer echoing the version and the parsed configuration.
 A table is arrays from the parser to the emitter.  _parse_beta gives
 its grid as one float array, each table subcommand computes its columns
 in one array pass over it (pcbounds.bound_table, kernel.two_delta,
-gaps.lower_bound_profile, zerodata.empirical_table), and hands them to
-the one emitter, _emit, as a mapping from column name to array.  Each
-column has one %-format, from its dtype.  The emitter checks every
-float column with one np.isfinite pass before it writes anything, and
-then converts, formats and writes CSV a block of _CSV_BLOCK rows at a
-time, so that no list of every row is held: the 10^6 rows of `pcx
-twodelta --beta 0.5:1e6:0.9999995 --out F` take 1.9-2.4 s in process
-and peak at 73 MB RSS, where a grid built as a list of floats and cells
-converted twice took 2.8-3.5 s and 110 MB, and building the whole text
-542 MB (2-core x86 host).  JSON and table output, whose layout needs
-every row, are built whole, each cell converted once.
+gaps.lower_bound_profile, and for `pcx empirical` bound_table beside
+zerodata.count_pairs), and hands them to the one emitter, _emit, as a
+mapping from column name to array.  Each column has one %-format,
+from its dtype.  The emitter checks every float column with one
+np.isfinite pass before it writes anything, and then converts, formats
+and writes CSV a block of _CSV_BLOCK rows at a time, so that no list of
+every row is held: the 10^6 rows of `pcx twodelta --beta
+0.5:1e6:0.9999995 --out F` take 1.9-2.4 s in process and peak at 73 MB
+RSS, where a grid built as a list of floats and cells converted twice
+took 2.8-3.5 s and 110 MB, and building the whole text 542 MB (2-core
+x86 host).  JSON and table output, whose layout needs every row, are
+built whole, each cell converted once.
 
 main parses argv in one walk against _OPTIONS, the table of the options
 each subcommand reads and the value each takes, with the help text
@@ -255,9 +256,12 @@ def cmd_empirical(args):
         return _emit(args, "empirical", ["alpha", "f_alpha"],
                      {"alpha": alphas, "f_alpha": f_alpha})
     betas = _parse_beta("0.5:2:0.1" if args.beta is None else args.beta)
+    table = vars(pcbounds.bound_table(betas))
+    # T is t_max, so the window is the whole table
+    ratio = zerodata.count_pairs(ds, ds.t_max, betas) / len(ds)
     return _emit(args, "empirical",
                  ["beta", "ratio", "conjecture", "lower", "upper"],
-                 vars(zerodata.empirical_table(ds, ds.t_max, betas)),
+                 dict(table, ratio=ratio),
                  [f"zeros={len(ds)} t_max={ds.t_max:.6f}"])
 
 

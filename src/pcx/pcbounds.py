@@ -65,8 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DomainError, NonConvergence, find_root,
-                       integrate_real_line)
+from .numerics import DomainError, NoRoot, find_root, integrate_real_line
 from .special import SHIFT, _out, _si, trigamma, trigamma_tetragamma
 
 TWO_PI_SQ = 2.0 * math.pi ** 2
@@ -306,7 +305,6 @@ class MEvaluation:
     delta: float
     sign: int
     closed_form: float
-    asymptotic: float
 
 
 @dataclass(frozen=True)
@@ -349,12 +347,8 @@ def m_selberg(beta, delta=1.0, sign=+1):
         raise DomainError("sign must be +1 or -1")
     minus, plus = np.reshape(_sandwich(delta, b, 2.0 * math.pi * b),
                              (2,) + beta.shape)
-    # the asymptotic form's 1/beta is inf below beta ~ 2.8e-310
-    with np.errstate(over="ignore"):
-        asym = beta - 0.5 + sign / (2.0 * delta) + 1.0 / (TWO_PI_SQ * beta)
     return MEvaluation(beta=_out(beta), delta=delta, sign=_out(sign),
-                       closed_form=_out(np.where(sign > 0, plus, minus)),
-                       asymptotic=_out(asym))
+                       closed_form=_out(np.where(sign > 0, plus, minus)))
 
 
 def conjecture_integral(beta):
@@ -407,5 +401,5 @@ def positivity_threshold(tol=1e-6):
 
     roots = find_root(f, np.arange(0.5, 1.2, 0.01), tol)
     if not len(roots):
-        raise NonConvergence("no positivity crossing located in [0.5, 1.2]")
+        raise NoRoot("no positivity crossing located in [0.5, 1.2]")
     return float(roots[0])

@@ -2,8 +2,9 @@
 
 The bounds of pcx.pcbounds and the majorants of pcx.beurling are closed
 forms in psi1, psi2 and Si, and need nothing else from a special-function
-library.  Each takes a float or an array; a float is an array of one, and
-comes back as a float.
+library.  trigamma and trigamma_tetragamma take a float or an array; a
+float is an array of one, and comes back as a float.  Si is _si, of a
+flat array t >= 0 that its caller has checked finite.
 
 psi1 and psi2 shift x up to SHIFT = 10 by the recurrences
 psi1(x) = psi1(x + 1) + 1/x^2 and psi2(x) = psi2(x + 1) - 2/x^3, then sum
@@ -48,9 +49,8 @@ t in [4, 1e15] and at 1e20, 1e154 and 1e300, within 1 ulp of the 177-node
 rule in log s that it replaced.  On 600 such t the error stays there up
 to step 0.225 (0.25 errs by 6e-15) and down to a lower end of -3.5 (-3.0
 errs by 4e-13), and an upper end of 3.4 still suffices.  An array on one
-side of the switch goes to its rule whole, with no mask.  sine_integral
-checks its argument and then calls _si, which pcx.pcbounds calls directly
-on the 2 pi beta it has checked.
+side of the switch goes to its rule whole, with no mask.  pcx.pcbounds
+calls _si on the 2 pi beta it has checked.
 """
 
 from __future__ import annotations
@@ -194,12 +194,3 @@ def _si(t):
     si[low] = _si_series(t[low])
     return si
 
-
-def sine_integral(x):
-    """Si(x) = integral of sin(t)/t over [0, x], for finite x (float or
-    array)."""
-    x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    if not np.isfinite(flat).all():
-        raise DomainError("sine integral needs finite arguments")
-    return _out(np.copysign(_si(np.abs(flat)), flat).reshape(x.shape))

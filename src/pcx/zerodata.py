@@ -68,8 +68,8 @@ of their own, in the closed form.  That sum costs about 8 ms at n =
 s for the direct sum over all pairs.  The direct loop over the unordered
 pairs (one chunked loop, doubled for the even summands) now serves only
 the weighted pair sum of any other R and count_pairs_brute, the oracle
-of count_pairs.  Everything empirical is compared side by side with the
-closed-form bound columns.
+of count_pairs.  pcx.cli sets the pair ratio beside the closed-form
+bound columns, so nothing here reads pcx.pcbounds.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ import numpy as np
 
 from .numerics import (DomainError, MonotonicityError, NonConvergence,
                        ParseError)
-from . import pcbounds
 from .beurling import FAR, SelbergFunction, _r_gamma, far_series
 
 # rows per block of the direct pair loop, which serves weighted_pair_sum
@@ -140,16 +139,6 @@ class ZeroDataset:
 
     def __len__(self):
         return len(self.ordinates)
-
-
-@dataclass(frozen=True)
-class EmpiricalTable:
-    """The columns of empirical_table, one array each, one entry per beta."""
-    beta: np.ndarray
-    ratio: np.ndarray
-    conjecture: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
 
 
 def load_zeros(path):
@@ -840,13 +829,3 @@ def empirical_F(ds, T, alpha):
         return F.reshape(a.shape)
     return float(F[0])
 
-
-def empirical_table(ds, T, betas):
-    """The empirical pair ratio on an ascending beta grid, beside the
-    columns of pcbounds.bound_table."""
-    n_t = len(_window(ds, T))
-    bounds = pcbounds.bound_table(betas)
-    return EmpiricalTable(beta=bounds.beta,
-                          ratio=count_pairs(ds, T, bounds.beta) / n_t,
-                          conjecture=bounds.conjecture, lower=bounds.lower,
-                          upper=bounds.upper)

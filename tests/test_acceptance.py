@@ -67,8 +67,10 @@ def test_c05_asymptotic_residual_decay():
     for sign in (+1, -1):
         res = []
         for b in betas:
-            ev = pcbounds.m_selberg(b, 1.0, sign)
-            res.append(abs(ev.closed_form - ev.asymptotic))
+            closed = pcbounds.m_selberg(b, 1.0, sign).closed_form
+            # beta - 1/2 + sign/(2 delta) + 1/(2 pi^2 beta) at delta = 1
+            asymptotic = b - 0.5 + sign / 2.0 + 1.0 / (pcbounds.TWO_PI_SQ * b)
+            res.append(abs(closed - asymptotic))
         res = np.array(res)
         assert np.all(res * betas ** 2 < 1.0)
         slope = np.polyfit(np.log(betas), np.log(res), 1)[0]
@@ -224,8 +226,9 @@ def test_c14_empirical_pipeline(dataset):
     # ratio against the theoretical bands with slack 0.1; the bands are
     # limit statements, so finite-height deviations are reported, not failed
     betas = np.arange(0.5, 3.0 + 1e-9, 0.25)
-    t = zerodata.empirical_table(dataset, T, betas)
-    rows = list(zip(t.beta.tolist(), t.ratio.tolist(), t.lower.tolist(),
+    ratio = zerodata.count_pairs(dataset, T, betas) / len(dataset)
+    t = pcbounds.bound_table(betas)
+    rows = list(zip(t.beta.tolist(), ratio.tolist(), t.lower.tolist(),
                     t.upper.tolist()))
     outside = [(beta, round(ratio, 4), round(lower, 4), round(upper, 4))
                for beta, ratio, lower, upper in rows

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import g_hat
-from pcx import gaps
-from pcx.numerics import DomainError
+from pcx import cli, gaps
+from pcx.numerics import DomainError, NoRoot
 
 
 @settings(max_examples=80, deadline=None)
@@ -139,3 +139,22 @@ def test_thresholds_frozen():
             assert lo.base_term < 0.0 < hi.base_term
     # the correction can only help: threshold with it is smaller
     assert gaps.solve_threshold(True) < gaps.solve_threshold(False)
+
+
+def test_threshold_without_sign_change_raises_noroot(monkeypatch, capsys):
+    # a profile positive on the whole grid leaves no sign change: NoRoot,
+    # which pcx gaps reports as a numerical failure (exit 3) on one line
+    def positive(beta):
+        beta = np.asarray(beta, dtype=float)
+        return gaps.GapBoundProfile(beta=beta, base_term=1.0 + beta,
+                                    correction=np.zeros_like(beta))
+
+    monkeypatch.setattr(gaps, "lower_bound_profile", positive)
+    for use in (True, False):
+        with pytest.raises(NoRoot):
+            gaps.solve_threshold(use)
+    assert cli.main(["gaps"]) == cli.EXIT_NUMERICS
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("pcx: numerical failure: "
+                   "no sign change of the gap bound in [1/2, 1]\n")

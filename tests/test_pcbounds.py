@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import _v_lerch_parts, g_of, selberg_ft, v_lerch
-from pcx import beurling
+from pcx import beurling, cli
 from pcx import pcbounds as pb
 from pcx import special
 from pcx.debranges import lambda_values
 from pcx.kernel import two_delta
-from pcx.numerics import DomainError
+from pcx.numerics import DomainError, NoRoot
 
 
 def _lattice_wide(delta, beta, sign=None, margin=200_000):
@@ -245,9 +245,6 @@ def _bad_inputs():
             cases[f"{fn.__name__}-{name}"] = (
                 lambda g=g, fn=fn: fn(np.array(g)), "argument")
     for name, g in grids.items():
-        if name != "negative":
-            cases[f"sine_integral-{name}"] = (
-                lambda g=g: special.sine_integral(np.array(g)), "argument")
         cases[f"conjecture_integral-{name}"] = (
             lambda g=g: pb.conjecture_integral(np.array(g)), "beta")
     # 2 pi beta overflows, and so would delta*beta at delta = 2
@@ -305,14 +302,36 @@ def test_positivity_threshold():
     assert lower(r - 1e-8) < 0.0 < lower(r + 1e-8)
 
 
+def test_positivity_threshold_without_sign_change_raises_noroot(monkeypatch,
+                                                                capsys):
+    # a minorant mass positive on the whole grid leaves no sign change:
+    # NoRoot, which pcx gaps reports as a numerical failure (exit 3) on
+    # one line
+    def positive(beta, delta=1.0, sign=+1):
+        beta = np.asarray(beta, dtype=float)
+        return pb.MEvaluation(beta=beta, delta=delta, sign=sign,
+                              closed_form=1.0 + beta)
+
+    monkeypatch.setattr(pb, "m_selberg", positive)
+    with pytest.raises(NoRoot):
+        pb.positivity_threshold()
+    assert cli.main(["gaps"]) == cli.EXIT_NUMERICS
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("pcx: numerical failure: "
+                   "no positivity crossing located in [0.5, 1.2]\n")
+
+
 @settings(max_examples=25, deadline=None)
 @given(beta=st.floats(0.3, 20.0))
 def test_sandwich_order_and_asymptotic(beta):
     lo = pb.m_selberg(beta, 1.0, -1)
     hi = pb.m_selberg(beta, 1.0, +1)
     assert lo.closed_form < hi.closed_form
-    # the closed form approaches its asymptote like O(1/beta^2)
-    assert abs(hi.closed_form - hi.asymptotic) < 1.0 / beta ** 2
+    # the closed form approaches its asymptote beta + 1/(2 pi^2 beta) like
+    # O(1/beta^2)
+    asymptotic = beta + 1.0 / (2.0 * math.pi ** 2 * beta)
+    assert abs(hi.closed_form - asymptotic) < 1.0 / beta ** 2
 
 
 def _grid_betas(delta):
@@ -349,7 +368,7 @@ def test_bound_rows_do_not_depend_on_the_grid(delta, data):
 def test_m_selberg_broadcasts_beta_against_sign():
     betas = np.array([0.3, 1.0, 2.7])
     both = pb.m_selberg(betas, 1.5, np.array([[-1], [1]]))
-    assert both.closed_form.shape == both.asymptotic.shape == (2, 3)
+    assert both.closed_form.shape == (2, 3)
     for i, sign in enumerate((-1, 1)):
         one = pb.m_selberg(betas, 1.5, sign)
         assert np.array_equal(one.closed_form, both.closed_form[i])

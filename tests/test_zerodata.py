@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import generate_zeros
+from pcx import cli, pcbounds
 from pcx import zerodata as zd
 from pcx.beurling import FAR, far_series, make_selberg_pair
 from pcx.numerics import (DomainError, MonotonicityError, NoRoot,
@@ -925,12 +927,22 @@ def test_selberg_far_field_weights(dataset, beta):
                 assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-11
 
 
-def test_empirical_table_columns(small):
-    t = zd.empirical_table(small, 20.0, [0.5, 1.0])
-    assert t.beta.tolist() == [0.5, 1.0]
-    for i in range(2):
-        assert t.lower[i] < t.conjecture[i] < t.upper[i]
-        assert 0.0 <= t.ratio[i]
+def test_empirical_table_columns(small, capsys):
+    # pcx empirical sets count_pairs / n, over the whole table (T = t_max),
+    # beside bound_table's columns; JSON holds each number as its text
+    # shows it
+    betas = np.array([0.5, 1.0, 1.5, 2.0])
+    assert cli.main(["empirical", "--zeros", small.source,
+                     "--beta", "0.5:2:0.5", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    want = dict(vars(pcbounds.bound_table(betas)),
+                ratio=zd.count_pairs(small, small.t_max, betas) / len(small))
+    for column in ("beta", "ratio", "conjecture", "lower", "upper"):
+        assert [row[column] for row in rows] == [
+            float(f"{v:.10g}") for v in want[column]]
+    for row in rows:
+        assert row["lower"] < row["conjecture"] < row["upper"]
+        assert 0.0 < row["ratio"]
 
 
 def test_empty_beta_grid(small, dataset):
@@ -939,8 +951,7 @@ def test_empty_beta_grid(small, dataset):
         counts = zd.count_pairs(ds, ds.t_max, np.array([]))
         assert counts.dtype == np.int64 and counts.shape == (0,)
     assert zd.count_pairs(small, 20.0, np.empty((0, 3))).shape == (0, 3)
-    t = zd.empirical_table(small, 20.0, [])
-    for column in vars(t).values():
+    for column in vars(pcbounds.bound_table([])).values():
         assert column.shape == (0,)
 
 
