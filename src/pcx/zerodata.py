@@ -12,9 +12,9 @@ counted: at n = 10^4 the 51 betas 0.5:3:0.05 take 0.25 ms, one beta = 1
 normalized exponential pair sum F(alpha) cuts the sorted window into
 blocks: pairs in nearby blocks are summed exactly, and pairs farther
 apart through a short exponential sum for the Cauchy weight carried
-from block to block, so one F costs O(n) rather than O(n^2): about 3.2
-ms at n = 10^4 and 0.8 ms at n = 2,000 on a window whose plan (below) is
-kept, 5.2 and 1.4 ms on a new one (2-core x86 host).  The exponential
+from block to block, so one F costs O(n) rather than O(n^2): about 2.5
+ms at n = 10^4 and 0.6 ms at n = 2,000 on a window whose plan (below) is
+kept, 8.0 and 1.9 ms on a new one (2-core x86 host).  The exponential
 sum's nodes are a trapezoid rule in log t, save that those below 1 / the
 window's span, whose exponentials no gap of the window tells apart from
 a polynomial of degree 11 in t, collapse into the 6-point Gauss rule of
@@ -30,32 +30,31 @@ per-block power moments; only the larger nodes take exponentials.
 What F needs that no alpha changes is its plan, built once per window:
 the blocks and their mask, reach, the nodes and weights, the near
 field's Cauchy weights (one (blocks, 16, 16) array per block offset
-below reach), the Taylor coefficients, and the far field's decays
-exp(-t gap) of its carry steps and hand-offs.  Two slots keep the plans
-of the last two windows F was taken on, keyed by the window's content,
-so F again on either table, at another alpha or another T with the same
-window, builds none of it, also when one call on the other table came
-between; on the shipped table a plan holds 3.2 MB, at n = 2,000 0.64 MB
-(tracemalloc).  Working set: beyond the plan, no temporary grows as
-blocks x 16 x nodes or blocks x 16 x 16: the far field keeps everything
-else in one workspace, two (blocks, nodes, alphas) complex arrays and a
-scratch that the Taylor powers and the direct exponentials take in
-turn.  One F at n = 10^4 on the table of the plan peaks at 3.4 MB
-(tracemalloc) and, as the C allocator keeps the one workspace between
-calls, pages in nothing new; the call that builds the plan peaks at 6.7
-MB.  F takes an alpha grid in one call: the plan is taken once per
-window, and per chunk of _ALPHAS = 8 alphas the direct exponentials and
-the power moments, which do not depend on alpha either but would keep
-about 6.5 MB more in the plan; only the unit phases, the products with
-them, the carry and the final contraction run per alpha, each product
-taking two float columns per alpha.  The 7 alphas 0:1.5:0.25 take about
-1.9 ms at n = 2,000 against 5.7 ms for seven float calls, and the 61
-alphas 0:3:0.05 about 84 ms at n = 10^4 against 0.22 s, peaking at 13.7
-MB (2-core x86 host); a float alpha is the one-alpha case of the same
-code.  The weighted pair sum of a Selberg majorant or minorant takes
-the same blocks: pairs up to `reach` blocks apart are summed exactly,
-and past the gap from which
-both arguments x +/- gamma take the far branch of pcx.beurling, the
+below reach), the Taylor coefficients, the far field's decays exp(-t
+gap) of its carry steps and hand-offs, and the factors of its block
+moments, once for the senders and once for the receivers: the direct
+exponentials exp(-t x) and the power rows (x / span)^m.  Two slots keep
+the plans of the last two windows F was taken on, keyed by the window's
+content, so F again on either table, at another alpha or another T with
+the same window, builds none of it, also when one call on the other
+table came between; on the shipped table a plan holds 9.8 MB, 6.5 MB of
+it the factors, at n = 2,000 1.9 MB (tracemalloc).  Working set: beyond
+the plan, no temporary grows as blocks x 16 x nodes or blocks x 16 x
+16: the far field keeps everything else in one workspace, two (blocks,
+nodes, alphas) complex arrays.  One F at n = 10^4 on the table of the
+plan peaks at 1.6 MB (tracemalloc) and, as the C allocator keeps the
+one workspace between calls, pages in nothing new; the call that builds
+the plan peaks at 11.4 MB.  F takes an alpha grid in one call: the plan
+is taken once per window, and only the unit phases, the products with
+them, the carry and the final contraction run per alpha, _ALPHAS = 8
+alphas at a time, each product taking two float columns per alpha.  The
+7 alphas 0:1.5:0.25 take about 1.6 ms at n = 2,000 against 4.2 ms for
+seven float calls, and the 61 alphas 0:3:0.05 about 75 ms at n = 10^4
+against 0.16 s, peaking at 11.9 MB (2-core x86 host); a float alpha is
+the one-alpha case of the same code.  The weighted pair sum of a
+Selberg majorant or minorant takes the same blocks: pairs up to `reach`
+blocks apart are summed exactly, and past the gap from which both
+arguments x +/- gamma take the far branch of pcx.beurling, the
 summand is the Cauchy weight times a power series in 1/(d +/- c) and a
 cosine, which the same far field sums as two exponential sums, one
 smooth and one at the cosine's frequency.  The exact part takes R,
@@ -96,7 +95,7 @@ _CHUNK = 128
 _BLOCK = 16
 # frequencies per pass of an array F: its far field keeps two (senders,
 # nodes, frequencies) complex arrays, 1.0 MB per frequency at n = 10^4, so
-# that 0:3:0.05 (61 alphas) there peaks at 13.7 MB, against 92 MB in one
+# that 0:3:0.05 (61 alphas) there peaks at 11.9 MB, against 92 MB in one
 # pass; the 7 alphas of 0:1.5:0.25 take one pass
 _ALPHAS = 8
 # blocks per piece of the exact near field of the weighted pair sum of a
@@ -541,40 +540,56 @@ def _taylor(t, span):
     return np.multiply.accumulate(steps, axis=1, out=steps)
 
 
-def _moments(x, phase, t, span, taylor, out, scratch):
+class _Factors(NamedTuple):
+    """What _moments takes that no phase changes, on one (blocks, _BLOCK)
+    array of offsets x, 0 <= x <= span: the direct exponentials exp(-t x)
+    at the nodes past the Taylor ones, node-major, (nodes, blocks,
+    _BLOCK), and the power rows (x / span)^m, m < _ORDER, power-major,
+    (_ORDER, blocks, _BLOCK)."""
+    direct: np.ndarray
+    powers: np.ndarray
+
+
+def _factors(x, t, span, small):
+    """The _Factors of the offsets x at the nodes t, of which the first
+    `small` take the Taylor path of _moments."""
+    # node-major, so that each product and exp runs over all offsets at once
+    direct = np.multiply(-t[small:, np.newaxis, np.newaxis], x)
+    np.exp(direct, out=direct)
+    # one step per power: numpy's multiply.accumulate gives the same
+    # products but runs its inner loop down the powers, 0.93 against
+    # 0.15 ms at n = 10^4 (2-core x86 host)
+    powers = np.empty((_ORDER,) + x.shape)
+    powers[0] = 1.0
+    np.divide(x, span, out=powers[1])
+    for m in range(2, _ORDER):
+        np.multiply(powers[m - 1], powers[1], out=powers[m])
+    return _Factors(direct, powers)
+
+
+def _moments(factors, phase, taylor, out):
     """Fill out, a (blocks, nodes) or (blocks, nodes, alphas) complex
-    array, with sum_i phase_i exp(-t x_i) over each block row of offsets
-    0 <= x <= span, for every node t; phase has the shape of x, or of x
-    with the trailing alpha axis of out.
+    array, with sum_i phase_i exp(-t x_i) over each block row of the
+    offsets x of factors = _factors(x, t, span, len(taylor)), for every
+    node t; phase has the shape of x, or of x with the trailing alpha
+    axis of out.
 
     The first len(taylor) nodes, those with t span <= 1, take the Taylor
     series of exp(-t x) in x / span, cut at _ORDER terms (remainder under
     1/_ORDER!), from the per-block power moments P_m = sum_i phase_i
     (x_i / span)^m and the coefficients taylor = _taylor(t, span); the
-    other nodes take their exponentials directly.  The exponentials and
-    the powers do not depend on the phases, so every alpha shares them.
-    Both products write into out through its float view; the powers and
-    the exponentials take turns in scratch, a float array of at least
-    x.size * max(_ORDER, nodes - len(taylor)) entries."""
+    other nodes take their exponentials directly.  Both come from
+    factors, so only the two products with the phases run here, and both
+    write into out through its float view."""
     small = len(taylor)
+    blocks = factors.powers.shape[1:]
     # the float view of the phases, two real columns per alpha, keeps the
     # products real
-    parts = phase.view(float).reshape(x.shape + (-1,))
-    columns = out.view(float).reshape(len(x), len(t), -1)
-    # node-major, so that each product and exp runs over all offsets at once
-    direct = scratch[:(len(t) - small) * x.size].reshape((-1,) + x.shape)
-    np.multiply(-t[small:, np.newaxis, np.newaxis], x, out=direct)
-    np.exp(direct, out=direct)
-    np.matmul(np.swapaxes(direct, 0, 1), parts, out=columns[:, small:])
-    # one step per power: numpy's multiply.accumulate gives the same
-    # products but runs its inner loop down the powers, 0.93 against
-    # 0.15 ms at n = 10^4 (2-core x86 host)
-    powers = scratch[:_ORDER * x.size].reshape((_ORDER,) + x.shape)
-    powers[0] = 1.0
-    np.divide(x, span, out=powers[1])
-    for m in range(2, _ORDER):
-        np.multiply(powers[m - 1], powers[1], out=powers[m])
-    np.matmul(taylor, np.swapaxes(powers, 0, 1) @ parts,
+    parts = phase.view(float).reshape(blocks + (-1,))
+    columns = out.view(float).reshape(
+        blocks[0], small + len(factors.direct), -1)
+    np.matmul(np.swapaxes(factors.direct, 0, 1), parts, out=columns[:, small:])
+    np.matmul(taylor, np.swapaxes(factors.powers, 0, 1) @ parts,
               out=columns[:, :small])
     return out
 
@@ -618,10 +633,11 @@ def _decay(dx, t):
 class _FarPlan(NamedTuple):
     """What the far field of one window takes that no frequency changes:
     the nodes t and weights w, the widest block span and the Taylor
-    coefficients of _taylor(t, span), and the gaps and decays exp(-t gap)
-    of the carry steps (right edge to right edge of the senders) and of
-    the hand-offs (sender's right edge to the left edge of the block
-    `reach` on, less the shift)."""
+    coefficients of _taylor(t, span), the gaps and decays exp(-t gap) of
+    the carry steps (right edge to right edge of the senders) and of the
+    hand-offs (sender's right edge to the left edge of the block `reach`
+    on, less the shift), and the _Factors of _moments for the senders'
+    offsets right - x and for the receivers' offsets x - left."""
     t: np.ndarray
     w: np.ndarray
     span: float
@@ -630,6 +646,8 @@ class _FarPlan(NamedTuple):
     step_decays: np.ndarray
     hand_gaps: np.ndarray
     hand_decays: np.ndarray
+    send: _Factors
+    receive: _Factors
 
 
 def _far_plan(G, reach, t, w, shift=0.0):
@@ -640,10 +658,14 @@ def _far_plan(G, reach, t, w, shift=0.0):
     left, right = G[:, 0], G[:, -1]
     # any positive scale serves when every block is one repeated value
     span = float(np.max(right - left)) or 1.0
+    taylor = _taylor(t, span)
+    small = len(taylor)
     steps = np.diff(right[:senders])
     hand = left[reach:] - right[:senders] - shift
-    return _FarPlan(t, w, span, _taylor(t, span), steps, _decay(steps, t),
-                    hand, _decay(hand, t))
+    return _FarPlan(
+        t, w, span, taylor, steps, _decay(steps, t), hand, _decay(hand, t),
+        _factors(right[:senders, np.newaxis] - G[:senders], t, span, small),
+        _factors(G[reach:] - left[reach:, np.newaxis], t, span, small))
 
 
 def _far_field(G, phase, reach, k, far):
@@ -651,47 +673,40 @@ def _far_field(G, phase, reach, k, far):
     pairs `reach` or more blocks apart (fewer than the blocks), for every
     frequency of the array k, given the _FarPlan far of G (nodes t, their
     real or complex weights w, one per node, shared by every k, or a
-    (nodes, len(k)) array, a column per k, and the decays) and the
-    block-local phases exp(i k (x - left edge)) of the ordinates (a
-    contiguous complex (blocks, _BLOCK, len(k)) array, zero on padding);
-    with the weights of _nodes it is the sum of cos(k d) 4/(4+d^2), one
-    entry per k.  Block a sends its moment about its right edge; a running
-    sum of the moments is carried from right edge to right edge (steps >=
-    0) and handed to block a + reach at its left edge, so every phase is k
-    times a gap inside a block or between block edges.  A shift up to the
-    smallest hand-off gap keeps every factor at most 1, the weights
-    carrying exp(-(t_j - i k) shift).
+    (nodes, len(k)) array, a column per k, the decays and the factors of
+    the moments) and the block-local phases exp(i k (x - left edge)) of
+    the ordinates (a contiguous complex (blocks, _BLOCK, len(k)) array,
+    zero on padding); with the weights of _nodes it is the sum of cos(k d)
+    4/(4+d^2), one entry per k.  Block a sends its moment about its right
+    edge; a running sum of the moments is carried from right edge to right
+    edge (steps >= 0) and handed to block a + reach at its left edge, so
+    every phase is k times a gap inside a block or between block edges.
+    A shift up to the smallest hand-off gap keeps every factor at most 1,
+    the weights carrying exp(-(t_j - i k) shift).
 
-    Moments are taken only for the blocks that send or receive, and all
-    large arrays live in one workspace filled in place: the carried sums,
-    one more (blocks, nodes, alphas) array (the steps, then the hand-off
-    factors, then the receivers' moments) and the scratch of _moments,
-    which holds only what every k shares.  As one block, the C allocator
-    keeps it from call to call (glibc keeps up to twice the largest block
-    it has unmapped), where separate arrays of a third of its size would
-    go back to the kernel after each call and be paged in afresh on the
-    next."""
+    Moments are taken only for the blocks that send or receive, and the
+    large arrays of a call live in one workspace filled in place: the
+    carried sums and one more (blocks, nodes, alphas) array (the steps,
+    then the hand-off factors, then the receivers' moments).  As one
+    block, the C allocator keeps it from call to call (glibc keeps up to
+    twice the largest block it has unmapped), where separate arrays of
+    half its size would go back to the kernel after each call and be
+    paged in afresh on the next."""
     t, taylor = far.t, far.taylor
     senders = len(G) - reach
     left, right = G[:, 0], G[:, -1]
-    size = senders * len(t) * len(k)
-    per_row = _BLOCK * max(_ORDER, len(t) - len(taylor))
-    work = np.empty(4 * size + senders * per_row)
-    carried, other = work[:4 * size].view(complex).reshape(
-        2, senders, len(t), len(k))
-    scratch = work[4 * size:]
+    carried, other = np.empty((2, senders, len(t), len(k)), dtype=complex)
     # exp(i k (right - x)) = conj(exp(i k (x - left))) exp(i k (right - left))
-    _moments(right[:senders, np.newaxis] - G[:senders],
+    _moments(far.send,
              np.conj(phase[:senders])
              * np.exp(1j * k * (right - left)[:senders, np.newaxis])[:, np.newaxis],
-             t, far.span, taylor, carried, scratch)
+             taylor, carried)
     _carry(carried, _shift(far.step_gaps, far.step_decays, k,
                            other[:senders - 1]))
     # the hand-off factors times the carried sums
     hand = _shift(far.hand_gaps, far.hand_decays, k, other)
     np.multiply(hand, carried, out=carried)
-    into = _moments(G[reach:] - left[reach:, np.newaxis], phase[reach:], t,
-                    far.span, taylor, other, scratch)
+    into = _moments(far.receive, phase[reach:], taylor, other)
     into *= carried
     # one row-by-column product per k, each summed as if that k were alone
     w = far.w.reshape(len(t), -1).T[:, :, np.newaxis]
@@ -753,7 +768,7 @@ class _Plan(NamedTuple):
 
 
 # the last two windows F was taken on, each with its _Plan, most recent
-# first: so F on a table it has just seen builds no weight or decay again,
+# first: so F on a table it has just seen builds no weight, decay or factor
 # also after one call on another table between.  It is replaced by one
 # tuple assignment, so no reader sees a window with another's plan
 _memo = ()
@@ -789,11 +804,12 @@ def empirical_F(ds, T, alpha):
     alpha is a float, which gives a float, or an array, which gives an
     array of F in its shape.  F is even in alpha, so each distinct
     |alpha| is summed once.  The window's plan (blocks, reach, nodes,
-    Cauchy weights, Taylor coefficients and decays) comes from the memo
-    of _plan, built only when the window differs from the last two; the
-    direct exponentials and the power moments are taken once per chunk
-    of _ALPHAS frequencies, with one pair of float columns per frequency
-    in every product.  A float is the one-alpha case of the same sums.
+    Cauchy weights, Taylor coefficients, decays, and the direct
+    exponentials and power rows of the block moments) comes from the
+    memo of _plan, built only when the window differs from the last two;
+    what runs per alpha takes _ALPHAS frequencies at a time, with one
+    pair of float columns per frequency in every product.  A float is the
+    one-alpha case of the same sums.
     An alpha so large that its phases overflow (1e307 over the shipped
     table) leaves an F that is not finite, and NonConvergence names the
     first such alpha."""

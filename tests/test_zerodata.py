@@ -543,12 +543,47 @@ def test_F_plan_memo_two_T_one_window(dataset):
     assert _bits(f2) == _bits(_cold_F(dataset, T2, 0.9))
 
 
+def test_F_plan_keeps_the_moment_factors(dataset, monkeypatch):
+    # a cold F builds the factors of the moments twice, for the senders
+    # and for the receivers, and keeps them in its plan; F at three more
+    # alphas, on an alpha array and at another T with the same window
+    # builds none.  The kept factors are exp(-t x) at the direct nodes and
+    # the running powers of x / span, recomputed here from plan.G
+    built = []
+    factors = zd._factors
+    monkeypatch.setattr(zd, "_factors",
+                        lambda *args: built.append(args) or factors(*args))
+    g = dataset.ordinates
+    T1, T2 = float(g[1999]), 0.5 * float(g[1999] + g[2000])
+    zd.empirical_F(dataset, T1, 1.0)
+    assert len(built) == 2
+    for alpha in (0.3, 1.7, 2.9):
+        zd.empirical_F(dataset, T1, alpha)
+    zd.empirical_F(dataset, T1, 0.25 * np.arange(7))
+    zd.empirical_F(dataset, T2, 1.0)
+    assert len(built) == 2
+    ((_, plan),) = zd._memo
+    G, far = plan.G, plan.far
+    small = len(far.taylor)
+    senders = len(G) - plan.reach
+    for x, kept in ((G[:senders, -1:] - G[:senders], far.send),
+                    (G[plan.reach:] - G[plan.reach:, :1], far.receive)):
+        direct = np.exp(-far.t[small:, np.newaxis, np.newaxis] * x)
+        assert _bits(kept.direct) == _bits(direct)
+        powers = [np.ones_like(x), x / far.span]
+        while len(powers) < zd._ORDER:
+            powers.append(powers[-1] * powers[1])
+        assert _bits(kept.powers) == _bits(np.stack(powers))
+
+
 def test_F_plan_retained_memory(dataset):
-    # a cold F over the shipped table keeps its plan in the memo, 3.24 MB
-    # (tracemalloc): the Cauchy weights of offsets 0 and 1 (2.56 MB) and
-    # the carry and hand-off decays on 49 nodes (0.49 MB).  The call peaks
-    # at 6.67 MB, the plan and then the 3.44 MB of a warm call; the bounds
-    # lie 23% and 27% above
+    # a cold F over the shipped table keeps its plan in the memo, 9.78 MB
+    # (tracemalloc): the Cauchy weights of offsets 0 and 1 (2.56 MB), the
+    # carry and hand-off decays on 49 nodes (0.49 MB), and the senders'
+    # and receivers' factors of the moments, the direct exponentials on
+    # 22 nodes and 19 power rows (6.54 MB).  The call peaks at 11.38 MB,
+    # the plan and then the 1.60 MB of a warm call; the bounds lie 23% and
+    # 27% above
     zd._memo = ()
     started = not tracemalloc.is_tracing()
     if started:
@@ -561,8 +596,8 @@ def test_F_plan_retained_memory(dataset):
     finally:
         if started:
             tracemalloc.stop()
-    assert current - before <= 4.0e6
-    assert peak - before <= 8.5e6
+    assert current - before <= 12.0e6
+    assert peak - before <= 14.5e6
 
 
 def _peak_bytes(fn):
@@ -584,39 +619,45 @@ def _peak_bytes(fn):
 
 def test_pair_sums_working_set(dataset):
     # the warm-up call fills F's plan memo, so the F measured is a warm
-    # one: over the shipped table it peaks at 3.44 MB, and the beta = 1
-    # majorant's pair sum over the first 2,000 zeros, which builds its own
-    # decays each call, at 1.70 MB, its near field taking every gap of a
-    # piece through r_gamma at once; with whole (blocks, 16, nodes) and
-    # (blocks, 16, 16) temporaries they took 9.40 and 4.15 MB.  The bounds
-    # lie 37% and 18% above the measured peaks; the second is below the
-    # 2.05 MB of a near field that holds its pieces until enough gaps
-    # gather for R
+    # one: over the shipped table it peaks at 1.60 MB, its plan holding
+    # every factor of the moments.  The beta = 1 majorant's pair sum over
+    # the first 2,000 zeros builds its own far plan each call, factors
+    # and all, and peaks at 2.54 MB; its exact near field alone peaks at
+    # 1.66 MB, taking every gap of a piece through r_gamma at once.  With
+    # whole (blocks, 16, nodes) and (blocks, 16, 16) temporaries F and the
+    # pair sum took 9.40 and 4.15 MB.  The bounds lie 37%, 18% and 20%
+    # above the measured peaks; the last is below the 2.05 MB of a near
+    # field that holds its pieces until enough gaps gather for R
     T = dataset.t_max
-    assert _peak_bytes(lambda: zd.empirical_F(dataset, T, 1.0)) <= 4.7e6
+    assert _peak_bytes(lambda: zd.empirical_F(dataset, T, 1.0)) <= 2.2e6
     sub = zd.ZeroDataset(ordinates=dataset.ordinates[:2000],
                          source=dataset.source,
                          t_max=float(dataset.ordinates[1999]))
     R = make_selberg_pair(1.0).majorant
-    assert _peak_bytes(lambda: zd.weighted_pair_sum(sub, sub.t_max, R)) <= 2.0e6
+    assert _peak_bytes(lambda: zd.weighted_pair_sum(sub, sub.t_max, R)) <= 3.0e6
+    G, real = zd._blocks(sub.ordinates)
+    scale = math.log(sub.t_max) / (2.0 * math.pi)
+    reach = zd._reach(
+        G, max(zd._REACH, (R.gamma + zd.FAR) / (R.dilation * scale)))
+    assert _peak_bytes(
+        lambda: zd._selberg_near(G, real, R, scale, reach)) <= 2.0e6
 
 
 def test_alpha_grid_working_set(dataset):
     # the warm-up call fills F's plan memo, so each grid measured is a
     # warm one: the 7-alpha grid of the benchmark at n = 2,000, one chunk,
-    # peaks at 2.34 MB and keeps the bound of one F at n = 10^4; the
-    # 61-alpha grid 0:3:0.05 at n = 10^4 at 13.7 MB, its far field taken
-    # _ALPHAS = 8 alphas at a time (in one pass, 92 MB).  The second
-    # bound lies 78% above its measured peak
+    # peaks at 2.00 MB; the 61-alpha grid 0:3:0.05 at n = 10^4 at 11.9 MB,
+    # its far field taken _ALPHAS = 8 alphas at a time (in one pass, 92
+    # MB).  The bounds lie 40% and 78% above the measured peaks
     sub = zd.ZeroDataset(ordinates=dataset.ordinates[:2000],
                          source=dataset.source,
                          t_max=float(dataset.ordinates[1999]))
     seven = 0.25 * np.arange(7)
     assert len(seven) <= zd._ALPHAS
-    assert _peak_bytes(lambda: zd.empirical_F(sub, sub.t_max, seven)) <= 4.7e6
+    assert _peak_bytes(lambda: zd.empirical_F(sub, sub.t_max, seven)) <= 2.8e6
     grid = 0.05 * np.arange(61)
     assert _peak_bytes(
-        lambda: zd.empirical_F(dataset, dataset.t_max, grid)) <= 24.4e6
+        lambda: zd.empirical_F(dataset, dataset.t_max, grid)) <= 21.2e6
 
 
 def test_exponential_sum_nodes(dataset):
@@ -718,9 +759,9 @@ def test_block_moments_against_exponentials(seed):
     t, _ = zd._nodes(d0, window)
     parts = np.stack([p.real, p.imag], axis=-1)
     want = np.exp(-t[:, np.newaxis] * x[:, np.newaxis, :]) @ parts
-    got = zd._moments(x, p, t, span, zd._taylor(t, span),
-                      np.empty((nb, len(t)), dtype=complex),
-                      np.empty(x.size * (len(t) + zd._ORDER)))
+    taylor = zd._taylor(t, span)
+    got = zd._moments(zd._factors(x, t, span, len(taylor)), p, taylor,
+                      np.empty((nb, len(t)), dtype=complex))
     err = np.abs(got - (want[..., 0] + 1j * want[..., 1]))
     assert np.all(err <= 1e-15 * np.sum(np.abs(p), axis=1)[:, np.newaxis])
 
