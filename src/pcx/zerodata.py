@@ -12,9 +12,9 @@ counted: at n = 10^4 the 51 betas 0.5:3:0.05 take 0.25 ms, one beta = 1
 normalized exponential pair sum F(alpha) cuts the sorted window into
 blocks: pairs in nearby blocks are summed exactly, and pairs farther
 apart through a short exponential sum for the Cauchy weight carried
-from block to block, so one F costs O(n) rather than O(n^2): about 2.5
+from block to block, so one F costs O(n) rather than O(n^2): about 2.4
 ms at n = 10^4 and 0.6 ms at n = 2,000 on a window whose plan (below) is
-kept, 8.0 and 1.9 ms on a new one (2-core x86 host).  The exponential
+kept, 8.5 and 1.4 ms on a new one (2-core x86 host).  The exponential
 sum's nodes are a trapezoid rule in log t, save that those below 1 / the
 window's span, whose exponentials no gap of the window tells apart from
 a polynomial of degree 11 in t, collapse into the 6-point Gauss rule of
@@ -22,35 +22,32 @@ their own weights (Golub-Welsch): 49 nodes in place of 95 on the shipped
 table.  No cos or complex exponential of a large argument is taken: each
 ordinate gets one unit phase relative to its block's left edge, and a
 pair's cos(k d) is the real part of a product of two such phases and one
-per block pair.  The
-far field's block moments split their nodes as a multipole method does
-(Greengard-Rokhlin): a node t with t times the widest block at most 1
-takes a Taylor series in the block-local offsets, one small matmul of
-per-block power moments; only the larger nodes take exponentials.
-What F needs that no alpha changes is its plan, built once per window:
-the blocks and their mask, reach, the nodes and weights, the near
-field's Cauchy weights (one (blocks, 16, 16) array per block offset
-below reach), the Taylor coefficients, the far field's decays exp(-t
-gap) of its carry steps and hand-offs, and the factors of its block
-moments, once for the senders and once for the receivers: the direct
-exponentials exp(-t x) and the power rows (x / span)^m.  Two slots keep
-the plans of the last two windows F was taken on, keyed by the window's
-content, so F again on either table, at another alpha or another T with
-the same window, builds none of it, also when one call on the other
-table came between; on the shipped table a plan holds 9.8 MB, 6.5 MB of
-it the factors, at n = 2,000 1.9 MB (tracemalloc).  Working set: beyond
-the plan, no temporary grows as blocks x 16 x nodes or blocks x 16 x
-16: the far field keeps everything else in one workspace, two (blocks,
-nodes, alphas) complex arrays.  One F at n = 10^4 on the table of the
-plan peaks at 1.6 MB (tracemalloc) and, as the C allocator keeps the
-one workspace between calls, pages in nothing new; the call that builds
-the plan peaks at 11.4 MB.  F takes an alpha grid in one call: the plan
-is taken once per window, and only the unit phases, the products with
+per block pair.  A block's moment sum_i phase_i exp(-t x_i), x_i the
+block-local offsets, is one batched product of the phases with the
+exponentials exp(-t x) at every node.  What F needs that no alpha
+changes is its plan, built once per window: the blocks and their mask,
+reach, the nodes and weights, the near field's Cauchy weights (one
+(blocks, 16, 16) array per block offset below reach), the far field's
+decays exp(-t gap) of its carry steps and hand-offs, and the
+exponentials exp(-t x) of its block moments, once for the senders and
+once for the receivers.  Two slots keep the plans of the last two
+windows F was taken on, keyed by the window's content, so F again on
+either table, at another alpha or another T with the same window, builds
+none of it, also when one call on the other table came between; on the
+shipped table a plan holds 11.0 MB, 7.8 MB of it the exponentials, at n
+= 2,000 2.0 MB (tracemalloc).  Working set: beyond the plan, no
+temporary grows as blocks x 16 x nodes or blocks x 16 x 16: the far
+field keeps everything else in one workspace, two (blocks, nodes,
+alphas) complex arrays.  One F at n = 10^4 on the table of the plan
+peaks at 1.6 MB (tracemalloc) and, as the C allocator keeps the one
+workspace between calls, pages in nothing new; the call that builds the
+plan peaks at 12.6 MB.  F takes an alpha grid in one call: the plan is
+taken once per window, and only the unit phases, the products with
 them, the carry and the final contraction run per alpha, _ALPHAS = 8
 alphas at a time, each product taking two float columns per alpha.  The
-7 alphas 0:1.5:0.25 take about 1.6 ms at n = 2,000 against 4.2 ms for
+7 alphas 0:1.5:0.25 take about 1.5 ms at n = 2,000 against 3.9 ms for
 seven float calls, and the 61 alphas 0:3:0.05 about 75 ms at n = 10^4
-against 0.16 s, peaking at 11.9 MB (2-core x86 host); a float alpha is
+against 0.15 s, peaking at 11.9 MB (2-core x86 host); a float alpha is
 the one-alpha case of the same code.  The weighted pair sum of a
 Selberg majorant or minorant takes the same blocks: pairs up to `reach`
 blocks apart are summed exactly, and past the gap from which both
@@ -63,11 +60,13 @@ assembly of r_gamma, which alone knows its switch and sign rule; each
 gap's two squared sines come from unit phases, as F's near field takes
 its cosines, and only a piece's arguments below the switch take a sine
 of their own, in the closed form.  That sum costs about 8 ms at n =
-2,000 and 35 ms at n = 10^4 on a 2-core x86 host, against 0.36 and 8.4
-s for the direct sum over all pairs.  The direct loop over the unordered
-pairs (one chunked loop, doubled for the even summands) now serves only
-the weighted pair sum of any other R and count_pairs_brute, the oracle
-of count_pairs.  pcx.cli sets the pair ratio beside the closed-form
+2,000 and 42 ms at n = 10^4 on a 2-core x86 host, against 0.36 and 8.4
+s for the direct sum over all pairs, and peaks at 4.2 and 21 MB
+(tracemalloc), most of it the far plan that each call builds on the
+whole trapezoid grid.  The direct loop over the unordered pairs (one
+chunked loop, doubled for the even summands) now serves only the
+weighted pair sum of any other R and count_pairs_brute, the oracle of
+count_pairs.  pcx.cli sets the pair ratio beside the closed-form
 bound columns, so nothing here reads pcx.pcbounds.
 """
 
@@ -116,10 +115,6 @@ _T_TOP = 75.0
 # t times the window's span below 1, whose exponentials no gap tells apart
 # from a polynomial of degree 11
 _GAUSS = 6
-# terms of the Taylor series that serves the block moments at nodes with
-# t span <= 1: the smallest M whose remainder bound 1/M! lies below half an
-# ulp, 2^-53 (19)
-_ORDER = next(m for m in range(1, 30) if math.factorial(m) > 2 ** 53)
 # least number of terms of the tail series sum_{i>=m} z^i / i! that
 # _power_weights sums where |z| <= m: the first term left out is at most
 # the product of m / (m + l), l = 1 .. _TAIL, times the first one, which is
@@ -528,69 +523,25 @@ def _selberg_near(G, real, R, scale, reach):
     return near
 
 
-def _taylor(t, span):
-    """The Taylor coefficients (-span t)^m / m!, m < _ORDER, of exp(-t x)
-    in x / span, for the nodes t with t span <= 1 (the first ones of the
-    ascending t): one row per such node, as running products of
-    -span t / m."""
-    small = np.count_nonzero(t * span <= 1.0)
-    steps = np.empty((small, _ORDER))
-    steps[:, 0] = 1.0
-    np.divide(-span * t[:small, np.newaxis], np.arange(1, _ORDER), out=steps[:, 1:])
-    return np.multiply.accumulate(steps, axis=1, out=steps)
+def _exponentials(x, t):
+    """exp(-t x) for every node t and offset x of a (blocks, _BLOCK)
+    array, node-major, (nodes, blocks, _BLOCK), so that the product and
+    the exp each run over all offsets at once."""
+    e = np.multiply(-t[:, np.newaxis, np.newaxis], x)
+    return np.exp(e, out=e)
 
 
-class _Factors(NamedTuple):
-    """What _moments takes that no phase changes, on one (blocks, _BLOCK)
-    array of offsets x, 0 <= x <= span: the direct exponentials exp(-t x)
-    at the nodes past the Taylor ones, node-major, (nodes, blocks,
-    _BLOCK), and the power rows (x / span)^m, m < _ORDER, power-major,
-    (_ORDER, blocks, _BLOCK)."""
-    direct: np.ndarray
-    powers: np.ndarray
-
-
-def _factors(x, t, span, small):
-    """The _Factors of the offsets x at the nodes t, of which the first
-    `small` take the Taylor path of _moments."""
-    # node-major, so that each product and exp runs over all offsets at once
-    direct = np.multiply(-t[small:, np.newaxis, np.newaxis], x)
-    np.exp(direct, out=direct)
-    # one step per power: numpy's multiply.accumulate gives the same
-    # products but runs its inner loop down the powers, 0.93 against
-    # 0.15 ms at n = 10^4 (2-core x86 host)
-    powers = np.empty((_ORDER,) + x.shape)
-    powers[0] = 1.0
-    np.divide(x, span, out=powers[1])
-    for m in range(2, _ORDER):
-        np.multiply(powers[m - 1], powers[1], out=powers[m])
-    return _Factors(direct, powers)
-
-
-def _moments(factors, phase, taylor, out):
+def _moments(direct, phase, out):
     """Fill out, a (blocks, nodes) or (blocks, nodes, alphas) complex
     array, with sum_i phase_i exp(-t x_i) over each block row of the
-    offsets x of factors = _factors(x, t, span, len(taylor)), for every
-    node t; phase has the shape of x, or of x with the trailing alpha
-    axis of out.
-
-    The first len(taylor) nodes, those with t span <= 1, take the Taylor
-    series of exp(-t x) in x / span, cut at _ORDER terms (remainder under
-    1/_ORDER!), from the per-block power moments P_m = sum_i phase_i
-    (x_i / span)^m and the coefficients taylor = _taylor(t, span); the
-    other nodes take their exponentials directly.  Both come from
-    factors, so only the two products with the phases run here, and both
-    write into out through its float view."""
-    small = len(taylor)
-    blocks = factors.powers.shape[1:]
-    # the float view of the phases, two real columns per alpha, keeps the
-    # products real
+    offsets x, for every node t, given direct = _exponentials(x, t);
+    phase has the shape of x, or of x with the trailing alpha axis of
+    out.  One batched product runs here, on the float views of the phases
+    and of out, two real columns per alpha."""
+    blocks = direct.shape[1:]
     parts = phase.view(float).reshape(blocks + (-1,))
-    columns = out.view(float).reshape(
-        blocks[0], small + len(factors.direct), -1)
-    np.matmul(np.swapaxes(factors.direct, 0, 1), parts, out=columns[:, small:])
-    np.matmul(taylor, np.swapaxes(factors.powers, 0, 1) @ parts,
-              out=columns[:, :small])
+    columns = out.view(float).reshape(blocks[0], len(direct), -1)
+    np.matmul(np.swapaxes(direct, 0, 1), parts, out=columns)
     return out
 
 
@@ -632,22 +583,19 @@ def _decay(dx, t):
 
 class _FarPlan(NamedTuple):
     """What the far field of one window takes that no frequency changes:
-    the nodes t and weights w, the widest block span and the Taylor
-    coefficients of _taylor(t, span), the gaps and decays exp(-t gap) of
-    the carry steps (right edge to right edge of the senders) and of the
+    the nodes t and weights w, the gaps and decays exp(-t gap) of the
+    carry steps (right edge to right edge of the senders) and of the
     hand-offs (sender's right edge to the left edge of the block `reach`
-    on, less the shift), and the _Factors of _moments for the senders'
-    offsets right - x and for the receivers' offsets x - left."""
+    on, less the shift), and the _exponentials of _moments for the
+    senders' offsets right - x and for the receivers' offsets x - left."""
     t: np.ndarray
     w: np.ndarray
-    span: float
-    taylor: np.ndarray
     step_gaps: np.ndarray
     step_decays: np.ndarray
     hand_gaps: np.ndarray
     hand_decays: np.ndarray
-    send: _Factors
-    receive: _Factors
+    send: np.ndarray
+    receive: np.ndarray
 
 
 def _far_plan(G, reach, t, w, shift=0.0):
@@ -656,16 +604,12 @@ def _far_plan(G, reach, t, w, shift=0.0):
     smallest hand-off gap."""
     senders = len(G) - reach
     left, right = G[:, 0], G[:, -1]
-    # any positive scale serves when every block is one repeated value
-    span = float(np.max(right - left)) or 1.0
-    taylor = _taylor(t, span)
-    small = len(taylor)
     steps = np.diff(right[:senders])
     hand = left[reach:] - right[:senders] - shift
     return _FarPlan(
-        t, w, span, taylor, steps, _decay(steps, t), hand, _decay(hand, t),
-        _factors(right[:senders, np.newaxis] - G[:senders], t, span, small),
-        _factors(G[reach:] - left[reach:, np.newaxis], t, span, small))
+        t, w, steps, _decay(steps, t), hand, _decay(hand, t),
+        _exponentials(right[:senders, np.newaxis] - G[:senders], t),
+        _exponentials(G[reach:] - left[reach:, np.newaxis], t))
 
 
 def _far_field(G, phase, reach, k, far):
@@ -673,16 +617,16 @@ def _far_field(G, phase, reach, k, far):
     pairs `reach` or more blocks apart (fewer than the blocks), for every
     frequency of the array k, given the _FarPlan far of G (nodes t, their
     real or complex weights w, one per node, shared by every k, or a
-    (nodes, len(k)) array, a column per k, the decays and the factors of
-    the moments) and the block-local phases exp(i k (x - left edge)) of
-    the ordinates (a contiguous complex (blocks, _BLOCK, len(k)) array,
-    zero on padding); with the weights of _nodes it is the sum of cos(k d)
-    4/(4+d^2), one entry per k.  Block a sends its moment about its right
-    edge; a running sum of the moments is carried from right edge to right
-    edge (steps >= 0) and handed to block a + reach at its left edge, so
-    every phase is k times a gap inside a block or between block edges.
-    A shift up to the smallest hand-off gap keeps every factor at most 1,
-    the weights carrying exp(-(t_j - i k) shift).
+    (nodes, len(k)) array, a column per k, the decays and the
+    exponentials of the moments) and the block-local phases exp(i k (x -
+    left edge)) of the ordinates (a contiguous complex (blocks, _BLOCK,
+    len(k)) array, zero on padding); with the weights of _nodes it is the
+    sum of cos(k d) 4/(4+d^2), one entry per k.  Block a sends its moment
+    about its right edge; a running sum of the moments is carried from
+    right edge to right edge (steps >= 0) and handed to block a + reach at
+    its left edge, so every phase is k times a gap inside a block or
+    between block edges.  A shift up to the smallest hand-off gap keeps
+    every factor at most 1, the weights carrying exp(-(t_j - i k) shift).
 
     Moments are taken only for the blocks that send or receive, and the
     large arrays of a call live in one workspace filled in place: the
@@ -692,7 +636,7 @@ def _far_field(G, phase, reach, k, far):
     twice the largest block it has unmapped), where separate arrays of
     half its size would go back to the kernel after each call and be
     paged in afresh on the next."""
-    t, taylor = far.t, far.taylor
+    t = far.t
     senders = len(G) - reach
     left, right = G[:, 0], G[:, -1]
     carried, other = np.empty((2, senders, len(t), len(k)), dtype=complex)
@@ -700,13 +644,13 @@ def _far_field(G, phase, reach, k, far):
     _moments(far.send,
              np.conj(phase[:senders])
              * np.exp(1j * k * (right - left)[:senders, np.newaxis])[:, np.newaxis],
-             taylor, carried)
+             carried)
     _carry(carried, _shift(far.step_gaps, far.step_decays, k,
                            other[:senders - 1]))
     # the hand-off factors times the carried sums
     hand = _shift(far.hand_gaps, far.hand_decays, k, other)
     np.multiply(hand, carried, out=carried)
-    into = _moments(far.receive, phase[reach:], taylor, other)
+    into = _moments(far.receive, phase[reach:], other)
     into *= carried
     # one row-by-column product per k, each summed as if that k were alone
     w = far.w.reshape(len(t), -1).T[:, :, np.newaxis]
@@ -768,9 +712,10 @@ class _Plan(NamedTuple):
 
 
 # the last two windows F was taken on, each with its _Plan, most recent
-# first: so F on a table it has just seen builds no weight, decay or factor
-# also after one call on another table between.  It is replaced by one
-# tuple assignment, so no reader sees a window with another's plan
+# first: so F on a table it has just seen builds no weight, decay or
+# exponential also after one call on another table between.  It is
+# replaced by one tuple assignment, so no reader sees a window with
+# another's plan
 _memo = ()
 
 
@@ -804,20 +749,20 @@ def empirical_F(ds, T, alpha):
     alpha is a float, which gives a float, or an array, which gives an
     array of F in its shape.  F is even in alpha, so each distinct
     |alpha| is summed once.  The window's plan (blocks, reach, nodes,
-    Cauchy weights, Taylor coefficients, decays, and the direct
-    exponentials and power rows of the block moments) comes from the
-    memo of _plan, built only when the window differs from the last two;
-    what runs per alpha takes _ALPHAS frequencies at a time, with one
-    pair of float columns per frequency in every product.  A float is the
-    one-alpha case of the same sums.
+    Cauchy weights, decays and the exponentials of the block moments)
+    comes from the memo of _plan, built only when the window differs
+    from the last two; what runs per alpha takes _ALPHAS frequencies at a
+    time, with one pair of float columns per frequency in every product.
+    A float is the one-alpha case of the same sums.  A T outside (1,
+    t_max] raises DomainError.
     An alpha so large that its phases overflow (1e307 over the shipped
     table) leaves an F that is not finite, and NonConvergence names the
     first such alpha."""
     a = np.asarray(alpha, dtype=float)
     if not np.isfinite(a).all():
         raise DomainError("alpha must be finite")
-    logT = math.log(T)
     plan = _plan(_window(ds, T))
+    logT = math.log(T)
     G, n = plan.G, plan.n
     # a huge alpha overflows its phases to a value that is not finite,
     # found in F below with no numpy warning on the way

@@ -4,9 +4,11 @@ Every public top-level function of src/pcx is referenced outside its own
 body, in src or in the benchmark's scripts (perfbench/*.py, read only),
 so that none is kept for its own unit test alone.  The cmd_* functions
 of pcx.cli, which main looks up by name, and the paper quantities in
-_PAPER_QUANTITIES, which no module calls yet, are exempt.  pcx.zerodata
-reads nothing from pcx but its numerics and the Selberg functions.  The
-checks read the sources with ast and import nothing."""
+_PAPER_QUANTITIES, which no module calls yet, are exempt.  Every private
+top-level function, class and constant is referenced in src outside its
+own definition, so that none is left behind when its last user goes.
+pcx.zerodata reads nothing from pcx but its numerics and the Selberg
+functions.  The checks read the sources with ast and import nothing."""
 
 import ast
 import collections
@@ -57,6 +59,34 @@ def test_every_public_function_has_a_caller():
             # (recursion) does not count
             if used[node.name] - _names(node)[node.name] == 0:
                 unused.append(f"{module}.{node.name}")
+    assert unused == []
+
+
+def _defined(node):
+    """The names a top-level statement defines: a function's or a class's,
+    or the targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [sub.id for target in node.targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Name)]
+    return []
+
+
+def test_every_private_name_has_a_use():
+    modules = _modules()
+    used = collections.Counter()
+    for tree in modules.values():
+        used += _names(tree)
+    unused = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            for name in _defined(node):
+                # a private name is used by its module or another in src,
+                # not by its own definition (a target or a recursion)
+                if (name.startswith("_") and not name.startswith("__")
+                        and used[name] - _names(node)[name] == 0):
+                    unused.append(f"{module}.{name}")
     assert unused == []
 
 

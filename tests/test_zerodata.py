@@ -107,6 +107,12 @@ def test_count_pairs_hand_example(small):
 def test_count_pairs_domain(small):
     with pytest.raises(DomainError):
         zd.count_pairs(small, 0.0, 1.0)
+    # a T at or below 0 is checked before its logarithm is taken
+    for T in (0.0, -5.0):
+        with pytest.raises(DomainError, match="T must lie"):
+            zd.empirical_F(small, T, 1.0)
+        with pytest.raises(DomainError, match="T must lie"):
+            zd.weighted_pair_sum(small, T, make_selberg_pair(1.0).majorant)
     with pytest.raises(DomainError):
         zd.count_pairs(small, 1.0, 1.0)
     with pytest.raises(DomainError):
@@ -318,30 +324,18 @@ def test_empirical_F_block_edges(dataset, n):
             assert abs(zd.empirical_F(ds, T, alpha) - want) <= 1e-13 * abs(want)
 
 
-def _taylor_nodes(g):
-    """How many of the far field's nodes take the Taylor path of
-    zd._moments on the sorted table g, and how many nodes there are."""
-    G = np.concatenate([g, np.full(-len(g) % B, g[-1])]).reshape(-1, B)
-    reach = 2
-    while np.min(G[reach:, 0] - G[:-reach, -1]) < zd._REACH:
-        reach += 1
-    t, _ = zd._nodes(np.min(G[reach:, 0] - G[:-reach, -1]), g[-1] - g[0])
-    return np.count_nonzero(t * np.max(G[:, -1] - G[:, 0]) <= 1.0), len(t)
-
-
 def _dense_tables(dataset):
     """Ordinates so close that blocks two apart sit nearer than the
-    exponential sum serves, so that the exact near field has to widen;
-    returns the wide and tight tables and the list of all of them."""
+    exponential sum serves, so that the exact near field has to widen."""
     rng = np.random.default_rng(11)
-    # blocks spanning up to 3.5e5, so that most far-field nodes take
-    # direct exponentials (10 of 68 take the Taylor path, 6 of them the
-    # Gauss nodes of the 33 below 1 / span) ...
+    # blocks spanning up to 3.5e5, so that t x reaches past 1 at most
+    # far-field nodes ...
     wide = np.geomspace(10.0, 1e6, 300)
-    # ... and clusters of 16 within 0.05, 20 apart, where all of them do
+    # ... and clusters of 16 within 0.05, 20 apart, where it stays below 1
+    # at every one
     tight = np.sort(100.0 + 20.0 * np.arange(25)[:, np.newaxis]
                     + rng.uniform(0.0, 0.05, (25, B)), axis=None)
-    tables = [
+    return [
         1000.0 + 0.05 * dataset.ordinates[:600],
         np.sort(rng.uniform(50.0, 51.0, 200)),
         np.sort(np.concatenate([dataset.ordinates[:300],
@@ -351,16 +345,10 @@ def _dense_tables(dataset):
         # every block one repeated value: the blocks have no width
         np.repeat(10.0 + 20.0 * np.arange(6), B),
     ]
-    return wide, tight, tables
 
 
 def test_empirical_F_dense_tables(dataset):
-    wide, tight, tables = _dense_tables(dataset)
-    taylor, nodes = _taylor_nodes(wide)
-    assert 0 < taylor < nodes / 2
-    taylor, nodes = _taylor_nodes(tight)
-    assert taylor == nodes
-    for g in tables:
+    for g in _dense_tables(dataset):
         # F(0), the sum of the summands' magnitudes, sets the scale: on the
         # first table F(0.6) is 1,600 times smaller
         T, scale = _explicit_F(g, 0.0)
@@ -544,15 +532,15 @@ def test_F_plan_memo_two_T_one_window(dataset):
 
 
 def test_F_plan_keeps_the_moment_factors(dataset, monkeypatch):
-    # a cold F builds the factors of the moments twice, for the senders
-    # and for the receivers, and keeps them in its plan; F at three more
-    # alphas, on an alpha array and at another T with the same window
-    # builds none.  The kept factors are exp(-t x) at the direct nodes and
-    # the running powers of x / span, recomputed here from plan.G
+    # a cold F builds the exponentials of the moments twice, for the
+    # senders and for the receivers, and keeps them in its plan; F at three
+    # more alphas, on an alpha array and at another T with the same window
+    # builds none.  The kept arrays are exp(-t x) at every node,
+    # recomputed here from plan.G
     built = []
-    factors = zd._factors
-    monkeypatch.setattr(zd, "_factors",
-                        lambda *args: built.append(args) or factors(*args))
+    exponentials = zd._exponentials
+    monkeypatch.setattr(zd, "_exponentials",
+                        lambda *args: built.append(args) or exponentials(*args))
     g = dataset.ordinates
     T1, T2 = float(g[1999]), 0.5 * float(g[1999] + g[2000])
     zd.empirical_F(dataset, T1, 1.0)
@@ -564,26 +552,20 @@ def test_F_plan_keeps_the_moment_factors(dataset, monkeypatch):
     assert len(built) == 2
     ((_, plan),) = zd._memo
     G, far = plan.G, plan.far
-    small = len(far.taylor)
     senders = len(G) - plan.reach
     for x, kept in ((G[:senders, -1:] - G[:senders], far.send),
                     (G[plan.reach:] - G[plan.reach:, :1], far.receive)):
-        direct = np.exp(-far.t[small:, np.newaxis, np.newaxis] * x)
-        assert _bits(kept.direct) == _bits(direct)
-        powers = [np.ones_like(x), x / far.span]
-        while len(powers) < zd._ORDER:
-            powers.append(powers[-1] * powers[1])
-        assert _bits(kept.powers) == _bits(np.stack(powers))
+        assert _bits(kept) == _bits(
+            np.exp(-far.t[:, np.newaxis, np.newaxis] * x))
 
 
 def test_F_plan_retained_memory(dataset):
-    # a cold F over the shipped table keeps its plan in the memo, 9.78 MB
+    # a cold F over the shipped table keeps its plan in the memo, 11.05 MB
     # (tracemalloc): the Cauchy weights of offsets 0 and 1 (2.56 MB), the
     # carry and hand-off decays on 49 nodes (0.49 MB), and the senders'
-    # and receivers' factors of the moments, the direct exponentials on
-    # 22 nodes and 19 power rows (6.54 MB).  The call peaks at 11.38 MB,
-    # the plan and then the 1.60 MB of a warm call; the bounds lie 23% and
-    # 27% above
+    # and receivers' exponentials of the moments on the same 49 nodes
+    # (7.81 MB).  The call peaks at 12.65 MB, the plan and then the 1.60
+    # MB of a warm call; the bounds lie 9% and 15% above
     zd._memo = ()
     started = not tracemalloc.is_tracing()
     if started:
@@ -620,21 +602,21 @@ def _peak_bytes(fn):
 def test_pair_sums_working_set(dataset):
     # the warm-up call fills F's plan memo, so the F measured is a warm
     # one: over the shipped table it peaks at 1.60 MB, its plan holding
-    # every factor of the moments.  The beta = 1 majorant's pair sum over
-    # the first 2,000 zeros builds its own far plan each call, factors
-    # and all, and peaks at 2.54 MB; its exact near field alone peaks at
-    # 1.66 MB, taking every gap of a piece through r_gamma at once.  With
-    # whole (blocks, 16, nodes) and (blocks, 16, 16) temporaries F and the
-    # pair sum took 9.40 and 4.15 MB.  The bounds lie 37%, 18% and 20%
-    # above the measured peaks; the last is below the 2.05 MB of a near
-    # field that holds its pieces until enough gaps gather for R
+    # every exponential of the moments.  The beta = 1 majorant's pair sum
+    # over the first 2,000 zeros builds its own far plan each call, the
+    # exponentials at all 95 of its nodes included, and peaks at 4.23 MB;
+    # its exact near field alone peaks at 1.66 MB, taking every gap of a
+    # piece through r_gamma at once.  With whole (blocks, 16, nodes) and
+    # (blocks, 16, 16) temporaries F took 9.40 MB.  The bounds lie 37%,
+    # 18% and 20% above the measured peaks; the last is below the 2.05 MB
+    # of a near field that holds its pieces until enough gaps gather for R
     T = dataset.t_max
     assert _peak_bytes(lambda: zd.empirical_F(dataset, T, 1.0)) <= 2.2e6
     sub = zd.ZeroDataset(ordinates=dataset.ordinates[:2000],
                          source=dataset.source,
                          t_max=float(dataset.ordinates[1999]))
     R = make_selberg_pair(1.0).majorant
-    assert _peak_bytes(lambda: zd.weighted_pair_sum(sub, sub.t_max, R)) <= 3.0e6
+    assert _peak_bytes(lambda: zd.weighted_pair_sum(sub, sub.t_max, R)) <= 5.0e6
     G, real = zd._blocks(sub.ordinates)
     scale = math.log(sub.t_max) / (2.0 * math.pi)
     reach = zd._reach(
@@ -743,11 +725,9 @@ def test_weighted_pair_sum_diagonal(small, dataset):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_block_moments_against_exponentials(seed):
-    # the Taylor and direct paths of zd._moments against the direct sum
-    # sum_i p_i exp(-t x_i), on random blocks of offsets in [0, span] and
-    # the node set of a random far-field gap and window span, to 1e-15 of
-    # sum_i |p_i|; the Gauss nodes, below 1 / the window's span, take the
-    # Taylor path
+    # zd._moments against the direct sum sum_i p_i exp(-t x_i), on random
+    # blocks of offsets in [0, span] and the node set of a random
+    # far-field gap and window span, to 1e-15 of sum_i |p_i|
     rng = np.random.default_rng(seed)
     nb = int(rng.integers(1, 9))
     span = 10.0 ** rng.uniform(-2.0, 5.0)
@@ -759,8 +739,7 @@ def test_block_moments_against_exponentials(seed):
     t, _ = zd._nodes(d0, window)
     parts = np.stack([p.real, p.imag], axis=-1)
     want = np.exp(-t[:, np.newaxis] * x[:, np.newaxis, :]) @ parts
-    taylor = zd._taylor(t, span)
-    got = zd._moments(zd._factors(x, t, span, len(taylor)), p, taylor,
+    got = zd._moments(zd._exponentials(x, t), p,
                       np.empty((nb, len(t)), dtype=complex))
     err = np.abs(got - (want[..., 0] + 1j * want[..., 1]))
     assert np.all(err <= 1e-15 * np.sum(np.abs(p), axis=1)[:, np.newaxis])
@@ -809,7 +788,7 @@ def _wps_table(dataset, name):
     if name == "shuffled":
         return np.random.default_rng(7).permutation(dataset.ordinates[:300])
     if name.startswith("dense"):
-        return _dense_tables(dataset)[2][int(name[len("dense"):])]
+        return _dense_tables(dataset)[int(name[len("dense"):])]
     return dataset.ordinates[:int(name)]
 
 
