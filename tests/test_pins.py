@@ -4,13 +4,15 @@ both step rules, one over the dilated Selberg masses, one over the
 delta = 1 bound tables and one over their conjecture column alone, one
 over the delta = 1 Selberg masses and their asymptotic forms, one over
 trigamma and tetragamma, one over the sine integral and its odd
-extension, one over the Selberg functions, one over the pair counts of the shipped table, one
-over its Selberg-weighted pair sums, one over its F(alpha) and one over
-the structure function's companion zeros, phase table and Fejer node
-sums.  The asymptotic forms and Si's odd extension are computed here,
-from their formulas, as pcx itself takes neither.  A change that is
-meant to keep every bit (a speed-up, a refactor) keeps the digests; one
-that moves a bit on purpose recomputes them and says why."""
+extension, one over the Selberg functions, one over the pair counts of
+the shipped table, one over its Selberg-weighted pair sums, one over the
+Selberg-weighted pair sums of prefixes and dense tables whose far fields
+run past F's nodes, one over its F(alpha) and one over the structure
+function's companion zeros, phase table and Fejer node sums.  The
+asymptotic forms and Si's odd extension are computed here, from their
+formulas, as pcx itself takes neither.  A change that is meant to keep
+every bit (a speed-up, a refactor) keeps the digests; one that moves a
+bit on purpose recomputes them and says why."""
 
 import hashlib
 
@@ -25,6 +27,7 @@ from pcx.beurling import (FAR, BandlimitedFunction, eval_H0, eval_r,
                           make_selberg_pair)
 from pcx.zerodata import (ZeroDataset, count_pairs, empirical_F,
                           weighted_pair_sum)
+from test_zerodata import _dense_tables
 
 
 def _lambda_betas(E):
@@ -260,6 +263,28 @@ def test_weighted_pair_sum_digest(dataset):
     # relative, the other fourteen sums kept every bit
     assert hashlib.sha256(np.array(sums).tobytes()).hexdigest() == (
         "02d435749af4553668e042c2eb60dcaebe8fae1485474b9d36ecadfc9ec179a9")
+
+
+def test_selberg_far_nodes_digest(dataset):
+    # both sides of the Selberg pair where its far field needs the most
+    # nodes above the top node of F's plan on the same window (six): beta =
+    # 18.922357127197234, delta = 2 over the first 300 shipped ordinates and
+    # beta = 15.514545035292223, delta = 2 over the first 2,000; and at beta
+    # = 1 and 47.3 on the six dense tables of test_zerodata, whose blocks
+    # take the widened near field, Gauss nodes and zero-width blocks
+    cases = [(dataset.ordinates[:300], 18.922357127197234, 2.0),
+             (dataset.ordinates[:2000], 15.514545035292223, 2.0)]
+    cases += [(g, beta, 1.0) for g in _dense_tables(dataset)
+              for beta in (1.0, 47.3)]
+    sums = []
+    for g, beta, delta in cases:
+        ds = ZeroDataset(ordinates=g, source="pin", t_max=float(g[-1]))
+        pair = make_selberg_pair(beta, delta)
+        sums += [weighted_pair_sum(ds, ds.t_max, R)
+                 for R in (pair.majorant, pair.minorant)]
+    assert len(sums) == 28
+    assert hashlib.sha256(np.array(sums).tobytes()).hexdigest() == (
+        "fbdaeb9b8b7cc601621caec55e3d0077aeb43d131c9bc52d84d54b801572404b")
 
 
 def test_empirical_F_digest(dataset):
