@@ -31,43 +31,49 @@ reach, the nodes and weights, the near field's Cauchy weights (one
 decays exp(-t gap) of its carry steps and hand-offs, and the
 exponentials exp(-t x) of its block moments, once for the senders and
 once for the receivers.  Two slots keep the plans of the last two
-windows F was taken on, keyed by the window's content, so F again on
-either table, at another alpha or another T with the same window, builds
-none of it, also when one call on the other table came between; on the
-shipped table a plan holds 11.0 MB, 7.8 MB of it the exponentials, at n
-= 2,000 2.0 MB (tracemalloc).  Working set: beyond the plan, no
-temporary grows as blocks x 16 x nodes or blocks x 16 x 16: the far
-field keeps everything else in one workspace, two (blocks, nodes,
-alphas) complex arrays.  One F at n = 10^4 on the table of the plan
-peaks at 1.6 MB (tracemalloc) and, as the C allocator keeps the one
-workspace between calls, pages in nothing new; the call that builds the
-plan peaks at 12.6 MB.  F takes an alpha grid in one call: the plan is
-taken once per window, and only the unit phases, the products with
-them, the carry and the final contraction run per alpha, _ALPHAS = 8
-alphas at a time, each product taking two float columns per alpha.  The
+windows F or the Selberg pair sum (below) was taken on, keyed by the
+window's content, so F again on either table, at another alpha or
+another T with the same window, builds none of it, also when one call
+on the other table came between; on the shipped table a plan holds 11.0
+MB, 7.8 MB of it the exponentials, at n = 2,000 2.0 MB (tracemalloc).
+Working set: beyond the plan, no temporary grows as blocks x 16 x nodes
+or blocks x 16 x 16: the far field keeps everything else in one
+workspace, two (blocks, nodes, alphas) complex arrays.  One F at n =
+10^4 on the table of the plan peaks at 1.6 MB (tracemalloc) and, as the
+C allocator keeps the one workspace between calls, pages in nothing
+new; the call that builds the plan peaks at 12.6 MB.  F takes an alpha
+grid in one call: the plan is taken once per window, and only the unit
+phases, the products with them, the carry and the final contraction run
+per alpha, _ALPHAS = 8 alphas at a time, each product taking two float
+columns per alpha.  The
 7 alphas 0:1.5:0.25 take about 1.5 ms at n = 2,000 against 3.9 ms for
 seven float calls, and the 61 alphas 0:3:0.05 about 75 ms at n = 10^4
 against 0.15 s, peaking at 11.9 MB (2-core x86 host); a float alpha is
 the one-alpha case of the same code.  The weighted pair sum of a
-Selberg majorant or minorant takes the same blocks: pairs up to `reach`
-blocks apart are summed exactly, and past the gap from which both
-arguments x +/- gamma take the far branch of pcx.beurling, the
-summand is the Cauchy weight times a power series in 1/(d +/- c) and a
-cosine, which the same far field sums as two exponential sums, one
-smooth and one at the cosine's frequency.  The exact part takes R,
+Selberg majorant or minorant takes F's plan of the window, from the
+same memo: pairs up to `reach` blocks apart are summed exactly, and
+past the gap from which both arguments x +/- gamma take the far branch
+of pcx.beurling, the summand is the Cauchy weight times a power series
+in 1/(d +/- c) and a cosine, which the same far field sums as two
+exponential sums, one smooth and one at the cosine's frequency.  It
+takes them on F's nodes, its Gauss rule included, with the plan's kept
+decays and exponentials, and on the few (at most 6 seen) trapezoid
+nodes above F's top that its sums, decaying more slowly than F's, still
+need: a window has one node rule for both.  The exact part takes R,
 piece by piece (up to 64 x 256 gaps each), from pcx.beurling's one
 assembly of r_gamma, which alone knows its switch and sign rule; each
 gap's two squared sines come from unit phases, as F's near field takes
 its cosines, and only a piece's arguments below the switch take a sine
-of their own, in the closed form.  That sum costs about 8 ms at n =
-2,000 and 42 ms at n = 10^4 on a 2-core x86 host, against 0.36 and 8.4
-s for the direct sum over all pairs, and peaks at 4.2 and 21 MB
-(tracemalloc), most of it the far plan that each call builds on the
-whole trapezoid grid.  The direct loop over the unordered pairs (one
-chunked loop, doubled for the even summands) now serves only the
-weighted pair sum of any other R and count_pairs_brute, the oracle of
-count_pairs.  pcx.cli sets the pair ratio beside the closed-form
-bound columns, so nothing here reads pcx.pcbounds.
+of their own, in the closed form.  That sum costs about 6.5 ms at n =
+2,000 and 30 ms at n = 10^4 on a window whose plan is kept, 7 and 37 ms
+on a new one (2-core x86 host), against 0.36 and 8.4 s for the direct
+sum over all pairs, and peaks at 1.7 and 3.4 MB (tracemalloc); on a new
+window it builds F's plan, keeps it in the memo and peaks at 3.7 and
+14.4 MB.  The direct loop over the unordered pairs (one chunked loop,
+doubled for the even summands) now serves only the weighted pair sum of
+any other R and count_pairs_brute, the oracle of count_pairs.  pcx.cli
+sets the pair ratio beside the closed-form bound columns, so nothing
+here reads pcx.pcbounds.
 """
 
 from __future__ import annotations
@@ -400,10 +406,11 @@ def _power_weights(t, c, terms, shift):
     return 2.0 * _H * t * np.sum(q[:, np.newaxis] * np.imag(b_m * z), axis=0)
 
 
-def _selberg_nodes(R, a, d0):
-    """Far-field nodes and weights (t, smooth, oscillating) of the
-    Selberg function R at x = a d, for gaps d >= d0 past its far branch,
-    shifted by d0 as in _power_weights.
+def _selberg_nodes(R, a, d0, t):
+    """Far-field weights of the Selberg function R at x = a d on the nodes
+    t, for gaps d >= d0 past its far branch, shifted by d0 as in
+    _power_weights: a (nodes, 2) array, a column of smooth and one of
+    oscillating weights.
 
     Past |x| = gamma + FAR both arguments y = x + gamma and y = gamma - x
     of r_gamma take the far branch, and with Q(y) = sum_m q_m y^-m
@@ -412,12 +419,12 @@ def _selberg_nodes(R, a, d0):
     where cos 2 pi y = Re(exp(i k d) exp(+/- i theta)), k = 2 pi a and
     theta = 2 pi gamma.  y = +/- a (d +/- c) with c = gamma / a, so each
     C(d) Q(y) is a _power_weights sum, decaying no slower than
-    exp(-(d0 - c) t).  The smooth weights give the sum of the 1 parts;
+    exp(-(d0 - c) t): its trapezoid rule runs on the nodes of
+    _log_grid(d0 - c).  The smooth weights give the sum of the 1 parts;
     the oscillating ones, times exp(i k d) and read as a real part, the
     cosine parts (exp(i k d0) is folded in).
     """
     c = R.gamma / a
-    t = _log_grid(d0 - c)
     # the phase of gamma mod 1: theta itself would round with 2 pi gamma
     theta = 2.0 * math.pi * (R.gamma - round(R.gamma))
     series = far_series(R.sign)
@@ -431,22 +438,34 @@ def _selberg_nodes(R, a, d0):
         oscillating = oscillating + np.exp(1j * side * theta) * w
     norm = 1.0 / (4.0 * math.pi ** 2)
     k = 2.0 * math.pi * a
-    return t, norm * smooth, -norm * np.exp(1j * k * d0) * oscillating
+    return np.stack([norm * smooth, -norm * np.exp(1j * k * d0) * oscillating],
+                    axis=1)
 
 
 def _selberg_pairs(g, R, scale):
     """Sum of R(scale d) C(d), C(d) = 4/(4+d^2), over the unordered pairs
     of the sorted window g, for a Selberg function R.
 
-    On the blocks of F, pairs inside a block and up to `reach` blocks
+    On the blocks of F's plan of the window (from the memo of _plan, built
+    if F has not seen it), pairs inside a block and up to `reach` blocks
     apart are summed exactly by _selberg_near.  reach is the first offset
     at which every gap reaches both _REACH and the gap d_far = (gamma +
-    FAR) / (dilation scale) from which R takes its far branch.  Every
-    farther pair takes the closed form of _selberg_nodes, in one far field
-    at the frequencies 0 and k: the smooth part's weights at 0, the
-    oscillating part's at k.
+    FAR) / (dilation scale) from which R takes its far branch, so it is
+    never below F's.  Every farther pair takes the closed form of
+    _selberg_nodes, in one far field at the frequencies 0 and k: the
+    smooth part's weights at 0, the oscillating part's at k.  Its nodes
+    are F's, then the few of _log_grid(d0 - c) above F's top node, where
+    the pair sum decays more slowly than F (0 to 6 of them on the shipped
+    table's prefixes, beta in [0.01, 200], delta in [1, 2]).  On F's
+    nodes the far field reads the plan's step decays and exponentials and
+    builds only its hand-off decays, shifted by its own d0; the weights
+    of _selberg_nodes there are scaled by F's weight over the trapezoid
+    weight 2 _H t sin 2t, exactly 1 on a trapezoid node, so that on F's
+    Gauss nodes they take F's Gauss rule of the smooth ratio of the two.
+    The nodes above F's top take a _FarPlan of their own.
     """
-    G, real = _blocks(g)
+    plan = _plan(g)
+    G, real, far = plan.G, plan.real, plan.far
     nb = len(G)
     a = R.dilation * scale
     reach = _reach(G, max(_REACH, (R.gamma + FAR) / a))
@@ -454,13 +473,21 @@ def _selberg_pairs(g, R, scale):
     if reach >= nb:
         return float(near)
     d0 = _min_gap(G, reach)
-    t, smooth, oscillating = _selberg_nodes(R, a, d0)
+    t = far.t
+    grid = _log_grid(d0 - R.gamma / a)
+    top = grid[grid > t[-1]]
     k = np.array([0.0, 2.0 * math.pi * a])
     phase = real[..., np.newaxis] * np.exp(
         1j * k * (G - G[:, :1])[..., np.newaxis])
-    far = _far_field(G, phase, reach, k, _far_plan(
-        G, reach, t, np.stack([smooth, oscillating], axis=1), d0))
-    return float(near) + float(far[0]) + float(far[1])
+    hand = G[reach:, 0] - G[:nb - reach, -1] - d0
+    w = (_selberg_nodes(R, a, d0, t)
+         * (far.w / (2.0 * _H * t * np.sin(2.0 * t)))[:, np.newaxis])
+    total = _far_field(G, phase, reach, k, far._replace(
+        w=w, hand_gaps=hand, hand_decays=_decay(hand, t)))
+    if len(top):
+        total += _far_field(G, phase, reach, k, _far_plan(
+            G, reach, top, _selberg_nodes(R, a, d0, top), d0))
+    return float(near) + float(total[0]) + float(total[1])
 
 
 def _near_pieces(G, real, a, reach):
@@ -587,7 +614,11 @@ class _FarPlan(NamedTuple):
     carry steps (right edge to right edge of the senders) and of the
     hand-offs (sender's right edge to the left edge of the block `reach`
     on, less the shift), and the _exponentials of _moments for the
-    senders' offsets right - x and for the receivers' offsets x - left."""
+    senders' offsets right - x and for the receivers' offsets x - left.
+    F's _Plan keeps one per window; the Selberg pair sum reads it with its
+    own weights and hand-offs (a reach at least F's, and a shift), and
+    _far_field takes as many of its senders' and receivers' blocks as a
+    far field of that reach has."""
     t: np.ndarray
     w: np.ndarray
     step_gaps: np.ndarray
@@ -627,6 +658,11 @@ def _far_field(G, phase, reach, k, far):
     its left edge, so every phase is k times a gap inside a block or
     between block edges.  A shift up to the smallest hand-off gap keeps
     every factor at most 1, the weights carrying exp(-(t_j - i k) shift).
+    The plan may be one of a smaller reach, as F's plan is to the Selberg
+    pair sum, whose hand-offs, shifted by its own d0, replace the plan's:
+    of the kept steps and exponentials the call reads those of its first
+    `senders` blocks and of its last `senders` receivers, as views, and
+    writes into none.
 
     Moments are taken only for the blocks that send or receive, and the
     large arrays of a call live in one workspace filled in place: the
@@ -641,16 +677,17 @@ def _far_field(G, phase, reach, k, far):
     left, right = G[:, 0], G[:, -1]
     carried, other = np.empty((2, senders, len(t), len(k)), dtype=complex)
     # exp(i k (right - x)) = conj(exp(i k (x - left))) exp(i k (right - left))
-    _moments(far.send,
+    _moments(far.send[:, :senders],
              np.conj(phase[:senders])
              * np.exp(1j * k * (right - left)[:senders, np.newaxis])[:, np.newaxis],
              carried)
-    _carry(carried, _shift(far.step_gaps, far.step_decays, k,
+    _carry(carried, _shift(far.step_gaps[:senders - 1],
+                           far.step_decays[:senders - 1], k,
                            other[:senders - 1]))
     # the hand-off factors times the carried sums
     hand = _shift(far.hand_gaps, far.hand_decays, k, other)
     np.multiply(hand, carried, out=carried)
-    into = _moments(far.receive, phase[reach:], other)
+    into = _moments(far.receive[:, -senders:], phase[reach:], other)
     into *= carried
     # one row-by-column product per k, each summed as if that k were alone
     w = far.w.reshape(len(t), -1).T[:, :, np.newaxis]
@@ -711,11 +748,11 @@ class _Plan(NamedTuple):
     far: _FarPlan | None
 
 
-# the last two windows F was taken on, each with its _Plan, most recent
-# first: so F on a table it has just seen builds no weight, decay or
-# exponential also after one call on another table between.  It is
-# replaced by one tuple assignment, so no reader sees a window with
-# another's plan
+# the last two windows F or the Selberg pair sum was taken on, each with
+# its _Plan, most recent first: so either on a table just seen builds no
+# weight, decay or exponential of the plan also after one call on another
+# table between.  It is replaced by one tuple assignment, so no reader
+# sees a window with another's plan
 _memo = ()
 
 
