@@ -94,12 +94,15 @@ def pc_density(x):
 
 
 def _common_period(delta):
-    """Smallest integer period shared by the density and a type-2*pi*delta
-    component, when one exists; falls back to 1."""
+    """Smallest integer period ell <= 16 shared by the density and a
+    type-2*pi*delta component, delta * ell an integer; DomainError when
+    there is none, as the sampling sum then does not cancel period by
+    period."""
     for ell in range(1, 17):
         if abs(delta * ell - round(delta * ell)) < 1e-9:
             return float(ell)
-    return 1.0
+    raise DomainError(f"delta={delta} shares no integer period up to 16 "
+                      "with the density")
 
 
 def _lerch_tails(a, m):
@@ -321,10 +324,11 @@ class BoundTable:
 def m_of(R):
     """M(R) for a band-limited R integrable against the density.
 
-    Time-domain sampling sum, valid for every dilation delta: R has type
-    2 pi delta and the density type 2 pi, so the integrand's transform
-    vanishes outside [-(delta + 1), delta + 1], and both repeat their
-    oscillation over _common_period(delta).
+    Time-domain sampling sum: R has type 2 pi delta and the density type
+    2 pi, so the integrand's transform vanishes outside [-(delta + 1),
+    delta + 1], and both repeat their oscillation over _common_period(delta),
+    which needs delta * ell an integer for some integer ell <= 16 (delta =
+    1, 1.5 or 2, not sqrt 2); any other delta raises DomainError.
     """
     def integrand(x):
         return np.asarray(R.time_eval(x), dtype=float) * pc_density(x)

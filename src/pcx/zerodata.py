@@ -69,11 +69,11 @@ of their own, in the closed form.  That sum costs about 6.5 ms at n =
 on a new one (2-core x86 host), against 0.36 and 8.4 s for the direct
 sum over all pairs, and peaks at 1.7 and 3.4 MB (tracemalloc); on a new
 window it builds F's plan, keeps it in the memo and peaks at 3.7 and
-14.4 MB.  The direct loop over the unordered pairs (one chunked loop,
-doubled for the even summands) now serves only the weighted pair sum of
-any other R and count_pairs_brute, the oracle of count_pairs.  pcx.cli
-sets the pair ratio beside the closed-form bound columns, so nothing
-here reads pcx.pcbounds.
+14.4 MB.  weighted_pair_sum sums Selberg functions alone and raises
+DomainError for any other R, which it has no fast sum for; the one
+direct loop over the pairs left here is count_pairs_brute's, the oracle
+of count_pairs.  pcx.cli sets the pair ratio beside the closed-form
+bound columns, so nothing here reads pcx.pcbounds.
 """
 
 from __future__ import annotations
@@ -89,11 +89,10 @@ from .numerics import (DomainError, MonotonicityError, NonConvergence,
                        ParseError)
 from .beurling import FAR, SelbergFunction, _r_gamma, far_series
 
-# rows per block of the direct pair loop, which serves weighted_pair_sum
-# of an R other than a Selberg function and count_pairs_brute; measured
-# when it still served the beta = 1 Selberg majorant, at n = 2,000 and
-# 4,000 on a 2-core x86 host: 64-128 rows timed alike, 256 rows ran about
-# 8% slower and 2,048 rows about 1.6x slower
+# rows per chunk of count_pairs_brute's direct loop over the pairs; its
+# count does not depend on them.  At n = 2,000 and 4,000, beta = 1 (2-core
+# x86 host): 64 rows 7.2 and 22 ms, 128 rows 8.7 and 27 ms, 256 rows 10
+# and 28 ms, 2,048 rows 48 and 102 ms
 _CHUNK = 128
 
 # ordinates per block of F
@@ -240,46 +239,79 @@ def count_pairs(ds, T, beta):
     return int(counts[0]) if b.ndim == 0 else counts.reshape(b.shape)
 
 
-def _pair_sum(g, fn):
-    """Sum of fn(g[j] - g[i]) over the index pairs i < j, a chunk of rows
-    at a time; the pairs are chosen by index, so the order of g does not
-    matter to which pairs are summed."""
-    total = 0
+def count_pairs_brute(ds, T, beta):
+    """O(n^2) oracle for count_pairs: pairs with 0 < |gamma' - gamma| <= w,
+    by the direct loop over the index pairs i < j, a chunk of rows at a
+    time.  beta is a float, positive and finite as count_pairs requires."""
+    if not 0 < beta < math.inf:
+        raise DomainError("beta must be positive and finite")
+    g = _window(ds, T)
+    w = 2.0 * math.pi * beta / math.log(T)
+    count = 0
     for i in range(0, len(g), _CHUNK):
         rows = g[i : i + _CHUNK, np.newaxis]
         after = g[np.newaxis, i + _CHUNK :] - rows
         inside = (rows.T - rows)[np.triu_indices(len(rows), 1)]
-        total += np.sum(fn(after)) + np.sum(fn(inside))
-    return total
-
-
-def count_pairs_brute(ds, T, beta):
-    """O(n^2) oracle for count_pairs: pairs with 0 < |gamma' - gamma| <= w."""
-    g = _window(ds, T)
-    w = 2.0 * math.pi * beta / math.log(T)
-    return int(_pair_sum(g, lambda d: (np.abs(d) > 0) & (np.abs(d) <= w)))
+        for d in (after, inside):
+            count += np.count_nonzero((np.abs(d) > 0) & (np.abs(d) <= w))
+    return count
 
 
 def weighted_pair_sum(ds, T, R):
-    """Double sum of R over normalized pair gaps, Cauchy-weighted.
+    """Double sum of R(scale d) C(d), C(d) = 4/(4+d^2) and scale = log T /
+    2 pi, over the ordered pairs of the window, d their gap, for a Selberg
+    function R (pcx.beurling.SelbergFunction); any other R raises
+    DomainError.
 
-    Includes the diagonal (each zero against itself contributes R(0)).
-    R must be even, as every pair-correlation test function is: the
-    ordered pairs (i, j) and (j, i) contribute the same term.  A Selberg
-    function (pcx.beurling.SelbergFunction) is summed in O(n K) by
-    _selberg_pairs, any other R by the direct loop over all pairs.
+    The diagonal contributes R(0) per ordinate.  R is even, so each
+    unordered pair counts twice.  On the blocks of F's plan of the window
+    (from the memo of _plan, built if F has not seen it), pairs inside a
+    block and up to `reach` blocks apart are summed exactly by
+    _selberg_near.  reach is the first offset at which every gap reaches
+    both _REACH and the gap d_far = (gamma + FAR) / (dilation scale) from
+    which R takes its far branch, so it is never below F's.  Every farther
+    pair takes the closed form of _selberg_nodes, in one far field at the
+    frequencies 0 and k: the smooth part's weights at 0, the oscillating
+    part's at k.  Its nodes are F's, then the few of _log_grid(d0 - c)
+    above F's top node, where the pair sum decays more slowly than F (0 to
+    6 of them on the shipped table's prefixes, beta in [0.01, 200], delta
+    in [1, 2]).  On F's nodes the far field reads the plan's step decays
+    and exponentials and builds only its hand-off decays, shifted by its
+    own d0; the weights of _selberg_nodes there are scaled by F's weight
+    over the trapezoid weight 2 _H t sin 2t, exactly 1 on a trapezoid
+    node, so that on F's Gauss nodes they take F's Gauss rule of the
+    smooth ratio of the two.  The nodes above F's top take a _FarPlan of
+    their own.
     """
+    if not isinstance(R, SelbergFunction):
+        raise DomainError("weighted_pair_sum takes a Selberg function")
     g = _window(ds, T)
     scale = math.log(T) / (2.0 * math.pi)
-
-    def term(d):
-        return np.asarray(R.time_eval(d * scale)) * 4.0 / (4.0 + d ** 2)
-
-    if isinstance(R, SelbergFunction):
-        pairs = _selberg_pairs(g, R, scale)
-    else:
-        pairs = float(_pair_sum(g, term))
-    return len(g) * float(term(np.zeros(1))[0]) + 2.0 * pairs
+    diagonal = len(g) * float(R.time_eval(np.zeros(1))[0])
+    plan = _plan(g)
+    G, real, far = plan.G, plan.real, plan.far
+    nb = len(G)
+    a = R.dilation * scale
+    reach = _reach(G, max(_REACH, (R.gamma + FAR) / a))
+    near = _selberg_near(G, real, R, scale, reach)
+    if reach >= nb:
+        return diagonal + 2.0 * float(near)
+    d0 = _min_gap(G, reach)
+    t = far.t
+    grid = _log_grid(d0 - R.gamma / a)
+    top = grid[grid > t[-1]]
+    k = np.array([0.0, 2.0 * math.pi * a])
+    phase = real[..., np.newaxis] * np.exp(
+        1j * k * (G - G[:, :1])[..., np.newaxis])
+    hand = G[reach:, 0] - G[:nb - reach, -1] - d0
+    w = (_selberg_nodes(R, a, d0, t)
+         * (far.w / (2.0 * _H * t * np.sin(2.0 * t)))[:, np.newaxis])
+    total = _far_field(G, phase, reach, k, far._replace(
+        w=w, hand_gaps=hand, hand_decays=_decay(hand, t)))
+    if len(top):
+        total += _far_field(G, phase, reach, k, _far_plan(
+            G, reach, top, _selberg_nodes(R, a, d0, top), d0))
+    return diagonal + 2.0 * (float(near) + float(total[0]) + float(total[1]))
 
 
 def _blocks(g):
@@ -442,54 +474,6 @@ def _selberg_nodes(R, a, d0, t):
                     axis=1)
 
 
-def _selberg_pairs(g, R, scale):
-    """Sum of R(scale d) C(d), C(d) = 4/(4+d^2), over the unordered pairs
-    of the sorted window g, for a Selberg function R.
-
-    On the blocks of F's plan of the window (from the memo of _plan, built
-    if F has not seen it), pairs inside a block and up to `reach` blocks
-    apart are summed exactly by _selberg_near.  reach is the first offset
-    at which every gap reaches both _REACH and the gap d_far = (gamma +
-    FAR) / (dilation scale) from which R takes its far branch, so it is
-    never below F's.  Every farther pair takes the closed form of
-    _selberg_nodes, in one far field at the frequencies 0 and k: the
-    smooth part's weights at 0, the oscillating part's at k.  Its nodes
-    are F's, then the few of _log_grid(d0 - c) above F's top node, where
-    the pair sum decays more slowly than F (0 to 6 of them on the shipped
-    table's prefixes, beta in [0.01, 200], delta in [1, 2]).  On F's
-    nodes the far field reads the plan's step decays and exponentials and
-    builds only its hand-off decays, shifted by its own d0; the weights
-    of _selberg_nodes there are scaled by F's weight over the trapezoid
-    weight 2 _H t sin 2t, exactly 1 on a trapezoid node, so that on F's
-    Gauss nodes they take F's Gauss rule of the smooth ratio of the two.
-    The nodes above F's top take a _FarPlan of their own.
-    """
-    plan = _plan(g)
-    G, real, far = plan.G, plan.real, plan.far
-    nb = len(G)
-    a = R.dilation * scale
-    reach = _reach(G, max(_REACH, (R.gamma + FAR) / a))
-    near = _selberg_near(G, real, R, scale, reach)
-    if reach >= nb:
-        return float(near)
-    d0 = _min_gap(G, reach)
-    t = far.t
-    grid = _log_grid(d0 - R.gamma / a)
-    top = grid[grid > t[-1]]
-    k = np.array([0.0, 2.0 * math.pi * a])
-    phase = real[..., np.newaxis] * np.exp(
-        1j * k * (G - G[:, :1])[..., np.newaxis])
-    hand = G[reach:, 0] - G[:nb - reach, -1] - d0
-    w = (_selberg_nodes(R, a, d0, t)
-         * (far.w / (2.0 * _H * t * np.sin(2.0 * t)))[:, np.newaxis])
-    total = _far_field(G, phase, reach, k, far._replace(
-        w=w, hand_gaps=hand, hand_decays=_decay(hand, t)))
-    if len(top):
-        total += _far_field(G, phase, reach, k, _far_plan(
-            G, reach, top, _selberg_nodes(R, a, d0, top), d0))
-    return float(near) + float(total[0]) + float(total[1])
-
-
 def _near_pieces(G, real, a, reach):
     """The pairs of the blocks G inside a block (j > i) and up to reach - 1
     blocks apart, one piece per run of up to _NEAR blocks and offset, as
@@ -540,7 +524,7 @@ def _selberg_values(d, ei, ej, R, scale):
 
 
 def _selberg_near(G, real, R, scale, reach):
-    """The exact part of _selberg_pairs: sum of R(scale d) C(d) over the
+    """The exact part of weighted_pair_sum: sum of R(scale d) C(d) over the
     pairs of _near_pieces, the padding masked, each piece summed on its
     own and in order, with R from _selberg_values."""
     near = 0.0
@@ -737,12 +721,10 @@ def _near_F(G, phase, weights, k):
 
 class _Plan(NamedTuple):
     """F's alpha-independent state of one sorted window: its blocks G and
-    their boolean mask, the ordinate count n, the near field's reach and
-    Cauchy weights, and the _FarPlan of the pairs farther apart (None when
-    no pair is that far)."""
+    their boolean mask, the near field's reach and Cauchy weights, and the
+    _FarPlan of the pairs farther apart (None when no pair is that far)."""
     G: np.ndarray
     real: np.ndarray
-    n: int
     reach: int
     weights: list
     far: _FarPlan | None
@@ -773,7 +755,7 @@ def _plan(g):
     span = G[-1, -1] - G[0, 0]
     far = (_far_plan(G, reach, *_nodes(_min_gap(G, reach), span))
            if reach < len(G) else None)
-    plan = _Plan(G, real, len(g), reach, _cauchy_weights(G, reach), far)
+    plan = _Plan(G, real, reach, _cauchy_weights(G, reach), far)
     _memo = ((g, plan),) + _memo[:1]
     return plan
 
@@ -798,9 +780,10 @@ def empirical_F(ds, T, alpha):
     a = np.asarray(alpha, dtype=float)
     if not np.isfinite(a).all():
         raise DomainError("alpha must be finite")
-    plan = _plan(_window(ds, T))
+    g = _window(ds, T)
+    plan = _plan(g)
     logT = math.log(T)
-    G, n = plan.G, plan.n
+    G, n = plan.G, len(g)
     # a huge alpha overflows its phases to a value that is not finite,
     # found in F below with no numpy warning on the way
     with np.errstate(over="ignore", invalid="ignore"):

@@ -2,9 +2,10 @@
 evaluates: the Fourier transforms of the Selberg functions and of the gap
 minorant, the constant recombination G = 1/2 of the lattice series, the
 lattice series itself at 40 digits, the reproducing property of the
-kernel, the node sums of the tilted spaces and the optimal masses at 30
-digits.  Also generate_zeros, which computed the shipped zero table
-with mpmath and is checked against it; rebuild the table with
+kernel, the node sums of the tilted spaces, the optimal masses at 30
+digits and the direct loop over all pairs of a zero table.  Also
+generate_zeros, which computed the shipped zero table with mpmath and is
+checked against it; rebuild the table with
 
     PYTHONPATH=src:tests python -c "from oracles import generate_zeros; \
         generate_zeros(10000, 'data/zeta_zeros_1e4.txt')"
@@ -246,6 +247,20 @@ def lambda_mp(beta):
                          + (p / h) * (q / h) * abs(e) ** 2)
             mass.append(w if x == 0 else 2 * w)
         return float(mp.fsum(mass)), float(mp.fsum(mass[:-1]))
+
+
+def pair_sum(g, fn):
+    """Sum of fn(g[j] - g[i]) over the index pairs i < j, by the direct
+    loop over all pairs, 128 rows at a time; the pairs are chosen by
+    index, so the order of g does not matter to which pairs are summed.
+    The O(n^2) oracle of the pair sums of pcx.zerodata."""
+    total = 0
+    for i in range(0, len(g), 128):
+        rows = g[i : i + 128, np.newaxis]
+        after = g[np.newaxis, i + 128 :] - rows
+        inside = (rows.T - rows)[np.triu_indices(len(rows), 1)]
+        total += np.sum(fn(after)) + np.sum(fn(inside))
+    return total
 
 
 def norm_equivalence_eta():

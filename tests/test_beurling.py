@@ -300,3 +300,9 @@ def test_selberg_pair_domain():
         bs.make_selberg_pair(-1.0)
     with pytest.raises(DomainError):
         bs.make_selberg_pair(1.0, 0.5)
+
+
+def test_eval_r_domain():
+    # the side of the sandwich is +1 or -1, and nothing between
+    with pytest.raises(DomainError, match="sign"):
+        bs.eval_r(1.0, 0, np.array([0.5]))

@@ -90,6 +90,12 @@ def test_empirical_missing_file(capsys):
     assert code == 4
 
 
+def test_empirical_needs_zeros(capsys):
+    assert cli.main(["empirical"]) == 2
+    assert capsys.readouterr().err == (
+        "pcx: config error: empirical needs --zeros\n")
+
+
 def test_empirical_rows(capsys, zeros_path):
     code, out = run(capsys, ["empirical", "--zeros", str(zeros_path),
                              "--beta", "0.5:2:0.1"])

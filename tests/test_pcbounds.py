@@ -113,6 +113,17 @@ def test_m_of_at_large_beta():
                 assert abs(closed - quad) < 1e-12
 
 
+def test_m_of_needs_a_common_period():
+    # delta = sqrt 2 has no integer ell <= 16 with delta ell an integer, so
+    # the sampling sum's partial sums would not cancel period by period:
+    # with a period of 1 the majorant's mass comes out 5.4e-11 off twice
+    # its closed form and the minorant's does not converge
+    pair = beurling.make_selberg_pair(0.7, math.sqrt(2.0))
+    for fn in (pair.majorant, pair.minorant):
+        with pytest.raises(DomainError, match="period"):
+            pb.m_of(fn)
+
+
 def test_m_plancherel_form_at_delta_one():
     from scipy.integrate import quad
     # for a band [-1, 1] function M(R) = hat R(0) - int hat R(t)(1 - |t|) dt
@@ -216,6 +227,13 @@ def test_bound_table_structure():
         assert t.lower[i] < t.upper[i]
         assert t.lower_adjusted[i] == pytest.approx(t.lower[i] - 1.0 / 6.0)
         assert t.upper_adjusted[i] == pytest.approx(t.upper[i] - 1.0 / 6.0)
+
+
+def test_bound_table_empty_grid():
+    # at delta > 1 an empty grid gives the lattice window no rows
+    table = pb.bound_table([], delta=1.5)
+    for column in vars(table).values():
+        assert column.shape == (0,)
 
 
 def test_bound_table_validation():

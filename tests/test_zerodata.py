@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import generate_zeros
-from pcx import cli, pcbounds
+from pcx import cli, debranges, pcbounds
 from pcx import zerodata as zd
 from pcx.beurling import FAR, far_series, make_selberg_pair
 from pcx.numerics import (DomainError, MonotonicityError, NoRoot,
@@ -118,8 +118,10 @@ def test_count_pairs_domain(small):
         zd.count_pairs(small, 1.0, 1.0)
     with pytest.raises(DomainError):
         zd.count_pairs(small, 100.0, 1.0)
-    with pytest.raises(DomainError):
-        zd.count_pairs(small, 20.0, -1.0)
+    for beta in (-1.0, 0.0):
+        for count in (zd.count_pairs, zd.count_pairs_brute):
+            with pytest.raises(DomainError, match="beta"):
+                count(small, 20.0, beta)
     # T between 1 and the first ordinate leaves an empty window
     with pytest.raises(DomainError):
         zd.count_pairs(small, 5.0, 1.0)
@@ -129,9 +131,11 @@ def test_count_pairs_domain(small):
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf])
 def test_count_pairs_rejects_non_finite_beta(dataset, beta):
-    # a NaN window would compare false everywhere and count every pair
-    with pytest.raises(DomainError):
-        zd.count_pairs(dataset, 1000.0, beta)
+    # a NaN window would compare false everywhere and count every pair,
+    # or none; an infinite one would count every pair
+    for count in (zd.count_pairs, zd.count_pairs_brute):
+        with pytest.raises(DomainError):
+            count(dataset, 1000.0, beta)
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
@@ -289,7 +293,7 @@ def _dense_F(g, T, alpha):
     """The oracle for the fast F: the direct O(n^2) sum, n on the diagonal
     plus twice the sum over the unordered pairs."""
     L = math.log(T)
-    pairs = zd._pair_sum(
+    pairs = oracles.pair_sum(
         np.sort(g), lambda d: np.cos(alpha * L * d) * 4.0 / (4.0 + d ** 2))
     return 2 * math.pi * (len(g) + 2.0 * float(pairs)) / (len(g) * L)
 
@@ -796,22 +800,34 @@ def test_gauss_collapse_against_trapezoid(log_span, where):
 
 
 def test_weighted_pair_sum_diagonal(small, dataset):
+    # a one-ordinate table has the diagonal alone: exactly R(0)
+    one = zd.ZeroDataset(ordinates=np.array([10.0]), source="one", t_max=10.0)
+    pair = make_selberg_pair(1.0)
+    for R in (pair.majorant, pair.minorant):
+        assert zd.weighted_pair_sum(one, 10.0, R) == R.time_eval(np.zeros(1))[0]
+    # with R = 1 the diagonal contributes exactly n, and the whole sum is
+    # n log T / (2 pi) F(0): the direct pair loop against the fast F,
+    # whose far field 300 ordinates reach
+    sub = zd.ZeroDataset(ordinates=dataset.ordinates[:300], source="prefix",
+                         t_max=float(dataset.ordinates[299]))
+    for ds, T in ((small, 20.0), (sub, sub.t_max)):
+        total = len(ds) + 2.0 * oracles.pair_sum(
+            ds.ordinates, lambda d: 4.0 / (4.0 + d ** 2))
+        assert total > len(ds)
+        want = len(ds) * math.log(T) / (2 * math.pi) * zd.empirical_F(ds, T, 0.0)
+        assert abs(total - want) <= 1e-13 * want
+
+
+def test_weighted_pair_sum_takes_selberg_functions_alone(small):
+    # an R with no fast pair sum raises, whether or not it is band-limited
     class One:
         @staticmethod
         def time_eval(x):
             return np.ones_like(np.asarray(x, dtype=float))
 
-    # with R = 1 the diagonal contributes exactly n
-    total = zd.weighted_pair_sum(small, 20.0, One)
-    off = total - len(small)
-    assert off > 0
-    # and the whole sum is n log T / (2 pi) F(0): the dense pair loop
-    # against the fast F, whose far field 300 ordinates reach
-    sub = zd.ZeroDataset(ordinates=dataset.ordinates[:300], source="prefix",
-                         t_max=float(dataset.ordinates[299]))
-    for ds, T in ((small, 20.0), (sub, sub.t_max)):
-        want = len(ds) * math.log(T) / (2 * math.pi) * zd.empirical_F(ds, T, 0.0)
-        assert abs(zd.weighted_pair_sum(ds, T, One) - want) <= 1e-13 * want
+    for R in (One, debranges.case3_majorant(0.5)):
+        with pytest.raises(DomainError, match="Selberg function"):
+            zd.weighted_pair_sum(small, 20.0, R)
 
 
 @settings(max_examples=40, deadline=None)
@@ -872,7 +888,7 @@ def _direct_pair_sum(g, T, R):
         v = R.time_eval(d * scale) * 4.0 / (4.0 + d ** 2)
         return v + 1j * np.abs(v)
 
-    total = len(g) * term(np.zeros(1))[0] + 2.0 * zd._pair_sum(np.sort(g), term)
+    total = len(g) * term(np.zeros(1))[0] + 2.0 * oracles.pair_sum(np.sort(g), term)
     return total.real, total.imag
 
 
@@ -910,6 +926,34 @@ def test_selberg_pair_sum_against_direct_loop(dataset, table, beta, delta,
         got = zd.weighted_pair_sum(ds, T, R)
     want, scale = _direct_pair_sum(g, T, R)
     assert abs(got - want) <= 1e-13 * scale
+
+
+def test_pair_sums_on_the_whole_trapezoid_rule(monkeypatch):
+    # 160 + 160 ordinates with gaps U(1, 12), the second cluster from 1e9:
+    # the gap between them falls on a block boundary, and at a span past
+    # 8e8 no more than _GAUSS trapezoid nodes lie below 1 / span, so
+    # _nodes keeps its trapezoid rule whole and never calls _gauss.  F
+    # against the explicit double sum and both Selberg signs against the
+    # direct loop, to the bounds of the dense tables (measured 8.3e-16 and
+    # 0).  Kept out of _dense_tables, whose pair sums tests/test_pins.py pins
+    def no_gauss(t, w):
+        raise AssertionError("_nodes collapsed its low nodes")
+
+    monkeypatch.setattr(zd, "_gauss", no_gauss)
+    monkeypatch.setattr(zd, "_memo", ())
+    rng = np.random.default_rng(5)
+    g = np.concatenate([10.0 + np.cumsum(rng.uniform(1.0, 12.0, 10 * B)),
+                        1e9 + np.cumsum(rng.uniform(1.0, 12.0, 10 * B))])
+    T, scale = _explicit_F(g, 0.0)
+    ds = zd.ZeroDataset(ordinates=g, source="two clusters", t_max=T)
+    for alpha in (0.0, 0.7, 1.9):
+        want = _explicit_F(g, alpha)[1]
+        assert abs(zd.empirical_F(ds, T, alpha) - want) <= 1e-13 * scale
+    assert zd._plan(g).far is not None
+    pair = make_selberg_pair(1.0)
+    for R in (pair.majorant, pair.minorant):
+        want, size = _direct_pair_sum(g, T, R)
+        assert abs(zd.weighted_pair_sum(ds, T, R) - want) <= 1e-13 * size
 
 
 def test_selberg_pair_sum_reference(dataset):
@@ -1109,18 +1153,12 @@ def test_shipped_dataset_majorant_inequality(dataset):
     # 10^4 zeros; the sums of the Selberg majorant and minorant are the
     # fast ones, the indicator's comes from sorted windows
     beta = 1.0
-
-    class Chi:
-        @staticmethod
-        def time_eval(x):
-            return (np.abs(np.asarray(x, dtype=float)) <= beta).astype(float)
-
     # the windowed indicator sum against the direct loop
-    sub = zd.ZeroDataset(ordinates=dataset.ordinates[:300],
-                         source=dataset.source,
-                         t_max=float(dataset.ordinates[299]))
-    want = zd.weighted_pair_sum(sub, sub.t_max, Chi)
-    assert abs(_chi_pair_sum(sub.ordinates, sub.t_max, beta) - want) <= 1e-13 * want
+    g = dataset.ordinates[:300]
+    scale = math.log(g[-1]) / (2 * math.pi)
+    want = len(g) + 2.0 * oracles.pair_sum(
+        g, lambda d: (np.abs(d * scale) <= beta) * 4.0 / (4.0 + d ** 2))
+    assert abs(_chi_pair_sum(g, g[-1], beta) - want) <= 1e-13 * want
     T = dataset.t_max
     pair = make_selberg_pair(beta)
     chi_sum = _chi_pair_sum(dataset.ordinates, T, beta)
