@@ -7,12 +7,15 @@ gives s_{delta,beta}(+/-) of type 2*pi*delta.  Nothing at run time reads a
 Fourier transform; the closed-form transforms are test oracles.
 
 H0 is evaluated in two branches that meet at |x| = 10.  Below 10 it is
-the closed form through the trigamma function psi1 of pcx.special
-(eval_H0).  From 10 on, H0 - sgn(x) = sgn(x) (sin(pi x)/pi)^2 q(|x|),
-where q(a) = -2[psi1(a) - 1/a - 1/(2a^2)] is summed from the eight
-Bernoulli terms of the asymptotic series of psi1 (pcx.special.B2K).  The
-first dropped term, B_18/a^19, is 3.3e-14 of q at a = 10 and under 1.2e-18
-in H0, so the two branches agree to rounding there.  The far branch
+the closed form through psi1(1 + |x|) (eval_H0), which pcx.special gives
+only from its SHIFT = 10 on: _h0_near takes psi1(11 + |x|) and adds the
+ten steps 1/(|x| + k)^2 of the recurrence, k = 10, ..., 1, smallest
+first, as the delta = 1 bounds of pcx.pcbounds do.  From 10 on, H0 -
+sgn(x) = sgn(x) (sin(pi x)/pi)^2 q(|x|), where q(a) = -2[psi1(a) - 1/a -
+1/(2a^2)] is summed from the eight Bernoulli terms of the asymptotic
+series of psi1 (pcx.special.B2K).  The first dropped term, B_18/a^19,
+is 3.3e-14 of q at a = 10 and under 1.2e-18 in H0, so the two branches
+agree to rounding there.  The far branch
 never forms the O(1/x) terms that the closed form cancels against each
 other, and r_beta(+/-) adds the sgn parts of its two arguments as exact
 integers.  Its sine reads x +/- beta reduced mod 1 before the sum is
@@ -44,7 +47,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .numerics import DomainError
-from .special import B2K, _poly, trigamma
+from .special import B2K, SHIFT, _poly, trigamma
 
 
 # where the asymptotic series of psi1 takes over from the closed form
@@ -57,16 +60,21 @@ _TINY = 1e-200
 
 
 def _h0_near(x):
-    """The closed form of H0 and H1 = sinc^2, used for |x| < FAR, from one
-    sine: y = pi |x| feeds it as np.sinc's argument does, save that 0
-    takes _TINY rather than eps, so that (sin(pi x)/pi)^2 is 0 there."""
+    """The closed form of H0 and H1 = sinc^2, used for |x| < FAR on a flat
+    array, from one sine: y = pi |x| feeds it as np.sinc's argument does,
+    save that 0 takes _TINY rather than eps, so that (sin(pi x)/pi)^2 is 0
+    there.  psi1(1 + |x|) is psi1(SHIFT + 1 + |x|), taken at [11, 21),
+    plus the steps 1/(|x| + k)^2, k = SHIFT, ..., 1."""
     ax = np.abs(x)
+    psi1 = trigamma(SHIFT + 1.0 + ax)
+    for k in range(int(SHIFT), 0, -1):
+        psi1 += 1.0 / (ax + k) ** 2
     y = np.pi * ax
     y = np.where(y, y, _TINY)
     s = np.sin(y)
     s2 = (s / y) ** 2
     sin2 = (s / np.pi) ** 2
-    val = 1.0 - s2 + 2.0 * ax * s2 - 2.0 * sin2 * trigamma(1.0 + ax)
+    val = 1.0 - s2 + 2.0 * ax * s2 - 2.0 * sin2 * psi1
     return np.sign(x) * val, s2
 
 
@@ -154,6 +162,8 @@ def eval_H0(x):
     is used below |x| = 10, the asymptotic form beyond (module docstring).
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("x must be finite")
     whole, rest = _h_split(x, 0, _sin2(x - np.rint(x)))
     return whole + rest
 
@@ -162,7 +172,11 @@ def eval_r(beta, sign, x):
     """Interval majorant (sign=+1) / minorant (-1) of chi_[-beta,beta]."""
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
+    if not math.isfinite(beta):
+        raise DomainError("beta must be finite")
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("x must be finite")
     # x - rint(x) is exact, so the sines see x +/- beta reduced mod 1
     # without the rounding of x +/- beta itself
     fx = x - np.rint(x)

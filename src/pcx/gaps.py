@@ -26,8 +26,8 @@ def goldston_lower(xi):
     nontrivial only for xi >= 1 + 1/sqrt(3).
     """
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 1.0):
-        raise DomainError("defined for xi >= 1")
+    if not ((xi >= 1.0) & (xi < math.inf)).all():
+        raise DomainError("defined for finite xi >= 1")
     return xi ** 2 / 2.0 - xi + 1.0 / 3.0
 
 

@@ -38,9 +38,9 @@ z -> 1 (delta -> 1+).  Against 40-digit Lerch transcendents the rule
 errs by at most 8e-16 relative, for M in [10, 2e5] and delta in
 [1 + 2^-52, 1e6], so V is right to rounding for every delta > 1, at a
 cost that does not depend on delta.  Trigamma, tetragamma and the sine
-integral of the conjectured mass come from pcx.special; the polygammas
-are taken at arguments of at least SHIFT, where no step of their
-recurrence is needed.
+integral of the conjectured mass come from pcx.special, which takes the
+polygammas only at arguments of at least SHIFT: the tails' M >= 10, and
+beta + 11 at delta = 1, whose ten steps are added here.
 
 m_selberg, conjecture_integral and bound_table take an array of beta and
 work on all of it in numpy passes; a float is an array of one.  Each

@@ -6,28 +6,22 @@ library.  trigamma and trigamma_tetragamma take a float or an array; a
 float is an array of one, and comes back as a float.  Si is _si, of a
 flat array t >= 0 that its caller has checked finite.
 
-psi1 and psi2 shift x up to SHIFT = 10 by the recurrences
-psi1(x) = psi1(x + 1) + 1/x^2 and psi2(x) = psi2(x + 1) - 2/x^3, then sum
-eight Bernoulli terms of the asymptotic series
+psi1 and psi2 are taken at x >= SHIFT = 10 only, from eight Bernoulli
+terms of the asymptotic series
     psi1(t) ~ 1/t + 1/(2 t^2) + sum_k B_2k / t^(2k+1),
     psi2(t) ~ -1/t^2 - 1/t^3 - sum_k (2k+1) B_2k / t^(2k+2).
 At t = 10 the first dropped terms, B_18/t^19 and 19 B_18/t^20, are
 5e-17 of psi1 and 9.4e-16 of psi2; the latter is psi2's worst error
-against 40-digit references.  trigamma_tetragamma takes both from one
-shift of the same arguments, and sums both series by Horner's rule on
-their stacked coefficients; a matrix product of the powers of 1/t^2
-would move psi1 and psi2 by an ulp at 8e-5 of 200,000 log-uniform
-t in [10, 1e6].  The shift starts from the series value at
-x + n, n = ceil(SHIFT - x) steps up, and adds the steps at x + k for
-k = n_max - 1, ..., 0 in one loop over the array, ordered once by n so
-that step k touches only the prefix of arguments with n > k.  So the
-shifted terms are added smallest first, in the order a loop over plain
-floats would add them, and an argument's value does not depend on the
-array it came in.  Arguments from SHIFT on take no step, and when none
-is below it (the closed forms of pcx.pcbounds take psi1 and psi2 there)
-the shift is not set up at all.  Where a step overflows a double, psi1
-is +inf (x below about 7.5e-155) and psi2 -inf (below about 2.2e-103),
-as the true values are.
+against 40-digit references.  trigamma_tetragamma takes both from the
+same powers of 1/t, and sums both series by Horner's rule on their
+stacked coefficients; a matrix product of the powers of 1/t^2 would move
+psi1 and psi2 by an ulp at 8e-5 of 200,000 log-uniform t in [10, 1e6].
+An argument below SHIFT, or NaN, raises DomainError.  The two callers
+that need psi at smaller arguments carry the recurrence psi1(x) =
+psi1(x + 1) + 1/x^2 (and psi2(x) = psi2(x + 1) - 2/x^3) themselves: the
+closed form of H0 in pcx.beurling takes psi1(1 + |x|) as psi1(11 + |x|)
+plus ten steps, and the delta = 1 bounds of pcx.pcbounds take psi1 and
+psi2 at beta + 11 and add the ten steps in one row with their terms.
 
 Si sums its power series below 4, the terms as a running product of
 their ratios and the sum as a running sum, both in a fixed order.  From 4
@@ -68,7 +62,7 @@ B2K = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
 _B2K_PSI2 = tuple((2 * k + 3) * b for k, b in enumerate(B2K))
 # the two series side by side: _SERIES[k] is the column (B_2k, (2k+1) B_2k)
 _SERIES = np.array([B2K, _B2K_PSI2]).T[:, :, np.newaxis]
-# the recurrence carries every argument to at least this before the series
+# the least argument of psi1 and psi2, where the series holds to rounding
 SHIFT = 10.0
 # Si: the power series below, the auxiliary functions from here on
 _SI_SWITCH = 4.0
@@ -103,56 +97,30 @@ def _poly(z, coeffs):
 
 def _polygammas(x, series):
     """psi1 and, when series is _SERIES and not its first column alone,
-    psi2 of x > 0 (float or array): the series at x + n, n = ceil(SHIFT
-    - x) or 0, then the steps at x + k, k = n_max - 1, ..., 0.  When
-    some x shifts, the arguments are first ordered by n, most steps first
-    (a stable sort of int8 counts), so that at step k those still
-    shifting, n > k, are a prefix of that order and only the prefix takes
-    the step; the values are scattered back at the end.  A step overflows
-    to +inf in psi1 and -inf in psi2, like the true values."""
+    psi2 of x >= SHIFT (float or array): w = 1/x, z = w^2, and the series
+    of each by Horner's rule in z on the stacked columns."""
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1)
-    shifted = not (flat >= SHIFT).all()
-    if shifted and not (flat > 0.0).all():
-        raise DomainError("polygamma arguments must be positive")
-    n = 0.0
-    if shifted:
-        # n <= SHIFT for x > 0, so the step counts fit in int8
-        steps = np.maximum(np.ceil(SHIFT - flat), 0.0).astype(np.int8)
-        order = np.argsort(-steps, kind="stable")
-        # live[k]: how many arguments take more than k steps
-        live = np.cumsum(np.bincount(steps)[::-1])[::-1][1:]
-        flat = flat[order]
-        n = steps[order]
-    w = 1.0 / (flat + n)
+    # NaN fails the check; +inf passes and gives 0
+    if not (x >= SHIFT).all():
+        raise DomainError(f"polygamma arguments must be at least {SHIFT:g}")
+    w = 1.0 / x.reshape(-1)
     z = w * w
     p = _poly(z, series)
     psi = ([w + z * (0.5 + w * p[0])]
            + [-z * (1.0 + w * (1.0 + w * q)) for q in p[1:]])
-    if shifted:
-        with np.errstate(divide="ignore", over="ignore"):
-            for k in range(len(live) - 1, -1, -1):
-                y = flat[:live[k]] + k
-                y2 = y * y
-                psi[0][:live[k]] += 1.0 / y2
-                for v in psi[1:]:
-                    v[:live[k]] += -2.0 / (y2 * y)
-        for i, v in enumerate(psi):
-            psi[i] = np.empty_like(v)
-            psi[i][order] = v
     return [_out(v.reshape(x.shape)) for v in psi]
 
 
 def trigamma(x):
-    """psi1(x) = sum_{n >= 0} 1/(x + n)^2 for x > 0 (float or array);
-    +inf below about 7.5e-155, where 1/x^2 overflows a double."""
+    """psi1(x) = sum_{n >= 0} 1/(x + n)^2 for x >= SHIFT (float or
+    array)."""
     return _polygammas(x, _SERIES[:, :1])[0]
 
 
 def trigamma_tetragamma(x):
-    """psi1(x) and psi2(x) = -2 sum_{n >= 0} 1/(x + n)^3 for x > 0 (float
-    or array) from one shift; psi1 as trigamma gives it, and psi2 -inf
-    below about 2.2e-103, where -2/x^3 overflows a double."""
+    """psi1(x) and psi2(x) = -2 sum_{n >= 0} 1/(x + n)^3 for x >= SHIFT
+    (float or array) from the same powers of 1/x; psi1 as trigamma gives
+    it."""
     return tuple(_polygammas(x, _SERIES))
 
 

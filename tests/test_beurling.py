@@ -67,14 +67,24 @@ def test_interval_sandwich(beta, delta, x):
     assert hi >= chi - 1e-10
 
 
-def _single_formula_H0(x, trigamma=trigamma):
+def _psi1_one_plus(a):
+    """psi1(1 + a) for a >= 0: psi1(11 + a), where pcx.special's series
+    holds, plus the ten steps 1/(a + k)^2 of the recurrence, k = 10, ...,
+    1."""
+    psi1 = trigamma(11.0 + a)
+    for k in range(10, 0, -1):
+        psi1 += 1.0 / (a + k) ** 2
+    return psi1
+
+
+def _single_formula_H0(x, psi1_one_plus=_psi1_one_plus):
     """The oracle for the two-branch H0: the trigamma closed form on every
     argument, which the near branch must match bit for bit."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     s2 = np.sinc(ax) ** 2
     sin2 = (np.sin(np.pi * ax) / np.pi) ** 2
-    val = 1.0 - s2 + 2.0 * ax * s2 - 2.0 * sin2 * trigamma(1.0 + ax)
+    val = 1.0 - s2 + 2.0 * ax * s2 - 2.0 * sin2 * psi1_one_plus(ax)
     return np.sign(x) * val
 
 
@@ -120,11 +130,16 @@ def test_near_branch_against_mpmath():
     import mpmath
     from scipy.special import polygamma
     rng = np.random.default_rng(11)
-    xs = np.concatenate([rng.uniform(-10.0, 10.0, 400), np.arange(-9.75, 10.0, 0.5)])
+    # 0, the integers and half-integers of (-10, 10), and the last doubles
+    # below the far switch
+    xs = np.concatenate([rng.uniform(-10.0, 10.0, 400), np.arange(-9.75, 10.0, 0.5),
+                         np.arange(-9.5, 10.0, 0.5),
+                         np.nextafter(10.0, 0.0) * np.array([-1.0, 1.0])])
     with mpmath.workdps(40):
         ref = np.array([float(_mp_H(x, 0)) for x in xs])
     err = np.max(np.abs(bs.eval_H0(xs) - ref))
-    err_scipy = np.max(np.abs(_single_formula_H0(xs, lambda a: polygamma(1, a)) - ref))
+    err_scipy = np.max(np.abs(_single_formula_H0(xs, lambda a: polygamma(1, 1.0 + a))
+                              - ref))
     assert err <= err_scipy
     assert err < 1e-15
 
@@ -306,3 +321,24 @@ def test_eval_r_domain():
     # the side of the sandwich is +1 or -1, and nothing between
     with pytest.raises(DomainError, match="sign"):
         bs.eval_r(1.0, 0, np.array([0.5]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_r_non_finite_raises():
+    # r tends to 0 as x grows, but no finite value stands for it at inf
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="x must be finite"):
+            bs.eval_r(1.0, 1, x)
+        with pytest.raises(DomainError, match="x must be finite"):
+            bs.eval_r(1.0, -1, np.array([0.5, x]))
+        with pytest.raises(DomainError, match="beta must be finite"):
+            bs.eval_r(x, 1, np.array([0.5]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_H0_non_finite_raises():
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="x must be finite"):
+            bs.eval_H0(x)
+        with pytest.raises(DomainError, match="x must be finite"):
+            bs.eval_H0(np.array([0.5, 12.0, x]))

@@ -37,6 +37,16 @@ def test_goldston_lower_values():
         gaps.goldston_lower(np.array([0.5]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_goldston_lower_non_finite_raises():
+    # NaN fails no comparison with 1 by itself, and inf would give inf - inf
+    for xi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            gaps.goldston_lower(xi)
+        with pytest.raises(DomainError, match="finite"):
+            gaps.goldston_lower(np.array([2.0, xi]))
+
+
 def test_base_term_matches_quadrature():
     from scipy.integrate import quad
     for beta in np.arange(0.5, 1.0 + 1e-9, 0.01):

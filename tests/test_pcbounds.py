@@ -14,6 +14,7 @@ from pcx import special
 from pcx.debranges import lambda_values
 from pcx.kernel import two_delta
 from pcx.numerics import DomainError, NoRoot
+from pcx.zerodata import ZeroDataset, weighted_pair_sum
 
 
 def _lattice_wide(delta, beta, sign=None, margin=200_000):
@@ -413,28 +414,52 @@ def test_bound_table_memory_near_delta_one():
     assert peak <= 2 * 1.42e6
 
 
-def test_tails_take_no_shift_step(monkeypatch):
-    # the window reaches far enough, and the closed form of delta = 1
-    # takes its ten steps itself, so that every polygamma argument is past
-    # special.SHIFT, where the asymptotic series is summed without a step
-    # of the recurrence
-    seen = []
+def test_tails_take_no_shift_step(monkeypatch, dataset):
+    # pcx.special takes psi1 and psi2 from their series at x >= SHIFT only,
+    # and every src caller keeps to that: the window reaches far enough,
+    # the closed form of delta = 1 takes its ten steps itself, and so does
+    # the closed form of H0 in pcx.beurling.  Each caller is driven where
+    # its arguments come nearest SHIFT, so that a caller that strays below
+    # it fails here by name
+    seen = {"pcbounds": [], "beurling": []}
 
-    def recording(fn):
+    def recording(fn, record):
         def wrapped(x):
-            seen.append(np.array(x, dtype=float))
+            record.append(np.array(x, dtype=float))
             return fn(x)
         return wrapped
 
     for name in ("trigamma", "trigamma_tetragamma"):
-        monkeypatch.setattr(pb, name, recording(getattr(special, name)))
+        monkeypatch.setattr(pb, name, recording(getattr(special, name),
+                                                seen["pcbounds"]))
+    monkeypatch.setattr(beurling, "trigamma",
+                        recording(special.trigamma, seen["beurling"]))
     grid = 0.05 + 0.005 * np.arange(1991)
     for delta in (1.0, 1.5, 1.999):
         pb.bound_table(grid, delta=delta)
         for beta in (0.05, 0.5, 1.0, 2.0, 3.7, 10.0):
             pb.bound_table([beta], delta=delta)
-    assert seen
-    assert min(float(x.min()) for x in seen) >= special.SHIFT
+    # delta*beta one ulp below an integer: the right tail starts at m just
+    # above 10
+    beta = np.nextafter(2.0, 0.0)
+    assert 1.5 * beta == np.nextafter(3.0, 0.0)
+    pb.m_selberg([beta], delta=1.5)
+    edge = np.array([0.0, np.nextafter(10.0, 0.0), -np.nextafter(10.0, 0.0)])
+    beurling.eval_H0(edge)
+    for sign in (1, -1):
+        beurling.eval_r(1.0, sign, edge)
+    sub = ZeroDataset(ordinates=dataset.ordinates[:2000], source=dataset.source,
+                      t_max=float(dataset.ordinates[1999]))
+    pair = beurling.make_selberg_pair(1.0)
+    for R in (pair.majorant, pair.minorant):
+        weighted_pair_sum(sub, sub.t_max, R)
+    for caller, args in seen.items():
+        assert args, caller
+        assert min(float(x.min()) for x in args) >= special.SHIFT, caller
+    # the extremes were reached: m_selberg's tail within an ulp or so of
+    # SHIFT, and H0's closed form at 11 + |0|
+    assert min(float(x.min()) for x in seen["pcbounds"]) < special.SHIFT + 1e-12
+    assert min(float(x.min()) for x in seen["beurling"]) == special.SHIFT + 1.0
 
 
 def _rest_40(beta):

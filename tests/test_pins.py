@@ -177,18 +177,20 @@ def test_delta_one_selberg_digest():
 
 
 def test_special_functions_digest():
-    # log-uniform arguments and every shift step count of the recurrence
-    # (uniform on (0, 12)); psi2 of x below about 2.2e-103 overflows a
-    # double, so trigamma_tetragamma takes the part of them above 1e-100
+    # psi1 and psi2 from their series, which pcx.special takes at x >=
+    # SHIFT = 10 only: the log-uniform draws that reach 10, and 2,000
+    # uniform on [10, 12), where the series is weakest.  Recomputed when
+    # the polygammas stopped taking arguments below 10; the same values
+    # gave this digest before, as no value at x >= 10 moved
     rng = np.random.default_rng(341)
-    x = np.concatenate([10.0 ** rng.uniform(-150.0, 6.0, 2000),
-                        rng.uniform(0.0, 12.0, 2000)])
+    x = 10.0 ** rng.uniform(-150.0, 6.0, 2000)
+    x = np.concatenate([x[x >= 10.0], rng.uniform(10.0, 12.0, 2000)])
     digest = hashlib.sha256()
     digest.update(sp.trigamma(x).tobytes())
-    for psi in sp.trigamma_tetragamma(x[x > 1e-100]):
+    for psi in sp.trigamma_tetragamma(x):
         digest.update(psi.tobytes())
     assert digest.hexdigest() == (
-        "6a3e08bfa03078e59357cdb1afc48b490bc3f8ac6b910da3da5a5ead2e286ead")
+        "1d336efdff28d434ec2584e152735da1a3cfd923524916bb4b90f7aaeae9e8fe")
 
 
 def test_sine_integral_digest():
@@ -224,13 +226,17 @@ def _beurling_grid(beta):
 
 
 def test_selberg_functions_digest():
+    # recomputed when H0's closed form began to take psi1(1 + |x|) as
+    # psi1(11 + |x|) plus ten steps of the recurrence: 1,808 of the 440,836
+    # values moved, by at most 4.4e-16 absolute, 101 of them in H0, each
+    # by at most one ulp
     digest = hashlib.sha256()
     digest.update(eval_H0(_beurling_grid(0.0)).tobytes())
     for beta in (0.37, 1.0, 2.6, 7.3, 10.0):
         for sign in (1, -1):
             digest.update(eval_r(beta, sign, _beurling_grid(beta)).tobytes())
     assert digest.hexdigest() == (
-        "7482a248cf5709c96df84675dbb71b5a0692f3a32cee1ade052c8be54e30e5c7")
+        "b3afdb27fc7233052730fb549b6fc15922bd72019e2b99abde2d75aec3a45730")
 
 
 def test_count_pairs_digest(dataset):
