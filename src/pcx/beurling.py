@@ -6,7 +6,9 @@ two shifted copies produces the interval sandwich r_beta(+/-), and dilation
 gives s_{delta,beta}(+/-) of type 2*pi*delta.  Nothing at run time reads a
 Fourier transform; the closed-form transforms are test oracles.
 
-H0 is evaluated in two branches that meet at |x| = 10.  Below 10 it is
+H0 is evaluated in two branches that meet at |x| = FAR = SHIFT = 10,
+the least argument of the asymptotic series of psi1 in pcx.special: one
+decision, as both take the same eight Bernoulli terms.  Below 10 it is
 the closed form through psi1(1 + |x|) (eval_H0), which pcx.special gives
 only from its SHIFT = 10 on: _h0_near takes psi1(11 + |x|) and adds the
 ten steps 1/(|x| + k)^2 of the recurrence, k = 10, ..., 1, smallest
@@ -27,9 +29,9 @@ form alone by about 1e-6); with one argument nearer, the closed form's
 absolute rounding of about 1e-16 sets it.  Each branch takes one sine
 per argument: the closed form takes sinc^2, (sin(pi x)/pi)^2 and H1
 from one sine of pi |x|, and the far remainder reads the squared sine
-(sin(pi y)/pi)^2 that its caller passes.  The far remainder runs over
-every point of an array that holds a far argument and over none of an
-array whose arguments all lie below 10.  _r_gamma, the one assembly of
+(sin(pi y)/pi)^2 that its caller passes.  Every array takes one path:
+the far remainder over all its points, a near one reading FAR, then the
+closed form over the near points.  _r_gamma, the one assembly of
 r_gamma(+/-), takes x, gamma, the sign and the squared sines of its two
 arguments: eval_r passes those of the reduced fractions (a near
 argument there pays both sines), pcx.zerodata those of its unit phases.
@@ -50,8 +52,9 @@ from .numerics import DomainError
 from .special import B2K, SHIFT, _poly, trigamma
 
 
-# where the asymptotic series of psi1 takes over from the closed form
-FAR = 10.0
+# where the asymptotic series of psi1 takes over from the closed form: the
+# least argument pcx.special takes the same series at
+FAR = SHIFT
 
 
 # stands in for 0 in the sine's argument of _h0_near: its sine is itself,
@@ -114,17 +117,13 @@ def _h_split(y, sign, sin2):
     # round apart from an array's x * x
     y, sin2 = np.ravel(y), np.ravel(sin2)
     near = np.abs(y) < FAR
-    if near.all():
-        h0, h1 = _h0_near(y)
-        rest = h0 + sign * h1
-    else:
-        # the far remainder over every point in one pass, a near one
-        # reading FAR, costs less than gathering the far points; the
-        # closed form then overwrites the near points
-        rest = _far_rest(np.where(near, FAR, y), sin2, sign)
-        if near.any():
-            h0, h1 = _h0_near(y[near])
-            rest[near] = h0 + sign * h1
+    # the far remainder over every point in one pass, a near one reading
+    # FAR, costs less than gathering the far points; the closed form then
+    # overwrites the near points
+    rest = _far_rest(np.where(near, FAR, y), sin2, sign)
+    if near.any():
+        h0, h1 = _h0_near(y[near])
+        rest[near] = h0 + sign * h1
     # taken last, so that it is not held through the branches' temporaries
     whole = np.where(near, 0.0, np.sign(y))
     return whole.reshape(shape), rest.reshape(shape)
@@ -169,11 +168,15 @@ def eval_H0(x):
 
 
 def eval_r(beta, sign, x):
-    """Interval majorant (sign=+1) / minorant (-1) of chi_[-beta,beta]."""
+    """Interval majorant (sign=+1) / minorant (-1) of chi_[-beta,beta],
+    for a finite beta > 0 and finite x; DomainError otherwise."""
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
     if not math.isfinite(beta):
         raise DomainError("beta must be finite")
+    # no function sandwiches the indicator of an empty interval
+    if beta <= 0:
+        raise DomainError("beta must be positive")
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise DomainError("x must be finite")
@@ -227,13 +230,16 @@ def make_selberg_pair(beta, delta=1.0):
     """Majorant/minorant pair for chi_[-beta,beta] of type 2*pi*delta.
 
     The dilates s(x) = r_{delta*beta}(delta*x) keep the sandwich property
-    while widening the admissible band.
+    while widening the admissible band.  A gamma = delta*beta that
+    overflows raises DomainError.
     """
     if not 0 < beta < math.inf:
         raise DomainError("beta must be positive")
     if not 1 <= delta < math.inf:
         raise DomainError("delta must be at least 1")
     gamma = delta * beta
+    if gamma == math.inf:
+        raise DomainError("delta * beta overflows")
 
     def make(sign):
         def time_eval(x):

@@ -441,31 +441,22 @@ def quadrature_check(F, which, E=None):
     return m_of(F), node_sum
 
 
-def _recurrence_points(count, dim):
-    """The first `count` points frac(1/2 + k*alpha), k = 1, 2, ..., of the
-    additive recurrence in [0, 1)^dim with alpha_j = g^-j, g > 1 the root of
-    g^(dim+1) = g + 1 (the golden ratio for dim = 1).  A deterministic
-    low-discrepancy sample that needs no random generator."""
-    g = 2.0
-    for _ in range(40):
-        g = (1.0 + g) ** (1.0 / (dim + 1))
-    alpha = g ** -np.arange(1.0, dim + 1)
-    k = np.arange(1, count + 1)[:, None]
-    return (0.5 + k * alpha) % 1.0
-
-
 def verify_hb(samples=1000):
     """Check the defining inequalities of the structure function:
     |E(conj z)| < |E(z)| and 2 pi i (conj z - z) K(z,z) > 0 at `samples`
     points z of [-6, 6] x [1e-3, 4] in the upper half-plane, and E real at
-    64 points of [-4, 4] on the imaginary axis.  The points come from
-    _recurrence_points, so every call checks the same ones."""
+    64 points of [-4, 4] on the imaginary axis.  The box's points are its
+    Fibonacci lattice, ((k + 1/2) / samples, frac(1/2 + k (sqrt 5 - 1) /
+    2)) for k < samples, and the axis points the midpoints of 64 equal
+    cells, so every call checks the same ones."""
     E = build_E()
-    u = _recurrence_points(samples, 2)
-    z = (-6.0 + 12.0 * u[:, 0]) + 1j * (1e-3 + (4.0 - 1e-3) * u[:, 1])
+    k = np.arange(samples)
+    u = (k + 0.5) / samples
+    v = (0.5 + k * (0.5 * (math.sqrt(5.0) - 1.0))) % 1.0
+    z = (-6.0 + 12.0 * u) + 1j * (1e-3 + (4.0 - 1e-3) * v)
     modulus_bad = ~(np.abs(E.E_eval(np.conj(z))) < np.abs(E.E_eval(z)))
     lzz = (2.0j * math.pi * (np.conj(z) - z) * kernel_eval(z, z)).real
-    x = -4.0 + 8.0 * _recurrence_points(64, 1)[:, 0]
+    x = -4.0 + (np.arange(64) + 0.5) / 8.0
     val = E.E_eval(1j * x)
     axis_bad = np.abs(val.imag) > 1e-12 * np.maximum(1.0, np.abs(val))
     report = {"modulus_violations": z[modulus_bad].tolist(),

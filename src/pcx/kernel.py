@@ -182,12 +182,16 @@ def kernel_eval(w, z):
     """K(w, z), elementwise over w and z broadcast against each other.
 
     Scalars give a 0-d array.  Points w within 1e-4 of the removable
-    points +/-Z0 are patched.  Past |w| = _BETA_MAX the coefficients
-    overflow, and once |Im w| + |Im z| passes about 224 the sines do (K
-    grows like exp(pi (|Im w| + |Im z|))); NonConvergence then names the
-    first such w and z.  Every overflow with |w| <= _BETA_MAX leaves a
-    value that is not finite, so one pass over the values finds it.
+    points +/-Z0 are patched.  A w or z that is not finite (NaN or an
+    infinite part) raises DomainError.  Past |w| = _BETA_MAX the
+    coefficients overflow, and once |Im w| + |Im z| passes about 224 the
+    sines do (K grows like exp(pi (|Im w| + |Im z|))); NonConvergence then
+    names the first such w and z.  Every overflow with |w| <= _BETA_MAX
+    leaves a value that is not finite, so one pass over the values finds
+    it.
     """
+    if not (np.isfinite(w).all() and np.isfinite(z).all()):
+        raise DomainError("kernel_eval: w and z must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         k = _patched(_k_raw, w, z)
     bad = ~np.isfinite(k) | (np.abs(w) > _BETA_MAX)

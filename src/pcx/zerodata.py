@@ -22,15 +22,17 @@ their own weights (Golub-Welsch): 49 nodes in place of 95 on the shipped
 table.  No cos or complex exponential of a large argument is taken: each
 ordinate gets one unit phase relative to its block's left edge, and a
 pair's cos(k d) is the real part of a product of two such phases and one
-per block pair.  A block's moment sum_i phase_i exp(-t x_i), x_i the
-block-local offsets, is one batched product of the phases with the
-exponentials exp(-t x) at every node.  What F needs that no alpha
-changes is its plan, built once per window: the blocks and their mask,
-reach, the nodes and weights, the near field's Cauchy weights (one
-(blocks, 16, 16) array per block offset below reach), the far field's
-decays exp(-t gap) of its carry steps and hand-offs, and the
-exponentials exp(-t x) of its block moments, once for the senders and
-once for the receivers.  Two slots keep the plans of the last two
+per block pair.  One builder, _phases, makes these block-local phases
+for F, for the Selberg pair sum's far field and for its near pieces.  A
+block's moment sum_i phase_i exp(-t x_i), x_i the block-local offsets,
+is one batched product of the phases with the exponentials exp(-t x) at
+every node.  What F needs that no alpha changes is its plan, built once
+per window: the blocks and their mask, reach, the nodes and weights, the
+near field's Cauchy weights (one (blocks, 16, 16) array per block offset
+below reach), the far field's decays exp(-t gap) of its carry steps and
+hand-offs, and the exponentials exp(-t x) of its block moments, once for
+the senders and once for the receivers; one helper, _decay, makes every
+such exp(-a b).  Two slots keep the plans of the last two
 windows F or the Selberg pair sum (below) was taken on, keyed by the
 window's content, so F again on either table, at another alpha or
 another T with the same window, builds none of it, also when one call
@@ -59,7 +61,8 @@ exponential sums, one smooth and one at the cosine's frequency.  It
 takes them on F's nodes, its Gauss rule included, with the plan's kept
 decays and exponentials, and on the few (at most 6 seen) trapezoid
 nodes above F's top that its sums, decaying more slowly than F's, still
-need: a window has one node rule for both.  The exact part takes R,
+need: a window has one node rule for both, and one call samples the far
+weights on both sets of nodes.  The exact part takes R,
 piece by piece (up to 64 x 256 gaps each), from pcx.beurling's one
 assembly of r_gamma, which alone knows its switch and sign rule; each
 gap's two squared sines come from unit phases, as F's near field takes
@@ -277,11 +280,12 @@ def weighted_pair_sum(ds, T, R):
     6 of them on the shipped table's prefixes, beta in [0.01, 200], delta
     in [1, 2]).  On F's nodes the far field reads the plan's step decays
     and exponentials and builds only its hand-off decays, shifted by its
-    own d0; the weights of _selberg_nodes there are scaled by F's weight
-    over the trapezoid weight 2 _H t sin 2t, exactly 1 on a trapezoid
-    node, so that on F's Gauss nodes they take F's Gauss rule of the
-    smooth ratio of the two.  The nodes above F's top take a _FarPlan of
-    their own.
+    own d0.  One _selberg_nodes call samples the weights on F's nodes
+    and those above its top together; on F's nodes they are scaled by F's
+    weight over the trapezoid weight 2 _H t sin 2t, exactly 1 on a
+    trapezoid node, so that on F's Gauss nodes they take F's Gauss rule of
+    the smooth ratio of the two.  The nodes above F's top take a _FarPlan
+    of their own.
     """
     if not isinstance(R, SelbergFunction):
         raise DomainError("weighted_pair_sum takes a Selberg function")
@@ -301,16 +305,15 @@ def weighted_pair_sum(ds, T, R):
     grid = _log_grid(d0 - R.gamma / a)
     top = grid[grid > t[-1]]
     k = np.array([0.0, 2.0 * math.pi * a])
-    phase = real[..., np.newaxis] * np.exp(
-        1j * k * (G - G[:, :1])[..., np.newaxis])
+    phase = real[..., np.newaxis] * _phases(G, k)
     hand = G[reach:, 0] - G[:nb - reach, -1] - d0
-    w = (_selberg_nodes(R, a, d0, t)
-         * (far.w / (2.0 * _H * t * np.sin(2.0 * t)))[:, np.newaxis])
+    w = _selberg_nodes(R, a, d0, np.concatenate([t, top]))
     total = _far_field(G, phase, reach, k, far._replace(
-        w=w, hand_gaps=hand, hand_decays=_decay(hand, t)))
+        w=w[:len(t)] * (far.w / (2.0 * _H * t * np.sin(2.0 * t)))[:, np.newaxis],
+        hand_gaps=hand, hand_decays=_decay(hand, t)))
     if len(top):
-        total += _far_field(G, phase, reach, k, _far_plan(
-            G, reach, top, _selberg_nodes(R, a, d0, top), d0))
+        total += _far_field(G, phase, reach, k,
+                            _far_plan(G, reach, top, w[len(t):], d0))
     return diagonal + 2.0 * (float(near) + float(total[0]) + float(total[1]))
 
 
@@ -479,15 +482,15 @@ def _near_pieces(G, real, a, reach):
     blocks apart, one piece per run of up to _NEAR blocks and offset, as
     (d, mask, ei, ej): the gaps d, the product of the boolean masks of
     their ends, and factors whose product conj(ei) ej is exp(i pi a d).
-    ei is the unit phase exp(i pi a (x - left edge)) of the lower end; ej
+    ei is the unit phase exp(i pi a (x - left edge)) of the lower end,
+    from _phases at the one frequency pi a; ej
     that of the upper end, times one hop exp(i pi a (left_{b+o} - left_b))
     per block pair when the ends lie in blocks b and b + o.  So no phase of
     a large argument is taken, and apart from inside a block (i and j of
     the upper triangle) the factors are per ordinate, broadcast against
     each other."""
     nb = len(G)
-    left = G[:, 0]
-    phase = np.exp(1j * math.pi * a * (G - left[:, np.newaxis]))
+    phase = _phases(G, np.array([math.pi * a]))[..., 0]
     i, j = np.triu_indices(_BLOCK, 1)
     for lo in range(0, nb, _NEAR):
         A, a_real, e = G[lo:lo + _NEAR], real[lo:lo + _NEAR], phase[lo:lo + _NEAR]
@@ -534,21 +537,15 @@ def _selberg_near(G, real, R, scale, reach):
     return near
 
 
-def _exponentials(x, t):
-    """exp(-t x) for every node t and offset x of a (blocks, _BLOCK)
-    array, node-major, (nodes, blocks, _BLOCK), so that the product and
-    the exp each run over all offsets at once."""
-    e = np.multiply(-t[:, np.newaxis, np.newaxis], x)
-    return np.exp(e, out=e)
-
-
 def _moments(direct, phase, out):
     """Fill out, a (blocks, nodes) or (blocks, nodes, alphas) complex
     array, with sum_i phase_i exp(-t x_i) over each block row of the
-    offsets x, for every node t, given direct = _exponentials(x, t);
-    phase has the shape of x, or of x with the trailing alpha axis of
-    out.  One batched product runs here, on the float views of the phases
-    and of out, two real columns per alpha."""
+    offsets x, for every node t, given direct = _decay(t, x), the
+    (nodes, blocks, _BLOCK) exponentials exp(-t x).  phase, the masked
+    phases of _phases or their conjugates turned to the right edge, has
+    the shape of x, or of x with the trailing alpha axis of out.  One
+    batched product runs here, on the float views of the phases and of
+    out, two real columns per alpha."""
     blocks = direct.shape[1:]
     parts = phase.view(float).reshape(blocks + (-1,))
     columns = out.view(float).reshape(blocks[0], len(direct), -1)
@@ -586,10 +583,22 @@ def _carry(sums, steps):
         row += prev * step
 
 
-def _decay(dx, t):
-    """exp(-t dx) for every gap dx and node t, a (gaps, nodes) array."""
-    decay = np.multiply(-dx[:, np.newaxis], t)
-    return np.exp(decay, out=decay)
+def _decay(a, b):
+    """exp(-a b) for every entry of a and of b, shaped a then b: the
+    decays exp(-t gap) of the far field, (gaps, nodes), and the
+    exponentials exp(-t x) of the block moments, (nodes, blocks,
+    _BLOCK), so that the product and the exp each run over all of them
+    at once."""
+    e = np.multiply.outer(-a, b)
+    return np.exp(e, out=e)
+
+
+def _phases(G, k):
+    """The block-local unit phases exp(i k (x - left edge)) of the
+    blocks G, for every frequency of the array k: a (blocks, _BLOCK,
+    len(k)) complex array, one column per k.  F, the Selberg pair sum's
+    far field and its near pieces all take their phases here."""
+    return np.exp(1j * k * (G - G[:, :1])[..., np.newaxis])
 
 
 class _FarPlan(NamedTuple):
@@ -597,8 +606,9 @@ class _FarPlan(NamedTuple):
     the nodes t and weights w, the gaps and decays exp(-t gap) of the
     carry steps (right edge to right edge of the senders) and of the
     hand-offs (sender's right edge to the left edge of the block `reach`
-    on, less the shift), and the _exponentials of _moments for the
-    senders' offsets right - x and for the receivers' offsets x - left.
+    on, less the shift), and the exponentials exp(-t x) of _moments for
+    the senders' offsets right - x and for the receivers' offsets x -
+    left, all from the one exp(-a b) helper _decay.
     F's _Plan keeps one per window; the Selberg pair sum reads it with its
     own weights and hand-offs (a reach at least F's, and a shift), and
     _far_field takes as many of its senders' and receivers' blocks as a
@@ -623,8 +633,8 @@ def _far_plan(G, reach, t, w, shift=0.0):
     hand = left[reach:] - right[:senders] - shift
     return _FarPlan(
         t, w, steps, _decay(steps, t), hand, _decay(hand, t),
-        _exponentials(right[:senders, np.newaxis] - G[:senders], t),
-        _exponentials(G[reach:] - left[reach:, np.newaxis], t))
+        _decay(t, right[:senders, np.newaxis] - G[:senders]),
+        _decay(t, G[reach:] - left[reach:, np.newaxis]))
 
 
 def _far_field(G, phase, reach, k, far):
@@ -792,9 +802,8 @@ def empirical_F(ds, T, alpha):
         pairs = np.empty(len(k))
         for lo in range(0, len(k), _ALPHAS):
             chunk = k[lo:lo + _ALPHAS]
-            # block-local unit phases e_i = exp(i k (x_i - left edge)),
-            # zero on the padding, one column per k
-            phase = np.exp(1j * chunk * (G - G[:, :1])[..., np.newaxis])
+            # block-local unit phases, zero on the padding
+            phase = _phases(G, chunk)
             phase *= plan.real[..., np.newaxis]
             pairs[lo:lo + _ALPHAS] = _near_F(G, phase, plan.weights, chunk)
             if plan.far is not None:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -333,6 +334,28 @@ def test_eval_r_non_finite_raises():
             bs.eval_r(1.0, -1, np.array([0.5, x]))
         with pytest.raises(DomainError, match="beta must be finite"):
             bs.eval_r(x, 1, np.array([0.5]))
+
+
+def test_eval_r_non_positive_beta_raises():
+    # chi of [-beta, beta] is zero for beta < 0, and r(-1, +1) would dip
+    # to -1 at 0: no such beta, nor 0, gives a sandwich
+    for beta in (0.0, -0.0, -5e-324, -1.0, -12.5):
+        for sign in (+1, -1):
+            with pytest.raises(DomainError, match="beta must be positive"):
+                bs.eval_r(beta, sign, np.array([0.0, 0.5, 3.0]))
+    assert np.all(np.isfinite(bs.eval_r(5e-324, 1, np.array([0.0, 0.5]))))
+
+
+def test_selberg_pair_gamma_overflow_raises():
+    # gamma = delta beta past the largest double leaves no function to
+    # evaluate; the largest gamma that stays finite builds its pair
+    with pytest.raises(DomainError, match="overflows"):
+        bs.make_selberg_pair(1e308, 2.0)
+    with pytest.raises(DomainError, match="overflows"):
+        bs.make_selberg_pair(2.0, 1e308)
+    pair = bs.make_selberg_pair(sys.float_info.max / 2.0, 2.0)
+    assert pair.majorant.gamma == sys.float_info.max
+    assert np.isfinite(pair.majorant.time_eval(np.array([0.0]))).all()
 
 
 @pytest.mark.filterwarnings("error")

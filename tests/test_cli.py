@@ -731,7 +731,9 @@ def test_readme_cli_block_is_the_help_text(capsys):
 def test_every_subcommand_runs_without_argparse(zeros_path):
     # argv is walked against cli's own option table: a fresh interpreter
     # that runs every subcommand, a help and a parse error loads neither
-    # argparse nor the gettext and locale that it pulls in
+    # argparse nor the gettext and locale that it pulls in.  Nor does it
+    # load numpy.random (a lazy import of about 13 ms), or scipy and
+    # mpmath, which only the tests use
     script = (
         "import contextlib, io, sys\n"
         "from pcx import cli\n"
@@ -743,7 +745,8 @@ def test_every_subcommand_runs_without_argparse(zeros_path):
         "                 ['--help'], ['bounds', '-h']):\n"
         "        assert cli.main(argv) == 0, argv\n"
         "    assert cli.main(['bounds', '--bet', '1']) == 2\n"
-        "loaded = sorted(m for m in ('argparse', 'gettext', 'locale')\n"
+        "loaded = sorted(m for m in ('argparse', 'gettext', 'locale',\n"
+        "                            'numpy.random', 'scipy', 'mpmath')\n"
         "                if m in sys.modules)\n"
         "print('loaded:', ','.join(loaded))\n")
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])

@@ -287,8 +287,10 @@ def test_two_delta_refuses_overflow():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("w, z, overflows", [
-    # |w| past _BETA_MAX: the coefficients' (1 - 2 (pi w)^2) _DEN_D
+    # |w| past _BETA_MAX: the coefficients' (1 - 2 (pi w)^2) _DEN_D; a
+    # finite w stays a numerics error, not a domain one
     (1e153, 0.5, False), (1.1e153, 0.5, True), (3e153, 0.5, True),
+    (1e154, 0.0, True),
     # |Im w| + |Im z| past about 224 to 226: the sines
     (200j, 0.5, False), (226j, 0.5, True),
     (5.0, 223j, False), (5.0, 230j, True),
@@ -305,6 +307,20 @@ def test_kernel_eval_refuses_overflow(w, z, overflows):
     # in an array, the first such point is named
     with pytest.raises(NonConvergence, match=re.escape(f"w={w}, z={z}")):
         kn.kernel_eval(np.array([0.5, w, 0.3]), np.array([0.1, z, z]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [
+    math.nan, math.inf, -math.inf, complex(math.inf, 0.0),
+    complex(0.0, -math.inf), complex(math.nan, 1.0), complex(1.0, math.nan),
+])
+def test_kernel_eval_non_finite_raises(bad):
+    # input that is not finite is bad input, not an overflow of K, in w
+    # and in z, alone or in an array
+    for w, z in ((bad, 0.0), (0.0, bad), (np.array([0.5, bad]), 0.3),
+                 (0.5, np.array([0.3, bad]))):
+        with pytest.raises(DomainError, match="must be finite"):
+            kn.kernel_eval(w, z)
 
 
 @pytest.mark.filterwarnings("error")

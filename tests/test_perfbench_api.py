@@ -1,12 +1,14 @@
 """The benchmark's calls into pcx still work: each workload's tiny plan
 runs and passes its reference checks, every name its scripts take from
-pcx exists, and the span tracer covers every binding of a pcx function.
+pcx exists, every call make_refs.py makes into pcx binds to its
+signature, and the span tracer covers every binding of a pcx function.
 The benchmark's modules are loaded by path, without writing bytecode next
 to them, or read with ast."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import sys
 
@@ -167,3 +169,60 @@ def test_benchmark_names_in_pcx_resolve():
                 missing.append(f"{path.name}: {module}.{name}")
     assert found >= 40
     assert missing == []
+
+
+def _resolve(dotted):
+    """The object of a dotted name under pcx: the longest prefix that is a
+    module, then attributes."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        obj = _module(".".join(parts[:i]))
+        if obj is not None:
+            for attr in parts[i:]:
+                obj = getattr(obj, attr)
+            return obj
+    raise ImportError(dotted)
+
+
+def _pcx_calls(tree):
+    """(dotted name, positional count, keyword names) of every call a
+    script makes into pcx: of a name that `from pcx... import` binds, or
+    of an attribute (chain) of one that is a pcx module."""
+    bound = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and not node.level
+                and node.module.split(".")[0] == "pcx"):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    calls = []
+    for node in ast.walk(tree):
+        name = isinstance(node, ast.Call) and _dotted(node.func)
+        if name and name.split(".")[0] in bound:
+            head, _, rest = name.partition(".")
+            assert not any(isinstance(a, ast.Starred) for a in node.args)
+            assert all(k.arg for k in node.keywords)
+            calls.append((".".join(filter(None, (bound[head], rest))),
+                          len(node.args), tuple(k.arg for k in node.keywords)))
+    return calls
+
+
+def test_make_refs_calls_bind():
+    # make_refs.py regenerates refs.json and no test runs it: each call it
+    # makes into pcx must still bind to the signature it calls, so that a
+    # dropped keyword or a changed arity fails here
+    tree = ast.parse((ROOT / "perfbench" / "make_refs.py").read_text(
+        encoding="utf-8"))
+    calls = _pcx_calls(tree)
+    unbound = []
+    for name, positional, keywords in calls:
+        try:
+            inspect.signature(_resolve(name)).bind(
+                *range(positional), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{name}: {exc}")
+    assert unbound == []
+    names = {name for name, _, _ in calls}
+    assert {"pcx.pcbounds.m_selberg", "pcx.zerodata.count_pairs_brute",
+            "pcx.debranges.quadrature_check",
+            "pcx.beurling.make_selberg_pair"} <= names
+    assert ("pcx.debranges.quadrature_check", 2, ("E",)) in calls

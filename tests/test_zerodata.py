@@ -568,11 +568,12 @@ def test_F_plan_keeps_the_moment_factors(dataset, monkeypatch):
     # senders and for the receivers, and keeps them in its plan; F at three
     # more alphas, on an alpha array and at another T with the same window
     # builds none.  The kept arrays are exp(-t x) at every node,
-    # recomputed here from plan.G
+    # recomputed here from plan.G.  Only the _decay calls that build the
+    # (nodes, blocks, 16) exponentials count, not the (gaps, nodes) decays
     built = []
-    exponentials = zd._exponentials
-    monkeypatch.setattr(zd, "_exponentials",
-                        lambda *args: built.append(args) or exponentials(*args))
+    decay = zd._decay
+    monkeypatch.setattr(zd, "_decay", lambda t, x: (
+        np.ndim(x) == 2 and built.append(t)) or decay(t, x))
     g = dataset.ordinates
     T1, T2 = float(g[1999]), 0.5 * float(g[1999] + g[2000])
     zd.empirical_F(dataset, T1, 1.0)
@@ -614,10 +615,11 @@ def test_selberg_pairs_read_the_kept_plan(dataset, monkeypatch):
     zd.empirical_F(A, A.t_max, 1.0)
     ((_, plan),) = zd._memo
     kept = _plan_digest(plan)
+    # the exponentials are the _decay calls on (blocks, 16) offsets
     nodes, weights = [], []
-    exponentials, cauchy = zd._exponentials, zd._cauchy_weights
-    monkeypatch.setattr(zd, "_exponentials",
-                        lambda x, t: nodes.append(t) or exponentials(x, t))
+    decay, cauchy = zd._decay, zd._cauchy_weights
+    monkeypatch.setattr(zd, "_decay", lambda t, x: (
+        np.ndim(x) == 2 and nodes.append(t)) or decay(t, x))
     monkeypatch.setattr(zd, "_cauchy_weights",
                         lambda G, reach: weights.append(reach) or cauchy(G, reach))
     pair = make_selberg_pair(1.0)
@@ -636,6 +638,26 @@ def test_selberg_pairs_read_the_kept_plan(dataset, monkeypatch):
     nodes.clear()
     assert _bits(zd.empirical_F(B, B.t_max, 1.0)) == cold_B
     assert len(weights) == 1 and not nodes
+
+
+def test_selberg_far_weights_take_one_call(dataset, monkeypatch):
+    # the beta = 1 pair sum on the first 2,000 zeros samples its far
+    # weights once, on F's nodes and its one node above F's top together:
+    # one _power_weights call per side of the argument
+    A = _prefix(dataset, 2000)
+    zd.empirical_F(A, A.t_max, 1.0)
+    t_F = zd._plan(A.ordinates).far.t
+    sampled, powers = [], []
+    selberg_nodes, power_weights = zd._selberg_nodes, zd._power_weights
+    monkeypatch.setattr(zd, "_selberg_nodes", lambda R, a, d0, t: (
+        sampled.append(t) or selberg_nodes(R, a, d0, t)))
+    monkeypatch.setattr(zd, "_power_weights", lambda *args: (
+        powers.append(args) or power_weights(*args)))
+    zd.weighted_pair_sum(A, A.t_max, make_selberg_pair(1.0).majorant)
+    (t,) = sampled
+    assert len(t) == len(t_F) + 1 and np.array_equal(t[:-1], t_F)
+    assert t[-1] > t_F[-1]
+    assert len(powers) == 2
 
 
 def _retained_bytes(fn):
@@ -847,7 +869,7 @@ def test_block_moments_against_exponentials(seed):
     t, _ = zd._nodes(d0, window)
     parts = np.stack([p.real, p.imag], axis=-1)
     want = np.exp(-t[:, np.newaxis] * x[:, np.newaxis, :]) @ parts
-    got = zd._moments(zd._exponentials(x, t), p,
+    got = zd._moments(zd._decay(t, x), p,
                       np.empty((nb, len(t)), dtype=complex))
     err = np.abs(got - (want[..., 0] + 1j * want[..., 1]))
     assert np.all(err <= 1e-15 * np.sum(np.abs(p), axis=1)[:, np.newaxis])
